@@ -12,14 +12,19 @@ use spinnaker_core::client::Workload;
 use spinnaker_core::cluster::{ClusterConfig, SimCluster};
 use spinnaker_eventual::merkle::MerkleTree;
 use spinnaker_sim::{DiskProfile, SECS};
-use spinnaker_storage::{Memtable, RangeStore, StoreOptions, TableBuilder, TableOptions};
+use spinnaker_storage::{
+    BlockCache, Memtable, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
+};
 use spinnaker_wal::{LogRecord, Wal, WalOptions};
 
 fn bench_crc32c(c: &mut Criterion) {
-    let data = vec![0xabu8; 4096];
+    // A WAL frame of one small put, an SSTable block, a catch-up read.
     let mut g = c.benchmark_group("crc32c");
-    g.throughput(Throughput::Bytes(4096));
-    g.bench_function("4k_block", |b| b.iter(|| crc32c::crc32c(std::hint::black_box(&data))));
+    for (name, len) in [("64b_frame", 64usize), ("4k_block", 4096), ("64k_chunk", 65536)] {
+        let data = vec![0xabu8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32c::crc32c(std::hint::black_box(&data))));
+    }
     g.finish();
 }
 
@@ -65,9 +70,17 @@ fn bench_sstable(c: &mut Criterion) {
         builder.add(&Key::from(format!("key{i:06}").into_bytes()), &row).unwrap();
     }
     let table = builder.finish().unwrap();
-    c.bench_function("sstable/point_get_hit", |b| {
-        let key = Key::from("key005000");
+    let key = Key::from("key005000");
+    // No cache: every get reads, checksums and indexes its block.
+    c.bench_function("sstable/get_cold", |b| {
         b.iter(|| table.get(std::hint::black_box(&key)).unwrap().is_some())
+    });
+    // Cached block: a lookup, a binary search, a clone of the row the
+    // first get decoded and the block kept.
+    let ctx = TableCtx { cache: Some(Arc::new(BlockCache::new(1 << 20))), ..Default::default() };
+    let cached = Table::open_with(vfs, "bench-sst", ctx).unwrap();
+    c.bench_function("sstable/get_hit", |b| {
+        b.iter(|| cached.get(std::hint::black_box(&key)).unwrap().is_some())
     });
     c.bench_function("sstable/point_get_bloom_miss", |b| {
         let key = Key::from("missing-key");

@@ -10,8 +10,7 @@
 //!
 //! Absolute milliseconds depend on the calibrated hardware model
 //! (`spinnaker-sim`); the *shapes* — who wins, by what factor, where the
-//! knees fall — are the reproduction targets. `EXPERIMENTS.md` records
-//! paper-vs-measured for every artifact.
+//! knees fall — are the reproduction targets.
 
 #![warn(missing_docs)]
 

@@ -163,15 +163,20 @@ pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend_from_slice(b);
 }
 
-/// Read a length-prefixed byte string as an owned `Bytes`.
-pub fn get_bytes(buf: &mut &[u8]) -> Result<Bytes> {
+/// Read a length-prefixed byte string, borrowed from the input.
+pub fn get_byte_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     let len = get_varint_len(buf, "byte string", 1)?;
     if buf.len() < len {
         return Err(eof("byte string body"));
     }
     let (head, rest) = buf.split_at(len);
     *buf = rest;
-    Ok(Bytes::copy_from_slice(head))
+    Ok(head)
+}
+
+/// Read a length-prefixed byte string as an owned `Bytes`.
+pub fn get_bytes(buf: &mut &[u8]) -> Result<Bytes> {
+    get_byte_slice(buf).map(Bytes::copy_from_slice)
 }
 
 // --------------------------------------------------- impls for core types
@@ -207,16 +212,57 @@ fn put_cv_fields(buf: &mut Vec<u8>, cv: &ColumnValue) {
     put_bytes(buf, &cv.value);
 }
 
-fn get_cv_fields(buf: &mut &[u8]) -> Result<ColumnValue> {
+/// One version's fields with the value still borrowed: the single parse
+/// both [`ColumnValue::decode`] and [`skip_column_value`] run, so the two
+/// accept and reject exactly the same bytes.
+fn get_cv_parts<'a>(buf: &mut &'a [u8]) -> Result<(bool, u64, u64, &'a [u8])> {
     let tombstone = match get_u8(buf)? {
         0 => false,
         1 => true,
         other => return Err(Error::Codec(format!("bad tombstone flag {other}"))),
     };
-    let version = get_u64(buf)?;
-    let timestamp = get_u64(buf)?;
-    let value = get_bytes(buf)?;
+    Ok((tombstone, get_u64(buf)?, get_u64(buf)?, get_byte_slice(buf)?))
+}
+
+fn get_cv_fields(buf: &mut &[u8]) -> Result<ColumnValue> {
+    let (tombstone, version, timestamp, value) = get_cv_parts(buf)?;
+    let value = Bytes::copy_from_slice(value);
     Ok(ColumnValue { value, version, timestamp, tombstone, older: Vec::new() })
+}
+
+/// Each chained version is at least flag + version + timestamp + value
+/// length: 18 bytes.
+fn get_chain_len(buf: &mut &[u8]) -> Result<usize> {
+    get_varint_len(buf, "column version chain", 18)
+}
+
+/// A column is at least a 1-byte name length plus 18 bytes of version
+/// fields.
+fn get_column_count(buf: &mut &[u8]) -> Result<usize> {
+    get_varint_len(buf, "row columns", 19)
+}
+
+/// Advance `buf` past one encoded [`ColumnValue`] (head and MVCC chain)
+/// without allocating. Validates everything [`ColumnValue::decode`]
+/// validates: it succeeds on, and consumes, exactly the same bytes.
+pub fn skip_column_value(buf: &mut &[u8]) -> Result<()> {
+    get_cv_parts(buf)?;
+    for _ in 0..get_chain_len(buf)? {
+        get_cv_parts(buf)?;
+    }
+    Ok(())
+}
+
+/// Advance `buf` past one encoded [`Row`] without allocating — the
+/// structure-validating pass that lets an SSTable block be indexed in
+/// place and only the row a read returns be decoded. Succeeds on, and
+/// consumes, exactly the bytes [`Row::decode`] does.
+pub fn skip_row(buf: &mut &[u8]) -> Result<()> {
+    for _ in 0..get_column_count(buf)? {
+        get_byte_slice(buf)?;
+        skip_column_value(buf)?;
+    }
+    Ok(())
 }
 
 impl Encode for ColumnValue {
@@ -234,9 +280,7 @@ impl Encode for ColumnValue {
 impl Decode for ColumnValue {
     fn decode(buf: &mut &[u8]) -> Result<ColumnValue> {
         let mut head = get_cv_fields(buf)?;
-        // Each chained version is at least flag + version + timestamp +
-        // value length: 18 bytes.
-        let n = get_varint_len(buf, "column version chain", 18)?;
+        let n = get_chain_len(buf)?;
         let mut older = Vec::with_capacity(n.min(64));
         for _ in 0..n {
             older.push(get_cv_fields(buf)?);
@@ -258,9 +302,7 @@ impl Encode for Row {
 
 impl Decode for Row {
     fn decode(buf: &mut &[u8]) -> Result<Row> {
-        // A column is at least a 1-byte name length plus 18 bytes of
-        // version fields.
-        let n = get_varint_len(buf, "row columns", 19)?;
+        let n = get_column_count(buf)?;
         let mut row = Row::new();
         for _ in 0..n {
             let name = get_bytes(buf)?;
@@ -348,7 +390,70 @@ mod tests {
         assert!(ColumnValue::decode(&mut buf.as_slice()).is_err());
     }
 
+    #[test]
+    fn skip_rejects_what_decode_rejects() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 7);
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 2);
+        put_bytes(&mut buf, b"");
+        put_varint(&mut buf, 0);
+        assert!(skip_column_value(&mut buf.as_slice()).is_err(), "bad tombstone flag");
+        // A column count the remaining bytes cannot back.
+        assert!(skip_row(&mut [0xffu8, 0xff, 0x03, 0, 0].as_slice()).is_err());
+    }
+
+    type Version = (u64, u64, bool, Vec<u8>);
+
+    fn cv_of((version, timestamp, tombstone, value): Version) -> ColumnValue {
+        ColumnValue { value: Bytes::from(value), version, timestamp, tombstone, older: Vec::new() }
+    }
+
     proptest! {
+        #[test]
+        fn prop_skip_row_mirrors_decode(
+            cols in proptest::collection::btree_map(
+                proptest::collection::vec(any::<u8>(), 0..12),
+                proptest::collection::vec(
+                    (any::<u64>(), any::<u64>(), any::<bool>(),
+                     proptest::collection::vec(any::<u8>(), 0..40)),
+                    1..5,
+                ),
+                0..6,
+            ),
+            trailing in proptest::collection::vec(any::<u8>(), 0..8),
+        ) {
+            let mut row = Row::new();
+            for (name, mut versions) in cols {
+                let mut head = cv_of(versions.remove(0));
+                head.older = versions.into_iter().map(cv_of).collect();
+                row.set(Bytes::from(name), head);
+            }
+            let mut enc = row.encode_to_vec();
+            let row_len = enc.len();
+            enc.extend_from_slice(&trailing);
+
+            // Whole input: both stop at the end of the row, not of the buffer.
+            let mut d = enc.as_slice();
+            prop_assert_eq!(Row::decode(&mut d).unwrap(), row);
+            let mut s = enc.as_slice();
+            skip_row(&mut s).unwrap();
+            prop_assert_eq!(s.len(), trailing.len());
+            prop_assert_eq!(d.len(), s.len());
+
+            // Every truncation point: same verdict, same bytes consumed.
+            for cut in 0..row_len {
+                let mut d = &enc[..cut];
+                let mut s = &enc[..cut];
+                let decoded = Row::decode(&mut d);
+                let skipped = skip_row(&mut s);
+                prop_assert_eq!(decoded.is_err(), skipped.is_err(), "cut at {}", cut);
+                if decoded.is_ok() {
+                    prop_assert_eq!(d.len(), s.len(), "cut at {}", cut);
+                }
+            }
+        }
+
         #[test]
         fn prop_varint_roundtrip(v: u64) {
             let mut buf = Vec::new();

@@ -60,6 +60,12 @@ impl From<&str> for Key {
     }
 }
 
+impl From<&[u8]> for Key {
+    fn from(b: &[u8]) -> Key {
+        Key(Bytes::copy_from_slice(b))
+    }
+}
+
 impl From<Vec<u8>> for Key {
     fn from(v: Vec<u8>) -> Key {
         Key(Bytes::from(v))

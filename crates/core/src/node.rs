@@ -89,7 +89,7 @@ pub struct NodeConfig {
     /// Capacity of L1, the first sorted level of each range's store.
     pub level_base_bytes: u64,
     /// Node-wide block cache budget shared by every range's store
-    /// (decoded SSTable blocks, charged by encoded size). `0` disables
+    /// (raw SSTable blocks, charged by on-disk size). `0` disables
     /// the cache.
     pub block_cache_bytes: u64,
     /// Piggy-back the committed watermark on propose messages (§D.1

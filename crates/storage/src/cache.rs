@@ -1,11 +1,20 @@
-//! Shared block cache: decoded SSTable data blocks, kept hot across every
-//! store on a node.
+//! Shared block cache: SSTable data blocks, kept hot across every store
+//! on a node.
 //!
 //! Point gets and scan pages resolve through [`crate::sstable::Table`]
 //! block reads; without a cache each read goes back through the VFS,
-//! re-checksums the chunk, and re-decodes every row in the block. The
-//! [`BlockCache`] keeps the *decoded* block (an `Arc<Vec<(Key, Row)>>`)
-//! so a hot block costs one `BTreeMap` lookup — no IO, no CRC, no codec.
+//! re-checksums the chunk and re-indexes it. The [`BlockCache`] keeps the
+//! loaded [`Block`] — the CRC-verified **raw** body plus its entry
+//! offsets, not a decoded copy of every row — so a hot block costs one
+//! `BTreeMap` lookup: no IO, no CRC, no skip pass.
+//!
+//! Decoding happens at the reader, one row at a time: a get decodes the
+//! row it returns, an iterator each row it yields. The block keeps the
+//! rows gets have returned (see [`crate::block`]), so a second get of a
+//! hot key is a clone, as cheap as it was when whole blocks were cached
+//! decoded; a cold block read for one key allocates for that one row, and
+//! its eviction frees two flat buffers plus the rows that were actually
+//! read, not an object graph per stored row.
 //!
 //! Design:
 //!
@@ -16,7 +25,12 @@
 //!   key order, clearing bits and evicting the first unreferenced entry —
 //!   a deterministic LRU approximation with O(log n) steps.
 //! * **Charged by block bytes**: an entry's cost is the on-disk chunk
-//!   length it replaced, so the configured capacity tracks real IO saved.
+//!   length it replaced (body + checksum), so the configured capacity
+//!   tracks real IO saved. It is a function of the file alone, so which
+//!   blocks hit, miss and get evicted depends only on the tables and the
+//!   access order, never on how a block is held in memory. Memory pinned
+//!   per entry is the body, 40 bytes of offsets and slot per row, and a
+//!   decoded copy of each row a get has returned.
 //! * **Keyed `(table_id, block_offset)`** where `table_id` is a
 //!   cache-unique id handed out by [`BlockCache::register_table`] at
 //!   table open. Ids are never reused, so an entry for a table retired by
@@ -29,10 +43,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use spinnaker_common::{Key, Row};
 
-/// A decoded data block, shared between the cache and its readers.
-pub type CachedBlock = Arc<Vec<(Key, Row)>>;
+use crate::block::Block;
+
+/// A loaded data block, shared between the cache and its readers.
+pub type CachedBlock = Arc<Block>;
 
 /// Shared, clonable handle to a node-wide [`BlockCache`].
 pub type SharedBlockCache = Arc<BlockCache>;
@@ -40,7 +55,7 @@ pub type SharedBlockCache = Arc<BlockCache>;
 const SHARDS: usize = 8;
 
 struct Entry {
-    rows: CachedBlock,
+    block: CachedBlock,
     charge: u64,
     referenced: bool,
 }
@@ -138,14 +153,14 @@ impl CacheMetrics {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Blocks actually read and decoded through the VFS (every miss,
+    /// Blocks actually read and checksummed through the VFS (every miss,
     /// plus every read when no cache is configured).
     pub fn block_reads(&self) -> u64 {
         self.block_reads.load(Ordering::Relaxed)
     }
 }
 
-/// A sharded, clock-evicted cache of decoded SSTable blocks, shared by
+/// A sharded, clock-evicted cache of loaded SSTable blocks, shared by
 /// every [`crate::RangeStore`] on a node.
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
@@ -201,7 +216,7 @@ impl BlockCache {
             Some(e) => {
                 e.referenced = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.rows.clone())
+                Some(e.block.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -213,7 +228,7 @@ impl BlockCache {
     /// Insert the block at `(table, offset)`, charging `charge` bytes and
     /// evicting by the clock rule until the shard fits its budget. Blocks
     /// larger than a whole shard are not cached.
-    pub fn insert(&self, table: u64, offset: u64, rows: CachedBlock, charge: u64) {
+    pub fn insert(&self, table: u64, offset: u64, block: CachedBlock, charge: u64) {
         if charge > self.shard_capacity {
             return;
         }
@@ -221,7 +236,7 @@ impl BlockCache {
         // New blocks start unreferenced: a block earns its second chance
         // only by being read again, so a one-pass scan cannot flush the
         // working set out of the cache.
-        let entry = Entry { rows, charge, referenced: false };
+        let entry = Entry { block, charge, referenced: false };
         if let Some(old) = shard.map.insert((table, offset), entry) {
             shard.bytes -= old.charge;
         }
@@ -290,10 +305,15 @@ impl BlockCache {
 
 #[cfg(test)]
 mod tests {
+    use spinnaker_common::codec::Encode;
+    use spinnaker_common::{Key, Row};
+
     use super::*;
 
     fn block(n: usize) -> CachedBlock {
-        Arc::new(vec![(Key::from(format!("k{n}").as_str()), Row::new())])
+        let mut body = Key::from(format!("k{n}").as_str()).encode_to_vec();
+        Row::new().encode(&mut body);
+        Arc::new(Block::parse(body).unwrap())
     }
 
     #[test]
@@ -303,7 +323,7 @@ mod tests {
         assert!(c.get(t, 0).is_none());
         c.insert(t, 0, block(1), 100);
         let got = c.get(t, 0).unwrap();
-        assert_eq!(got[0].0, Key::from("k1"));
+        assert_eq!(got.entry(0).unwrap().unwrap().0, Key::from("k1"));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
         assert_eq!(s.bytes, 100);

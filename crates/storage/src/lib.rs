@@ -7,11 +7,12 @@
 //! size-ratio levels L1..Ln whose tables are non-overlapping within a
 //! level, compacted downward by [`RangeStore::maybe_compact`]. Reads are
 //! served through per-level bloom filters and a node-wide [`BlockCache`]
-//! of decoded data blocks. The design follows Bigtable's SSTables as the
-//! paper describes.
+//! of raw, checksum-verified data blocks. The design follows Bigtable's
+//! SSTables as the paper describes.
 
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod bloom;
 pub mod cache;
 pub mod memtable;
@@ -19,6 +20,7 @@ pub mod merge;
 pub mod sstable;
 pub mod store;
 
+pub use block::Block;
 pub use bloom::Bloom;
 pub use cache::{BlockCache, CacheStats, CachedBlock, SharedBlockCache};
 pub use memtable::Memtable;

@@ -22,6 +22,7 @@ use spinnaker_common::codec::{self, Decode, Encode};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp};
 
+use crate::block::Block;
 use crate::bloom::Bloom;
 use crate::cache::{CacheMetrics, CachedBlock, SharedBlockCache};
 
@@ -34,7 +35,7 @@ const MAGIC: u64 = 0x3154_5353_4e49_5053;
 /// while the cached bytes are shared node-wide.
 #[derive(Clone, Default)]
 pub struct TableCtx {
-    /// Shared cache of decoded data blocks; `None` = read through.
+    /// Shared cache of loaded data blocks; `None` = read through.
     pub cache: Option<SharedBlockCache>,
     /// Per-store hit/miss/read counters.
     pub metrics: Arc<CacheMetrics>,
@@ -191,26 +192,28 @@ impl TableBuilder {
         Ok(())
     }
 
-    fn write_chunk(&mut self, body: &[u8]) -> Result<(u64, u32)> {
-        let crc = spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(body));
+    /// Seal `chunk` with its masked CRC and append both in one write.
+    fn write_chunk(&mut self, chunk: &mut Vec<u8>) -> Result<(u64, u32)> {
+        let crc = spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(chunk));
+        codec::put_u32(chunk, crc);
         let start = self.offset;
-        self.file.append(body)?;
-        let mut tail = Vec::with_capacity(4);
-        codec::put_u32(&mut tail, crc);
-        self.file.append(&tail)?;
-        self.offset += body.len() as u64 + 4;
-        Ok((start, body.len() as u32 + 4))
+        self.file.append(chunk)?;
+        self.offset += chunk.len() as u64;
+        Ok((start, chunk.len() as u32))
     }
 
     fn flush_block(&mut self) -> Result<()> {
         if self.block.is_empty() {
             return Ok(());
         }
-        let body = std::mem::take(&mut self.block);
         let Some(first_key) = self.block_first_key.take() else {
             return Err(Error::InvalidArgument("block buffer without a first key".into()));
         };
-        let (offset, len) = self.write_chunk(&body)?;
+        // The buffer goes back for the next block to fill.
+        let mut body = std::mem::take(&mut self.block);
+        let (offset, len) = self.write_chunk(&mut body)?;
+        body.clear();
+        self.block = body;
         self.index.push(IndexEntry { first_key, offset, len });
         Ok(())
     }
@@ -230,14 +233,14 @@ impl TableBuilder {
             codec::put_u64(&mut index_body, e.offset);
             codec::put_u32(&mut index_body, e.len);
         }
-        let (index_off, index_len) = self.write_chunk(&index_body)?;
+        let (index_off, index_len) = self.write_chunk(&mut index_body)?;
 
         let bloom = Bloom::build(
             self.keys.iter().map(|k| k.as_bytes()),
             self.keys.len(),
             self.opts.bloom_bits_per_key,
         );
-        let (bloom_off, bloom_len) = self.write_chunk(&bloom.encode_to_vec())?;
+        let (bloom_off, bloom_len) = self.write_chunk(&mut bloom.encode_to_vec())?;
 
         let (Some(min_key), Some(max_key)) = (self.min_key.as_ref(), self.max_key.as_ref()) else {
             return Err(Error::InvalidArgument("non-empty table is missing key bounds".into()));
@@ -253,7 +256,7 @@ impl TableBuilder {
         codec::put_u32(&mut footer, index_len);
         codec::put_u64(&mut footer, bloom_off);
         codec::put_u32(&mut footer, bloom_len);
-        let (footer_off, _) = self.write_chunk(&footer)?;
+        let (footer_off, _) = self.write_chunk(&mut footer)?;
 
         let mut trailer = Vec::with_capacity(16);
         codec::put_u64(&mut trailer, footer_off);
@@ -310,7 +313,7 @@ impl Table {
         let footer_len = u32::try_from(footer_len).map_err(|_| {
             Error::Corruption(format!("{path}: implausible footer length {footer_len}"))
         })?;
-        let footer = read_chunk(file.as_ref(), footer_off, footer_len, path)?;
+        let footer = read_chunk(file.as_ref(), footer_off, footer_len, file_bytes, path)?;
         let mut cur: &[u8] = &footer;
         let min_key = Key::decode(&mut cur)?;
         let max_key = Key::decode(&mut cur)?;
@@ -323,11 +326,11 @@ impl Table {
         let bloom_off = codec::get_u64(&mut cur)?;
         let bloom_len = codec::get_u32(&mut cur)?;
 
-        let index_body = read_chunk(file.as_ref(), index_off, index_len, path)?;
+        let index_body = read_chunk(file.as_ref(), index_off, index_len, file_bytes, path)?;
         let mut cur: &[u8] = &index_body;
-        // Each entry is at least a 1-byte key (plus its length byte), an
-        // 8-byte offset, and a 4-byte length.
-        let n = codec::get_varint_len(&mut cur, "sstable index entries", 14)?;
+        // Each entry is at least a key's length byte (the empty key is a
+        // legal first key), an 8-byte offset, and a 4-byte length.
+        let n = codec::get_varint_len(&mut cur, "sstable index entries", 13)?;
         let mut index = Vec::with_capacity(n);
         for _ in 0..n {
             let first_key = Key::decode(&mut cur)?;
@@ -336,7 +339,7 @@ impl Table {
             index.push(IndexEntry { first_key, offset, len });
         }
 
-        let bloom_body = read_chunk(file.as_ref(), bloom_off, bloom_len, path)?;
+        let bloom_body = read_chunk(file.as_ref(), bloom_off, bloom_len, file_bytes, path)?;
         let bloom = Bloom::decode(&mut bloom_body.as_slice())?;
 
         let cache_id = ctx.cache.as_ref().map(|c| c.register_table());
@@ -394,47 +397,44 @@ impl Table {
             0 => return Ok(None),
             n => n - 1,
         };
-        let entries = self.read_block(block_idx)?;
-        Ok(entries.iter().find(|(k, _)| k == key).map(|(_, row)| row.clone()))
+        self.read_block(block_idx)?.get(key.as_bytes())
     }
 
-    /// Read (or fetch from the block cache) the decoded data block at
-    /// index position `idx`.
+    /// Read (or fetch from the block cache) the data block at index
+    /// position `idx`: checksum-verified and indexed, no row decoded.
     fn read_block(&self, idx: usize) -> Result<CachedBlock> {
         let e = &self.index[idx];
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
-            if let Some(rows) = cache.get(id, e.offset) {
+            if let Some(block) = cache.get(id, e.offset) {
                 self.ctx.metrics.hit();
-                return Ok(rows);
+                return Ok(block);
             }
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
         let file = self.vfs.open(&self.path)?;
-        let body = read_chunk(file.as_ref(), e.offset, e.len, &self.path)?;
-        let mut cur: &[u8] = &body;
-        let mut out = Vec::new();
-        while !cur.is_empty() {
-            let key = Key::decode(&mut cur)?;
-            let row = Row::decode(&mut cur)?;
-            out.push((key, row));
-        }
-        let rows: CachedBlock = Arc::new(out);
+        let body = read_chunk(file.as_ref(), e.offset, e.len, self.meta.file_bytes, &self.path)?;
+        // The checksum held, so a body that does not parse was written
+        // wrong or forged: corruption all the same, not a codec error.
+        let block = Block::parse(body).map_err(|err| {
+            Error::Corruption(format!("{}: malformed block at {}: {err}", self.path, e.offset))
+        })?;
+        let block: CachedBlock = Arc::new(block);
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
             // Charge the on-disk chunk size: it is what a miss costs.
-            cache.insert(id, e.offset, rows.clone(), u64::from(e.len));
+            cache.insert(id, e.offset, block.clone(), u64::from(e.len));
         }
-        Ok(rows)
+        Ok(block)
     }
 
     /// Iterate every row in key order.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter { table: self, block: 0, entries: Arc::new(Vec::new()), pos: 0 }
+        TableIter { table: self, block: 0, current: None, pos: 0 }
     }
 
     /// Iterate rows in key order starting at the first key `>= start`,
     /// **seeking** via the block index: only the block containing `start`
-    /// and those after it are ever read or decoded. This is what keeps a
+    /// and those after it are ever read. This is what keeps a
     /// scan page's cost proportional to the page, not to the table prefix
     /// before the cursor.
     pub fn iter_from(&self, start: &Key) -> TableIter<'_> {
@@ -446,7 +446,7 @@ impl Table {
             0 => 0,
             n => n - 1,
         };
-        let mut it = TableIter { table: self, block, entries: Arc::new(Vec::new()), pos: 0 };
+        let mut it = TableIter { table: self, block, current: None, pos: 0 };
         it.skip_below(start);
         it
     }
@@ -482,18 +482,20 @@ impl Table {
     }
 }
 
+/// Read the `len`-byte chunk at `offset` of a `file_bytes`-long file and
+/// return its body, checksum verified and stripped.
 fn read_chunk(
     file: &dyn spinnaker_common::vfs::VfsFile,
     offset: u64,
     len: u32,
+    file_bytes: u64,
     path: &str,
 ) -> Result<Vec<u8>> {
     if len < 4 {
         return Err(Error::Corruption(format!("{path}: chunk shorter than its checksum")));
     }
-    // Bound the allocation by the actual file size before trusting a
-    // length that may come from a corrupt footer.
-    let file_bytes = file.len()?;
+    // Bound the allocation by the file size (measured once, at open)
+    // before trusting a length that may come from a corrupt footer.
     if u64::from(len) > file_bytes || offset > file_bytes - u64::from(len) {
         return Err(Error::Corruption(format!(
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"
@@ -515,12 +517,14 @@ fn read_chunk(
     Ok(buf)
 }
 
-/// Iterator over rows of a table in key order, decoding one block at a
-/// time (so its memory footprint is one block, regardless of table size).
+/// Iterator over rows of a table in key order, holding one block at a
+/// time (so its memory footprint is one block, regardless of table size)
+/// and decoding each row once, as it is yielded.
 pub struct TableIter<'a> {
     table: &'a Table,
+    /// Index position of the next block to load.
     block: usize,
-    entries: CachedBlock,
+    current: Option<CachedBlock>,
     pos: usize,
 }
 
@@ -532,9 +536,9 @@ impl TableIter<'_> {
         if self.block >= self.table.index.len() {
             return;
         }
-        if let Ok(entries) = self.table.read_block(self.block) {
-            self.entries = entries;
-            self.pos = self.entries.partition_point(|(k, _)| k < start);
+        if let Ok(block) = self.table.read_block(self.block) {
+            self.pos = block.lower_bound(start.as_bytes());
+            self.current = Some(block);
             self.block += 1;
         }
         // On a read error, leave the iterator pointing at the block so
@@ -547,17 +551,16 @@ impl Iterator for TableIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.pos < self.entries.len() {
-                let item = self.entries[self.pos].clone();
+            if let Some(item) = self.current.as_ref().and_then(|b| b.entry(self.pos)) {
                 self.pos += 1;
-                return Some(Ok(item));
+                return Some(item);
             }
             if self.block >= self.table.index.len() {
                 return None;
             }
             match self.table.read_block(self.block) {
-                Ok(entries) => {
-                    self.entries = entries;
+                Ok(block) => {
+                    self.current = Some(block);
                     self.pos = 0;
                     self.block += 1;
                 }

@@ -76,7 +76,7 @@ pub struct StoreOptions {
     pub bloom_bits_step_per_level: usize,
     /// Upper bound on the per-level bloom budget.
     pub bloom_bits_max: usize,
-    /// Shared block cache for decoded data blocks (`None` = none).
+    /// Shared cache of loaded data blocks (`None` = none).
     pub cache: Option<SharedBlockCache>,
 }
 
@@ -160,7 +160,7 @@ pub struct StoreStats {
     pub cache_hits: u64,
     /// Block-cache misses attributed to this store's tables.
     pub cache_misses: u64,
-    /// Blocks actually read and decoded through the VFS.
+    /// Blocks actually read and checksummed through the VFS.
     pub block_reads: u64,
 }
 

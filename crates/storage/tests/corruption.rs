@@ -8,9 +8,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use spinnaker_common::codec::{self, Decode};
 use spinnaker_common::vfs::{MemVfs, Vfs};
-use spinnaker_common::{op, Key, Lsn, Row};
-use spinnaker_storage::{RangeStore, StoreOptions, Table, TableBuilder, TableOptions};
+use spinnaker_common::{crc32c, op, Key, Lsn, Row};
+use spinnaker_storage::{
+    BlockCache, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
+};
 
 fn small_table(vfs: &MemVfs, path: &str) -> Vec<Key> {
     // Tiny blocks so the table has several data blocks + index + bloom.
@@ -67,6 +70,86 @@ fn every_single_byte_flip_is_rejected_or_survived_never_a_panic() {
     // The trailer and footer are always load-bearing, so a healthy share
     // of flips must be caught right at open.
     assert!(rejected > 0, "no flip was ever rejected ({opened_ok} opened)");
+}
+
+/// Length of the body of the (single) data block of a one-block table:
+/// the index chunk starts right after it, and the footer says where.
+fn single_block_body_len(file: &[u8]) -> usize {
+    let trailer = &file[file.len() - 16..];
+    let footer_off = codec::get_u64(&mut &trailer[..8]).unwrap() as usize;
+    let mut footer = &file[footer_off..];
+    Key::decode(&mut footer).unwrap();
+    Key::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    codec::get_u64(&mut footer).unwrap(); // max_ts
+    codec::get_u64(&mut footer).unwrap(); // row_count
+    let index_off = codec::get_u64(&mut footer).unwrap() as usize;
+    index_off - 4
+}
+
+/// The checksum guards against rot, not against a writer bug or a forged
+/// file: a block whose CRC is *valid* over a body that is not a run of
+/// `(key, row)` entries must come back as `Error::Corruption` from every
+/// read API — raw blocks are indexed by a validating pass at load, so
+/// nothing downstream ever sees the bad offsets — and must never be
+/// cached.
+#[test]
+fn a_valid_crc_over_a_malformed_block_body_is_corruption_not_a_panic() {
+    let vfs = MemVfs::new();
+    let mut b =
+        TableBuilder::new(Arc::new(vfs.clone()), "t/sst-m", TableOptions::default()).unwrap();
+    let mut keys = Vec::new();
+    for i in 0..6u64 {
+        let key = Key::from(format!("k{i}").as_str());
+        let mut row = Row::new();
+        op::put(&format!("k{i}"), "c", &format!("value-{i}"))
+            .apply_to_row(&mut row, Lsn::new(1, i + 1));
+        b.add(&key, &row).unwrap();
+        keys.push(key);
+    }
+    b.finish().unwrap();
+    let pristine = vfs.read_all("t/sst-m").unwrap();
+    let body_len = single_block_body_len(&pristine);
+
+    // Entry layout: key `[2]k0`, row `[1 column][1]c [flag] [version u64]
+    // [timestamp u64] [7]value-0 [0 older]`.
+    let malformations: [(&str, usize, u8); 5] = [
+        ("key length runs past the block", 0, 0x7f),
+        ("column count the bytes cannot back", 3, 0x7f),
+        ("tombstone flag that is neither 0 nor 1", 6, 7),
+        ("chain length the bytes cannot back", body_len - 1, 0x7f),
+        ("last value one byte longer than the block", body_len - 9, 8),
+    ];
+    for (what, at, byte) in malformations {
+        let mut bytes = pristine.clone();
+        assert_ne!(bytes[at], byte, "{what}: mutation is a no-op");
+        bytes[at] = byte;
+        let crc = crc32c::masked(crc32c::crc32c(&bytes[..body_len]));
+        bytes[body_len..body_len + 4].copy_from_slice(&crc.to_le_bytes());
+        vfs.write_atomic("t/sst-m", &bytes).unwrap();
+
+        for cache in [None, Some(Arc::new(BlockCache::new(1 << 20)))] {
+            let ctx = TableCtx { cache: cache.clone(), ..Default::default() };
+            let table = Table::open_with(Arc::new(vfs.clone()), "t/sst-m", ctx)
+                .unwrap_or_else(|e| panic!("{what}: index, bloom and footer are intact: {e}"));
+            let is_corruption = |r: spinnaker_common::Result<()>| match r {
+                Err(e) => e.is_corruption(),
+                Ok(()) => false,
+            };
+            for key in &keys {
+                assert!(is_corruption(table.get(key).map(drop)), "{what}: get({key:?})");
+            }
+            let first = table.iter().next().expect("an error item, not an empty iterator");
+            assert!(is_corruption(first.map(drop)), "{what}: iter");
+            let seeked = table.iter_from(&keys[3]).next().expect("an error item");
+            assert!(is_corruption(seeked.map(drop)), "{what}: iter_from");
+            assert!(is_corruption(table.scan(&keys[0], None).map(drop)), "{what}: scan");
+            if let Some(cache) = cache {
+                assert_eq!(cache.stats().entries, 0, "{what}: a malformed block was cached");
+            }
+        }
+    }
 }
 
 #[test]
