@@ -109,6 +109,81 @@ fn bench_wal(c: &mut Criterion) {
     });
 }
 
+/// `n` puts of 100-byte values as 8-op group-propose records.
+fn batch8_records(n: u64) -> Vec<LogRecord> {
+    (0..n / 8)
+        .map(|b| {
+            let ops: Vec<_> = (b * 8..b * 8 + 8)
+                .map(|i| op::put(&format!("key{i:06}"), "c", &"x".repeat(100)))
+                .collect();
+            LogRecord::batch(RangeId(0), Lsn::new(1, b * 8 + 1), ops)
+        })
+        .collect()
+}
+
+fn bench_wal_batches(c: &mut Criterion) {
+    let records = batch8_records(1024);
+    let mut g = c.benchmark_group("wal");
+    g.throughput(Throughput::Elements(1024));
+    // Framing in place into the log's own buffer.
+    g.bench_function("append_batch8", |b| {
+        b.iter_batched(
+            || Wal::open(Arc::new(MemVfs::new()), WalOptions::default()).unwrap(),
+            |mut wal| {
+                wal.append_many(&records).unwrap();
+                wal
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // One frame read, checksummed and decoded per batch, not per op.
+    let mut wal = Wal::open(Arc::new(MemVfs::new()), WalOptions::default()).unwrap();
+    wal.append_many(&records).unwrap();
+    g.bench_function("replay_batch8", |b| {
+        b.iter(|| wal.replay(RangeId(0), Lsn::ZERO, Lsn::MAX, |_, _| {}).unwrap())
+    });
+    g.finish();
+}
+
+/// Four flushed tables of `rows` single-version rows in all; with
+/// `overlap` every key is in all four (each write superseding the last),
+/// otherwise in exactly one.
+fn store_to_compact(rows: u64, overlap: bool) -> RangeStore {
+    let opts = StoreOptions { memtable_flush_bytes: usize::MAX, ..Default::default() };
+    let mut store = RangeStore::open(Arc::new(MemVfs::new()), opts).unwrap();
+    let mut lsn = 0;
+    for table in 0..4u64 {
+        for i in 0..rows / 4 {
+            let key = if overlap { i } else { i * 4 + table };
+            lsn += 1;
+            store.apply(&op::put(&format!("key{key:06}"), "c", &"x".repeat(100)), Lsn::new(1, lsn));
+        }
+        store.flush().unwrap();
+    }
+    store
+}
+
+fn bench_compaction(c: &mut Criterion) {
+    let mut g = c.benchmark_group("compaction");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(20_000));
+    // Every row in one input: moved as bytes.
+    // Every key in four inputs: decoded, merged, pruned, re-encoded.
+    for (name, overlap) in [("plain_rows", false), ("overlapping_rows", true)] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || store_to_compact(20_000, overlap),
+                |mut store| {
+                    store.compact_all().unwrap();
+                    store
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_store(c: &mut Criterion) {
     let vfs: spinnaker_common::vfs::SharedVfs = Arc::new(MemVfs::new());
     let mut store = RangeStore::open(vfs, StoreOptions::default()).unwrap();
@@ -201,6 +276,8 @@ criterion_group!(
     bench_memtable,
     bench_sstable,
     bench_wal,
+    bench_wal_batches,
+    bench_compaction,
     bench_store,
     bench_paxos,
     bench_merkle,

@@ -258,11 +258,73 @@ pub fn skip_column_value(buf: &mut &[u8]) -> Result<()> {
 /// place and only the row a read returns be decoded. Succeeds on, and
 /// consumes, exactly the bytes [`Row::decode`] does.
 pub fn skip_row(buf: &mut &[u8]) -> Result<()> {
-    for _ in 0..get_column_count(buf)? {
-        get_byte_slice(buf)?;
-        skip_column_value(buf)?;
+    scan_row(buf).map(drop)
+}
+
+/// What [`scan_row`] learned about one encoded [`Row`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RowScan {
+    /// The row has at least one column, no tombstone, no version chain,
+    /// and its column names are strictly ascending. Decoding such a row,
+    /// pruning it at any GC floor and encoding it again writes the bytes
+    /// that were scanned — so compaction may move them instead. The
+    /// order check is what makes that hold: [`Row::decode`] sorts and
+    /// deduplicates columns through its map, so an unsorted or repeated
+    /// name would come back out as different bytes.
+    pub plain: bool,
+    /// Smallest column version (packed LSN) over every version stored;
+    /// `u64::MAX` for a row without columns.
+    pub min_version: u64,
+    /// Largest column version over every version stored.
+    pub max_version: u64,
+    /// Largest commit timestamp over every version stored.
+    pub max_ts: u64,
+    /// [`Row::approx_size`] of the decoded row (when no column name
+    /// repeats: a repeated name is counted once per occurrence here).
+    pub approx_size: usize,
+}
+
+/// [`skip_row`] that also reports what it walked over: advance `buf`
+/// past one encoded [`Row`] without allocating, validating and consuming
+/// exactly what [`Row::decode`] does, and return the row's version and
+/// timestamp bounds, its size estimate, and whether it is *plain* (see
+/// [`RowScan::plain`]).
+pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
+    let columns = get_column_count(buf)?;
+    let mut scan = RowScan {
+        plain: columns > 0,
+        min_version: u64::MAX,
+        max_version: 0,
+        max_ts: 0,
+        approx_size: 0,
+    };
+    let mut previous: Option<&[u8]> = None;
+    for _ in 0..columns {
+        let name = get_byte_slice(buf)?;
+        scan.plain &= previous.is_none_or(|p| p < name);
+        previous = Some(name);
+        scan.approx_size += name.len();
+        let (tombstone, version, timestamp, value) = get_cv_parts(buf)?;
+        scan.plain &= !tombstone;
+        scan.note_version(version, timestamp, value);
+        let older = get_chain_len(buf)?;
+        scan.plain &= older == 0;
+        for _ in 0..older {
+            let (_, version, timestamp, value) = get_cv_parts(buf)?;
+            scan.note_version(version, timestamp, value);
+        }
     }
-    Ok(())
+    Ok(scan)
+}
+
+impl RowScan {
+    fn note_version(&mut self, version: u64, timestamp: u64, value: &[u8]) {
+        self.min_version = self.min_version.min(version);
+        self.max_version = self.max_version.max(version);
+        self.max_ts = self.max_ts.max(timestamp);
+        // Mirrors `ColumnValue::approx_size`: value + version + timestamp + flag.
+        self.approx_size += value.len() + 8 + 8 + 1;
+    }
 }
 
 impl Encode for ColumnValue {
@@ -403,6 +465,45 @@ mod tests {
         assert!(skip_row(&mut [0xffu8, 0xff, 0x03, 0, 0].as_slice()).is_err());
     }
 
+    /// `[n] ([name] [flag 0] [version] [timestamp] [value] [0 older])*`,
+    /// columns in the order given — the encoder itself cannot write them
+    /// unsorted.
+    fn hand_built_row(names: &[&[u8]]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, names.len() as u64);
+        for (i, name) in names.iter().enumerate() {
+            put_bytes(&mut buf, name);
+            put_u8(&mut buf, 0);
+            put_u64(&mut buf, 10 + i as u64);
+            put_u64(&mut buf, 20 + i as u64);
+            put_bytes(&mut buf, b"value");
+            put_varint(&mut buf, 0);
+        }
+        buf
+    }
+
+    #[test]
+    fn scan_row_reports_unsorted_or_repeated_columns_as_not_plain() {
+        let plain = hand_built_row(&[b"a", b"b", b"c"]);
+        let scan = scan_row(&mut plain.as_slice()).unwrap();
+        assert!(scan.plain);
+        assert_eq!((scan.min_version, scan.max_version, scan.max_ts), (10, 12, 22));
+        assert_eq!(Row::decode(&mut plain.as_slice()).unwrap().encode_to_vec(), plain);
+
+        for names in [&[b"b" as &[u8], b"a"][..], &[b"a", b"a"], &[b"a", b"c", b"b"]] {
+            let enc = hand_built_row(names);
+            let mut cur = enc.as_slice();
+            let scan = scan_row(&mut cur).unwrap();
+            assert!(cur.is_empty(), "a well-formed row all the same");
+            assert!(!scan.plain, "{names:?}");
+            // Which is the point of the check: decoding sorts and
+            // deduplicates, so these bytes would not survive a rewrite.
+            assert_ne!(Row::decode(&mut enc.as_slice()).unwrap().encode_to_vec(), enc);
+        }
+        let empty = hand_built_row(&[]);
+        assert!(!scan_row(&mut empty.as_slice()).unwrap().plain, "nothing to move");
+    }
+
     type Version = (u64, u64, bool, Vec<u8>);
 
     fn cv_of((version, timestamp, tombstone, value): Version) -> ColumnValue {
@@ -441,15 +542,41 @@ mod tests {
             prop_assert_eq!(s.len(), trailing.len());
             prop_assert_eq!(d.len(), s.len());
 
+            // The scan stops where they stop and reports what the decoded
+            // row holds.
+            let mut c = enc.as_slice();
+            let scan = scan_row(&mut c).unwrap();
+            prop_assert_eq!(c.len(), trailing.len());
+            let versions = || row.columns.values().flat_map(ColumnValue::versions);
+            prop_assert_eq!(scan.min_version, versions().map(|v| v.version).min().unwrap_or(u64::MAX));
+            prop_assert_eq!(scan.max_version, versions().map(|v| v.version).max().unwrap_or(0));
+            prop_assert_eq!(scan.max_ts, versions().map(|v| v.timestamp).max().unwrap_or(0));
+            prop_assert_eq!(scan.approx_size, row.approx_size());
+            let plain = !row.is_empty()
+                && row.columns.values().all(|cv| !cv.tombstone && cv.older.is_empty());
+            prop_assert_eq!(scan.plain, plain);
+            if plain {
+                // The byte path's licence: pruning is the identity on a
+                // plain row, whatever the floor.
+                for (floor, drop_tombstones) in [(0, false), (u64::MAX, true)] {
+                    let pruned = row.prune(floor, drop_tombstones).encode_to_vec();
+                    prop_assert_eq!(&pruned[..], &enc[..row_len]);
+                }
+            }
+
             // Every truncation point: same verdict, same bytes consumed.
             for cut in 0..row_len {
                 let mut d = &enc[..cut];
                 let mut s = &enc[..cut];
+                let mut c = &enc[..cut];
                 let decoded = Row::decode(&mut d);
                 let skipped = skip_row(&mut s);
+                let scanned = scan_row(&mut c);
                 prop_assert_eq!(decoded.is_err(), skipped.is_err(), "cut at {}", cut);
+                prop_assert_eq!(decoded.is_err(), scanned.is_err(), "cut at {}", cut);
                 if decoded.is_ok() {
                     prop_assert_eq!(d.len(), s.len(), "cut at {}", cut);
+                    prop_assert_eq!(d.len(), c.len(), "cut at {}", cut);
                 }
             }
         }

@@ -264,6 +264,9 @@ pub struct NodeHost {
     fault_plan: Arc<FaultPlan>,
     /// Node-local clock (kernel time + injected skew, monotone).
     clock: SkewedClock,
+    /// The node's effects of the input being executed; drained and
+    /// reused by every `exec`.
+    outbox: Outbox,
 }
 
 impl NodeHost {
@@ -304,10 +307,10 @@ impl NodeHost {
         let session_expired = matches!(input, NodeInput::Coord(WatchEvent::SessionExpired));
         let node_now = self.clock.now(now);
         let Some(node) = self.node.as_mut() else { return };
-        let mut out = Outbox::default();
+        let mut out = std::mem::take(&mut self.outbox);
         node.on_input(node_now, input, &mut out);
         let from_node = self.node_id;
-        for eff in out.effects {
+        for eff in out.effects.drain(..) {
             match eff {
                 crate::messages::Effect::Send { to, msg } => {
                     let bytes = msg.wire_size();
@@ -354,6 +357,7 @@ impl NodeHost {
                 }
             }
         }
+        self.outbox = out;
         route_deliveries(&self.world, ctx);
         // Fail-stop: a node whose log device refused an append or a
         // force can no longer keep its durability promises. Crash it
@@ -554,6 +558,7 @@ impl SimCluster {
                 incarnation: 0,
                 fault_plan: FaultPlan::new(),
                 clock: SkewedClock::new(),
+                outbox: Outbox::default(),
             }));
             let proc = sim.add_actor(Box::new(RcActor(host.clone())));
             assert_eq!(proc, node_id, "node procs must equal node ids");

@@ -9,10 +9,39 @@
 //! puts deterministic across the cohort (§5.1).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use spinnaker_common::{Lsn, NodeId, Version, WriteOp};
 
 use crate::messages::{Addr, RequestId};
+
+/// The operation of a pending write. Reads as the [`WriteOp`] it is.
+#[derive(Clone, Debug)]
+pub enum PendingOp {
+    /// The leader's copy of a client write, taken when the write is
+    /// sequenced — before the group it will be proposed in exists.
+    Own(WriteOp),
+    /// Op `index` of a proposed group: the very batch the log record and
+    /// the propose messages hold, so queueing it copies nothing.
+    Shared {
+        /// The group propose.
+        batch: Arc<[WriteOp]>,
+        /// This write's position in it.
+        index: usize,
+    },
+}
+
+impl Deref for PendingOp {
+    type Target = WriteOp;
+
+    fn deref(&self) -> &WriteOp {
+        match self {
+            PendingOp::Own(op) => op,
+            PendingOp::Shared { batch, index } => &batch[*index],
+        }
+    }
+}
 
 /// A write sitting between propose and commit.
 #[derive(Clone, Debug)]
@@ -20,7 +49,7 @@ pub struct PendingWrite {
     /// LSN assigned by the leader.
     pub lsn: Lsn,
     /// The operation (needed to apply at commit time).
-    pub op: WriteOp,
+    pub op: PendingOp,
     /// Client to answer on commit (leader side only).
     pub client: Option<(Addr, RequestId)>,
     /// *Distinct* followers that acked the write (leader side only).
@@ -155,9 +184,9 @@ impl CommitQueue {
         self.entries.is_empty()
     }
 
-    /// LSNs currently pending (diagnostics / takeover bookkeeping).
-    pub fn pending_lsns(&self) -> Vec<Lsn> {
-        self.entries.keys().copied().collect()
+    /// The first and last pending LSN (`None` when nothing is pending).
+    pub fn span(&self) -> Option<(Lsn, Lsn)> {
+        Some((*self.entries.keys().next()?, *self.entries.keys().next_back()?))
     }
 }
 
@@ -174,7 +203,7 @@ mod tests {
     fn pending(seq: u64) -> PendingWrite {
         PendingWrite {
             lsn: Lsn::new(1, seq),
-            op: op::put(&format!("k{seq}"), "c", "v"),
+            op: PendingOp::Own(op::put(&format!("k{seq}"), "c", "v")),
             client: Some((9, seq)),
             ackers: BTreeSet::new(),
             self_forced: false,
@@ -279,14 +308,14 @@ mod tests {
         let mut q = CommitQueue::new();
         q.insert(PendingWrite {
             lsn: Lsn::new(1, 1),
-            op: op::put("k", "c", "v1"),
+            op: PendingOp::Own(op::put("k", "c", "v1")),
             client: None,
             ackers: BTreeSet::new(),
             self_forced: false,
         });
         q.insert(PendingWrite {
             lsn: Lsn::new(1, 2),
-            op: op::put("k", "c", "v2"),
+            op: PendingOp::Own(op::put("k", "c", "v2")),
             client: None,
             ackers: BTreeSet::new(),
             self_forced: false,
@@ -306,14 +335,14 @@ mod tests {
         for pw in [
             PendingWrite {
                 lsn: Lsn::new(1, 21),
-                op: op::put("a", "c", "1"),
+                op: PendingOp::Own(op::put("a", "c", "1")),
                 client: None,
                 ackers: BTreeSet::from([1]),
                 self_forced: true,
             },
             PendingWrite {
                 lsn: Lsn::new(2, 22),
-                op: op::put("b", "c", "2"),
+                op: PendingOp::Own(op::put("b", "c", "2")),
                 client: None,
                 ackers: BTreeSet::from([1]),
                 self_forced: true,

@@ -5,6 +5,8 @@
 //! Coordination-service watch events are delivered as [`NodeInput`] items
 //! by the hosting runtime.
 
+use std::sync::Arc;
+
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Row, WriteOp};
 use spinnaker_coord::WatchEvent;
 use spinnaker_storage::StoreSnapshot;
@@ -34,7 +36,10 @@ pub enum PeerMsg {
         lsn: Lsn,
         /// The writes, in LSN order. Never empty; replicated as one log
         /// record, acked once at the last LSN, atomic across crashes.
-        ops: Vec<WriteOp>,
+        /// One immutable batch: the leader's log record, the message to
+        /// each follower, and every follower's log record and commit
+        /// queue hold this allocation instead of copies of the ops.
+        ops: Arc<[WriteOp]>,
         /// Piggy-backed last-committed LSN (§D.1), `Lsn::ZERO` disables.
         committed: Lsn,
         /// Closed timestamp: the leader promises never to commit another

@@ -420,7 +420,7 @@ impl Decode for Ring {
 
 /// Encode a `u64` as an order-preserving 8-byte key.
 pub fn u64_to_key(v: u64) -> Key {
-    Key::new(v.to_be_bytes().to_vec())
+    Key::from(&v.to_be_bytes()[..])
 }
 
 /// Interpret the first 8 bytes of a key as a big-endian `u64` (shorter

@@ -17,6 +17,7 @@
 //! state live side by side without aliasing.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use spinnaker_common::{
     CellOp, Consistency, Epoch, Key, Lsn, NodeId, RangeId, SnapshotTs, WriteOp,
@@ -24,7 +25,7 @@ use spinnaker_common::{
 use spinnaker_storage::RangeStore;
 use spinnaker_wal::{LogRecord, Wal};
 
-use crate::commit_queue::{CommitQueue, PendingWrite};
+use crate::commit_queue::{CommitQueue, PendingOp, PendingWrite};
 use crate::coordcli::CoordClient;
 use crate::messages::{
     Addr, ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, Outbox, PeerMsg,
@@ -544,7 +545,7 @@ impl RangeReplica {
             Some(Takeover { caught_up: BTreeSet::new(), repropose, reproposing: false });
         self.last_assigned = l_lst;
         let epoch = self.epoch;
-        for peer in self.peers.clone() {
+        for &peer in &self.peers {
             out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
         }
         // If we are somehow alone (all peers dead), we must wait: the
@@ -577,22 +578,23 @@ impl RangeReplica {
             t.reproposing = true;
             let epoch = self.epoch;
             let committed = self.last_committed;
+            let batch: Arc<[WriteOp]> = Arc::from([op]);
             self.cq.insert(PendingWrite {
                 lsn,
-                op: op.clone(),
+                op: PendingOp::Shared { batch: batch.clone(), index: 0 },
                 client: None,
                 ackers: BTreeSet::new(),
                 self_forced: true, // already durable in our log
             });
             let piggy = if rt.cfg.piggyback_commits { committed } else { Lsn::ZERO };
-            for peer in self.peers.clone() {
+            for &peer in &self.peers {
                 out.send(
                     peer,
                     PeerMsg::Propose {
                         range: self.range,
                         epoch,
                         lsn,
-                        ops: vec![op.clone()],
+                        ops: batch.clone(),
                         committed: piggy,
                         // Mid-takeover the cohort is resyncing; closed
                         // timestamps resume with steady-state traffic.
@@ -757,9 +759,13 @@ impl RangeReplica {
         let ts = (self.last_ts + 1).max(self.served_ts + 1).max(rt.now);
         self.last_ts = ts;
         let op = WriteOp { key, cells, timestamp: ts };
+        // The one copy of the op this node makes: the queue's, needed
+        // from now on for conditional checks against pending state. The
+        // original goes into the group propose, which everything else
+        // shares.
         self.cq.insert(PendingWrite {
             lsn,
-            op: op.clone(),
+            op: PendingOp::Own(op.clone()),
             client: Some((from, req.req)),
             ackers: BTreeSet::new(),
             self_forced: false,
@@ -784,10 +790,11 @@ impl RangeReplica {
         if self.unproposed.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.unproposed);
-        let first = batch[0].0;
-        let last = batch[batch.len() - 1].0;
-        let ops: Vec<WriteOp> = batch.into_iter().map(|(_, op)| op).collect();
+        let first = self.unproposed[0].0;
+        let last = self.unproposed[self.unproposed.len() - 1].0;
+        // The ops move into one immutable batch; the log record, both
+        // propose messages and the followers' queues share it.
+        let ops: Arc<[WriteOp]> = self.unproposed.drain(..).map(|(_, op)| op).collect();
         let bytes = ops.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32;
         let rec = LogRecord::batch(self.range, first, ops.clone());
         if rt.wal.append(&rec).is_err() {
@@ -803,7 +810,7 @@ impl RangeReplica {
         let epoch = self.epoch;
         let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
         let closed_ts = self.advertised_closed_ts(rt);
-        for peer in self.peers.clone() {
+        for &peer in &self.peers {
             out.send(
                 peer,
                 PeerMsg::Propose {
@@ -1131,7 +1138,7 @@ impl RangeReplica {
         from: NodeId,
         epoch: Epoch,
         first: Lsn,
-        ops: Vec<WriteOp>,
+        ops: Arc<[WriteOp]>,
         committed: Lsn,
         closed_ts: u64,
         out: &mut Outbox,
@@ -1215,10 +1222,10 @@ impl RangeReplica {
         // frame checksum) with ONE force; the single cumulative ack at
         // the last LSN vouches for every op in it.
         let last = Lsn::new(first.epoch(), first.seq() + ops.len() as u64 - 1);
-        for (i, op) in ops.iter().enumerate() {
+        for index in 0..ops.len() {
             self.cq.insert(PendingWrite {
-                lsn: Lsn::new(first.epoch(), first.seq() + i as u64),
-                op: op.clone(),
+                lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
+                op: PendingOp::Shared { batch: ops.clone(), index },
                 client: None,
                 ackers: BTreeSet::new(),
                 self_forced: false,
@@ -1315,7 +1322,7 @@ impl RangeReplica {
                     let (sibling, requester, token) = (m.sibling, m.requester, m.token);
                     // Barrier commit first, on the same FIFO links as the
                     // proposes it covers; then the readiness announcement.
-                    for peer in self.peers.clone() {
+                    for &peer in &self.peers {
                         out.send(
                             peer,
                             PeerMsg::Commit { range: self.range, epoch, lsn: barrier, closed_ts },
@@ -1506,30 +1513,34 @@ impl RangeReplica {
         let epoch = self.epoch;
         let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
         let closed_ts = self.advertised_closed_ts(rt);
-        let pending: Vec<(Lsn, WriteOp)> = self
-            .cq
-            .pending_lsns()
-            .into_iter()
-            .filter_map(|lsn| {
-                rt.wal
-                    .read_range(self.range, Lsn::from_u64(lsn.as_u64() - 1), lsn)
-                    .ok()
-                    .and_then(|v| v.into_iter().next())
-            })
-            .collect();
-        for (lsn, op) in pending {
+        for (lsn, op) in self.pending_from_log(rt) {
             out.send(
                 follower,
                 PeerMsg::Propose {
                     range: self.range,
                     epoch,
                     lsn,
-                    ops: vec![op],
+                    ops: Arc::from([op]),
                     committed,
                     closed_ts,
                 },
             );
         }
+    }
+
+    /// The writes still pending in the commit queue, re-read from the log
+    /// in one pass over their span (what cannot be read is left out).
+    fn pending_from_log(&self, rt: &Runtime<'_>) -> Vec<(Lsn, WriteOp)> {
+        let mut pending = Vec::new();
+        if let Some((first, last)) = self.cq.span() {
+            let before = Lsn::from_u64(first.as_u64() - 1);
+            let _ = rt.wal.replay(self.range, before, last, |lsn, op| {
+                if self.cq.contains(lsn) {
+                    pending.push((lsn, op.clone()));
+                }
+            });
+        }
+        pending
     }
 
     /// Re-drive a stalled takeover (fired by the election-retry timer).
@@ -1548,33 +1559,23 @@ impl RangeReplica {
         }
         let epoch = self.epoch;
         let caught_up = self.takeover.as_ref().map(|t| t.caught_up.clone()).unwrap_or_default();
-        for peer in self.peers.clone() {
+        for &peer in &self.peers {
             if !caught_up.contains(&peer) {
                 out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
             }
         }
         // Nudge in-flight re-proposals whose Propose or Ack went missing.
         let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
-        let pending: Vec<(Lsn, WriteOp)> = self
-            .cq
-            .pending_lsns()
-            .into_iter()
-            .filter_map(|lsn| {
-                rt.wal
-                    .read_range(self.range, Lsn::from_u64(lsn.as_u64() - 1), lsn)
-                    .ok()
-                    .and_then(|v| v.into_iter().next())
-            })
-            .collect();
-        for (lsn, op) in pending {
-            for peer in self.peers.clone() {
+        for (lsn, op) in self.pending_from_log(rt) {
+            let batch: Arc<[WriteOp]> = Arc::from([op]);
+            for &peer in &self.peers {
                 out.send(
                     peer,
                     PeerMsg::Propose {
                         range: self.range,
                         epoch,
                         lsn,
-                        ops: vec![op.clone()],
+                        ops: batch.clone(),
                         committed,
                         closed_ts: 0,
                     },
@@ -1647,11 +1648,13 @@ impl RangeReplica {
         // confirm? Anything else in (f.cmt, up_to] was discarded by a
         // previous leader change and must never replay: logical
         // truncation.
-        let own: Vec<Lsn> = rt
-            .wal
-            .read_range(self.range, f_cmt, st.last_lsn)
-            .map(|v| v.into_iter().map(|(l, _)| l).collect())
-            .unwrap_or_default();
+        let mut own: BTreeSet<Lsn> = BTreeSet::new();
+        let replayed = rt.wal.replay(self.range, f_cmt, st.last_lsn, |lsn, _| {
+            own.insert(lsn);
+        });
+        if replayed.is_err() {
+            own.clear();
+        }
         let received: BTreeSet<Lsn> = records.iter().map(|(l, _)| *l).collect();
         let to_truncate: Vec<Lsn> =
             own.iter().copied().filter(|l| *l <= up_to && !received.contains(l)).collect();
@@ -1749,7 +1752,7 @@ impl RangeReplica {
             rt.forces.add_bytes(24);
             self.last_note = lsn;
         }
-        for peer in self.peers.clone() {
+        for &peer in &self.peers {
             out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts });
         }
     }

@@ -337,13 +337,20 @@ impl Session {
         req
     }
 
+    /// The cohort of `range` in the session's table, borrowed (empty when
+    /// the range is gone).
+    fn cohort(&self, range: RangeId) -> &[u32] {
+        self.ring.def(range).map_or(&[], |d| &d.cohort)
+    }
+
     /// The cohort member we currently believe leads `range`.
     fn target_for(&mut self, range: RangeId, strong: bool, rng: &mut rand::rngs::SmallRng) -> u32 {
-        let cohort = self.ring.cohort(range);
         if strong {
             let idx = *self.leader_cache.entry(range).or_insert(0);
+            let cohort = self.cohort(range);
             cohort[idx % cohort.len()]
         } else {
+            let cohort = self.cohort(range);
             cohort[rng.gen_range(0..cohort.len())]
         }
     }
@@ -352,13 +359,13 @@ impl Session {
     /// **actual cohort length** (cohort movement can change membership
     /// size/order, so `ring.replication()` would skew the rotation).
     fn rotate_leader(&mut self, range: RangeId) {
-        let len = self.ring.cohort(range).len().max(1);
+        let len = self.cohort(range).len().max(1);
         let e = self.leader_cache.entry(range).or_insert(0);
         *e = (*e + 1) % len;
     }
 
     fn learn_leader(&mut self, range: RangeId, node: u32) {
-        if let Some(idx) = self.ring.cohort(range).iter().position(|&n| n == node) {
+        if let Some(idx) = self.cohort(range).iter().position(|&n| n == node) {
             self.leader_cache.insert(range, idx);
         }
     }

@@ -328,12 +328,12 @@ fn follower_forces_before_acking_a_propose() {
                 range: RangeId(0),
                 epoch: 1,
                 lsn,
-                ops: vec![spinnaker_common::WriteOp::put(
+                ops: Arc::from([spinnaker_common::WriteOp::put(
                     u64_to_key(1),
                     bytes::Bytes::from_static(b"c"),
                     bytes::Bytes::from_static(b"v"),
                     0,
-                )],
+                )]),
                 committed: Lsn::ZERO,
                 closed_ts: 0,
             },
@@ -409,7 +409,7 @@ fn stale_epoch_proposes_are_ignored() {
                 range: RangeId(0),
                 epoch: 3,
                 lsn: Lsn::new(3, 9),
-                ops: vec![spinnaker_common::op::put("k", "c", "stale")],
+                ops: Arc::from([spinnaker_common::op::put("k", "c", "stale")]),
                 committed: Lsn::ZERO,
                 closed_ts: 0,
             },

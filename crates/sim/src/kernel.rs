@@ -111,6 +111,9 @@ pub struct Sim<M> {
     rng: SmallRng,
     halted: bool,
     processed: u64,
+    /// What the event being processed schedules, before it is queued;
+    /// emptied into the heap and reused by every step.
+    scheduled: Vec<(Time, ProcId, M)>,
 }
 
 impl<M> Sim<M> {
@@ -124,6 +127,7 @@ impl<M> Sim<M> {
             rng: SmallRng::seed_from_u64(seed),
             halted: false,
             processed: 0,
+            scheduled: Vec::new(),
         }
     }
 
@@ -190,19 +194,18 @@ impl<M> Sim<M> {
             // like a datagram to a closed port.
             return true;
         }
-        let mut out: Vec<(Time, ProcId, M)> = Vec::new();
         let mut halt = false;
         if let Some(actor) = self.actors[qe.target as usize].as_deref_mut() {
             let mut ctx = Ctx {
                 now: self.time,
                 self_id: qe.target,
                 rng: &mut self.rng,
-                out: &mut out,
+                out: &mut self.scheduled,
                 halt: &mut halt,
             };
             actor.on_event(self.time, qe.ev, &mut ctx);
         }
-        for (at, target, ev) in out {
+        for (at, target, ev) in self.scheduled.drain(..) {
             self.heap.push(Reverse(QueuedEvent { time: at, seq: self.seq, target, ev }));
             self.seq += 1;
         }

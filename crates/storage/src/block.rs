@@ -7,7 +7,8 @@
 //! allocation per entry, every length and flag validated — and records
 //! where each key and row starts. Lookups then compare keys in place and
 //! decode only the row they return; a block nobody reads a row from is
-//! never decoded at all.
+//! never decoded at all. Compaction reads entries as stored
+//! (`Block::raw_entry`) and moves the rows it need not change as bytes.
 //!
 //! A row a point get returns is also **kept**, decoded, beside the body:
 //! the next get of that key clones it (reference-count bumps on its
@@ -86,6 +87,19 @@ impl Block {
         // Losing a race to another reader is fine: it kept the same row.
         let _ = kept.set(row.clone());
         Ok(Some(row))
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The entry at `pos` as stored: its key, and the body from the start
+    /// of its encoded row on (the row's own encoding says where it ends;
+    /// `codec::scan_row` finds out). What compaction moves.
+    pub(crate) fn raw_entry(&self, pos: usize) -> Option<(&[u8], &[u8])> {
+        let e = *self.entries.get(pos)?;
+        Some((self.key_at(e), &self.body[e.row as usize..]))
     }
 
     /// The entry at `pos` as owned values, decoded once — iteration

@@ -25,39 +25,48 @@ fn fnv1a(seed: u64, data: &[u8]) -> u64 {
     h
 }
 
+/// Kirsch–Mitzenmacher probe positions: bit `i` is `h1 + i * h2`.
+fn probes(k: u32, num_bits: u64, (h1, h2): KeyHash) -> impl Iterator<Item = u64> {
+    (0..u64::from(k)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % num_bits)
+}
+
+/// The two hashes a key contributes to the filter. A table builder
+/// keeps these instead of the keys it has seen.
+pub type KeyHash = (u64, u64);
+
 impl Bloom {
+    /// The probe hashes of `key`.
+    pub fn hash(key: &[u8]) -> KeyHash {
+        (fnv1a(0x51ed_270b, key), fnv1a(0xb492_b66f, key) | 1)
+    }
+
     /// Build a filter for `keys` with the given bits-per-key budget.
     pub fn build<'a>(keys: impl Iterator<Item = &'a [u8]>, n: usize, bits_per_key: usize) -> Bloom {
+        Bloom::from_hashes(keys.map(Bloom::hash), n, bits_per_key)
+    }
+
+    /// Build a filter for `n` keys given by their [`Bloom::hash`]es.
+    pub fn from_hashes(
+        hashes: impl Iterator<Item = KeyHash>,
+        n: usize,
+        bits_per_key: usize,
+    ) -> Bloom {
         let num_bits = ((n.max(1) * bits_per_key) as u64).max(64);
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
         let mut bloom = Bloom { bits: vec![0; num_bits.div_ceil(64) as usize], num_bits, k };
-        for key in keys {
-            bloom.insert(key);
+        for hash in hashes {
+            for bit in probes(k, num_bits, hash) {
+                bloom.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+            }
         }
         bloom
-    }
-
-    fn insert(&mut self, key: &[u8]) {
-        let h1 = fnv1a(0x51ed_270b, key);
-        let h2 = fnv1a(0xb492_b66f, key) | 1;
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
     }
 
     /// Whether `key` may be present (false positives possible, false
     /// negatives impossible).
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let h1 = fnv1a(0x51ed_270b, key);
-        let h2 = fnv1a(0xb492_b66f, key) | 1;
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
-            if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        probes(self.k, self.num_bits, Bloom::hash(key))
+            .all(|bit| self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
     }
 
     /// Serialized size in bytes (approximate).

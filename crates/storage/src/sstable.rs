@@ -18,12 +18,13 @@
 
 use std::sync::Arc;
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, RowScan};
+use spinnaker_common::types::DisplayBytes;
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp};
 
 use crate::block::Block;
-use crate::bloom::Bloom;
+use crate::bloom::{Bloom, KeyHash};
 use crate::cache::{CacheMetrics, CachedBlock, SharedBlockCache};
 
 /// `"SPINSST1"` little-endian.
@@ -105,7 +106,9 @@ fn row_lsn_bounds(row: &Row) -> (Lsn, Lsn, Timestamp) {
 }
 
 /// Streaming SSTable writer. Keys must be added in strictly ascending
-/// order; rows carry their column versions (packed LSNs).
+/// order; rows carry their column versions (packed LSNs). Per row it
+/// keeps the key's bloom hashes and overwrites one last-key buffer, so
+/// what it allocates grows with blocks written, not with rows.
 pub struct TableBuilder {
     vfs: SharedVfs,
     path: String,
@@ -116,9 +119,9 @@ pub struct TableBuilder {
     block: Vec<u8>,
     block_first_key: Option<Key>,
     index: Vec<IndexEntry>,
-    keys: Vec<Key>,
-    min_key: Option<Key>,
-    max_key: Option<Key>,
+    hashes: Vec<KeyHash>,
+    /// The largest key so far (meaningful once `row_count > 0`).
+    last_key: Vec<u8>,
     min_lsn: Lsn,
     max_lsn: Lsn,
     max_ts: Timestamp,
@@ -149,9 +152,8 @@ impl TableBuilder {
             block: Vec::new(),
             block_first_key: None,
             index: Vec::new(),
-            keys: Vec::new(),
-            min_key: None,
-            max_key: None,
+            hashes: Vec::new(),
+            last_key: Vec::new(),
             min_lsn: Lsn::MAX,
             max_lsn: Lsn::ZERO,
             max_ts: 0,
@@ -164,27 +166,50 @@ impl TableBuilder {
         if row.is_empty() {
             return Ok(());
         }
-        if let Some(last) = &self.max_key {
-            if key <= last {
-                return Err(Error::InvalidArgument(format!(
-                    "keys out of order: {key:?} after {last:?}"
-                )));
-            }
-        }
-        if self.block_first_key.is_none() {
-            self.block_first_key = Some(key.clone());
-        }
-        key.encode(&mut self.block);
+        self.begin_entry(key.as_bytes())?;
         row.encode(&mut self.block);
         let (lo, hi, ts) = row_lsn_bounds(row);
+        self.end_entry(lo, hi, ts)
+    }
+
+    /// Append one row already in its encoded form: `row` is exactly the
+    /// bytes [`codec::scan_row`] walked to produce `scan`. Writes what
+    /// [`TableBuilder::add`] writes for the decoded row.
+    pub(crate) fn add_raw(&mut self, key: &[u8], row: &[u8], scan: &RowScan) -> Result<()> {
+        self.begin_entry(key)?;
+        self.block.extend_from_slice(row);
+        self.end_entry(
+            Lsn::from_u64(scan.min_version),
+            Lsn::from_u64(scan.max_version),
+            scan.max_ts,
+        )
+    }
+
+    /// Check key order, note the key, and write it into the block.
+    fn begin_entry(&mut self, key: &[u8]) -> Result<()> {
+        if self.row_count > 0 && key <= self.last_key.as_slice() {
+            return Err(Error::InvalidArgument(format!(
+                "keys out of order: {} after {}",
+                DisplayBytes(key),
+                DisplayBytes(&self.last_key)
+            )));
+        }
+        if self.block_first_key.is_none() {
+            self.block_first_key = Some(Key::from(key));
+        }
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        self.hashes.push(Bloom::hash(key));
+        codec::put_bytes(&mut self.block, key);
+        Ok(())
+    }
+
+    /// Fold the row just written into the table's bounds; seal the block
+    /// once it is full.
+    fn end_entry(&mut self, lo: Lsn, hi: Lsn, ts: Timestamp) -> Result<()> {
         self.min_lsn = self.min_lsn.min(lo);
         self.max_lsn = self.max_lsn.max(hi);
         self.max_ts = self.max_ts.max(ts);
-        if self.min_key.is_none() {
-            self.min_key = Some(key.clone());
-        }
-        self.max_key = Some(key.clone());
-        self.keys.push(key.clone());
         self.row_count += 1;
         if self.block.len() >= self.opts.block_bytes {
             self.flush_block()?;
@@ -235,19 +260,20 @@ impl TableBuilder {
         }
         let (index_off, index_len) = self.write_chunk(&mut index_body)?;
 
-        let bloom = Bloom::build(
-            self.keys.iter().map(|k| k.as_bytes()),
-            self.keys.len(),
+        let bloom = Bloom::from_hashes(
+            self.hashes.iter().copied(),
+            self.hashes.len(),
             self.opts.bloom_bits_per_key,
         );
         let (bloom_off, bloom_len) = self.write_chunk(&mut bloom.encode_to_vec())?;
 
-        let (Some(min_key), Some(max_key)) = (self.min_key.as_ref(), self.max_key.as_ref()) else {
+        // The first block's first key is the table's smallest.
+        let Some(first) = self.index.first() else {
             return Err(Error::InvalidArgument("non-empty table is missing key bounds".into()));
         };
         let mut footer = Vec::new();
-        min_key.encode(&mut footer);
-        max_key.encode(&mut footer);
+        first.first_key.encode(&mut footer);
+        codec::put_bytes(&mut footer, &self.last_key);
         self.min_lsn.encode(&mut footer);
         self.max_lsn.encode(&mut footer);
         codec::put_u64(&mut footer, self.max_ts);
@@ -570,6 +596,61 @@ impl Iterator for TableIter<'_> {
                 }
             }
         }
+    }
+}
+
+/// Cursor over a table's entries **as stored**, in key order: what
+/// compaction merges. Blocks come through the same [`Table::read_block`]
+/// as every other read — one block held at a time, the next one loaded
+/// the moment the cursor steps off the last entry — so the block cache
+/// sees exactly the reads [`TableIter`] would make.
+pub(crate) struct RawCursor<'a> {
+    table: &'a Table,
+    /// Index position of the next block to load.
+    next_block: usize,
+    /// The block under the cursor; `None` once the table is exhausted.
+    block: Option<CachedBlock>,
+    pos: usize,
+}
+
+impl<'a> RawCursor<'a> {
+    /// A cursor on the table's first entry.
+    pub(crate) fn new(table: &'a Table) -> Result<RawCursor<'a>> {
+        let mut cursor = RawCursor { table, next_block: 0, block: None, pos: 0 };
+        cursor.load()?;
+        Ok(cursor)
+    }
+
+    /// Load blocks until one has an entry under the cursor (or none is
+    /// left).
+    fn load(&mut self) -> Result<()> {
+        while self.block.as_ref().is_none_or(|b| self.pos >= b.len()) {
+            if self.next_block >= self.table.index.len() {
+                self.block = None;
+                return Ok(());
+            }
+            self.block = Some(self.table.read_block(self.next_block)?);
+            self.next_block += 1;
+            self.pos = 0;
+        }
+        Ok(())
+    }
+
+    /// The entry under the cursor — its key, and the block body from the
+    /// start of its encoded row on — or `None` past the last entry.
+    pub(crate) fn raw(&self) -> Option<(&[u8], &[u8])> {
+        self.block.as_ref()?.raw_entry(self.pos)
+    }
+
+    /// The entry under the cursor, decoded.
+    pub(crate) fn decode(&self) -> Option<Result<(Key, Row)>> {
+        self.block.as_ref()?.entry(self.pos)
+    }
+
+    /// Step to the next entry.
+    pub(crate) fn advance(&mut self) -> Result<()> {
+        self.pos += 1;
+        self.load()
     }
 }
 

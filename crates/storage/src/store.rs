@@ -13,7 +13,12 @@
 //!   configurable fanout. Compaction garbage-collects superseded versions
 //!   at the MVCC GC floor and, when the output is the deepest populated
 //!   level, tombstones (paper §4.1: "in the background, smaller SSTables
-//!   are merged into larger ones"),
+//!   are merged into larger ones"). It is a streaming merge over the
+//!   inputs' raw block entries into the output tables (`merge_into`): a
+//!   row stored in one input only, with no tombstone, no version chain
+//!   and its columns in canonical order, is **moved as bytes**; only the
+//!   rows compaction has to change are decoded — and the files written
+//!   are byte for byte those of decoding everything,
 //! * `rows_since` — the SSTable-backed catch-up feed used by recovery when
 //!   the leader's log has rolled over (§6.1).
 //!
@@ -25,19 +30,21 @@
 //!
 //! The pre-leveling flat set (size-tiered, fanin-4) survives behind
 //! `StoreOptions::leveled = false` — the equivalence oracle for tests and
-//! the baseline for the fig22 benchmark.
+//! the baseline for the fig22 benchmark. It keeps the decoding
+//! [`MergeIter`] merge, which is what makes it an independent oracle.
 
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, RowScan};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp, WriteOp};
 
 use crate::cache::{CacheMetrics, SharedBlockCache};
 use crate::memtable::Memtable;
 use crate::merge::{vec_stream, MergeIter, RowStream};
-use crate::sstable::{Table, TableBuilder, TableCtx, TableOptions};
+use crate::sstable::{RawCursor, Table, TableBuilder, TableCtx, TableOptions};
 
 /// `"SPINMF02"` little-endian: the v2 (leveled) manifest magic. A v1
 /// manifest starts with its `next_id` field instead, which can never
@@ -265,6 +272,199 @@ struct CompactionPlan {
     /// deeper than the output level holds data, so no older version
     /// outside the merge can resurrect a deleted column.
     drop_tombstones: bool,
+}
+
+/// Streams key-ordered rows into a sorted run: tables of one level,
+/// each closed once the rows added to it reach `target` bytes (by
+/// `key.len() + Row::approx_size()`), so no table of the run is ever
+/// held in memory. Borrows the store's fields one by one — compaction
+/// reads its input tables out of the level vectors while this writes.
+struct RunWriter<'a> {
+    vfs: &'a SharedVfs,
+    dir: &'a str,
+    ctx: &'a TableCtx,
+    next_id: &'a mut u64,
+    table_opts: TableOptions,
+    target: usize,
+    /// The table being written: its id, its builder, its rows' bytes.
+    open: Option<(u64, TableBuilder, usize)>,
+    made: Vec<Slot>,
+}
+
+impl<'a> RunWriter<'a> {
+    fn new(
+        vfs: &'a SharedVfs,
+        dir: &'a str,
+        ctx: &'a TableCtx,
+        next_id: &'a mut u64,
+        table_opts: TableOptions,
+        target: usize,
+    ) -> RunWriter<'a> {
+        RunWriter { vfs, dir, ctx, next_id, table_opts, target, open: None, made: Vec::new() }
+    }
+
+    /// Hand `write` the open table's builder (opening a table if none
+    /// is), then close the table if `size` more bytes filled it.
+    fn entry(
+        &mut self,
+        size: usize,
+        write: impl FnOnce(&mut TableBuilder) -> Result<()>,
+    ) -> Result<()> {
+        if self.open.is_none() {
+            let id = *self.next_id;
+            *self.next_id += 1;
+            let builder = TableBuilder::new_with(
+                self.vfs.clone(),
+                &RangeStore::table_path(self.dir, id),
+                self.table_opts.clone(),
+                self.ctx.clone(),
+            )?;
+            self.open = Some((id, builder, 0));
+        }
+        if let Some((_, builder, bytes)) = self.open.as_mut() {
+            write(builder)?;
+            *bytes = bytes.saturating_add(size);
+            if *bytes >= self.target {
+                self.close()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        if let Some((id, builder, _)) = self.open.take() {
+            self.made.push(Slot { id, table: builder.finish()? });
+        }
+        Ok(())
+    }
+
+    /// Append a decoded row (empty rows are skipped).
+    fn add(&mut self, key: &Key, row: &Row) -> Result<()> {
+        if row.is_empty() {
+            return Ok(());
+        }
+        self.entry(key.len() + row.approx_size(), |b| b.add(key, row))
+    }
+
+    /// Append a row as the bytes `scan` was taken from.
+    fn add_raw(&mut self, key: &[u8], row: &[u8], scan: &RowScan) -> Result<()> {
+        self.entry(key.len() + scan.approx_size, |b| b.add_raw(key, row, scan))
+    }
+
+    /// Close the last table and hand over the run.
+    fn finish(&mut self) -> Result<Vec<Slot>> {
+        self.close()?;
+        Ok(std::mem::take(&mut self.made))
+    }
+
+    /// Remove what a run that will not be installed has written so far.
+    /// Best effort: the caller is already reporting the error that
+    /// matters, and a table id is never listed twice, so a file left
+    /// behind is only ever dead weight.
+    fn abandon(mut self) {
+        if let Some((id, builder, _)) = self.open.take() {
+            drop(builder);
+            let _ = self.vfs.delete(&RangeStore::table_path(self.dir, id));
+        }
+        for slot in self.made {
+            let _ = slot.table.delete();
+        }
+    }
+}
+
+/// One compaction input in the merge heap: a cursor parked on an entry,
+/// ordered by that entry's key and then by input position — smallest
+/// first out of the (max-)heap.
+struct MergeSource<'a> {
+    cursor: RawCursor<'a>,
+    input: usize,
+}
+
+impl MergeSource<'_> {
+    fn key(&self) -> &[u8] {
+        // Only cursors parked on an entry are ever in the heap.
+        self.cursor.raw().map_or(&[], |(key, _)| key)
+    }
+}
+
+impl PartialEq for MergeSource<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for MergeSource<'_> {}
+impl PartialOrd for MergeSource<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for MergeSource<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key().cmp(self.key()).then_with(|| other.input.cmp(&self.input))
+    }
+}
+
+/// The compaction merge: a streaming k-way merge of `inputs`' raw
+/// entries into `out`, in key order.
+///
+/// A key stored in exactly one input whose row is *plain*
+/// ([`RowScan::plain`]: no tombstone, no version chain, column names
+/// strictly ascending) is **moved as bytes** — pruning could not change
+/// such a row and re-encoding it would reproduce it, so neither happens;
+/// its LSN/timestamp bounds and size come from the scan. Every other key
+/// is decoded, its fragments collapsed with [`Row::merge_newer`], and
+/// pruned: superseded versions at or below the snapshot `floor` are
+/// dropped (the newest at-or-below survives for floor-pinned readers),
+/// tombstones below the floor only when `drop_tombstones` says the output
+/// is the deepest populated level, where nothing older survives to
+/// resurrect. The files written are, byte for byte, those of decoding
+/// everything (`tests/compaction_raw.rs` holds the reference).
+fn merge_into(
+    inputs: &[&Table],
+    floor: Timestamp,
+    drop_tombstones: bool,
+    out: &mut RunWriter<'_>,
+) -> Result<()> {
+    let mut heap = BinaryHeap::with_capacity(inputs.len());
+    for (input, table) in inputs.iter().enumerate() {
+        park(&mut heap, MergeSource { cursor: RawCursor::new(table)?, input });
+    }
+    while let Some(mut head) = heap.pop() {
+        let alone = heap.peek().is_none_or(|next| next.key() != head.key());
+        if alone {
+            if let Some((key, mut rest)) = head.cursor.raw() {
+                let row = rest;
+                let scan = codec::scan_row(&mut rest)?;
+                if scan.plain {
+                    out.add_raw(key, &row[..row.len() - rest.len()], &scan)?;
+                    head.cursor.advance()?;
+                    park(&mut heap, head);
+                    continue;
+                }
+            }
+        }
+        let Some(entry) = head.cursor.decode() else { continue };
+        let (key, mut row) = entry?;
+        head.cursor.advance()?;
+        park(&mut heap, head);
+        while heap.peek().is_some_and(|next| next.key() == key.as_bytes()) {
+            let Some(mut dup) = heap.pop() else { break };
+            if let Some(fragment) = dup.cursor.decode() {
+                row.merge_newer(&fragment?.1);
+            }
+            dup.cursor.advance()?;
+            park(&mut heap, dup);
+        }
+        out.add(&key, &row.prune(floor, drop_tombstones))?;
+    }
+    Ok(())
+}
+
+/// Put a source back into the merge heap unless its table is exhausted.
+fn park<'a>(heap: &mut BinaryHeap<MergeSource<'a>>, source: MergeSource<'a>) {
+    if source.cursor.raw().is_some() {
+        heap.push(source);
+    }
 }
 
 /// A leveled LSM store for one replicated key range.
@@ -508,41 +708,34 @@ impl RangeStore {
         t
     }
 
+    /// Target size of the tables of a sorted run.
+    fn run_target(&self) -> usize {
+        usize::try_from(self.opts.level_table_target_bytes).unwrap_or(usize::MAX).max(1)
+    }
+
     /// Build one table at `level` from already-sorted rows.
     fn build_table(&mut self, rows: &[(Key, Row)], level: u32) -> Result<Slot> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let path = Self::table_path(&self.opts.dir, id);
-        let mut builder = TableBuilder::new_with(
-            self.vfs.clone(),
-            &path,
-            self.table_opts(level),
-            self.ctx.clone(),
-        )?;
-        for (key, row) in rows {
-            builder.add(key, row)?;
-        }
-        Ok(Slot { id, table: builder.finish()? })
+        let mut made = self.build_run(rows, level, usize::MAX)?;
+        made.pop().ok_or_else(|| Error::InvalidArgument("cannot build an empty SSTable".into()))
     }
 
     /// Build a sorted run at `level`: the rows split into tables of
-    /// roughly `level_table_target_bytes` each. Key-ordered input makes
-    /// the output tables non-overlapping by construction.
-    fn build_run(&mut self, rows: &[(Key, Row)], level: u32) -> Result<Vec<Slot>> {
-        let target =
-            usize::try_from(self.opts.level_table_target_bytes).unwrap_or(usize::MAX).max(1);
-        let mut out = Vec::new();
-        let mut start = 0;
-        let mut acc = 0usize;
-        for i in 0..rows.len() {
-            acc = acc.saturating_add(rows[i].0.len() + rows[i].1.approx_size());
-            if acc >= target || i + 1 == rows.len() {
-                out.push(self.build_table(&rows[start..=i], level)?);
-                start = i + 1;
-                acc = 0;
-            }
+    /// roughly `target` bytes each. Key-ordered input makes the output
+    /// tables non-overlapping by construction.
+    fn build_run(&mut self, rows: &[(Key, Row)], level: u32, target: usize) -> Result<Vec<Slot>> {
+        let table_opts = self.table_opts(level);
+        let mut writer = RunWriter::new(
+            &self.vfs,
+            &self.opts.dir,
+            &self.ctx,
+            &mut self.next_id,
+            table_opts,
+            target,
+        );
+        for (key, row) in rows {
+            writer.add(key, row)?;
         }
-        Ok(out)
+        writer.finish()
     }
 
     /// Flush the memtable into a new L0 SSTable. Returns the highest LSN
@@ -642,45 +835,47 @@ impl RangeStore {
         CompactionPlan { input_ids, out_deeper: k + 1, drop_tombstones }
     }
 
-    fn find_table(&self, id: u64) -> Option<&Table> {
-        self.all_slots().find(|s| s.id == id).map(|s| &s.table)
-    }
-
     /// Execute a compaction plan: merge the inputs (pruning versions at
-    /// the GC floor), write the output run, swap it into the level
+    /// the GC floor) into the output run, swap it into the level
     /// structure, persist the manifest, and only then delete the input
     /// files. A crash between manifest write and deletion leaks input
     /// files (harmless: ids are never re-listed and `create` truncates
     /// on reuse); a crash before the manifest write leaves the old,
-    /// fully consistent level assignment in force.
+    /// fully consistent level assignment in force, and so does an input
+    /// that fails to read — the outputs written so far are removed and
+    /// nothing else has changed.
     fn run_compaction(&mut self, plan: CompactionPlan) -> Result<()> {
         let floor = self.gc_floor;
-        let (rows, in_bytes) = {
-            let inputs: Vec<&Table> =
-                plan.input_ids.iter().filter_map(|&id| self.find_table(id)).collect();
-            let in_bytes: u64 = inputs.iter().map(|t| t.meta().file_bytes).sum();
-            let streams: Vec<RowStream<'_>> =
-                inputs.iter().map(|t| Box::new(t.iter()) as RowStream<'_>).collect();
-            let mut rows: Vec<(Key, Row)> = Vec::new();
-            for item in MergeIter::new(streams)? {
-                let (key, row) = item?;
-                // MVCC garbage collection rides compaction: superseded
-                // versions at or below the snapshot floor are dropped (the
-                // newest at-or-below survives for floor-pinned readers),
-                // and tombstones below the floor are dropped only when the
-                // output is the deepest populated level, where nothing
-                // older survives to resurrect.
-                let row = row.prune(floor, plan.drop_tombstones);
-                if !row.is_empty() {
-                    rows.push((key, row));
-                }
+        let table_opts = self.table_opts(plan.out_deeper as u32 + 1);
+        let target = self.run_target();
+        let (l0, deeper) = (&self.l0, &self.deeper);
+        let inputs: Vec<&Table> = plan
+            .input_ids
+            .iter()
+            .filter_map(|&id| l0.iter().chain(deeper.iter().flatten()).find(|s| s.id == id))
+            .map(|s| &s.table)
+            .collect();
+        let in_bytes: u64 = inputs.iter().map(|t| t.meta().file_bytes).sum();
+        let mut writer = RunWriter::new(
+            &self.vfs,
+            &self.opts.dir,
+            &self.ctx,
+            &mut self.next_id,
+            table_opts,
+            target,
+        );
+        let merged = merge_into(&inputs, floor, plan.drop_tombstones, &mut writer)
+            .and_then(|()| writer.finish());
+        let mut made = match merged {
+            Ok(made) => made,
+            Err(e) => {
+                writer.abandon();
+                return Err(e);
             }
-            (rows, in_bytes)
         };
         while self.deeper.len() <= plan.out_deeper {
             self.deeper.push(Vec::new());
         }
-        let mut made = self.build_run(&rows, plan.out_deeper as u32 + 1)?;
         let mut removed = Vec::new();
         for id in &plan.input_ids {
             if let Some(pos) = self.l0.iter().position(|s| s.id == *id) {
@@ -1066,7 +1261,7 @@ impl RangeStore {
             self.place(slot, 0);
             return Ok(());
         }
-        let made = self.build_run(&rows, level)?;
+        let made = self.build_run(&rows, level, self.run_target())?;
         for slot in made {
             self.place(slot, level);
         }

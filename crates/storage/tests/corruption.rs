@@ -246,3 +246,76 @@ fn flipped_sstable_magic_fails_the_store_open() {
     vfs.write_atomic(&tables[0], &bytes).unwrap();
     assert!(RangeStore::open(Arc::new(vfs.clone()), store_opts()).is_err());
 }
+
+/// `(offset, length)` of every data-block chunk (body + CRC) of a table
+/// file, read off its index.
+fn data_blocks(file: &[u8]) -> Vec<(usize, usize)> {
+    let trailer = &file[file.len() - 16..];
+    let footer_off = codec::get_u64(&mut &trailer[..8]).unwrap() as usize;
+    let mut footer = &file[footer_off..];
+    Key::decode(&mut footer).unwrap();
+    Key::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    codec::get_u64(&mut footer).unwrap(); // max_ts
+    codec::get_u64(&mut footer).unwrap(); // row_count
+    let index_off = codec::get_u64(&mut footer).unwrap() as usize;
+    let mut index = &file[index_off..];
+    (0..codec::get_varint(&mut index).unwrap())
+        .map(|_| {
+            Key::decode(&mut index).unwrap();
+            let offset = codec::get_u64(&mut index).unwrap() as usize;
+            (offset, codec::get_u32(&mut index).unwrap() as usize)
+        })
+        .collect()
+}
+
+/// Compaction streams: output tables are being written while inputs are
+/// still being read. An input block that is malformed under a valid CRC —
+/// met after part of the run is already on disk — must surface as
+/// `Error::Corruption` and leave the store exactly as it was: same
+/// manifest, same levels, every input file in place, no output left over.
+#[test]
+fn a_malformed_block_met_mid_compaction_leaves_the_store_untouched() {
+    let vfs = MemVfs::new();
+    let opts = || StoreOptions {
+        table: TableOptions { block_bytes: 64, bloom_bits_per_key: 10 },
+        level_table_target_bytes: 96,
+        ..Default::default()
+    };
+    let mut store = RangeStore::open(Arc::new(vfs.clone()), opts()).unwrap();
+    for round in 0..2u64 {
+        for i in 0..24u64 {
+            // Interleaved keys: both tables feed the merge throughout.
+            let key = format!("k{:03}", i * 2 + round);
+            store.apply(&op::put(&key, "c", "value"), Lsn::new(1, round * 24 + i + 1));
+        }
+        store.flush().unwrap();
+    }
+    let tables = vfs.list("store/sst-").unwrap();
+    assert_eq!(tables.len(), 2);
+
+    // Last block of the older table. Its first entry is `[4]kNNN`, then
+    // the row `[1 column] [1]c [flag] ..`: the flag sits 8 bytes in.
+    let mut bytes = vfs.read_all(&tables[0]).unwrap();
+    let blocks = data_blocks(&bytes);
+    assert!(blocks.len() > 2, "several blocks, so the bad one is met late");
+    let (offset, len) = *blocks.last().unwrap();
+    assert_eq!(bytes[offset + 8], 0, "a live column's flag");
+    bytes[offset + 8] = 7;
+    let crc = crc32c::masked(crc32c::crc32c(&bytes[offset..offset + len - 4]));
+    bytes[offset + len - 4..offset + len].copy_from_slice(&crc.to_le_bytes());
+    vfs.write_atomic(&tables[0], &bytes).unwrap();
+
+    let manifest = vfs.read_all("store/MANIFEST").unwrap();
+    let levels = store.tables_per_level();
+    let err = store.compact_all().expect_err("the merge read a malformed block");
+    assert!(err.is_corruption(), "{err}");
+    assert_eq!(vfs.read_all("store/MANIFEST").unwrap(), manifest, "manifest untouched");
+    assert_eq!(store.tables_per_level(), levels, "levels untouched");
+    assert_eq!(vfs.list("store/sst-").unwrap(), tables, "inputs kept, partial outputs removed");
+
+    // Healthy blocks are still served; the bad one still says what it is.
+    assert!(store.get(&Key::from("k000")).unwrap().is_some());
+    assert!(store.get(&Key::from("k046")).expect_err("in the bad block").is_corruption());
+}

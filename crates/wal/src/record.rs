@@ -3,6 +3,17 @@
 //! Each frame on disk is `[u32 len][u32 masked-crc32c][body]` (little
 //! endian); the body encodes the record. Torn tails (partial frames after a
 //! crash) are detected by length/CRC validation during the recovery scan.
+//!
+//! A record does not own the writes it carries: they are one immutable
+//! `Arc<[WriteOp]>`, the same allocation the leader's propose messages
+//! and the followers' commit queues hold, so logging a group propose
+//! copies no op. A frame is built where it will be written from:
+//! [`encode_frame_into`] reserves the header in the caller's buffer,
+//! encodes the body behind it, and patches length and checksum in — the
+//! log appends from one buffer it reuses, and [`encode_frame`] is the
+//! same encoder over a fresh one.
+
+use std::sync::Arc;
 
 use spinnaker_common::codec::{self, Decode, Encode};
 use spinnaker_common::{crc32c, Error, Lsn, RangeId, Result, WriteOp};
@@ -17,19 +28,20 @@ pub const FRAME_HEADER: usize = 8;
 /// What a log record carries.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Payload {
-    /// A replicated write, forced to disk before acknowledgement.
-    Write(WriteOp),
+    /// One or more replicated writes, forced to disk before
+    /// acknowledgement. Never empty. The record's LSN is the *first*
+    /// op's; op `i` carries LSN `lsn + i`. Several ops are a **group
+    /// propose**: one record, one consensus round, and the frame
+    /// checksum makes the batch all-or-nothing across crashes — a torn
+    /// tail drops every op or none. The index decomposes a batch back
+    /// into per-LSN entries, so replay, catch-up, truncation and
+    /// checkpointing all keep operating on individual `(Lsn, WriteOp)`
+    /// pairs. On disk a single op is a plain write record (tag 0) and
+    /// only two or more are a batch (tag 2).
+    Writes(Arc<[WriteOp]>),
     /// "Writes up to the record's LSN are committed" — the non-forced note
     /// the leader and followers log when processing a commit message (§5).
     CommitNote,
-    /// A **group propose**: `n >= 2` writes replicated as one record and
-    /// one consensus round. The record's LSN is the *first* op's; op `i`
-    /// carries LSN `lsn + i`. The frame checksum makes the batch
-    /// all-or-nothing across crashes — a torn tail drops every op or
-    /// none. The index decomposes the batch back into per-LSN entries,
-    /// so replay, catch-up, truncation and checkpointing all keep
-    /// operating on individual `(Lsn, WriteOp)` pairs.
-    Batch(Vec<WriteOp>),
 }
 
 /// One record in the shared log.
@@ -48,26 +60,21 @@ pub struct LogRecord {
 }
 
 impl LogRecord {
-    /// A write record.
+    /// A record of one write.
     pub fn write(cohort: RangeId, lsn: Lsn, op: WriteOp) -> LogRecord {
-        LogRecord { cohort, lsn, payload: Payload::Write(op) }
+        LogRecord::batch(cohort, lsn, [op])
     }
 
-    /// A group-propose record: `ops[i]` carries LSN `first + i`. A
-    /// singleton batch collapses to a plain [`Payload::Write`], so the
-    /// on-disk format (and every reader of it) sees batches only when
-    /// there genuinely are several ops.
+    /// A record of the writes `ops`: `ops[i]` carries LSN `first + i`.
+    /// Takes the shared batch as it is (an `Arc<[WriteOp]>` is not
+    /// copied) or anything that converts into one.
     ///
     /// # Panics
     /// On an empty batch.
-    pub fn batch(cohort: RangeId, first: Lsn, mut ops: Vec<WriteOp>) -> LogRecord {
+    pub fn batch(cohort: RangeId, first: Lsn, ops: impl Into<Arc<[WriteOp]>>) -> LogRecord {
+        let ops = ops.into();
         assert!(!ops.is_empty(), "empty batch record");
-        if let [_] = ops.as_slice() {
-            if let Some(op) = ops.pop() {
-                return LogRecord::write(cohort, first, op);
-            }
-        }
-        LogRecord { cohort, lsn: first, payload: Payload::Batch(ops) }
+        LogRecord { cohort, lsn: first, payload: Payload::Writes(ops) }
     }
 
     /// A commit-note record.
@@ -75,29 +82,29 @@ impl LogRecord {
         LogRecord { cohort, lsn: committed, payload: Payload::CommitNote }
     }
 
+    /// The writes this record carries (none for commit notes).
+    pub fn ops(&self) -> &[WriteOp] {
+        match &self.payload {
+            Payload::Writes(ops) => ops,
+            Payload::CommitNote => &[],
+        }
+    }
+
     /// True for records carrying writes (single or batched).
     pub fn is_write(&self) -> bool {
-        matches!(self.payload, Payload::Write(_) | Payload::Batch(_))
+        matches!(self.payload, Payload::Writes(_))
     }
 
     /// How many writes this record carries (0 for commit notes).
     pub fn write_count(&self) -> u64 {
-        match &self.payload {
-            Payload::Write(_) => 1,
-            Payload::CommitNote => 0,
-            Payload::Batch(ops) => ops.len() as u64,
-        }
+        self.ops().len() as u64
     }
 
     /// The LSN of this record's last write (`lsn` itself for singles and
     /// commit notes).
     pub fn last_lsn(&self) -> Lsn {
-        match &self.payload {
-            Payload::Batch(ops) => {
-                Lsn::new(self.lsn.epoch(), self.lsn.seq() + ops.len() as u64 - 1)
-            }
-            _ => self.lsn,
-        }
+        let extra = self.write_count().saturating_sub(1);
+        Lsn::new(self.lsn.epoch(), self.lsn.seq() + extra)
     }
 }
 
@@ -106,18 +113,20 @@ impl Encode for LogRecord {
         codec::put_varint(buf, self.cohort.0 as u64);
         self.lsn.encode(buf);
         match &self.payload {
-            Payload::Write(op) => {
-                codec::put_u8(buf, 0);
-                op.encode(buf);
-            }
-            Payload::CommitNote => codec::put_u8(buf, 1),
-            Payload::Batch(ops) => {
-                codec::put_u8(buf, 2);
-                codec::put_varint(buf, ops.len() as u64);
-                for op in ops {
+            Payload::Writes(ops) => match &ops[..] {
+                [op] => {
+                    codec::put_u8(buf, 0);
                     op.encode(buf);
                 }
-            }
+                ops => {
+                    codec::put_u8(buf, 2);
+                    codec::put_varint(buf, ops.len() as u64);
+                    for op in ops {
+                        op.encode(buf);
+                    }
+                }
+            },
+            Payload::CommitNote => codec::put_u8(buf, 1),
         }
     }
 }
@@ -127,7 +136,7 @@ impl Decode for LogRecord {
         let cohort = RangeId(codec::get_varint_u32(buf)?);
         let lsn = Lsn::decode(buf)?;
         let payload = match codec::get_u8(buf)? {
-            0 => Payload::Write(WriteOp::decode(buf)?),
+            0 => Payload::Writes(Arc::from([WriteOp::decode(buf)?])),
             1 => Payload::CommitNote,
             2 => {
                 // A WriteOp is at least a tag byte plus a 1-byte key.
@@ -139,7 +148,7 @@ impl Decode for LogRecord {
                 for _ in 0..n {
                     ops.push(WriteOp::decode(buf)?);
                 }
-                Payload::Batch(ops)
+                Payload::Writes(ops.into())
             }
             tag => return Err(Error::Codec(format!("bad LogRecord tag {tag}"))),
         };
@@ -147,21 +156,35 @@ impl Decode for LogRecord {
     }
 }
 
-/// Encode a record as a complete frame (header + body).
+/// Append `record`'s complete frame (header + body) to `buf`, encoding
+/// the body in place: the header is reserved, the record encoded behind
+/// it, and length and checksum patched in — no intermediate body buffer.
+/// On error `buf` is left as it was.
 ///
 /// A body longer than [`MAX_RECORD_BYTES`] is a codec error: the
 /// recovery scan treats such lengths as corruption, so writing one
 /// would make the record unreadable.
+pub fn encode_frame_into(record: &LogRecord, buf: &mut Vec<u8>) -> Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    record.encode(buf);
+    let body = &buf[start + FRAME_HEADER..];
+    let Some(len) = u32::try_from(body.len()).ok().filter(|l| *l <= MAX_RECORD_BYTES) else {
+        let len = body.len();
+        buf.truncate(start);
+        return Err(Error::Codec(format!("record body of {len} bytes exceeds MAX_RECORD_BYTES")));
+    };
+    let crc = crc32c::masked(crc32c::crc32c(body));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Encode a record as a complete frame (header + body) in a buffer of
+/// its own. See [`encode_frame_into`].
 pub fn encode_frame(record: &LogRecord) -> Result<Vec<u8>> {
-    let body = record.encode_to_vec();
-    let len =
-        u32::try_from(body.len()).ok().filter(|l| *l <= MAX_RECORD_BYTES).ok_or_else(|| {
-            Error::Codec(format!("record body of {} bytes exceeds MAX_RECORD_BYTES", body.len()))
-        })?;
-    let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-    codec::put_u32(&mut frame, len);
-    codec::put_u32(&mut frame, crc32c::masked(crc32c::crc32c(&body)));
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    encode_frame_into(record, &mut frame)?;
     Ok(frame)
 }
 
@@ -288,14 +311,43 @@ mod tests {
     #[test]
     fn singleton_batch_collapses_to_write() {
         let rec = LogRecord::batch(RangeId(1), Lsn::new(1, 5), vec![op::put("k", "c", "v")]);
-        assert!(matches!(rec.payload, Payload::Write(_)));
+        let write = LogRecord::write(RangeId(1), Lsn::new(1, 5), op::put("k", "c", "v"));
+        assert_eq!(rec, write);
         assert_eq!(rec.last_lsn(), Lsn::new(1, 5));
+        // On disk it is a plain write record: tag 0 right after the
+        // 1-byte cohort and the 8-byte LSN.
+        let frame = encode_frame(&rec).unwrap();
+        assert_eq!(frame[FRAME_HEADER + 9], 0);
+        assert_eq!(frame, encode_frame(&write).unwrap());
+    }
+
+    #[test]
+    fn frames_encode_in_place_behind_what_the_buffer_holds() {
+        let records = [
+            sample(),
+            LogRecord::commit_note(RangeId(1), Lsn::new(3, 44)),
+            LogRecord::batch(RangeId(4), Lsn::new(2, 10), vec![op::put("a", "c", "1"); 3]),
+        ];
+        let mut buf = b"already here".to_vec();
+        let mut want = buf.clone();
+        for rec in &records {
+            encode_frame_into(rec, &mut buf).unwrap();
+            want.extend(encode_frame(rec).unwrap());
+        }
+        assert_eq!(buf, want);
+        let mut cursor = &buf[b"already here".len()..];
+        for rec in &records {
+            let FrameRead::Record(got, n) = read_frame(cursor).unwrap() else { panic!() };
+            assert_eq!(*got, *rec);
+            cursor = &cursor[n..];
+        }
+        assert!(cursor.is_empty());
     }
 
     #[test]
     fn undersized_batch_rejected_on_decode() {
         // Hand-encode a batch frame claiming one op: decode must reject
-        // (singletons are required to travel as Payload::Write).
+        // (a single write travels as a plain write record).
         let mut body = Vec::new();
         codec::put_varint(&mut body, 4); // cohort
         Lsn::new(1, 1).encode(&mut body);

@@ -17,7 +17,7 @@ use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
 use crate::checkpoint::Checkpoints;
-use crate::record::{encode_frame, read_frame, FrameRead, LogRecord, Payload};
+use crate::record::{encode_frame_into, read_frame, FrameRead, LogRecord, Payload};
 use crate::skipped::SkippedFile;
 
 /// Tuning knobs for the log.
@@ -84,6 +84,9 @@ pub struct Wal {
     /// references is garbage.
     seg_refs: BTreeMap<u64, usize>,
     appended_since_sync: bool,
+    /// The frame being appended, encoded in place; reused by every
+    /// append, so a warmed-up log frames records without allocating.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -178,6 +181,7 @@ impl Wal {
             skipped,
             seg_refs,
             appended_since_sync: false,
+            frame: Vec::new(),
             opts,
         })
     }
@@ -191,30 +195,13 @@ impl Wal {
         loc: RecordLoc,
     ) {
         let entry = index.entry(rec.cohort).or_default();
-        match rec.payload {
-            Payload::Write(_) => {
-                if skipped.cohort(rec.cohort).is_some_and(|s| s.contains(rec.lsn)) {
-                    return; // logically truncated: invisible to recovery
-                }
-                if rec.lsn > entry.last_lsn {
-                    entry.last_lsn = rec.lsn;
-                }
-                if rec.lsn > checkpoints.get(rec.cohort) {
-                    entry.records.insert(rec.lsn, loc);
-                    *seg_refs.entry(loc.segment).or_insert(0) += 1;
-                }
-            }
-            Payload::CommitNote => {
-                if rec.lsn > entry.last_commit_note {
-                    entry.last_commit_note = rec.lsn;
-                }
-            }
-            // A group propose decomposes into one index entry per op, all
-            // pointing at the same frame: replay, truncation, and
-            // checkpointing keep operating per-LSN, and the segment gets
-            // one reference per live entry so partial checkpoints release
-            // it correctly.
-            Payload::Batch(ref ops) => {
+        match &rec.payload {
+            // One index entry per op, all pointing at the same frame:
+            // replay, truncation, and checkpointing keep operating
+            // per-LSN however the writes were grouped, and the segment
+            // gets one reference per live entry so partial checkpoints
+            // release it correctly.
+            Payload::Writes(ops) => {
                 let skip = skipped.cohort(rec.cohort);
                 for i in 0..ops.len() as u64 {
                     let lsn = Lsn::new(rec.lsn.epoch(), rec.lsn.seq() + i);
@@ -230,34 +217,38 @@ impl Wal {
                     }
                 }
             }
+            Payload::CommitNote => {
+                if rec.lsn > entry.last_commit_note {
+                    entry.last_commit_note = rec.lsn;
+                }
+            }
         }
     }
 
     /// Append one record (not forced). Returns the segment id it landed in.
     pub fn append(&mut self, rec: &LogRecord) -> Result<u64> {
-        let frame = encode_frame(rec)?;
-        if self.current.bytes > 0
-            && self.current.bytes + frame.len() as u64 > self.opts.segment_bytes
-        {
+        self.frame.clear();
+        encode_frame_into(rec, &mut self.frame)?;
+        let frame_len = self.frame.len() as u64;
+        if self.current.bytes > 0 && self.current.bytes + frame_len > self.opts.segment_bytes {
             self.roll_segment()?;
         }
         let loc = RecordLoc {
             segment: self.current.id,
             offset: self.current.bytes,
-            frame_len: frame.len() as u32,
+            frame_len: frame_len as u32,
         };
-        self.current.file.append(&frame)?;
-        self.current.bytes += frame.len() as u64;
+        self.current.file.append(&self.frame)?;
+        self.current.bytes += frame_len;
         self.appended_since_sync = true;
         // Index updates mirror the recovery scan so a running node and a
         // restarted node agree exactly.
-        let rec_for_index = rec;
         Self::index_record(
             &mut self.index,
             &mut self.seg_refs,
             &self.skipped,
             &self.checkpoints,
-            rec_for_index,
+            rec,
             loc,
         );
         Ok(loc.segment)
@@ -332,35 +323,30 @@ impl Wal {
                 entry.floor
             )));
         }
+        // The ops of a group propose are consecutive index entries
+        // pointing at one frame: read, checksum and decode it once and
+        // serve every op of the run from it.
+        let mut held: Option<(RecordLoc, LogRecord)> = None;
         let mut count = 0;
         for (&lsn, loc) in
             entry.records.range((std::ops::Bound::Excluded(from), std::ops::Bound::Included(to)))
         {
-            let rec = self.read_at(loc)?;
-            match rec.payload {
-                Payload::Write(ref op) => {
-                    debug_assert_eq!(rec.lsn, lsn);
-                    f(lsn, op);
-                    count += 1;
-                }
-                Payload::CommitNote => {
-                    return Err(Error::Corruption("commit note in write index".into()))
-                }
-                // The indexed LSN selects its op out of the batch frame by
-                // its offset from the batch's first LSN.
-                Payload::Batch(ref ops) => {
-                    debug_assert_eq!(rec.lsn.epoch(), lsn.epoch());
-                    let op = lsn
-                        .seq()
-                        .checked_sub(rec.lsn.seq())
-                        .and_then(|i| ops.get(i as usize))
-                        .ok_or_else(|| {
-                            Error::Corruption(format!("lsn {lsn} outside batch at {}", rec.lsn))
-                        })?;
-                    f(lsn, op);
-                    count += 1;
-                }
-            }
+            let rec = match &held {
+                Some((at, rec)) if (at.segment, at.offset) == (loc.segment, loc.offset) => rec,
+                _ => &held.insert((*loc, self.read_at(loc)?)).1,
+            };
+            debug_assert_eq!(rec.lsn.epoch(), lsn.epoch());
+            // The indexed LSN selects its op out of the frame by its
+            // offset from the record's first LSN.
+            let op = lsn
+                .seq()
+                .checked_sub(rec.lsn.seq())
+                .and_then(|i| rec.ops().get(i as usize))
+                .ok_or_else(|| {
+                Error::Corruption(format!("lsn {lsn} outside the record at {}", rec.lsn))
+            })?;
+            f(lsn, op);
+            count += 1;
         }
         Ok(count)
     }
@@ -764,7 +750,7 @@ mod tests {
     }
 
     fn batch_rec(cohort: u32, epoch: u16, first: u64, n: u64) -> LogRecord {
-        let ops = (first..first + n)
+        let ops: Vec<WriteOp> = (first..first + n)
             .map(|seq| op::put(&format!("k{seq}"), "c", &format!("v{seq}")))
             .collect();
         LogRecord::batch(RangeId(cohort), Lsn::new(epoch, first), ops)
