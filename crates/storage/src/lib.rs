@@ -15,6 +15,8 @@
 pub mod block;
 pub mod bloom;
 pub mod cache;
+mod compaction;
+mod manifest;
 pub mod memtable;
 pub mod merge;
 pub mod sstable;

@@ -1,6 +1,6 @@
 //! K-way merge of sorted `(Key, Row)` streams.
 //!
-//! Used by compaction and full-range scans. Rows for the same key across
+//! Used by scan pages and the catch-up feed. Rows for the same key across
 //! streams are collapsed with [`Row::merge_newer`]; because column versions
 //! are packed LSNs, the outcome is order-independent — the highest version
 //! wins per column regardless of which stream supplied it.

@@ -455,7 +455,7 @@ impl Table {
 
     /// Iterate every row in key order.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter { table: self, block: 0, current: None, pos: 0 }
+        TableIter { table: self, next_block: 0, block: None, pos: 0 }
     }
 
     /// Iterate rows in key order starting at the first key `>= start`,
@@ -472,8 +472,14 @@ impl Table {
             0 => 0,
             n => n - 1,
         };
-        let mut it = TableIter { table: self, block, current: None, pos: 0 };
-        it.skip_below(start);
+        let mut it = TableIter { table: self, next_block: block, block: None, pos: 0 };
+        // Skip the entries below `start` inside the candidate block;
+        // later blocks begin at or after `start` by construction, so one
+        // positioning suffices. On a read error the iterator is left
+        // before the block, so the first `next()` surfaces the corruption.
+        if it.load().is_ok() {
+            it.pos = it.block.as_ref().map_or(0, |b| b.lower_bound(start.as_bytes()));
+        }
         it
     }
 
@@ -543,87 +549,31 @@ fn read_chunk(
     Ok(buf)
 }
 
-/// Iterator over rows of a table in key order, holding one block at a
-/// time (so its memory footprint is one block, regardless of table size)
-/// and decoding each row once, as it is yielded.
+/// A table's entries in key order, one block held at a time (so its
+/// memory footprint is one block, regardless of table size). Blocks come
+/// through the same `read_block` as every other read.
+///
+/// Two ways to step it. As an [`Iterator`] (scans, catch-up reads) it
+/// decodes each row once, as it is yielded, and loads the next block only
+/// when asked for an entry past the current one — a page that ends on a
+/// block's last row never reads the block after it. Compaction instead
+/// parks it on an entry (`load`), reads that entry as stored (`raw`) or
+/// decoded (`decode`), and steps with `advance`, which loads the next
+/// block the moment the cursor leaves a block's last entry.
 pub struct TableIter<'a> {
     table: &'a Table,
     /// Index position of the next block to load.
-    block: usize,
-    current: Option<CachedBlock>,
-    pos: usize,
-}
-
-impl TableIter<'_> {
-    /// Skip entries below `start` inside the current candidate block
-    /// (the one [`Table::iter_from`] seeked to). Later blocks begin at
-    /// or after `start` by construction, so one positioning suffices.
-    fn skip_below(&mut self, start: &Key) {
-        if self.block >= self.table.index.len() {
-            return;
-        }
-        if let Ok(block) = self.table.read_block(self.block) {
-            self.pos = block.lower_bound(start.as_bytes());
-            self.current = Some(block);
-            self.block += 1;
-        }
-        // On a read error, leave the iterator pointing at the block so
-        // the first `next()` surfaces the corruption.
-    }
-}
-
-impl Iterator for TableIter<'_> {
-    type Item = Result<(Key, Row)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.current.as_ref().and_then(|b| b.entry(self.pos)) {
-                self.pos += 1;
-                return Some(item);
-            }
-            if self.block >= self.table.index.len() {
-                return None;
-            }
-            match self.table.read_block(self.block) {
-                Ok(block) => {
-                    self.current = Some(block);
-                    self.pos = 0;
-                    self.block += 1;
-                }
-                Err(e) => {
-                    self.block = self.table.index.len();
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
-/// Cursor over a table's entries **as stored**, in key order: what
-/// compaction merges. Blocks come through the same [`Table::read_block`]
-/// as every other read — one block held at a time, the next one loaded
-/// the moment the cursor steps off the last entry — so the block cache
-/// sees exactly the reads [`TableIter`] would make.
-pub(crate) struct RawCursor<'a> {
-    table: &'a Table,
-    /// Index position of the next block to load.
     next_block: usize,
-    /// The block under the cursor; `None` once the table is exhausted.
+    /// The block under the cursor; `None` before the first load and once
+    /// the table is exhausted.
     block: Option<CachedBlock>,
     pos: usize,
 }
 
-impl<'a> RawCursor<'a> {
-    /// A cursor on the table's first entry.
-    pub(crate) fn new(table: &'a Table) -> Result<RawCursor<'a>> {
-        let mut cursor = RawCursor { table, next_block: 0, block: None, pos: 0 };
-        cursor.load()?;
-        Ok(cursor)
-    }
-
+impl TableIter<'_> {
     /// Load blocks until one has an entry under the cursor (or none is
     /// left).
-    fn load(&mut self) -> Result<()> {
+    pub(crate) fn load(&mut self) -> Result<()> {
         while self.block.as_ref().is_none_or(|b| self.pos >= b.len()) {
             if self.next_block >= self.table.index.len() {
                 self.block = None;
@@ -651,6 +601,21 @@ impl<'a> RawCursor<'a> {
     pub(crate) fn advance(&mut self) -> Result<()> {
         self.pos += 1;
         self.load()
+    }
+}
+
+impl Iterator for TableIter<'_> {
+    type Item = Result<(Key, Row)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Err(e) = self.load() {
+            // Yielded once; the iteration ends here.
+            self.next_block = self.table.index.len();
+            return Some(Err(e));
+        }
+        let item = self.decode()?;
+        self.pos += 1;
+        Some(item)
     }
 }
 

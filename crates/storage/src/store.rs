@@ -1,58 +1,41 @@
-//! The per-key-range LSM store: memtable + leveled SSTables + compaction.
+//! The per-key-range LSM store: a memtable over a ladder of SSTables.
 //!
 //! Each Spinnaker node hosts one [`RangeStore`] per cohort it participates
-//! in (three by default). The store handles:
+//! in (three by default). Three modules each own one decision:
 //!
-//! * applying committed writes to the memtable,
-//! * flushing the memtable to LSN-tagged SSTables (which advances the WAL
-//!   checkpoint — the caller wires that up),
-//! * merged reads across memtable + tables (newest version per column),
-//! * **leveled compaction**: flushes land in an L0 tier (overlapping,
-//!   newest first) feeding size-ratio levels L1..Ln whose tables are
-//!   non-overlapping within a level, each level's capacity growing by a
-//!   configurable fanout. Compaction garbage-collects superseded versions
-//!   at the MVCC GC floor and, when the output is the deepest populated
-//!   level, tombstones (paper §4.1: "in the background, smaller SSTables
-//!   are merged into larger ones"). It is a streaming merge over the
-//!   inputs' raw block entries into the output tables (`merge_into`): a
-//!   row stored in one input only, with no tombstone, no version chain
-//!   and its columns in canonical order, is **moved as bytes**; only the
-//!   rows compaction has to change are decoded — and the files written
-//!   are byte for byte those of decoding everything,
-//! * `rows_since` — the SSTable-backed catch-up feed used by recovery when
-//!   the leader's log has rolled over (§6.1).
+//! * this one — what a store *is*: applying committed writes to the
+//!   memtable, flushing it to LSN-tagged SSTables (which advances the WAL
+//!   checkpoint — the caller wires that up), merged reads across memtable
+//!   and tables (newest version per column), `rows_since` — the
+//!   SSTable-backed catch-up feed used by recovery when the leader's log
+//!   has rolled over (§6.1) — and the lifecycle that forks, joins and
+//!   ships whole stores (split / extract / merge / snapshot);
+//! * `manifest.rs` — the bytes of `MANIFEST`, and the check that
+//!   level assignments read from a file or a peer are safe to serve from;
+//! * `compaction.rs` — when tables are merged, which ones, and how
+//!   the output is written.
 //!
-//! Point reads probe each L0 table (span check, then bloom) but
-//! binary-search the **single** candidate table per deeper level, so read
-//! amplification is O(L0 + depth) instead of O(total tables). Deeper
-//! levels get tighter bloom budgets (more bits per key), and all block
-//! reads flow through the optional shared [`crate::BlockCache`].
-//!
-//! The pre-leveling flat set (size-tiered, fanin-4) survives behind
-//! `StoreOptions::leveled = false` — the equivalence oracle for tests and
-//! the baseline for the fig22 benchmark. It keeps the decoding
-//! [`MergeIter`] merge, which is what makes it an independent oracle.
+//! Flushes land in L0 (overlapping, newest first); L1..Ln are sorted runs
+//! of non-overlapping tables. Point reads probe each L0 table (span
+//! check, then bloom) but binary-search the **single** candidate table
+//! per deeper level, so read amplification is O(L0 + depth) instead of
+//! O(total tables). Deeper levels get tighter bloom budgets (more bits
+//! per key), and all block reads flow through the optional shared
+//! [`crate::BlockCache`].
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spinnaker_common::codec::{self, Decode, Encode, RowScan};
 use spinnaker_common::vfs::SharedVfs;
-use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp, WriteOp};
+use spinnaker_common::{Key, Lsn, Result, Row, Timestamp, WriteOp};
 
 use crate::cache::{CacheMetrics, SharedBlockCache};
+use crate::manifest::{
+    checked_level, heal_levels, max_key, min_key, sort_level, table_path, Manifest, Slot,
+};
 use crate::memtable::Memtable;
 use crate::merge::{vec_stream, MergeIter, RowStream};
-use crate::sstable::{RawCursor, Table, TableBuilder, TableCtx, TableOptions};
-
-/// `"SPINMF02"` little-endian: the v2 (leveled) manifest magic. A v1
-/// manifest starts with its `next_id` field instead, which can never
-/// collide with this value in practice.
-const MANIFEST_MAGIC: u64 = 0x3230_464d_4e49_5053;
-
-/// Deepest level a manifest may assign (a sanity bound on decode).
-const MAX_LEVEL: u64 = 62;
+use crate::sstable::{Table, TableCtx, TableOptions};
 
 /// Store tuning knobs.
 #[derive(Clone, Debug)]
@@ -62,14 +45,10 @@ pub struct StoreOptions {
     /// Flush the memtable once it exceeds this size.
     pub memtable_flush_bytes: usize,
     /// SSTable block/bloom parameters (the bloom budget is the L0
-    /// baseline; deeper levels add `bloom_bits_step_per_level`).
+    /// baseline; each level of depth adds two bits per key, up to 16).
     pub table: TableOptions,
-    /// Leveled mode: compact L0 once it holds this many tables. Flat
-    /// mode: merge a size tier once it accumulates this many tables.
+    /// Compact L0 into L1 once it holds this many tables.
     pub compaction_fanin: usize,
-    /// Leveled compaction on (the default). `false` restores the
-    /// pre-leveling flat set: one overlapping tier, size-tiered merges.
-    pub leveled: bool,
     /// Capacity ratio between consecutive levels (L(n+1) = fanout * Ln).
     pub level_fanout: u64,
     /// L1 capacity in bytes; level n holds `base * fanout^(n-1)`.
@@ -77,12 +56,6 @@ pub struct StoreOptions {
     /// Target size for individual tables written by leveled compaction
     /// (a level is a sorted run of tables about this big).
     pub level_table_target_bytes: u64,
-    /// Extra bloom bits per key granted per level of depth — deeper
-    /// levels hold more data and absorb more probes, so their filters
-    /// get tighter false-positive budgets.
-    pub bloom_bits_step_per_level: usize,
-    /// Upper bound on the per-level bloom budget.
-    pub bloom_bits_max: usize,
     /// Shared cache of loaded data blocks (`None` = none).
     pub cache: Option<SharedBlockCache>,
 }
@@ -94,12 +67,9 @@ impl Default for StoreOptions {
             memtable_flush_bytes: 4 << 20,
             table: TableOptions::default(),
             compaction_fanin: 4,
-            leveled: true,
             level_fanout: 4,
             level_base_bytes: 4 << 20,
             level_table_target_bytes: 1 << 20,
-            bloom_bits_step_per_level: 2,
-            bloom_bits_max: 16,
             cache: None,
         }
     }
@@ -172,406 +142,94 @@ pub struct StoreStats {
 }
 
 #[derive(Debug, Default)]
-struct StatsInner {
+pub(crate) struct StatsInner {
     point_gets: AtomicU64,
     span_skips: AtomicU64,
     bloom_negatives: AtomicU64,
     bloom_true_positives: AtomicU64,
     bloom_false_positives: AtomicU64,
-    compactions: AtomicU64,
-    bytes_compacted: AtomicU64,
-}
-
-struct Manifest {
-    /// `(table id, level)` pairs in placement order: L0 entries newest
-    /// first, deeper levels in key order.
-    tables: Vec<(u64, u32)>,
-    next_id: u64,
-    /// The MVCC garbage-collection floor (see [`RangeStore::set_gc_floor`]).
-    /// Persisted so that a store whose tables were pruned at some floor
-    /// never re-opens claiming it can still serve below it — the
-    /// `SnapshotTooOld` guard must survive restarts and store forks.
-    /// `u64::MAX` = never armed (nothing has ever been pruned).
-    gc_floor: Timestamp,
-}
-
-impl Encode for Manifest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        codec::put_u64(buf, MANIFEST_MAGIC);
-        codec::put_u64(buf, self.next_id);
-        codec::put_u64(buf, self.gc_floor);
-        codec::put_varint(buf, self.tables.len() as u64);
-        for (id, level) in &self.tables {
-            codec::put_u64(buf, *id);
-            codec::put_varint(buf, u64::from(*level));
-        }
-    }
-}
-
-impl Decode for Manifest {
-    fn decode(buf: &mut &[u8]) -> Result<Manifest> {
-        let first = codec::get_u64(buf)?;
-        if first != MANIFEST_MAGIC {
-            // v1 (pre-leveling) manifest: `first` is its `next_id`, the
-            // table list is bare ids, newest first. Assigning them all to
-            // L0 reproduces the flat set's semantics exactly; the next
-            // compactions migrate them down the ladder.
-            let gc_floor = codec::get_u64(buf)?;
-            let n = codec::get_varint_len(buf, "manifest tables", 8)?;
-            let mut tables = Vec::with_capacity(n);
-            for _ in 0..n {
-                tables.push((codec::get_u64(buf)?, 0));
-            }
-            return Ok(Manifest { tables, next_id: first, gc_floor });
-        }
-        let next_id = codec::get_u64(buf)?;
-        let gc_floor = codec::get_u64(buf)?;
-        // Each entry is an 8-byte id plus a >=1-byte level varint; a
-        // corrupt count fails here instead of driving a huge allocation.
-        let n = codec::get_varint_len(buf, "manifest tables", 9)?;
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = codec::get_u64(buf)?;
-            let level = codec::get_varint(buf)?;
-            if level > MAX_LEVEL {
-                return Err(Error::Corruption(format!("implausible manifest level {level}")));
-            }
-            let level = u32::try_from(level)
-                .map_err(|_| Error::Corruption(format!("implausible manifest level {level}")))?;
-            tables.push((id, level));
-        }
-        Ok(Manifest { tables, next_id, gc_floor })
-    }
-}
-
-/// One open table plus its manifest id.
-struct Slot {
-    id: u64,
-    table: Table,
-}
-
-fn min_key(slot: &Slot) -> &Key {
-    &slot.table.meta().min_key
-}
-
-fn max_key(slot: &Slot) -> &Key {
-    &slot.table.meta().max_key
-}
-
-fn sort_level(level: &mut [Slot]) {
-    level.sort_by(|a, b| min_key(a).cmp(min_key(b)));
-}
-
-/// Which inputs a compaction consumes and where the output lands.
-struct CompactionPlan {
-    /// Manifest ids of every input table.
-    input_ids: Vec<u64>,
-    /// Output position as a `deeper` index (0 = L1).
-    out_deeper: usize,
-    /// Whether pruned tombstones may be dropped: true only when nothing
-    /// deeper than the output level holds data, so no older version
-    /// outside the merge can resurrect a deleted column.
-    drop_tombstones: bool,
-}
-
-/// Streams key-ordered rows into a sorted run: tables of one level,
-/// each closed once the rows added to it reach `target` bytes (by
-/// `key.len() + Row::approx_size()`), so no table of the run is ever
-/// held in memory. Borrows the store's fields one by one — compaction
-/// reads its input tables out of the level vectors while this writes.
-struct RunWriter<'a> {
-    vfs: &'a SharedVfs,
-    dir: &'a str,
-    ctx: &'a TableCtx,
-    next_id: &'a mut u64,
-    table_opts: TableOptions,
-    target: usize,
-    /// The table being written: its id, its builder, its rows' bytes.
-    open: Option<(u64, TableBuilder, usize)>,
-    made: Vec<Slot>,
-}
-
-impl<'a> RunWriter<'a> {
-    fn new(
-        vfs: &'a SharedVfs,
-        dir: &'a str,
-        ctx: &'a TableCtx,
-        next_id: &'a mut u64,
-        table_opts: TableOptions,
-        target: usize,
-    ) -> RunWriter<'a> {
-        RunWriter { vfs, dir, ctx, next_id, table_opts, target, open: None, made: Vec::new() }
-    }
-
-    /// Hand `write` the open table's builder (opening a table if none
-    /// is), then close the table if `size` more bytes filled it.
-    fn entry(
-        &mut self,
-        size: usize,
-        write: impl FnOnce(&mut TableBuilder) -> Result<()>,
-    ) -> Result<()> {
-        if self.open.is_none() {
-            let id = *self.next_id;
-            *self.next_id += 1;
-            let builder = TableBuilder::new_with(
-                self.vfs.clone(),
-                &RangeStore::table_path(self.dir, id),
-                self.table_opts.clone(),
-                self.ctx.clone(),
-            )?;
-            self.open = Some((id, builder, 0));
-        }
-        if let Some((_, builder, bytes)) = self.open.as_mut() {
-            write(builder)?;
-            *bytes = bytes.saturating_add(size);
-            if *bytes >= self.target {
-                self.close()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if let Some((id, builder, _)) = self.open.take() {
-            self.made.push(Slot { id, table: builder.finish()? });
-        }
-        Ok(())
-    }
-
-    /// Append a decoded row (empty rows are skipped).
-    fn add(&mut self, key: &Key, row: &Row) -> Result<()> {
-        if row.is_empty() {
-            return Ok(());
-        }
-        self.entry(key.len() + row.approx_size(), |b| b.add(key, row))
-    }
-
-    /// Append a row as the bytes `scan` was taken from.
-    fn add_raw(&mut self, key: &[u8], row: &[u8], scan: &RowScan) -> Result<()> {
-        self.entry(key.len() + scan.approx_size, |b| b.add_raw(key, row, scan))
-    }
-
-    /// Close the last table and hand over the run.
-    fn finish(&mut self) -> Result<Vec<Slot>> {
-        self.close()?;
-        Ok(std::mem::take(&mut self.made))
-    }
-
-    /// Remove what a run that will not be installed has written so far.
-    /// Best effort: the caller is already reporting the error that
-    /// matters, and a table id is never listed twice, so a file left
-    /// behind is only ever dead weight.
-    fn abandon(mut self) {
-        if let Some((id, builder, _)) = self.open.take() {
-            drop(builder);
-            let _ = self.vfs.delete(&RangeStore::table_path(self.dir, id));
-        }
-        for slot in self.made {
-            let _ = slot.table.delete();
-        }
-    }
-}
-
-/// One compaction input in the merge heap: a cursor parked on an entry,
-/// ordered by that entry's key and then by input position — smallest
-/// first out of the (max-)heap.
-struct MergeSource<'a> {
-    cursor: RawCursor<'a>,
-    input: usize,
-}
-
-impl MergeSource<'_> {
-    fn key(&self) -> &[u8] {
-        // Only cursors parked on an entry are ever in the heap.
-        self.cursor.raw().map_or(&[], |(key, _)| key)
-    }
-}
-
-impl PartialEq for MergeSource<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for MergeSource<'_> {}
-impl PartialOrd for MergeSource<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeSource<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key().cmp(self.key()).then_with(|| other.input.cmp(&self.input))
-    }
-}
-
-/// The compaction merge: a streaming k-way merge of `inputs`' raw
-/// entries into `out`, in key order.
-///
-/// A key stored in exactly one input whose row is *plain*
-/// ([`RowScan::plain`]: no tombstone, no version chain, column names
-/// strictly ascending) is **moved as bytes** — pruning could not change
-/// such a row and re-encoding it would reproduce it, so neither happens;
-/// its LSN/timestamp bounds and size come from the scan. Every other key
-/// is decoded, its fragments collapsed with [`Row::merge_newer`], and
-/// pruned: superseded versions at or below the snapshot `floor` are
-/// dropped (the newest at-or-below survives for floor-pinned readers),
-/// tombstones below the floor only when `drop_tombstones` says the output
-/// is the deepest populated level, where nothing older survives to
-/// resurrect. The files written are, byte for byte, those of decoding
-/// everything (`tests/compaction_raw.rs` holds the reference).
-fn merge_into(
-    inputs: &[&Table],
-    floor: Timestamp,
-    drop_tombstones: bool,
-    out: &mut RunWriter<'_>,
-) -> Result<()> {
-    let mut heap = BinaryHeap::with_capacity(inputs.len());
-    for (input, table) in inputs.iter().enumerate() {
-        park(&mut heap, MergeSource { cursor: RawCursor::new(table)?, input });
-    }
-    while let Some(mut head) = heap.pop() {
-        let alone = heap.peek().is_none_or(|next| next.key() != head.key());
-        if alone {
-            if let Some((key, mut rest)) = head.cursor.raw() {
-                let row = rest;
-                let scan = codec::scan_row(&mut rest)?;
-                if scan.plain {
-                    out.add_raw(key, &row[..row.len() - rest.len()], &scan)?;
-                    head.cursor.advance()?;
-                    park(&mut heap, head);
-                    continue;
-                }
-            }
-        }
-        let Some(entry) = head.cursor.decode() else { continue };
-        let (key, mut row) = entry?;
-        head.cursor.advance()?;
-        park(&mut heap, head);
-        while heap.peek().is_some_and(|next| next.key() == key.as_bytes()) {
-            let Some(mut dup) = heap.pop() else { break };
-            if let Some(fragment) = dup.cursor.decode() {
-                row.merge_newer(&fragment?.1);
-            }
-            dup.cursor.advance()?;
-            park(&mut heap, dup);
-        }
-        out.add(&key, &row.prune(floor, drop_tombstones))?;
-    }
-    Ok(())
-}
-
-/// Put a source back into the merge heap unless its table is exhausted.
-fn park<'a>(heap: &mut BinaryHeap<MergeSource<'a>>, source: MergeSource<'a>) {
-    if source.cursor.raw().is_some() {
-        heap.push(source);
-    }
+    pub(crate) compactions: AtomicU64,
+    pub(crate) bytes_compacted: AtomicU64,
 }
 
 /// A leveled LSM store for one replicated key range.
 pub struct RangeStore {
-    vfs: SharedVfs,
-    opts: StoreOptions,
+    pub(crate) vfs: SharedVfs,
+    pub(crate) opts: StoreOptions,
     memtable: Memtable,
     /// L0: overlapping flush tier, newest first.
-    l0: Vec<Slot>,
+    pub(crate) l0: Vec<Slot>,
     /// `deeper[k]` is level k+1: tables non-overlapping, in key order.
-    deeper: Vec<Vec<Slot>>,
-    next_id: u64,
-    gc_floor: Timestamp,
+    pub(crate) deeper: Vec<Vec<Slot>>,
+    pub(crate) next_id: u64,
+    pub(crate) gc_floor: Timestamp,
     /// Per-`deeper`-level round-robin compaction cursors: the max key of
     /// the last table compacted out of the level, so picking rotates
     /// through the key space instead of starving its tail.
-    cursors: Vec<Key>,
-    ctx: TableCtx,
-    stats: StatsInner,
+    pub(crate) cursors: Vec<Key>,
+    pub(crate) ctx: TableCtx,
+    pub(crate) stats: StatsInner,
 }
 
 impl RangeStore {
-    fn manifest_path(dir: &str) -> String {
-        format!("{dir}/MANIFEST")
-    }
-
-    fn table_path(dir: &str, id: u64) -> String {
-        format!("{dir}/sst-{id:010}")
-    }
-
-    /// Open the store, loading tables listed in the manifest. Level
-    /// assignments are restored from a v2 manifest; a v1 manifest (the
-    /// pre-leveling flat set) upgrades compatibly with every table in L0.
-    pub fn open(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
-        let mpath = Self::manifest_path(&opts.dir);
-        let manifest = if vfs.exists(&mpath)? {
-            let data = vfs.read_all(&mpath)?;
-            Manifest::decode(&mut data.as_slice())?
-        } else {
-            Manifest { tables: Vec::new(), next_id: 1, gc_floor: Timestamp::MAX }
-        };
+    /// A store over `opts.dir` that holds nothing (and has written
+    /// nothing) yet.
+    fn empty(vfs: SharedVfs, opts: StoreOptions) -> RangeStore {
         let ctx =
             TableCtx { cache: opts.cache.clone(), metrics: Arc::new(CacheMetrics::default()) };
-        let mut l0: Vec<Slot> = Vec::new();
-        let mut deeper: Vec<Vec<Slot>> = Vec::new();
-        for &(id, level) in &manifest.tables {
-            let table =
-                Table::open_with(vfs.clone(), &Self::table_path(&opts.dir, id), ctx.clone())?;
-            let slot = Slot { id, table };
-            // Flat mode ignores levels: everything lives in the one tier.
-            if level == 0 || !opts.leveled {
-                l0.push(slot);
-            } else {
-                let k = level as usize - 1;
-                while deeper.len() <= k {
-                    deeper.push(Vec::new());
-                }
-                deeper[k].push(slot);
-            }
-        }
-        // Restore each level's key order, then self-heal: a table that
-        // overlaps its level peers (a manifest from a torn upgrade or a
-        // bit flip that survived decode) is demoted to L0, where overlap
-        // is legal. Reads are version-driven, so placement is a pure
-        // performance property — demotion can never change results.
-        for level in &mut deeper {
-            sort_level(level);
-            let mut i = 1;
-            while i < level.len() {
-                if min_key(&level[i]) <= max_key(&level[i - 1]) {
-                    let slot = level.remove(i);
-                    l0.push(slot);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        Ok(RangeStore {
+        RangeStore {
             vfs,
             opts,
             memtable: Memtable::new(),
-            l0,
-            deeper,
-            next_id: manifest.next_id,
-            gc_floor: manifest.gc_floor,
+            l0: Vec::new(),
+            deeper: Vec::new(),
+            next_id: 1,
+            gc_floor: Timestamp::MAX,
             cursors: Vec::new(),
             ctx,
             stats: StatsInner::default(),
-        })
+        }
     }
 
-    fn manifest(&self) -> Manifest {
-        let mut tables = Vec::with_capacity(self.table_count());
-        for s in &self.l0 {
-            tables.push((s.id, 0));
-        }
-        for (k, level) in self.deeper.iter().enumerate() {
-            for s in level {
-                tables.push((s.id, k as u32 + 1));
+    /// Open the store, loading the tables its manifest lists at the
+    /// levels it assigns them.
+    pub fn open(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
+        let manifest = Manifest::load(&vfs, &opts.dir)?;
+        let mut store = RangeStore::empty(vfs, opts);
+        store.next_id = manifest.next_id;
+        store.gc_floor = manifest.gc_floor;
+        for &(id, level) in &manifest.tables {
+            let path = table_path(&store.opts.dir, id);
+            let table = Table::open_with(store.vfs.clone(), &path, store.ctx.clone())?;
+            let slot = Slot { id, table };
+            if level == 0 {
+                store.l0.push(slot);
+            } else {
+                let k = level as usize - 1;
+                while store.deeper.len() <= k {
+                    store.deeper.push(Vec::new());
+                }
+                store.deeper[k].push(slot);
             }
         }
-        Manifest { tables, next_id: self.next_id, gc_floor: self.gc_floor }
+        heal_levels(&mut store.l0, &mut store.deeper);
+        Ok(store)
     }
 
-    fn save_manifest(&self) -> Result<()> {
-        self.vfs
-            .write_atomic(&Self::manifest_path(&self.opts.dir), &self.manifest().encode_to_vec())
+    /// Open a store on a *fresh* manifest, discarding any leftovers in
+    /// the directory: stale state from a replica that departed earlier,
+    /// or a fork that crashed before completing. What a node about to
+    /// receive a snapshot calls, and what every fork starts its children
+    /// from.
+    pub fn recreate(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
+        let store = RangeStore::empty(vfs, opts);
+        store.save_manifest()?;
+        Ok(store)
+    }
+
+    pub(crate) fn save_manifest(&self) -> Result<()> {
+        Manifest::of(&self.l0, &self.deeper, self.next_id, self.gc_floor)
+            .save(&self.vfs, &self.opts.dir)
     }
 
     /// Apply a committed write at `lsn` (idempotent under replay).
@@ -678,7 +336,7 @@ impl RangeStore {
         self.gc_floor
     }
 
-    fn all_slots(&self) -> impl Iterator<Item = &Slot> {
+    pub(crate) fn all_slots(&self) -> impl Iterator<Item = &Slot> {
         self.l0.iter().chain(self.deeper.iter().flatten())
     }
 
@@ -698,46 +356,6 @@ impl RangeStore {
         self.memtable.approx_bytes() >= self.opts.memtable_flush_bytes
     }
 
-    /// Bloom/block options for a table written at `level`: deeper levels
-    /// get progressively tighter false-positive budgets.
-    fn table_opts(&self, level: u32) -> TableOptions {
-        let mut t = self.opts.table.clone();
-        let ceiling = self.opts.bloom_bits_max.max(t.bloom_bits_per_key);
-        let extra = (level as usize).saturating_mul(self.opts.bloom_bits_step_per_level);
-        t.bloom_bits_per_key = t.bloom_bits_per_key.saturating_add(extra).min(ceiling);
-        t
-    }
-
-    /// Target size of the tables of a sorted run.
-    fn run_target(&self) -> usize {
-        usize::try_from(self.opts.level_table_target_bytes).unwrap_or(usize::MAX).max(1)
-    }
-
-    /// Build one table at `level` from already-sorted rows.
-    fn build_table(&mut self, rows: &[(Key, Row)], level: u32) -> Result<Slot> {
-        let mut made = self.build_run(rows, level, usize::MAX)?;
-        made.pop().ok_or_else(|| Error::InvalidArgument("cannot build an empty SSTable".into()))
-    }
-
-    /// Build a sorted run at `level`: the rows split into tables of
-    /// roughly `target` bytes each. Key-ordered input makes the output
-    /// tables non-overlapping by construction.
-    fn build_run(&mut self, rows: &[(Key, Row)], level: u32, target: usize) -> Result<Vec<Slot>> {
-        let table_opts = self.table_opts(level);
-        let mut writer = RunWriter::new(
-            &self.vfs,
-            &self.opts.dir,
-            &self.ctx,
-            &mut self.next_id,
-            table_opts,
-            target,
-        );
-        for (key, row) in rows {
-            writer.add(key, row)?;
-        }
-        writer.finish()
-    }
-
     /// Flush the memtable into a new L0 SSTable. Returns the highest LSN
     /// captured (the caller advances the WAL checkpoint to it), or `None`
     /// when the memtable was empty.
@@ -747,244 +365,9 @@ impl RangeStore {
         }
         let max_lsn = self.memtable.max_lsn();
         let rows = self.memtable.take_sorted();
-        let slot = self.build_table(&rows, 0)?;
-        self.l0.insert(0, slot);
+        self.adopt_rows(&rows, 0)?;
         self.save_manifest()?;
         Ok(Some(max_lsn))
-    }
-
-    /// Capacity of `deeper[k]` (level k+1): `level_base_bytes * fanout^k`.
-    fn level_capacity(&self, k: usize) -> u64 {
-        let fanout = self.opts.level_fanout.max(2);
-        let mut cap = self.opts.level_base_bytes.max(1);
-        for _ in 0..k {
-            cap = cap.saturating_mul(fanout);
-        }
-        cap
-    }
-
-    fn level_bytes(&self, k: usize) -> u64 {
-        self.deeper[k].iter().map(|s| s.table.meta().file_bytes).sum()
-    }
-
-    /// Run at most one compaction if one is due. Returns `true` when a
-    /// compaction ran.
-    ///
-    /// Leveled mode: when L0 has accumulated `compaction_fanin` tables,
-    /// all of L0 plus every overlapping L1 table merges into L1;
-    /// otherwise the shallowest over-capacity level contributes one
-    /// table (round-robin through its key space) plus the overlapping
-    /// next-level tables. Flat mode: the seed size-tiered heuristic.
-    pub fn maybe_compact(&mut self) -> Result<bool> {
-        if !self.opts.leveled {
-            return self.maybe_compact_flat();
-        }
-        let fanin = self.opts.compaction_fanin.max(1);
-        if self.l0.len() >= fanin {
-            let plan = self.plan_l0();
-            self.run_compaction(plan)?;
-            return Ok(true);
-        }
-        for k in 0..self.deeper.len() {
-            if !self.deeper[k].is_empty() && self.level_bytes(k) > self.level_capacity(k) {
-                let plan = self.plan_level(k);
-                self.run_compaction(plan)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Plan the L0 -> L1 compaction: every L0 table plus every L1 table
-    /// overlapping L0's combined span.
-    fn plan_l0(&self) -> CompactionPlan {
-        let mut input_ids: Vec<u64> = self.l0.iter().map(|s| s.id).collect();
-        let span_min = self.l0.iter().map(min_key).min().cloned();
-        let span_max = self.l0.iter().map(max_key).max().cloned();
-        if let (Some(min), Some(max), Some(l1)) = (span_min, span_max, self.deeper.first()) {
-            for s in l1 {
-                if min_key(s) <= &max && max_key(s) >= &min {
-                    input_ids.push(s.id);
-                }
-            }
-        }
-        let drop_tombstones = self.deeper.iter().skip(1).all(Vec::is_empty);
-        CompactionPlan { input_ids, out_deeper: 0, drop_tombstones }
-    }
-
-    /// Plan one level-k+1 -> level-k+2 compaction: the cursor-picked
-    /// table of `deeper[k]` plus the overlapping `deeper[k+1]` tables.
-    fn plan_level(&mut self, k: usize) -> CompactionPlan {
-        while self.cursors.len() <= k {
-            self.cursors.push(Key::default());
-        }
-        let cursor = self.cursors[k].clone();
-        let pick = self.deeper[k].iter().position(|s| min_key(s) > &cursor).unwrap_or(0);
-        let picked = &self.deeper[k][pick];
-        self.cursors[k] = max_key(picked).clone();
-        let (min, max) = (min_key(picked).clone(), max_key(picked).clone());
-        let mut input_ids = vec![picked.id];
-        if let Some(next) = self.deeper.get(k + 1) {
-            for s in next {
-                if min_key(s) <= &max && max_key(s) >= &min {
-                    input_ids.push(s.id);
-                }
-            }
-        }
-        let drop_tombstones = self.deeper.iter().skip(k + 2).all(Vec::is_empty);
-        CompactionPlan { input_ids, out_deeper: k + 1, drop_tombstones }
-    }
-
-    /// Execute a compaction plan: merge the inputs (pruning versions at
-    /// the GC floor) into the output run, swap it into the level
-    /// structure, persist the manifest, and only then delete the input
-    /// files. A crash between manifest write and deletion leaks input
-    /// files (harmless: ids are never re-listed and `create` truncates
-    /// on reuse); a crash before the manifest write leaves the old,
-    /// fully consistent level assignment in force, and so does an input
-    /// that fails to read — the outputs written so far are removed and
-    /// nothing else has changed.
-    fn run_compaction(&mut self, plan: CompactionPlan) -> Result<()> {
-        let floor = self.gc_floor;
-        let table_opts = self.table_opts(plan.out_deeper as u32 + 1);
-        let target = self.run_target();
-        let (l0, deeper) = (&self.l0, &self.deeper);
-        let inputs: Vec<&Table> = plan
-            .input_ids
-            .iter()
-            .filter_map(|&id| l0.iter().chain(deeper.iter().flatten()).find(|s| s.id == id))
-            .map(|s| &s.table)
-            .collect();
-        let in_bytes: u64 = inputs.iter().map(|t| t.meta().file_bytes).sum();
-        let mut writer = RunWriter::new(
-            &self.vfs,
-            &self.opts.dir,
-            &self.ctx,
-            &mut self.next_id,
-            table_opts,
-            target,
-        );
-        let merged = merge_into(&inputs, floor, plan.drop_tombstones, &mut writer)
-            .and_then(|()| writer.finish());
-        let mut made = match merged {
-            Ok(made) => made,
-            Err(e) => {
-                writer.abandon();
-                return Err(e);
-            }
-        };
-        while self.deeper.len() <= plan.out_deeper {
-            self.deeper.push(Vec::new());
-        }
-        let mut removed = Vec::new();
-        for id in &plan.input_ids {
-            if let Some(pos) = self.l0.iter().position(|s| s.id == *id) {
-                removed.push(self.l0.remove(pos));
-                continue;
-            }
-            for level in &mut self.deeper {
-                if let Some(pos) = level.iter().position(|s| s.id == *id) {
-                    removed.push(level.remove(pos));
-                    break;
-                }
-            }
-        }
-        self.deeper[plan.out_deeper].append(&mut made);
-        sort_level(&mut self.deeper[plan.out_deeper]);
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_compacted.fetch_add(in_bytes, Ordering::Relaxed);
-        self.save_manifest()?;
-        for s in removed {
-            s.table.delete()?;
-        }
-        Ok(())
-    }
-
-    /// Merge every table into the deepest populated level (dropping
-    /// tombstones — nothing older can survive a total merge). Used by
-    /// tests and by the catch-up path to bound the number of tables.
-    pub fn compact_all(&mut self) -> Result<()> {
-        if self.table_count() < 2 {
-            return Ok(());
-        }
-        if !self.opts.leveled {
-            let all: Vec<usize> = (0..self.l0.len()).collect();
-            return self.compact_flat_indexes(&all, true);
-        }
-        let out_deeper = self.deeper.iter().rposition(|l| !l.is_empty()).unwrap_or(0);
-        let input_ids = self.all_slots().map(|s| s.id).collect();
-        self.run_compaction(CompactionPlan { input_ids, out_deeper, drop_tombstones: true })
-    }
-
-    /// Flat-mode (pre-leveling) compaction: when enough similarly-sized
-    /// tables accumulate, merge them into one. Tombstones are dropped
-    /// only when *all* tables take part.
-    fn maybe_compact_flat(&mut self) -> Result<bool> {
-        let fanin = self.opts.compaction_fanin;
-        if fanin == 0 || self.l0.len() < fanin {
-            return Ok(false);
-        }
-        // Order candidate indexes by file size ascending; pick the first
-        // tier: the `fanin` smallest tables where the largest is within 4x
-        // of the smallest (size-tiered heuristic).
-        let mut by_size: Vec<usize> = (0..self.l0.len()).collect();
-        by_size.sort_by_key(|&i| self.l0[i].table.meta().file_bytes);
-        let group: Vec<usize> = by_size
-            .windows(fanin)
-            .find(|w| {
-                let lo = self.l0[w[0]].table.meta().file_bytes;
-                let hi = self.l0[w[fanin - 1]].table.meta().file_bytes;
-                hi <= lo.saturating_mul(4).max(lo + (64 << 10))
-            })
-            .map(|w| w.to_vec())
-            .unwrap_or_default();
-        if group.is_empty() {
-            return Ok(false);
-        }
-        let full_merge = group.len() == self.l0.len();
-        self.compact_flat_indexes(&group, full_merge)?;
-        Ok(true)
-    }
-
-    fn compact_flat_indexes(&mut self, picked: &[usize], drop_tombstones: bool) -> Result<()> {
-        let floor = self.gc_floor;
-        let (rows, in_bytes) = {
-            let inputs: Vec<&Table> = picked.iter().map(|&i| &self.l0[i].table).collect();
-            let in_bytes: u64 = inputs.iter().map(|t| t.meta().file_bytes).sum();
-            let streams: Vec<RowStream<'_>> =
-                inputs.iter().map(|t| Box::new(t.iter()) as RowStream<'_>).collect();
-            let mut rows: Vec<(Key, Row)> = Vec::new();
-            for item in MergeIter::new(streams)? {
-                let (key, row) = item?;
-                let row = row.prune(floor, drop_tombstones);
-                if !row.is_empty() {
-                    rows.push((key, row));
-                }
-            }
-            (rows, in_bytes)
-        };
-        let new_slot = if rows.is_empty() { None } else { Some(self.build_table(&rows, 0)?) };
-        // Replace the picked tables with the merged one, preserving overall
-        // newest-first order: insert at the position of the newest input.
-        let Some(&insert_at) = picked.iter().min() else {
-            return Ok(()); // nothing picked: the merge is a no-op
-        };
-        let mut picked_sorted = picked.to_vec();
-        picked_sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let mut removed = Vec::new();
-        for i in picked_sorted {
-            removed.push(self.l0.remove(i));
-        }
-        if let Some(slot) = new_slot {
-            self.l0.insert(insert_at.min(self.l0.len()), slot);
-        }
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_compacted.fetch_add(in_bytes, Ordering::Relaxed);
-        self.save_manifest()?;
-        for s in removed {
-            s.table.delete()?;
-        }
-        Ok(())
     }
 
     /// Every row fragment containing at least one column written after
@@ -1033,8 +416,8 @@ impl RangeStore {
         left_opts: StoreOptions,
         right_opts: StoreOptions,
     ) -> Result<(RangeStore, RangeStore)> {
-        let mut left = RangeStore::create(self.vfs.clone(), left_opts)?;
-        let mut right = RangeStore::create(self.vfs.clone(), right_opts)?;
+        let mut left = RangeStore::recreate(self.vfs.clone(), left_opts)?;
+        let mut right = RangeStore::recreate(self.vfs.clone(), right_opts)?;
         // The children adopt tables pruned at the parent's floor; they
         // must not claim they can serve below it.
         left.gc_floor = self.gc_floor;
@@ -1072,8 +455,8 @@ impl RangeStore {
         } else if &meta.min_key >= at {
             right.adopt_table_file(slot.table.path(), level)
         } else {
-            left.adopt_rows(slot.table.scan(&Key::default(), Some(at))?, level)?;
-            right.adopt_rows(slot.table.scan(at, None)?, level)
+            left.adopt_rows(&slot.table.scan(&Key::default(), Some(at))?, level)?;
+            right.adopt_rows(&slot.table.scan(at, None)?, level)
         }
     }
 
@@ -1090,9 +473,9 @@ impl RangeStore {
         end: Option<&Key>,
         opts: StoreOptions,
     ) -> Result<RangeStore> {
-        let mut child = RangeStore::create(self.vfs.clone(), opts)?;
+        let mut child = RangeStore::recreate(self.vfs.clone(), opts)?;
         child.gc_floor = self.gc_floor;
-        child.adopt_rows(self.scan(start, end)?, 1)?;
+        child.adopt_rows(&self.scan(start, end)?, 1)?;
         child.save_manifest()?;
         Ok(child)
     }
@@ -1106,7 +489,7 @@ impl RangeStore {
     /// untouched; the caller dissolves them once the merged child is
     /// durable.
     pub fn merge(left: &RangeStore, right: &RangeStore, opts: StoreOptions) -> Result<RangeStore> {
-        let mut merged = RangeStore::create(left.vfs.clone(), opts)?;
+        let mut merged = RangeStore::recreate(left.vfs.clone(), opts)?;
         // Adopt the stricter of the parents' floors (MAX inputs are
         // no-ops, so an armed floor always wins over an unarmed one).
         merged.set_gc_floor(left.gc_floor());
@@ -1166,63 +549,32 @@ impl RangeStore {
     /// level assignments, and the row fragments land in the memtable. The
     /// caller flushes and advances its WAL checkpoint to make the handoff
     /// durable.
+    ///
+    /// The snapshot comes from another node, so its level assignments are
+    /// checked like a manifest's: a level past the bound is refused before
+    /// anything is written, and overlapping level peers are demoted to L0.
     pub fn import_snapshot(&mut self, snap: &StoreSnapshot) -> Result<()> {
+        for &level in &snap.levels {
+            checked_level(u64::from(level))?;
+        }
         // The imported tables were pruned at the exporter's floor; adopt
         // it so this store never serves snapshot reads below it.
         self.set_gc_floor(snap.gc_floor);
         // Reverse order, inserting L0 images at the front, so this store's
         // L0 ends newest-first exactly like the exporter's.
-        for i in (0..snap.tables.len()).rev() {
-            let level = snap.levels.get(i).copied().unwrap_or(0);
-            let id = self.next_id;
-            self.next_id += 1;
-            let dst = Self::table_path(&self.opts.dir, id);
-            let mut f = self.vfs.create(&dst)?;
-            f.append(&snap.tables[i])?;
-            f.sync()?;
-            let table = Table::open_with(self.vfs.clone(), &dst, self.ctx.clone())?;
-            self.place(Slot { id, table }, level);
+        for (i, image) in snap.tables.iter().enumerate().rev() {
+            self.adopt_image(image, snap.levels.get(i).copied().unwrap_or(0))?;
         }
+        heal_levels(&mut self.l0, &mut self.deeper);
         for (key, row) in &snap.mem_rows {
             self.memtable.merge_row(key, row);
         }
         self.save_manifest()
     }
 
-    /// Open a store on a fresh manifest, discarding any leftovers in the
-    /// directory (stale state from a replica that departed earlier, or a
-    /// fork that crashed before completing). The public entry point for a
-    /// node about to receive a snapshot.
-    pub fn recreate(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
-        RangeStore::create(vfs, opts)
-    }
-
-    /// Open a store on a *fresh* manifest, ignoring any leftovers in the
-    /// directory (e.g. from a fork that crashed before completing).
-    fn create(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
-        let ctx =
-            TableCtx { cache: opts.cache.clone(), metrics: Arc::new(CacheMetrics::default()) };
-        let store = RangeStore {
-            vfs,
-            opts,
-            memtable: Memtable::new(),
-            l0: Vec::new(),
-            deeper: Vec::new(),
-            next_id: 1,
-            gc_floor: Timestamp::MAX,
-            cursors: Vec::new(),
-            ctx,
-            stats: StatsInner::default(),
-        };
-        store.save_manifest()?;
-        Ok(store)
-    }
-
-    /// Place an adopted slot at `level` (flat mode collapses everything
-    /// into the one overlapping tier). L0 inserts at the front; deeper
+    /// Place an adopted slot at `level`. L0 inserts at the front; deeper
     /// levels re-sort by min key.
-    fn place(&mut self, slot: Slot, level: u32) {
-        let level = if self.opts.leveled { level } else { 0 };
+    pub(crate) fn place(&mut self, slot: Slot, level: u32) {
         if level == 0 {
             self.l0.insert(0, slot);
             return;
@@ -1238,33 +590,21 @@ impl RangeStore {
     /// Adopt a whole SSTable from another store by copying its file,
     /// placing it at `level`.
     fn adopt_table_file(&mut self, src: &str, level: u32) -> Result<()> {
+        let image = self.vfs.read_all(src)?;
+        self.adopt_image(&image, level)
+    }
+
+    /// Write `image` — the bytes of a whole SSTable — as a table of this
+    /// store, synced, and place it at `level`.
+    fn adopt_image(&mut self, image: &[u8], level: u32) -> Result<()> {
         let id = self.next_id;
         self.next_id += 1;
-        let dst = Self::table_path(&self.opts.dir, id);
-        let data = self.vfs.read_all(src)?;
+        let dst = table_path(&self.opts.dir, id);
         let mut f = self.vfs.create(&dst)?;
-        f.append(&data)?;
+        f.append(image)?;
         f.sync()?;
         let table = Table::open_with(self.vfs.clone(), &dst, self.ctx.clone())?;
         self.place(Slot { id, table }, level);
-        Ok(())
-    }
-
-    /// Build SSTables from already-sorted rows and adopt them at `level`
-    /// (L0 gets a single table; deeper levels a target-sized run).
-    fn adopt_rows(&mut self, rows: Vec<(Key, Row)>, level: u32) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        if level == 0 || !self.opts.leveled {
-            let slot = self.build_table(&rows, 0)?;
-            self.place(slot, 0);
-            return Ok(());
-        }
-        let made = self.build_run(&rows, level, self.run_target())?;
-        for slot in made {
-            self.place(slot, level);
-        }
         Ok(())
     }
 
@@ -1776,9 +1116,9 @@ mod tests {
 
     #[test]
     fn shallow_compaction_keeps_tombstones_until_the_bottom() {
-        // The leveled analogue of "partial merges must not drop
-        // tombstones": a tombstone compacted into a level above data
-        // survives; once it reaches the deepest populated level it goes.
+        // Partial merges must not drop tombstones: a tombstone compacted
+        // into a level above data survives; once it reaches the deepest
+        // populated level it goes.
         let vfs = MemVfs::new();
         let mut s = RangeStore::open(
             Arc::new(vfs.clone()),
@@ -1807,37 +1147,6 @@ mod tests {
         // A total merge reaches the bottom and finally drops it.
         s.compact_all().unwrap();
         assert!(s.get(&Key::from("k")).unwrap().is_none());
-    }
-
-    #[test]
-    fn flat_mode_partial_compaction_keeps_tombstones() {
-        // The pre-leveling behaviour, pinned under `leveled: false`: a
-        // size-tiered partial merge must retain tombstones because the
-        // old value may live in a table outside the merge.
-        let vfs = MemVfs::new();
-        let mut s = RangeStore::open(
-            Arc::new(vfs.clone()),
-            StoreOptions { compaction_fanin: 2, leveled: false, ..Default::default() },
-        )
-        .unwrap();
-        // Oldest table holds the value...
-        s.apply(&op::put("k", "c", "v"), Lsn::new(1, 1));
-        // ...plus enough bulk that it lands in a bigger size tier.
-        for i in 0..200u64 {
-            s.apply(&op::put(&format!("pad{i:05}"), "c", &"x".repeat(64)), Lsn::new(1, 2 + i));
-        }
-        s.flush().unwrap();
-        // Two small tables: the tombstone and another small write.
-        s.apply(&op::delete("k", "c"), Lsn::new(1, 300));
-        s.flush().unwrap();
-        s.apply(&op::put("other", "c", "y"), Lsn::new(1, 301));
-        s.flush().unwrap();
-        assert!(s.maybe_compact().unwrap());
-        // The tombstone must survive the partial merge: the old value still
-        // exists in the big table and would otherwise resurrect.
-        let row = s.get(&Key::from("k")).unwrap().unwrap();
-        assert!(row.get(b"c").unwrap().tombstone, "tombstone retained in partial merge");
-        assert!(row.get_live(b"c").is_none());
     }
 
     #[test]
@@ -1891,45 +1200,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s2.tables_per_level(), per_level, "levels survive restart");
-    }
-
-    #[test]
-    fn v1_manifest_upgrades_to_l0() {
-        // Hand-encode a v1 (pre-leveling) manifest over real table files
-        // and verify the store opens with every table in L0, reads
-        // intact, and the next save rewrites it as v2.
-        let vfs = MemVfs::new();
-        let mut s = store_on(&vfs);
-        s.apply(&op::put("a", "c", "old"), Lsn::new(1, 1));
-        s.flush().unwrap();
-        s.apply(&op::put("a", "c", "new"), Lsn::new(1, 2));
-        s.apply(&op::put("b", "c", "x"), Lsn::new(1, 3));
-        s.flush().unwrap();
-        s.set_gc_floor(7);
-        s.compact_all().unwrap(); // persists the floor
-                                  // Rewrite the manifest in v1 format: next_id, gc_floor, ids.
-        let m = s.manifest();
-        let mut v1 = Vec::new();
-        codec::put_u64(&mut v1, m.next_id);
-        codec::put_u64(&mut v1, m.gc_floor);
-        codec::put_varint(&mut v1, m.tables.len() as u64);
-        for (id, _) in &m.tables {
-            codec::put_u64(&mut v1, *id);
-        }
-        use spinnaker_common::vfs::Vfs;
-        vfs.write_atomic("store/MANIFEST", &v1).unwrap();
-
-        let image = vfs.crash_clone();
-        let mut reopened = store_on(&image);
-        assert_eq!(reopened.tables_per_level(), vec![m.tables.len()], "v1 tables all land in L0");
-        assert_eq!(reopened.gc_floor(), 7, "floor survives the upgrade");
-        let row = reopened.get(&Key::from("a")).unwrap().unwrap();
-        assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), b"new");
-        // The next manifest write is v2 and round-trips levels.
-        reopened.apply(&op::put("z", "c", "1"), Lsn::new(1, 9));
-        reopened.flush().unwrap();
-        let reread = store_on(&image.crash_clone());
-        assert_eq!(reread.table_count(), reopened.table_count());
     }
 
     #[test]

@@ -166,8 +166,6 @@ proptest! {
             compaction_fanin: 1,
             level_table_target_bytes: target,
             table: TableOptions { block_bytes, bloom_bits_per_key: 10 },
-            bloom_bits_step_per_level: 2,
-            bloom_bits_max: 16,
             ..Default::default()
         };
         let mut store = RangeStore::recreate(Arc::new(vfs.clone()), opts).unwrap();

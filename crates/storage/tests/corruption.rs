@@ -12,7 +12,8 @@ use spinnaker_common::codec::{self, Decode};
 use spinnaker_common::vfs::{MemVfs, Vfs};
 use spinnaker_common::{crc32c, op, Key, Lsn, Row};
 use spinnaker_storage::{
-    BlockCache, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
+    BlockCache, RangeStore, StoreOptions, StoreSnapshot, Table, TableBuilder, TableCtx,
+    TableOptions,
 };
 
 fn small_table(vfs: &MemVfs, path: &str) -> Vec<Key> {
@@ -218,12 +219,116 @@ fn manifest_byte_flips_never_panic_the_store_open() {
 #[test]
 fn absurd_manifest_table_count_is_a_typed_error_not_an_allocation() {
     let vfs = seeded_store_vfs();
-    // next_id + gc_floor pass as garbage u64s, then the table-count
-    // varint decodes to an enormous value the remaining input cannot
-    // possibly back — get_varint_len must refuse before allocating.
-    vfs.write_atomic("store/MANIFEST", &[0xff; 32]).unwrap();
+    // Behind the real magic, next_id + gc_floor pass as garbage u64s,
+    // then the table-count varint decodes to an enormous value the
+    // remaining input cannot possibly back — get_varint_len must refuse
+    // before allocating.
+    let mut bytes = vfs.read_all("store/MANIFEST").unwrap();
+    bytes.truncate(8);
+    bytes.extend([0xff; 32]);
+    vfs.write_atomic("store/MANIFEST", &bytes).unwrap();
     let res = RangeStore::open(Arc::new(vfs.clone()), store_opts());
-    assert!(res.is_err(), "32 bytes of 0xff accepted as a manifest");
+    assert!(res.is_err(), "32 bytes of 0xff accepted as a manifest body");
+}
+
+/// Every file under `store/`, by path.
+fn store_dir(vfs: &MemVfs) -> Vec<(String, Vec<u8>)> {
+    let mut paths = vfs.list("store/").unwrap();
+    paths.sort();
+    paths.into_iter().map(|p| (p.clone(), vfs.read_all(&p).unwrap())).collect()
+}
+
+/// There is one manifest format. The pre-leveling layout — `next_id`,
+/// `gc_floor`, a count, bare table ids — names real tables here, and is
+/// still refused as corruption, with nothing in the directory rewritten.
+#[test]
+fn a_v1_manifest_is_corruption_and_the_directory_is_left_alone() {
+    let vfs = seeded_store_vfs();
+    let mut v1 = Vec::new();
+    codec::put_u64(&mut v1, 2); // next_id
+    codec::put_u64(&mut v1, u64::MAX); // gc_floor
+    codec::put_varint(&mut v1, 1);
+    codec::put_u64(&mut v1, 1); // the flushed table's id
+    vfs.write_atomic("store/MANIFEST", &v1).unwrap();
+    let before = store_dir(&vfs);
+    assert_eq!(before.len(), 2, "the manifest and the table it names");
+    match RangeStore::open(Arc::new(vfs.clone()), store_opts()) {
+        Err(e) => assert!(e.is_corruption(), "{e}"),
+        Ok(_) => panic!("a v1 manifest was opened"),
+    }
+    assert_eq!(store_dir(&vfs), before);
+}
+
+/// The format is decided by comparing the first eight bytes with the
+/// magic, so every single-bit flip in them is corruption — not a parse
+/// of the rest under some other layout that happens to fail later.
+#[test]
+fn every_bit_flip_of_the_manifest_magic_is_corruption() {
+    let vfs = seeded_store_vfs();
+    let pristine = vfs.read_all("store/MANIFEST").unwrap();
+    for bit in 0..64 {
+        let mut bytes = pristine.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        vfs.write_atomic("store/MANIFEST", &bytes).unwrap();
+        match RangeStore::open(Arc::new(vfs.clone()), store_opts()) {
+            Err(e) => assert!(e.is_corruption(), "bit {bit}: {e}"),
+            Ok(_) => panic!("bit {bit}: a garbled magic was accepted"),
+        }
+    }
+}
+
+/// The file image of a table holding `keys`, each with one live column.
+fn table_image(keys: &[&str]) -> Vec<u8> {
+    let vfs = MemVfs::new();
+    let mut b = TableBuilder::new(Arc::new(vfs.clone()), "t", TableOptions::default()).unwrap();
+    for (i, key) in keys.iter().enumerate() {
+        let mut row = Row::new();
+        op::put(key, "c", "v").apply_to_row(&mut row, Lsn::new(1, i as u64 + 1));
+        b.add(&Key::from(*key), &row).unwrap();
+    }
+    b.finish().unwrap();
+    vfs.read_all("t").unwrap()
+}
+
+fn snapshot_of(tables: Vec<Vec<u8>>, levels: Vec<u32>) -> StoreSnapshot {
+    StoreSnapshot { tables, levels, mem_rows: Vec::new(), max_lsn: Lsn::new(1, 2), gc_floor: 0 }
+}
+
+/// A snapshot comes from another node, and the level it assigns a table
+/// is a claim. Two tables whose spans overlap, both claimed for L1, must
+/// not be served as a sorted run: the per-level binary search would look
+/// for `z` in `[m, n]` only. The import heals the level like `open` does.
+#[test]
+fn an_imported_snapshot_with_overlapping_level_peers_is_healed_before_any_read() {
+    let snap = snapshot_of(vec![table_image(&["a", "z"]), table_image(&["m", "n"])], vec![1, 1]);
+    let vfs = MemVfs::new();
+    let mut store = RangeStore::recreate(Arc::new(vfs.clone()), store_opts()).unwrap();
+    store.import_snapshot(&snap).unwrap();
+    for key in ["a", "m", "n", "z"] {
+        assert!(store.get(&Key::from(key)).unwrap().is_some(), "{key} is in the store");
+    }
+    assert_eq!(store.scan(&Key::default(), None).unwrap().len(), 4);
+    assert_eq!(store.tables_per_level(), vec![1, 1], "the overlapping table went to L0");
+    // The healed placement is what was persisted.
+    let reopened = RangeStore::open(Arc::new(vfs.crash_clone()), store_opts()).unwrap();
+    assert_eq!(reopened.tables_per_level(), vec![1, 1]);
+    assert!(reopened.get(&Key::from("z")).unwrap().is_some());
+}
+
+/// A level past the bound would size the level structure: it is refused
+/// with a typed error before a single file is written.
+#[test]
+fn an_imported_snapshot_with_an_absurd_level_is_refused_before_anything_is_written() {
+    let vfs = MemVfs::new();
+    let mut store = RangeStore::recreate(Arc::new(vfs.clone()), store_opts()).unwrap();
+    let before = store_dir(&vfs);
+    for level in [63, u32::MAX] {
+        let snap = snapshot_of(vec![table_image(&["a"]), table_image(&["b"])], vec![0, level]);
+        let err = store.import_snapshot(&snap).expect_err("implausible level");
+        assert!(err.is_corruption(), "level {level}: {err}");
+        assert_eq!(store.table_count(), 0, "level {level}");
+        assert_eq!(store_dir(&vfs), before, "level {level}: directory untouched");
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! The leveled LSM must be an invisible optimisation: for any history of
-//! puts, deletes, flushes, compactions, and GC-floor advances, a leveled
-//! store (with a block cache) and the seed flat store must expose the
-//! same live state at every retained timestamp — while the ladder keeps
-//! its structural invariants (L1+ spans disjoint, retired tables never
-//! served from the cache, mid-compaction crashes reopen consistently).
+//! The level ladder must be an invisible optimisation: for any history
+//! of puts, deletes, flushes, compactions, and GC-floor advances, a store
+//! with tiny levels and a pressured block cache must expose, at every
+//! retained timestamp, exactly the state a per-key version-chain model
+//! holds — while the ladder keeps its structural invariants (L1+ spans
+//! disjoint, retired tables never served from the cache, mid-compaction
+//! crashes reopen consistently).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -29,6 +30,18 @@ fn put_ts(k: u8, lsn: u64, ts: u64) -> WriteOp {
 
 fn delete_ts(k: u8, ts: u64) -> WriteOp {
     WriteOp::delete(key_of(k), bytes::Bytes::from_static(b"c"), ts)
+}
+
+/// The reference: per key, every version of column `c` ever written, in
+/// commit order — `(commit ts, value)`, `None` for a tombstone. It shares
+/// no code with `RangeStore`.
+type Model = BTreeMap<u8, Vec<(u64, Option<bytes::Bytes>)>>;
+
+/// What the model says a client reads of `key` at `ts`: the newest
+/// version at or below the cut, unless that is a tombstone.
+fn model_at(model: &Model, key: u8, ts: u64) -> Option<(bytes::Bytes, u64)> {
+    let (wrote_at, value) = model.get(&key)?.iter().rev().find(|(t, _)| *t <= ts)?;
+    value.clone().map(|v| (v, *wrote_at))
 }
 
 /// The observable value of `key` at timestamp `ts`: the live column
@@ -93,15 +106,13 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Read-equivalence oracle: the flat (seed) store is the reference;
-    /// the leveled store with a small, pressured block cache must agree
-    /// with it at every retained timestamp, for gets and scans alike.
+    /// Read-equivalence against the model: a store with tiny levels and a
+    /// small, pressured block cache must agree with it at every retained
+    /// timestamp, for gets and paged snapshot scans alike.
     #[test]
-    fn leveled_store_reads_equal_flat_store(steps in proptest::collection::vec(step_strategy(), 1..100)) {
-        let mut flat = RangeStore::open(
-            Arc::new(MemVfs::new()),
-            StoreOptions { leveled: false, compaction_fanin: 3, ..Default::default() },
-        ).unwrap();
+    fn leveled_store_reads_equal_the_version_chain_model(
+        steps in proptest::collection::vec(step_strategy(), 1..100),
+    ) {
         // Tiny level capacities and a tiny cache so short histories still
         // reach L2+ and force evictions.
         let cache = Arc::new(BlockCache::new(64 << 10));
@@ -116,84 +127,88 @@ proptest! {
             },
         ).unwrap();
 
+        let mut model = Model::new();
         let mut lsn = 0u64;
-        let mut write_ts: Vec<u64> = Vec::new();
+        // The floor as the model keeps it: unarmed until first set, then
+        // only ever forward.
+        let mut floor = u64::MAX;
+        // The lowest cut the store still owes an exact answer at. Only
+        // compaction prunes, at the floor in force when it runs — and an
+        // unarmed floor keeps nothing but column heads, which is pruning
+        // at the newest commit of that moment.
+        let mut exact_from = 0u64;
         for step in &steps {
             match step {
                 Step::Put { key, pad } => {
                     lsn += 1;
                     let ts = lsn * 10;
                     // The pad inflates some values so tables span size tiers.
-                    let val = format!("v{lsn}-{}", "x".repeat(*pad as usize));
+                    let val = bytes::Bytes::from(
+                        format!("v{lsn}-{}", "x".repeat(*pad as usize)).into_bytes(),
+                    );
                     let w = WriteOp::put(
                         key_of(*key),
                         bytes::Bytes::from_static(b"c"),
-                        bytes::Bytes::from(val.into_bytes()),
+                        val.clone(),
                         ts,
                     );
-                    flat.apply(&w, Lsn::new(1, lsn));
                     lvl.apply(&w, Lsn::new(1, lsn));
-                    write_ts.push(ts);
+                    model.entry(*key).or_default().push((ts, Some(val)));
                 }
                 Step::Delete { key } => {
                     lsn += 1;
                     let ts = lsn * 10;
-                    let w = delete_ts(*key, ts);
-                    flat.apply(&w, Lsn::new(1, lsn));
-                    lvl.apply(&w, Lsn::new(1, lsn));
-                    write_ts.push(ts);
+                    lvl.apply(&delete_ts(*key, ts), Lsn::new(1, lsn));
+                    model.entry(*key).or_default().push((ts, None));
                 }
                 Step::Flush => {
-                    flat.flush().unwrap();
                     lvl.flush().unwrap();
                 }
                 Step::Compact => {
-                    flat.maybe_compact().unwrap();
                     lvl.maybe_compact().unwrap();
-                    assert_disjoint_levels(&lvl);
                 }
                 Step::CompactAll => {
-                    flat.compact_all().unwrap();
                     lvl.compact_all().unwrap();
-                    assert_disjoint_levels(&lvl);
                 }
                 Step::AdvanceFloor { frac } => {
                     // A floor somewhere in the written history (or past it).
                     let ts = lsn * 10 * u64::from(*frac) / 255;
-                    flat.set_gc_floor(ts);
                     lvl.set_gc_floor(ts);
-                    prop_assert_eq!(flat.gc_floor(), lvl.gc_floor());
+                    if floor == u64::MAX || ts > floor {
+                        floor = ts;
+                    }
+                    prop_assert_eq!(lvl.gc_floor(), floor);
                 }
+            }
+            if matches!(step, Step::Compact | Step::CompactAll) {
+                exact_from = exact_from.max(floor.min(lsn * 10));
+                assert_disjoint_levels(&lvl);
             }
         }
         assert_disjoint_levels(&lvl);
 
-        // Every retained timestamp: each write's commit ts at or above
-        // the floor, plus off-grid cuts and "now". An unarmed floor
-        // (`u64::MAX`) means compaction keeps only column heads, so only
-        // the latest cut is comparable.
-        let floor = lvl.gc_floor();
-        let mut cuts: Vec<u64> = write_ts.iter().copied()
-            .filter(|ts| *ts >= floor)
+        // Every retained timestamp: each write's commit ts from the
+        // lowest exact cut up, off-grid cuts between them, that cut
+        // itself, the floor when it is above it, and "now".
+        let mut cuts: Vec<u64> = model.values().flatten()
+            .map(|(ts, _)| *ts)
+            .filter(|ts| *ts >= exact_from)
             .flat_map(|ts| [ts, ts + 5])
             .collect();
-        cuts.push(u64::MAX);
-        if floor != u64::MAX {
+        cuts.extend([exact_from, u64::MAX]);
+        if floor != u64::MAX && floor >= exact_from {
             cuts.push(floor);
         }
         for &ts in &cuts {
+            let mut scan_want = BTreeMap::new();
             for key in 0..24u8 {
-                prop_assert_eq!(
-                    live_at(&flat, key, ts),
-                    live_at(&lvl, key, ts),
-                    "key {} at ts {}", key, ts
-                );
+                let want = model_at(&model, key, ts);
+                prop_assert_eq!(live_at(&lvl, key, ts), want.clone(), "key {} at ts {}", key, ts);
+                if let Some((value, _)) = want {
+                    scan_want.insert(key_of(key), value);
+                }
             }
-            prop_assert_eq!(
-                scan_live_at(&flat, ts),
-                scan_live_at(&lvl, ts),
-                "scan at ts {}", ts
-            );
+            prop_assert_eq!(scan_live_at(&lvl, ts), scan_want, "scan at ts {}", ts);
         }
     }
 }
@@ -310,43 +325,5 @@ fn manifest_crash_mid_compaction_reopens_consistent() {
                 "fail_at {fail_at}: key {key} reads its durable value"
             );
         }
-    }
-}
-
-/// A store opened without the leveling option keeps the seed's flat
-/// behaviour end to end: every table stays in L0 even across snapshot
-/// export/import from a leveled peer.
-#[test]
-fn flat_mode_pins_every_table_to_l0() {
-    let mut lvl = RangeStore::open(
-        Arc::new(MemVfs::new()),
-        StoreOptions { compaction_fanin: 2, level_base_bytes: 4 << 10, ..Default::default() },
-    )
-    .unwrap();
-    let mut lsn = 0u64;
-    for _round in 0..4u64 {
-        for key in 0..60u8 {
-            lsn += 1;
-            lvl.apply(&put_ts(key, lsn, lsn * 10), Lsn::new(1, lsn));
-        }
-        lvl.flush().unwrap();
-        while lvl.maybe_compact().unwrap() {}
-    }
-    assert!(lvl.tables_per_level().len() > 1, "source grew a ladder");
-
-    let snap = lvl.export_snapshot().unwrap();
-    let mut flat = RangeStore::recreate(
-        Arc::new(MemVfs::new()),
-        StoreOptions { leveled: false, ..Default::default() },
-    )
-    .unwrap();
-    flat.import_snapshot(&snap).unwrap();
-    assert_eq!(flat.tables_per_level().len(), 1, "flat mode demotes everything to L0");
-    for key in 0..60u8 {
-        assert_eq!(
-            flat.get(&key_of(key)).unwrap(),
-            lvl.get(&key_of(key)).unwrap(),
-            "key {key} reads identically in flat mode"
-        );
     }
 }

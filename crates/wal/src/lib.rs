@@ -11,20 +11,21 @@
 //!   without physically truncating the shared log ([`skipped`]),
 //! * per-cohort checkpoints marking the local-recovery replay start
 //!   ([`checkpoint`]), with segment garbage collection once every cohort
-//!   has flushed past a segment,
-//! * group commit for the threaded runtime ([`GroupCommitWal`]).
+//!   has flushed past a segment.
+//!
+//! Group commit (§5) needs no type of its own: [`Wal::sync`] forces
+//! everything appended so far, and the device model that batches the
+//! forces queued behind one sync is the simulator's (`sim::disk`).
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod group;
 pub mod record;
 pub mod skipped;
 #[allow(clippy::module_inception)]
 pub mod wal;
 
 pub use checkpoint::Checkpoints;
-pub use group::GroupCommitWal;
 pub use record::{LogRecord, Payload};
 pub use skipped::{SkippedFile, SkippedLsns};
 pub use wal::{CohortLogState, Wal, WalOptions};

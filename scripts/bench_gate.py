@@ -12,6 +12,14 @@ refresh the files (`--update`) or be fixed.
     scripts/bench_gate.py            # rerun at --seconds 1, compare, exit 1 on drift
     scripts/bench_gate.py --update   # rewrite the BENCH files from --seconds 10 runs
 
+The steady workloads are rerun a second time with `--trace 1`, and the
+per-layer metrics that are counts (or ratios of counts) must equal the
+committed `traced` object just as exactly: compactions run, bytes they
+moved, block reads, cache hits, bloom verdicts, messages, forces. A
+storage or protocol refactor that "moves no counter" is checked here, not
+taken on trust. The wall-clock readings of a traced run (`*_ns`, `*_ms`,
+GB/s, process shares) differ from run to run and are not compared.
+
 `failover` is reported but never fails the gate: its numbers are medians
 over as many scenarios as fit the time budget.
 """
@@ -26,6 +34,30 @@ SEED = 11
 STEADY = ["write-sat", "read-uniform", "mixed-zipf"]
 INFORMATIONAL = ["failover"]
 EXACT = ["v_ops_per_s", "v_lat_p50_ms", "v_lat_p99_ms", "v_stall_ms", "allocs_per_op"]
+# The per-layer metrics of a `--trace 1` run that do not read a wall clock:
+# exactly the names whose one-second rerun reproduced the committed
+# ten-second value on all three steady workloads when this check was added
+# (37 of the 62; the other 25 are ns / ms / GB/s / process-share readings).
+EXACT_TRACED = [
+    "sim.kernel.events_per_op", "sim.net.msgs_per_op",
+    "sim.disk.syncs_per_op", "sim.disk.reqs_per_sync",
+    "core.client.put_ops_per_s", "core.client.get_ops_per_s",
+    "core.client.cond_ops_per_s", "core.client.scan_ops_per_s",
+    "core.client.retries_per_kop", "core.client.ring_refreshes",
+    "core.client.cond_mismatch_share", "core.node.follower_page_share",
+    "core.node.allocs_per_put", "core.recovery.takeover_ms",
+    "core.recovery.catchup_ms", "core.recovery.leader_changes",
+    "wal.bytes_per_op", "wal.segments_end",
+    "storage.store.point_gets", "storage.store.compactions",
+    "storage.store.compacted_bytes_per_user_byte", "storage.store.space_amp",
+    "storage.store.levels", "storage.store.l0_tables_max",
+    "storage.store.span_skips_per_get", "storage.bloom.negatives_per_get",
+    "storage.bloom.fp_share", "storage.cache.hit_share",
+    "storage.sstable.block_reads_per_get", "common.codec.allocs_per_decode",
+    "common.vfs.wal_syncs_per_op", "common.vfs.sst_read_bytes_per_get",
+    "common.vfs.sst_write_bytes_per_user_byte", "process.alloc_bytes_per_op",
+    "process.window_ops", "process.window_samples", "process.direct_host_ops",
+]
 
 
 def run(workload, seconds, trace):
@@ -64,6 +96,16 @@ def check():
             verdict = "ok" if want == got else ("DRIFT" if gate else "differs (informational)")
             print(f"{workload:13} {name:14} committed {want!r:>20} measured {got!r:>20}  {verdict}")
             drifted |= gate and want != got
+    for workload in STEADY:
+        committed = json.loads(bench_file(workload).read_text())["traced"]["metrics"]
+        measured = run(workload, 1, 1)["metrics"]
+        moved = [n for n in EXACT_TRACED if committed[n]["value"] != measured[n]["value"]]
+        for name in moved:
+            print(f"{workload:13} {name} committed {committed[name]['value']!r} "
+                  f"measured {measured[name]['value']!r}  DRIFT")
+        print(f"{workload:13} traced counters: {len(EXACT_TRACED) - len(moved)} of "
+              f"{len(EXACT_TRACED)} equal the committed values")
+        drifted |= bool(moved)
     if drifted:
         sys.exit("exact metrics drifted from the committed BENCH_*.json; "
                  "explain the change and rerun with --update, or fix it")
