@@ -458,6 +458,12 @@ impl Node {
         self.replicas.get(&range).map_or(0, |r| r.closed_ts)
     }
 
+    /// Catch-up requests this node's replica of `range` has sent since
+    /// it was attached (a restart starts the count over).
+    pub fn catchup_requests(&self, range: RangeId) -> u64 {
+        self.replicas.get(&range).map_or(0, |r| r.catchup_requests)
+    }
+
     // =================================================================
     // input dispatch
     // =================================================================
@@ -715,7 +721,7 @@ impl Node {
             }
             PeerMsg::Ack { epoch, lsn, .. } => rep.on_ack(&mut rt, from, epoch, lsn, out),
             PeerMsg::Commit { epoch, lsn, closed_ts, .. } => {
-                rep.on_commit_msg(&mut rt, epoch, lsn, closed_ts);
+                rep.on_commit_msg(&mut rt, from, epoch, lsn, closed_ts, out);
                 FollowUp::default()
             }
             PeerMsg::LeaderHello { epoch, leader, .. } => {

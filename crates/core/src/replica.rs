@@ -161,13 +161,84 @@ impl FollowUp {
     }
 }
 
+/// A group propose: the first write's LSN and the writes, op `i` at
+/// `first + i`.
+type Group = (Lsn, Arc<[WriteOp]>);
+
+/// Most writes one re-proposed group carries: a round costs a link trip
+/// and a follower force whatever rides it, and 64 one-KB puts are still a
+/// small frame next to an 8 MiB log segment.
+const REPROPOSE_GROUP_OPS: usize = 64;
+/// Most bytes one re-proposed group carries: 64 large values must not add
+/// up to a frame the log refuses (`MAX_RECORD_BYTES`, 64 MiB).
+const REPROPOSE_GROUP_BYTES: usize = 1 << 20;
+/// Full re-proposed groups kept in flight during takeover: enough to
+/// overlap the link trip with the followers' forces.
+const REPROPOSE_WINDOW: usize = 4;
+/// Most proposes a catching-up follower parks: a reply of several MB is
+/// on the wire for tens of milliseconds, a few hundred group proposes on
+/// a busy range. Past it the oldest (the likeliest to be covered by the
+/// reply) is dropped; the hole costs one more request.
+pub const CATCHUP_PARK_GROUPS: usize = 1024;
+
+/// Cuts writes arriving in LSN order into [`Group`]s: a run ends where
+/// the next LSN is not its successor in the same epoch (an epoch
+/// boundary, or a logically truncated LSN missing from the log) and at
+/// the op and byte caps.
+#[derive(Default)]
+struct RunCutter {
+    groups: Vec<Group>,
+    first: Lsn,
+    run: Vec<WriteOp>,
+    bytes: usize,
+}
+
+impl RunCutter {
+    fn push(&mut self, lsn: Lsn, op: WriteOp) {
+        let size = op.approx_size();
+        let continues = lsn.epoch() == self.first.epoch()
+            && lsn.seq() == self.first.seq() + self.run.len() as u64
+            && self.run.len() < REPROPOSE_GROUP_OPS
+            && self.bytes + size <= REPROPOSE_GROUP_BYTES;
+        if !continues {
+            self.cut();
+            self.first = lsn;
+        }
+        self.run.push(op);
+        self.bytes += size;
+    }
+
+    fn cut(&mut self) {
+        if !self.run.is_empty() {
+            self.groups.push((self.first, self.run.drain(..).collect()));
+            self.bytes = 0;
+        }
+    }
+
+    fn finish(mut self) -> Vec<Group> {
+        self.cut();
+        self.groups
+    }
+}
+
 /// Leader-takeover progress (Fig. 6).
 pub(crate) struct Takeover {
     pub(crate) caught_up: BTreeSet<NodeId>,
-    /// Unresolved writes `(l.cmt, l.lst]` re-proposed one at a time via
-    /// the normal replication protocol (Fig. 6 line 9).
-    pub(crate) repropose: VecDeque<(Lsn, WriteOp)>,
+    /// Unresolved writes `(l.cmt, l.lst]`, cut into groups and
+    /// re-proposed through the normal replication protocol (Fig. 6
+    /// line 9).
+    pub(crate) repropose: VecDeque<Group>,
     pub(crate) reproposing: bool,
+}
+
+/// A propose a follower could not log yet (it starts past the follower's
+/// frontier), kept until catch-up closes the gap.
+pub(crate) struct Parked {
+    from: NodeId,
+    epoch: Epoch,
+    ops: Arc<[WriteOp]>,
+    committed: Lsn,
+    closed_ts: u64,
 }
 
 /// An in-flight cohort movement, tracked by the range's leader.
@@ -286,6 +357,18 @@ pub struct RangeReplica {
     /// at the oldest live pin, so a long scan that keeps reading never
     /// loses its cut to the blanket retention window.
     pub(crate) pins: BTreeMap<u64, u64>,
+    /// Follower: when the catch-up request still awaiting its reply was
+    /// sent (`None`: none outstanding). One request is answered with the
+    /// whole committed history, so another is sent only once this one
+    /// has gone `election_retry` unanswered.
+    pub(crate) catchup_asked: Option<u64>,
+    /// Catch-up requests this replica has sent — the observable behind
+    /// the request-storm regression test.
+    pub(crate) catchup_requests: u64,
+    /// Follower: proposes that arrived past the frontier while catching
+    /// up, by first LSN; replayed through [`Self::on_propose`] once the
+    /// catch-up reply is ingested. At most [`CATCHUP_PARK_GROUPS`].
+    pub(crate) parked: BTreeMap<Lsn, Parked>,
 }
 
 /// What the load/size statistics recommend for a range (sampled on the
@@ -337,6 +420,9 @@ impl RangeReplica {
             closed_ts: 0,
             snapshot_pages: 0,
             pins: BTreeMap::new(),
+            catchup_asked: None,
+            catchup_requests: 0,
+            parked: BTreeMap::new(),
         }
     }
 
@@ -524,16 +610,26 @@ impl RangeReplica {
         let l_cmt = self.last_committed.max(st.last_committed);
         let l_lst = st.last_lsn;
         self.last_committed = l_cmt;
-        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst].
-        let repropose: VecDeque<(Lsn, WriteOp)> =
-            rt.wal.read_range(self.range, l_cmt, l_lst).unwrap_or_default().into_iter().collect();
+        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst],
+        // read in one pass and cut into the groups they travel in (a
+        // tail that cannot be read whole is not re-proposed at all).
+        let mut tail = RunCutter::default();
+        if rt.wal.replay(self.range, l_cmt, l_lst, |lsn, op| tail.push(lsn, op.clone())).is_err() {
+            tail = RunCutter::default();
+        }
+        let repropose: VecDeque<Group> = tail.finish().into();
         // Seed the commit-timestamp clock above everything this cohort
         // may already have stamped: applied history (the store) plus the
         // unresolved tail we are about to re-propose (which keeps its
         // original stamps). New writes then get strictly larger
         // timestamps, preserving ts-order == LSN-order across the
         // takeover.
-        let tail_ts = repropose.iter().map(|(_, op)| op.timestamp).max().unwrap_or(0);
+        let tail_ts = repropose
+            .iter()
+            .flat_map(|(_, ops)| ops.iter())
+            .map(|op| op.timestamp)
+            .max()
+            .unwrap_or(0);
         // `closed_ts` joins the seed: whatever cut we (as a follower)
         // already served locally must stay closed under our leadership —
         // no new write may ever be stamped at or below it.
@@ -557,51 +653,33 @@ impl RangeReplica {
         let _ = self.maybe_finish_takeover(rt, out);
     }
 
+    /// Fig. 6 lines 8-10. Once a follower has caught up, the unresolved
+    /// tail goes back through the normal replication protocol **in
+    /// groups**: each run [`RunCutter`] cut is one propose — one batch
+    /// frame, one force and one cumulative ack at every follower, the
+    /// shape [`Self::flush_proposals`] gives a steady-state group — with
+    /// at most [`REPROPOSE_WINDOW`] full groups in flight. The records
+    /// are already durable in our own log, so the queue entries start
+    /// out self-forced. When the last one commits the cohort opens.
     pub(crate) fn maybe_finish_takeover(
         &mut self,
         rt: &mut Runtime<'_>,
         out: &mut Outbox,
     ) -> FollowUp {
         let mut fu = FollowUp::default();
-        let Some(t) = self.takeover.as_mut() else { return fu };
         // Fig. 6 line 8: wait until at least one follower caught up.
-        if t.caught_up.is_empty() {
+        if self.takeover.as_ref().is_none_or(|t| t.caught_up.is_empty()) {
             return fu;
         }
-        // Fig. 6 line 9: re-propose unresolved writes through the normal
-        // replication protocol, keeping a small pipeline in flight (the
-        // followers' group commit batches the forces).
-        const REPROPOSE_WINDOW: usize = 4;
         let mut sent_any = false;
-        while self.cq.len() < REPROPOSE_WINDOW {
-            let Some((lsn, op)) = t.repropose.pop_front() else { break };
+        while self.cq.len() <= (REPROPOSE_WINDOW - 1) * REPROPOSE_GROUP_OPS {
+            let t = self.takeover.as_mut().expect("still in takeover");
+            let Some(group) = t.repropose.pop_front() else { break };
             t.reproposing = true;
-            let epoch = self.epoch;
-            let committed = self.last_committed;
-            let batch: Arc<[WriteOp]> = Arc::from([op]);
-            self.cq.insert(PendingWrite {
-                lsn,
-                op: PendingOp::Shared { batch: batch.clone(), index: 0 },
-                client: None,
-                ackers: BTreeSet::new(),
-                self_forced: true, // already durable in our log
-            });
-            let piggy = if rt.cfg.piggyback_commits { committed } else { Lsn::ZERO };
-            for &peer in &self.peers {
-                out.send(
-                    peer,
-                    PeerMsg::Propose {
-                        range: self.range,
-                        epoch,
-                        lsn,
-                        ops: batch.clone(),
-                        committed: piggy,
-                        // Mid-takeover the cohort is resyncing; closed
-                        // timestamps resume with steady-state traffic.
-                        closed_ts: 0,
-                    },
-                );
-            }
+            self.queue_group(&group, true);
+            // Mid-takeover the cohort is resyncing; closed timestamps
+            // resume with steady-state traffic.
+            self.send_group(rt, &self.peers, &group, 0, out);
             sent_any = true;
         }
         let t = self.takeover.as_ref().expect("still in takeover");
@@ -612,11 +690,62 @@ impl RangeReplica {
         // (new_epoch, seq) with seq continuing past l.lst, so every new
         // LSN exceeds every LSN previously used in the cohort.
         let epoch = self.epoch;
-        self.takeover = None;
+        let t = self.takeover.take().expect("still in takeover");
         self.role = Role::Leader;
         self.last_assigned = Lsn::new(epoch, self.last_assigned.seq());
+        // Open with a commit when a tail was re-proposed: the followers
+        // hold it queued, and their committed watermark is what vouches
+        // for a log across the epoch boundary the next propose crosses —
+        // left a commit period stale, it would send them back to fetch
+        // the tail they just acknowledged. Only the followers that caught
+        // up in this epoch get it: only their queues are known to hold
+        // our re-proposals and nothing else.
+        if t.reproposing {
+            let lsn = self.last_committed;
+            for &peer in &t.caught_up {
+                out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts: 0 });
+            }
+        }
         fu.redispatch = std::mem::take(&mut self.blocked_writes);
         fu
+    }
+
+    /// Queue every write of `group` as pending, sharing its batch.
+    fn queue_group(&mut self, (first, ops): &Group, self_forced: bool) {
+        for index in 0..ops.len() {
+            self.cq.insert(PendingWrite {
+                lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
+                op: PendingOp::Shared { batch: ops.clone(), index },
+                client: None,
+                ackers: BTreeSet::new(),
+                self_forced,
+            });
+        }
+    }
+
+    /// Send `group` as one propose to each of `to`.
+    fn send_group(
+        &self,
+        rt: &Runtime<'_>,
+        to: &[NodeId],
+        (first, ops): &Group,
+        closed_ts: u64,
+        out: &mut Outbox,
+    ) {
+        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
+        for &peer in to {
+            out.send(
+                peer,
+                PeerMsg::Propose {
+                    range: self.range,
+                    epoch: self.epoch,
+                    lsn: *first,
+                    ops: ops.clone(),
+                    committed,
+                    closed_ts,
+                },
+            );
+        }
     }
 
     // =================================================================
@@ -649,6 +778,25 @@ impl RangeReplica {
         for (_, from, req, _) in std::mem::take(&mut self.deferred_mismatches) {
             out.reply(from, ClientReply::err(req, ClientError::NotLeader { hint: Some(leader) }));
         }
+        // A fresh start with this leader: whatever was parked is either
+        // in the history it will ship or among the pending writes it
+        // re-sends behind that.
+        self.parked.clear();
+        self.catchup_asked = None;
+        self.ask_catchup(rt, leader, out);
+    }
+
+    /// Ask `leader` for everything past our committed watermark — unless
+    /// a request is already outstanding. The reply carries the whole
+    /// committed history and is followed by the leader's pending writes,
+    /// so a second request buys nothing while the first can still be
+    /// answered; one unanswered for `election_retry` is presumed lost.
+    fn ask_catchup(&mut self, rt: &Runtime<'_>, leader: NodeId, out: &mut Outbox) {
+        if self.catchup_asked.is_some_and(|at| rt.now < at.saturating_add(rt.cfg.election_retry)) {
+            return;
+        }
+        self.catchup_asked = Some(rt.now);
+        self.catchup_requests += 1;
         out.send(
             leader,
             PeerMsg::CatchupReq { range: self.range, epoch: self.epoch, from: self.last_committed },
@@ -807,22 +955,8 @@ impl RangeReplica {
         rt.forces.add_bytes(bytes);
         rt.forces.request(Waiter::LeaderWrite { range: self.range, lsn: last }, out);
         self.proposing = true;
-        let epoch = self.epoch;
-        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
         let closed_ts = self.advertised_closed_ts(rt);
-        for &peer in &self.peers {
-            out.send(
-                peer,
-                PeerMsg::Propose {
-                    range: self.range,
-                    epoch,
-                    lsn: first,
-                    ops: ops.clone(),
-                    committed,
-                    closed_ts,
-                },
-            );
-        }
+        self.send_group(rt, &self.peers, &(first, ops), closed_ts, out);
     }
 
     /// The closed timestamp the leader advertises on commit traffic: a
@@ -1147,19 +1281,21 @@ impl RangeReplica {
             return; // malformed, or stale leader
         }
         if epoch > self.epoch {
-            // A leader we have not formally met; adopt it (its authority
-            // comes from the coordination service).
+            // A leader we have not formally met (its authority comes from
+            // the coordination service). What we hold queued was proposed
+            // by a leader it replaced and may have been discarded by it:
+            // start over with the sender rather than queue its proposals
+            // — and apply its watermark — next to those.
             self.epoch = epoch;
-            self.leader = Some(from);
+            self.become_follower(rt, from, out);
         }
         match self.role {
             Role::Follower | Role::CatchingUp => {}
             Role::Leader | Role::LeaderTakeover => {
-                // We believed we led but a same/higher-epoch leader
-                // exists; epochs only move forward, so epoch == ours
-                // means we *are* the leader talking to ourselves —
-                // ignore. Higher epoch: step down.
-                if epoch > self.epoch || from != rt.id {
+                // A propose of our own epoch from someone else: epochs
+                // are handed out one leader at a time, so this is ours
+                // coming back — ignore it — unless it is not.
+                if from != rt.id {
                     self.role = Role::CatchingUp;
                     self.leader = Some(from);
                     self.unproposed.clear();
@@ -1168,73 +1304,92 @@ impl RangeReplica {
                     return;
                 }
             }
-            Role::Electing | Role::Offline => {
+            Role::Electing => {
+                // We stand for election because this epoch's leader is
+                // gone from the coordination service, and our candidacy
+                // has advertised our n.lst. What that leader still had
+                // in flight is neither logged nor acknowledged — and
+                // must not pull us out of the election to follow a dead
+                // node (the winner's proposes carry a newer epoch).
+                return;
+            }
+            Role::Offline => {
                 // Accept the write anyway: log it so it counts toward our
                 // n.lst; the leader is authoritative.
                 self.leader = Some(from);
                 self.role = Role::CatchingUp;
             }
         }
-        // A duplicate of a propose already in flight (the leader re-sends
-        // pending writes when serving a catch-up): the first copy's force
-        // will generate the ack. Group proposes are always re-sent whole
-        // or re-read per-LSN, so checking the first LSN suffices.
-        if self.cq.contains(first) {
-            return;
-        }
         // Refuse to append over a hole. The election's safety argument
         // (§7.2: winner = max `n.lst`) assumes every log is a gap-free
         // prefix — `n.lst` vouches for *everything* at or below it. A
-        // propose that skips past our log tip (its predecessors dropped
+        // propose that skips past what we hold (its predecessors dropped
         // by a partition, or we rejoined mid-stream) must not be logged:
         // appending it would advance `n.lst` over entries we never held,
         // and a later election could then prefer us over a complete peer
-        // and silently discard committed writes. Demand catch-up instead:
-        // the leader ships committed history and re-sends its pending
-        // proposals over the same FIFO link, closing the gap. Across an
-        // epoch boundary a leftover higher-seq tail from the old epoch
-        // vouches for nothing (it may be divergent); only the committed
-        // prefix does.
+        // and silently discard committed writes. What we hold beyond
+        // dispute is the committed prefix and, queued behind it, the
+        // proposals of this epoch's leader (each passed this test; the
+        // queue is emptied whenever the leader changes). The log tip
+        // vouches too, but only within its own epoch: across an epoch
+        // boundary a leftover higher-seq tail from the old epoch may be
+        // divergent.
         let st = rt.wal.state(self.range);
-        let frontier = if first.epoch() == st.last_lsn.epoch() {
-            st.last_lsn.seq()
-        } else {
-            self.last_committed.seq()
-        };
-        if first.seq() > frontier + 1 {
+        let tip = self.cq.span().map_or(self.last_committed, |(_, l)| l.max(self.last_committed));
+        let log_tip = if first.epoch() == st.last_lsn.epoch() { st.last_lsn.seq() } else { 0 };
+        if first.seq() > log_tip.max(tip.seq()) + 1 {
+            // Demand catch-up — once — and park the propose: the leader
+            // ships committed history and re-sends its pending proposals
+            // behind it, but on a multi-core node those (250 us of
+            // service each) finish *before* the reply (2 ms) they were
+            // sent after. Dropped, each would be missing again when the
+            // reply lands and the next propose would ask again, without
+            // end under load; parked, they are replayed once it has.
             self.role = Role::CatchingUp;
-            out.send(
-                from,
-                PeerMsg::CatchupReq {
-                    range: self.range,
-                    epoch: self.epoch,
-                    from: self.last_committed,
-                },
-            );
+            if self.parked.len() >= CATCHUP_PARK_GROUPS {
+                self.parked.pop_first();
+            }
+            self.parked.insert(first, Parked { from, epoch, ops, committed, closed_ts });
+            self.ask_catchup(rt, from, out);
             return;
         }
         self.ops_since_sample += ops.len() as u64;
+        // Keep only the suffix past `tip`. The leader re-sends pending
+        // writes (serving a catch-up, nudging a takeover) in groups cut
+        // from its log, which share no boundaries with the groups they
+        // first travelled in; a parked group may straddle the history a
+        // catch-up reply just delivered. What is at or below `tip` is
+        // already in our log.
+        let last = group_last(first, &ops);
+        let group = if tip < first {
+            Some((first, ops))
+        } else if tip < last {
+            // `first <= tip < last` puts all three in one epoch.
+            let held = (tip.seq() + 1 - first.seq()) as usize;
+            Some((tip.next(), Arc::from(&ops[held..])))
+        } else {
+            None
+        };
         // Run the normal replication protocol even when the record
         // already sits in our log from the previous epoch (a takeover
         // re-proposal, Fig. 6 line 9): append and force again.
         // Re-appending an identical record is idempotent under replay.
         // The whole group lands as ONE batch record (atomic under its
         // frame checksum) with ONE force; the single cumulative ack at
-        // the last LSN vouches for every op in it.
-        let last = Lsn::new(first.epoch(), first.seq() + ops.len() as u64 - 1);
-        for index in 0..ops.len() {
-            self.cq.insert(PendingWrite {
-                lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
-                op: PendingOp::Shared { batch: ops.clone(), index },
-                client: None,
-                ackers: BTreeSet::new(),
-                self_forced: false,
-            });
+        // the last LSN vouches for every op in it — and, the log being
+        // sequential, for the part of the group we already held.
+        if let Some(group) = group {
+            let bytes = group.1.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32;
+            if rt.wal.append(&LogRecord::batch(self.range, group.0, group.1.clone())).is_err() {
+                // Fail-stop, like a leader that cannot log: the force
+                // below would succeed and acknowledge a group that is
+                // not in the log.
+                *rt.poisoned = true;
+                return;
+            }
+            rt.forces.add_bytes(bytes);
+            self.queue_group(&group, false);
         }
-        let bytes = ops.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32;
-        let rec = LogRecord::batch(self.range, first, ops);
-        let _ = rt.wal.append(&rec);
-        rt.forces.add_bytes(bytes);
         rt.forces
             .request(Waiter::FollowerWrite { range: self.range, lsn: last, leader: from }, out);
         if !committed.is_zero() {
@@ -1380,14 +1535,33 @@ impl RangeReplica {
 
     /// Follower: apply the asynchronous commit message (Fig. 4 right)
     /// and adopt its closed timestamp once caught up through it.
+    ///
+    /// The **epoch fence**: our queue holds the proposals of the leader
+    /// we last caught up with. A commit from a newer epoch says nothing
+    /// about them — that leader may have discarded them and reused their
+    /// sequence numbers — so it starts a catch-up with the sender instead
+    /// of draining the queue.
     pub(crate) fn on_commit_msg(
         &mut self,
         rt: &mut Runtime<'_>,
+        from: NodeId,
         epoch: Epoch,
         lsn: Lsn,
         closed_ts: u64,
+        out: &mut Outbox,
     ) {
-        if epoch < self.epoch || self.role != Role::Follower {
+        if epoch < self.epoch || !matches!(self.role, Role::Follower | Role::CatchingUp) {
+            return;
+        }
+        if epoch > self.epoch {
+            self.epoch = epoch;
+            self.become_follower(rt, from, out);
+            return;
+        }
+        if self.role == Role::CatchingUp {
+            // The commit period is the heartbeat that re-drives a
+            // catch-up whose request or reply was lost.
+            self.ask_catchup(rt, from, out);
             return;
         }
         self.apply_commit(rt, lsn);
@@ -1492,9 +1666,12 @@ impl RangeReplica {
     /// that the follower is fully caught up". We achieve the same
     /// synchronization point without a blocking window: committed history
     /// is shipped immediately and every write still pending in the commit
-    /// queue is *re-proposed* to the follower over the same FIFO link, so
-    /// by the time the follower processes the catch-up reply it observes
-    /// a complete, gap-free prefix.
+    /// queue is *re-proposed* to the follower behind it, so once the
+    /// follower has ingested the reply and replayed what it parked
+    /// meanwhile it holds a complete, gap-free prefix. The re-sends are
+    /// groups cut from the log ([`RunCutter`]), whatever groups the
+    /// writes first travelled in; the follower keeps of each the part it
+    /// does not hold yet.
     pub(crate) fn on_catchup_req(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -1506,41 +1683,26 @@ impl RangeReplica {
             return; // not the leader (any more); the follower will re-learn
         }
         self.serve_catchup(rt, follower, f_cmt, out);
-        // Re-send in-flight proposals so the follower misses nothing.
-        // Batched groups are re-read per-LSN from the log, so re-sends
-        // are always singleton proposes regardless of how the writes
-        // originally travelled.
-        let epoch = self.epoch;
-        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
         let closed_ts = self.advertised_closed_ts(rt);
-        for (lsn, op) in self.pending_from_log(rt) {
-            out.send(
-                follower,
-                PeerMsg::Propose {
-                    range: self.range,
-                    epoch,
-                    lsn,
-                    ops: Arc::from([op]),
-                    committed,
-                    closed_ts,
-                },
-            );
+        for group in self.pending_groups(rt) {
+            self.send_group(rt, &[follower], &group, closed_ts, out);
         }
     }
 
     /// The writes still pending in the commit queue, re-read from the log
-    /// in one pass over their span (what cannot be read is left out).
-    fn pending_from_log(&self, rt: &Runtime<'_>) -> Vec<(Lsn, WriteOp)> {
-        let mut pending = Vec::new();
+    /// in one pass over their span and cut into groups (what cannot be
+    /// read is left out).
+    fn pending_groups(&self, rt: &Runtime<'_>) -> Vec<Group> {
+        let mut pending = RunCutter::default();
         if let Some((first, last)) = self.cq.span() {
             let before = Lsn::from_u64(first.as_u64() - 1);
             let _ = rt.wal.replay(self.range, before, last, |lsn, op| {
                 if self.cq.contains(lsn) {
-                    pending.push((lsn, op.clone()));
+                    pending.push(lsn, op.clone());
                 }
             });
         }
-        pending
+        pending.finish()
     }
 
     /// Re-drive a stalled takeover (fired by the election-retry timer).
@@ -1551,36 +1713,21 @@ impl RangeReplica {
     /// forever: the takeover leader sits silent waiting for a caught-up
     /// follower that never learned who leads. Re-sending is safe —
     /// `on_leader_hello` is idempotent (same-epoch hellos just restart
-    /// the follower's catch-up) and follower appends are LSN-idempotent,
-    /// exactly as the catch-up path already relies on.
+    /// the follower's catch-up) and a follower that already holds a
+    /// re-sent group logs nothing and acknowledges it again.
     pub(crate) fn retry_takeover(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) -> FollowUp {
-        if self.role != Role::LeaderTakeover || self.takeover.is_none() {
+        let Some(t) = self.takeover.as_ref().filter(|_| self.role == Role::LeaderTakeover) else {
             return FollowUp::default();
-        }
+        };
         let epoch = self.epoch;
-        let caught_up = self.takeover.as_ref().map(|t| t.caught_up.clone()).unwrap_or_default();
         for &peer in &self.peers {
-            if !caught_up.contains(&peer) {
+            if !t.caught_up.contains(&peer) {
                 out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
             }
         }
         // Nudge in-flight re-proposals whose Propose or Ack went missing.
-        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
-        for (lsn, op) in self.pending_from_log(rt) {
-            let batch: Arc<[WriteOp]> = Arc::from([op]);
-            for &peer in &self.peers {
-                out.send(
-                    peer,
-                    PeerMsg::Propose {
-                        range: self.range,
-                        epoch,
-                        lsn,
-                        ops: batch.clone(),
-                        committed,
-                        closed_ts: 0,
-                    },
-                );
-            }
+        for group in self.pending_groups(rt) {
+            self.send_group(rt, &self.peers, &group, 0, out);
         }
         self.maybe_finish_takeover(rt, out)
     }
@@ -1625,7 +1772,7 @@ impl RangeReplica {
     }
 
     /// Follower side of catch-up completion: ingest, **logically
-    /// truncate** orphaned records (§6.1.1), confirm.
+    /// truncate** orphaned records (§6.1.1), confirm, replay the park.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_catchup_records(
         &mut self,
@@ -1698,11 +1845,22 @@ impl RangeReplica {
             appended = true;
         }
         self.role = Role::Follower;
+        self.catchup_asked = None;
 
         if appended {
             rt.forces.request(Waiter::CatchupDone { range: self.range, up_to, leader }, out);
         } else {
             out.send(leader, PeerMsg::CaughtUp { range: self.range, epoch: self.epoch, at: up_to });
+        }
+        // Replay what was parked while the reply was on its way, in LSN
+        // order, as the proposes they are. What the reply covered is
+        // committed and needs no ack; `on_propose` keeps the rest of a
+        // group straddling `up_to` and — should a hole remain — parks
+        // again and asks once more.
+        for (first, p) in std::mem::take(&mut self.parked) {
+            if group_last(first, &p.ops) > up_to {
+                self.on_propose(rt, p.from, p.epoch, first, p.ops, p.committed, p.closed_ts, out);
+            }
         }
     }
 
@@ -1808,6 +1966,12 @@ impl RangeReplica {
     }
 }
 
+/// The LSN of the last write of the non-empty group `ops` starting at
+/// `first`.
+fn group_last(first: Lsn, ops: &[WriteOp]) -> Lsn {
+    Lsn::new(first.epoch(), first.seq() + ops.len() as u64 - 1)
+}
+
 /// True when a commit note for `lsn` is worth logging.
 fn lsn_note_needed(lsn: Lsn, last_note: Lsn) -> bool {
     lsn > last_note
@@ -1821,4 +1985,49 @@ pub(crate) fn parse_candidate(data: &[u8]) -> Option<(NodeId, u64)> {
     let s = std::str::from_utf8(data).ok()?;
     let (node, lst) = s.split_once(':')?;
     Some((node.parse().ok()?, lst.parse().ok()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+
+    use super::*;
+
+    fn cut(lsns: impl IntoIterator<Item = (Epoch, u64)>, value: usize) -> Vec<(Lsn, usize)> {
+        let mut cutter = RunCutter::default();
+        for (epoch, seq) in lsns {
+            let value = Bytes::from(vec![b'v'; value]);
+            cutter.push(Lsn::new(epoch, seq), WriteOp::put(Key::from("k"), Bytes::new(), value, 0));
+        }
+        cutter.finish().into_iter().map(|(first, ops)| (first, ops.len())).collect()
+    }
+
+    #[test]
+    fn runs_end_at_epoch_boundaries_holes_and_caps() {
+        assert_eq!(cut([], 1), vec![]);
+        // Same epoch, consecutive: one group.
+        assert_eq!(cut((5..=9).map(|s| (1, s)), 1), vec![(Lsn::new(1, 5), 5)]);
+        // An epoch boundary (dense sequence numbers across it) and a
+        // missing LSN (logically truncated) each end a run.
+        let lsns = [(1, 5), (1, 6), (2, 7), (2, 8), (2, 10)];
+        assert_eq!(
+            cut(lsns, 1),
+            vec![(Lsn::new(1, 5), 2), (Lsn::new(2, 7), 2), (Lsn::new(2, 10), 1)]
+        );
+        // The op cap.
+        let n = 2 * REPROPOSE_GROUP_OPS as u64 + 3;
+        assert_eq!(
+            cut((1..=n).map(|s| (1, s)), 1),
+            vec![
+                (Lsn::new(1, 1), REPROPOSE_GROUP_OPS),
+                (Lsn::new(1, 1 + REPROPOSE_GROUP_OPS as u64), REPROPOSE_GROUP_OPS),
+                (Lsn::new(1, 1 + 2 * REPROPOSE_GROUP_OPS as u64), 3),
+            ]
+        );
+        // The byte cap: values of 0.4 MiB go two to a group, and one
+        // larger than the cap still travels (alone).
+        let groups = cut((1..=5).map(|s| (1, s)), 400 << 10);
+        assert_eq!(groups.iter().map(|g| g.1).collect::<Vec<_>>(), vec![2, 2, 1]);
+        assert_eq!(cut((1..=2).map(|s| (1, s)), 2 << 20).len(), 2);
+    }
 }

@@ -27,11 +27,24 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const CLIENT: u32 = 99;
 
+/// An input that sent proposes: what it allocated, and the `(to, op
+/// count)` of each propose.
+struct ProposingInput {
+    node: usize,
+    allocs: u64,
+    proposes: Vec<(u32, usize)>,
+}
+
 /// Three nodes and a coordination service, delivering by hand: peer
 /// messages in FIFO order, log forces completing at once.
 struct Trio {
+    coord: Rc<RefCell<Coord>>,
     bus: Rc<RefCell<Vec<spinnaker_coord::Delivery>>>,
     nodes: Vec<Node>,
+    /// Crashed nodes: fed nothing.
+    dead: [bool; 3],
+    /// The inputs that sent proposes.
+    proposing_inputs: Vec<ProposingInput>,
     queue: VecDeque<(usize, NodeInput)>,
     /// Reused for every input, like the simulator host's.
     out: Outbox,
@@ -54,8 +67,11 @@ impl Trio {
             })
             .collect();
         let mut trio = Trio {
+            coord,
             bus,
             nodes,
+            dead: [false; 3],
+            proposing_inputs: Vec::new(),
             queue: VecDeque::new(),
             out: Outbox::default(),
             allocs: [0; 3],
@@ -72,13 +88,20 @@ impl Trio {
     /// One `on_input`, counted; its effects are queued (sends, force
     /// completions) or tallied (write acknowledgements).
     fn feed(&mut self, node: usize, input: NodeInput) {
+        if self.dead[node] {
+            return;
+        }
         let mut out = std::mem::take(&mut self.out);
         let (allocs, ()) = allocations(|| self.nodes[node].on_input(0, input, &mut out));
         self.allocs[node] += allocs;
         let mut tokens = Vec::new();
+        let mut proposes = Vec::new();
         for effect in out.effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
+                    if let PeerMsg::Propose { range: RangeId(0), ops, .. } = &msg {
+                        proposes.push((to, ops.len()));
+                    }
                     self.queue.push_back((to as usize, NodeInput::Peer { from: node as u32, msg }));
                 }
                 Effect::ForceLog { token, .. } => tokens.push(token),
@@ -90,6 +113,9 @@ impl Trio {
             }
         }
         self.out = out;
+        if !proposes.is_empty() {
+            self.proposing_inputs.push(ProposingInput { node, allocs, proposes });
+        }
         if !tokens.is_empty() {
             self.queue.push_back((node, NodeInput::LogForced { tokens }));
         }
@@ -194,4 +220,49 @@ fn a_follower_queues_the_proposed_batch_itself() {
     assert_eq!(Arc::strong_count(&ops), 1 + 8, "ours, and one per queued write");
     // Copying an op allocates (its cell list); eight would show.
     assert!(allocs < 8, "{allocs} allocations handling an 8-op propose");
+}
+
+/// Takeover moves the unresolved tail in groups. A new leader with 256
+/// unresolved writes sends four proposes of 64 to each peer — not 256 of
+/// one — all in the input that learns a follower caught up, and that
+/// input allocates for the commit queue's tree nodes only: the groups
+/// were cut when the tail was read, and the log record, both messages
+/// and the queue entries share each group's one batch. (Re-proposing
+/// write by write built an `Arc` per write here, and a message per write
+/// and peer.) What the takeover allocates per write elsewhere is what
+/// any committed write costs: its acker set and its memtable row.
+#[test]
+fn takeover_reproposes_the_tail_in_groups_not_per_write() {
+    const TAIL: usize = 256;
+    const GROUP: usize = 64;
+    let mut trio = Trio::new();
+    for k in 0..TAIL as u64 {
+        let req = put_request(k, u64_to_key(k), "c", &[b'v'; 256]);
+        trio.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
+        trio.pump();
+    }
+    assert_eq!(trio.written, TAIL as u64);
+    // No commit period has passed: both followers hold the whole tail
+    // unresolved. The leader dies.
+    trio.dead[0] = true;
+    trio.proposing_inputs.clear();
+    let deliveries = trio.coord.borrow_mut().expire_session(1);
+    trio.bus.borrow_mut().extend(deliveries);
+    trio.queue.push_back((1, NodeInput::Timer(TimerKind::Heartbeat))); // routes the events
+    trio.pump();
+    let leader =
+        (1..3).find(|&n| trio.nodes[n].role(RangeId(0)) == Role::Leader).expect("took over");
+    assert_eq!(trio.nodes[leader].last_committed(RangeId(0)).seq(), TAIL as u64);
+
+    let by_leader: Vec<_> = trio.proposing_inputs.iter().filter(|i| i.node == leader).collect();
+    assert_eq!(by_leader.len(), 1, "the whole tail fits the window: one input sends it");
+    let ProposingInput { allocs, proposes, .. } = by_leader[0];
+    for peer in (0..3u32).filter(|&p| p as usize != leader) {
+        let sizes: Vec<usize> =
+            proposes.iter().filter(|(to, _)| *to == peer).map(|(_, n)| *n).collect();
+        assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node {peer}");
+    }
+    // Measured 43: the queue's B-tree nodes for 256 entries, and the
+    // outbox growing to hold eight messages.
+    assert!(*allocs <= (TAIL / 4) as u64, "{allocs} allocations re-proposing {TAIL} writes");
 }

@@ -243,3 +243,64 @@ fn piggybacked_commits_shrink_follower_lag() {
     assert!(with <= 2, "piggyback keeps followers current: lag {with}");
     assert!(without > 10 * with.max(1), "without piggyback the lag is large: {without}");
 }
+
+/// The catch-up request storm. A follower restarted under eight
+/// closed-loop writers starts up to two seconds of history behind, and while
+/// its one catch-up reply (some 8 MB) is on the wire the leader keeps
+/// proposing past its log tip. It must ask once (a second request is allowed: a propose
+/// can reach the booting node before it has joined the cohort), park
+/// what it cannot log yet, be a follower within 100 ms — and *stay* one,
+/// with its acks counting: its committed watermark trails the leader's
+/// by no more than a commit period. Before requests were rationed and
+/// proposes parked, every gapped propose sent another request, each
+/// answered with the whole history again, and the follower fell back
+/// into catch-up for as long as the writers kept going.
+#[test]
+fn restarted_follower_asks_once_and_stays_caught_up_under_load() {
+    const R0: RangeId = RangeId(0);
+    let mut cfg =
+        ClusterConfig { nodes: 5, seed: 23, disk: DiskProfile::Ssd, ..Default::default() };
+    cfg.node.commit_period = SECS;
+    let mut cluster = SimCluster::new(cfg);
+    for i in 0..8 {
+        cluster.add_client(
+            Workload::SingleRangeWrites { value_size: 1024 },
+            SECS + i * 1000,
+            SECS,
+            20 * SECS,
+        );
+    }
+    cluster.run_until(2 * SECS);
+    let leader = cluster.leader_of(R0).expect("range 0 led");
+    let follower = cluster.ring.cohort(R0).into_iter().find(|&n| n != leader).unwrap();
+    cluster.crash_node(2 * SECS, follower, true);
+    let restart = 3 * SECS;
+    cluster.restart_node(restart, follower);
+    cluster.run_until(restart);
+
+    let role = |c: &SimCluster| c.role_of(R0, follower);
+    let cmt = |c: &SimCluster, n| c.with_node(n, |node| node.last_committed(R0)).unwrap();
+    let mut now = restart;
+    while role(&cluster) != Some(Role::Follower) {
+        now += MILLIS;
+        assert!(now <= restart + 100 * MILLIS, "still {:?} 100 ms after restart", role(&cluster));
+        cluster.run_until(now);
+    }
+    // From here on it follows: never back into catch-up, and never more
+    // than a commit period behind what the leader had committed.
+    let mut leader_cmt_a_period_ago = std::collections::VecDeque::new();
+    while now < restart + 2500 * MILLIS {
+        leader_cmt_a_period_ago.push_back(cmt(&cluster, leader));
+        now += 10 * MILLIS;
+        cluster.run_until(now);
+        assert_eq!(role(&cluster), Some(Role::Follower), "fell out of following at {now}");
+        // 110 samples of 10 ms: one commit period plus its delivery.
+        if leader_cmt_a_period_ago.len() > 110 {
+            let then = leader_cmt_a_period_ago.pop_front().unwrap();
+            assert!(cmt(&cluster, follower) >= then, "trails by more than a commit period");
+        }
+    }
+    assert_eq!(cluster.leader_of(R0), Some(leader), "the leader never changed");
+    let asked = cluster.with_node(follower, |n| n.catchup_requests(R0)).unwrap();
+    assert!(asked <= 2, "{asked} catch-up requests after one restart");
+}

@@ -132,6 +132,100 @@ fn leader_crash_mid_group_propose_keeps_acked_writes_and_reconverges() {
     }
 }
 
+/// The tear-offset test one failure deeper: the *new* leader dies while
+/// it is re-proposing the tail in groups — some groups re-committed,
+/// some in flight, some not yet sent — and its followers keep whatever
+/// re-proposed frames their logs had forced. The crash lands just
+/// before a commit tick, so the tail is a commit period long (a dozen
+/// groups). The old leader comes back, the cohort elects a third time,
+/// and that takeover must finish: every write a client saw acknowledged
+/// under the first leader is readable, and writes resume.
+#[test]
+fn new_leader_crash_mid_repropose_keeps_acked_writes_and_next_takeover_finishes() {
+    const R0: RangeId = RangeId(0);
+    for seed in [41u64, 42] {
+        let mut cfg =
+            ClusterConfig { nodes: 5, seed, disk: DiskProfile::Ssd, ..Default::default() };
+        cfg.node.commit_period = 200 * MILLIS;
+        let mut cluster = SimCluster::new(cfg);
+        let stats = cluster.add_client_pipelined(
+            Workload::SingleRangeWrites { value_size: 64 },
+            8,
+            SECS,
+            SECS,
+            30 * SECS,
+        );
+        stats.borrow_mut().trace = Some(Vec::new());
+        let kill = 4 * SECS - 10 * MILLIS;
+        cluster.run_until(kill);
+        let first = cluster.leader_of(R0).expect("range 0 led");
+        let acked_before = stats.borrow().completed;
+        cluster.crash_node(kill, first, true);
+
+        // Step until a successor has re-committed part of the tail and is
+        // still taking over; kill it there.
+        let cohort = cluster.ring.cohort(R0);
+        let mut now = kill;
+        let mut taking_over: Option<(u32, spinnaker_common::Lsn)> = None;
+        let second = loop {
+            now += 100 * spinnaker_sim::MICROS;
+            assert!(now < kill + SECS, "seed {seed}: no takeover caught mid-re-propose");
+            cluster.run_until(now);
+            let Some(&n) = cohort.iter().find(|&&n| {
+                cluster.role_of(R0, n) == Some(spinnaker_core::node::Role::LeaderTakeover)
+            }) else {
+                assert!(cluster.leader_of(R0).is_none(), "seed {seed}: takeover finished unseen");
+                continue;
+            };
+            let cmt = cluster.with_node(n, |node| node.last_committed(R0)).unwrap();
+            match taking_over {
+                Some((m, at_start)) if m == n && cmt > at_start => break n,
+                Some((m, _)) if m == n => {}
+                _ => taking_over = Some((n, cmt)),
+            }
+        };
+        let tail = cluster.with_node(second, |n| n.last_lsn(R0).seq()).unwrap()
+            - taking_over.unwrap().1.seq();
+        assert!(tail > 128, "seed {seed}: the tail spans several groups ({tail} writes)");
+        cluster.crash_node(now, second, true);
+        cluster.restart_node(now + 100 * MILLIS, first);
+        cluster.run_until(12 * SECS);
+
+        let third = cluster.leader_of(R0).expect("the next takeover finished");
+        assert_ne!(third, second);
+        let resumed =
+            stats.borrow().trace.as_ref().unwrap().iter().filter(|(t, _)| *t > 6 * SECS).count();
+        assert!(resumed > 20, "seed {seed}: writes resumed, got {resumed}");
+        let checked = acked_before.min(4096);
+        let reads: Vec<SessionCall> = (0..checked)
+            .map(|i| SessionCall::Get {
+                key: u64_to_key(i),
+                columns: ColumnSelect::All,
+                consistency: Consistency::Strong,
+            })
+            .collect();
+        let read_stats = cluster.add_session(reads, 12 * SECS);
+        cluster.restart_node(12 * SECS, second);
+        cluster.run_until(22 * SECS);
+        let r = read_stats.borrow();
+        assert_eq!(r.outcomes.len() as u64, checked, "seed {seed}: all reads resolved");
+        for (i, o) in r.outcomes.iter().enumerate() {
+            assert!(
+                matches!(o, CallOutcome::Row { cells, .. } if !cells.is_empty()),
+                "seed {seed}: acked key {i}: {o:?}"
+            );
+        }
+        let role = cluster.role_of(R0, second);
+        assert!(
+            matches!(
+                role,
+                Some(spinnaker_core::node::Role::Follower | spinnaker_core::node::Role::Leader)
+            ),
+            "seed {seed}: the second casualty rejoined (role {role:?})"
+        );
+    }
+}
+
 /// With `piggyback_commits` on, every propose and commit carries the
 /// leader's closed timestamp, so caught-up followers can serve pinned
 /// snapshot pages themselves. Under a saturating pipelined writer the

@@ -451,3 +451,205 @@ fn timeline_reads_served_by_followers_strong_reads_rejected() {
     );
     assert!(matches!(replies(&out).as_slice(), [ClientReply::Row { .. }]));
 }
+
+fn peer(node: &mut Node, from: u32, msg: PeerMsg) -> Outbox {
+    feed(node, NodeInput::Peer { from, msg })
+}
+
+/// A propose of `n` one-op writes to keys `seq..seq + n`, from node 0.
+fn propose(epoch: u16, seq: u64, n: u64) -> PeerMsg {
+    PeerMsg::Propose {
+        range: RangeId(0),
+        epoch,
+        lsn: Lsn::new(epoch, seq),
+        ops: (seq..seq + n)
+            .map(|s| {
+                spinnaker_common::WriteOp::put(
+                    u64_to_key(s),
+                    bytes::Bytes::from_static(b"c"),
+                    bytes::Bytes::from(format!("v{s}")),
+                    s,
+                )
+            })
+            .collect(),
+        committed: Lsn::ZERO,
+        closed_ts: 0,
+    }
+}
+
+/// The catch-up reply carrying writes `from..=to` of `epoch` as
+/// committed history.
+fn catchup_records(epoch: u16, from: u64, to: u64) -> PeerMsg {
+    let PeerMsg::Propose { ops, .. } = propose(epoch, from, to + 1 - from) else { unreachable!() };
+    PeerMsg::CatchupRecords {
+        range: RangeId(0),
+        epoch,
+        records: (from..=to).map(|s| Lsn::new(epoch, s)).zip(ops.iter().cloned()).collect(),
+        fragments: vec![],
+        up_to: Lsn::new(epoch, to),
+    }
+}
+
+fn catchup_reqs(out: &Outbox) -> Vec<Lsn> {
+    sends(out)
+        .into_iter()
+        .filter_map(|(_, m)| match m {
+            PeerMsg::CatchupReq { from, .. } => Some(*from),
+            _ => None,
+        })
+        .collect()
+}
+
+fn acks(out: &Outbox) -> Vec<Lsn> {
+    sends(out)
+        .into_iter()
+        .filter_map(|(_, m)| match m {
+            PeerMsg::Ack { lsn, .. } => Some(*lsn),
+            _ => None,
+        })
+        .collect()
+}
+
+fn timeline_value(node: &mut Node, key: u64) -> Option<Vec<u8>> {
+    let out = feed(
+        node,
+        NodeInput::Client {
+            from: 99,
+            req: get_request(1, u64_to_key(key), "c", Consistency::Timeline),
+        },
+    );
+    match replies(&out).as_slice() {
+        [ClientReply::Row { cells, .. }] => {
+            cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec())
+        }
+        other => panic!("expected a row, got {other:?}"),
+    }
+}
+
+/// Node 1 as a follower of node 0 in epoch 1, caught up through 1.5.
+fn follower_through_5(fx: &Fixture) -> Node {
+    let mut f = fx.node(1);
+    let _ = feed(&mut f, NodeInput::Start);
+    let hello = peer(&mut f, 0, PeerMsg::LeaderHello { range: RangeId(0), epoch: 1, leader: 0 });
+    assert_eq!(catchup_reqs(&hello), vec![Lsn::ZERO]);
+    let _ = peer(&mut f, 0, catchup_records(1, 1, 5));
+    assert_eq!(f.role(RangeId(0)), Role::Follower);
+    assert_eq!(f.last_committed(RangeId(0)), Lsn::new(1, 5));
+    f
+}
+
+/// The epoch fence. A follower still holding the dead leader's queue (it
+/// missed the new leader's hello) must not drain it on the new leader's
+/// commit: the new leader may have discarded those writes and reused
+/// their sequence numbers. It catches up with the sender instead.
+#[test]
+fn commit_from_a_newer_epoch_starts_catch_up_instead_of_draining_the_queue() {
+    let fx = Fixture::new();
+    let mut f = follower_through_5(&fx);
+    let _ = peer(&mut f, 0, propose(1, 6, 3)); // 1.6..1.8 queued
+    let out = peer(
+        &mut f,
+        2,
+        PeerMsg::Commit { range: RangeId(0), epoch: 2, lsn: Lsn::new(2, 8), closed_ts: 0 },
+    );
+    assert_eq!(f.last_committed(RangeId(0)), Lsn::new(1, 5), "nothing applied");
+    assert_eq!(timeline_value(&mut f, 6), None, "the stale 1.6 stays invisible");
+    assert_eq!(f.role(RangeId(0)), Role::CatchingUp);
+    assert_eq!(f.leader_of(RangeId(0)), Some(2));
+    let reqs: Vec<_> = sends(&out)
+        .into_iter()
+        .filter(|(_, m)| matches!(m, PeerMsg::CatchupReq { .. }))
+        .map(|(to, _)| to)
+        .collect();
+    assert_eq!(reqs, vec![2], "one catch-up request, to the sender");
+
+    // The same fence on a piggy-backed watermark: a propose of the new
+    // epoch neither applies its `committed` to the old queue nor joins it.
+    let mut f = follower_through_5(&fx);
+    let _ = peer(&mut f, 0, propose(1, 6, 3));
+    let PeerMsg::Propose { range, lsn, ops, closed_ts, .. } = propose(2, 9, 1) else {
+        unreachable!()
+    };
+    let fenced =
+        PeerMsg::Propose { range, epoch: 2, lsn, ops, committed: Lsn::new(2, 8), closed_ts };
+    let out = peer(&mut f, 2, fenced);
+    assert_eq!(f.last_committed(RangeId(0)), Lsn::new(1, 5));
+    assert_eq!(f.role(RangeId(0)), Role::CatchingUp);
+    assert_eq!(catchup_reqs(&out), vec![Lsn::new(1, 5)]);
+    assert_eq!(f.last_lsn(RangeId(0)), Lsn::new(1, 8), "2.9 is parked, not logged");
+}
+
+/// A catching-up follower asks once and parks what it cannot log yet.
+/// When the reply lands, a parked group wholly inside it is skipped, one
+/// straddling its end is trimmed to the part past it, the rest is logged
+/// as it came — and no second request is sent.
+#[test]
+fn parked_proposes_are_skipped_trimmed_or_logged_when_the_reply_lands() {
+    let fx = Fixture::new();
+    let mut f = fx.node(1);
+    let _ = feed(&mut f, NodeInput::Start);
+    let hello = peer(&mut f, 0, PeerMsg::LeaderHello { range: RangeId(0), epoch: 1, leader: 0 });
+    assert_eq!(catchup_reqs(&hello).len(), 1);
+    // The leader's proposes overtake its reply (they cost less CPU).
+    for msg in [propose(1, 3, 2), propose(1, 5, 4), propose(1, 9, 1)] {
+        let out = peer(&mut f, 0, msg);
+        assert!(out.effects.is_empty(), "parked silently: {:?}", out.effects);
+    }
+    assert_eq!(f.last_lsn(RangeId(0)), Lsn::ZERO, "nothing logged over the hole");
+    assert_eq!(f.role(RangeId(0)), Role::CatchingUp);
+
+    // The reply covers 1.1..=1.6: [1.3, 1.4] is inside it, [1.5..1.8]
+    // straddles its end, [1.9] is past it.
+    let out = peer(&mut f, 0, catchup_records(1, 1, 6));
+    assert_eq!(f.role(RangeId(0)), Role::Follower);
+    assert!(catchup_reqs(&out).is_empty(), "no second request");
+    assert_eq!(f.last_committed(RangeId(0)), Lsn::new(1, 6));
+    assert_eq!(f.last_lsn(RangeId(0)), Lsn::new(1, 9));
+    assert_eq!(f.wal().indexed_records(RangeId(0)), 9, "each write logged once");
+    // One force for the reply, one each for the two groups that needed
+    // logging; their acks carry the groups' own last LSNs.
+    let tokens = force_tokens(&out);
+    assert_eq!(tokens.len(), 3);
+    let out = feed(&mut f, NodeInput::LogForced { tokens });
+    assert_eq!(acks(&out), vec![Lsn::new(1, 8), Lsn::new(1, 9)]);
+    // The trimmed group's writes apply like any other.
+    let _ = peer(
+        &mut f,
+        0,
+        PeerMsg::Commit { range: RangeId(0), epoch: 1, lsn: Lsn::new(1, 9), closed_ts: 0 },
+    );
+    assert_eq!(f.last_committed(RangeId(0)), Lsn::new(1, 9));
+    for key in 1..=9 {
+        assert_eq!(timeline_value(&mut f, key), Some(format!("v{key}").into_bytes()));
+    }
+}
+
+/// The park is bounded. Past the bound the oldest parked propose is
+/// dropped, which is what every gapped propose got before there was a
+/// park: the reply leaves a hole, the follower asks once more, and the
+/// second round closes it.
+#[test]
+fn park_overflow_drops_the_oldest_and_catch_up_still_converges() {
+    use spinnaker_core::replica::CATCHUP_PARK_GROUPS;
+    const EXTRA: u64 = 8;
+    let fx = Fixture::new();
+    let mut f = fx.node(1);
+    let _ = feed(&mut f, NodeInput::Start);
+    let _ = peer(&mut f, 0, PeerMsg::LeaderHello { range: RangeId(0), epoch: 1, leader: 0 });
+    // Singleton proposes 1.3, 1.4, ... — EXTRA more than the park holds.
+    let last = 2 + CATCHUP_PARK_GROUPS as u64 + EXTRA;
+    for seq in 3..=last {
+        let _ = peer(&mut f, 0, propose(1, seq, 1));
+    }
+    // The reply covers 1.1, 1.2; 1.3..=1.10 were dropped from the park.
+    let out = peer(&mut f, 0, catchup_records(1, 1, 2));
+    assert_eq!(f.role(RangeId(0)), Role::CatchingUp, "a hole remains");
+    assert_eq!(catchup_reqs(&out), vec![Lsn::new(1, 2)], "asked again, once");
+    assert_eq!(f.last_lsn(RangeId(0)), Lsn::new(1, 2));
+    // The second reply covers the hole; the park drains behind it.
+    let out = peer(&mut f, 0, catchup_records(1, 3, 2 + EXTRA));
+    assert_eq!(f.role(RangeId(0)), Role::Follower);
+    assert!(catchup_reqs(&out).is_empty());
+    assert_eq!(f.last_lsn(RangeId(0)), Lsn::new(1, last));
+    assert_eq!(f.wal().indexed_records(RangeId(0)), last as usize);
+}

@@ -9,8 +9,9 @@ digit; anything else means a byte on disk, a charged size, an event order
 or an allocation changed, and the change must either explain it and
 refresh the files (`--update`) or be fixed.
 
-    scripts/bench_gate.py            # rerun at --seconds 1, compare, exit 1 on drift
-    scripts/bench_gate.py --update   # rewrite the BENCH files from --seconds 10 runs
+    scripts/bench_gate.py                    # rerun at --seconds 1, compare, exit 1 on drift
+    scripts/bench_gate.py --update           # rewrite the BENCH files from --seconds 10 runs
+    scripts/bench_gate.py --update failover  # ... only the named ones
 
 The steady workloads are rerun a second time with `--trace 1`, and the
 per-layer metrics that are counts (or ratios of counts) must equal the
@@ -20,8 +21,15 @@ storage or protocol refactor that "moves no counter" is checked here, not
 taken on trust. The wall-clock readings of a traced run (`*_ns`, `*_ms`,
 GB/s, process shares) differ from run to run and are not compared.
 
-`failover` is reported but never fails the gate: its numbers are medians
-over as many scenarios as fit the time budget.
+`failover` reports medians over as many scenarios as fit its time budget,
+so its ten-second `timed` / `traced` objects are a record, not a gate: a
+faster machine fits more scenarios and reads other medians. It is gated
+at a fixed scenario count instead. `--seconds 0.01` always runs the
+minimum (three scenarios timed, two traced), and at equal count the
+virtual metrics and `allocs_per_op` repeat to the digit; the file's
+`gate` object holds that run's five end-to-end metrics and the three
+`core.recovery.*` readings (virtual milliseconds and a count), and the
+check reruns it and compares.
 """
 
 import json
@@ -32,12 +40,20 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 11
 STEADY = ["write-sat", "read-uniform", "mixed-zipf"]
-INFORMATIONAL = ["failover"]
+FAILOVER = "failover"
+# The budget that fits no scenario: spinbench then runs its minimum count.
+FAILOVER_GATE_SECONDS = 0.01
+RECOVERY = ["core.recovery.takeover_ms", "core.recovery.catchup_ms",
+            "core.recovery.leader_changes"]
 EXACT = ["v_ops_per_s", "v_lat_p50_ms", "v_lat_p99_ms", "v_stall_ms", "allocs_per_op"]
 # The per-layer metrics of a `--trace 1` run that do not read a wall clock:
 # exactly the names whose one-second rerun reproduced the committed
 # ten-second value on all three steady workloads when this check was added
-# (37 of the 62; the other 25 are ns / ms / GB/s / process-share readings).
+# (37 of the 62; the other 25 are ns / ms / GB/s / process-share readings),
+# less the three `core.recovery.*`: a steady workload's traced run takes
+# them from one failover scenario it runs as a probe, so they say nothing
+# about that workload, and they are compared where they are the subject —
+# in `failover`'s fixed-count gate.
 EXACT_TRACED = [
     "sim.kernel.events_per_op", "sim.net.msgs_per_op",
     "sim.disk.syncs_per_op", "sim.disk.reqs_per_sync",
@@ -45,9 +61,7 @@ EXACT_TRACED = [
     "core.client.cond_ops_per_s", "core.client.scan_ops_per_s",
     "core.client.retries_per_kop", "core.client.ring_refreshes",
     "core.client.cond_mismatch_share", "core.node.follower_page_share",
-    "core.node.allocs_per_put", "core.recovery.takeover_ms",
-    "core.recovery.catchup_ms", "core.recovery.leader_changes",
-    "wal.bytes_per_op", "wal.segments_end",
+    "core.node.allocs_per_put", "wal.bytes_per_op", "wal.segments_end",
     "storage.store.point_gets", "storage.store.compactions",
     "storage.store.compacted_bytes_per_user_byte", "storage.store.space_amp",
     "storage.store.levels", "storage.store.l0_tables_max",
@@ -77,25 +91,43 @@ def bench_file(workload):
     return ROOT / f"BENCH_{workload}.json"
 
 
-def update():
-    for workload in STEADY + INFORMATIONAL:
+def values(result, names):
+    return {name: result["metrics"][name]["value"] for name in names}
+
+
+def failover_gate():
+    """The fixed-count failover run: the values the gate compares."""
+    return {"seconds": FAILOVER_GATE_SECONDS,
+            **values(run(FAILOVER, FAILOVER_GATE_SECONDS, 0), EXACT),
+            **values(run(FAILOVER, FAILOVER_GATE_SECONDS, 1), RECOVERY)}
+
+
+def update(workloads):
+    for workload in workloads or STEADY + [FAILOVER]:
         doc = {"workload": workload, "seed": SEED, "seconds": 10,
                "timed": run(workload, 10, 0), "traced": run(workload, 10, 1)}
+        if workload == FAILOVER:
+            doc["gate"] = failover_gate()
         bench_file(workload).write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {bench_file(workload).name}")
 
 
+def compare(workload, committed, measured, names):
+    """Print one line per metric; True when any differs."""
+    for name in names:
+        verdict = "ok" if committed[name] == measured[name] else "DRIFT"
+        print(f"{workload:13} {name:29} committed {committed[name]!r:>20} "
+              f"measured {measured[name]!r:>20}  {verdict}")
+    return any(committed[name] != measured[name] for name in names)
+
+
 def check():
     drifted = False
-    for workload in STEADY + INFORMATIONAL:
-        committed = json.loads(bench_file(workload).read_text())["timed"]["metrics"]
-        measured = run(workload, 1, 0)["metrics"]
-        for name in EXACT:
-            want, got = committed[name]["value"], measured[name]["value"]
-            gate = workload in STEADY
-            verdict = "ok" if want == got else ("DRIFT" if gate else "differs (informational)")
-            print(f"{workload:13} {name:14} committed {want!r:>20} measured {got!r:>20}  {verdict}")
-            drifted |= gate and want != got
+    for workload in STEADY:
+        committed = values(json.loads(bench_file(workload).read_text())["timed"], EXACT)
+        drifted |= compare(workload, committed, values(run(workload, 1, 0), EXACT), EXACT)
+    committed = json.loads(bench_file(FAILOVER).read_text())["gate"]
+    drifted |= compare(FAILOVER, committed, failover_gate(), EXACT + RECOVERY)
     for workload in STEADY:
         committed = json.loads(bench_file(workload).read_text())["traced"]["metrics"]
         measured = run(workload, 1, 1)["metrics"]
@@ -112,4 +144,7 @@ def check():
 
 
 if __name__ == "__main__":
-    update() if sys.argv[1:] == ["--update"] else check()
+    if sys.argv[1:2] == ["--update"]:
+        update(sys.argv[2:])
+    else:
+        check()
