@@ -26,7 +26,7 @@
 //! served at — which is how a paged, multi-range scan pins one
 //! consistent cut end to end.
 
-use crate::codec::{self, Decode, Encode};
+use crate::codec::{self, Decode, Encode, Source};
 use crate::error::{Error, Result};
 use crate::types::{ColumnName, Consistency, Key, NodeId, SnapshotTs, Timestamp, Value, Version};
 
@@ -380,7 +380,7 @@ impl Encode for Consistency {
 }
 
 impl Decode for Consistency {
-    fn decode(buf: &mut &[u8]) -> Result<Consistency> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Consistency> {
         match codec::get_u8(buf)? {
             0 => Ok(Consistency::Strong),
             1 => Ok(Consistency::Timeline),
@@ -422,7 +422,7 @@ impl Encode for ClientError {
 }
 
 impl Decode for ClientError {
-    fn decode(buf: &mut &[u8]) -> Result<ClientError> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ClientError> {
         match codec::get_u8(buf)? {
             0 => {
                 let hint = match codec::get_u8(buf)? {
@@ -451,10 +451,10 @@ fn put_opt_key(buf: &mut Vec<u8>, key: &Option<Key>) {
     }
 }
 
-fn get_opt_key(buf: &mut &[u8]) -> Result<Option<Key>> {
+fn get_opt_key(buf: &mut Source<'_>) -> Result<Option<Key>> {
     match codec::get_u8(buf)? {
         0 => Ok(None),
-        1 => Ok(Some(Key::decode(buf)?)),
+        1 => Ok(Some(Key::decode_from(buf)?)),
         tag => Err(Error::Codec(format!("bad Option<Key> tag {tag}"))),
     }
 }
@@ -479,15 +479,15 @@ impl Encode for ColumnSelect {
 }
 
 impl Decode for ColumnSelect {
-    fn decode(buf: &mut &[u8]) -> Result<ColumnSelect> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ColumnSelect> {
         match codec::get_u8(buf)? {
             0 => Ok(ColumnSelect::All),
-            1 => Ok(ColumnSelect::One(codec::get_bytes(buf)?)),
+            1 => Ok(ColumnSelect::One(buf.bytes()?)),
             2 => {
                 let n = codec::get_varint_len(buf, "list", 1)?;
                 let mut cols = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    cols.push(codec::get_bytes(buf)?);
+                    cols.push(buf.bytes()?);
                 }
                 Ok(ColumnSelect::Set(cols))
             }
@@ -547,55 +547,55 @@ impl Encode for ClientOp {
 }
 
 impl Decode for ClientOp {
-    fn decode(buf: &mut &[u8]) -> Result<ClientOp> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ClientOp> {
         match codec::get_u8(buf)? {
             0 => Ok(ClientOp::Get {
-                key: Key::decode(buf)?,
-                columns: ColumnSelect::decode(buf)?,
-                consistency: Consistency::decode(buf)?,
+                key: Key::decode_from(buf)?,
+                columns: ColumnSelect::decode_from(buf)?,
+                consistency: Consistency::decode_from(buf)?,
             }),
             1 => {
-                let key = Key::decode(buf)?;
+                let key = Key::decode_from(buf)?;
                 let n = codec::get_varint_len(buf, "list", 1)?;
                 if n == 0 {
                     return Err(Error::Codec("Put with zero cells".into()));
                 }
                 let mut cells = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    let col = codec::get_bytes(buf)?;
-                    let value = codec::get_bytes(buf)?;
+                    let col = buf.bytes()?;
+                    let value = buf.bytes()?;
                     cells.push((col, value));
                 }
                 Ok(ClientOp::Put { key, cells })
             }
             2 => {
-                let key = Key::decode(buf)?;
+                let key = Key::decode_from(buf)?;
                 let n = codec::get_varint_len(buf, "list", 1)?;
                 if n == 0 {
                     return Err(Error::Codec("Delete with zero columns".into()));
                 }
                 let mut columns = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    columns.push(codec::get_bytes(buf)?);
+                    columns.push(buf.bytes()?);
                 }
                 Ok(ClientOp::Delete { key, columns })
             }
             3 => Ok(ClientOp::ConditionalPut {
-                key: Key::decode(buf)?,
-                col: codec::get_bytes(buf)?,
-                value: codec::get_bytes(buf)?,
+                key: Key::decode_from(buf)?,
+                col: buf.bytes()?,
+                value: buf.bytes()?,
                 expected: codec::get_u64(buf)?,
             }),
             4 => Ok(ClientOp::ConditionalDelete {
-                key: Key::decode(buf)?,
-                col: codec::get_bytes(buf)?,
+                key: Key::decode_from(buf)?,
+                col: buf.bytes()?,
                 expected: codec::get_u64(buf)?,
             }),
             5 => Ok(ClientOp::Scan {
-                start: Key::decode(buf)?,
+                start: Key::decode_from(buf)?,
                 end: get_opt_key(buf)?,
                 limit: codec::get_u32(buf)?,
-                consistency: Consistency::decode(buf)?,
+                consistency: Consistency::decode_from(buf)?,
             }),
             tag => Err(Error::Codec(format!("bad ClientOp tag {tag}"))),
         }
@@ -611,11 +611,11 @@ impl Encode for ClientRequest {
 }
 
 impl Decode for ClientRequest {
-    fn decode(buf: &mut &[u8]) -> Result<ClientRequest> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ClientRequest> {
         Ok(ClientRequest {
             req: codec::get_u64(buf)?,
             ring_version: codec::get_u64(buf)?,
-            op: ClientOp::decode(buf)?,
+            op: ClientOp::decode_from(buf)?,
         })
     }
 }
@@ -635,11 +635,11 @@ impl Encode for ReadCell {
 }
 
 impl Decode for ReadCell {
-    fn decode(buf: &mut &[u8]) -> Result<ReadCell> {
-        let col = codec::get_bytes(buf)?;
+    fn decode_from(buf: &mut Source<'_>) -> Result<ReadCell> {
+        let col = buf.bytes()?;
         let value = match codec::get_u8(buf)? {
             0 => None,
-            1 => Some(codec::get_bytes(buf)?),
+            1 => Some(buf.bytes()?),
             tag => return Err(Error::Codec(format!("bad ReadCell tag {tag}"))),
         };
         Ok(ReadCell { col, value, version: codec::get_u64(buf)? })
@@ -657,12 +657,12 @@ impl Encode for ScanRow {
 }
 
 impl Decode for ScanRow {
-    fn decode(buf: &mut &[u8]) -> Result<ScanRow> {
-        let key = Key::decode(buf)?;
+    fn decode_from(buf: &mut Source<'_>) -> Result<ScanRow> {
+        let key = Key::decode_from(buf)?;
         let n = codec::get_varint_len(buf, "list", 1)?;
         let mut cells = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            cells.push(ReadCell::decode(buf)?);
+            cells.push(ReadCell::decode_from(buf)?);
         }
         Ok(ScanRow { key, cells })
     }
@@ -706,7 +706,7 @@ impl Encode for ClientReply {
 }
 
 impl Decode for ClientReply {
-    fn decode(buf: &mut &[u8]) -> Result<ClientReply> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ClientReply> {
         match codec::get_u8(buf)? {
             0 => Ok(ClientReply::WriteOk {
                 req: codec::get_u64(buf)?,
@@ -718,7 +718,7 @@ impl Decode for ClientReply {
                 let n = codec::get_varint_len(buf, "list", 1)?;
                 let mut cells = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    cells.push(ReadCell::decode(buf)?);
+                    cells.push(ReadCell::decode_from(buf)?);
                 }
                 Ok(ClientReply::Row { req, cells, at_ts: codec::get_u64(buf)? })
             }
@@ -727,7 +727,7 @@ impl Decode for ClientReply {
                 let n = codec::get_varint_len(buf, "list", 1)?;
                 let mut rows = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    rows.push(ScanRow::decode(buf)?);
+                    rows.push(ScanRow::decode_from(buf)?);
                 }
                 Ok(ClientReply::Rows {
                     req,
@@ -736,9 +736,10 @@ impl Decode for ClientReply {
                     at_ts: codec::get_u64(buf)?,
                 })
             }
-            3 => {
-                Ok(ClientReply::Err { req: codec::get_u64(buf)?, error: ClientError::decode(buf)? })
-            }
+            3 => Ok(ClientReply::Err {
+                req: codec::get_u64(buf)?,
+                error: ClientError::decode_from(buf)?,
+            }),
             tag => Err(Error::Codec(format!("bad ClientReply tag {tag}"))),
         }
     }

@@ -7,6 +7,16 @@
 //!
 //! The [`Encode`]/[`Decode`] traits are implemented for the common types so
 //! record structs can be composed field by field.
+//!
+//! Decoding runs over a [`Source`]: the bytes still to read, plus —
+//! optionally — the [`Bytes`] buffer they are a part of. Every decoder
+//! has one body, [`Decode::decode_from`]; what differs between sources is
+//! only what [`Source::bytes`] hands back for a byte string. Over a plain
+//! slice ([`Decode::decode`]) it is a copy. Over a shared buffer
+//! ([`Source::shared`]) it is a view of that buffer — a reference-count
+//! bump — so a row decoded out of a cached block or an op decoded out of
+//! a log frame allocates for its containers only, and keeps the buffer
+//! alive for as long as any of its keys, names or values is held.
 
 use bytes::Bytes;
 
@@ -27,11 +37,96 @@ pub trait Encode {
     }
 }
 
-/// Types that can deserialize themselves from a byte slice, consuming what
-/// they read (the slice is advanced in place).
+/// Types that can deserialize themselves from the front of a byte
+/// source, consuming what they read.
 pub trait Decode: Sized {
-    /// Decode from the front of `buf`, advancing it past the consumed bytes.
-    fn decode(buf: &mut &[u8]) -> Result<Self>;
+    /// Decode from the front of `src`, advancing it past the consumed
+    /// bytes. Byte strings the value keeps come from [`Source::bytes`]
+    /// (nested values from their own `decode_from`), so they are views
+    /// when `src` is shared and copies when it is not; everything else
+    /// reads through the `get_*` functions, which take a `&mut Source` as
+    /// the `&mut &[u8]` it dereferences to.
+    fn decode_from(src: &mut Source<'_>) -> Result<Self>;
+
+    /// Decode from the front of `buf`, advancing it past the consumed
+    /// bytes. The value owns copies of the byte strings it keeps.
+    fn decode(buf: &mut &[u8]) -> Result<Self> {
+        let mut src = Source::copying(buf);
+        let value = Self::decode_from(&mut src)?;
+        *buf = src.rest;
+        Ok(value)
+    }
+}
+
+/// What a decoder reads from: a cursor over the bytes still to read and,
+/// when they are part of a [`Bytes`] buffer, that buffer — so byte
+/// strings can be cut out of it as views instead of copied.
+///
+/// Dereferences to the cursor (`&[u8]`): `src.len()`, `src.is_empty()`
+/// and every `get_*` function of this module work on a `Source` directly.
+pub struct Source<'a> {
+    rest: &'a [u8],
+    owner: Option<&'a Bytes>,
+}
+
+impl<'a> Source<'a> {
+    /// Read `buf`; byte strings are copied out of it.
+    pub fn copying(buf: &'a [u8]) -> Source<'a> {
+        Source { rest: buf, owner: None }
+    }
+
+    /// Read `part`, a slice **of `owner`** (all of it, or what is left of
+    /// it after a header); byte strings are views of `owner`.
+    ///
+    /// # Panics
+    /// [`Source::bytes`] panics, as [`Bytes::slice_ref`] does, when
+    /// `part` is not inside `owner`: a bug in the caller, never a
+    /// property of the bytes read.
+    pub fn shared(owner: &'a Bytes, part: &'a [u8]) -> Source<'a> {
+        Source { rest: part, owner: Some(owner) }
+    }
+
+    /// Read a length-prefixed byte string as an owned `Bytes`: a view of
+    /// the shared buffer, or a copy when there is none.
+    pub fn bytes(&mut self) -> Result<Bytes> {
+        get_byte_slice(&mut self.rest).map(|s| self.keep(s))
+    }
+
+    /// `s`, a slice read from this source, as an owned `Bytes`.
+    pub fn keep(&self, s: &[u8]) -> Bytes {
+        match self.owner {
+            Some(owner) => owner.slice_ref(s),
+            None => Bytes::copy_from_slice(s),
+        }
+    }
+
+    /// The bytes not yet read.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Cut the next `n` bytes off as a source of their own (shared the
+    /// way this one is), or `None` — nothing consumed — when fewer are
+    /// left: how a length-framed body is handed to its decoder.
+    pub fn take(&mut self, n: usize) -> Option<Source<'a>> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(Source { rest: head, owner: self.owner })
+    }
+}
+
+impl<'a> std::ops::Deref for Source<'a> {
+    type Target = &'a [u8];
+
+    fn deref(&self) -> &&'a [u8] {
+        &self.rest
+    }
+}
+
+impl std::ops::DerefMut for Source<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.rest
+    }
 }
 
 fn eof(what: &str) -> Error {
@@ -174,7 +269,8 @@ pub fn get_byte_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     Ok(head)
 }
 
-/// Read a length-prefixed byte string as an owned `Bytes`.
+/// Read a length-prefixed byte string as an owned `Bytes` (a copy; a
+/// decoder wants [`Source::bytes`]).
 pub fn get_bytes(buf: &mut &[u8]) -> Result<Bytes> {
     get_byte_slice(buf).map(Bytes::copy_from_slice)
 }
@@ -188,7 +284,7 @@ impl Encode for Lsn {
 }
 
 impl Decode for Lsn {
-    fn decode(buf: &mut &[u8]) -> Result<Lsn> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Lsn> {
         Ok(Lsn::from_u64(get_u64(buf)?))
     }
 }
@@ -200,8 +296,8 @@ impl Encode for Key {
 }
 
 impl Decode for Key {
-    fn decode(buf: &mut &[u8]) -> Result<Key> {
-        Ok(Key(get_bytes(buf)?))
+    fn decode_from(buf: &mut Source<'_>) -> Result<Key> {
+        Ok(Key(buf.bytes()?))
     }
 }
 
@@ -224,9 +320,9 @@ fn get_cv_parts<'a>(buf: &mut &'a [u8]) -> Result<(bool, u64, u64, &'a [u8])> {
     Ok((tombstone, get_u64(buf)?, get_u64(buf)?, get_byte_slice(buf)?))
 }
 
-fn get_cv_fields(buf: &mut &[u8]) -> Result<ColumnValue> {
+fn get_cv_fields(buf: &mut Source<'_>) -> Result<ColumnValue> {
     let (tombstone, version, timestamp, value) = get_cv_parts(buf)?;
-    let value = Bytes::copy_from_slice(value);
+    let value = buf.keep(value);
     Ok(ColumnValue { value, version, timestamp, tombstone, older: Vec::new() })
 }
 
@@ -340,10 +436,13 @@ impl Encode for ColumnValue {
 }
 
 impl Decode for ColumnValue {
-    fn decode(buf: &mut &[u8]) -> Result<ColumnValue> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<ColumnValue> {
         let mut head = get_cv_fields(buf)?;
+        // Sized exactly: `get_chain_len` has bounded `n` by the input
+        // left, and a hot row's chain — decoded on every read of it —
+        // runs to hundreds of versions.
         let n = get_chain_len(buf)?;
-        let mut older = Vec::with_capacity(n.min(64));
+        let mut older = Vec::with_capacity(n);
         for _ in 0..n {
             older.push(get_cv_fields(buf)?);
         }
@@ -363,12 +462,12 @@ impl Encode for Row {
 }
 
 impl Decode for Row {
-    fn decode(buf: &mut &[u8]) -> Result<Row> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Row> {
         let n = get_column_count(buf)?;
         let mut row = Row::new();
         for _ in 0..n {
-            let name = get_bytes(buf)?;
-            let cv = ColumnValue::decode(buf)?;
+            let name = buf.bytes()?;
+            let cv = ColumnValue::decode_from(buf)?;
             row.set(name, cv);
         }
         Ok(row)
@@ -440,6 +539,53 @@ mod tests {
         let decoded = Row::decode(&mut enc.as_slice()).unwrap();
         assert_eq!(decoded, row, "the MVCC chain survives the codec");
         assert_eq!(decoded.visible_at(20).get(b"c").unwrap().value.as_ref(), b"v2");
+    }
+
+    #[test]
+    fn a_shared_source_hands_out_views_and_a_plain_one_copies() {
+        let mut row = Row::new();
+        for (col, v) in [("a", 1u64), ("a", 2), ("bb", 3)] {
+            row.apply_version(
+                Bytes::from(col),
+                ColumnValue::live(Bytes::from(format!("value-{v}")), Lsn::new(1, v), v),
+            );
+        }
+        // The row sits behind a header, as it does in a block or a frame.
+        let mut buf = b"header".to_vec();
+        row.encode(&mut buf);
+        let buf = Bytes::from(buf);
+        let inside = |b: &Bytes| buf.as_ptr_range().contains(&b.as_ptr());
+        let cells = |row: &Row| -> Vec<Bytes> {
+            let values = row.columns.values().flat_map(|cv| cv.versions().map(|v| v.value.clone()));
+            row.columns.keys().cloned().chain(values).collect()
+        };
+
+        let mut src = Source::shared(&buf, &buf[6..]);
+        let shared = Row::decode_from(&mut src).unwrap();
+        assert!(src.is_empty());
+        assert_eq!(shared, row);
+        assert_eq!(cells(&shared).len(), 5);
+        assert!(cells(&shared).iter().all(inside), "names and values are views of the buffer");
+
+        let copied = Row::decode(&mut &buf[6..]).unwrap();
+        assert_eq!(copied, row);
+        assert!(!cells(&copied).iter().any(inside), "a plain slice is copied from");
+    }
+
+    #[test]
+    fn take_cuts_a_framed_body_off_the_front() {
+        let buf = Bytes::from(b"abcdef".to_vec());
+        let mut src = Source::shared(&buf, &buf);
+        assert!(src.take(7).is_none(), "not that many left");
+        assert_eq!(src.len(), 6, "and nothing consumed");
+        let head = src.take(4).unwrap();
+        assert_eq!((head.rest(), src.rest()), (&b"abcd"[..], &b"ef"[..]));
+        assert_eq!(
+            head.keep(&head.rest()[1..3]).as_ptr(),
+            buf[1..].as_ptr(),
+            "shared like its parent"
+        );
+        assert!(src.take(0).unwrap().is_empty());
     }
 
     #[test]

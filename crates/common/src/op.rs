@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 
-use crate::codec::{self, Decode, Encode};
+use crate::codec::{self, Decode, Encode, Source};
 use crate::error::{Error, Result};
 use crate::lsn::Lsn;
 use crate::types::{ColumnName, ColumnValue, Key, Row, Timestamp, Value};
@@ -126,14 +126,14 @@ impl Encode for CellOp {
 }
 
 impl Decode for CellOp {
-    fn decode(buf: &mut &[u8]) -> Result<CellOp> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<CellOp> {
         match codec::get_u8(buf)? {
             0 => {
-                let col = codec::get_bytes(buf)?;
-                let value = codec::get_bytes(buf)?;
+                let col = buf.bytes()?;
+                let value = buf.bytes()?;
                 Ok(CellOp::Put { col, value })
             }
-            1 => Ok(CellOp::Delete { col: codec::get_bytes(buf)? }),
+            1 => Ok(CellOp::Delete { col: buf.bytes()? }),
             tag => Err(Error::Codec(format!("bad CellOp tag {tag}"))),
         }
     }
@@ -151,8 +151,8 @@ impl Encode for WriteOp {
 }
 
 impl Decode for WriteOp {
-    fn decode(buf: &mut &[u8]) -> Result<WriteOp> {
-        let key = Key::decode(buf)?;
+    fn decode_from(buf: &mut Source<'_>) -> Result<WriteOp> {
+        let key = Key::decode_from(buf)?;
         let timestamp = codec::get_u64(buf)?;
         let n = codec::get_varint(buf)? as usize;
         if n == 0 {
@@ -160,7 +160,7 @@ impl Decode for WriteOp {
         }
         let mut cells = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            cells.push(CellOp::decode(buf)?);
+            cells.push(CellOp::decode_from(buf)?);
         }
         Ok(WriteOp { key, timestamp, cells })
     }

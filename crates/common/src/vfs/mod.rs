@@ -21,6 +21,8 @@ pub use mem::MemVfs;
 
 use std::sync::Arc;
 
+use bytes::{Bytes, BytesMut};
+
 use crate::error::Result;
 
 /// A file system namespace.
@@ -65,8 +67,9 @@ pub trait Vfs: Send + Sync {
     }
 }
 
-/// An open file handle.
-pub trait VfsFile: Send {
+/// An open file handle. `Sync` because reads take `&self`: an open table
+/// shares its one handle between its readers.
+pub trait VfsFile: Send + Sync {
     /// Read up to `buf.len()` bytes at `offset`; returns bytes read
     /// (short reads only at end-of-file).
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize>;
@@ -81,6 +84,15 @@ pub trait VfsFile: Send {
             )));
         }
         Ok(())
+    }
+
+    /// Read exactly `len` bytes at `offset` into a buffer of their own
+    /// and hand it back as the [`Bytes`] that views it — one allocation,
+    /// no copy — for readers that decode views out of what they read.
+    fn read_bytes_at(&self, offset: u64, len: usize) -> Result<Bytes> {
+        let mut buf = BytesMut::zeroed(len);
+        self.read_exact_at(offset, &mut buf)?;
+        Ok(buf.freeze())
     }
 
     /// Append bytes at the end of the file.

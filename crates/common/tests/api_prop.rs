@@ -11,7 +11,11 @@ use spinnaker_common::api::{
     ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, ReadCell, ScanRow,
 };
 use spinnaker_common::codec::{Decode, Encode};
-use spinnaker_common::{Consistency, Key, SnapshotTs};
+use spinnaker_common::{CellOp, ColumnValue, Consistency, Key, Row, SnapshotTs, WriteOp};
+
+#[path = "support/decode_equiv.rs"]
+mod decode_equiv;
+use decode_equiv::{assert_decodes_alike, assert_decodes_alike_when_damaged};
 
 fn bytes_strat() -> impl Strategy<Value = Bytes> {
     proptest::collection::vec(any::<u8>(), 0..24).prop_map(Bytes::from)
@@ -101,6 +105,43 @@ fn error_strat() -> impl Strategy<Value = ClientError> {
     ]
 }
 
+fn column_value_strat() -> impl Strategy<Value = ColumnValue> {
+    let version = || {
+        (bytes_strat(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+            |(value, version, timestamp, tombstone)| ColumnValue {
+                value,
+                version,
+                timestamp,
+                tombstone,
+                older: Vec::new(),
+            },
+        )
+    };
+    (version(), proptest::collection::vec(version(), 0..3)).prop_map(|(mut head, older)| {
+        head.older = older;
+        head
+    })
+}
+
+fn stored_row_strat() -> impl Strategy<Value = Row> {
+    proptest::collection::vec((bytes_strat(), column_value_strat()), 0..4).prop_map(|cols| {
+        let mut row = Row::new();
+        for (name, cv) in cols {
+            row.set(name, cv);
+        }
+        row
+    })
+}
+
+fn write_op_strat() -> impl Strategy<Value = WriteOp> {
+    let cell = prop_oneof![
+        (bytes_strat(), bytes_strat()).prop_map(|(col, value)| CellOp::Put { col, value }),
+        bytes_strat().prop_map(|col| CellOp::Delete { col }),
+    ];
+    (key_strat(), any::<u64>(), proptest::collection::vec(cell, 1..4))
+        .prop_map(|(key, timestamp, cells)| WriteOp { key, cells, timestamp })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -121,6 +162,29 @@ proptest! {
         let decoded = ClientReply::decode(&mut slice).expect("decode");
         prop_assert_eq!(decoded, reply);
         prop_assert!(slice.is_empty(), "decode consumed the full encoding");
+    }
+
+    /// Decoding over a shared buffer (cells are views of it) and over a
+    /// plain slice (cells are copies) is one decoder: same verdict, same
+    /// value, same bytes consumed — on well-formed input, on every
+    /// truncation of it, with a bit flipped, and on noise. Every length,
+    /// count and flag check holds for both or for neither.
+    #[test]
+    fn shared_and_copying_decode_agree(
+        row in stored_row_strat(),
+        op in write_op_strat(),
+        request in op_strat(),
+        flip in any::<u16>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let flip = flip as usize;
+        assert_decodes_alike_when_damaged::<Row>(&row.encode_to_vec(), flip);
+        assert_decodes_alike_when_damaged::<WriteOp>(&op.encode_to_vec(), flip);
+        let request = ClientRequest { req: 7, ring_version: 3, op: request };
+        assert_decodes_alike_when_damaged::<ClientRequest>(&request.encode_to_vec(), flip);
+        assert_decodes_alike::<Row>(&noise);
+        assert_decodes_alike::<WriteOp>(&noise);
+        assert_decodes_alike::<ClientRequest>(&noise);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! and truncate long ones, disagreeing with byte order exactly at range
 //! boundaries — see the boundary regression tests below.)
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::{Error, Key, NodeId, RangeId, Result};
 
 /// Replication factor (the paper fixes N = 3 and so do we by default).
@@ -380,7 +380,7 @@ impl Encode for Ring {
 }
 
 impl Decode for Ring {
-    fn decode(buf: &mut &[u8]) -> Result<Ring> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Ring> {
         let version = codec::get_u64(buf)?;
         let nodes = codec::get_u32(buf)? as usize;
         let replication = codec::get_u32(buf)? as usize;
@@ -389,10 +389,10 @@ impl Decode for Ring {
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
             let id = RangeId(codec::get_u32(buf)?);
-            let start = Key(codec::get_bytes(buf)?);
+            let start = Key(buf.bytes()?);
             let end = match codec::get_u8(buf)? {
                 0 => None,
-                _ => Some(Key(codec::get_bytes(buf)?)),
+                _ => Some(Key(buf.bytes()?)),
             };
             let c = codec::get_varint(buf)? as usize;
             let mut cohort = Vec::with_capacity(c);

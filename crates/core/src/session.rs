@@ -620,6 +620,26 @@ mod tests {
         assert_eq!(s.launch().len(), 1);
     }
 
+    /// `launch` gives every non-scan call `Key::default()` as its cursor.
+    /// That costs nothing: an empty key has no storage of its own — all
+    /// of them are views of one static empty buffer (the count itself is
+    /// pinned in `tests/alloc_budget.rs`, which has the allocator for it).
+    #[test]
+    fn the_cursor_of_a_point_call_is_the_storage_less_empty_key() {
+        let (a, b) = (Key::default(), Key::default());
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr(), "one shared empty buffer");
+        let mut s = Session::new(Ring::with_nodes(3), 4);
+        s.submit(SessionCall::Get {
+            key: Key::from("k"),
+            columns: ColumnSelect::All,
+            consistency: Consistency::Strong,
+        });
+        let req = s.launch()[0];
+        let cursor = &s.pending[&req].cursor;
+        assert_eq!(cursor.as_bytes().as_ptr(), a.as_bytes().as_ptr());
+    }
+
     #[test]
     fn stale_replies_are_ignored_after_retransmit() {
         let mut s = Session::new(Ring::with_nodes(3), 1);

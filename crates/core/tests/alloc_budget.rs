@@ -266,3 +266,83 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     // outbox growing to hold eight messages.
     assert!(*allocs <= (TAIL / 4) as u64, "{allocs} allocations re-proposing {TAIL} writes");
 }
+
+/// Catch-up moves committed history out of the leader's log into a
+/// follower's log and memtable. A follower that missed 512 one-KB writes
+/// (114 frames: a single and a group of eight per round) asks once; what the leader allocates serving them
+/// grows with the frames it reads and the ops it ships — an op's key,
+/// column and value are views of its frame — and what the follower
+/// allocates ingesting them is per op: its copy for a log record of its
+/// own, and its memtable row. Neither count follows the size of the
+/// values.
+#[test]
+fn catch_up_allocates_per_frame_and_op_not_per_cell() {
+    const N: u64 = 512;
+    const FRAMES: u64 = 2 * N.div_ceil(ROUND);
+    let catch_up = |value_len: usize| {
+        let mut trio = Trio::new();
+        trio.dead[2] = true;
+        let value = vec![b'v'; value_len];
+        for k in 0..N {
+            let req = put_request(k, u64_to_key(k % 4096), "column", &value);
+            trio.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
+            if k % ROUND == ROUND - 1 {
+                trio.pump();
+            }
+        }
+        trio.pump();
+        trio.queue.push_back((0, NodeInput::Timer(TimerKind::CommitPeriod)));
+        trio.pump();
+        assert_eq!(trio.written, N);
+        assert_eq!(trio.nodes[0].last_committed(RangeId(0)).seq(), N);
+
+        // Node 2 comes back and hears who leads.
+        trio.dead[2] = false;
+        let before = trio.allocs;
+        let epoch = trio.nodes[0].epoch_of(RangeId(0));
+        let hello = PeerMsg::LeaderHello { range: RangeId(0), epoch, leader: 0 };
+        trio.queue.push_back((2, NodeInput::Peer { from: 0, msg: hello }));
+        trio.pump();
+        assert_eq!(trio.nodes[2].role(RangeId(0)), Role::Follower, "caught up");
+        assert_eq!(trio.nodes[2].last_committed(RangeId(0)).seq(), N);
+        (trio.allocs[0] - before[0], trio.allocs[2] - before[2])
+    };
+    let (leader, follower) = catch_up(1024);
+    // Leader, measured 1 431 (2 967 when decoding copied a key, a name
+    // and a value per op). Per frame: its buffer, the boxed record, the
+    // op list and the batch it becomes; per op: the decoded cell list and
+    // the shipped copy's.
+    assert!(leader <= 2 * N + 4 * FRAMES + 32, "leader: {leader} allocations serving {N} ops");
+    // Follower, measured 1 780. Per op: the cell list and the one-op
+    // batch of its log record, the memtable row; per six ops or so a leaf
+    // each of the log index, the memtable and the two LSN sets catch-up
+    // compares.
+    assert!(follower <= 7 * N / 2 + 32, "follower: {follower} allocations ingesting {N} ops");
+    assert_eq!(catch_up(64), (leader, follower), "the count does not follow the value size");
+}
+
+/// Launching a call costs its window slot (a node of the pending map now
+/// and then) and the list of request ids handed back — not a cursor: the
+/// empty key a point call starts with has no storage.
+#[test]
+fn launching_a_call_allocates_no_cursor() {
+    use spinnaker_common::{ColumnSelect, Consistency, Key};
+    use spinnaker_core::session::{Session, SessionCall};
+    let (allocs, key) = allocations(Key::default);
+    assert!(key.is_empty());
+    assert_eq!(allocs, 0, "an empty key");
+    let mut session = Session::new(Ring::with_nodes(3), 64);
+    let launch = |session: &mut Session| {
+        session.submit(SessionCall::Get {
+            key: u64_to_key(7),
+            columns: ColumnSelect::All,
+            consistency: Consistency::Strong,
+        });
+        let (allocs, reqs) = allocations(|| session.launch());
+        assert_eq!(reqs.len(), 1);
+        allocs
+    };
+    // The first launch makes the pending map's root; the next ones fill it.
+    launch(&mut session);
+    assert_eq!(launch(&mut session), 1, "the returned list of one request id");
+}

@@ -1,5 +1,5 @@
-//! A loaded SSTable data block: the CRC-verified raw body, the offsets of
-//! its entries, and the rows point gets have asked it for.
+//! A loaded SSTable data block: the CRC-verified raw body and the
+//! offsets of its entries.
 //!
 //! A block is `(key, row)*` in key order, each key a length-prefixed byte
 //! string and each row in the [`spinnaker_common::codec`] encoding.
@@ -10,15 +10,15 @@
 //! never decoded at all. Compaction reads entries as stored
 //! (`Block::raw_entry`) and moves the rows it need not change as bytes.
 //!
-//! A row a point get returns is also **kept**, decoded, beside the body:
-//! the next get of that key clones it (reference-count bumps on its
-//! values) instead of decoding it again. Hot rows are the ones with long
-//! MVCC chains — they are rewritten most — so without this a cache hit on
-//! one would cost an allocation per retained version, every time.
+//! The body is a [`Bytes`], and a decoded key, column name or value is a
+//! view of it: decoding a row allocates its map node (and a vector per
+//! version chain) and bumps the body's reference count per cell, whatever
+//! the cells' sizes. A row handed out keeps the body alive — past its
+//! eviction from the cache, if it comes to that — until the row is
+//! dropped.
 
-use std::sync::OnceLock;
-
-use spinnaker_common::codec::{self, Decode};
+use bytes::Bytes;
+use spinnaker_common::codec::{self, Decode, Source};
 use spinnaker_common::{Error, Key, Result, Row};
 
 /// Where one entry sits in the body: its key is `body[key..row]`, its
@@ -31,18 +31,15 @@ struct Entry {
 
 /// One data block, as cached and as read.
 pub struct Block {
-    body: Vec<u8>,
+    body: Bytes,
     entries: Vec<Entry>,
-    /// Per entry (same length as `entries`): the decoded row, once a
-    /// point get has returned it.
-    kept: Vec<OnceLock<Row>>,
 }
 
 impl Block {
     /// Index `body` (already checksum-verified). A body that is not a
     /// well-formed run of entries is a typed error, so every offset
     /// recorded here is in bounds and every row decodes.
-    pub(crate) fn parse(body: Vec<u8>) -> Result<Block> {
+    pub(crate) fn parse(body: Bytes) -> Result<Block> {
         let offset = |n: usize| {
             u32::try_from(n).map_err(|_| Error::Codec(format!("block offset {n} overflows u32")))
         };
@@ -56,16 +53,16 @@ impl Block {
             entries.push(Entry { key: offset(row - key_len)?, row: offset(row)? });
             codec::skip_row(&mut cur)?;
         }
-        let kept = entries.iter().map(|_| OnceLock::new()).collect();
-        Ok(Block { body, entries, kept })
+        Ok(Block { body, entries })
     }
 
     fn key_at(&self, e: Entry) -> &[u8] {
         &self.body[e.key as usize..e.row as usize]
     }
 
+    /// The entry's row, its names and values views of the body.
     fn decode_row(&self, e: Entry) -> Result<Row> {
-        Row::decode(&mut &self.body[e.row as usize..])
+        Row::decode_from(&mut Source::shared(&self.body, &self.body[e.row as usize..]))
     }
 
     /// Position of the first entry whose key is `>= key`.
@@ -76,17 +73,10 @@ impl Block {
     /// The row stored under exactly `key`; no other row is decoded.
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Row>> {
         let pos = self.lower_bound(key);
-        let Some(&e) = self.entries.get(pos).filter(|&&e| self.key_at(e) == key) else {
-            return Ok(None);
-        };
-        let kept = &self.kept[pos];
-        if let Some(row) = kept.get() {
-            return Ok(Some(row.clone()));
+        match self.entries.get(pos) {
+            Some(&e) if self.key_at(e) == key => self.decode_row(e).map(Some),
+            _ => Ok(None),
         }
-        let row = self.decode_row(e)?;
-        // Losing a race to another reader is fine: it kept the same row.
-        let _ = kept.set(row.clone());
-        Ok(Some(row))
     }
 
     /// Number of entries.
@@ -102,15 +92,10 @@ impl Block {
         Some((self.key_at(e), &self.body[e.row as usize..]))
     }
 
-    /// The entry at `pos` as owned values, decoded once — iteration
-    /// (scans, compaction, catch-up) reads most rows a single time, so it
-    /// keeps nothing, but reuses a row a get already kept.
+    /// The entry at `pos` decoded, key and cells views of the body.
     pub(crate) fn entry(&self, pos: usize) -> Option<Result<(Key, Row)>> {
         let e = *self.entries.get(pos)?;
-        let row = match self.kept[pos].get() {
-            Some(row) => Ok(row.clone()),
-            None => self.decode_row(e),
-        };
-        Some(row.map(|row| (Key::from(self.key_at(e)), row)))
+        let key = Key(self.body.slice(e.key as usize..e.row as usize));
+        Some(self.decode_row(e).map(|row| (key, row)))
     }
 }

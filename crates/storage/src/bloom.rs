@@ -4,7 +4,7 @@
 //! two independent 64-bit hashes of the key. Sized for a configurable
 //! bits-per-key budget (10 bits/key ≈ 1% false-positive rate).
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::{Error, Result};
 
 /// A serializable Bloom filter.
@@ -87,7 +87,7 @@ impl Encode for Bloom {
 }
 
 impl Decode for Bloom {
-    fn decode(buf: &mut &[u8]) -> Result<Bloom> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Bloom> {
         let num_bits = codec::get_u64(buf)?;
         let k = codec::get_u32(buf)?;
         // Each filter word is 8 bytes; bounding the count by the input

@@ -313,7 +313,7 @@ mod tests {
     fn block(n: usize) -> CachedBlock {
         let mut body = Key::from(format!("k{n}").as_str()).encode_to_vec();
         Row::new().encode(&mut body);
-        Arc::new(Block::parse(body).unwrap())
+        Arc::new(Block::parse(body.into()).unwrap())
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! not overlap, is re-established by [`heal_levels`] after every load and
 //! every import.
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Error, Key, Result, Timestamp};
 
@@ -107,7 +107,7 @@ impl Encode for Manifest {
 }
 
 impl Decode for Manifest {
-    fn decode(buf: &mut &[u8]) -> Result<Manifest> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Manifest> {
         if codec::get_u64(buf)? != MANIFEST_MAGIC {
             return Err(Error::Corruption("MANIFEST does not begin with its magic".into()));
         }

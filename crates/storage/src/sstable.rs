@@ -18,9 +18,10 @@
 
 use std::sync::Arc;
 
-use spinnaker_common::codec::{self, Decode, Encode, RowScan};
+use bytes::Bytes;
+use spinnaker_common::codec::{self, Decode, Encode, RowScan, Source};
 use spinnaker_common::types::DisplayBytes;
-use spinnaker_common::vfs::SharedVfs;
+use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp};
 
 use crate::block::Block;
@@ -114,7 +115,7 @@ pub struct TableBuilder {
     path: String,
     opts: TableOptions,
     ctx: TableCtx,
-    file: Box<dyn spinnaker_common::vfs::VfsFile>,
+    file: Box<dyn VfsFile>,
     offset: u64,
     block: Vec<u8>,
     block_first_key: Option<Key>,
@@ -300,6 +301,10 @@ impl TableBuilder {
 pub struct Table {
     vfs: SharedVfs,
     path: String,
+    /// The one handle every block read goes through, opened with the
+    /// table. It outlives the path: a table deleted or renamed under a
+    /// live handle is still readable through it, as on a POSIX disk.
+    file: Box<dyn VfsFile>,
     meta: TableMeta,
     index: Vec<IndexEntry>,
     bloom: Bloom,
@@ -339,12 +344,15 @@ impl Table {
         let footer_len = u32::try_from(footer_len).map_err(|_| {
             Error::Corruption(format!("{path}: implausible footer length {footer_len}"))
         })?;
+        // Keys below are views of the chunk they were read in: the footer
+        // and the index stay in memory for as long as the table is open,
+        // once, instead of once more per key.
         let footer = read_chunk(file.as_ref(), footer_off, footer_len, file_bytes, path)?;
-        let mut cur: &[u8] = &footer;
-        let min_key = Key::decode(&mut cur)?;
-        let max_key = Key::decode(&mut cur)?;
-        let min_lsn = Lsn::decode(&mut cur)?;
-        let max_lsn = Lsn::decode(&mut cur)?;
+        let mut cur = Source::shared(&footer, &footer);
+        let min_key = Key::decode_from(&mut cur)?;
+        let max_key = Key::decode_from(&mut cur)?;
+        let min_lsn = Lsn::decode_from(&mut cur)?;
+        let max_lsn = Lsn::decode_from(&mut cur)?;
         let max_ts = codec::get_u64(&mut cur)?;
         let row_count = codec::get_u64(&mut cur)?;
         let index_off = codec::get_u64(&mut cur)?;
@@ -353,25 +361,26 @@ impl Table {
         let bloom_len = codec::get_u32(&mut cur)?;
 
         let index_body = read_chunk(file.as_ref(), index_off, index_len, file_bytes, path)?;
-        let mut cur: &[u8] = &index_body;
+        let mut cur = Source::shared(&index_body, &index_body);
         // Each entry is at least a key's length byte (the empty key is a
         // legal first key), an 8-byte offset, and a 4-byte length.
         let n = codec::get_varint_len(&mut cur, "sstable index entries", 13)?;
         let mut index = Vec::with_capacity(n);
         for _ in 0..n {
-            let first_key = Key::decode(&mut cur)?;
+            let first_key = Key::decode_from(&mut cur)?;
             let offset = codec::get_u64(&mut cur)?;
             let len = codec::get_u32(&mut cur)?;
             index.push(IndexEntry { first_key, offset, len });
         }
 
         let bloom_body = read_chunk(file.as_ref(), bloom_off, bloom_len, file_bytes, path)?;
-        let bloom = Bloom::decode(&mut bloom_body.as_slice())?;
+        let bloom = Bloom::decode(&mut &bloom_body[..])?;
 
         let cache_id = ctx.cache.as_ref().map(|c| c.register_table());
         Ok(Table {
             vfs,
             path: path.to_string(),
+            file,
             meta: TableMeta { min_key, max_key, min_lsn, max_lsn, max_ts, row_count, file_bytes },
             index,
             bloom,
@@ -438,8 +447,8 @@ impl Table {
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
-        let file = self.vfs.open(&self.path)?;
-        let body = read_chunk(file.as_ref(), e.offset, e.len, self.meta.file_bytes, &self.path)?;
+        let body =
+            read_chunk(self.file.as_ref(), e.offset, e.len, self.meta.file_bytes, &self.path)?;
         // The checksum held, so a body that does not parse was written
         // wrong or forged: corruption all the same, not a codec error.
         let block = Block::parse(body).map_err(|err| {
@@ -515,14 +524,15 @@ impl Table {
 }
 
 /// Read the `len`-byte chunk at `offset` of a `file_bytes`-long file and
-/// return its body, checksum verified and stripped.
+/// return its body, checksum verified and stripped: a view of the buffer
+/// the file was read into.
 fn read_chunk(
-    file: &dyn spinnaker_common::vfs::VfsFile,
+    file: &dyn VfsFile,
     offset: u64,
     len: u32,
     file_bytes: u64,
     path: &str,
-) -> Result<Vec<u8>> {
+) -> Result<Bytes> {
     if len < 4 {
         return Err(Error::Corruption(format!("{path}: chunk shorter than its checksum")));
     }
@@ -533,8 +543,7 @@ fn read_chunk(
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"
         )));
     }
-    let mut buf = vec![0u8; len as usize];
-    file.read_exact_at(offset, &mut buf)?;
+    let buf = file.read_bytes_at(offset, len as usize)?;
     let body_len = len as usize - 4;
     let stored = match buf[body_len..].try_into() {
         Ok(tail) => u32::from_le_bytes(tail),
@@ -545,8 +554,7 @@ fn read_chunk(
     if stored != actual {
         return Err(Error::Corruption(format!("{path}: chunk checksum mismatch at {offset}")));
     }
-    buf.truncate(body_len);
-    Ok(buf)
+    Ok(buf.slice(..body_len))
 }
 
 /// A table's entries in key order, one block held at a time (so its
@@ -778,6 +786,37 @@ mod tests {
         let after = vfs.crash_clone();
         let t = Table::open(Arc::new(after), &path).unwrap();
         assert_eq!(t.meta().row_count, 50);
+    }
+
+    #[test]
+    fn delete_and_crash_clone_under_a_live_handle() {
+        use spinnaker_common::vfs::Vfs;
+        let (vfs, t) = build(200);
+        let path = t.path().to_string();
+        let shared: SharedVfs = Arc::new(vfs.clone());
+        let first = Key::from("key000000");
+        // The handle has served a read: it is live.
+        assert!(t.get(&first).unwrap().is_some());
+
+        // A crash image taken under the open table holds the whole
+        // (synced) file and opens on its own; the table goes on reading
+        // its file, whatever happens to the image.
+        let image = vfs.crash_clone();
+        let reopened = Table::open(Arc::new(image.clone()), &path).unwrap();
+        assert_eq!(reopened.meta(), t.meta());
+        reopened.delete().unwrap();
+        assert!(!image.exists(&path).unwrap());
+        assert_eq!(t.iter().count(), 200);
+
+        // A second handle on the same file, then the first table is
+        // deleted: the path is gone for good, and — as on a disk — the
+        // handle still open reads what it opened.
+        let other = Table::open(shared.clone(), &path).unwrap();
+        t.delete().unwrap();
+        assert!(!vfs.exists(&path).unwrap());
+        assert!(Table::open(shared, &path).is_err());
+        assert!(other.get(&first).unwrap().is_some());
+        assert!(other.delete().is_err(), "nothing left to delete");
     }
 
     #[test]

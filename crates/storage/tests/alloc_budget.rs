@@ -1,14 +1,17 @@
 //! Allocation budgets for the storage engine, as exact counts: what a
 //! compaction of plain rows allocates must grow with the blocks it
-//! moves, not with the rows in them.
+//! moves, not with the rows in them; and what a read allocates must grow
+//! with the rows it returns and the blocks it loads, not with the number
+//! or the size of the cells in them — a decoded cell is a view of its
+//! block.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use spinnaker_common::vfs::MemVfs;
-use spinnaker_common::{Key, Lsn, WriteOp};
-use spinnaker_storage::{RangeStore, StoreOptions};
+use spinnaker_common::{CellOp, Key, Lsn, WriteOp};
+use spinnaker_storage::{BlockCache, RangeStore, StoreOptions};
 
 #[path = "../../common/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -61,15 +64,94 @@ fn compacting_plain_rows_allocates_per_block_not_per_row() {
 
     // Decoding allocates five times per such row (key, name, value, map
     // node, output key); moving it allocates nothing. What is left is
-    // per block (file handle, read buffer, entry index, kept-row slots,
-    // cache handle; index key on the way out) and per table.
+    // per block (read buffer, entry index, cache handle; index key on
+    // the way out) and per table.
     for (rows, allocs, blocks) in
         [(8_000, wide_allocs, wide_blocks), (32_000, narrow_allocs, narrow_blocks)]
     {
         assert!(allocs < rows / 2, "{rows} rows: {allocs} allocations");
-        assert!(allocs <= 10 * blocks + 64, "{rows} rows, {blocks} blocks: {allocs} allocations");
+        assert!(allocs <= 8 * blocks + 64, "{rows} rows, {blocks} blocks: {allocs} allocations");
     }
     // Four times the rows in the same blocks: the count does not follow
     // the rows.
     assert!(narrow_allocs <= 2 * wide_allocs, "{wide_allocs} -> {narrow_allocs}");
+}
+
+fn key(i: u64) -> Key {
+    Key::from(format!("key{i:08}").as_str())
+}
+
+/// One flushed table of `rows` rows of `cols` columns each, read through
+/// a block cache big enough to keep all of it.
+fn cached_store(rows: u64, cols: usize, name_len: usize, value_len: usize) -> RangeStore {
+    let opts = StoreOptions {
+        memtable_flush_bytes: usize::MAX,
+        cache: Some(Arc::new(BlockCache::new(64 << 20))),
+        ..Default::default()
+    };
+    let mut store = RangeStore::open(Arc::new(MemVfs::new()), opts).unwrap();
+    for i in 0..rows {
+        let cells = (0..cols)
+            .map(|c| CellOp::Put {
+                col: Bytes::from(format!("{c:0name_len$}")),
+                value: Bytes::from(vec![b'v'; value_len]),
+            })
+            .collect();
+        store.apply(&WriteOp { key: key(i), cells, timestamp: 1_000 + i }, Lsn::new(1, i + 1));
+    }
+    store.flush().unwrap();
+    store
+}
+
+/// Allocations of the first get of a key (its block is read, verified,
+/// indexed and cached) and of the second (served from the cache).
+fn cold_and_cached_get(cols: usize, name_len: usize, value_len: usize) -> (u64, u64) {
+    let store = cached_store(64, cols, name_len, value_len);
+    let k = key(37);
+    let (cold, row) = allocations(|| store.get(&k).unwrap().unwrap());
+    assert_eq!(row.columns.len(), cols);
+    drop(row);
+    let (cached, row) = allocations(|| store.get(&k).unwrap().unwrap());
+    assert!(row.columns.values().all(|cv| cv.value.len() == value_len));
+    (cold, cached)
+}
+
+#[test]
+fn a_point_get_allocates_the_same_whatever_the_size_of_its_cells() {
+    // From the cache: the row's map node. From the file: the block's
+    // buffer, its entry index (grown once when rows are under 64 bytes),
+    // its shared handle and the cache's entry on top. (With copied cells
+    // a one-column row cost a name and a value more, the kept-row slots a
+    // vector and a clone, and every block read a file handle.)
+    // Short names and values; long names, kilobyte values; six columns,
+    // which fit the one map node a row starts with: the same counts.
+    for (cols, name_len, value_len) in [(1, 1, 16), (1, 200, 4096), (6, 24, 512)] {
+        let (cold, cached) = cold_and_cached_get(cols, name_len, value_len);
+        assert_eq!(cached, 1, "cached get, {cols} columns of {value_len} bytes");
+        assert!(cold <= 6, "cold get, {cols} columns of {value_len} bytes: {cold} allocations");
+    }
+}
+
+#[test]
+fn a_scan_page_allocates_per_row_and_block_not_per_cell() {
+    const PAGE: usize = 32;
+    let page = |cols: usize, name_len: usize, value_len: usize| {
+        let store = cached_store(256, cols, name_len, value_len);
+        let blocks = store.approx_total_bytes().div_ceil(BLOCK_BYTES) * PAGE as u64 / 256 + 2;
+        let start = key(100);
+        let (allocs, (rows, resume)) = allocations(|| store.scan_page(&start, None, PAGE).unwrap());
+        assert_eq!(rows.len(), PAGE);
+        assert_eq!(resume, Some(key(100 + PAGE as u64)));
+        (allocs, blocks)
+    };
+    for (cols, name_len, value_len) in [(1, 1, 16), (1, 64, 1024), (6, 24, 100)] {
+        let (allocs, blocks) = page(cols, name_len, value_len);
+        // Per row: its map node (the key is a view). Per block read:
+        // buffer, entry index, handle, cache entry. Per page: the
+        // streams, the merge heap and the result vector's growth.
+        assert!(
+            allocs <= PAGE as u64 + 4 * blocks + 24,
+            "{cols} columns of {value_len} bytes, {blocks} blocks: {allocs} allocations"
+        );
+    }
 }

@@ -411,6 +411,11 @@ fn a_malformed_block_met_mid_compaction_leaves_the_store_untouched() {
     let crc = crc32c::masked(crc32c::crc32c(&bytes[offset..offset + len - 4]));
     bytes[offset + len - 4..offset + len].copy_from_slice(&crc.to_le_bytes());
     vfs.write_atomic(&tables[0], &bytes).unwrap();
+    // A table reads through the handle it opened, which — as on a disk —
+    // still sees the file that was replaced: open the store over the new
+    // one.
+    drop(store);
+    let mut store = RangeStore::open(Arc::new(vfs.clone()), opts()).unwrap();
 
     let manifest = vfs.read_all("store/MANIFEST").unwrap();
     let levels = store.tables_per_level();

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::Vfs;
 use spinnaker_common::{Lsn, RangeId, Result};
 
@@ -75,12 +75,12 @@ impl Encode for Checkpoints {
 }
 
 impl Decode for Checkpoints {
-    fn decode(buf: &mut &[u8]) -> Result<Checkpoints> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<Checkpoints> {
         let n = codec::get_varint(buf)? as usize;
         let mut out = Checkpoints::default();
         for _ in 0..n {
             let cohort = RangeId(codec::get_varint(buf)? as u32);
-            out.by_cohort.insert(cohort, Lsn::decode(buf)?);
+            out.by_cohort.insert(cohort, Lsn::decode_from(buf)?);
         }
         Ok(out)
     }

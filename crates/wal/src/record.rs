@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::{crc32c, Error, Lsn, RangeId, Result, WriteOp};
 
 /// Upper bound on a sane record body; larger lengths are treated as
@@ -132,11 +132,11 @@ impl Encode for LogRecord {
 }
 
 impl Decode for LogRecord {
-    fn decode(buf: &mut &[u8]) -> Result<LogRecord> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<LogRecord> {
         let cohort = RangeId(codec::get_varint_u32(buf)?);
-        let lsn = Lsn::decode(buf)?;
+        let lsn = Lsn::decode_from(buf)?;
         let payload = match codec::get_u8(buf)? {
-            0 => Payload::Writes(Arc::from([WriteOp::decode(buf)?])),
+            0 => Payload::Writes(Arc::from([WriteOp::decode_from(buf)?])),
             1 => Payload::CommitNote,
             2 => {
                 // A WriteOp is at least a tag byte plus a 1-byte key.
@@ -146,7 +146,7 @@ impl Decode for LogRecord {
                 }
                 let mut ops = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    ops.push(WriteOp::decode(buf)?);
+                    ops.push(WriteOp::decode_from(buf)?);
                 }
                 Payload::Writes(ops.into())
             }
@@ -198,29 +198,28 @@ pub enum FrameRead {
     Torn(&'static str),
 }
 
-/// Try to decode one frame from `buf`.
-pub fn read_frame(buf: &[u8]) -> Result<FrameRead> {
-    if buf.len() < FRAME_HEADER {
+/// Try to decode one frame from the front of `src`. Over a shared source
+/// the record's keys, column names and values are views of the buffer
+/// the frame was read into.
+pub fn read_frame(mut src: Source<'_>) -> Result<FrameRead> {
+    if src.len() < FRAME_HEADER {
         return Ok(FrameRead::Torn("short header"));
     }
-    let mut cursor = buf;
-    let len32 = codec::get_u32(&mut cursor)?;
-    let stored_crc = codec::get_u32(&mut cursor)?;
+    let len32 = codec::get_u32(&mut src)?;
+    let stored_crc = codec::get_u32(&mut src)?;
     if len32 > MAX_RECORD_BYTES {
         return Ok(FrameRead::Torn("implausible length"));
     }
     let len = usize::try_from(len32)
         .map_err(|_| Error::Codec(format!("frame length {len32} overflows usize")))?;
-    if cursor.len() < len {
+    let Some(mut body) = src.take(len) else {
         return Ok(FrameRead::Torn("short body"));
-    }
-    let body = &cursor[..len];
-    if crc32c::masked(crc32c::crc32c(body)) != stored_crc {
+    };
+    if crc32c::masked(crc32c::crc32c(body.rest())) != stored_crc {
         return Ok(FrameRead::Torn("checksum mismatch"));
     }
-    let mut body_cursor = body;
-    let record = LogRecord::decode(&mut body_cursor)?;
-    if !body_cursor.is_empty() {
+    let record = LogRecord::decode_from(&mut body)?;
+    if !body.is_empty() {
         return Err(Error::Codec("trailing bytes in record body".into()));
     }
     Ok(FrameRead::Record(Box::new(record), FRAME_HEADER + len))
@@ -239,7 +238,7 @@ mod tests {
     fn frame_roundtrip() {
         let rec = sample();
         let frame = encode_frame(&rec).unwrap();
-        match read_frame(&frame).unwrap() {
+        match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, n) => {
                 assert_eq!(*r, rec);
                 assert_eq!(n, frame.len());
@@ -252,7 +251,7 @@ mod tests {
     fn commit_note_roundtrip() {
         let rec = LogRecord::commit_note(RangeId(1), Lsn::new(3, 44));
         let frame = encode_frame(&rec).unwrap();
-        match read_frame(&frame).unwrap() {
+        match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, _) => {
                 assert_eq!(*r, rec);
                 assert!(!r.is_write());
@@ -265,7 +264,7 @@ mod tests {
     fn truncated_frames_are_torn_not_errors() {
         let frame = encode_frame(&sample()).unwrap();
         for cut in 0..frame.len() {
-            match read_frame(&frame[..cut]).unwrap() {
+            match read_frame(Source::copying(&frame[..cut])).unwrap() {
                 FrameRead::Torn(_) => {}
                 FrameRead::Record(..) => panic!("cut at {cut} decoded a record"),
             }
@@ -277,14 +276,20 @@ mod tests {
         let mut frame = encode_frame(&sample()).unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
-        assert!(matches!(read_frame(&frame).unwrap(), FrameRead::Torn("checksum mismatch")));
+        assert!(matches!(
+            read_frame(Source::copying(&frame)).unwrap(),
+            FrameRead::Torn("checksum mismatch")
+        ));
     }
 
     #[test]
     fn implausible_length_is_torn() {
         let mut frame = encode_frame(&sample()).unwrap();
         frame[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(read_frame(&frame).unwrap(), FrameRead::Torn("implausible length")));
+        assert!(matches!(
+            read_frame(Source::copying(&frame)).unwrap(),
+            FrameRead::Torn("implausible length")
+        ));
     }
 
     #[test]
@@ -295,7 +300,7 @@ mod tests {
         assert_eq!(rec.write_count(), 3);
         assert_eq!(rec.last_lsn(), Lsn::new(2, 12));
         let frame = encode_frame(&rec).unwrap();
-        match read_frame(&frame).unwrap() {
+        match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, n) => {
                 assert_eq!(*r, rec);
                 assert_eq!(n, frame.len());
@@ -304,7 +309,10 @@ mod tests {
         }
         // Torn anywhere = the whole batch is gone, never a prefix.
         for cut in 0..frame.len() {
-            assert!(matches!(read_frame(&frame[..cut]).unwrap(), FrameRead::Torn(_)));
+            assert!(matches!(
+                read_frame(Source::copying(&frame[..cut])).unwrap(),
+                FrameRead::Torn(_)
+            ));
         }
     }
 
@@ -337,7 +345,9 @@ mod tests {
         assert_eq!(buf, want);
         let mut cursor = &buf[b"already here".len()..];
         for rec in &records {
-            let FrameRead::Record(got, n) = read_frame(cursor).unwrap() else { panic!() };
+            let FrameRead::Record(got, n) = read_frame(Source::copying(cursor)).unwrap() else {
+                panic!()
+            };
             assert_eq!(*got, *rec);
             cursor = &cursor[n..];
         }
@@ -363,9 +373,13 @@ mod tests {
         let b = LogRecord::commit_note(RangeId(0), Lsn::new(1, 1));
         let mut buf = encode_frame(&a).unwrap();
         buf.extend(encode_frame(&b).unwrap());
-        let FrameRead::Record(first, n) = read_frame(&buf).unwrap() else { panic!() };
+        let FrameRead::Record(first, n) = read_frame(Source::copying(&buf)).unwrap() else {
+            panic!()
+        };
         assert_eq!(*first, a);
-        let FrameRead::Record(second, _) = read_frame(&buf[n..]).unwrap() else { panic!() };
+        let FrameRead::Record(second, _) = read_frame(Source::copying(&buf[n..])).unwrap() else {
+            panic!()
+        };
         assert_eq!(*second, b);
     }
 }

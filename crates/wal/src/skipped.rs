@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use spinnaker_common::codec::{self, Decode, Encode};
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::Vfs;
 use spinnaker_common::{Lsn, RangeId, Result};
 
@@ -109,7 +109,7 @@ impl Encode for SkippedFile {
 }
 
 impl Decode for SkippedFile {
-    fn decode(buf: &mut &[u8]) -> Result<SkippedFile> {
+    fn decode_from(buf: &mut Source<'_>) -> Result<SkippedFile> {
         let cohorts = codec::get_varint(buf)? as usize;
         let mut out = SkippedFile::default();
         for _ in 0..cohorts {
@@ -117,7 +117,7 @@ impl Decode for SkippedFile {
             let n = codec::get_varint(buf)? as usize;
             let mut list = SkippedLsns::new();
             for _ in 0..n {
-                list.insert(Lsn::decode(buf)?);
+                list.insert(Lsn::decode_from(buf)?);
             }
             out.by_cohort.insert(cohort, list);
         }

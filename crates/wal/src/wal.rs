@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use spinnaker_common::codec::Source;
 use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
@@ -129,10 +130,14 @@ impl Wal {
         let mut seg_refs: BTreeMap<u64, usize> = BTreeMap::new();
         let last = seg_ids.last().copied();
         for &id in &seg_ids {
-            let data = vfs.read_all(&Self::seg_path(&opts.dir, id))?;
+            let file = vfs.open(&Self::seg_path(&opts.dir, id))?;
+            let len = usize::try_from(file.len()?).map_err(|_| {
+                Error::Corruption(format!("segment {id} is larger than the address space"))
+            })?;
+            let data = file.read_bytes_at(0, len)?;
             let mut offset = 0usize;
             while offset < data.len() {
-                match read_frame(&data[offset..])? {
+                match read_frame(Source::shared(&data, &data[offset..]))? {
                     FrameRead::Record(rec, n) => {
                         let loc =
                             RecordLoc { segment: id, offset: offset as u64, frame_len: n as u32 };
@@ -325,15 +330,17 @@ impl Wal {
         }
         // The ops of a group propose are consecutive index entries
         // pointing at one frame: read, checksum and decode it once and
-        // serve every op of the run from it.
+        // serve every op of the run from it. Frames of one sealed
+        // segment are read through one handle, opened at the first.
         let mut held: Option<(RecordLoc, LogRecord)> = None;
+        let mut sealed: Option<(u64, Box<dyn VfsFile>)> = None;
         let mut count = 0;
         for (&lsn, loc) in
             entry.records.range((std::ops::Bound::Excluded(from), std::ops::Bound::Included(to)))
         {
             let rec = match &held {
                 Some((at, rec)) if (at.segment, at.offset) == (loc.segment, loc.offset) => rec,
-                _ => &held.insert((*loc, self.read_at(loc)?)).1,
+                _ => &held.insert((*loc, self.read_at(loc, &mut sealed)?)).1,
             };
             debug_assert_eq!(rec.lsn.epoch(), lsn.epoch());
             // The indexed LSN selects its op out of the frame by its
@@ -358,15 +365,28 @@ impl Wal {
         Ok(out)
     }
 
-    fn read_at(&self, loc: &RecordLoc) -> Result<LogRecord> {
-        let mut buf = vec![0u8; loc.frame_len as usize];
-        if loc.segment == self.current.id {
-            self.current.file.read_exact_at(loc.offset, &mut buf)?;
+    /// Read and decode the frame at `loc`. The record's ops are views of
+    /// the buffer the frame is read into here, so whoever keeps one keeps
+    /// that frame. `sealed` is the caller's open handle on a sealed
+    /// segment, replaced when `loc` is in another.
+    fn read_at(
+        &self,
+        loc: &RecordLoc,
+        sealed: &mut Option<(u64, Box<dyn VfsFile>)>,
+    ) -> Result<LogRecord> {
+        let file = if loc.segment == self.current.id {
+            &self.current.file
         } else {
-            let file = self.vfs.open(&Self::seg_path(&self.opts.dir, loc.segment))?;
-            file.read_exact_at(loc.offset, &mut buf)?;
-        }
-        match read_frame(&buf)? {
+            match sealed {
+                Some((id, file)) if *id == loc.segment => file,
+                _ => {
+                    let file = self.vfs.open(&Self::seg_path(&self.opts.dir, loc.segment))?;
+                    &sealed.insert((loc.segment, file)).1
+                }
+            }
+        };
+        let frame = file.read_bytes_at(loc.offset, loc.frame_len as usize)?;
+        match read_frame(Source::shared(&frame, &frame))? {
             FrameRead::Record(rec, _) => Ok(*rec),
             FrameRead::Torn(why) => Err(Error::Corruption(format!(
                 "indexed record unreadable at segment {} offset {}: {why}",

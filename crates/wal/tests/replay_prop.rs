@@ -5,12 +5,43 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use spinnaker_common::codec::Encode;
 use spinnaker_common::vfs::MemVfs;
 use spinnaker_common::{op, Lsn, RangeId};
 use spinnaker_wal::{LogRecord, Wal, WalOptions};
 
+#[path = "../../common/tests/support/decode_equiv.rs"]
+mod decode_equiv;
+use decode_equiv::{assert_decodes_alike, assert_decodes_alike_when_damaged};
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A record decoded out of a shared frame buffer (its ops are views
+    /// of the frame) and out of a plain slice (copies) is the same
+    /// record, and damage is refused the same way: the batch-size and tag
+    /// checks hold for both sources.
+    #[test]
+    fn shared_and_copying_record_decode_agree(
+        cohort in 0u32..1000,
+        lsn in any::<u64>(),
+        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..5),
+        flip in any::<u16>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let lsn = Lsn::from_u64(lsn);
+        let record = if keys.is_empty() {
+            LogRecord::commit_note(RangeId(cohort), lsn)
+        } else {
+            let ops: Vec<_> = keys
+                .iter()
+                .map(|k| op::put(&String::from_utf8_lossy(k), "col", "value"))
+                .collect();
+            LogRecord::batch(RangeId(cohort), lsn, ops)
+        };
+        assert_decodes_alike_when_damaged::<LogRecord>(&record.encode_to_vec(), flip as usize);
+        assert_decodes_alike::<LogRecord>(&noise);
+    }
 
     /// Append records across several cohorts with random sync points, then
     /// crash: exactly the records appended before the last sync survive,
