@@ -27,6 +27,7 @@ use crate::coordcli::{CoordClient, DeliveryBus, SharedCoord};
 use crate::messages::{NodeInput, Outbox, PeerMsg, TimerKind};
 use crate::node::{Node, NodeConfig, Role};
 use crate::partition::{Ring, TABLE_PATH};
+use crate::reconfig::DissolveCoverage;
 use crate::session::SessionCall;
 
 /// Events flowing through the simulated cluster.
@@ -262,6 +263,9 @@ pub struct NodeHost {
     incarnation: u64,
     /// Injected-fault schedule for this node's WAL files (nemesis).
     fault_plan: Arc<FaultPlan>,
+    /// Dissolves executed by this node's crashed incarnations (a `Node`
+    /// counts only its own).
+    dissolves: DissolveCoverage,
     /// Node-local clock (kernel time + injected skew, monotone).
     clock: SkewedClock,
     /// The node's effects of the input being executed; drained and
@@ -383,7 +387,9 @@ impl NodeHost {
         }
         // What survives is exactly the synced prefix of every file.
         self.crashed_image = Some(self.vfs.crash_clone());
-        self.node = None;
+        if let Some(node) = self.node.take() {
+            self.dissolves.add(node.dissolve_coverage());
+        }
         self.world.net.borrow_mut().take_down(self.proc);
         self.cpu = CpuModel::new(self.perf.cpu_cores);
         self.device = LogDevice::new(self.disk_profile);
@@ -557,6 +563,7 @@ impl SimCluster {
                 crashed_image: None,
                 incarnation: 0,
                 fault_plan: FaultPlan::new(),
+                dissolves: DissolveCoverage::default(),
                 clock: SkewedClock::new(),
                 outbox: Outbox::default(),
             }));
@@ -724,6 +731,20 @@ impl SimCluster {
     /// Total disk faults injected into node `id` so far.
     pub fn faults_injected(&self, id: NodeId) -> u64 {
         self.hosts[id as usize].borrow().fault_plan.injected()
+    }
+
+    /// Every dissolve any node has executed so far, over all of its
+    /// incarnations (see [`Node::dissolve_coverage`]).
+    pub fn dissolve_coverage(&self) -> DissolveCoverage {
+        let mut sum = DissolveCoverage::default();
+        for host in &self.hosts {
+            let host = host.borrow();
+            sum.add(&host.dissolves);
+            if let Some(node) = host.node() {
+                sum.add(node.dissolve_coverage());
+            }
+        }
+        sum
     }
 
     /// Advance virtual time.

@@ -5,9 +5,14 @@
 //! LSM storage, with leader election delegated to a ZooKeeper-like
 //! coordination service.
 //!
-//! * [`node`] — the per-node state machine: steady-state replication
+//! * [`node`] — the per-node runtime: local recovery, input dispatch,
+//!   force completions, timers and maintenance over a registry of
+//!   per-range replicas.
+//! * [`replica`] — the per-range state machine: steady-state replication
 //!   (Fig. 4), leader election (Fig. 7), leader takeover (Fig. 6),
 //!   follower recovery and logical truncation (§6).
+//! * [`reconfig`] — range split, range merge and cohort movement: every
+//!   way a replica is replaced by others, through one `dissolve`.
 //! * [`partition`] — range partitioning with chained declustering (Fig. 2).
 //! * [`commit_queue`] — pending writes between propose and commit (§4.1).
 //! * [`messages`] — client and peer protocol messages.
@@ -27,6 +32,7 @@ pub mod coordcli;
 pub mod messages;
 pub mod node;
 pub mod partition;
+pub mod reconfig;
 pub mod replica;
 pub mod session;
 
@@ -39,5 +45,6 @@ pub use messages::{
 };
 pub use node::{get_request, put_request, CohortPaths, Node, NodeConfig, ReshardPolicy, Role};
 pub use partition::{key_to_u64, u64_to_key, RangeDef, Ring, REPLICATION, TABLE_PATH};
+pub use reconfig::{ClaimKind, DissolveCoverage, DissolveEntry, TailCounts};
 pub use replica::RangeReplica;
 pub use session::{CallId, CallOutcome, Session, SessionCall, SessionStep};

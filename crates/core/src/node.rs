@@ -3,23 +3,16 @@
 //!
 //! The node owns what is genuinely node-wide — the shared WAL, the
 //! coordination-service session, the routing table, force-token
-//! bookkeeping — plus a `RangeId → RangeReplica` registry with an
-//! explicit **attach/detach lifecycle**. Every per-range protocol
-//! transition (election Fig. 7, takeover Fig. 6, replication Fig. 4,
-//! catch-up §6.1) lives on [`RangeReplica`]; the node routes inputs to
-//! the right replica and performs the cross-replica lifecycle
-//! operations that create and dissolve replicas:
-//!
-//! * **range split** — barrier at a drained commit queue, CAS the table,
-//!   fork the store, attach the children, detach the parent;
-//! * **range merge** — barrier *both* siblings (the left leader
-//!   coordinates, the right leader drains on request), CAS a merged
-//!   `RangeDef`, merge the stores, attach the merged range, detach both;
-//! * **cohort movement** — CAS a `moving` marker, stream a snapshot plus
-//!   the WAL tail to the joining node, wait for its durable catch-up
-//!   ack, CAS the new replica set, detach the departing replica;
-//! * **dissolved-range GC** — after a quiesce period, delete dissolved
-//!   ranges' store directories, WAL streams, and `/r{N}` znodes.
+//! bookkeeping — plus a `RangeId → RangeReplica` registry. Every
+//! per-range protocol transition (election Fig. 7, takeover Fig. 6,
+//! replication Fig. 4, catch-up §6.1) lives on [`RangeReplica`]. This
+//! file is the node's steady half: local recovery, input dispatch to the
+//! right replica, force completions and timers, the maintenance tick
+//! (flush, automatic reshard triggers, move/merge timeouts), retiring a
+//! replica that left this node, and the quiesced GC of dissolved ranges'
+//! store directories, WAL streams and `/r{N}` znodes. The operations
+//! that replace replicas by other replicas — split, merge, cohort
+//! movement, table-driven reconcile — are [`crate::reconfig`].
 //!
 //! The node is a sans-IO state machine: it consumes [`NodeInput`]s and
 //! emits [`Effect`]s into an [`Outbox`]. Log *content* is written
@@ -32,22 +25,22 @@ use std::collections::BTreeMap;
 
 use spinnaker_common::codec::{Decode, Encode};
 use spinnaker_common::vfs::SharedVfs;
-use spinnaker_common::{Consistency, Key, Lsn, NodeId, RangeId, Result};
+use spinnaker_common::{Consistency, Error, Key, Lsn, NodeId, RangeId, Result};
 use spinnaker_coord::WatchEvent;
-use spinnaker_storage::{
-    BlockCache, RangeStore, SharedBlockCache, StoreOptions, StoreSnapshot, StoreStats,
-};
-use spinnaker_wal::{LogRecord, Wal, WalOptions};
+use spinnaker_storage::{BlockCache, RangeStore, SharedBlockCache, StoreOptions, StoreStats};
+use spinnaker_wal::{Wal, WalOptions};
 
 use crate::coordcli::CoordClient;
 use crate::messages::{
     Addr, ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, NodeInput, Outbox,
     PeerMsg, TimerKind,
 };
-use crate::partition::{RangeDef, Ring, TABLE_PATH};
+use crate::partition::{Ring, TABLE_PATH};
+use crate::reconfig::{
+    ingest_span, span_of, Claim, DissolveCoverage, DissolveEntry, Successor, Then,
+};
 use crate::replica::{
-    parse_node, FollowUp, ForceTracker, Merging, MoveState, RangeReplica, ReshardAdvice, Runtime,
-    Waiter,
+    parse_node, FollowUp, ForceTracker, RangeReplica, ReshardAdvice, Runtime, Waiter,
 };
 
 pub use crate::replica::Role;
@@ -200,7 +193,7 @@ impl CohortPaths {
 
 /// How this node relates to a range in the current table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ServeStatus {
+pub(crate) enum ServeStatus {
     /// In the table and we are a cohort member.
     Member,
     /// In the table; we are the joining learner of an in-flight move.
@@ -213,13 +206,13 @@ enum ServeStatus {
 
 /// A range whose local state awaits garbage collection after a quiesce
 /// period.
-struct Dissolved {
-    range: RangeId,
-    at: u64,
+pub(crate) struct Dissolved {
+    pub(crate) range: RangeId,
+    pub(crate) at: u64,
     /// Also delete the `/r{N}` znode subtree (true for ranges removed
     /// from the table; false for a replica that merely departed this
     /// node — the range lives on elsewhere).
-    gc_znodes: bool,
+    pub(crate) gc_znodes: bool,
 }
 
 /// Constructs the split borrow of node-wide facilities that replica
@@ -238,32 +231,35 @@ macro_rules! runtime {
         }
     };
 }
+pub(crate) use runtime;
 
 /// The Spinnaker node.
 pub struct Node {
-    id: NodeId,
-    ring: Ring,
-    cfg: NodeConfig,
-    vfs: SharedVfs,
-    wal: Wal,
-    coord: CoordClient,
+    pub(crate) id: NodeId,
+    pub(crate) ring: Ring,
+    pub(crate) cfg: NodeConfig,
+    pub(crate) vfs: SharedVfs,
+    pub(crate) wal: Wal,
+    pub(crate) coord: CoordClient,
     /// Node-wide block cache shared by every replica's store (`None`
     /// when `cfg.block_cache_bytes` is 0).
     cache: Option<SharedBlockCache>,
-    replicas: BTreeMap<RangeId, RangeReplica>,
-    forces: ForceTracker,
-    dissolved: Vec<Dissolved>,
+    pub(crate) replicas: BTreeMap<RangeId, RangeReplica>,
+    pub(crate) forces: ForceTracker,
+    pub(crate) dissolved: Vec<Dissolved>,
     started: bool,
     /// Fail-stop latch: set when the log device refused an append or a
     /// force, meaning durability promises can no longer be kept. The
     /// host observes it and crashes the node; the synced log prefix it
     /// restarts from is exactly what was acknowledged.
-    poisoned: bool,
+    pub(crate) poisoned: bool,
     /// Automatic-reshard cool-down marks: range → (table generation when
     /// the last auto split/merge was initiated, virtual time it was
     /// initiated). Advice for a range whose entry still carries the
     /// marked generation is suppressed until the cool-down elapses.
     reshard_marks: BTreeMap<RangeId, (u64, u64)>,
+    /// Dissolves executed, by entry point and claim (coverage only).
+    pub(crate) dissolves: DissolveCoverage,
 }
 
 impl Node {
@@ -278,56 +274,34 @@ impl Node {
         vfs: SharedVfs,
         coord: CoordClient,
     ) -> Result<Node> {
-        let mut wal = Wal::open(vfs.clone(), WalOptions::default())?;
+        let wal = Wal::open(vfs.clone(), WalOptions::default())?;
         let cache = (cfg.block_cache_bytes > 0)
             .then(|| std::sync::Arc::new(BlockCache::new(cfg.block_cache_bytes)));
-        let mut replicas = BTreeMap::new();
-        for range in ring.ranges_of(id) {
-            let mut store =
-                RangeStore::open(vfs.clone(), store_options(range, &cfg, cache.as_ref()))?;
-            let st = wal.state(range);
-            let mut last_committed = st.last_committed;
-            // A child range with no local state at all: this node crashed
-            // between the split's metadata update and its local store
-            // fork (or missed the split entirely). Rebuild the child from
-            // the parent's surviving local state where possible;
-            // otherwise the child starts empty and catch-up fills it in.
-            let fresh = wal.checkpoint(range).is_zero()
-                && st.last_lsn.is_zero()
-                && store.table_count() == 0
-                && store.memtable_len() == 0;
-            if fresh {
-                if let Some(def) = ring.def(range).filter(|d| d.parent.is_some()) {
-                    if let Some(parent_cmt) =
-                        bootstrap_child_from_parent(&vfs, &wal, &cfg, def, &mut store)?
-                    {
-                        let _ = wal.set_checkpoint(range, parent_cmt);
-                        last_committed = parent_cmt;
-                    }
-                }
-            }
-            let span = ring
-                .def(range)
-                .map(|d| (d.start.clone(), d.end.clone()))
-                .unwrap_or((Key::default(), None));
-            let peers = ring.cohort(range).into_iter().filter(|&n| n != id).collect();
-            let mut rep = RangeReplica::new(range, store, peers, span);
-            // Idempotent replay of committed records (checkpoint, f.cmt].
-            wal.replay(range, wal.checkpoint(range), st.last_committed, |lsn, op| {
-                rep.store.apply(op, lsn);
-            })?;
-            rep.last_committed = last_committed;
-            rep.last_note = last_committed;
-            rep.epoch = st.last_lsn.epoch();
-            replicas.insert(range, rep);
+        let mut node = Node {
+            id,
+            ring,
+            cfg,
+            vfs,
+            wal,
+            coord,
+            cache,
+            replicas: BTreeMap::new(),
+            forces: ForceTracker::new(),
+            dissolved: Vec::new(),
+            started: false,
+            poisoned: false,
+            reshard_marks: BTreeMap::new(),
+            dissolves: DissolveCoverage::default(),
+        };
+        for range in node.ring.ranges_of(id) {
+            node.recover_range(range)?;
         }
         // Leftovers from dissolutions interrupted by a restart: the
         // in-memory GC bookkeeping does not survive a crash, so any
         // store directory for a range this node no longer serves
         // re-enters the quiesced GC pipeline here. (Parent stores a
         // split child just bootstrapped from are done being read.)
-        let mut dissolved = Vec::new();
-        if let Ok(files) = vfs.list("store-r") {
+        if let Ok(files) = node.vfs.list("store-r") {
             let mut seen = std::collections::BTreeSet::new();
             for f in &files {
                 if let Some(rest) = f.strip_prefix("store-r") {
@@ -339,30 +313,54 @@ impl Node {
                 }
             }
             for range in seen {
-                if !replicas.contains_key(&range) {
-                    dissolved.push(Dissolved {
-                        range,
-                        at: 0,
-                        gc_znodes: ring.def(range).is_none(),
-                    });
+                if !node.replicas.contains_key(&range) {
+                    let gc_znodes = node.ring.def(range).is_none();
+                    node.dissolved.push(Dissolved { range, at: 0, gc_znodes });
                 }
             }
         }
-        Ok(Node {
-            id,
-            ring,
-            cfg,
-            vfs,
-            wal,
-            coord,
-            cache,
-            replicas,
-            forces: ForceTracker::new(),
-            dissolved,
-            started: false,
-            poisoned: false,
-            reshard_marks: BTreeMap::new(),
-        })
+        Ok(node)
+    }
+
+    /// Local recovery of one range: open its store and re-apply the log
+    /// from the checkpoint through `f.cmt`.
+    fn recover_range(&mut self, range: RangeId) -> Result<()> {
+        let mut store = RangeStore::open(self.vfs.clone(), self.store_opts(range))?;
+        let st = self.wal.state(range);
+        let def = self.ring.def(range);
+        let span = def.map(span_of).unwrap_or_default();
+        let peers = self.peers_of(range, &[]);
+        // A range with no local state at all may be a split child whose
+        // fork this node never performed: rebuild it from the parent's
+        // surviving local state where there is any.
+        let fresh = self.wal.checkpoint(range).is_zero()
+            && st.last_lsn.is_zero()
+            && store.table_count() == 0
+            && store.memtable_len() == 0;
+        let parent = match def {
+            Some(def) if fresh => self.surviving_parent(def)?,
+            _ => None,
+        };
+        if let Some((pstore, parent_cmt)) = parent {
+            ingest_span(&mut store, &pstore, &span.0, span.1.as_ref())?;
+            let (claim, then) = (Claim::Own(parent_cmt), Then::Wait);
+            let child = Successor { id: range, span, peers, store, claim, epoch: 0, then };
+            self.dissolve(0, DissolveEntry::Boot, &[], vec![child], &mut Outbox::default());
+            if self.poisoned {
+                return Err(Error::Unavailable(format!("could not flush bootstrapped {range}")));
+            }
+            return Ok(());
+        }
+        let mut rep = RangeReplica::new(range, store, peers, span);
+        // Idempotent replay of committed records (checkpoint, f.cmt].
+        self.wal.replay(range, self.wal.checkpoint(range), st.last_committed, |lsn, op| {
+            rep.store.apply(op, lsn);
+        })?;
+        rep.last_committed = st.last_committed;
+        rep.last_note = st.last_committed;
+        rep.epoch = st.last_lsn.epoch();
+        self.replicas.insert(range, rep);
+        Ok(())
     }
 
     /// This node's id.
@@ -383,9 +381,14 @@ impl Node {
         self.cfg.snapshot_retain = retain;
     }
 
+    /// `range`'s store options under this node's configuration and cache.
+    pub(crate) fn store_opts(&self, range: RangeId) -> StoreOptions {
+        store_options(range, &self.cfg, self.cache.as_ref())
+    }
+
     /// Sync the WAL, poisoning the node on refusal — shared by every
     /// durability point outside the force path.
-    fn sync_wal(&mut self) {
+    pub(crate) fn sync_wal(&mut self) {
         if self.wal.sync().is_err() {
             self.poisoned = true;
         }
@@ -500,11 +503,7 @@ impl Node {
         // harnesses).
         match self.coord.get_data_watch(TABLE_PATH) {
             Ok(data) => {
-                if let Ok(t) = Ring::decode(&mut data.as_slice()) {
-                    if t.version() > self.ring.version() {
-                        self.ring = t;
-                    }
-                }
+                self.adopt_table(&data);
             }
             Err(_) => {
                 let _ = self.coord.exists_watch(TABLE_PATH);
@@ -517,7 +516,7 @@ impl Node {
     }
 
     /// How this node relates to `range` under the current table.
-    fn serve_status(&self, range: RangeId) -> ServeStatus {
+    pub(crate) fn serve_status(&self, range: RangeId) -> ServeStatus {
         match self.ring.def(range) {
             None => ServeStatus::Gone,
             Some(def) if def.cohort.contains(&self.id) => ServeStatus::Member,
@@ -528,51 +527,54 @@ impl Node {
 
     /// On startup (or rejoin): if the cohort already has a leader, go
     /// straight to catch-up as a follower; otherwise run election.
-    fn join_cohort(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
-        match self.serve_status(range) {
+    pub(crate) fn join_cohort(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
+        let status = self.serve_status(range);
+        match status {
             // A range the table no longer contains must not be joined
             // (its leader znode, if any, is a leftover): reconcile it
             // against the table instead.
-            ServeStatus::Gone => {
-                self.reconcile_gone_ranges(now, vec![range], out);
-                return;
-            }
+            ServeStatus::Gone => return self.reconcile_gone_ranges(now, vec![range], out),
             // Not ours (any more): a departed replica's leftovers.
-            ServeStatus::NotMember => {
-                self.retire_replica(now, range, false, out);
-                return;
-            }
+            ServeStatus::NotMember => return self.retire_replica(now, range, out),
             ServeStatus::Member | ServeStatus::MoveTarget => {}
         }
-        let is_member = self.serve_status(range) == ServeStatus::Member;
         let paths = CohortPaths::new(range);
         self.coord.ensure_path(&paths.base);
         self.coord.ensure_path(&paths.candidates);
-        match self.coord.get_data_watch(&paths.leader) {
-            Ok(data) => {
-                let leader: NodeId = parse_node(&data);
-                if leader == self.id {
-                    // A stale leader znode from our previous incarnation;
-                    // our old session must have expired for us to be
-                    // here.
-                    self.try_start_election(now, range, out);
-                } else {
-                    let mut rt = runtime!(self, now);
-                    if let Some(rep) = self.replicas.get_mut(&range) {
-                        rep.become_follower(&mut rt, leader, out);
-                    }
-                }
-            }
-            Err(_) => {
-                if is_member {
+        match self.follow_leader_znode(now, range, &paths, out) {
+            // A stale leader znode from our previous incarnation; our old
+            // session must have expired for us to be here.
+            Some(leader) if leader == self.id => self.try_start_election(now, range, out),
+            Some(_) => {}
+            None => {
+                if status == ServeStatus::Member {
                     self.try_start_election(now, range, out);
                 }
                 // A move target without a leader znode just waits: the
-                // exists-watch (set by get_data_watch's failure path
-                // below) wakes it when a leader appears.
+                // exists-watch wakes it when a leader appears.
                 let _ = self.coord.exists_watch(&paths.leader);
             }
         }
+    }
+
+    /// Read `range`'s leader znode, leaving a watch on it, and follow the
+    /// leader it names unless that is this node. `None`: no such znode.
+    fn follow_leader_znode(
+        &mut self,
+        now: u64,
+        range: RangeId,
+        paths: &CohortPaths,
+        out: &mut Outbox,
+    ) -> Option<NodeId> {
+        let data = self.coord.get_data_watch(&paths.leader).ok()?;
+        let leader = parse_node(&data);
+        if leader != self.id {
+            let mut rt = runtime!(self, now);
+            if let Some(rep) = self.replicas.get_mut(&range) {
+                rep.become_follower(&mut rt, leader, out);
+            }
+        }
+        Some(leader)
     }
 
     /// Run an election for `range` after re-validating that the table
@@ -581,7 +583,7 @@ impl Node {
     fn try_start_election(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         match self.serve_status(range) {
             ServeStatus::Gone => self.reconcile_gone_ranges(now, vec![range], out),
-            ServeStatus::NotMember => self.retire_replica(now, range, false, out),
+            ServeStatus::NotMember => self.retire_replica(now, range, out),
             ServeStatus::MoveTarget => {
                 // Learners never stand for election — they hold data they
                 // have not been voted responsible for. Wait for the
@@ -610,7 +612,7 @@ impl Node {
 
     /// Route one client RPC to the replica serving its key (a scan
     /// routes by its cursor). Every §3 verb and `Scan` enters here.
-    fn on_client(&mut self, now: u64, from: Addr, req: ClientRequest, out: &mut Outbox) {
+    pub(crate) fn on_client(&mut self, now: u64, from: Addr, req: ClientRequest, out: &mut Outbox) {
         if self.stale_routing(req.ring_version) {
             let version = self.ring.version();
             out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
@@ -657,11 +659,7 @@ impl Node {
         // the node handles them with their own guards.
         match msg {
             PeerMsg::Split { range, epoch, split_key, left, right, barrier } => {
-                if self.replicas.contains_key(&range) {
-                    self.on_split_msg(
-                        now, range, from, epoch, split_key, left, right, barrier, out,
-                    );
-                }
+                self.on_split_msg(now, range, from, epoch, split_key, left, right, barrier, out);
                 return;
             }
             PeerMsg::JoinRange { range, epoch, at, snapshot } => {
@@ -672,8 +670,8 @@ impl Node {
                 self.on_cohort_change(now, range, epoch, cohort, departing, joining, out);
                 return;
             }
-            PeerMsg::MergeProposal { range, left, epoch, token } => {
-                self.on_merge_proposal(now, from, range, left, epoch, token, out);
+            PeerMsg::MergeProposal { range, left, token, .. } => {
+                self.on_merge_proposal(now, from, range, left, token, out);
                 return;
             }
             PeerMsg::MergeReady { range, right, barrier, token, .. } => {
@@ -752,7 +750,7 @@ impl Node {
     /// Carry out the cross-replica consequences a replica transition
     /// reported: re-dispatch released writes, execute a drained barrier,
     /// commit a caught-up cohort move.
-    fn follow_up(&mut self, now: u64, range: RangeId, fu: FollowUp, out: &mut Outbox) {
+    pub(crate) fn follow_up(&mut self, now: u64, range: RangeId, fu: FollowUp, out: &mut Outbox) {
         for (from, req) in fu.redispatch {
             self.on_client(now, from, req, out);
         }
@@ -1001,7 +999,7 @@ impl Node {
     /// The right-hand neighbour of `range` if the pair is merge-eligible
     /// (adjacent, same replica set, no move in flight, and we replicate
     /// both sides locally).
-    fn mergeable_right_sibling(&self, range: RangeId) -> Option<RangeId> {
+    pub(crate) fn mergeable_right_sibling(&self, range: RangeId) -> Option<RangeId> {
         let def = self.ring.def(range)?;
         let end = def.end.as_ref()?;
         let neighbour = self.ring.defs().find(|d| &d.start == end)?;
@@ -1017,7 +1015,7 @@ impl Node {
 
     /// Read-modify-CAS the shared range table; adopts the new table on
     /// success and returns it. `mutate` returns false to abandon.
-    fn cas_table(&mut self, mutate: impl FnOnce(&mut Ring) -> bool) -> Option<Ring> {
+    pub(crate) fn cas_table(&mut self, mutate: impl FnOnce(&mut Ring) -> bool) -> Option<Ring> {
         let (data, stat) = self.coord.get_data(TABLE_PATH).ok()?;
         let mut t = Ring::decode(&mut data.as_slice()).ok()?;
         if !mutate(&mut t) {
@@ -1029,18 +1027,13 @@ impl Node {
     }
 
     // =================================================================
-    // attach/detach lifecycle
+    // retiring replicas, dissolved-range GC
     // =================================================================
-
-    /// Attach a replica to the registry (it joins its cohort separately).
-    fn attach_replica(&mut self, rep: RangeReplica) {
-        self.replicas.insert(rep.range, rep);
-    }
 
     /// Release and re-dispatch a replica's buffered writes: they
     /// re-route under the current table (abort paths of splits, merges,
     /// and moves).
-    fn unblock_writes(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
+    pub(crate) fn unblock_writes(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         let blocked = match self.replicas.get_mut(&range) {
             Some(rep) => std::mem::take(&mut rep.blocked_writes),
             None => return,
@@ -1050,10 +1043,11 @@ impl Node {
         }
     }
 
-    /// Detach `range`'s replica: answer its buffered writes with
-    /// `WrongRange` (the client refreshes and re-routes), drop its
-    /// candidate znode, and queue its local state for quiesced GC.
-    fn retire_replica(&mut self, now: u64, range: RangeId, gc_znodes: bool, out: &mut Outbox) {
+    /// Detach the replica of a range that lives on without this node:
+    /// answer its buffered writes with `WrongRange` (the client
+    /// refreshes and re-routes), drop its candidate znode, and queue its
+    /// local state — not the range's znodes — for quiesced GC.
+    pub(crate) fn retire_replica(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         let Some(rep) = self.replicas.remove(&range) else { return };
         for (from, req) in rep.blocked_writes {
             let version = self.ring.version();
@@ -1062,7 +1056,7 @@ impl Node {
         if let Some(path) = rep.candidate_path {
             let _ = self.coord.delete(&path);
         }
-        self.dissolved.push(Dissolved { range, at: now, gc_znodes });
+        self.dissolved.push(Dissolved { range, at: now, gc_znodes: false });
     }
 
     /// Quiesced garbage collection of dissolved ranges: store directory,
@@ -1099,1130 +1093,15 @@ impl Node {
     }
 
     // =================================================================
-    // dynamic range splitting (elastic re-sharding)
-    // =================================================================
-
-    /// Administrative entry point: the range's leader accepts the split,
-    /// stops admitting new writes, and waits for the commit queue to
-    /// drain — its `last_committed` at that point is the **barrier LSN**.
-    /// Every other node (and a leader with an invalid split key) ignores
-    /// the request, so harnesses may broadcast it.
-    fn on_split_request(&mut self, now: u64, range: RangeId, at: Key, out: &mut Outbox) {
-        let inside = match self.ring.def(range) {
-            Some(def) => {
-                def.moving.is_none()
-                    && def.start.as_bytes() < at.as_bytes()
-                    && def.end.as_ref().is_none_or(|e| at.as_bytes() < e.as_bytes())
-            }
-            None => false,
-        };
-        let Some(rep) = self.replicas.get_mut(&range) else { return };
-        if !inside || rep.role != Role::Leader || rep.barrier_pending() || rep.moving.is_some() {
-            return;
-        }
-        rep.splitting = Some(at);
-        if rep.cq.is_empty() {
-            self.execute_split(now, range, out);
-        }
-    }
-
-    /// The barrier has drained: perform the split. The authoritative
-    /// range table in the coordination service is updated first
-    /// (conditional on its version, so a racing update aborts us
-    /// cleanly); only then is the local store forked and the replica
-    /// dissolved into the two children. The left child keeps this leader
-    /// under a bumped epoch; the right child runs a fresh election whose
-    /// tie-break prefers the *next* cohort member, moving half the hot
-    /// range's load to another node.
-    fn execute_split(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
-        let Some(at) = self.replicas.get_mut(&range).and_then(|r| r.splitting.take()) else {
-            return;
-        };
-        let mut children = None;
-        let updated = self
-            .cas_table(|t| match t.split(range, &at) {
-                Ok(lr) => {
-                    children = Some(lr);
-                    true
-                }
-                Err(_) => false,
-            })
-            .is_some();
-        if !updated {
-            // Clean abort (no table, decode failure, range already gone,
-            // or a lost CAS race): unblock the buffered writes — the old
-            // routing is still whatever the table says it is.
-            self.unblock_writes(now, range, out);
-            return;
-        }
-        let (left, right) = children.expect("cas succeeded");
-        let rep = self.replicas.remove(&range).expect("own range");
-        let barrier = rep.last_committed;
-        let pe = rep.epoch;
-        let peers = rep.peers.clone();
-
-        // Children's election state: the left child inherits this leader
-        // at `pe + 1` (epochs only move forward, Appendix B); the right
-        // child's epoch znode is seeded with `pe` so its first election
-        // lands on `pe + 1` too — every child LSN exceeds the barrier.
-        let lp = CohortPaths::new(left);
-        let rp = CohortPaths::new(right);
-        for p in [&lp, &rp] {
-            self.coord.ensure_path(&p.base);
-            self.coord.ensure_path(&p.candidates);
-        }
-        self.coord.write_epoch(&lp.epoch, pe + 1);
-        self.coord.write_epoch(&rp.epoch, pe);
-        let _ = self.coord.create_ephemeral(&lp.leader, self.id.to_string().into_bytes());
-        // The parent's leader znode is deliberately left standing:
-        // deleting it would fire the followers' leader-watches *before*
-        // the Split message works through their (FIFO) request queues,
-        // pushing them onto the conservative fork path for no reason.
-        // The quiesced GC removes the whole `/r{N}` subtree later.
-
-        let (lstore, rstore) = self.fork_store(range, &rep.store, &at, left, right, barrier);
-
-        let mut lc =
-            RangeReplica::new(left, lstore, peers.clone(), (rep.span.0.clone(), Some(at.clone())));
-        lc.role = Role::Leader;
-        lc.epoch = pe + 1;
-        lc.leader = Some(self.id);
-        lc.last_assigned = Lsn::new(pe + 1, barrier.seq());
-        lc.last_committed = barrier;
-        lc.last_note = barrier;
-        // The children inherit the parent's commit-timestamp clock so
-        // their future stamps stay above everything the parent assigned
-        // (ts-order == LSN-order survives the split).
-        lc.last_ts = rep.last_ts;
-        lc.served_ts = rep.served_ts;
-        self.attach_replica(lc);
-
-        let mut rc =
-            RangeReplica::new(right, rstore, peers.clone(), (at.clone(), rep.span.1.clone()));
-        rc.epoch = pe;
-        rc.last_committed = barrier;
-        rc.last_note = barrier;
-        rc.last_ts = rep.last_ts;
-        rc.served_ts = rep.served_ts;
-        self.attach_replica(rc);
-
-        for peer in peers {
-            out.send(
-                peer,
-                PeerMsg::Split { range, epoch: pe, split_key: at.clone(), left, right, barrier },
-            );
-        }
-        self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-        {
-            // Enter the right child's election as an observer so the
-            // followers — who tie with us at the barrier — decide among
-            // themselves and the home preference moves leadership to the
-            // next cohort member.
-            let rp = CohortPaths::new(right);
-            self.coord.ensure_path(&rp.base);
-            self.coord.ensure_path(&rp.candidates);
-            let mut rt = runtime!(self, now);
-            if let Some(rc) = self.replicas.get_mut(&right) {
-                rc.observe_election(&mut rt, out);
-            }
-        }
-        // Buffered writes re-dispatch under the new table; clients that
-        // routed with the old one get `WrongRange` and refresh.
-        for (from, req) in rep.blocked_writes {
-            self.on_client(now, from, req, out);
-        }
-    }
-
-    /// Follower side of a split: the leader's table update is already in
-    /// the coordination service. Apply the commit queue up to the barrier
-    /// (the in-order link guarantees every propose `<= barrier` preceded
-    /// this message when we are a same-epoch follower), fork the store,
-    /// and join both child cohorts.
-    #[allow(clippy::too_many_arguments)]
-    fn on_split_msg(
-        &mut self,
-        now: u64,
-        range: RangeId,
-        from: NodeId,
-        epoch: spinnaker_common::Epoch,
-        split_key: Key,
-        left: RangeId,
-        right: RangeId,
-        barrier: Lsn,
-        out: &mut Outbox,
-    ) {
-        {
-            let rep = self.replicas.get_mut(&range).expect("checked");
-            if epoch < rep.epoch {
-                return; // a deposed leader's split; the table CAS stopped it too
-            }
-            if epoch == rep.epoch
-                && matches!(rep.role, Role::Leader | Role::LeaderTakeover)
-                && from != self.id
-            {
-                return; // two leaders in one epoch cannot happen; drop
-            }
-        }
-        let full_prefix = {
-            let rep = &self.replicas[&range];
-            rep.role == Role::Follower && rep.epoch == epoch
-        };
-        if full_prefix {
-            let mut rt = runtime!(self, now);
-            if let Some(rep) = self.replicas.get_mut(&range) {
-                rep.apply_commit(&mut rt, barrier);
-            }
-        }
-        self.adopt_table_from_coord();
-        let rep = self.replicas.remove(&range).expect("checked");
-        // A catching-up replica may hold a queue with holes; fork at its
-        // own committed watermark and let child catch-up fill the rest.
-        let watermark = rep.last_committed.min(barrier);
-        let (lstore, rstore) =
-            self.fork_store(range, &rep.store, &split_key, left, right, watermark);
-        self.install_children(rep, &split_key, left, lstore, right, rstore, watermark, epoch, out);
-        self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-        self.join_cohort(now, left, out);
-        self.join_cohort(now, right, out);
-    }
-
-    /// Watch-driven table refresh. When a range this node serves
-    /// vanished from the table, its split/merge metadata is
-    /// authoritative even though the leader's message never arrived (it
-    /// may have crashed between the table update and the fan-out):
-    /// reconcile locally at our own committed watermark — the
-    /// conservative path. A live def that no longer names us (a
-    /// committed departure we slept through) retires the local replica.
-    fn refresh_table(&mut self, now: u64, out: &mut Outbox) {
-        let data = match self.coord.get_data_watch(TABLE_PATH) {
-            Ok(d) => d,
-            Err(_) => {
-                let _ = self.coord.exists_watch(TABLE_PATH);
-                return;
-            }
-        };
-        let Ok(new_ring) = Ring::decode(&mut data.as_slice()) else { return };
-        if new_ring.version() <= self.ring.version() {
-            return;
-        }
-        self.ring = new_ring;
-        let mut gone = Vec::new();
-        let mut departed = Vec::new();
-        for &range in self.replicas.keys() {
-            match self.serve_status(range) {
-                ServeStatus::Gone => gone.push(range),
-                ServeStatus::NotMember => departed.push(range),
-                ServeStatus::Member | ServeStatus::MoveTarget => {}
-            }
-        }
-        for range in departed {
-            self.retire_replica(now, range, false, out);
-        }
-        let gone: Vec<RangeId> = gone
-            .into_iter()
-            .filter(|&range| {
-                // A follower with a live remote leader defers: the
-                // leader's Split/Merge message is queued behind every
-                // outstanding propose on the in-order link, so
-                // reconciling on the (out-of-band) watch would drop
-                // writes we already acked. If the leader is actually
-                // dead, its leader-znode deletion reaches us and the
-                // election path redirects to the conservative
-                // reconcile.
-                let r = &self.replicas[&range];
-                let defer = matches!(r.role, Role::Follower | Role::CatchingUp)
-                    && r.leader.is_some_and(|l| l != self.id);
-                !defer
-            })
-            .collect();
-        if !gone.is_empty() {
-            self.reconcile_gone_ranges(now, gone, out);
-        }
-    }
-
-    /// Conservative, table-driven reconciliation of ranges that vanished
-    /// from the table while this replica lagged (crashed leader mid
-    /// fan-out, slept-through splits/merges, chained either way). The
-    /// targets are all current ranges that name us a replica and
-    /// intersect a gone replica's recorded span:
-    ///
-    /// * a target **contained** in a single gone span is the split case:
-    ///   rebuild it at that replica's committed watermark (the watermark
-    ///   vouches for the whole target);
-    /// * any other intersection (merges, mixed chains) rebuilds from all
-    ///   intersecting spans at watermark **zero** — under-claiming, so an
-    ///   election can never pick a leader missing committed writes —
-    ///   and catch-up fills the gaps.
-    ///
-    /// Either way the gone streams' **tails** (records beyond the
-    /// watermark that we may already have acked toward a quorum) are
-    /// migrated into the target streams so their durability — and their
-    /// visibility to elections via `n.lst` — survives the handoff.
-    fn reconcile_gone_ranges(&mut self, now: u64, gone: Vec<RangeId>, out: &mut Outbox) {
-        let mut parents: Vec<RangeReplica> = Vec::new();
-        for range in gone {
-            if let Some(rep) = self.replicas.remove(&range) {
-                for (from, req) in &rep.blocked_writes {
-                    let version = self.ring.version();
-                    out.reply(
-                        *from,
-                        ClientReply::err(req.req, ClientError::WrongRange { version }),
-                    );
-                }
-                if let Some(path) = &rep.candidate_path {
-                    let _ = self.coord.delete(path);
-                }
-                parents.push(rep);
-            }
-        }
-        if parents.is_empty() {
-            return;
-        }
-        let targets: Vec<RangeDef> = self
-            .ring
-            .defs()
-            .filter(|d| {
-                d.cohort.contains(&self.id)
-                    && !self.replicas.contains_key(&d.id)
-                    && parents.iter().any(|p| spans_intersect(&p.span, d))
-            })
-            .cloned()
-            .collect();
-        let mut built = Vec::new();
-        for def in &targets {
-            let contributors: Vec<&RangeReplica> =
-                parents.iter().filter(|p| spans_intersect(&p.span, def)).collect();
-            let contained = contributors.len() == 1 && span_contains(&contributors[0].span, def);
-            let Ok(mut store) = RangeStore::recreate(
-                self.vfs.clone(),
-                store_options(def.id, &self.cfg, self.cache.as_ref()),
-            ) else {
-                continue;
-            };
-            for p in &contributors {
-                let (lo, hi) = span_clip(&p.span, def);
-                if let Ok(rows) = p.store.scan(&lo, hi.as_ref()) {
-                    for (key, row) in rows {
-                        store.ingest_fragment(&key, &row);
-                    }
-                }
-                // The contributors' rows were pruned at their floors;
-                // the rebuilt store must not serve snapshots below them.
-                store.set_gc_floor(p.store.gc_floor());
-            }
-            let _ = store.flush();
-            let watermark = if contained { contributors[0].last_committed } else { Lsn::ZERO };
-            if !watermark.is_zero() {
-                let _ = self.wal.set_checkpoint(def.id, watermark);
-            }
-            let epoch = contributors.iter().map(|p| p.epoch).max().unwrap_or(0);
-            let mut rep = RangeReplica::new(
-                def.id,
-                store,
-                def.cohort.iter().copied().filter(|&n| n != self.id).collect(),
-                (def.start.clone(), def.end.clone()),
-            );
-            rep.epoch = epoch;
-            rep.last_committed = watermark;
-            rep.last_note = watermark;
-            self.attach_replica(rep);
-            built.push(def.id);
-        }
-        // Migrate each gone stream's tail — acked records must keep their
-        // durable home and stay visible to elections. Only retire a
-        // parent stream once every tail record found a target stream.
-        for p in &parents {
-            let watermark = p.last_committed;
-            let tail = self
-                .wal
-                .read_range(p.range, watermark, self.wal.state(p.range).last_lsn)
-                .unwrap_or_default();
-            let mut migrated = true;
-            for (lsn, op) in tail {
-                let target = targets
-                    .iter()
-                    .find(|d| built.contains(&d.id) && key_in_def(&op.key, d))
-                    .map(|d| d.id);
-                match target {
-                    Some(t) => {
-                        if self.wal.append(&LogRecord::write(t, lsn, op)).is_err() {
-                            migrated = false;
-                        }
-                    }
-                    None => migrated = false,
-                }
-            }
-            if migrated {
-                let _ = self.wal.set_checkpoint(p.range, watermark);
-                self.dissolved.push(Dissolved { range: p.range, at: now, gc_znodes: true });
-            }
-        }
-        self.sync_wal();
-        for range in built {
-            self.join_cohort(now, range, out);
-        }
-    }
-
-    /// Fork `store` at `at` into the two children, persist both halves,
-    /// and advance the WAL checkpoints: the children's logical LSN
-    /// streams begin just above `watermark`, and the parent's stream
-    /// below it becomes garbage-collectable.
-    ///
-    /// The parent's log *tail* — records beyond the watermark that this
-    /// replica holds and may already have **acked** toward a quorum — is
-    /// migrated into the child streams, keyed by side. Without this, a
-    /// replica forking at a lagging watermark (the conservative path)
-    /// would advertise a log position below writes it vouched for, and a
-    /// child election could pick a leader missing committed writes.
-    fn fork_store(
-        &mut self,
-        parent: RangeId,
-        store: &RangeStore,
-        at: &Key,
-        left: RangeId,
-        right: RangeId,
-        watermark: Lsn,
-    ) -> (RangeStore, RangeStore) {
-        let (mut ls, mut rs) = store
-            .split(
-                at,
-                store_options(left, &self.cfg, self.cache.as_ref()),
-                store_options(right, &self.cfg, self.cache.as_ref()),
-            )
-            .expect("store fork");
-        let _ = ls.flush();
-        let _ = rs.flush();
-        let _ = self.wal.set_checkpoint(left, watermark);
-        let _ = self.wal.set_checkpoint(right, watermark);
-        let tail = self
-            .wal
-            .read_range(parent, watermark, self.wal.state(parent).last_lsn)
-            .unwrap_or_default();
-        let mut migrated = true;
-        for (lsn, op) in tail {
-            let child = if op.key.as_bytes() < at.as_bytes() { left } else { right };
-            if self.wal.append(&LogRecord::write(child, lsn, op)).is_err() {
-                migrated = false;
-            }
-        }
-        // Retire the parent stream only if every tail record found a home
-        // in a child stream; otherwise the parent copy stays replayable.
-        if migrated {
-            let _ = self.wal.set_checkpoint(parent, watermark);
-        }
-        // The tail copies must be as durable as the acked originals.
-        self.sync_wal();
-        (ls, rs)
-    }
-
-    /// Register the two child replicas of a dissolved parent (split at
-    /// `at`) and redirect anything the parent still buffered.
-    #[allow(clippy::too_many_arguments)]
-    fn install_children(
-        &mut self,
-        parent: RangeReplica,
-        at: &Key,
-        left: RangeId,
-        lstore: RangeStore,
-        right: RangeId,
-        rstore: RangeStore,
-        watermark: Lsn,
-        epoch: spinnaker_common::Epoch,
-        out: &mut Outbox,
-    ) {
-        let lspan = (parent.span.0.clone(), Some(at.clone()));
-        let rspan = (at.clone(), parent.span.1.clone());
-        for (range, store, span) in [(left, lstore, lspan), (right, rstore, rspan)] {
-            let peers =
-                self.ring.cohort(range).into_iter().filter(|&n| n != self.id).collect::<Vec<_>>();
-            let peers = if peers.is_empty() { parent.peers.clone() } else { peers };
-            let mut rep = RangeReplica::new(range, store, peers, span);
-            rep.epoch = epoch;
-            rep.last_committed = watermark;
-            rep.last_note = watermark;
-            self.attach_replica(rep);
-        }
-        for (from, req) in parent.blocked_writes {
-            let version = self.ring.version();
-            out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
-        }
-    }
-
-    /// Pull the freshest table from the coordination service (used when
-    /// a lifecycle message outruns our table watch delivery).
-    fn adopt_table_from_coord(&mut self) {
-        if let Ok((data, _)) = self.coord.get_data(TABLE_PATH) {
-            if let Ok(t) = Ring::decode(&mut data.as_slice()) {
-                if t.version() > self.ring.version() {
-                    self.ring = t;
-                }
-            }
-        }
-    }
-
-    // =================================================================
-    // cohort movement (replica rebalancing)
-    // =================================================================
-
-    /// Administrative entry point: the range's leader CAS-publishes the
-    /// move intent, streams a consistent snapshot to the joining node,
-    /// and keeps proposing to it as a **learner** until it confirms
-    /// durable catch-up. Every other node ignores the request, so
-    /// harnesses may broadcast it.
-    fn on_move_request(
-        &mut self,
-        now: u64,
-        range: RangeId,
-        from: NodeId,
-        to: NodeId,
-        out: &mut Outbox,
-    ) {
-        let eligible = self.ring.def(range).is_some_and(|d| {
-            d.moving.is_none() && d.cohort.contains(&from) && !d.cohort.contains(&to)
-        });
-        let Some(rep) = self.replicas.get(&range) else { return };
-        if !eligible
-            || rep.role != Role::Leader
-            || rep.barrier_pending()
-            || rep.moving.is_some()
-            || rep.takeover.is_some()
-        {
-            return;
-        }
-        if self.cas_table(|t| t.begin_move(range, from, to).is_ok()).is_none() {
-            return; // lost a table race; the admin can retry
-        }
-        let rep = self.replicas.get_mut(&range).expect("own range");
-        rep.moving = Some(MoveState { from, to, since: now, draining: false });
-        // The learner receives every subsequent propose (its acks are
-        // excluded from the quorum until the commit CAS).
-        if !rep.peers.contains(&to) {
-            rep.peers.push(to);
-        }
-        let at = rep.last_committed;
-        let epoch = rep.epoch;
-        match rep.store.export_snapshot() {
-            Ok(snapshot) => {
-                out.send(to, PeerMsg::JoinRange { range, epoch, at, snapshot });
-            }
-            Err(_) => self.abort_move(now, range, out),
-        }
-    }
-
-    /// Joining-node side: seed a fresh replica from the snapshot, hand
-    /// the WAL stream its starting checkpoint, and catch up from the
-    /// leader's log tail through the normal follower path. The final
-    /// `CaughtUp` confirmation is sent only after the appended tail is
-    /// durable, which is exactly the leader's commit gate.
-    #[allow(clippy::too_many_arguments)]
-    fn on_join_range(
-        &mut self,
-        now: u64,
-        leader: NodeId,
-        range: RangeId,
-        epoch: spinnaker_common::Epoch,
-        at: Lsn,
-        snapshot: &StoreSnapshot,
-        out: &mut Outbox,
-    ) {
-        if self.replicas.contains_key(&range) {
-            return; // duplicate handoff
-        }
-        self.adopt_table_from_coord();
-        let Some(def) = self.ring.def(range).cloned() else { return };
-        let expected =
-            def.moving.is_some_and(|(_, to)| to == self.id) || def.cohort.contains(&self.id);
-        if !expected {
-            return; // stale or aborted handoff
-        }
-        let Ok(mut store) = RangeStore::recreate(
-            self.vfs.clone(),
-            store_options(range, &self.cfg, self.cache.as_ref()),
-        ) else {
-            return;
-        };
-        if store.import_snapshot(snapshot).is_err() {
-            return;
-        }
-        let _ = store.flush();
-        // Per-stream checkpoint handoff: the snapshot vouches for
-        // everything at or below `at`; catch-up and live proposes cover
-        // the rest.
-        let _ = self.wal.retire_stream(range);
-        let _ = self.wal.set_checkpoint(range, at);
-        let mut rep = RangeReplica::new(
-            range,
-            store,
-            def.cohort.iter().copied().filter(|&n| n != self.id).collect(),
-            (def.start.clone(), def.end.clone()),
-        );
-        rep.epoch = epoch;
-        rep.last_committed = at;
-        rep.last_note = at;
-        self.attach_replica(rep);
-        let paths = CohortPaths::new(range);
-        self.coord.ensure_path(&paths.base);
-        self.coord.ensure_path(&paths.candidates);
-        let _ = self.coord.get_data_watch(&paths.leader);
-        let mut rt = runtime!(self, now);
-        if let Some(rep) = self.replicas.get_mut(&range) {
-            rep.become_follower(&mut rt, leader, out);
-        }
-        let _ = now;
-    }
-
-    /// The learner confirmed durable catch-up: commit the new replica
-    /// set. A departing leader first drains its commit queue (a barrier,
-    /// like a split's) so no client ack is ever owed by a replica that
-    /// just left.
-    fn finish_move(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
-        let Some(rep) = self.replicas.get_mut(&range) else { return };
-        let Some(m) = rep.moving.as_mut() else { return };
-        let (from, to) = (m.from, m.to);
-        if from == self.id && !rep.cq.is_empty() {
-            m.draining = true; // barrier: try_commit re-triggers when drained
-            return;
-        }
-        if self.cas_table(|t| t.commit_move(range, from, to).is_ok()).is_none() {
-            self.abort_move(now, range, out);
-            return;
-        }
-        let def = self.ring.def(range).cloned().expect("just committed");
-        let rep = self.replicas.get_mut(&range).expect("own range");
-        rep.moving = None;
-        rep.peers = def.cohort.iter().copied().filter(|&n| n != self.id).collect();
-        let epoch = rep.epoch;
-        let change = PeerMsg::CohortChange {
-            range,
-            epoch,
-            gen: def.gen,
-            cohort: def.cohort.clone(),
-            departing: from,
-            joining: to,
-        };
-        let mut recipients: Vec<NodeId> =
-            def.cohort.iter().copied().filter(|&n| n != self.id).collect();
-        if from != self.id && !recipients.contains(&from) {
-            recipients.push(from);
-        }
-        for peer in recipients {
-            out.send(peer, change.clone());
-        }
-        if from == self.id {
-            // Leader hand-off: the joining node claims leadership
-            // directly on receiving the cohort change (atomic znode
-            // swap, so member elections cannot race it). Our own leader
-            // znode stays standing until the swap — the maintenance
-            // sweep deletes it as a fallback should the joiner die
-            // first, so the members can elect.
-            self.retire_replica(now, range, false, out);
-        }
-    }
-
-    /// Abandon an in-flight move: CAS the marker away and drop the
-    /// learner from the propose fan-out.
-    fn abort_move(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
-        let _ = self.cas_table(|t| t.abort_move(range).is_ok());
-        let Some(rep) = self.replicas.get_mut(&range) else { return };
-        if let Some(m) = rep.moving.take() {
-            rep.peers.retain(|&n| n != m.to);
-        }
-        self.unblock_writes(now, range, out);
-    }
-
-    /// The committed cohort change reached a member (or the departing
-    /// replica): refresh the peer set, or detach.
-    #[allow(clippy::too_many_arguments)]
-    fn on_cohort_change(
-        &mut self,
-        now: u64,
-        range: RangeId,
-        epoch: spinnaker_common::Epoch,
-        cohort: Vec<NodeId>,
-        departing: NodeId,
-        joining: NodeId,
-        out: &mut Outbox,
-    ) {
-        self.adopt_table_from_coord();
-        if departing == self.id {
-            self.retire_replica(now, range, false, out);
-            return;
-        }
-        let mut rt = runtime!(self, now);
-        let Some(rep) = self.replicas.get_mut(&range) else { return };
-        if epoch < rep.epoch {
-            return;
-        }
-        let claim = joining == self.id && rep.leader == Some(departing);
-        rep.peers = cohort.into_iter().filter(|&n| n != self.id).collect();
-        if claim {
-            // The departing replica was the leader and named us its
-            // successor: take over directly (we are fully caught up —
-            // that is what gated the commit CAS).
-            rep.claim_leadership(&mut rt, out);
-        }
-    }
-
-    // =================================================================
-    // range merge (the inverse of split)
-    // =================================================================
-
-    /// Administrative entry point: the **left** sibling's leader
-    /// coordinates. Both siblings barrier (drain their commit queues),
-    /// then the coordinator CAS-publishes the merged `RangeDef`, merges
-    /// the local stores, and leads the merged range.
-    fn on_merge_request(&mut self, now: u64, left: RangeId, right: RangeId, out: &mut Outbox) {
-        let eligible = {
-            let (ld, rd) = (self.ring.def(left), self.ring.def(right));
-            match (ld, rd) {
-                (Some(ld), Some(rd)) => {
-                    let mut a = ld.cohort.clone();
-                    let mut b = rd.cohort.clone();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    ld.end.as_ref() == Some(&rd.start)
-                        && a == b
-                        && ld.moving.is_none()
-                        && rd.moving.is_none()
-                }
-                _ => false,
-            }
-        };
-        if !eligible || !self.replicas.contains_key(&right) {
-            return;
-        }
-        {
-            let Some(lrep) = self.replicas.get_mut(&left) else { return };
-            if lrep.role != Role::Leader
-                || lrep.barrier_pending()
-                || lrep.moving.is_some()
-                || lrep.takeover.is_some()
-            {
-                return;
-            }
-            lrep.merging = Some(Merging {
-                sibling: right,
-                coordinator: true,
-                sibling_barrier: None,
-                requester: self.id,
-                announced: false,
-                since: now,
-                token: now,
-            });
-        }
-        // Subordinate barrier: locally when we lead the right sibling
-        // too, by proposal to its leader otherwise.
-        let (rrole, rleader, repoch) = {
-            let r = &self.replicas[&right];
-            (r.role, r.leader, r.epoch)
-        };
-        let mut local_subordinate = false;
-        match rrole {
-            Role::Leader => {
-                let rrep = self.replicas.get_mut(&right).expect("checked");
-                if rrep.barrier_pending() || rrep.moving.is_some() {
-                    self.abort_merge(now, left, out);
-                    return;
-                }
-                rrep.merging = Some(Merging {
-                    sibling: left,
-                    coordinator: false,
-                    sibling_barrier: None,
-                    requester: self.id,
-                    announced: false,
-                    since: now,
-                    token: now,
-                });
-                local_subordinate = true;
-            }
-            _ => match rleader {
-                Some(leader) if leader != self.id => {
-                    out.send(
-                        leader,
-                        PeerMsg::MergeProposal { range: right, left, epoch: repoch, token: now },
-                    );
-                }
-                _ => {
-                    self.abort_merge(now, left, out);
-                    return;
-                }
-            },
-        }
-        if local_subordinate {
-            // An idle right sibling is already drained: its try_commit
-            // must announce the barrier now, or nothing ever would (no
-            // acks or forces arrive on an idle range).
-            let mut rt = runtime!(self, now);
-            let fu = self.replicas.get_mut(&right).expect("checked").try_commit(&mut rt, out);
-            self.follow_up(now, right, fu, out);
-        }
-        self.advance_merge(now, left, out);
-    }
-
-    /// Right sibling's leader: barrier on request. Once the queue
-    /// drains, a commit message up to the barrier goes to the cohort
-    /// (same FIFO links as the proposes it covers) and `MergeReady` to
-    /// the coordinator — both from [`RangeReplica::try_commit`].
-    #[allow(clippy::too_many_arguments)]
-    fn on_merge_proposal(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        right: RangeId,
-        left: RangeId,
-        _epoch: spinnaker_common::Epoch,
-        token: u64,
-        out: &mut Outbox,
-    ) {
-        {
-            let Some(rep) = self.replicas.get_mut(&right) else { return };
-            if rep.role != Role::Leader
-                || rep.barrier_pending()
-                || rep.moving.is_some()
-                || rep.takeover.is_some()
-            {
-                return;
-            }
-            rep.merging = Some(Merging {
-                sibling: left,
-                coordinator: false,
-                sibling_barrier: None,
-                requester: from,
-                announced: false,
-                since: now,
-                token,
-            });
-        }
-        // Already drained? Announce immediately.
-        let mut rt = runtime!(self, now);
-        let fu = self.replicas.get_mut(&right).expect("checked").try_commit(&mut rt, out);
-        self.follow_up(now, right, fu, out);
-    }
-
-    /// Coordinator: the right sibling's barrier is known.
-    fn on_merge_ready(
-        &mut self,
-        now: u64,
-        left: RangeId,
-        right: RangeId,
-        barrier: Lsn,
-        token: u64,
-        out: &mut Outbox,
-    ) {
-        {
-            let Some(lrep) = self.replicas.get_mut(&left) else { return };
-            match lrep.merging.as_mut() {
-                // The token ties the readiness to *this* attempt: a
-                // delayed MergeReady from an earlier aborted attempt
-                // would otherwise supply a stale barrier.
-                Some(m) if m.coordinator && m.sibling == right && m.token == token => {
-                    m.sibling_barrier = Some(barrier);
-                }
-                _ => return,
-            }
-        }
-        self.advance_merge(now, left, out);
-    }
-
-    /// Coordinator: execute the merge once (a) our own queue drained,
-    /// and (b) the right sibling's barrier is known **and** our local
-    /// right replica has committed through it (the subordinate's commit
-    /// message precedes `MergeReady` on the same FIFO link, so this
-    /// resolves promptly; a wedged catch-up falls to the merge timeout).
-    fn advance_merge(&mut self, now: u64, left: RangeId, out: &mut Outbox) {
-        let (right, sibling_barrier) = {
-            let Some(lrep) = self.replicas.get(&left) else { return };
-            let Some(m) = lrep.merging.as_ref().filter(|m| m.coordinator) else { return };
-            if lrep.role != Role::Leader || !lrep.cq.is_empty() {
-                return;
-            }
-            (m.sibling, m.sibling_barrier)
-        };
-        let right_barrier = match sibling_barrier {
-            Some(b) => {
-                match self.replicas.get(&right) {
-                    Some(r) if r.last_committed >= b => b,
-                    Some(_) => return, // commit still in flight
-                    None => {
-                        self.abort_merge(now, left, out);
-                        return;
-                    }
-                }
-            }
-            None => {
-                // Local subordinate: we lead the right sibling too.
-                let Some(rrep) = self.replicas.get(&right) else {
-                    self.abort_merge(now, left, out);
-                    return;
-                };
-                let drained = rrep.role == Role::Leader
-                    && rrep.merging.as_ref().is_some_and(|m| !m.coordinator && m.announced);
-                if !drained {
-                    return; // its try_commit will re-poke us when drained
-                }
-                rrep.last_committed
-            }
-        };
-        self.execute_merge(now, left, right, right_barrier, out);
-    }
-
-    /// Both barriers drained: CAS the merged `RangeDef`, merge the local
-    /// stores, lead the merged range, fan the `Merge` message to the
-    /// cohort, and detach both siblings.
-    fn execute_merge(
-        &mut self,
-        now: u64,
-        left: RangeId,
-        right: RangeId,
-        right_barrier: Lsn,
-        out: &mut Outbox,
-    ) {
-        if !self.replicas.contains_key(&left) || !self.replicas.contains_key(&right) {
-            self.abort_merge(now, left, out);
-            return;
-        }
-        let mut merged_id = None;
-        if self
-            .cas_table(|t| match t.merge(left, right) {
-                Ok(id) => {
-                    merged_id = Some(id);
-                    true
-                }
-                Err(_) => false,
-            })
-            .is_none()
-        {
-            self.abort_merge(now, left, out);
-            return;
-        }
-        let merged = merged_id.expect("cas succeeded");
-        let lrep = self.replicas.remove(&left).expect("coordinator owns left");
-        let rrep = self.replicas.remove(&right).expect("same cohort owns right");
-        let barrier = lrep.last_committed;
-        let (le, re) = (lrep.epoch, rrep.epoch);
-        let merged_epoch = le.max(re) + 1;
-        let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
-
-        // Election state of the merged range: this leader continues at
-        // `max(epochs) + 1`, so every merged-range LSN exceeds every LSN
-        // either sibling ever used.
-        let mp = CohortPaths::new(merged);
-        self.coord.ensure_path(&mp.base);
-        self.coord.ensure_path(&mp.candidates);
-        self.coord.write_epoch(&mp.epoch, merged_epoch);
-        let _ = self.coord.create_ephemeral(&mp.leader, self.id.to_string().into_bytes());
-        // Both siblings' leader znodes stay standing until GC, exactly
-        // like a split parent's (watch-ordering: peers must process the
-        // Merge message first).
-
-        let mut mstore = RangeStore::merge(
-            &lrep.store,
-            &rrep.store,
-            store_options(merged, &self.cfg, self.cache.as_ref()),
-        )
-        .expect("store merge");
-        let _ = mstore.flush();
-        let _ = self.wal.set_checkpoint(left, barrier);
-        let _ = self.wal.set_checkpoint(right, right_barrier);
-        let _ = self.wal.set_checkpoint(merged, base);
-        self.sync_wal();
-
-        let peers = lrep.peers.clone();
-        let mut mrep = RangeReplica::new(
-            merged,
-            mstore,
-            peers.clone(),
-            (lrep.span.0.clone(), rrep.span.1.clone()),
-        );
-        mrep.role = Role::Leader;
-        mrep.epoch = merged_epoch;
-        mrep.leader = Some(self.id);
-        mrep.last_assigned = base;
-        mrep.last_committed = base;
-        mrep.last_note = base;
-        // Continue the merged clock above both siblings' stamps.
-        mrep.last_ts = lrep.last_ts.max(rrep.last_ts);
-        mrep.served_ts = lrep.served_ts.max(rrep.served_ts);
-        self.attach_replica(mrep);
-
-        for peer in peers {
-            out.send(
-                peer,
-                PeerMsg::Merge {
-                    range: left,
-                    right,
-                    merged,
-                    epoch: le,
-                    right_epoch: re,
-                    barrier,
-                    right_barrier,
-                },
-            );
-        }
-        self.dissolved.push(Dissolved { range: left, at: now, gc_znodes: true });
-        self.dissolved.push(Dissolved { range: right, at: now, gc_znodes: true });
-        for (from, req) in lrep.blocked_writes.into_iter().chain(rrep.blocked_writes) {
-            self.on_client(now, from, req, out);
-        }
-    }
-
-    /// Abandon an in-flight merge: unblock both siblings' held writes
-    /// and release a remote subordinate barrier.
-    fn abort_merge(&mut self, now: u64, left: RangeId, out: &mut Outbox) {
-        let (right, epoch) = {
-            let Some(lrep) = self.replicas.get_mut(&left) else { return };
-            let Some(m) = lrep.merging.take() else { return };
-            (m.sibling, lrep.epoch)
-        };
-        self.unblock_writes(now, left, out);
-        let rleader = match self.replicas.get_mut(&right) {
-            Some(rrep) => {
-                if rrep.merging.as_ref().is_some_and(|m| !m.coordinator)
-                    && rrep.role == Role::Leader
-                {
-                    rrep.merging = None;
-                    self.unblock_writes(now, right, out);
-                    None
-                } else {
-                    self.replicas.get(&right).and_then(|r| r.leader).filter(|&l| l != self.id)
-                }
-            }
-            None => None,
-        };
-        if let Some(leader) = rleader {
-            out.send(leader, PeerMsg::MergeAbort { range: right, epoch });
-        }
-    }
-
-    /// Remote subordinate: the coordinator abandoned the merge.
-    fn on_merge_abort(&mut self, now: u64, right: RangeId, out: &mut Outbox) {
-        let Some(rep) = self.replicas.get_mut(&right) else { return };
-        if rep.merging.as_ref().is_none_or(|m| m.coordinator) {
-            return;
-        }
-        rep.merging = None;
-        self.unblock_writes(now, right, out);
-    }
-
-    /// Follower side of a merge: both barriers are committed history.
-    /// Drain both queues through their barriers; a gap-free drain keeps
-    /// the merged stream's full watermark, anything else under-claims
-    /// (watermark zero, WAL tails migrated) and lets catch-up fill the
-    /// gaps — an election must never see a watermark the local state
-    /// cannot back.
-    #[allow(clippy::too_many_arguments)]
-    fn on_merge_msg(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        left: RangeId,
-        right: RangeId,
-        merged: RangeId,
-        epoch: spinnaker_common::Epoch,
-        right_epoch: spinnaker_common::Epoch,
-        barrier: Lsn,
-        right_barrier: Lsn,
-        out: &mut Outbox,
-    ) {
-        if let Some(lrep) = self.replicas.get(&left) {
-            if epoch < lrep.epoch {
-                return; // a deposed coordinator's merge
-            }
-            if epoch == lrep.epoch
-                && matches!(lrep.role, Role::Leader | Role::LeaderTakeover)
-                && from != self.id
-            {
-                return;
-            }
-        }
-        self.adopt_table_from_coord();
-        if !self.replicas.contains_key(&left) || !self.replicas.contains_key(&right) {
-            // Missing one side entirely: fall back to the conservative
-            // table-driven reconcile over whatever we do hold.
-            let gone: Vec<RangeId> = [left, right]
-                .into_iter()
-                .filter(|r| self.replicas.contains_key(r) && self.ring.def(*r).is_none())
-                .collect();
-            if !gone.is_empty() {
-                self.reconcile_gone_ranges(now, gone, out);
-            }
-            return;
-        }
-        let mut clean = true;
-        for (range, e, b) in [(left, epoch, barrier), (right, right_epoch, right_barrier)] {
-            let mut rt = runtime!(self, now);
-            let rep = self.replicas.get_mut(&range).expect("checked");
-            let pre = matches!(rep.role, Role::Follower | Role::Leader) && rep.epoch == e;
-            let drained = rep.commit_through_barrier(&mut rt, b);
-            clean &= pre && drained;
-        }
-        let lrep = self.replicas.remove(&left).expect("checked");
-        let rrep = self.replicas.remove(&right).expect("checked");
-        let merged_epoch = epoch.max(right_epoch) + 1;
-        let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
-        let mut mstore = RangeStore::merge(
-            &lrep.store,
-            &rrep.store,
-            store_options(merged, &self.cfg, self.cache.as_ref()),
-        )
-        .expect("store merge");
-        let _ = mstore.flush();
-        let watermark = if clean {
-            let _ = self.wal.set_checkpoint(left, barrier);
-            let _ = self.wal.set_checkpoint(right, right_barrier);
-            let _ = self.wal.set_checkpoint(merged, base);
-            self.dissolved.push(Dissolved { range: left, at: now, gc_znodes: true });
-            self.dissolved.push(Dissolved { range: right, at: now, gc_znodes: true });
-            base
-        } else {
-            // Under-claim: migrate both streams' tails into the merged
-            // stream so acked records keep their durability and their
-            // election visibility; catch-up rebuilds the rest.
-            for (range, rep) in [(left, &lrep), (right, &rrep)] {
-                let w = rep.last_committed;
-                let tail = self
-                    .wal
-                    .read_range(range, w, self.wal.state(range).last_lsn)
-                    .unwrap_or_default();
-                let mut migrated = true;
-                for (lsn, op) in tail {
-                    if self.wal.append(&LogRecord::write(merged, lsn, op)).is_err() {
-                        migrated = false;
-                    }
-                }
-                if migrated {
-                    let _ = self.wal.set_checkpoint(range, w);
-                    self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-                }
-            }
-            Lsn::ZERO
-        };
-        self.sync_wal();
-        let peers = {
-            let p: Vec<NodeId> =
-                self.ring.cohort(merged).into_iter().filter(|&n| n != self.id).collect();
-            if p.is_empty() {
-                lrep.peers.clone()
-            } else {
-                p
-            }
-        };
-        let mut mrep =
-            RangeReplica::new(merged, mstore, peers, (lrep.span.0.clone(), rrep.span.1.clone()));
-        mrep.epoch = if clean { merged_epoch } else { lrep.epoch.max(rrep.epoch) };
-        mrep.last_committed = watermark;
-        mrep.last_note = watermark;
-        self.attach_replica(mrep);
-        for (from, req) in lrep.blocked_writes.into_iter().chain(rrep.blocked_writes) {
-            let version = self.ring.version();
-            out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
-        }
-        self.join_cohort(now, merged, out);
-    }
-
-    // =================================================================
     // coordination events
     // =================================================================
+
+    /// The attached replica a `/r{N}/leader` znode path belongs to, and
+    /// its role.
+    fn leader_path_replica(&self, path: &str) -> Option<(RangeId, Role)> {
+        let range = CohortPaths::range_of_path(path).filter(|_| path.ends_with("/leader"))?;
+        Some((range, self.replicas.get(&range)?.role))
+    }
 
     fn on_coord_event(&mut self, now: u64, ev: WatchEvent, out: &mut Outbox) {
         match ev {
@@ -2241,54 +1120,29 @@ impl Node {
                     self.refresh_table(now, out);
                     return;
                 }
-                if let Some(range) = CohortPaths::range_of_path(&path) {
-                    if path.ends_with("/leader") && self.replicas.contains_key(&range) {
-                        if self.replicas[&range].role == Role::Electing {
-                            let paths = CohortPaths::new(range);
-                            if let Ok(data) = self.coord.get_data_watch(&paths.leader) {
-                                let leader = parse_node(&data);
-                                if leader != self.id {
-                                    let mut rt = runtime!(self, now);
-                                    if let Some(rep) = self.replicas.get_mut(&range) {
-                                        rep.become_follower(&mut rt, leader, out);
-                                    }
-                                }
-                            }
-                        } else {
-                            // Keep watching the leader znode.
-                            let paths = CohortPaths::new(range);
-                            let _ = self.coord.get_data_watch(&paths.leader);
-                        }
+                if let Some((range, role)) = self.leader_path_replica(&path) {
+                    let paths = CohortPaths::new(range);
+                    if role == Role::Electing {
+                        self.follow_leader_znode(now, range, &paths, out);
+                    } else {
+                        let _ = self.coord.get_data_watch(&paths.leader); // keep watching
                     }
                 }
             }
             WatchEvent::Deleted(path) => {
-                if let Some(range) = CohortPaths::range_of_path(&path) {
-                    if path.ends_with("/leader") && self.replicas.contains_key(&range) {
-                        if self.replicas[&range].role == Role::Offline {
-                            return;
-                        }
-                        // Re-read before electing: a cohort-movement
-                        // hand-off deletes and re-creates the znode in
-                        // one step, so the deletion event may be stale —
-                        // electing over a live claimant (or over our own
-                        // freshly-claimed leadership) would wedge the
-                        // cohort.
+                // Re-read before electing: a cohort-movement hand-off
+                // deletes and re-creates the znode in one step, so the
+                // deletion event may be stale — electing over a live
+                // claimant (or over our own freshly-claimed leadership)
+                // would wedge the cohort. Truly gone: elect (§7).
+                match self.leader_path_replica(&path) {
+                    Some((range, role)) if role != Role::Offline => {
                         let paths = CohortPaths::new(range);
-                        match self.coord.get_data_watch(&paths.leader) {
-                            Ok(data) => {
-                                let leader = parse_node(&data);
-                                if leader != self.id {
-                                    let mut rt = runtime!(self, now);
-                                    if let Some(rep) = self.replicas.get_mut(&range) {
-                                        rep.become_follower(&mut rt, leader, out);
-                                    }
-                                }
-                            }
-                            // Truly gone: elect a new leader (§7).
-                            Err(_) => self.try_start_election(now, range, out),
+                        if self.follow_leader_znode(now, range, &paths, out).is_none() {
+                            self.try_start_election(now, range, out);
                         }
                     }
+                    _ => {}
                 }
             }
             WatchEvent::SessionExpired => {
@@ -2306,7 +1160,7 @@ impl Node {
 
 /// Store layout and tuning for a range's LSM tree. The block cache is
 /// the node-wide one; each store registers its own tables in it.
-fn store_options(
+pub(crate) fn store_options(
     range: RangeId,
     cfg: &NodeConfig,
     cache: Option<&SharedBlockCache>,
@@ -2319,82 +1173,6 @@ fn store_options(
         cache: cache.cloned(),
         ..Default::default()
     }
-}
-
-/// True when the replica span `(start, end)` and `def`'s bounds overlap.
-fn spans_intersect(span: &(Key, Option<Key>), def: &RangeDef) -> bool {
-    let below = match (&def.end, &span.0) {
-        (Some(de), s) => de.as_bytes() > s.as_bytes(),
-        (None, _) => true,
-    };
-    let above = match (&span.1, &def.start) {
-        (Some(se), ds) => se.as_bytes() > ds.as_bytes(),
-        (None, _) => true,
-    };
-    below && above
-}
-
-/// True when `def`'s bounds lie entirely inside the replica span.
-fn span_contains(span: &(Key, Option<Key>), def: &RangeDef) -> bool {
-    def.start.as_bytes() >= span.0.as_bytes()
-        && match (&def.end, &span.1) {
-            (_, None) => true,
-            (Some(de), Some(se)) => de.as_bytes() <= se.as_bytes(),
-            (None, Some(_)) => false,
-        }
-}
-
-/// Clip `def`'s bounds to the replica span: `[lo, hi)`.
-fn span_clip(span: &(Key, Option<Key>), def: &RangeDef) -> (Key, Option<Key>) {
-    let lo =
-        if def.start.as_bytes() >= span.0.as_bytes() { def.start.clone() } else { span.0.clone() };
-    let hi = match (&def.end, &span.1) {
-        (Some(de), Some(se)) => {
-            Some(if de.as_bytes() <= se.as_bytes() { de.clone() } else { se.clone() })
-        }
-        (Some(de), None) => Some(de.clone()),
-        (None, Some(se)) => Some(se.clone()),
-        (None, None) => None,
-    };
-    (lo, hi)
-}
-
-/// True when `key` routes inside `def`'s bounds.
-fn key_in_def(key: &Key, def: &RangeDef) -> bool {
-    key.as_bytes() >= def.start.as_bytes()
-        && def.end.as_ref().is_none_or(|e| key.as_bytes() < e.as_bytes())
-}
-
-/// Local-recovery path for a split child with no state of its own:
-/// rebuild it from the parent's surviving local store + log, returning
-/// the parent's committed watermark (the child's starting `f.cmt`).
-/// Returns `Ok(None)` when no parent state survives locally — the child
-/// then starts empty and relies on cohort catch-up.
-fn bootstrap_child_from_parent(
-    vfs: &SharedVfs,
-    wal: &Wal,
-    cfg: &NodeConfig,
-    def: &RangeDef,
-    child: &mut RangeStore,
-) -> Result<Option<Lsn>> {
-    let parent = def.parent.expect("caller checked");
-    let pst = wal.state(parent);
-    let have_store = vfs.exists(&format!("store-r{}/MANIFEST", parent.0))?;
-    if !have_store && pst.last_lsn.is_zero() {
-        return Ok(None);
-    }
-    let mut pstore = RangeStore::open(vfs.clone(), store_options(parent, cfg, None))?;
-    wal.replay(parent, wal.checkpoint(parent), pst.last_committed, |lsn, op| {
-        pstore.apply(op, lsn);
-    })?;
-    for (key, row) in pstore.scan(&def.start, def.end.as_ref())? {
-        child.ingest_fragment(&key, &row);
-    }
-    // The parent's rows were pruned at its floor; the bootstrapped
-    // child must not serve snapshots below it.
-    child.set_gc_floor(pstore.gc_floor());
-    child.flush()?;
-    Ok(Some(pst.last_committed))
 }
 
 /// Build a [`ClientRequest`] for a plain single-column put (helper for

@@ -7,9 +7,9 @@
 //! election (Fig. 7), takeover (Fig. 6), steady-state replication
 //! (Fig. 4), catch-up (§6.1) — is a method here; the [`crate::node::Node`]
 //! is a thin runtime that owns the shared WAL, the coordination session
-//! and a `RangeId → RangeReplica` registry, dispatches inputs to the
-//! right replica, and performs the attach/detach lifecycle (splits,
-//! merges, cohort movement) that creates and dissolves replicas.
+//! and a `RangeId → RangeReplica` registry and dispatches inputs to the
+//! right replica; [`crate::reconfig`] replaces replicas by other
+//! replicas (splits, merges, cohort movement).
 //!
 //! Replica methods borrow the node-wide facilities through a `Runtime`
 //! context (shared log, coordination client, range table, force tracker,
@@ -175,6 +175,8 @@ const REPROPOSE_GROUP_BYTES: usize = 1 << 20;
 /// Full re-proposed groups kept in flight during takeover: enough to
 /// overlap the link trip with the followers' forces.
 const REPROPOSE_WINDOW: usize = 4;
+/// What a commit note adds to the bytes the next force is charged for.
+const NOTE_BYTES: u64 = 24;
 /// Most proposes a catching-up follower parks: a reply of several MB is
 /// on the wire for tens of milliseconds, a few hundred group proposes on
 /// a busy range. Past it the oldest (the likeliest to be covered by the
@@ -440,6 +442,15 @@ impl RangeReplica {
     /// Snapshot pages this replica has served so far (any role).
     pub fn snapshot_pages(&self) -> u64 {
         self.snapshot_pages
+    }
+
+    /// True when this replica may start a barrier or a move: it leads,
+    /// settled, with no other reconfiguration in flight.
+    pub(crate) fn may_barrier(&self) -> bool {
+        self.role == Role::Leader
+            && !self.barrier_pending()
+            && self.moving.is_none()
+            && self.takeover.is_none()
     }
 
     /// True while a barrier (split, merge, or a departing leader's
@@ -1483,11 +1494,7 @@ impl RangeReplica {
                             PeerMsg::Commit { range: self.range, epoch, lsn: barrier, closed_ts },
                         );
                     }
-                    if lsn_note_needed(barrier, self.last_note) {
-                        let _ = rt.wal.append(&LogRecord::commit_note(self.range, barrier));
-                        rt.forces.add_bytes(24);
-                        self.last_note = barrier;
-                    }
+                    self.note_commit(rt, barrier, NOTE_BYTES);
                     // A coordinator that leads both siblings advances
                     // through the returned barrier-ready flag instead of
                     // messaging itself.
@@ -1574,20 +1581,32 @@ impl RangeReplica {
         }
     }
 
-    pub(crate) fn apply_commit(&mut self, rt: &mut Runtime<'_>, lsn: Lsn) {
-        if lsn <= self.last_committed {
-            return;
+    /// Log the non-forced "last committed" note (§5) for `lsn`, unless
+    /// one at or past it is logged already; true when it logged.
+    /// `charged` is what the next force is billed for it.
+    fn note_commit(&mut self, rt: &mut Runtime<'_>, lsn: Lsn, charged: u64) -> bool {
+        if lsn <= self.last_note {
+            return false;
         }
-        // Advance the watermark only through the *dense* prefix of what
-        // we actually drained (cohort seqs are dense across epochs, so
-        // contiguity is checkable — same rule as
-        // [`Self::commit_through_barrier`]). A watermark that outran
-        // entries we never held would make every later catch-up — keyed
-        // on `last_committed` — skip them forever. Entries past a gap
-        // still apply to the store (the leader's watermark is
-        // authoritative and cell application is idempotent); only the
-        // *claim* is held back until a contiguous propose or a catch-up
-        // closes the gap.
+        // Non-forced by design: a note that fails to log (or is lost in
+        // a crash) only makes local recovery replay from an older f.cmt.
+        let _ = rt.wal.append(&LogRecord::commit_note(self.range, lsn));
+        rt.forces.add_bytes(charged);
+        self.last_note = lsn;
+        true
+    }
+
+    /// Drain and apply every queued write at or below `lsn` and report
+    /// how far the **dense** prefix of what was drained reaches (cohort
+    /// sequence numbers are dense across epochs, so contiguity is
+    /// checkable): `lsn` itself when nothing was missing, else the last
+    /// write before the first gap. Entries past a gap still apply — the
+    /// sender's watermark is authoritative and cell application is
+    /// idempotent — but only the dense prefix may be *claimed*: a
+    /// watermark that outran entries we never held would make every later
+    /// catch-up (keyed on `last_committed`) skip them forever, and an
+    /// election could pick a leader missing committed writes.
+    fn drain_dense(&mut self, lsn: Lsn) -> Lsn {
         let mut frontier = self.last_committed;
         let mut dense = true;
         for pw in self.cq.drain_up_to(lsn) {
@@ -1601,47 +1620,34 @@ impl RangeReplica {
         if dense && frontier.seq() == lsn.seq() {
             frontier = lsn; // adopt the watermark's own (possibly newer) epoch
         }
+        frontier
+    }
+
+    /// Follower: commit through `lsn` as far as the dense prefix allows;
+    /// a contiguous propose or a catch-up closes any gap later.
+    pub(crate) fn apply_commit(&mut self, rt: &mut Runtime<'_>, lsn: Lsn) {
+        if lsn <= self.last_committed {
+            return;
+        }
+        let frontier = self.drain_dense(lsn);
         if frontier > self.last_committed {
             self.last_committed = frontier;
-            // Non-forced log write of the last committed LSN (§5).
-            if frontier > self.last_note {
-                let _ = rt.wal.append(&LogRecord::commit_note(self.range, frontier));
-                rt.forces.add_bytes(24);
-                self.last_note = frontier;
-            }
+            self.note_commit(rt, frontier, NOTE_BYTES);
         }
     }
 
-    /// Drain and apply queued writes up to `barrier`, reporting whether
-    /// the drained history was *gap-free* (cohort LSN sequence numbers
-    /// are dense across epochs, so contiguity is checkable). Only a clean
-    /// prefix may advance the committed watermark — everything drained is
-    /// known committed (the merge coordinator saw both barriers), so
-    /// applying with holes is safe for the store, but *claiming* the
-    /// barrier with a hole would let an election elect a leader missing
-    /// committed writes.
+    /// Commit through a merge `barrier` all or nothing: true (and the
+    /// watermark at the barrier) only when the drained history was
+    /// gap-free. Everything drained is known committed — the coordinator
+    /// saw both barriers — so it is applied either way.
     pub(crate) fn commit_through_barrier(&mut self, rt: &mut Runtime<'_>, barrier: Lsn) -> bool {
         if self.last_committed >= barrier {
             return true;
         }
-        let start = self.last_committed;
-        let mut expected_seq = start.seq();
-        let mut clean = true;
-        for pw in self.cq.drain_up_to(barrier) {
-            if pw.lsn.seq() != expected_seq + 1 {
-                clean = false;
-            }
-            expected_seq = pw.lsn.seq();
-            self.store.apply(&pw.op, pw.lsn);
-        }
-        clean &= expected_seq == barrier.seq();
+        let clean = self.drain_dense(barrier) == barrier;
         if clean {
             self.last_committed = barrier;
-            if barrier > self.last_note {
-                let _ = rt.wal.append(&LogRecord::commit_note(self.range, barrier));
-                rt.forces.add_bytes(24);
-                self.last_note = barrier;
-            }
+            self.note_commit(rt, barrier, NOTE_BYTES);
         }
         clean
     }
@@ -1832,18 +1838,19 @@ impl RangeReplica {
             // SSTable-based catch-up: make it durable by flushing and
             // advancing the checkpoint (the shipped rows exist in the
             // leader's SSTables, not as replayable log records).
-            if let Ok(Some(flushed)) = self.store.flush() {
-                let _ = rt.wal.set_checkpoint(self.range, flushed.max(up_to));
-            } else {
-                let _ = rt.wal.set_checkpoint(self.range, up_to);
-            }
+            // A flush that fails leaves them in the memtable alone:
+            // fail-stop before the checkpoint, the note or `CaughtUp`
+            // claims what a crash would lose.
+            let Ok(flushed) = self.store.flush() else {
+                *rt.poisoned = true;
+                return;
+            };
+            // A checkpoint that fails to save replays more, never less.
+            let _ = rt.wal.set_checkpoint(self.range, flushed.map_or(up_to, |f| f.max(up_to)));
         }
         self.last_committed = up_to.max(self.last_committed);
-        if up_to > self.last_note {
-            let _ = rt.wal.append(&LogRecord::commit_note(self.range, up_to));
-            self.last_note = up_to;
-            appended = true;
-        }
+        // The note rides the catch-up's own force, uncharged as ever.
+        appended |= self.note_commit(rt, up_to, 0);
         self.role = Role::Follower;
         self.catchup_asked = None;
 
@@ -1904,12 +1911,7 @@ impl RangeReplica {
         }
         let lsn = self.last_committed;
         let epoch = self.epoch;
-        // Log our own last-committed note (non-forced).
-        if lsn > self.last_note {
-            let _ = rt.wal.append(&LogRecord::commit_note(self.range, lsn));
-            rt.forces.add_bytes(24);
-            self.last_note = lsn;
-        }
+        self.note_commit(rt, lsn, NOTE_BYTES);
         for &peer in &self.peers {
             out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts });
         }
@@ -1970,11 +1972,6 @@ impl RangeReplica {
 /// `first`.
 fn group_last(first: Lsn, ops: &[WriteOp]) -> Lsn {
     Lsn::new(first.epoch(), first.seq() + ops.len() as u64 - 1)
-}
-
-/// True when a commit note for `lsn` is worth logging.
-fn lsn_note_needed(lsn: Lsn, last_note: Lsn) -> bool {
-    lsn > last_note
 }
 
 pub(crate) fn parse_node(data: &[u8]) -> NodeId {

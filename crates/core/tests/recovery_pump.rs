@@ -9,15 +9,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use spinnaker_common::codec::Encode;
 use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs, Vfs};
-use spinnaker_common::{Consistency, Lsn, RangeId};
-use spinnaker_coord::{Coord, Delivery, SessionId};
+use spinnaker_common::{Consistency, Key, Lsn, RangeId};
+use spinnaker_coord::{Coord, CreateMode, Delivery, SessionId, WatchEvent};
 use spinnaker_core::coordcli::CoordClient;
 use spinnaker_core::messages::{ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind};
-use spinnaker_core::node::{get_request, put_request, Node, NodeConfig, Role};
-use spinnaker_core::partition::{u64_to_key, Ring};
+use spinnaker_core::node::{get_request, put_request, CohortPaths, Node, NodeConfig, Role};
+use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
+use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
 
 const R0: RangeId = RangeId(0);
+const R1: RangeId = RangeId(1);
 const CLIENT: u32 = 99;
 
 /// Decides which peer messages are lost: `(from, to, message)`.
@@ -27,9 +30,13 @@ struct Pump {
     coord: Rc<RefCell<Coord>>,
     bus: Rc<RefCell<Vec<Delivery>>>,
     ring: Ring,
+    cfg: NodeConfig,
     /// Each node's disk; a crash keeps the synced prefix of every file.
     disks: Vec<MemVfs>,
+    /// Faults in each node's log files (`wal/`)...
     faults: Vec<Arc<FaultPlan>>,
+    /// ...and in its table files (`store-r*/`).
+    store_faults: Vec<Arc<FaultPlan>>,
     nodes: Vec<Option<Node>>,
     sessions: BTreeMap<SessionId, usize>,
     queue: VecDeque<(usize, NodeInput)>,
@@ -50,12 +57,18 @@ struct Pump {
 impl Pump {
     /// Three nodes booted and settled: node 0 leads range 0 in epoch 1.
     fn new() -> Pump {
+        Pump::with_cfg(NodeConfig::default())
+    }
+
+    fn with_cfg(cfg: NodeConfig) -> Pump {
         let mut pump = Pump {
             coord: Rc::new(RefCell::new(Coord::new())),
             bus: Rc::new(RefCell::new(Vec::new())),
             ring: Ring::with_nodes(3),
+            cfg,
             disks: (0..3).map(|_| MemVfs::new()).collect(),
             faults: (0..3).map(|_| FaultPlan::new()).collect(),
+            store_faults: (0..3).map(|_| FaultPlan::new()).collect(),
             nodes: vec![None, None, None],
             sessions: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -67,6 +80,15 @@ impl Pump {
             last_row: None,
             next_req: 1,
         };
+        // Publish the range table, as a deployment does: splits and
+        // merges are compare-and-sets on it.
+        {
+            let mut coord = pump.coord.borrow_mut();
+            let session = coord.create_session(u64::MAX / 2, 0);
+            coord.create(session, "/ranges", Vec::new(), CreateMode::Persistent).unwrap();
+            let table = pump.ring.encode_to_vec();
+            coord.create(session, TABLE_PATH, table, CreateMode::Persistent).unwrap();
+        }
         for node in 0..3 {
             pump.boot(node);
         }
@@ -82,7 +104,8 @@ impl Pump {
         self.sessions.insert(session, i);
         let cc = CoordClient::new(self.coord.clone(), session, self.bus.clone());
         let vfs = FaultVfs::scoped(Arc::new(self.disks[i].clone()), self.faults[i].clone(), "wal/");
-        let node = Node::new(i as u32, self.ring.clone(), NodeConfig::default(), Arc::new(vfs), cc)
+        let vfs = FaultVfs::scoped(Arc::new(vfs), self.store_faults[i].clone(), "store-r");
+        let node = Node::new(i as u32, self.ring.clone(), self.cfg.clone(), Arc::new(vfs), cc)
             .expect("local recovery");
         self.nodes[i] = Some(node);
         self.queue.push_back((i, NodeInput::Start));
@@ -94,6 +117,7 @@ impl Pump {
         self.nodes[i] = None;
         self.disks[i] = self.disks[i].crash_clone();
         self.faults[i].disarm();
+        self.store_faults[i].disarm();
         self.queue.retain(|(to, _)| *to != i);
         let session = *self.sessions.iter().find(|(_, n)| **n == i).expect("had a session").0;
         self.sessions.remove(&session);
@@ -166,6 +190,33 @@ impl Pump {
         self.node(i).role(R0)
     }
 
+    /// The range key `k` routes to under node `i`'s table.
+    fn range_of(&self, i: usize, k: u64) -> RangeId {
+        self.node(i).ring().range_of(&u64_to_key(k))
+    }
+
+    /// The node leading `range`.
+    fn leader_of(&self, range: RangeId) -> usize {
+        let leads =
+            |i: &usize| self.nodes[*i].as_ref().is_some_and(|n| n.role(range) == Role::Leader);
+        (0..3).find(leads).unwrap_or_else(|| panic!("{range} has a leader"))
+    }
+
+    /// The maintenance tick (with `gc_quiesce` 0 it also collects what
+    /// the node has dissolved).
+    fn maintenance(&mut self, i: usize) {
+        self.feed(i, NodeInput::Timer(TimerKind::Maintenance));
+        self.run();
+    }
+
+    /// `(LSN, key)` of every write record in node `i`'s log stream of
+    /// `range` past `from`.
+    fn stream(&self, i: usize, range: RangeId, from: Lsn) -> Vec<(Lsn, Key)> {
+        let wal = self.node(i).wal();
+        let records = wal.read_range(range, from, wal.state(range).last_lsn).expect("readable");
+        records.into_iter().map(|(lsn, op)| (lsn, op.key)).collect()
+    }
+
     /// Submit a put of key `k` to `leader` (not yet delivered anywhere
     /// else); returns its request id.
     fn put(&mut self, leader: usize, k: u64) -> u64 {
@@ -194,8 +245,8 @@ impl Pump {
     /// What node `i` reads for key `k` (strong on a leader, timeline on a
     /// follower).
     fn read(&mut self, i: usize, k: u64) -> Option<Vec<u8>> {
-        let consistency =
-            if self.role(i) == Role::Leader { Consistency::Strong } else { Consistency::Timeline };
+        let leads = self.node(i).role(self.range_of(i, k)) == Role::Leader;
+        let consistency = if leads { Consistency::Strong } else { Consistency::Timeline };
         let req = get_request(self.next_req, u64_to_key(k), "c", consistency);
         self.next_req += 1;
         self.last_row = None;
@@ -432,5 +483,320 @@ fn torn_reproposed_group_frame_is_all_or_nothing_and_next_takeover_finishes() {
         for k in 1..=N {
             assert_eq!(p.read(node, k), Some(format!("v{k}").into_bytes()), "node {node} key {k}");
         }
+    }
+}
+
+// =====================================================================
+// dissolves with a record in the tail
+// =====================================================================
+
+/// Collects what a node dissolved at once, so a retired stream shows.
+fn eager_gc() -> NodeConfig {
+    NodeConfig { gc_quiesce: 0, ..NodeConfig::default() }
+}
+
+/// Keys 1-5 committed everywhere (watermark 1.5 on the followers), 6-8
+/// acknowledged to the client with both followers' logged acks but no
+/// commit message since: their tail past the watermark is 1.6-1.8.
+fn with_acked_tail(cfg: NodeConfig) -> Pump {
+    let mut p = Pump::with_cfg(cfg);
+    p.put_all(0, 1..=5);
+    p.commit_tick(0);
+    p.put_all(0, 6..=8);
+    for f in [1, 2] {
+        assert_eq!(p.node(f).last_committed(R0), lsn(1, 5));
+        assert_eq!(p.node(f).last_lsn(R0), lsn(1, 8));
+    }
+    p
+}
+
+fn acked(k: u64) -> Option<Vec<u8>> {
+    Some(format!("v{k}").into_bytes())
+}
+
+/// (i) The split leader dies between the table CAS and the `Split`
+/// fan-out: the followers learn of the split from the table alone and
+/// build the children at their own watermark. Their acknowledged tail
+/// moves into the child streams by key, under its LSNs, where the child
+/// elections see it — and whoever wins them serves every write the
+/// client was told succeeded.
+#[test]
+fn acked_tail_follows_its_keys_into_the_children_of_a_split_nobody_announced() {
+    let mut p = with_acked_tail(eager_gc());
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Split { .. }));
+    p.feed(0, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
+    p.crash(0);
+    p.run();
+    let (left, right) = (p.range_of(1, 6), p.range_of(1, 7));
+    assert!(left != R0 && right != R0 && left != right);
+    for f in [1, 2] {
+        assert_eq!(p.stream(f, left, lsn(1, 5)), vec![(lsn(1, 6), u64_to_key(6))]);
+        assert_eq!(
+            p.stream(f, right, lsn(1, 5)),
+            vec![(lsn(1, 7), u64_to_key(7)), (lsn(1, 8), u64_to_key(8))]
+        );
+        assert_eq!(p.node(f).last_lsn(left), lsn(1, 6), "n.lst advertises the tail");
+        assert_eq!(p.node(f).last_lsn(right), lsn(1, 8));
+        // Each child claimed the follower's own watermark and got a tail.
+        let coverage = p.node(f).dissolve_coverage();
+        assert_eq!(
+            coverage.get(DissolveEntry::Table, ClaimKind::Own),
+            TailCounts { empty: 0, rehomed: 2, records: 3 }
+        );
+        assert_eq!(coverage.stranded(), 0);
+        // Every record found a home, so the parent stream is retired.
+        assert_eq!(p.node(f).wal().indexed_records(R0), 3);
+        p.maintenance(f);
+        assert_eq!(p.node(f).wal().indexed_records(R0), 0);
+    }
+    for k in 1..=8 {
+        let leader = p.leader_of(p.range_of(1, k));
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// The same split, but node 1's log refuses one copy (its third append:
+/// two checkpoint saves, then 1.6). The record is missing from the left
+/// child's stream there, so node 1 must not retire the stream that still
+/// holds it — and the left child's election goes to the replica that
+/// advertises 1.6.
+#[test]
+fn a_refused_tail_copy_leaves_the_predecessor_stream_unretired() {
+    let mut p = with_acked_tail(eager_gc());
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Split { .. }));
+    p.feed(0, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
+    p.faults[1].fail_append_after(3);
+    p.crash(0);
+    p.run();
+    assert_eq!(p.faults[1].injected(), 1);
+    assert!(p.nodes[1].is_some(), "a refused copy is not a fail-stop");
+    // The left child got nothing on node 1, the right child its two.
+    let coverage = p.node(1).dissolve_coverage();
+    assert_eq!(
+        coverage.get(DissolveEntry::Table, ClaimKind::Own),
+        TailCounts { empty: 1, rehomed: 1, records: 2 }
+    );
+    assert_eq!(coverage.stranded(), 1);
+    for f in [1, 2] {
+        p.maintenance(f);
+    }
+    assert_eq!(p.node(1).wal().indexed_records(R0), 8, "node 1 keeps the stream, whole");
+    assert_eq!(p.node(2).wal().indexed_records(R0), 0, "node 2 retired it");
+    assert_eq!(p.leader_of(p.range_of(1, 6)), 2, "1.6 beats 1.5");
+    for k in 1..=8 {
+        let leader = p.leader_of(p.range_of(2, k));
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// (ii) Node 2 is down while ranges 0 and 1 merge and comes back under
+/// a table that has neither: its replica of range 0 contributes to a
+/// merged range it can vouch for nothing of (claim zero — range 1's half
+/// it rebuilds from nothing), yet the tail it acknowledged is in the
+/// merged stream before range 0's is retired.
+#[test]
+fn acked_tail_moves_into_the_merged_stream_of_a_merge_slept_through() {
+    let mut p = with_acked_tail(eager_gc());
+    p.crash(2);
+    p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
+    p.run();
+    let merged = p.range_of(0, 1);
+    assert!(merged != R0 && p.range_of(0, u64::MAX / 2) == merged, "ranges 0 and 1 merged");
+    assert_eq!(p.role(0), Role::Offline);
+    assert_eq!(p.node(0).role(merged), Role::Leader);
+    // Hold node 2 short of catching up, to see what it rebuilt alone.
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::CatchupRecords { .. }));
+    p.boot(2);
+    p.run();
+    assert_eq!(p.node(2).role(merged), Role::CatchingUp);
+    assert_eq!(p.node(2).last_committed(merged), Lsn::ZERO, "it vouches for nothing");
+    let tail: Vec<_> = (6..=8).map(|k| (lsn(1, k), u64_to_key(k))).collect();
+    assert_eq!(p.stream(2, merged, Lsn::ZERO), tail);
+    assert_eq!(p.node(2).last_lsn(merged), lsn(1, 8));
+    assert_eq!(
+        p.node(2).dissolve_coverage().get(DissolveEntry::Table, ClaimKind::Zero),
+        TailCounts { empty: 0, rehomed: 1, records: 3 }
+    );
+    p.maintenance(2);
+    assert_eq!(p.node(2).wal().indexed_records(R0), 0, "range 0's stream is retired");
+    // The merged range's leader dies; whoever follows it serves it all.
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(merged);
+    for k in 1..=8 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// (iii) Node 2 misses the propose of 1.7 and the catch-up that would
+/// have closed the gap, so when the `Merge` message arrives its queue
+/// for range 0 stops at 1.6, short of the barrier 1.8: it under-claims
+/// the merged range, and the 1.6 it acknowledged is in the merged stream.
+#[test]
+fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
+    let mut p = Pump::with_cfg(eager_gc());
+    p.put_all(0, 1..=5);
+    p.commit_tick(0);
+    p.put_all(0, 6..=6);
+    p.lose = Box::new(|_, to, m| {
+        let lost_propose = matches!(m, PeerMsg::Propose { lsn, .. } if lsn.seq() == 7);
+        to == 2 && (lost_propose || matches!(m, PeerMsg::CatchupRecords { .. }))
+    });
+    p.put_all(0, 7..=8);
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 6), "1.8 is parked, not logged over the hole");
+    p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
+    p.run();
+    let merged = p.range_of(2, 1);
+    assert!(merged != R0 && p.node(0).role(merged) == Role::Leader);
+    assert_eq!(p.node(2).last_committed(merged), Lsn::ZERO, "under-claimed");
+    assert_eq!(p.stream(2, merged, Lsn::ZERO), vec![(lsn(1, 6), u64_to_key(6))]);
+    assert_eq!(p.node(2).last_lsn(merged), lsn(1, 6));
+    assert_eq!(
+        p.node(2).dissolve_coverage().get(DissolveEntry::MergeMsg, ClaimKind::Zero),
+        TailCounts { empty: 0, rehomed: 1, records: 1 }
+    );
+    assert_eq!(p.node(1).last_committed(merged), lsn(2, 8), "node 1 drained cleanly");
+    p.maintenance(2);
+    assert_eq!(p.node(2).wal().indexed_records(R0), 0);
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(merged);
+    for k in 1..=8 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// A catch-up served from the leader's tables (its log has rolled over)
+/// exists only in the follower's memtable until the follower flushes. If
+/// that flush fails, the follower must not checkpoint past the rows, log
+/// the commit note or confirm `CaughtUp` — at the parent commit it did
+/// all three, and after a crash claimed a watermark it did not hold: as
+/// the next leader it served keys 1-4 as absent. It fail-stops instead
+/// and catches up again on a healthy device.
+#[test]
+fn a_table_catch_up_whose_flush_fails_claims_nothing() {
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+    p.crash(1);
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.maintenance(0);
+    assert_eq!(p.node(0).wal().checkpoint(R0), lsn(1, 4), "the leader's log rolled over");
+    p.boot(1);
+    p.store_faults[1].fail_sync_after(1);
+    p.run();
+    assert_eq!(p.store_faults[1].injected(), 1, "the flush of the shipped rows failed");
+    // Fail-stopped already, or (at the parent) carrying on: either way
+    // what node 1 has is what its disk has.
+    if p.nodes[1].is_some() {
+        p.crash(1);
+    }
+    p.boot(1);
+    p.run();
+    assert_eq!(p.node(1).last_committed(R0), lsn(1, 4));
+    // Node 1 becomes the only follower holding 1.5, so it wins the next
+    // election — and must hold what its watermark says.
+    p.lose = Box::new(|_, to, m| to == 2 && is_propose(m));
+    p.put_all(0, 5..=5);
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.run();
+    assert_eq!(p.role(1), Role::Leader);
+    for k in 1..=5 {
+        assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+}
+
+/// Two gone ranges in one reconcile, each with its own log stream: range
+/// 0 (epoch 1, watermark 1.5) and the left child of range 1 (epoch 2,
+/// watermark 2.3, flushed and checkpointed there — past range 0's
+/// watermark). Node 2's table watch fires late: it has already seen both
+/// leaders vanish and stands in both elections when the table tells it
+/// that both ranges were split. Each predecessor's tail is read from its
+/// *own* watermark (an LSN of one stream says nothing about another), so
+/// the records only node 2 still holds reach the grandchildren's streams
+/// and win their elections.
+#[test]
+fn two_gone_ranges_in_one_reconcile_each_keep_their_own_tail() {
+    let cfg = NodeConfig { gc_quiesce: 0, memtable_flush_bytes: 1, ..NodeConfig::default() };
+    let mut p = Pump::with_cfg(cfg);
+    let base = u64::MAX / 2; // routes to range 1, which node 1 leads
+    p.put_all(0, 1..=5);
+    p.commit_tick(0);
+    // An ordinary split of range 1: node 1 leads the left child in epoch 2.
+    p.feed(1, NodeInput::SplitRange { range: R1, at: u64_to_key(base + 100) });
+    p.run();
+    let a = p.range_of(2, base + 1);
+    assert!(a != R1 && p.node(1).role(a) == Role::Leader && p.node(1).epoch_of(a) == 2);
+    p.put_all(1, base + 1..=base + 3);
+    p.commit_tick(1);
+    p.maintenance(2);
+    assert_eq!(p.node(2).wal().checkpoint(R0), lsn(1, 5));
+    assert_eq!(p.node(2).wal().checkpoint(a), lsn(2, 3), "past range 0's watermark");
+    // The acknowledged tails: 1.6-1.8 on every replica of range 0; 2.4
+    // and 2.5 on the leader and node 2 alone.
+    p.put_all(0, 6..=8);
+    p.lose = Box::new(|_, to, m| to == 0 && matches!(m, PeerMsg::Propose { .. }));
+    p.put_all(1, base + 4..=base + 5);
+    assert_eq!(p.node(2).last_committed(a), lsn(2, 3));
+    assert_eq!(p.node(2).last_lsn(a), lsn(2, 5));
+    assert_eq!(p.node(0).last_lsn(a), lsn(2, 3));
+
+    // Both leaders split, tell everyone but node 2, and die. Node 2 hears
+    // nothing from the coordination service meanwhile.
+    p.hold_events[2] = true;
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Split { .. }));
+    p.feed(0, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
+    p.feed(1, NodeInput::SplitRange { range: a, at: u64_to_key(base + 4) });
+    p.run();
+    p.crash(0);
+    p.crash(1);
+    p.run();
+    // The deliveries it missed, the table's last.
+    p.hold_events[2] = false;
+    p.lose = Box::new(|_, _, _| false);
+    for gone in [R0, a] {
+        let leader = CohortPaths::new(gone).leader;
+        p.feed(2, NodeInput::Coord(WatchEvent::Deleted(leader)));
+        assert_eq!(p.node(2).role(gone), Role::Electing);
+    }
+    p.feed(2, NodeInput::Coord(WatchEvent::DataChanged(TABLE_PATH.to_string())));
+    p.run();
+
+    let children = [(6, lsn(1, 5)), (7, lsn(1, 5)), (base + 3, lsn(2, 3)), (base + 4, lsn(2, 3))];
+    let tails = [
+        vec![(lsn(1, 6), u64_to_key(6))],
+        vec![(lsn(1, 7), u64_to_key(7)), (lsn(1, 8), u64_to_key(8))],
+        vec![],
+        vec![(lsn(2, 4), u64_to_key(base + 4)), (lsn(2, 5), u64_to_key(base + 5))],
+    ];
+    for ((k, watermark), tail) in children.into_iter().zip(tails) {
+        let child = p.range_of(2, k);
+        assert_eq!(p.node(2).last_committed(child), watermark, "{child} claims its parent's");
+        let last = tail.last().map_or(watermark, |(lsn, _)| *lsn);
+        assert_eq!(p.node(2).last_lsn(child), last, "{child} advertises its tail");
+        assert_eq!(p.stream(2, child, watermark), tail, "{child}");
+    }
+    let coverage = p.node(2).dissolve_coverage();
+    assert_eq!(
+        coverage.get(DissolveEntry::Table, ClaimKind::Own),
+        TailCounts { empty: 1, rehomed: 3, records: 5 }
+    );
+    assert_eq!((coverage.stranded(), coverage.unreadable()), (0, 0));
+    p.maintenance(2);
+    assert_eq!(p.node(2).wal().indexed_records(R0), 0);
+    assert_eq!(p.node(2).wal().indexed_records(a), 0);
+
+    // Node 0 returns (under the current table, as a host boots it)
+    // without 2.4 and 2.5: node 2 holds the only copies, wins that
+    // election on them and serves them.
+    p.ring = p.node(2).ring().clone();
+    p.boot(0);
+    p.run();
+    assert_eq!(p.leader_of(p.range_of(2, base + 4)), 2);
+    for k in (1..=8).chain(base + 1..=base + 5) {
+        let leader = p.leader_of(p.range_of(2, k));
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
     }
 }

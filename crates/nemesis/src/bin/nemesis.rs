@@ -11,6 +11,7 @@
 
 use std::process::ExitCode;
 
+use spinnaker_core::DissolveCoverage;
 use spinnaker_nemesis::{campaign, schedule, shrink, RunReport};
 
 struct Args {
@@ -101,8 +102,9 @@ fn report_failure(report: &RunReport, args: &Args) {
     println!("  reproduce with: spinnaker-nemesis --seed {} --shrink", report.seed);
 }
 
-fn run_one(seed: u64, args: &Args) -> bool {
+fn run_one(seed: u64, args: &Args, dissolves: &mut DissolveCoverage) -> bool {
     let report = campaign::run_seed(seed);
+    dissolves.add(&report.dissolves);
     if report.failed() {
         report_failure(&report, args);
         if args.shrink {
@@ -145,8 +147,13 @@ fn main() -> ExitCode {
         }
     };
 
+    // Successors built per dissolve entry point / claim over the sweep, as
+    // `empty tail + re-homed tail (records)`: what the reshard paths saw.
+    let mut dissolves = DissolveCoverage::default();
     if let Some(seed) = args.one_seed {
-        return if run_one(seed, &args) { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        let ok = run_one(seed, &args, &mut dissolves);
+        println!("dissolve coverage: {dissolves}");
+        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
     let mut seed = args.start_seed;
@@ -156,7 +163,7 @@ fn main() -> ExitCode {
         if !args.soak && ran >= args.seeds {
             break;
         }
-        if !run_one(seed, &args) {
+        if !run_one(seed, &args, &mut dissolves) {
             failures += 1;
             if !args.soak {
                 break;
@@ -166,6 +173,7 @@ fn main() -> ExitCode {
         ran += 1;
     }
     println!("{ran} seed(s) run, {failures} failure(s)");
+    println!("dissolve coverage: {dissolves}");
     if failures == 0 {
         ExitCode::SUCCESS
     } else {

@@ -22,6 +22,7 @@ use spinnaker_common::{History, Key, NodeId};
 use spinnaker_core::client::ClientEv;
 use spinnaker_core::cluster::{ClusterConfig, Ev, SimCluster};
 use spinnaker_core::partition::{key_to_u64, u64_to_key};
+use spinnaker_core::DissolveCoverage;
 use spinnaker_sim::{DiskProfile, ProcId, Time, MILLIS, SECS};
 
 use crate::checker::{self, Violation};
@@ -107,6 +108,9 @@ pub struct RunReport {
     pub ranges_led: bool,
     /// End-of-run cluster health lines (populated on a stall).
     pub health: Vec<String>,
+    /// Which reconfiguration paths the run reached: successors built per
+    /// dissolve entry point and claim, with or without a re-homed tail.
+    pub dissolves: DissolveCoverage,
 }
 
 impl RunReport {
@@ -269,6 +273,7 @@ pub fn run(seed: u64, cfg: &CampaignConfig, schedule: &Schedule) -> RunReport {
         faults_applied: injector.applied,
         ranges_led,
         health,
+        dissolves: cluster.dissolve_coverage(),
     }
 }
 

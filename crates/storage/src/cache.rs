@@ -9,12 +9,13 @@
 //! `BTreeMap` lookup: no IO, no CRC, no skip pass.
 //!
 //! Decoding happens at the reader, one row at a time: a get decodes the
-//! row it returns, an iterator each row it yields. The block keeps the
-//! rows gets have returned (see [`crate::block`]), so a second get of a
-//! hot key is a clone, as cheap as it was when whole blocks were cached
-//! decoded; a cold block read for one key allocates for that one row, and
-//! its eviction frees two flat buffers plus the rows that were actually
-//! read, not an object graph per stored row.
+//! row it returns, an iterator each row it yields, and the block keeps
+//! no decoded row. A decoded key, column name or value is a view of the
+//! block's body (see [`crate::block`]), so a get of a hot key costs the
+//! row's map node and a reference-count bump per cell, never a copy of
+//! its bytes; a cold block read for one key allocates for that one row,
+//! and eviction frees two flat buffers — once no row handed out still
+//! views the body — not an object graph per stored row.
 //!
 //! Design:
 //!
@@ -29,8 +30,8 @@
 //!   tracks real IO saved. It is a function of the file alone, so which
 //!   blocks hit, miss and get evicted depends only on the tables and the
 //!   access order, never on how a block is held in memory. Memory pinned
-//!   per entry is the body, 40 bytes of offsets and slot per row, and a
-//!   decoded copy of each row a get has returned.
+//!   per entry is the body and 8 bytes of offsets per row; a row a reader
+//!   still holds keeps the body of an evicted block alive until it drops.
 //! * **Keyed `(table_id, block_offset)`** where `table_id` is a
 //!   cache-unique id handed out by [`BlockCache::register_table`] at
 //!   table open. Ids are never reused, so an entry for a table retired by
