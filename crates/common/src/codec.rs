@@ -22,7 +22,7 @@ use bytes::Bytes;
 
 use crate::error::{Error, Result};
 use crate::lsn::Lsn;
-use crate::types::{ColumnValue, Key, Row};
+use crate::types::{ColumnValue, Key, Row, Timestamp};
 
 /// Types that can serialize themselves onto a byte buffer.
 pub trait Encode {
@@ -411,6 +411,57 @@ pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
         }
     }
     Ok(scan)
+}
+
+/// Read the encoded [`Row`] at the front of `src` for a point read at
+/// commit timestamp `ts`: of each column, the newest version with
+/// `timestamp <= ts` — the first such in its chain, which is stored
+/// newest first — is set in `into` where `into` [admits](Row::admits)
+/// it, its name and value views of the source's buffer. A column with
+/// nothing visible at `ts` leaves `into` alone. Versions passed on the
+/// way are walked over where they lie; the only allocation is what
+/// `into`'s map takes for a column it did not hold.
+///
+/// **It stops at the version that resolves the last column**: what is
+/// left of that column's chain is not read, so a read at the latest
+/// commit of a one-column row touches the head and nothing else, however
+/// long the chain, and `src` is left inside the row. A reader that wants
+/// the row's end wants [`skip_row`].
+///
+/// Every field up to there goes through the parser [`Row::decode`] and
+/// `skip_row` use. So on bytes `Row::decode` accepts — every row of a
+/// block, which was walked whole when the block was loaded — this
+/// succeeds and, the column names not repeating (no encoder repeats one)
+/// and `into` empty, leaves in `into` what [`Row::decode`] then
+/// [`Row::visible_at`] shows; and where this fails, `Row::decode` fails
+/// with the same error. On an error `into` keeps what was folded before.
+pub fn fold_visible(src: &mut Source<'_>, ts: Timestamp, into: &mut Row) -> Result<()> {
+    let columns = get_column_count(src)?;
+    for i in 0..columns {
+        let last = i + 1 == columns;
+        let name = get_byte_slice(src)?;
+        let head = get_cv_parts(src)?;
+        let mut visible = (head.2 <= ts).then_some(head);
+        if !(last && visible.is_some()) {
+            for _ in 0..get_chain_len(src)? {
+                let older = get_cv_parts(src)?;
+                if visible.is_none() && older.2 <= ts {
+                    visible = Some(older);
+                    if last {
+                        break;
+                    }
+                }
+            }
+        }
+        if let Some((tombstone, version, timestamp, value)) = visible {
+            if into.admits(name, version) {
+                let value = src.keep(value);
+                let cv = ColumnValue { value, version, timestamp, tombstone, older: Vec::new() };
+                into.set(src.keep(name), cv);
+            }
+        }
+    }
+    Ok(())
 }
 
 impl RowScan {

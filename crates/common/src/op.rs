@@ -87,20 +87,19 @@ impl WriteOp {
     /// reproduces identical state on every replica. A strictly newer
     /// version pushes the column's previous state onto its MVCC chain
     /// (retained until compaction prunes it below the snapshot floor).
-    pub fn apply_to_row(&self, row: &mut Row, lsn: Lsn) {
+    /// Returns by how much [`Row::approx_size`] grew (zero on replay).
+    pub fn apply_to_row(&self, row: &mut Row, lsn: Lsn) -> usize {
+        let mut added = 0;
         for cell in &self.cells {
-            match cell {
+            let (col, cv) = match cell {
                 CellOp::Put { col, value } => {
-                    row.apply_version(
-                        col.clone(),
-                        ColumnValue::live(value.clone(), lsn, self.timestamp),
-                    );
+                    (col, ColumnValue::live(value.clone(), lsn, self.timestamp))
                 }
-                CellOp::Delete { col } => {
-                    row.apply_version(col.clone(), ColumnValue::deleted(lsn, self.timestamp));
-                }
-            }
+                CellOp::Delete { col } => (col, ColumnValue::deleted(lsn, self.timestamp)),
+            };
+            added += row.apply_version(col.clone(), cv);
         }
+        added
     }
 
     /// Approximate size for log-volume accounting.

@@ -281,54 +281,84 @@ impl Row {
     /// chain; re-applying the head's own version is a no-op (idempotent
     /// log replay); an older version is threaded into the chain at its
     /// sorted position (catch-up fragments may arrive out of order).
-    pub fn apply_version(&mut self, col: ColumnName, cv: ColumnValue) {
+    ///
+    /// Returns by how much [`Row::approx_size`] grew — zero for a
+    /// version already held — so a memtable can keep its byte count
+    /// without walking the chain before and after.
+    pub fn apply_version(&mut self, col: ColumnName, cv: ColumnValue) -> usize {
         debug_assert!(cv.older.is_empty(), "apply_version takes a single version");
         match self.columns.get_mut(&col) {
             None => {
+                let added = col.len() + cv.approx_size();
                 self.columns.insert(col, cv);
+                added
             }
             Some(head) => Self::thread_version(head, cv),
         }
     }
 
     /// Thread a single version into an existing chain head, preserving
-    /// strict descending version order and dropping duplicates.
-    fn thread_version(head: &mut ColumnValue, mut cv: ColumnValue) {
+    /// strict descending version order and dropping duplicates. Returns
+    /// the bytes the chain grew by.
+    fn thread_version(head: &mut ColumnValue, cv: ColumnValue) -> usize {
         if cv.version == head.version {
-            return; // idempotent replay of the head
+            return 0; // idempotent replay of the head
         }
+        let added = cv.approx_size();
         if cv.version > head.version {
             let mut old_head = std::mem::replace(head, cv);
             head.older = std::mem::take(&mut old_head.older);
             head.older.insert(0, old_head);
-            return;
+            return added;
         }
         match head.older.binary_search_by(|e| cv.version.cmp(&e.version)) {
-            Ok(_) => {}
+            Ok(_) => 0,
             Err(pos) => {
-                cv.older = Vec::new();
                 head.older.insert(pos, cv);
+                added
             }
         }
     }
 
     /// Merge `newer` into `self`, unioning the version chains per column
-    /// (the highest version becomes the head). Used when collapsing
-    /// memtable + SSTable fragments of a row; because versions are packed
+    /// (the highest version becomes the head). Used where a row's history
+    /// is the product — compaction, scans, catch-up, split — to collapse
+    /// its memtable and SSTable fragments; because versions are packed
     /// LSNs the outcome is order-independent.
     pub fn merge_newer(&mut self, newer: &Row) {
+        self.merge_newer_sized(newer);
+    }
+
+    /// [`Row::merge_newer`], returning by how much [`Row::approx_size`]
+    /// grew: what a memtable adds to its byte count for the fragment.
+    pub fn merge_newer_sized(&mut self, newer: &Row) -> usize {
+        let mut added = 0;
         for (col, cv) in &newer.columns {
             match self.columns.get_mut(col) {
                 None => {
+                    added += col.len() + cv.approx_size();
                     self.columns.insert(col.clone(), cv.clone());
                 }
                 Some(existing) => {
                     for v in cv.versions() {
-                        Self::thread_version(existing, v.flattened());
+                        added += Self::thread_version(existing, v.flattened());
                     }
                 }
             }
         }
+        added
+    }
+
+    /// Whether `version` of `col` is higher than what the row holds of
+    /// that column (or it holds nothing of it). How a point read combines
+    /// the fragments of a row: each shows its newest version visible at
+    /// the read timestamp, and a fragment's version is [`Row::set`] only
+    /// where the row admits it. Versions are packed LSNs, and LSN order
+    /// is commit-timestamp order within a range, so the highest of the
+    /// fragments' newest-visible versions is the newest visible of all —
+    /// what [`Row::merge_newer`] then [`Row::visible_at`] would show.
+    pub fn admits(&self, col: &[u8], version: Version) -> bool {
+        self.columns.get(col).is_none_or(|have| have.version < version)
     }
 
     /// The state of this row visible at commit timestamp `ts`: per

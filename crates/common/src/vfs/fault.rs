@@ -16,8 +16,10 @@ pub struct FaultPlan {
     /// 0 = disarmed; n = the n-th operation (counting from arming) fails.
     sync_target: AtomicU64,
     append_target: AtomicU64,
+    read_target: AtomicU64,
     syncs_seen: AtomicU64,
     appends_seen: AtomicU64,
+    reads_seen: AtomicU64,
     sticky: AtomicBool,
     injected: AtomicU64,
 }
@@ -42,6 +44,14 @@ impl FaultPlan {
         self.append_target.store(n, Ordering::SeqCst);
     }
 
+    /// Fail the `n`-th read from now (1 = the very next one): a sector
+    /// that no longer reads back.
+    pub fn fail_read_after(&self, n: u64) {
+        assert!(n > 0, "n is 1-based");
+        self.reads_seen.store(0, Ordering::SeqCst);
+        self.read_target.store(n, Ordering::SeqCst);
+    }
+
     /// When set, every matching operation after the first failure also
     /// fails (a dead device rather than a transient hiccup).
     pub fn set_sticky(&self, sticky: bool) {
@@ -54,8 +64,10 @@ impl FaultPlan {
     pub fn disarm(&self) {
         self.sync_target.store(0, Ordering::SeqCst);
         self.append_target.store(0, Ordering::SeqCst);
+        self.read_target.store(0, Ordering::SeqCst);
         self.syncs_seen.store(0, Ordering::SeqCst);
         self.appends_seen.store(0, Ordering::SeqCst);
+        self.reads_seen.store(0, Ordering::SeqCst);
         self.sticky.store(false, Ordering::SeqCst);
     }
 
@@ -83,6 +95,10 @@ impl FaultPlan {
 
     fn check_append(&self) -> Result<()> {
         self.check(&self.append_target, &self.appends_seen)
+    }
+
+    fn check_read(&self) -> Result<()> {
+        self.check(&self.read_target, &self.reads_seen)
     }
 }
 
@@ -123,6 +139,7 @@ struct FaultFile {
 
 impl VfsFile for FaultFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.plan.check_read()?;
         self.inner.read_at(offset, buf)
     }
 
@@ -233,5 +250,18 @@ mod tests {
         let mut buf = [0u8; 4];
         f.read_exact_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"data");
+    }
+
+    #[test]
+    fn nth_read_fails_once() {
+        let plan = FaultPlan::new();
+        plan.fail_read_after(2);
+        let vfs = FaultVfs::new(Arc::new(MemVfs::new()), plan.clone());
+        let mut f = vfs.create("f").unwrap();
+        f.append(b"data").unwrap();
+        assert!(f.read_bytes_at(0, 4).is_ok(), "first read passes");
+        assert!(f.read_bytes_at(0, 4).is_err(), "second read fails");
+        assert_eq!(f.read_bytes_at(0, 4).unwrap().as_ref(), b"data", "non-sticky");
+        assert_eq!(plan.injected(), 1);
     }
 }

@@ -14,15 +14,18 @@ thread_local! {
     // inside the allocator can neither allocate nor observe a torn-down
     // slot.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A thread being torn down may allocate after its locals are gone.
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls per thread (what spinbench's `allocs_per_op` counts).
+/// calls per thread (what spinbench's `allocs_per_op` counts) and the
+/// bytes they asked for (its `alloc_bytes_per_op`).
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -30,7 +33,7 @@ pub struct CountingAlloc;
 // allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -41,13 +44,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System::alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; the caller
         // guarantees `new_size` is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -56,7 +59,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 /// Run `f` and return how many allocations this thread made inside it.
 pub fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.with(Cell::get);
+    let (calls, _, out) = allocated(f);
+    (calls, out)
+}
+
+/// Run `f` and return how many allocations this thread made inside it
+/// and how many bytes they asked for in all.
+pub fn allocated<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (CALLS.with(Cell::get) - before, out)
+    (CALLS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1, out)
 }

@@ -628,11 +628,11 @@ impl Node {
         };
         match &req.op {
             ClientOp::Get { key, columns, consistency } => {
-                rep.on_get(&rt, from, req.req, key, columns, *consistency, out);
+                rep.on_get(&mut rt, from, req.req, key, columns, *consistency, out);
             }
             ClientOp::Scan { start, end, limit, consistency } => {
                 rep.on_scan(
-                    &rt,
+                    &mut rt,
                     from,
                     req.req,
                     start,

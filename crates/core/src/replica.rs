@@ -881,9 +881,13 @@ impl RangeReplica {
         // never written (expected == 0 matches only the latter).
         if let Some((col, expected)) = &condition {
             let pending = self.cq.latest_pending_version(&key, col);
-            let actual = pending
-                .or_else(|| self.store.get_column(&key, col).ok().flatten().map(|cv| cv.version))
-                .unwrap_or(0);
+            let actual = match pending {
+                Some(v) => v,
+                None => match self.store.get_column(&key, col) {
+                    Ok(cv) => cv.map_or(0, |cv| cv.version),
+                    Err(_) => return Self::store_unreadable(rt),
+                },
+            };
             if actual != *expected {
                 match pending {
                     // The observed version is still uncommitted: hold the
@@ -1143,6 +1147,15 @@ impl RangeReplica {
         }
     }
 
+    /// Fail-stop on a read the store could not serve (a block that fails
+    /// its checksum, a device error): the request goes unanswered — an
+    /// empty row or version 0 would be a lie a conditional put then
+    /// builds on — the host crashes the node, and the cohort elects a
+    /// replica that can read its copy.
+    fn store_unreadable(rt: &mut Runtime<'_>) {
+        *rt.poisoned = true;
+    }
+
     /// §3 `get`: one column, a column set, or the whole row. Deleted
     /// columns come back as [`ReadCell`]s with `value: None` and the
     /// tombstone's version; never-written columns are simply absent.
@@ -1151,7 +1164,7 @@ impl RangeReplica {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_get(
         &mut self,
-        rt: &Runtime<'_>,
+        rt: &mut Runtime<'_>,
         from: Addr,
         req: RequestId,
         key: &Key,
@@ -1162,11 +1175,10 @@ impl RangeReplica {
         let Some(read_ts) = self.admit_read(rt, from, req, consistency, out) else {
             return;
         };
-        let row = match read_ts {
-            u64::MAX => self.store.get(key).ok().flatten(),
-            ts => self.store.get_at(key, ts).ok().flatten(),
-        }
-        .unwrap_or_default();
+        let row = match self.store.get_at(key, read_ts) {
+            Ok(row) => row.unwrap_or_default(),
+            Err(_) => return Self::store_unreadable(rt),
+        };
         let cell_of = |col: &spinnaker_common::ColumnName| {
             row.get(col).map(|cv| ReadCell {
                 col: col.clone(),
@@ -1203,7 +1215,7 @@ impl RangeReplica {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_scan(
         &mut self,
-        rt: &Runtime<'_>,
+        rt: &mut Runtime<'_>,
         from: Addr,
         req: RequestId,
         start: &Key,
@@ -1233,11 +1245,11 @@ impl RangeReplica {
             (None, se) => se,
         };
         let limit = (limit.max(1) as usize).min(4096);
-        let (raw, next) = match read_ts {
+        let page = match read_ts {
             u64::MAX => self.store.scan_page(start, hi, limit),
             ts => self.store.scan_page_at(start, hi, limit, ts),
-        }
-        .unwrap_or_default();
+        };
+        let Ok((raw, next)) = page else { return Self::store_unreadable(rt) };
         let rows: Vec<ScanRow> = raw
             .into_iter()
             .filter_map(|(key, row)| {

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use spinnaker_common::api::{ClientOp, ClientRequest};
 use spinnaker_common::codec::Encode;
 use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs, Vfs};
 use spinnaker_common::{Consistency, Key, Lsn, RangeId};
@@ -51,6 +52,8 @@ struct Pump {
     written: Vec<u64>,
     /// The row of the last answered get.
     last_row: Option<Vec<u8>>,
+    /// Gets and scan pages answered (with whatever content).
+    reads_answered: usize,
     next_req: u64,
 }
 
@@ -78,6 +81,7 @@ impl Pump {
             sent: Vec::new(),
             written: Vec::new(),
             last_row: None,
+            reads_answered: 0,
             next_req: 1,
         };
         // Publish the range table, as a deployment does: splits and
@@ -157,9 +161,11 @@ impl Pump {
                 Effect::Reply { reply, .. } => match reply {
                     ClientReply::WriteOk { req, .. } => self.written.push(req),
                     ClientReply::Row { cells, .. } => {
+                        self.reads_answered += 1;
                         self.last_row =
                             cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
                     }
+                    ClientReply::Rows { .. } => self.reads_answered += 1,
                     other => panic!("unexpected reply {other:?}"),
                 },
                 Effect::SetTimer { .. } => {}
@@ -705,6 +711,58 @@ fn a_table_catch_up_whose_flush_fails_claims_nothing() {
     assert_eq!(p.role(1), Role::Leader);
     for k in 1..=5 {
         assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+}
+
+/// A block the leader cannot read is not an absent row. Keys 1-4 live in
+/// one flushed table of node 0 and nowhere else (memtable flushed, block
+/// cache cold), and that file stops reading back. At the parent
+/// commit the strong get was answered with an empty row, the scan page
+/// with no rows, and `ConditionalPut { expected: 0 }` — "only if never
+/// written" — was accepted over the acknowledged value it could not see.
+/// The leader fail-stops instead, answering nothing, and the cohort's
+/// next leader serves what was acknowledged.
+#[test]
+fn a_store_read_error_is_not_an_absent_row() {
+    let key = u64_to_key(2);
+    let ops = [
+        ClientOp::Get {
+            key: key.clone(),
+            columns: spinnaker_common::api::ColumnSelect::All,
+            consistency: Consistency::Strong,
+        },
+        ClientOp::Scan {
+            start: u64_to_key(1),
+            end: None,
+            limit: 8,
+            consistency: Consistency::Strong,
+        },
+        ClientOp::ConditionalPut { key, col: "c".into(), value: "clobbered".into(), expected: 0 },
+    ];
+    for op in ops {
+        let what = format!("{op:?}");
+        let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+        p.put_all(0, 1..=4);
+        p.commit_tick(0);
+        p.maintenance(0);
+        assert_eq!(p.node(0).wal().checkpoint(R0), lsn(1, 4), "keys 1-4 are in a table");
+
+        // Sticky: a sector that stays unreadable (a scan asks twice).
+        p.store_faults[0].fail_read_after(1);
+        p.store_faults[0].set_sticky(true);
+        let req = ClientRequest { req: p.next_req, ring_version: 0, op };
+        p.next_req += 1;
+        p.feed(0, NodeInput::Client { from: CLIENT, req: req.clone() });
+        p.run();
+        assert!(p.store_faults[0].injected() >= 1, "{what}: the block read failed");
+        assert_eq!(p.reads_answered, 0, "{what}: answered without the block");
+        assert!(!p.written.contains(&req.req), "{what}: accepted without the block");
+        assert!(p.nodes[0].is_none(), "{what}: the leader did not fail-stop");
+
+        let leader = p.leader_of(R0);
+        for k in 1..=4 {
+            assert_eq!(p.read(leader, k), acked(k), "{what}: key {k} at node {leader}");
+        }
     }
 }
 

@@ -7,8 +7,11 @@
 //! allocation per entry, every length and flag validated — and records
 //! where each key and row starts. Lookups then compare keys in place and
 //! decode only the row they return; a block nobody reads a row from is
-//! never decoded at all. Compaction reads entries as stored
-//! (`Block::raw_entry`) and moves the rows it need not change as bytes.
+//! never decoded at all. A point read does not decode even that: it
+//! takes each column's version visible at its timestamp out of the
+//! encoded row (`Block::fold_visible`), whatever the length of the chains
+//! around it. Compaction reads entries as stored (`Block::raw_entry`)
+//! and moves the rows it need not change as bytes.
 //!
 //! The body is a [`Bytes`], and a decoded key, column name or value is a
 //! view of it: decoding a row allocates its map node (and a vector per
@@ -19,7 +22,7 @@
 
 use bytes::Bytes;
 use spinnaker_common::codec::{self, Decode, Source};
-use spinnaker_common::{Error, Key, Result, Row};
+use spinnaker_common::{Error, Key, Result, Row, Timestamp};
 
 /// Where one entry sits in the body: its key is `body[key..row]`, its
 /// encoded row starts at `row`.
@@ -70,13 +73,25 @@ impl Block {
         self.entries.partition_point(|&e| self.key_at(e) < key)
     }
 
-    /// The row stored under exactly `key`; no other row is decoded.
+    /// The entry stored under exactly `key`.
+    fn find(&self, key: &[u8]) -> Option<Entry> {
+        let e = *self.entries.get(self.lower_bound(key))?;
+        (self.key_at(e) == key).then_some(e)
+    }
+
+    /// The row stored under exactly `key`, version chains and all; no
+    /// other row is decoded.
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Row>> {
-        let pos = self.lower_bound(key);
-        match self.entries.get(pos) {
-            Some(&e) if self.key_at(e) == key => self.decode_row(e).map(Some),
-            _ => Ok(None),
-        }
+        self.find(key).map(|e| self.decode_row(e)).transpose()
+    }
+
+    /// What the row stored under exactly `key` shows at `ts`, folded into
+    /// `into` ([`codec::fold_visible`]); `false` when the block has no
+    /// such key. No row is decoded and no chain built.
+    pub(crate) fn fold_visible(&self, key: &[u8], ts: Timestamp, into: &mut Row) -> Result<bool> {
+        let Some(e) = self.find(key) else { return Ok(false) };
+        let mut src = Source::shared(&self.body, &self.body[e.row as usize..]);
+        codec::fold_visible(&mut src, ts, into).map(|()| true)
     }
 
     /// Number of entries.

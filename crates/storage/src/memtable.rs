@@ -31,17 +31,8 @@ impl Memtable {
     /// Idempotent: versions derive from the LSN, so replaying a record
     /// during recovery reproduces identical state.
     pub fn apply(&mut self, op: &WriteOp, lsn: Lsn) {
-        let is_new_row = !self.rows.contains_key(&op.key);
-        let row = self.rows.entry(op.key.clone()).or_default();
-        let before = row.approx_size();
-        op.apply_to_row(row, lsn);
-        let after = row.approx_size();
-        // Invariant: approx_bytes >= sum of counted row sizes >= before, so
-        // the expression below cannot underflow.
-        self.approx_bytes = self.approx_bytes + after - before;
-        if is_new_row {
-            self.approx_bytes += op.key.len();
-        }
+        let added = op.apply_to_row(self.row_mut(&op.key), lsn);
+        self.approx_bytes += added;
         if self.min_lsn.is_zero() || lsn < self.min_lsn {
             self.min_lsn = lsn;
         }
@@ -58,15 +49,8 @@ impl Memtable {
         if fragment.is_empty() {
             return;
         }
-        let is_new_row = !self.rows.contains_key(key);
-        let row = self.rows.entry(key.clone()).or_default();
-        let before = row.approx_size();
-        row.merge_newer(fragment);
-        let after = row.approx_size();
-        self.approx_bytes = self.approx_bytes + after - before;
-        if is_new_row {
-            self.approx_bytes += key.len();
-        }
+        let added = self.row_mut(key).merge_newer_sized(fragment);
+        self.approx_bytes += added;
         for cv in fragment.columns.values() {
             for v in cv.versions() {
                 let lsn = Lsn::from_u64(v.version);
@@ -81,9 +65,32 @@ impl Memtable {
         }
     }
 
+    /// `key`'s row, created — and its key counted — if absent. What the
+    /// caller then adds to the row it reports itself: `approx_bytes` is
+    /// kept by what each write inserted, never by sizing the row.
+    fn row_mut(&mut self, key: &Key) -> &mut Row {
+        if !self.rows.contains_key(key) {
+            self.approx_bytes += key.len();
+        }
+        self.rows.entry(key.clone()).or_default()
+    }
+
     /// The stored fragment of `key`'s row (tombstones included).
     pub fn get(&self, key: &Key) -> Option<&Row> {
         self.rows.get(key)
+    }
+
+    /// The memtable's part of a point read: what its fragment of `key`'s
+    /// row shows at `ts` — per column the newest version with
+    /// `timestamp <= ts` — set in `into` where `into` admits it
+    /// ([`Row::admits`]).
+    pub fn fold_visible(&self, key: &Key, ts: Timestamp, into: &mut Row) {
+        let Some(row) = self.rows.get(key) else { return };
+        for (col, cv) in &row.columns {
+            if let Some(v) = cv.visible_at(ts).filter(|v| into.admits(col, v.version)) {
+                into.set(col.clone(), v.flattened());
+            }
+        }
     }
 
     /// Number of distinct rows.
@@ -141,9 +148,66 @@ impl Memtable {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use spinnaker_common::op;
 
     use super::*;
+
+    /// What `approx_bytes` claims to be: every key plus every row, sized
+    /// from scratch.
+    fn recomputed_bytes(mt: &Memtable) -> usize {
+        mt.iter().map(|(key, row)| key.len() + row.approx_size()).sum()
+    }
+
+    proptest! {
+        /// The byte count is kept by adding what each write inserted;
+        /// after any history it still equals the sum taken from scratch —
+        /// a replayed record and a fragment already held add nothing, an
+        /// out-of-order version adds itself once.
+        #[test]
+        fn approx_bytes_equals_the_recomputed_sum_after_any_history(
+            steps in proptest::collection::vec(
+                (0u8..4, 0u8..5, 0u8..3, 1u64..24, proptest::collection::vec(any::<u8>(), 0..20)),
+                1..64,
+            ),
+        ) {
+            let key = |k: u8| format!("key-{}", "x".repeat(k as usize));
+            let col = |c: u8| ["a", "bb", "ccc"][c as usize];
+            let mut mt = Memtable::new();
+            // Every record applied so far, to replay and to ship as fragments.
+            let mut log: Vec<(WriteOp, Lsn)> = Vec::new();
+            for (kind, k, c, seq, value) in steps {
+                let written = match kind {
+                    0 => Some((
+                        WriteOp::put(Key::from(key(k).as_str()), col(c), value, seq),
+                        Lsn::new(1, seq),
+                    )),
+                    1 => Some((op::delete(&key(k), col(c)), Lsn::new(1, seq))),
+                    // Replay an earlier record, as recovery does.
+                    2 => log.get(seq as usize % log.len().max(1)).cloned(),
+                    // Ship another memtable's rows, chains and all, as
+                    // catch-up and split do: they overlap this one's.
+                    _ => {
+                        let mut other = Memtable::new();
+                        for (op, lsn) in log.iter().filter(|(op, _)| op.key.len() >= key(k).len()) {
+                            other.apply(op, Lsn::new(1, lsn.seq() + seq % 3));
+                        }
+                        for (key, row) in other.iter() {
+                            mt.merge_row(key, row);
+                        }
+                        None
+                    }
+                };
+                if let Some((op, lsn)) = written {
+                    mt.apply(&op, lsn);
+                    log.push((op, lsn));
+                }
+                prop_assert_eq!(mt.approx_bytes(), recomputed_bytes(&mt));
+            }
+            mt.take_sorted();
+            prop_assert_eq!(mt.approx_bytes(), 0);
+        }
+    }
 
     #[test]
     fn apply_and_get() {

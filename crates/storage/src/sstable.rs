@@ -423,16 +423,33 @@ impl Table {
     }
 
     /// Point lookup **without** the span/bloom pre-checks — the block
-    /// index is consulted directly. Callers (the store's read path) do
-    /// the span and bloom checks themselves so they can count skips and
-    /// bloom true/false positives.
+    /// index is consulted directly.
     pub fn get_unfiltered(&self, key: &Key) -> Result<Option<Row>> {
-        // Last block whose first key <= key.
-        let block_idx = match self.index.partition_point(|e| e.first_key <= *key) {
-            0 => return Ok(None),
-            n => n - 1,
-        };
-        self.read_block(block_idx)?.get(key.as_bytes())
+        match self.block_of(key)? {
+            Some(block) => block.get(key.as_bytes()),
+            None => Ok(None),
+        }
+    }
+
+    /// The store's point read of this table: what the stored fragment of
+    /// `key`'s row shows at `ts`, folded into `into`; `false` when the
+    /// table does not hold the key. No span/bloom pre-checks — the store
+    /// does them itself so it can count skips and bloom true/false
+    /// positives.
+    pub(crate) fn fold_visible(&self, key: &Key, ts: Timestamp, into: &mut Row) -> Result<bool> {
+        match self.block_of(key)? {
+            Some(block) => block.fold_visible(key.as_bytes(), ts, into),
+            None => Ok(false),
+        }
+    }
+
+    /// The one block that can hold `key`: the last whose first key is
+    /// `<= key`.
+    fn block_of(&self, key: &Key) -> Result<Option<CachedBlock>> {
+        match self.index.partition_point(|e| e.first_key <= *key) {
+            0 => Ok(None),
+            n => self.read_block(n - 1).map(Some),
+        }
     }
 
     /// Read (or fetch from the block cache) the data block at index

@@ -242,9 +242,9 @@ impl RangeStore {
         self.memtable.merge_row(key, fragment);
     }
 
-    /// Probe one table for `key`, folding any fragment into `merged` and
-    /// crediting the span/bloom statistics.
-    fn probe(&self, slot: &Slot, key: &Key, merged: &mut Option<Row>) -> Result<()> {
+    /// Probe one table for `key`, folding what its fragment shows at `ts`
+    /// into `row` and crediting the span/bloom statistics.
+    fn probe(&self, slot: &Slot, key: &Key, ts: Timestamp, row: &mut Row) -> Result<()> {
         if !slot.table.span_contains(key) {
             self.stats.span_skips.fetch_add(1, Ordering::Relaxed);
             return Ok(());
@@ -253,57 +253,65 @@ impl RangeStore {
             self.stats.bloom_negatives.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        match slot.table.get_unfiltered(key)? {
-            Some(frag) => {
-                self.stats.bloom_true_positives.fetch_add(1, Ordering::Relaxed);
-                match merged.as_mut() {
-                    Some(row) => row.merge_newer(&frag),
-                    None => *merged = Some(frag),
-                }
-            }
-            None => {
-                self.stats.bloom_false_positives.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let verdict = match slot.table.fold_visible(key, ts, row)? {
+            true => &self.stats.bloom_true_positives,
+            false => &self.stats.bloom_false_positives,
+        };
+        verdict.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Merged read of a whole row (tombstones retained; callers filter).
-    /// Every L0 table is span/bloom-probed; each deeper level contributes
-    /// at most the **one** table whose span can contain the key, found by
-    /// binary search — the leveled read-amplification win.
+    /// Point read of a whole row at the latest commit: per column the
+    /// newest version stored, **heads only** — `older` is empty on every
+    /// column returned (tombstones retained; callers filter). This is
+    /// [`RangeStore::get_at`] at `u64::MAX`. A row's retained history is
+    /// read with [`RangeStore::scan`] / [`RangeStore::scan_page`], which
+    /// keep the version chains.
     pub fn get(&self, key: &Key) -> Result<Option<Row>> {
+        self.get_at(key, Timestamp::MAX)
+    }
+
+    /// Point read of one column at the latest commit (its head alone;
+    /// tombstones retained).
+    pub fn get_column(
+        &self,
+        key: &Key,
+        col: &[u8],
+    ) -> Result<Option<spinnaker_common::ColumnValue>> {
+        Ok(self.get(key)?.and_then(|mut row| row.columns.remove(col)))
+    }
+
+    /// MVCC point read — the one point-read path: the row state **visible
+    /// at** commit timestamp `ts`, i.e. per column the newest retained
+    /// version with `timestamp <= ts`, heads only (`older` empty;
+    /// tombstones included, callers filter). `None` when nothing of the
+    /// row is visible at `ts`.
+    ///
+    /// No version chain is built on the way. The memtable and every
+    /// table that may hold the key each show their own newest version at
+    /// or below `ts` per column — a table straight out of the encoded row
+    /// in its cached block — and the highest version wins
+    /// ([`Row::admits`]). Every L0 table is span/bloom-probed; each
+    /// deeper level contributes at most the **one** table whose span can
+    /// contain the key, found by binary search — the leveled
+    /// read-amplification win. The cells returned are views of the blocks
+    /// they were read from.
+    pub fn get_at(&self, key: &Key, ts: Timestamp) -> Result<Option<Row>> {
         self.stats.point_gets.fetch_add(1, Ordering::Relaxed);
-        let mut merged: Option<Row> = self.memtable.get(key).cloned();
+        let mut row = Row::new();
+        self.memtable.fold_visible(key, ts, &mut row);
         for slot in &self.l0 {
-            self.probe(slot, key, &mut merged)?;
+            self.probe(slot, key, ts, &mut row)?;
         }
         for level in &self.deeper {
             // Last table whose min_key <= key is the only candidate in a
             // non-overlapping, key-ordered level.
             let i = level.partition_point(|s| min_key(s) <= key);
             if i > 0 {
-                self.probe(&level[i - 1], key, &mut merged)?;
+                self.probe(&level[i - 1], key, ts, &mut row)?;
             }
         }
-        Ok(merged)
-    }
-
-    /// Merged read of one column (tombstones retained).
-    pub fn get_column(
-        &self,
-        key: &Key,
-        col: &[u8],
-    ) -> Result<Option<spinnaker_common::ColumnValue>> {
-        Ok(self.get(key)?.and_then(|row| row.get(col).cloned()))
-    }
-
-    /// MVCC read: the row state **visible at** commit timestamp `ts` —
-    /// per column, the newest retained version with `timestamp <= ts`
-    /// (tombstones included; callers filter). `None` when nothing of the
-    /// row is visible at `ts`.
-    pub fn get_at(&self, key: &Key, ts: Timestamp) -> Result<Option<Row>> {
-        Ok(self.get(key)?.map(|row| row.visible_at(ts)).filter(|r| !r.is_empty()))
+        Ok((!row.is_empty()).then_some(row))
     }
 
     /// Set the MVCC garbage-collection floor: subsequent compactions
@@ -991,9 +999,14 @@ mod tests {
         s.set_gc_floor(25);
         s.compact_all().unwrap();
         let k = Key::from("k");
-        let head = s.get(&k).unwrap().unwrap();
-        let retained: Vec<u64> = head.get(b"c").unwrap().versions().map(|v| v.timestamp).collect();
-        assert_eq!(retained, vec![40, 30, 20]);
+        // A scan keeps the chains; a get returns heads.
+        let chain_of = |s: &RangeStore, key: &Key| -> Vec<u64> {
+            let rows = s.scan(key, None).unwrap();
+            assert_eq!(&rows[0].0, key);
+            rows[0].1.get(b"c").unwrap().versions().map(|v| v.timestamp).collect()
+        };
+        assert_eq!(chain_of(&s, &k), vec![40, 30, 20]);
+        assert!(s.get(&k).unwrap().unwrap().get(b"c").unwrap().older.is_empty());
         for (ts, want) in [(25u64, "v2"), (30, "v3"), (45, "v4")] {
             let row = s.get_at(&k, ts).unwrap().unwrap();
             assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), want.as_bytes(), "ts {ts}");
@@ -1004,7 +1017,7 @@ mod tests {
         s2.apply(&put_at("j", "y", 6), Lsn::new(2, 2));
         s2.flush().unwrap();
         s2.compact_all().unwrap();
-        assert_eq!(s2.get(&Key::from("j")).unwrap().unwrap().get(b"c").unwrap().older.len(), 0);
+        assert_eq!(chain_of(&s2, &Key::from("j")), vec![6]);
     }
 
     #[test]

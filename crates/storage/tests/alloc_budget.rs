@@ -3,7 +3,8 @@
 //! moves, not with the rows in them; and what a read allocates must grow
 //! with the rows it returns and the blocks it loads, not with the number
 //! or the size of the cells in them — a decoded cell is a view of its
-//! block.
+//! block — and a point read's not with the versions stored around the
+//! one it returns.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use spinnaker_storage::{BlockCache, RangeStore, StoreOptions};
 
 #[path = "../../common/tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, CountingAlloc};
+use counting_alloc::{allocated, allocations, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -129,6 +130,53 @@ fn a_point_get_allocates_the_same_whatever_the_size_of_its_cells() {
         let (cold, cached) = cold_and_cached_get(cols, name_len, value_len);
         assert_eq!(cached, 1, "cached get, {cols} columns of {value_len} bytes");
         assert!(cold <= 6, "cold get, {cols} columns of {value_len} bytes: {cold} allocations");
+    }
+}
+
+#[test]
+fn a_point_get_allocates_the_same_whatever_the_length_of_the_chain() {
+    const VERSIONS: u64 = 1_000;
+    let opts = StoreOptions {
+        memtable_flush_bytes: usize::MAX,
+        cache: Some(Arc::new(BlockCache::new(64 << 20))),
+        ..Default::default()
+    };
+    let mut store = RangeStore::open(Arc::new(MemVfs::new()), opts).unwrap();
+    let put = |i: u64, v: u64| {
+        WriteOp::put(
+            key(i),
+            Bytes::from_static(b"c"),
+            Bytes::from(format!("value-{v:04}")),
+            1_000 + v,
+        )
+    };
+    // key 0: one version. key 1: a thousand, none of them prunable.
+    store.apply(&put(0, 0), Lsn::new(1, 1));
+    for v in 0..VERSIONS {
+        store.apply(&put(1, v), Lsn::new(1, 2 + v));
+    }
+    store.flush().unwrap();
+    let chain = &store.scan(&key(1), None).unwrap()[0].1;
+    assert_eq!(
+        chain.get(b"c").unwrap().older.len() as u64,
+        VERSIONS - 1,
+        "the table holds them all"
+    );
+
+    let cached = |k: &Key, ts: u64| {
+        store.get_at(k, ts).unwrap(); // its block is in the cache from here on
+        let (calls, bytes, row) = allocated(|| store.get_at(k, ts).unwrap().unwrap());
+        (calls, bytes, row.get(b"c").unwrap().clone())
+    };
+    let (plain_calls, plain_bytes, _) = cached(&key(0), u64::MAX);
+    assert_eq!(plain_calls, 1, "the row's map node");
+    // The head, the middle of the chain, its very end: the same one
+    // allocation of the same size, and a head without a chain.
+    for v in [VERSIONS - 1, VERSIONS / 2, 0] {
+        let (calls, bytes, cv) = cached(&key(1), 1_000 + v);
+        assert_eq!((calls, bytes), (plain_calls, plain_bytes), "reading version {v}");
+        assert_eq!(cv.value.as_ref(), format!("value-{v:04}").as_bytes());
+        assert!(cv.older.is_empty());
     }
 }
 

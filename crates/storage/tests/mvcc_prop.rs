@@ -4,14 +4,17 @@
 //! garbage-collected at) returns exactly the model cut — never a torn
 //! cell (a value from the wrong side of the cut) and never a
 //! resurrected one (a deleted column coming back, or a pruned version
-//! reappearing).
+//! reappearing). And the point read, which takes each fragment's visible
+//! version and never builds a chain, returns at every such timestamp the
+//! heads of the reference read that does: the row a scan collapses with
+//! `merge_newer`, then `visible_at`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spinnaker_common::vfs::MemVfs;
-use spinnaker_common::{Key, Lsn, WriteOp};
+use spinnaker_common::{CellOp, Key, Lsn, Row, WriteOp};
 use spinnaker_storage::{RangeStore, StoreOptions};
 
 /// One step of the interleaving.
@@ -147,6 +150,120 @@ proptest! {
                 let want = expect.map(|v| bytes::Bytes::copy_from_slice(&v.to_be_bytes()));
                 prop_assert_eq!(got, want, "post-settle ts {} {:?}", read_ts, key);
             }
+        }
+    }
+}
+
+/// A write to up to three of the columns `a`, `b`, `c` of one row, or a
+/// step that moves the data without changing it.
+#[derive(Clone, Debug)]
+enum WideStep {
+    /// `(column, Some(value) | None-for-delete)` per cell.
+    Write {
+        key: u8,
+        cells: Vec<(u8, Option<u16>)>,
+    },
+    Flush,
+    CompactAll,
+    MaybeCompact,
+    /// Raise the GC floor to `lag` timestamps below the newest commit.
+    RaiseFloor {
+        lag: u8,
+    },
+}
+
+fn wide_step_strat() -> impl Strategy<Value = WideStep> {
+    let cell = (0u8..3, prop_oneof![3 => any::<u16>().prop_map(Some), 1 => Just(None)]);
+    prop_oneof![
+        8 => (any::<u8>(), proptest::collection::vec(cell, 1..4))
+            .prop_map(|(key, cells)| WideStep::Write { key: key % 6, cells }),
+        2 => Just(WideStep::Flush),
+        1 => Just(WideStep::CompactAll),
+        1 => Just(WideStep::MaybeCompact),
+        1 => any::<u8>().prop_map(|lag| WideStep::RaiseFloor { lag: lag % 32 }),
+    ]
+}
+
+/// The cell mutations of one wide write.
+fn cells_of(cells: &[(u8, Option<u16>)]) -> Vec<CellOp> {
+    cells
+        .iter()
+        .map(|&(col, value)| {
+            let col = bytes::Bytes::copy_from_slice(&[b'a' + col]);
+            match value {
+                Some(v) => {
+                    CellOp::Put { col, value: bytes::Bytes::copy_from_slice(&v.to_be_bytes()) }
+                }
+                None => CellOp::Delete { col },
+            }
+        })
+        .collect()
+}
+
+/// Hold `get`, `get_at` and `get_column` of keys 0..=6 against the
+/// reference read at every timestamp in `floor..=now + 1` and at the
+/// latest. Returns how many of the reads saw a stored row with nothing
+/// visible yet, and how many tombstone heads they returned.
+fn check_point_reads(store: &RangeStore, floor: u64, now: u64) -> (usize, usize) {
+    // The reference: every row with its chains, as a scan merges them.
+    let full: BTreeMap<Key, Row> = store.scan(&Key::default(), None).unwrap().into_iter().collect();
+    let (mut nothing_visible, mut tombstone_heads) = (0, 0);
+    for key in (0..=6).map(key_of) {
+        for read_ts in (floor..=now + 1).chain([u64::MAX]) {
+            let want = full.get(&key).map(|row| row.visible_at(read_ts)).filter(|r| !r.is_empty());
+            let got = store.get_at(&key, read_ts).unwrap();
+            assert_eq!(got, want, "{key:?} at {read_ts} (floor {floor}, now {now})");
+            nothing_visible += usize::from(want.is_none() && full.contains_key(&key));
+            tombstone_heads +=
+                want.iter().flat_map(|r| r.columns.values()).filter(|cv| cv.tombstone).count();
+        }
+        assert_eq!(store.get(&key).unwrap(), store.get_at(&key, u64::MAX).unwrap());
+        for col in [b"a", b"b", b"c"] {
+            let want = full.get(&key).and_then(|row| row.get(col)).map(|cv| cv.flattened());
+            assert_eq!(store.get_column(&key, col).unwrap(), want, "{key:?}.{col:?}");
+        }
+    }
+    (nothing_visible, tombstone_heads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn point_reads_equal_the_heads_of_the_merged_chains_at_every_retained_timestamp(
+        steps in proptest::collection::vec(wide_step_strat(), 1..80),
+    ) {
+        let mut store = RangeStore::open(
+            Arc::new(MemVfs::new()),
+            StoreOptions { compaction_fanin: 2, ..Default::default() },
+        ).unwrap();
+        store.set_gc_floor(0);
+        // Key 6 is written here and never again: a put and a delete at
+        // timestamp 1, so the first check reads a stored row at 0, where
+        // nothing of it is visible, and a tombstone head from 1 on.
+        let (mut ts, mut floor) = (1u64, 0u64);
+        let prelude = WriteOp { key: key_of(6), cells: cells_of(&[(0, Some(7)), (1, None)]), timestamp: 1 };
+        store.apply(&prelude, Lsn::new(1, 1));
+        let (nothing_visible, tombstone_heads) = check_point_reads(&store, floor, ts);
+        prop_assert!(nothing_visible > 0 && tombstone_heads > 0);
+
+        for step in steps {
+            match step {
+                WideStep::Write { key, cells } => {
+                    ts += 1;
+                    let op = WriteOp { key: key_of(key), cells: cells_of(&cells), timestamp: ts };
+                    store.apply(&op, Lsn::new(1, ts));
+                }
+                WideStep::Flush => { store.flush().unwrap(); }
+                WideStep::CompactAll => { store.compact_all().unwrap(); }
+                WideStep::MaybeCompact => { store.maybe_compact().unwrap(); }
+                WideStep::RaiseFloor { lag } => {
+                    let f = ts.saturating_sub(lag as u64);
+                    store.set_gc_floor(f);
+                    floor = floor.max(f);
+                }
+            }
+            check_point_reads(&store, floor, ts);
         }
     }
 }
