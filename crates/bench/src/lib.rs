@@ -12,6 +12,7 @@
 //! (`spinnaker-sim`); the *shapes* — who wins, by what factor, where the
 //! knees fall — are the reproduction targets.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;

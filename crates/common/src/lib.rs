@@ -17,6 +17,7 @@
 //!   fault-injecting backends so storage code can be crash-tested
 //!   deterministically.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

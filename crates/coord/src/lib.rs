@@ -14,6 +14,7 @@
 //! black box that is *not* on the read/write critical path, and so do we.
 //! `spinnaker-paxos` demonstrates how its log would be replicated.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod service;

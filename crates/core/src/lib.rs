@@ -23,6 +23,7 @@
 //!   surface, multi-range scans with continuation, pipelined windows.
 //! * [`client`] — closed-loop workload clients driving sessions.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

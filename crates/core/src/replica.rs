@@ -1151,7 +1151,8 @@ impl RangeReplica {
     /// its checksum, a device error): the request goes unanswered — an
     /// empty row or version 0 would be a lie a conditional put then
     /// builds on — the host crashes the node, and the cohort elects a
-    /// replica that can read its copy.
+    /// replica that can read its copy. A flush or compaction that failed
+    /// on the maintenance tick stops the node the same way.
     fn store_unreadable(rt: &mut Runtime<'_>) {
         *rt.poisoned = true;
     }
@@ -1946,10 +1947,24 @@ impl RangeReplica {
         }
         self.store.set_gc_floor(floor);
         if self.store.needs_flush() {
-            if let Ok(Some(flushed)) = self.store.flush() {
+            // A flush or compaction that fails leaves a device this node
+            // cannot trust: fail-stop (a failed flush stops before the
+            // checkpoint moves, so a restart replays the rows from the
+            // log), and the cohort's next leader serves its own copy.
+            let Ok(flushed) = self.store.flush() else {
+                Self::store_unreadable(rt);
+                return ReshardAdvice::None;
+            };
+            if let Some(flushed) = flushed {
+                // Safe to ignore: the rows are in a table the saved
+                // manifest lists, and a checkpoint that fails to save
+                // makes recovery replay more of the log, never less.
                 let _ = rt.wal.set_checkpoint(self.range, flushed);
             }
-            let _ = self.store.maybe_compact();
+            if self.store.maybe_compact().is_err() {
+                Self::store_unreadable(rt);
+                return ReshardAdvice::None;
+            }
         }
 
         let elapsed = now.saturating_sub(self.last_sample_at);

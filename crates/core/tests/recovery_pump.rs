@@ -766,6 +766,35 @@ fn a_store_read_error_is_not_an_absent_row() {
     }
 }
 
+/// A flush that fails hides nothing it was handed. Keys 1-4 are
+/// acknowledged and sit in node 0's memtable alone when the maintenance
+/// tick's flush fails: at the table's sync, or at the read-back of the
+/// finished table. At the parent commit the memtable was already drained
+/// and the error dropped, so the leader stayed up and answered strong gets
+/// of all four keys with an absent row. The leader fail-stops instead
+/// (its log checkpoint never moved), and the cohort's next leader serves
+/// what was acknowledged.
+#[test]
+fn a_failed_flush_hides_no_acknowledged_row() {
+    for fault in ["sync", "read"] {
+        let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+        p.put_all(0, 1..=4);
+        p.commit_tick(0);
+        match fault {
+            "sync" => p.store_faults[0].fail_sync_after(1),
+            _ => p.store_faults[0].fail_read_after(1),
+        }
+        p.maintenance(0);
+        assert_eq!(p.store_faults[0].injected(), 1, "{fault}: the flush failed");
+
+        let leader = p.leader_of(R0);
+        for k in 1..=4 {
+            assert_eq!(p.read(leader, k), acked(k), "{fault}: key {k} at node {leader}");
+        }
+        assert!(p.nodes[0].is_none(), "{fault}: the leader did not fail-stop");
+    }
+}
+
 /// Two gone ranges in one reconcile, each with its own log stream: range
 /// 0 (epoch 1, watermark 1.5) and the left child of range 1 (epoch 2,
 /// watermark 2.3, flushed and checkpointed there — past range 0's

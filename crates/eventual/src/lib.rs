@@ -11,6 +11,7 @@
 //!   Fig. 1 availability trap (§1.1).
 //! * [`merkle`] — the anti-entropy Merkle tree.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

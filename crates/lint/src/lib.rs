@@ -21,6 +21,7 @@
 //! its absence is itself a violation). Run it with
 //! `cargo run -p spinnaker-lint -- --deny`.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

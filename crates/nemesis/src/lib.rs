@@ -24,6 +24,7 @@
 //! `spinnaker-nemesis` bin to sweep many seeds (CI) or run unbounded
 //! (soak).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

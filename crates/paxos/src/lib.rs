@@ -14,6 +14,7 @@
 //! **validity** (only proposed values are chosen), plus durability of
 //! acceptor state across crashes.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod multi;

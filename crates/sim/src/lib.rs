@@ -11,6 +11,7 @@
 //! Protocol crates (`spinnaker-core`, `spinnaker-eventual`) provide the
 //! actors; this crate provides time, randomness, and physics.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

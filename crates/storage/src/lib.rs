@@ -10,6 +10,7 @@
 //! of raw, checksum-verified data blocks. The design follows Bigtable's
 //! SSTables as the paper describes.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

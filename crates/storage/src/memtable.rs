@@ -144,6 +144,17 @@ impl Memtable {
         self.max_ts = 0;
         rows.into_iter().collect()
     }
+
+    /// Take back rows [`Memtable::take_sorted`] drained for a flush that
+    /// failed. The accounting is rebuilt from the rows themselves: the
+    /// byte count exactly, the LSN and timestamp bounds at most as wide
+    /// as before — so the checkpoint a later flush reports can only
+    /// replay more, never less.
+    pub(crate) fn restore(&mut self, rows: &[(Key, Row)]) {
+        for (key, row) in rows {
+            self.merge_row(key, row);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -367,14 +367,29 @@ impl RangeStore {
     /// Flush the memtable into a new L0 SSTable. Returns the highest LSN
     /// captured (the caller advances the WAL checkpoint to it), or `None`
     /// when the memtable was empty.
+    ///
+    /// A flush that fails changes nothing a reader sees: the rows go back
+    /// into the memtable, and a table written but not listed in a saved
+    /// manifest leaves the level structure (its file stays behind as dead
+    /// weight, like an abandoned compaction output).
     pub fn flush(&mut self) -> Result<Option<Lsn>> {
         if self.memtable.is_empty() {
             return Ok(None);
         }
         let max_lsn = self.memtable.max_lsn();
         let rows = self.memtable.take_sorted();
-        self.adopt_rows(&rows, 0)?;
-        self.save_manifest()?;
+        let flushed = self.adopt_rows(&rows, 0).and_then(|()| {
+            let saved = self.save_manifest();
+            if saved.is_err() {
+                // `place` put the unlisted table first in L0.
+                self.l0.remove(0);
+            }
+            saved
+        });
+        if let Err(e) = flushed {
+            self.memtable.restore(&rows);
+            return Err(e);
+        }
         Ok(Some(max_lsn))
     }
 
@@ -820,7 +835,7 @@ mod tests {
     use std::sync::Arc;
 
     use spinnaker_common::op;
-    use spinnaker_common::vfs::MemVfs;
+    use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs};
 
     use super::*;
 
@@ -871,6 +886,51 @@ mod tests {
         assert_eq!(s2.table_count(), 1);
         let row = s2.get(&Key::from("k050")).unwrap().unwrap();
         assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), b"v50");
+    }
+
+    /// A flush that fails — at any sync it makes (the table's, the
+    /// manifest's) or at the read-back of the finished table — takes
+    /// nothing from a reader: the rows stay in the memtable, no table is
+    /// listed, and the retry on a device that recovered flushes them all.
+    #[test]
+    fn a_failed_flush_keeps_the_memtable_and_a_retry_succeeds() {
+        let key = |i: u64| Key::from(format!("k{i:03}").as_str());
+        let value_of = |s: &RangeStore, i: u64| {
+            let row = s.get(&key(i)).unwrap()?;
+            Some(row.get_live(b"c")?.value.to_vec())
+        };
+        let faults = [("sync", 1), ("sync", 2), ("read", 1)];
+        for (fault, n) in faults {
+            let mem = MemVfs::new();
+            let plan = FaultPlan::new();
+            let faulty: SharedVfs = Arc::new(FaultVfs::new(Arc::new(mem.clone()), plan.clone()));
+            let mut s = RangeStore::open(faulty, StoreOptions::default()).unwrap();
+            // An older table, so the one a failed flush unlists is the right one.
+            for i in 1..=4u64 {
+                s.apply(&op::put(&format!("k{i:03}"), "c", &format!("v{i}")), Lsn::new(1, i));
+                if i == 1 {
+                    s.flush().unwrap();
+                }
+            }
+            match fault {
+                "sync" => plan.fail_sync_after(n),
+                _ => plan.fail_read_after(n),
+            }
+            assert!(s.flush().is_err(), "{fault} {n}: the flush failed");
+            assert_eq!(plan.injected(), 1, "{fault} {n}");
+            assert_eq!((s.table_count(), s.memtable_len()), (1, 3), "{fault} {n}");
+            for i in 1..=4u64 {
+                assert_eq!(value_of(&s, i), Some(format!("v{i}").into_bytes()), "{fault} {n}");
+            }
+
+            assert_eq!(s.flush().unwrap(), Some(Lsn::new(1, 4)), "{fault} {n}: the retry");
+            assert_eq!((s.table_count(), s.memtable_len()), (2, 0));
+            let reopened = store_on(&mem.crash_clone());
+            assert_eq!(reopened.table_count(), 2, "{fault} {n}: the manifest lists both");
+            for i in 1..=4u64 {
+                assert_eq!(value_of(&reopened, i), Some(format!("v{i}").into_bytes()));
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! everything appended so far, and the device model that batches the
 //! forces queued behind one sync is the simulator's (`sim::disk`).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

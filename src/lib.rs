@@ -43,6 +43,7 @@
 //! `crates/bench` for the reproduction of every figure and table in the
 //! paper's evaluation.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use spinnaker_common as common;
