@@ -5,8 +5,8 @@
 //! scale-out via dynamic range splitting — hot-range throughput before,
 //! during, and after a live split. Each prints the paper's series as
 //! aligned text and writes `target/experiments/<id>.csv`. Set
-//! `SPINNAKER_QUICK=1` for a faster, lower-resolution pass (used by
-//! `cargo bench` smoke runs).
+//! `SPINNAKER_QUICK=1` for a faster, lower-resolution pass (used by CI's
+//! experiment-harness smoke).
 //!
 //! Absolute milliseconds depend on the calibrated hardware model
 //! (`spinnaker-sim`); the *shapes* — who wins, by what factor, where the

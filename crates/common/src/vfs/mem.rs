@@ -58,11 +58,6 @@ impl MemVfs {
     pub fn total_bytes(&self) -> usize {
         self.files.lock().values().map(|f| f.lock().data.len()).sum()
     }
-
-    /// Number of files present.
-    pub fn file_count(&self) -> usize {
-        self.files.lock().len()
-    }
 }
 
 struct MemFile {

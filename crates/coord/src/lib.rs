@@ -11,8 +11,8 @@
 //!
 //! The real ZooKeeper is itself replicated with a Paxos-like protocol; the
 //! paper (§4.2, Appendix A.1) treats it as an externally fault-tolerant
-//! black box that is *not* on the read/write critical path, and so do we.
-//! `spinnaker-paxos` demonstrates how its log would be replicated.
+//! black box that is *not* on the read/write critical path, and so do we:
+//! the service runs unreplicated, inside the simulation.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

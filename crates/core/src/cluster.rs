@@ -18,8 +18,8 @@ use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs};
 use spinnaker_common::{Key, NodeId, RangeId};
 use spinnaker_coord::{Coord, CreateMode, SessionId, WatchEvent};
 use spinnaker_sim::{
-    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, LogDevice, NetConfig, NetModel, ProcId, Sim,
-    SkewedClock, Time, MICROS, MILLIS, SECS,
+    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LogDevice, NetConfig, NetModel, ProcId,
+    Sim, SkewedClock, Time, MICROS, MILLIS, SECS,
 };
 
 use crate::client::{ClientEv, ClientHost, ClientStats, Workload};
@@ -507,15 +507,6 @@ impl Actor<Ev> for CoordTicker {
     }
 }
 
-/// An adapter letting the cluster keep typed handles to its actors.
-struct RcActor<T>(Rc<RefCell<T>>);
-
-impl<T: Actor<Ev>> Actor<Ev> for RcActor<T> {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        self.0.borrow_mut().on_event(now, ev, ctx);
-    }
-}
-
 /// A complete simulated Spinnaker cluster.
 pub struct SimCluster {
     /// The underlying simulator (exposed for custom schedules).
@@ -567,7 +558,7 @@ impl SimCluster {
                 clock: SkewedClock::new(),
                 outbox: Outbox::default(),
             }));
-            let proc = sim.add_actor(Box::new(RcActor(host.clone())));
+            let proc = sim.add_actor(Box::new(host.clone()));
             assert_eq!(proc, node_id, "node procs must equal node ids");
             hosts.push(host);
         }
@@ -612,7 +603,7 @@ impl SimCluster {
         let stats = Rc::new(RefCell::new(ClientStats::default()));
         // Two-phase registration: reserve the proc id, then build the
         // client that knows it.
-        let proc = self.sim.add_actor(Box::new(Noop));
+        let proc = self.sim.add_actor(Box::new(Idle));
         let client = Rc::new(RefCell::new(ClientHost::with_pipeline(
             proc,
             // Clients start from the boot-time table — even when added
@@ -625,7 +616,7 @@ impl SimCluster {
             (measure_from, measure_to),
             pipeline,
         )));
-        self.sim.replace_actor(proc, Box::new(RcActor(client.clone())));
+        self.sim.replace_actor(proc, Box::new(client.clone()));
         self.clients.push(client);
         self.sim.schedule(start_at, proc, Ev::Client(ClientEv::Start));
         stats
@@ -728,11 +719,6 @@ impl SimCluster {
         self.hosts[id as usize].borrow().node.is_some()
     }
 
-    /// Total disk faults injected into node `id` so far.
-    pub fn faults_injected(&self, id: NodeId) -> u64 {
-        self.hosts[id as usize].borrow().fault_plan.injected()
-    }
-
     /// Every dissolve any node has executed so far, over all of its
     /// incarnations (see [`Node::dissolve_coverage`]).
     pub fn dissolve_coverage(&self) -> DissolveCoverage {
@@ -808,11 +794,4 @@ impl SimCluster {
         }
         (syncs, reqs)
     }
-}
-
-/// Placeholder actor used during two-phase client registration.
-struct Noop;
-
-impl Actor<Ev> for Noop {
-    fn on_event(&mut self, _now: Time, _ev: Ev, _ctx: &mut Ctx<'_, Ev>) {}
 }

@@ -110,11 +110,6 @@ impl Ring {
         self.version
     }
 
-    /// Number of live ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// All live range ids, in key order.
     pub fn ranges(&self) -> impl Iterator<Item = RangeId> + '_ {
         self.ranges.iter().map(|d| d.id)

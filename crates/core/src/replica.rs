@@ -1152,7 +1152,8 @@ impl RangeReplica {
     /// empty row or version 0 would be a lie a conditional put then
     /// builds on — the host crashes the node, and the cohort elects a
     /// replica that can read its copy. A flush or compaction that failed
-    /// on the maintenance tick stops the node the same way.
+    /// on the maintenance tick, and a catch-up from tables the leader
+    /// cannot read, stop the node the same way.
     fn store_unreadable(rt: &mut Runtime<'_>) {
         *rt.poisoned = true;
     }
@@ -1775,7 +1776,12 @@ impl RangeReplica {
             }
             Err(_) => {
                 // Log rolled over: serve from SSTables + memtable (§6.1).
-                let fragments = self.store.rows_since(f_cmt).unwrap_or_default();
+                // Rows the store cannot read are not "no rows": an empty
+                // reply up to `up_to` would have the follower claim a
+                // watermark it holds nothing for.
+                let Ok(fragments) = self.store.rows_since(f_cmt) else {
+                    return Self::store_unreadable(rt);
+                };
                 out.send(
                     follower,
                     PeerMsg::CatchupRecords {

@@ -714,6 +714,47 @@ fn a_table_catch_up_whose_flush_fails_claims_nothing() {
     }
 }
 
+/// A catch-up the leader cannot read from its tables (its log has rolled
+/// over) is not an empty one. At the parent commit the read error became
+/// an empty reply up to the leader's watermark: node 1 claimed 1.4 holding
+/// none of keys 1-4, and as the next leader served them as absent. The
+/// leader fail-stops instead, and node 1 catches up from the cohort's
+/// next leader.
+#[test]
+fn a_table_catch_up_the_leader_cannot_read_claims_nothing() {
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+    p.crash(1);
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.maintenance(0);
+    assert_eq!(p.node(0).wal().checkpoint(R0), lsn(1, 4), "the leader's log rolled over");
+    // Sticky: the table stays unreadable for as long as node 0 is up.
+    p.store_faults[0].fail_read_after(1);
+    p.store_faults[0].set_sticky(true);
+    p.boot(1);
+    p.run();
+    assert!(p.store_faults[0].injected() >= 1, "the leader's table read failed");
+    let fail_stopped = p.nodes[0].is_none();
+    if fail_stopped {
+        p.boot(0);
+        p.run();
+    }
+    // Node 1 becomes the only follower holding the next write, so it wins
+    // the next election — and must hold what its watermark says.
+    let leader = p.leader_of(R0);
+    let other = (0..3).find(|&i| i != leader && i != 1).expect("a third node");
+    p.lose = Box::new(move |_, to, m| to == other && is_propose(m));
+    p.put_all(leader, 5..=5);
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(leader);
+    p.run();
+    assert_eq!(p.role(1), Role::Leader);
+    for k in 1..=5 {
+        assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+    assert!(fail_stopped, "the leader answered a catch-up it could not read");
+}
+
 /// A block the leader cannot read is not an absent row. Keys 1-4 live in
 /// one flushed table of node 0 and nowhere else (memtable flushed, block
 /// cache cold), and that file stops reading back. At the parent

@@ -12,8 +12,8 @@ use spinnaker_common::vfs::MemVfs;
 use spinnaker_common::NodeId;
 use spinnaker_core::partition::{u64_to_key, Ring};
 use spinnaker_sim::{
-    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, LatencyStats, LogDevice, NetConfig, NetModel,
-    ProcId, Sim, Time, MICROS, MILLIS, SECS,
+    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LatencyStats, LogDevice, NetConfig,
+    NetModel, ProcId, Sim, Time, MICROS, MILLIS, SECS,
 };
 
 use crate::node::{EEffect, ENodeInput, EPeerMsg, EReply, EventualNode, ReadLevel, WriteLevel};
@@ -324,14 +324,6 @@ impl Actor<EEv> for EClientHost {
     }
 }
 
-struct RcActor<T>(Rc<RefCell<T>>);
-
-impl<T: Actor<EEv>> Actor<EEv> for RcActor<T> {
-    fn on_event(&mut self, now: Time, ev: EEv, ctx: &mut Ctx<'_, EEv>) {
-        self.0.borrow_mut().on_event(now, ev, ctx);
-    }
-}
-
 /// A complete simulated eventually-consistent cluster.
 pub struct EventualCluster {
     /// The simulator.
@@ -361,7 +353,7 @@ impl EventualCluster {
                 net: net.clone(),
                 cfg: cfg.clone(),
             }));
-            let proc = sim.add_actor(Box::new(RcActor(host.clone())));
+            let proc = sim.add_actor(Box::new(host.clone()));
             assert_eq!(proc, id);
             if cfg.anti_entropy_interval > 0 {
                 sim.schedule(SECS + id as u64 * 7 * MILLIS, proc, EEv::AeTick);
@@ -386,7 +378,7 @@ impl EventualCluster {
             }
             EWorkload::Reads { .. } => 0,
         };
-        let placeholder = self.sim.add_actor(Box::new(NoopE));
+        let placeholder = self.sim.add_actor(Box::new(Idle));
         let client = Rc::new(RefCell::new(EClientHost {
             proc: placeholder,
             nodes: self.cfg.nodes,
@@ -400,7 +392,7 @@ impl EventualCluster {
             write_index: 0,
             start_index: None,
         }));
-        self.sim.replace_actor(placeholder, Box::new(RcActor(client)));
+        self.sim.replace_actor(placeholder, Box::new(client));
         self.sim.schedule(start_at, placeholder, EEv::Client(EClientEv::Start));
         stats
     }
@@ -419,10 +411,4 @@ impl EventualCluster {
     pub fn run_until(&mut self, t: Time) {
         self.sim.run_until(t);
     }
-}
-
-struct NoopE;
-
-impl Actor<EEv> for NoopE {
-    fn on_event(&mut self, _now: Time, _ev: EEv, _ctx: &mut Ctx<'_, EEv>) {}
 }

@@ -23,10 +23,10 @@ use spinnaker_core::client::ClientEv;
 use spinnaker_core::cluster::{ClusterConfig, Ev, SimCluster};
 use spinnaker_core::partition::{key_to_u64, u64_to_key};
 use spinnaker_core::DissolveCoverage;
-use spinnaker_sim::{DiskProfile, ProcId, Time, MILLIS, SECS};
+use spinnaker_sim::{DiskProfile, Idle, ProcId, Time, MILLIS, SECS};
 
 use crate::checker::{self, Violation};
-use crate::client::{ClientProgress, Idle, NemesisClient, Shared};
+use crate::client::{ClientProgress, NemesisClient};
 use crate::schedule::{generate, FaultEvent, FaultKind, Schedule};
 
 /// Campaign sizing, all derived from the seed (or pinned by tests).
@@ -186,7 +186,7 @@ pub fn run(seed: u64, cfg: &CampaignConfig, schedule: &Schedule) -> RunReport {
             cfg.pipeline,
             think,
         );
-        cluster.sim.replace_actor(proc, Box::new(Shared(Rc::new(RefCell::new(client)))));
+        cluster.sim.replace_actor(proc, Box::new(client));
         cluster.sim.schedule(t + u64::from(id) * 10 * MILLIS, proc, Ev::Client(ClientEv::Start));
         progresses.push(progress);
         client_procs.push(proc);

@@ -432,20 +432,3 @@ impl Actor<Ev> for NemesisClient {
         }
     }
 }
-
-/// Placeholder actor for two-phase client registration (reserve the
-/// proc id, then swap the real client in).
-pub struct Idle;
-
-impl Actor<Ev> for Idle {
-    fn on_event(&mut self, _now: Time, _ev: Ev, _ctx: &mut Ctx<'_, Ev>) {}
-}
-
-/// Adapter hosting a shared client handle as a sim actor.
-pub struct Shared<A>(pub Rc<RefCell<A>>);
-
-impl<A: Actor<Ev>> Actor<Ev> for Shared<A> {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        self.0.borrow_mut().on_event(now, ev, ctx);
-    }
-}

@@ -6,8 +6,10 @@
 //! minute of cluster time costs only the event processing itself, which is
 //! what makes regenerating every figure of the paper practical on a laptop.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -29,6 +31,23 @@ pub type ProcId = u32;
 pub trait Actor<M> {
     /// Handle an event delivered at virtual time `now`.
     fn on_event(&mut self, now: Time, ev: M, ctx: &mut Ctx<'_, M>);
+}
+
+/// A shared actor: the harness keeps a typed handle to the state the
+/// simulator drives.
+impl<M, A: Actor<M>> Actor<M> for Rc<RefCell<A>> {
+    fn on_event(&mut self, now: Time, ev: M, ctx: &mut Ctx<'_, M>) {
+        self.borrow_mut().on_event(now, ev, ctx);
+    }
+}
+
+/// An actor that ignores every event: the placeholder of a two-phase
+/// registration (reserve the proc id, then swap in the actor that knows
+/// it).
+pub struct Idle;
+
+impl<M> Actor<M> for Idle {
+    fn on_event(&mut self, _now: Time, _ev: M, _ctx: &mut Ctx<'_, M>) {}
 }
 
 /// Scheduling context handed to actors during event processing.
@@ -147,16 +166,6 @@ impl<M> Sim<M> {
     /// delivery (a crashed node that never comes back).
     pub fn remove_actor(&mut self, id: ProcId) -> Option<Box<dyn Actor<M>>> {
         self.actors[id as usize].take()
-    }
-
-    /// Run `f` against a registered actor (inspection from tests or
-    /// harnesses between events).
-    pub fn with_actor<T>(
-        &mut self,
-        id: ProcId,
-        f: impl FnOnce(&mut Box<dyn Actor<M>>) -> T,
-    ) -> Option<T> {
-        self.actors[id as usize].as_mut().map(f)
     }
 
     /// Inject an event from outside the simulation.

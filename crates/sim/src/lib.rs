@@ -24,6 +24,6 @@ pub mod stats;
 pub use clock::SkewedClock;
 pub use cpu::CpuModel;
 pub use disk::{DiskOutcome, DiskProfile, ForceToken, LogDevice};
-pub use kernel::{Actor, Ctx, ProcId, Sim, Time, MICROS, MILLIS, SECS};
+pub use kernel::{Actor, Ctx, Idle, ProcId, Sim, Time, MICROS, MILLIS, SECS};
 pub use net::{NetConfig, NetModel};
 pub use stats::{LatencyStats, LoadPoint, Series};

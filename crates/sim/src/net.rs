@@ -109,11 +109,6 @@ impl NetModel {
         self.cut.insert((src, dst));
     }
 
-    /// Heal the directed link.
-    pub fn heal_link(&mut self, src: ProcId, dst: ProcId) {
-        self.cut.remove(&(src, dst));
-    }
-
     /// Partition the cluster into two sides (no traffic across).
     pub fn partition(&mut self, side_a: &[ProcId], side_b: &[ProcId]) {
         for &a in side_a {
@@ -128,11 +123,6 @@ impl NetModel {
     pub fn heal_all(&mut self) {
         self.cut.clear();
         self.down.clear();
-    }
-
-    /// Whether `node` is currently down.
-    pub fn is_down(&self, node: ProcId) -> bool {
-        self.down.contains(&node)
     }
 
     /// (messages delivered, messages dropped) so far.

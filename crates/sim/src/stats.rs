@@ -129,13 +129,6 @@ pub struct LoadPoint {
     pub latency: LatencyStats,
 }
 
-impl LoadPoint {
-    /// `(throughput req/s, mean latency ms)` — the paper's plot axes.
-    pub fn xy(&self) -> (f64, f64) {
-        (self.throughput, self.latency.mean_ms())
-    }
-}
-
 /// A named series of load points (one curve in a figure).
 #[derive(Clone, Debug, Default)]
 pub struct Series {

@@ -5,13 +5,13 @@
 //! string and each row in the [`spinnaker_common::codec`] encoding.
 //! Loading a block walks the body once with `codec::skip_row` — no
 //! allocation per entry, every length and flag validated — and records
-//! where each key and row starts. Lookups then compare keys in place and
-//! decode only the row they return; a block nobody reads a row from is
-//! never decoded at all. A point read does not decode even that: it
-//! takes each column's version visible at its timestamp out of the
-//! encoded row (`Block::fold_visible`), whatever the length of the chains
-//! around it. Compaction reads entries as stored (`Block::raw_entry`)
-//! and moves the rows it need not change as bytes.
+//! where each key and row starts. Lookups then compare keys in place; a
+//! block nobody reads a row from is never decoded at all. A point read
+//! decodes no row: it takes each column's version visible at its
+//! timestamp out of the encoded row (`Block::fold_visible`), whatever the
+//! length of the chains around it. Iteration decodes each row as it is
+//! yielded (`Block::entry`). Compaction reads entries as stored
+//! (`Block::raw_entry`) and moves the rows it need not change as bytes.
 //!
 //! The body is a [`Bytes`], and a decoded key, column name or value is a
 //! view of it: decoding a row allocates its map node (and a vector per
@@ -63,11 +63,6 @@ impl Block {
         &self.body[e.key as usize..e.row as usize]
     }
 
-    /// The entry's row, its names and values views of the body.
-    fn decode_row(&self, e: Entry) -> Result<Row> {
-        Row::decode_from(&mut Source::shared(&self.body, &self.body[e.row as usize..]))
-    }
-
     /// Position of the first entry whose key is `>= key`.
     pub(crate) fn lower_bound(&self, key: &[u8]) -> usize {
         self.entries.partition_point(|&e| self.key_at(e) < key)
@@ -77,12 +72,6 @@ impl Block {
     fn find(&self, key: &[u8]) -> Option<Entry> {
         let e = *self.entries.get(self.lower_bound(key))?;
         (self.key_at(e) == key).then_some(e)
-    }
-
-    /// The row stored under exactly `key`, version chains and all; no
-    /// other row is decoded.
-    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Row>> {
-        self.find(key).map(|e| self.decode_row(e)).transpose()
     }
 
     /// What the row stored under exactly `key` shows at `ts`, folded into
@@ -111,6 +100,7 @@ impl Block {
     pub(crate) fn entry(&self, pos: usize) -> Option<Result<(Key, Row)>> {
         let e = *self.entries.get(pos)?;
         let key = Key(self.body.slice(e.key as usize..e.row as usize));
-        Some(self.decode_row(e).map(|row| (key, row)))
+        let row = Row::decode_from(&mut Source::shared(&self.body, &self.body[e.row as usize..]));
+        Some(row.map(|row| (key, row)))
     }
 }

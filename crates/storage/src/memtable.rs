@@ -75,11 +75,6 @@ impl Memtable {
         self.rows.entry(key.clone()).or_default()
     }
 
-    /// The stored fragment of `key`'s row (tombstones included).
-    pub fn get(&self, key: &Key) -> Option<&Row> {
-        self.rows.get(key)
-    }
-
     /// The memtable's part of a point read: what its fragment of `key`'s
     /// row shows at `ts` — per column the newest version with
     /// `timestamp <= ts` — set in `into` where `into` admits it
@@ -220,6 +215,13 @@ mod tests {
         }
     }
 
+    /// What `key`'s row shows at the latest timestamp.
+    fn latest(mt: &Memtable, key: &str) -> Row {
+        let mut row = Row::new();
+        mt.fold_visible(&Key::from(key), Timestamp::MAX, &mut row);
+        row
+    }
+
     #[test]
     fn apply_and_get() {
         let mut mt = Memtable::new();
@@ -227,7 +229,7 @@ mod tests {
         mt.apply(&op::put("k1", "d", "v2"), Lsn::new(1, 2));
         mt.apply(&op::put("k0", "c", "v3"), Lsn::new(1, 3));
         assert_eq!(mt.len(), 2);
-        let row = mt.get(&Key::from("k1")).unwrap();
+        let row = latest(&mt, "k1");
         assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), b"v1");
         assert_eq!(row.get_live(b"d").unwrap().value.as_ref(), b"v2");
         assert_eq!((mt.min_lsn(), mt.max_lsn()), (Lsn::new(1, 1), Lsn::new(1, 3)));
@@ -238,7 +240,7 @@ mod tests {
         let mut mt = Memtable::new();
         mt.apply(&op::put("k", "c", "old"), Lsn::new(1, 1));
         mt.apply(&op::put("k", "c", "new"), Lsn::new(1, 5));
-        let row = mt.get(&Key::from("k")).unwrap();
+        let row = latest(&mt, "k");
         assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), b"new");
         assert_eq!(row.get_live(b"c").unwrap().version, Lsn::new(1, 5).as_u64());
     }
@@ -248,7 +250,7 @@ mod tests {
         let mut mt = Memtable::new();
         mt.apply(&op::put("k", "c", "v"), Lsn::new(1, 1));
         mt.apply(&op::delete("k", "c"), Lsn::new(1, 2));
-        let row = mt.get(&Key::from("k")).unwrap();
+        let row = latest(&mt, "k");
         assert!(row.get_live(b"c").is_none());
         assert!(row.get(b"c").unwrap().tombstone);
     }

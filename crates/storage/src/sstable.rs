@@ -406,37 +406,19 @@ impl Table {
 
     /// Probe the bloom filter alone (no IO). False positives possible,
     /// false negatives impossible. Callers that track bloom efficacy
-    /// pair this with [`Table::get_unfiltered`].
+    /// pair this with [`Table::fold_visible`].
     pub fn bloom_may_contain(&self, key: &Key) -> bool {
         self.bloom.may_contain(key.as_bytes())
     }
 
-    /// Point lookup: the stored fragment of `key`'s row.
-    pub fn get(&self, key: &Key) -> Result<Option<Row>> {
-        if !self.span_contains(key) {
-            return Ok(None);
-        }
-        if !self.bloom.may_contain(key.as_bytes()) {
-            return Ok(None);
-        }
-        self.get_unfiltered(key)
-    }
-
-    /// Point lookup **without** the span/bloom pre-checks — the block
-    /// index is consulted directly.
-    pub fn get_unfiltered(&self, key: &Key) -> Result<Option<Row>> {
-        match self.block_of(key)? {
-            Some(block) => block.get(key.as_bytes()),
-            None => Ok(None),
-        }
-    }
-
-    /// The store's point read of this table: what the stored fragment of
-    /// `key`'s row shows at `ts`, folded into `into`; `false` when the
-    /// table does not hold the key. No span/bloom pre-checks — the store
-    /// does them itself so it can count skips and bloom true/false
-    /// positives.
-    pub(crate) fn fold_visible(&self, key: &Key, ts: Timestamp, into: &mut Row) -> Result<bool> {
+    /// Point lookup: what the stored fragment of `key`'s row shows at
+    /// `ts` — per column the newest version with `timestamp <= ts` —
+    /// folded into `into` ([`Row::admits`]); `false` when the table does
+    /// not hold the key. No span/bloom pre-checks — the store does them
+    /// itself so it can count skips and bloom true/false positives. A
+    /// fragment's whole version chains are what [`Table::iter_from`]
+    /// yields.
+    pub fn fold_visible(&self, key: &Key, ts: Timestamp, into: &mut Row) -> Result<bool> {
         match self.block_of(key)? {
             Some(block) => block.fold_visible(key.as_bytes(), ts, into),
             None => Ok(false),
@@ -668,17 +650,24 @@ mod tests {
         (vfs, t)
     }
 
+    /// What `t` shows of `key` at the latest timestamp; `None` when it
+    /// holds no such key.
+    fn latest(t: &Table, key: &Key) -> Option<Row> {
+        let mut row = Row::new();
+        t.fold_visible(key, Timestamp::MAX, &mut row).unwrap().then_some(row)
+    }
+
     #[test]
     fn point_lookups_hit_and_miss() {
         let (_vfs, t) = build(1000);
         for i in [0usize, 1, 499, 998, 999] {
             let key = Key::from(format!("key{i:06}").into_bytes());
-            let row = t.get(&key).unwrap().unwrap();
+            let row = latest(&t, &key).unwrap();
             assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), format!("value-{i}").as_bytes());
         }
-        assert!(t.get(&Key::from("absent")).unwrap().is_none());
-        assert!(t.get(&Key::from("key9999999")).unwrap().is_none());
-        assert!(t.get(&Key::from("")).unwrap().is_none());
+        assert!(latest(&t, &Key::from("absent")).is_none());
+        assert!(latest(&t, &Key::from("key9999999")).is_none());
+        assert!(latest(&t, &Key::from("")).is_none());
     }
 
     #[test]
@@ -813,7 +802,7 @@ mod tests {
         let shared: SharedVfs = Arc::new(vfs.clone());
         let first = Key::from("key000000");
         // The handle has served a read: it is live.
-        assert!(t.get(&first).unwrap().is_some());
+        assert!(latest(&t, &first).is_some());
 
         // A crash image taken under the open table holds the whole
         // (synced) file and opens on its own; the table goes on reading
@@ -832,7 +821,7 @@ mod tests {
         t.delete().unwrap();
         assert!(!vfs.exists(&path).unwrap());
         assert!(Table::open(shared, &path).is_err());
-        assert!(other.get(&first).unwrap().is_some());
+        assert!(latest(&other, &first).is_some());
         assert!(other.delete().is_err(), "nothing left to delete");
     }
 
@@ -846,6 +835,8 @@ mod tests {
         let t = b.finish().unwrap();
         assert_eq!(t.meta().min_lsn, Lsn::new(2, 7));
         assert_eq!(t.meta().max_lsn, Lsn::new(2, 7));
-        assert_eq!(t.get(&Key::from("only")).unwrap().unwrap(), row);
+        let only = Key::from("only");
+        assert_eq!(t.iter_from(&only).next().unwrap().unwrap(), (only.clone(), row.clone()));
+        assert_eq!(latest(&t, &only).unwrap(), row);
     }
 }

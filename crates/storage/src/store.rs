@@ -752,11 +752,6 @@ impl RangeStore {
         Some(rows[rows.len() / 2].0.clone())
     }
 
-    /// Highest LSN applied to the memtable (`Lsn::ZERO` when clean).
-    pub fn memtable_max_lsn(&self) -> Lsn {
-        self.memtable.max_lsn()
-    }
-
     /// Rows currently buffered in the memtable.
     pub fn memtable_len(&self) -> usize {
         self.memtable.len()

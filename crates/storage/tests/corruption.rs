@@ -54,7 +54,8 @@ fn every_single_byte_flip_is_rejected_or_survived_never_a_panic() {
                 // block is read: every lookup must still return cleanly.
                 Ok(table) => {
                     for key in &keys {
-                        let _ = table.get(key);
+                        let _ = table.fold_visible(key, u64::MAX, &mut Row::new());
+                        let _ = table.iter_from(key).next();
                     }
                     let _ = table.scan(&keys[0], None);
                     true
@@ -139,12 +140,13 @@ fn a_valid_crc_over_a_malformed_block_body_is_corruption_not_a_panic() {
                 Ok(()) => false,
             };
             for key in &keys {
-                assert!(is_corruption(table.get(key).map(drop)), "{what}: get({key:?})");
+                let got = table.fold_visible(key, u64::MAX, &mut Row::new());
+                assert!(is_corruption(got.map(drop)), "{what}: fold_visible({key:?})");
+                let seeked = table.iter_from(key).next().expect("an error item");
+                assert!(is_corruption(seeked.map(drop)), "{what}: iter_from({key:?})");
             }
             let first = table.iter().next().expect("an error item, not an empty iterator");
             assert!(is_corruption(first.map(drop)), "{what}: iter");
-            let seeked = table.iter_from(&keys[3]).next().expect("an error item");
-            assert!(is_corruption(seeked.map(drop)), "{what}: iter_from");
             assert!(is_corruption(table.scan(&keys[0], None).map(drop)), "{what}: scan");
             if let Some(cache) = cache {
                 assert_eq!(cache.stats().entries, 0, "{what}: a malformed block was cached");

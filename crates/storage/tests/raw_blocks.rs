@@ -10,8 +10,21 @@ use proptest::prelude::*;
 
 use spinnaker_common::crc32c::crc32c;
 use spinnaker_common::vfs::{MemVfs, SharedVfs, Vfs};
-use spinnaker_common::{ColumnValue, Key, Lsn, Row};
+use spinnaker_common::{ColumnValue, Key, Lsn, Row, Timestamp};
 use spinnaker_storage::{BlockCache, Table, TableBuilder, TableCtx, TableOptions};
+
+/// The stored fragment of `key`, version chains and all: the entry
+/// `iter_from` seeks to, if it is `key`'s.
+fn fragment(table: &Table, key: &Key) -> Option<Row> {
+    let (at, row) = table.iter_from(key).next()?.unwrap();
+    (at == *key).then_some(row)
+}
+
+/// What `table` shows of `key` at `ts`; `None` when it holds no such key.
+fn visible(table: &Table, key: &Key, ts: Timestamp) -> Option<Row> {
+    let mut row = Row::new();
+    table.fold_visible(key, ts, &mut row).unwrap().then_some(row)
+}
 
 /// Row `i` of the pinned table: two columns, an MVCC chain of `i % 4`
 /// superseded versions on the first, a tombstone on every fifth row.
@@ -54,12 +67,16 @@ fn sstable_bytes_are_pinned() {
     assert_eq!(crc32c(&bytes), PINNED_CRC, "CRC-32C of the file bytes");
     assert_eq!(table.meta().file_bytes, PINNED_LEN as u64);
 
-    // And it reads back: every row, by get and by iteration.
+    // And it reads back: every row, by iteration, by seek and by point
+    // read at timestamps before, between and after its versions.
     for (i, item) in table.iter().enumerate() {
         let (key, row) = item.unwrap();
         assert_eq!(key, Key::from(format!("pin{i:05}").as_str()));
         assert_eq!(row, pinned_row(i as u64));
-        assert_eq!(table.get(&key).unwrap().as_ref(), Some(&row));
+        assert_eq!(fragment(&table, &key).as_ref(), Some(&row));
+        for ts in [0, 500, 1_005, 5_000, 50_500, Timestamp::MAX] {
+            assert_eq!(visible(&table, &key, ts), Some(row.visible_at(ts)), "{key:?} at {ts}");
+        }
     }
 }
 
@@ -132,15 +149,22 @@ proptest! {
             for pass in 0..2 {
                 let got: Vec<(Key, Row)> = table.iter().map(|r| r.unwrap()).collect();
                 prop_assert_eq!(&got, &all, "iter, cache {:?}, pass {}", cache_bytes, pass);
-                for (k, row) in &all {
-                    let got = table.get(k).unwrap();
-                    prop_assert_eq!(got.as_ref(), Some(row));
-                    prop_assert_eq!(table.get_unfiltered(k).unwrap().as_ref(), Some(row));
+                for (k, _) in &all {
+                    // The store's filters never turn a held key away.
+                    prop_assert!(table.span_contains(k) && table.bloom_may_contain(k));
+                }
+                // Point reads of every held key and of every cursor.
+                let probes = all.iter().map(|(k, _)| k.clone());
+                for a in probes.chain(cursors.iter().map(|(a, _)| Key::from(a.clone()))) {
+                    prop_assert_eq!(fragment(&table, &a).as_ref(), model.get(&a));
+                    // Before, between and after a model row's versions.
+                    for ts in [0, 1, 9, Timestamp::MAX] {
+                        let want = model.get(&a).map(|row| row.visible_at(ts));
+                        prop_assert_eq!(visible(&table, &a, ts), want, "{:?} at {}", a, ts);
+                    }
                 }
                 for (a, z) in &cursors {
                     let (a, z) = (Key::from(a.clone()), Key::from(z.clone()));
-                    prop_assert_eq!(table.get(&a).unwrap().as_ref(), model.get(&a));
-                    prop_assert_eq!(table.get_unfiltered(&a).unwrap().as_ref(), model.get(&a));
                     let want: Vec<(Key, Row)> =
                         model.range(a.clone()..).map(|(k, r)| (k.clone(), r.clone())).collect();
                     let got: Vec<(Key, Row)> = table.iter_from(&a).map(|r| r.unwrap()).collect();

@@ -15,7 +15,6 @@
 //! | [`wal`] | `spinnaker-wal` | shared write-ahead log, group commit, logical truncation |
 //! | [`storage`] | `spinnaker-storage` | memtables, SSTables with LSN tags, compaction |
 //! | [`coordination`] | `spinnaker-coord` | znodes, ephemeral/sequential nodes, watches, sessions |
-//! | [`paxos`] | `spinnaker-paxos` | classic single-decree Paxos and Multi-Paxos (Appendix A) |
 //! | [`sim`] | `spinnaker-sim` | deterministic discrete-event simulator (network/disk/CPU) |
 //! | [`core`] | `spinnaker-core` | the replication protocol, elections, recovery, cluster harness |
 //! | [`eventual`] | `spinnaker-eventual` | Cassandra-style and master-slave baselines |
@@ -50,7 +49,6 @@ pub use spinnaker_common as common;
 pub use spinnaker_coord as coordination;
 pub use spinnaker_core as core;
 pub use spinnaker_eventual as eventual;
-pub use spinnaker_paxos as paxos;
 pub use spinnaker_sim as sim;
 pub use spinnaker_storage as storage;
 pub use spinnaker_wal as wal;

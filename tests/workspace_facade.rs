@@ -28,7 +28,6 @@ fn facade_reexports_every_crate() {
     // src/lib.rs fails this at compile time.
     let _lsn = spinnaker::common::Lsn::new(1, 1);
     let _coord = spinnaker::coordination::Coord::new();
-    let _acceptor = spinnaker::paxos::Acceptor::<u64>::new();
     let _stats = spinnaker::sim::LatencyStats::default();
     let _memtable = spinnaker::storage::Memtable::new();
     let _wal_opts = spinnaker::wal::WalOptions::default();
