@@ -364,8 +364,9 @@ pub struct RowScan {
     /// and its column names are strictly ascending. Decoding such a row,
     /// pruning it at any GC floor and encoding it again writes the bytes
     /// that were scanned — so compaction may move them instead. The
-    /// order check is what makes that hold: [`Row::decode`] sorts and
-    /// deduplicates columns through its map, so an unsorted or repeated
+    /// order check is what makes that hold: [`Row::decode`] inserts each
+    /// column into the row's sorted [`Columns`](crate::types::Columns),
+    /// the last of a repeated name winning, so an unsorted or repeated
     /// name would come back out as different bytes.
     pub plain: bool,
     /// Smallest column version (packed LSN) over every version stored;
@@ -419,8 +420,9 @@ pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
 /// newest first — is set in `into` where `into` [admits](Row::admits)
 /// it, its name and value views of the source's buffer. A column with
 /// nothing visible at `ts` leaves `into` alone. Versions passed on the
-/// way are walked over where they lie; the only allocation is what
-/// `into`'s map takes for a column it did not hold.
+/// way are walked over where they lie; the only allocation is the one
+/// vector an empty `into` reserves for a row of two or more columns (one
+/// column is held inline).
 ///
 /// **It stops at the version that resolves the last column**: what is
 /// left of that column's chain is not read, so a read at the latest
@@ -437,6 +439,9 @@ pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
 /// with the same error. On an error `into` keeps what was folded before.
 pub fn fold_visible(src: &mut Source<'_>, ts: Timestamp, into: &mut Row) -> Result<()> {
     let columns = get_column_count(src)?;
+    if into.is_empty() {
+        into.columns.reserve(columns);
+    }
     for i in 0..columns {
         let last = i + 1 == columns;
         let name = get_byte_slice(src)?;
@@ -515,7 +520,7 @@ impl Encode for Row {
 impl Decode for Row {
     fn decode_from(buf: &mut Source<'_>) -> Result<Row> {
         let n = get_column_count(buf)?;
-        let mut row = Row::new();
+        let mut row = Row::with_capacity(n);
         for _ in 0..n {
             let name = buf.bytes()?;
             let cv = ColumnValue::decode_from(buf)?;

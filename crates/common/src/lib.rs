@@ -38,6 +38,6 @@ pub use history::{HCons, HErr, HEvent, HEventKind, HOp, HResult, HState, History
 pub use lsn::{Epoch, Lsn};
 pub use op::{CellOp, WriteOp};
 pub use types::{
-    ColumnName, ColumnValue, Consistency, Key, NodeId, RangeId, Row, SnapshotTs, Timestamp, Value,
-    Version,
+    ColumnName, ColumnValue, Columns, Consistency, Key, NodeId, RangeId, Row, SnapshotTs,
+    Timestamp, Value, Version,
 };

@@ -13,7 +13,6 @@
 //! replay during recovery (re-applying a record reproduces the exact same
 //! column state).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
@@ -245,20 +244,223 @@ impl ColumnValue {
     }
 }
 
-/// A row: a sorted map from column name to column state.
+/// The columns of a [`Row`]: a map from column name to column state,
+/// sorted by name, each name at most once.
+///
+/// Most rows hold one column, so one is stored **inline**, in whatever
+/// holds the row (a memtable slot, a scan page, a reply being built), with
+/// no allocation of its own. Two or more sit in **one sorted vector**,
+/// which a row decoded from bytes reserves from its encoded column count.
+/// The interface is the part of a `BTreeMap<ColumnName, ColumnValue>`'s
+/// that rows use — [`get`](Columns::get), [`insert`](Columns::insert)
+/// (replacing a name already held), [`remove`](Columns::remove), iteration
+/// in name order — and so is the `Debug` output. Equality compares the
+/// columns, not how they are stored.
+#[derive(Clone, Default)]
+pub struct Columns(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Exactly one column.
+    One((ColumnName, ColumnValue)),
+    /// Any number of columns, sorted by name: none when new (an empty
+    /// vector allocates nothing), possibly one after a removal or a
+    /// reservation.
+    Many(Vec<(ColumnName, ColumnValue)>),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Many(Vec::new())
+    }
+}
+
+impl Columns {
+    /// No columns.
+    pub fn new() -> Columns {
+        Columns::default()
+    }
+
+    /// Make room for `additional` more columns, so that inserting them
+    /// does not reallocate. Nothing is allocated while the total fits
+    /// inline (one column).
+    pub fn reserve(&mut self, additional: usize) {
+        if self.len() + additional < 2 {
+            return;
+        }
+        self.0 = match std::mem::take(&mut self.0) {
+            Repr::One(only) => {
+                let mut cols = Vec::with_capacity(1 + additional);
+                cols.push(only);
+                Repr::Many(cols)
+            }
+            Repr::Many(mut cols) => {
+                cols.reserve(additional);
+                Repr::Many(cols)
+            }
+        };
+    }
+
+    fn as_slice(&self) -> &[(ColumnName, ColumnValue)] {
+        match &self.0 {
+            Repr::One(only) => std::slice::from_ref(only),
+            Repr::Many(cols) => cols,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(ColumnName, ColumnValue)] {
+        match &mut self.0 {
+            Repr::One(only) => std::slice::from_mut(only),
+            Repr::Many(cols) => cols,
+        }
+    }
+
+    /// Where `name` is, or where it would go.
+    fn search(&self, name: &[u8]) -> std::result::Result<usize, usize> {
+        self.as_slice().binary_search_by(|(have, _)| have.as_ref().cmp(name))
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True when there are no columns.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// The state of column `name`.
+    pub fn get(&self, name: &[u8]) -> Option<&ColumnValue> {
+        let held = self.search(name).ok()?;
+        Some(&self.as_slice()[held].1)
+    }
+
+    /// The state of column `name`, mutably.
+    pub fn get_mut(&mut self, name: &[u8]) -> Option<&mut ColumnValue> {
+        let held = self.search(name).ok()?;
+        Some(&mut self.as_mut_slice()[held].1)
+    }
+
+    /// Set column `name` to `cv`, returning the state it replaces.
+    pub fn insert(&mut self, name: ColumnName, cv: ColumnValue) -> Option<ColumnValue> {
+        match self.search(&name) {
+            Ok(held) => Some(std::mem::replace(&mut self.as_mut_slice()[held].1, cv)),
+            Err(at) => {
+                self.insert_new(at, name, cv);
+                None
+            }
+        }
+    }
+
+    /// Put a column not held yet at position `at` of the sorted order.
+    fn insert_new(&mut self, at: usize, name: ColumnName, cv: ColumnValue) {
+        self.0 = match std::mem::take(&mut self.0) {
+            // Empty, with no room reserved: the column goes inline.
+            Repr::Many(cols) if cols.capacity() == 0 => Repr::One((name, cv)),
+            Repr::Many(mut cols) => {
+                cols.insert(at, (name, cv));
+                Repr::Many(cols)
+            }
+            Repr::One(only) => {
+                let mut cols = Vec::with_capacity(2);
+                cols.push(only);
+                cols.insert(at, (name, cv));
+                Repr::Many(cols)
+            }
+        };
+    }
+
+    /// Remove column `name`, returning its state.
+    pub fn remove(&mut self, name: &[u8]) -> Option<ColumnValue> {
+        let i = self.search(name).ok()?;
+        Some(match std::mem::take(&mut self.0) {
+            Repr::One((_, cv)) => cv,
+            Repr::Many(mut cols) => {
+                let (_, cv) = cols.remove(i);
+                self.0 = Repr::Many(cols);
+                cv
+            }
+        })
+    }
+
+    /// The columns in name order.
+    pub fn iter(&self) -> ColumnIter<'_> {
+        ColumnIter(self.as_slice().iter())
+    }
+
+    /// The column names, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &ColumnName> {
+        self.as_slice().iter().map(|(name, _)| name)
+    }
+
+    /// The column states, in name order.
+    pub fn values(&self) -> impl Iterator<Item = &ColumnValue> {
+        self.as_slice().iter().map(|(_, cv)| cv)
+    }
+}
+
+impl PartialEq for Columns {
+    fn eq(&self, other: &Columns) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Columns {}
+
+impl fmt::Debug for Columns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over [`Columns`] in name order: `(name, state)` pairs.
+#[derive(Clone, Debug)]
+pub struct ColumnIter<'a>(std::slice::Iter<'a, (ColumnName, ColumnValue)>);
+
+impl<'a> Iterator for ColumnIter<'a> {
+    type Item = (&'a ColumnName, &'a ColumnValue);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(name, cv)| (name, cv))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<'a> IntoIterator for &'a Columns {
+    type Item = (&'a ColumnName, &'a ColumnValue);
+    type IntoIter = ColumnIter<'a>;
+
+    fn into_iter(self) -> ColumnIter<'a> {
+        self.iter()
+    }
+}
+
+/// A row: its columns, sorted by name (see [`Columns`] for how they are
+/// held).
 ///
 /// Rows returned by reads have tombstones filtered out; rows stored in
 /// memtables/SSTables retain them until compaction.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Row {
     /// Column states, sorted by column name.
-    pub columns: BTreeMap<ColumnName, ColumnValue>,
+    pub columns: Columns,
 }
 
 impl Row {
     /// An empty row.
     pub fn new() -> Row {
         Row::default()
+    }
+
+    /// An empty row with room for `n` columns (allocating nothing for one).
+    pub fn with_capacity(n: usize) -> Row {
+        let mut row = Row::new();
+        row.columns.reserve(n);
+        row
     }
 
     /// Insert or replace a column state.
@@ -365,7 +567,7 @@ impl Row {
     /// column, the newest retained version with `timestamp <= ts`
     /// (chains stripped). Columns with no visible version are absent.
     pub fn visible_at(&self, ts: Timestamp) -> Row {
-        let mut row = Row::new();
+        let mut row = Row::with_capacity(self.len());
         for (col, cv) in &self.columns {
             if let Some(v) = cv.visible_at(ts) {
                 row.set(col.clone(), v.flattened());
@@ -382,7 +584,7 @@ impl Row {
     /// retained state is a tombstone at or below the floor is dropped
     /// outright. Returns the pruned row (possibly empty).
     pub fn prune(&self, floor: Timestamp, drop_tombstones: bool) -> Row {
-        let mut row = Row::new();
+        let mut row = Row::with_capacity(self.len());
         for (col, cv) in &self.columns {
             if drop_tombstones && cv.tombstone && cv.timestamp <= floor {
                 // The tombstone is the newest version and already below

@@ -1819,19 +1819,23 @@ impl RangeReplica {
         // Which of our own records beyond f.cmt does the leader's history
         // confirm? Anything else in (f.cmt, up_to] was discarded by a
         // previous leader change and must never replay: logical
-        // truncation.
+        // truncation. A log we cannot read, or a truncation we cannot
+        // make durable, poisons the node: confirming the catch-up would
+        // let local recovery replay an orphan up to the new watermark.
         let mut own: BTreeSet<Lsn> = BTreeSet::new();
         let replayed = rt.wal.replay(self.range, f_cmt, st.last_lsn, |lsn, _| {
             own.insert(lsn);
         });
         if replayed.is_err() {
-            own.clear();
+            *rt.poisoned = true;
+            return;
         }
         let received: BTreeSet<Lsn> = records.iter().map(|(l, _)| *l).collect();
         let to_truncate: Vec<Lsn> =
             own.iter().copied().filter(|l| *l <= up_to && !received.contains(l)).collect();
-        if !to_truncate.is_empty() {
-            let _ = rt.wal.truncate_logically(self.range, &to_truncate);
+        if rt.wal.truncate_logically(self.range, &to_truncate).is_err() {
+            *rt.poisoned = true;
+            return;
         }
 
         // Append records we do not have, apply everything in LSN order.

@@ -755,6 +755,98 @@ fn a_table_catch_up_the_leader_cannot_read_claims_nothing() {
     assert!(fail_stopped, "the leader answered a catch-up it could not read");
 }
 
+/// Node 2 holds an orphan past its committed watermark 1.4 — 1.5, logged
+/// by it alone before the epoch-1 leader died unforced — while the other
+/// two commit 2.5 and 2.6 in epoch 2 without it. Returns the pump with
+/// node 2 booted and catching up, and the `CatchupRecords` that would
+/// truncate the orphan held back from it.
+fn orphan_awaiting_truncation() -> (Pump, PeerMsg) {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.hold_forces[0] = true;
+    p.lose = Box::new(|_, to, m| to == 1 && is_propose(m));
+    let orphan = p.put(0, 5);
+    p.run();
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 5));
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 4));
+    // Node 2 goes down with it; node 0 comes back without it (never
+    // forced), and nodes 0 and 1 elect a leader of epoch 2.
+    p.crash(2);
+    p.crash(0);
+    p.hold_forces[0] = false;
+    p.lose = Box::new(|_, _, _| false);
+    p.boot(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    assert_eq!(p.node(leader).epoch_of(R0), 2);
+    p.put_all(leader, 6..=7);
+    p.commit_tick(leader);
+    assert_eq!(p.node(leader).last_committed(R0), lsn(2, 6));
+    assert!(!p.written.contains(&orphan));
+
+    let catch_up = |m: &PeerMsg| matches!(m, PeerMsg::CatchupRecords { range: R0, .. });
+    p.lose = Box::new(move |_, to, m| to == 2 && catch_up(m));
+    let since = p.sent.len();
+    p.boot(2);
+    p.run();
+    assert_eq!(p.role(2), Role::CatchingUp);
+    let reply = p.sent[since..]
+        .iter()
+        .find(|(from, to, m)| (*from, *to) == (leader, 2) && catch_up(m))
+        .map(|(_, _, m)| m.clone())
+        .expect("the leader answered node 2's catch-up");
+    p.lose = Box::new(|_, _, _| false);
+    (p, reply)
+}
+
+/// Deliver the held-back catch-up to node 2 with its log device failing
+/// as `arm` sets it up, restart node 2 from what its disk kept, and check
+/// that it serves what was committed and not the orphan.
+fn catch_up_over_a_fault(arm: impl FnOnce(&FaultPlan)) {
+    let (mut p, reply) = orphan_awaiting_truncation();
+    let leader = p.leader_of(R0);
+    arm(&p.faults[2]);
+    p.feed(2, NodeInput::Peer { from: leader as u32, msg: reply });
+    p.run();
+    assert_eq!(p.faults[2].injected(), 1, "the fault fired");
+    let fail_stopped = p.nodes[2].is_none();
+    if !fail_stopped {
+        p.crash(2);
+    }
+    p.boot(2);
+    p.run();
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.node(2).last_committed(R0), lsn(2, 6));
+    for k in (1..=4).chain(6..=7) {
+        assert_eq!(p.read(2, k), acked(k), "key {k}");
+    }
+    assert_eq!(p.read(2, 5), None, "the orphan was replayed");
+    assert!(fail_stopped, "node 2 confirmed a catch-up it could not make durable");
+}
+
+/// A catch-up whose logical truncation (§6.1.1) fails to save the skipped
+/// list must not be confirmed. At the parent commit the error was dropped:
+/// the follower logged and confirmed the catch-up, and after a restart its
+/// local recovery replayed the orphan up to the new watermark — serving a
+/// value no leader committed. It fail-stops instead, and truncates on the
+/// next catch-up.
+#[test]
+fn a_catch_up_whose_truncation_fails_to_save_fail_stops() {
+    // The skipped list's save is the first sync; the catch-up's force is
+    // the next, and succeeds.
+    catch_up_over_a_fault(|plan| plan.fail_sync_after(1));
+}
+
+/// A catch-up that cannot read its own log past the watermark cannot tell
+/// which records to truncate. At the parent commit it truncated nothing
+/// and carried on, and after a restart served the orphan; it fail-stops
+/// instead.
+#[test]
+fn a_catch_up_that_cannot_read_its_log_fail_stops() {
+    catch_up_over_a_fault(|plan| plan.fail_read_after(1));
+}
+
 /// A block the leader cannot read is not an absent row. Keys 1-4 live in
 /// one flushed table of node 0 and nowhere else (memtable flushed, block
 /// cache cold), and that file stops reading back. At the parent

@@ -14,8 +14,9 @@
 //! (`Block::raw_entry`) and moves the rows it need not change as bytes.
 //!
 //! The body is a [`Bytes`], and a decoded key, column name or value is a
-//! view of it: decoding a row allocates its map node (and a vector per
-//! version chain) and bumps the body's reference count per cell, whatever
+//! view of it: decoding a row allocates a vector per version chain, and
+//! one for its columns when it has two or more (one column is held inline
+//! in the row), and bumps the body's reference count per cell, whatever
 //! the cells' sizes. A row handed out keeps the body alive — past its
 //! eviction from the cache, if it comes to that — until the row is
 //! dropped.

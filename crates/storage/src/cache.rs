@@ -11,9 +11,11 @@
 //! Decoding happens at the reader, one row at a time: a get decodes the
 //! row it returns, an iterator each row it yields, and the block keeps
 //! no decoded row. A decoded key, column name or value is a view of the
-//! block's body (see [`crate::block`]), so a get of a hot key costs the
-//! row's map node and a reference-count bump per cell, never a copy of
-//! its bytes; a cold block read for one key allocates for that one row,
+//! block's body (see [`crate::block`]), so a get of a hot key costs a
+//! reference-count bump per cell and no allocation when the row has one
+//! column (held inline in the returned row; a wider row costs one vector
+//! of columns), never a copy of its bytes; a cold block read for one key
+//! allocates for that one row,
 //! and eviction frees two flat buffers — once no row handed out still
 //! views the body — not an object graph per stored row.
 //!

@@ -1,6 +1,7 @@
 //! The memtable: committed writes land here before being flushed to an
 //! SSTable (paper §4.1).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use spinnaker_common::{Key, Lsn, Row, Timestamp, WriteOp};
@@ -69,10 +70,13 @@ impl Memtable {
     /// caller then adds to the row it reports itself: `approx_bytes` is
     /// kept by what each write inserted, never by sizing the row.
     fn row_mut(&mut self, key: &Key) -> &mut Row {
-        if !self.rows.contains_key(key) {
-            self.approx_bytes += key.len();
+        match self.rows.entry(key.clone()) {
+            Entry::Occupied(row) => row.into_mut(),
+            Entry::Vacant(slot) => {
+                self.approx_bytes += key.len();
+                slot.insert(Row::new())
+            }
         }
-        self.rows.entry(key.clone()).or_default()
     }
 
     /// The memtable's part of a point read: what its fragment of `key`'s

@@ -63,10 +63,10 @@ fn compacting_plain_rows_allocates_per_block_not_per_row() {
     let (narrow_allocs, narrow_blocks) = compact(32_000, 4);
     assert!(narrow_blocks <= wide_blocks * 5 / 4, "{wide_blocks} vs {narrow_blocks} blocks");
 
-    // Decoding allocates five times per such row (key, name, value, map
-    // node, output key); moving it allocates nothing. What is left is
-    // per block (read buffer, entry index, cache handle; index key on
-    // the way out) and per table.
+    // Decoding allocates four times per such row (key, name, value,
+    // output key; its one column is held inline); moving it allocates
+    // nothing. What is left is per block (read buffer, entry index, cache
+    // handle; index key on the way out) and per table.
     for (rows, allocs, blocks) in
         [(8_000, wide_allocs, wide_blocks), (32_000, narrow_allocs, narrow_blocks)]
     {
@@ -119,17 +119,20 @@ fn cold_and_cached_get(cols: usize, name_len: usize, value_len: usize) -> (u64, 
 
 #[test]
 fn a_point_get_allocates_the_same_whatever_the_size_of_its_cells() {
-    // From the cache: the row's map node. From the file: the block's
-    // buffer, its entry index (grown once when rows are under 64 bytes),
-    // its shared handle and the cache's entry on top. (With copied cells
-    // a one-column row cost a name and a value more, the kept-row slots a
-    // vector and a clone, and every block read a file handle.)
-    // Short names and values; long names, kilobyte values; six columns,
-    // which fit the one map node a row starts with: the same counts.
+    // From the cache: nothing for one column, which the row holds
+    // inline; the one vector reserved from the encoded column count for
+    // six. From the file, on top: the block's buffer, its entry index
+    // (grown once when rows are under 64 bytes), its shared handle and
+    // the cache's entry. (With copied cells a one-column row cost a name
+    // and a value more, the kept-row slots a vector and a clone, and every
+    // block read a file handle; with a map of columns every row cost a
+    // node.) Short names and values; long names, kilobyte values: the
+    // same counts.
     for (cols, name_len, value_len) in [(1, 1, 16), (1, 200, 4096), (6, 24, 512)] {
         let (cold, cached) = cold_and_cached_get(cols, name_len, value_len);
-        assert_eq!(cached, 1, "cached get, {cols} columns of {value_len} bytes");
-        assert!(cold <= 6, "cold get, {cols} columns of {value_len} bytes: {cold} allocations");
+        let vector = u64::from(cols > 1);
+        assert_eq!(cached, vector, "cached get, {cols} columns of {value_len} bytes");
+        assert!(cold <= 5, "cold get, {cols} columns of {value_len} bytes: {cold} allocations");
     }
 }
 
@@ -169,9 +172,9 @@ fn a_point_get_allocates_the_same_whatever_the_length_of_the_chain() {
         (calls, bytes, row.get(b"c").unwrap().clone())
     };
     let (plain_calls, plain_bytes, _) = cached(&key(0), u64::MAX);
-    assert_eq!(plain_calls, 1, "the row's map node");
-    // The head, the middle of the chain, its very end: the same one
-    // allocation of the same size, and a head without a chain.
+    assert_eq!(plain_calls, 0, "the row's one column is held inline");
+    // The head, the middle of the chain, its very end: no allocation
+    // either, and a head without a chain.
     for v in [VERSIONS - 1, VERSIONS / 2, 0] {
         let (calls, bytes, cv) = cached(&key(1), 1_000 + v);
         assert_eq!((calls, bytes), (plain_calls, plain_bytes), "reading version {v}");
@@ -194,11 +197,13 @@ fn a_scan_page_allocates_per_row_and_block_not_per_cell() {
     };
     for (cols, name_len, value_len) in [(1, 1, 16), (1, 64, 1024), (6, 24, 100)] {
         let (allocs, blocks) = page(cols, name_len, value_len);
-        // Per row: its map node (the key is a view). Per block read:
-        // buffer, entry index, handle, cache entry. Per page: the
-        // streams, the merge heap and the result vector's growth.
+        // Per row: nothing for one column (held inline; the key is a
+        // view), one vector for several. Per block read: buffer, entry
+        // index, handle, cache entry. Per page: the streams, the merge
+        // heap and the result vector's growth.
+        let vectors = if cols > 1 { PAGE as u64 } else { 0 };
         assert!(
-            allocs <= PAGE as u64 + 4 * blocks + 24,
+            allocs <= vectors + 4 * blocks + 24,
             "{cols} columns of {value_len} bytes, {blocks} blocks: {allocs} allocations"
         );
     }
