@@ -61,16 +61,26 @@ pub struct ReshardPolicy {
     pub merge_bytes: u64,
 }
 
+/// Coordination-service session heartbeat interval.
+pub(crate) const HEARTBEAT_INTERVAL: u64 = 500_000_000;
+/// Election progress re-check interval (safety net for watch races).
+pub(crate) const ELECTION_RETRY: u64 = 100_000_000;
+/// Cool-down after an automatic split/merge: while the range's table
+/// entry keeps the generation recorded when the action was taken, no
+/// further automatic resharding of that range is proposed for this long —
+/// the damper that keeps split/merge from oscillating on a load level
+/// that sits near both thresholds.
+pub(crate) const RESHARD_COOLDOWN: u64 = 10_000_000_000;
+/// Abort a cohort movement whose joining node has not confirmed durable
+/// catch-up within this long.
+pub(crate) const MOVE_TIMEOUT: u64 = 10_000_000_000;
+
 /// Node tuning knobs.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
     /// Interval between asynchronous commit messages (§5). The paper's
     /// Table 1 sweeps this between 1 and 15 seconds.
     pub commit_period: u64,
-    /// Coordination-service session heartbeat interval.
-    pub heartbeat_interval: u64,
-    /// Election progress re-check interval (safety net for watch races).
-    pub election_retry: u64,
     /// Memtable flush / compaction check interval.
     pub maintenance_interval: u64,
     /// Flush the memtable beyond this size.
@@ -101,15 +111,6 @@ pub struct NodeConfig {
     /// Automatic split/merge triggers from load + size statistics.
     /// `None` (the default) leaves resharding to administrative RPCs.
     pub reshard: Option<ReshardPolicy>,
-    /// Cool-down after an automatic split/merge: while the range's table
-    /// entry keeps the generation recorded when the action was taken, no
-    /// further automatic resharding of that range is proposed for this
-    /// long — the damper that keeps split/merge from oscillating on a
-    /// load level that sits near both thresholds.
-    pub reshard_cooldown: u64,
-    /// Abort a cohort movement whose joining node has not confirmed
-    /// durable catch-up within this long.
-    pub move_timeout: u64,
     /// Abort a range merge whose barriers have not both drained within
     /// this long.
     pub merge_timeout: u64,
@@ -138,8 +139,6 @@ impl Default for NodeConfig {
     fn default() -> NodeConfig {
         NodeConfig {
             commit_period: 1_000_000_000,
-            heartbeat_interval: 500_000_000,
-            election_retry: 100_000_000,
             maintenance_interval: 250_000_000,
             memtable_flush_bytes: 8 << 20,
             level_fanout: 4,
@@ -148,8 +147,6 @@ impl Default for NodeConfig {
             piggyback_commits: false,
             propose_batch: 8,
             reshard: None,
-            reshard_cooldown: 10_000_000_000,
-            move_timeout: 10_000_000_000,
             merge_timeout: 10_000_000_000,
             gc_quiesce: 5_000_000_000,
             snapshot_retain: 30_000_000_000,
@@ -493,7 +490,7 @@ impl Node {
             return;
         }
         self.started = true;
-        out.set_timer(TimerKind::Heartbeat, self.cfg.heartbeat_interval);
+        out.set_timer(TimerKind::Heartbeat, HEARTBEAT_INTERVAL);
         out.set_timer(TimerKind::CommitPeriod, self.cfg.commit_period);
         out.set_timer(TimerKind::Maintenance, self.cfg.maintenance_interval);
         // Watch the shared range table so splits/merges/moves performed
@@ -825,7 +822,7 @@ impl Node {
         match kind {
             TimerKind::Heartbeat => {
                 self.coord.heartbeat(now);
-                out.set_timer(TimerKind::Heartbeat, self.cfg.heartbeat_interval);
+                out.set_timer(TimerKind::Heartbeat, HEARTBEAT_INTERVAL);
             }
             TimerKind::CommitPeriod => {
                 let ranges: Vec<RangeId> = self.replicas.keys().copied().collect();
@@ -874,7 +871,7 @@ impl Node {
                     self.follow_up(now, *range, fu, out);
                 }
                 if !electing.is_empty() || !taking_over.is_empty() {
-                    out.set_timer(TimerKind::ElectionRetry, self.cfg.election_retry);
+                    out.set_timer(TimerKind::ElectionRetry, ELECTION_RETRY);
                 }
             }
             TimerKind::Maintenance => self.on_maintenance(now, out),
@@ -907,7 +904,7 @@ impl Node {
             // range between split and merge.
             let gen = self.ring.def(range).map_or(0, |d| d.gen);
             if let Some(&(marked_gen, at)) = self.reshard_marks.get(&range) {
-                if marked_gen == gen && now < at.saturating_add(self.cfg.reshard_cooldown) {
+                if marked_gen == gen && now < at.saturating_add(RESHARD_COOLDOWN) {
                     continue;
                 }
             }
@@ -937,7 +934,7 @@ impl Node {
         let mut merge_timeouts = Vec::new();
         for (&range, rep) in &self.replicas {
             match &rep.moving {
-                Some(m) if now.saturating_sub(m.since) > self.cfg.move_timeout && !m.draining => {
+                Some(m) if now.saturating_sub(m.since) > MOVE_TIMEOUT && !m.draining => {
                     move_aborts.push(range);
                 }
                 Some(_) => {}

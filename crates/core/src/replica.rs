@@ -31,7 +31,7 @@ use crate::messages::{
     Addr, ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, Outbox, PeerMsg,
     ReadCell, RequestId, ScanRow,
 };
-use crate::node::{CohortPaths, NodeConfig};
+use crate::node::{CohortPaths, NodeConfig, ELECTION_RETRY};
 use crate::partition::Ring;
 
 /// Role of this replica within its cohort.
@@ -362,7 +362,7 @@ pub struct RangeReplica {
     /// Follower: when the catch-up request still awaiting its reply was
     /// sent (`None`: none outstanding). One request is answered with the
     /// whole committed history, so another is sent only once this one
-    /// has gone `election_retry` unanswered.
+    /// has gone [`ELECTION_RETRY`] unanswered.
     pub(crate) catchup_asked: Option<u64>,
     /// Catch-up requests this replica has sent — the observable behind
     /// the request-storm regression test.
@@ -489,7 +489,7 @@ impl RangeReplica {
                 // Session trouble; retry via the election timer.
             }
         }
-        out.set_timer(crate::messages::TimerKind::ElectionRetry, rt.cfg.election_retry);
+        out.set_timer(crate::messages::TimerKind::ElectionRetry, ELECTION_RETRY);
         self.check_election(rt, out);
     }
 
@@ -503,7 +503,7 @@ impl RangeReplica {
         self.role = Role::Electing;
         self.leader = None;
         let _ = rt.coord.get_children_watch(&paths.candidates);
-        out.set_timer(crate::messages::TimerKind::ElectionRetry, rt.cfg.election_retry);
+        out.set_timer(crate::messages::TimerKind::ElectionRetry, ELECTION_RETRY);
         self.check_election(rt, out);
     }
 
@@ -606,6 +606,20 @@ impl RangeReplica {
     // =================================================================
 
     fn begin_takeover(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) {
+        let st = rt.wal.state(self.range);
+        let l_cmt = self.last_committed.max(st.last_committed);
+        let l_lst = st.last_lsn;
+        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst],
+        // read in one pass and cut into the groups they travel in. A tail
+        // that cannot be read poisons the node: opening the cohort
+        // without it would lose acknowledged writes.
+        let mut tail = RunCutter::default();
+        if rt.wal.replay(self.range, l_cmt, l_lst, |lsn, op| tail.push(lsn, op.clone())).is_err() {
+            *rt.poisoned = true;
+            return;
+        }
+        let repropose: VecDeque<Group> = tail.finish().into();
+
         let paths = CohortPaths::new(self.range);
         // Bump the epoch in the coordination service before accepting any
         // new writes (Appendix B).
@@ -613,22 +627,11 @@ impl RangeReplica {
         let new_epoch = old_epoch + 1;
         rt.coord.write_epoch(&paths.epoch, new_epoch);
 
-        let st = rt.wal.state(self.range);
         self.role = Role::LeaderTakeover;
         self.epoch = new_epoch;
         self.leader = Some(rt.id);
         self.cq.clear();
-        let l_cmt = self.last_committed.max(st.last_committed);
-        let l_lst = st.last_lsn;
         self.last_committed = l_cmt;
-        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst],
-        // read in one pass and cut into the groups they travel in (a
-        // tail that cannot be read whole is not re-proposed at all).
-        let mut tail = RunCutter::default();
-        if rt.wal.replay(self.range, l_cmt, l_lst, |lsn, op| tail.push(lsn, op.clone())).is_err() {
-            tail = RunCutter::default();
-        }
-        let repropose: VecDeque<Group> = tail.finish().into();
         // Seed the commit-timestamp clock above everything this cohort
         // may already have stamped: applied history (the store) plus the
         // unresolved tail we are about to re-propose (which keeps its
@@ -660,8 +663,7 @@ impl RangeReplica {
         // election-retry timer keeps us checking — arm it here too, since
         // a takeover entered by hand-off (claim_leadership) never ran an
         // election and would otherwise have no timer to re-drive it.
-        out.set_timer(crate::messages::TimerKind::ElectionRetry, rt.cfg.election_retry);
-        let _ = self.maybe_finish_takeover(rt, out);
+        out.set_timer(crate::messages::TimerKind::ElectionRetry, ELECTION_RETRY);
     }
 
     /// Fig. 6 lines 8-10. Once a follower has caught up, the unresolved
@@ -801,9 +803,9 @@ impl RangeReplica {
     /// a request is already outstanding. The reply carries the whole
     /// committed history and is followed by the leader's pending writes,
     /// so a second request buys nothing while the first can still be
-    /// answered; one unanswered for `election_retry` is presumed lost.
+    /// answered; one unanswered for [`ELECTION_RETRY`] is presumed lost.
     fn ask_catchup(&mut self, rt: &Runtime<'_>, leader: NodeId, out: &mut Outbox) {
-        if self.catchup_asked.is_some_and(|at| rt.now < at.saturating_add(rt.cfg.election_retry)) {
+        if self.catchup_asked.is_some_and(|at| rt.now < at.saturating_add(ELECTION_RETRY)) {
             return;
         }
         self.catchup_asked = Some(rt.now);
@@ -1710,17 +1712,23 @@ impl RangeReplica {
     }
 
     /// The writes still pending in the commit queue, re-read from the log
-    /// in one pass over their span and cut into groups (what cannot be
-    /// read is left out).
-    fn pending_groups(&self, rt: &Runtime<'_>) -> Vec<Group> {
+    /// in one pass over their span and cut into groups. A span that
+    /// cannot be read poisons the node and yields none: a leader that
+    /// cannot read back the writes it is replicating cannot bring a
+    /// follower level with them.
+    fn pending_groups(&self, rt: &mut Runtime<'_>) -> Vec<Group> {
         let mut pending = RunCutter::default();
         if let Some((first, last)) = self.cq.span() {
             let before = Lsn::from_u64(first.as_u64() - 1);
-            let _ = rt.wal.replay(self.range, before, last, |lsn, op| {
+            let replayed = rt.wal.replay(self.range, before, last, |lsn, op| {
                 if self.cq.contains(lsn) {
                     pending.push(lsn, op.clone());
                 }
             });
+            if replayed.is_err() {
+                *rt.poisoned = true;
+                return Vec::new();
+            }
         }
         pending.finish()
     }

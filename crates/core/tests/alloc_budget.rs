@@ -1,136 +1,25 @@
 //! Allocation budgets for the write path, as exact counts: three `Node`s
-//! pumped by hand (no simulator) through group proposes, counting what
-//! each node allocates inside `on_input` per put. A write is built once —
+//! on the shared hand pump (`support/pump.rs`, no simulator) through
+//! group proposes, counting what each node allocates inside `on_input`
+//! per put. A write is built once —
 //! the leader copies an op once, for its commit queue — and afterwards
 //! only moved: the log record, the propose messages and the followers'
 //! queues share one batch.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use spinnaker_common::vfs::MemVfs;
-use spinnaker_common::{Lsn, RangeId, WriteOp};
-use spinnaker_coord::Coord;
-use spinnaker_core::coordcli::CoordClient;
-use spinnaker_core::messages::{ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind};
-use spinnaker_core::node::{put_request, Node, NodeConfig, Role};
+use spinnaker_common::{Lsn, WriteOp};
+use spinnaker_core::messages::{NodeInput, PeerMsg};
+use spinnaker_core::node::{put_request, Role};
 use spinnaker_core::partition::{u64_to_key, Ring};
 
-#[path = "../../common/tests/support/counting_alloc.rs"]
-mod counting_alloc;
-use counting_alloc::{allocations, CountingAlloc};
+#[path = "support/pump.rs"]
+mod pump;
+use pump::counting_alloc::{allocations, CountingAlloc};
+use pump::{Pump, CLIENT, R0};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-const CLIENT: u32 = 99;
-
-/// An input that sent proposes: what it allocated, and the `(to, op
-/// count)` of each propose.
-struct ProposingInput {
-    node: usize,
-    allocs: u64,
-    proposes: Vec<(u32, usize)>,
-}
-
-/// Three nodes and a coordination service, delivering by hand: peer
-/// messages in FIFO order, log forces completing at once.
-struct Trio {
-    coord: Rc<RefCell<Coord>>,
-    bus: Rc<RefCell<Vec<spinnaker_coord::Delivery>>>,
-    nodes: Vec<Node>,
-    /// Crashed nodes: fed nothing.
-    dead: [bool; 3],
-    /// The inputs that sent proposes.
-    proposing_inputs: Vec<ProposingInput>,
-    queue: VecDeque<(usize, NodeInput)>,
-    /// Reused for every input, like the simulator host's.
-    out: Outbox,
-    /// Allocations made inside `on_input`, per node.
-    allocs: [u64; 3],
-    written: u64,
-}
-
-impl Trio {
-    fn new() -> Trio {
-        let coord = Rc::new(RefCell::new(Coord::new()));
-        let bus = Rc::new(RefCell::new(Vec::new()));
-        let ring = Ring::with_nodes(3);
-        let nodes = (0..3)
-            .map(|id| {
-                let session = coord.borrow_mut().create_session(u64::MAX / 2, 0);
-                let cc = CoordClient::new(coord.clone(), session, bus.clone());
-                let vfs = Arc::new(MemVfs::new());
-                Node::new(id, ring.clone(), NodeConfig::default(), vfs, cc).unwrap()
-            })
-            .collect();
-        let mut trio = Trio {
-            coord,
-            bus,
-            nodes,
-            dead: [false; 3],
-            proposing_inputs: Vec::new(),
-            queue: VecDeque::new(),
-            out: Outbox::default(),
-            allocs: [0; 3],
-            written: 0,
-        };
-        for node in 0..3 {
-            trio.queue.push_back((node, NodeInput::Start));
-        }
-        trio.pump();
-        assert_eq!(trio.nodes[0].role(RangeId(0)), Role::Leader, "election settled");
-        trio
-    }
-
-    /// One `on_input`, counted; its effects are queued (sends, force
-    /// completions) or tallied (write acknowledgements).
-    fn feed(&mut self, node: usize, input: NodeInput) {
-        if self.dead[node] {
-            return;
-        }
-        let mut out = std::mem::take(&mut self.out);
-        let (allocs, ()) = allocations(|| self.nodes[node].on_input(0, input, &mut out));
-        self.allocs[node] += allocs;
-        let mut tokens = Vec::new();
-        let mut proposes = Vec::new();
-        for effect in out.effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    if let PeerMsg::Propose { range: RangeId(0), ops, .. } = &msg {
-                        proposes.push((to, ops.len()));
-                    }
-                    self.queue.push_back((to as usize, NodeInput::Peer { from: node as u32, msg }));
-                }
-                Effect::ForceLog { token, .. } => tokens.push(token),
-                Effect::Reply { reply, .. } => {
-                    assert!(matches!(reply, ClientReply::WriteOk { .. }), "{reply:?}");
-                    self.written += 1;
-                }
-                Effect::SetTimer { .. } => {}
-            }
-        }
-        self.out = out;
-        if !proposes.is_empty() {
-            self.proposing_inputs.push(ProposingInput { node, allocs, proposes });
-        }
-        if !tokens.is_empty() {
-            self.queue.push_back((node, NodeInput::LogForced { tokens }));
-        }
-        // Session ids were handed out in node order, starting at 1.
-        for (session, event) in self.bus.borrow_mut().drain(..) {
-            self.queue.push_back(((session - 1) as usize, NodeInput::Coord(event)));
-        }
-    }
-
-    fn pump(&mut self) {
-        while let Some((node, input)) = self.queue.pop_front() {
-            self.feed(node, input);
-        }
-    }
-}
 
 /// Nine puts fed back to back: the first proposes alone and its force is
 /// in flight while the other eight arrive, so they travel as one group
@@ -139,32 +28,31 @@ const ROUND: u64 = 9;
 
 #[test]
 fn a_put_allocates_within_budget_on_leader_and_follower() {
-    let mut trio = Trio::new();
+    let mut p = Pump::new();
     let mut next = 0u64;
-    let mut round = |trio: &mut Trio| {
+    let mut round = |p: &mut Pump| {
         for _ in 0..ROUND {
             // Keys of range 0, which node 0 leads.
             let req = put_request(next, u64_to_key(next % 4096), "c", &[b'v'; 256]);
-            trio.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
+            p.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
             next += 1;
         }
-        trio.pump();
+        p.run();
         // The commit period: followers apply what was committed.
-        trio.queue.push_back((0, NodeInput::Timer(TimerKind::CommitPeriod)));
-        trio.pump();
+        p.commit_tick(0);
     };
     // Warm-up: buffers, queues and maps reach their working size.
     for _ in 0..32 {
-        round(&mut trio);
+        round(&mut p);
     }
-    let before = (trio.allocs, trio.written);
+    let before = (p.allocs, p.written.len());
     const ROUNDS: u64 = 128;
     for _ in 0..ROUNDS {
-        round(&mut trio);
+        round(&mut p);
     }
     let puts = ROUNDS * ROUND;
-    assert_eq!(trio.written - before.1, puts, "every put was acknowledged");
-    let per_put = |node: usize| (trio.allocs[node] - before.0[node]) as f64 / puts as f64;
+    assert_eq!((p.written.len() - before.1) as u64, puts, "every put was acknowledged");
+    let per_put = |node: usize| (p.allocs[node] - before.0[node]) as f64 / puts as f64;
     let (leader, follower) = (per_put(0), per_put(1).max(per_put(2)));
     assert!(leader <= LEADER_BUDGET, "leader: {leader:.2} allocations per put");
     assert!(follower <= FOLLOWER_BUDGET, "follower: {follower:.2} allocations per put");
@@ -183,7 +71,7 @@ const FOLLOWER_BUDGET: f64 = 3.0;
 /// it.
 #[test]
 fn a_follower_queues_the_proposed_batch_itself() {
-    let mut trio = Trio::new();
+    let mut p = Pump::new();
     let batch = |first: u64| -> Arc<[WriteOp]> {
         (first..first + 8)
             .map(|seq| {
@@ -196,11 +84,11 @@ fn a_follower_queues_the_proposed_batch_itself() {
             })
             .collect()
     };
-    let epoch = trio.nodes[0].epoch_of(RangeId(0));
+    let epoch = p.node(0).epoch_of(R0);
     let propose = |first: u64, ops: &Arc<[WriteOp]>| NodeInput::Peer {
         from: 0,
         msg: PeerMsg::Propose {
-            range: RangeId(0),
+            range: R0,
             epoch,
             lsn: Lsn::new(epoch, first),
             ops: ops.clone(),
@@ -209,14 +97,15 @@ fn a_follower_queues_the_proposed_batch_itself() {
         },
     };
     // Warm-up (the log's frame buffer, the follower's maps), then the
-    // propose under test, straight into node 1.
+    // propose under test, straight into node 1. The warm-up's outbox is
+    // not handed back, so the propose under test fills a new one.
     let warm_up = batch(1);
-    trio.nodes[1].on_input(0, propose(1, &warm_up), &mut Outbox::default());
+    p.step(1, propose(1, &warm_up));
     let ops = batch(9);
-    let input = propose(9, &ops);
-    let mut out = Outbox::default();
-    let (allocs, ()) = allocations(|| trio.nodes[1].on_input(0, input, &mut out));
-    assert_eq!(trio.nodes[1].last_lsn(RangeId(0)), Lsn::new(epoch, 16), "logged");
+    let before = p.allocs[1];
+    p.step(1, propose(9, &ops));
+    let allocs = p.allocs[1] - before;
+    assert_eq!(p.node(1).last_lsn(R0), Lsn::new(epoch, 16), "logged");
     assert_eq!(Arc::strong_count(&ops), 1 + 8, "ours, and one per queued write");
     // Copying an op allocates (its cell list); eight would show.
     assert!(allocs < 8, "{allocs} allocations handling an 8-op propose");
@@ -235,36 +124,31 @@ fn a_follower_queues_the_proposed_batch_itself() {
 fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     const TAIL: usize = 256;
     const GROUP: usize = 64;
-    let mut trio = Trio::new();
+    let mut p = Pump::new();
     for k in 0..TAIL as u64 {
         let req = put_request(k, u64_to_key(k), "c", &[b'v'; 256]);
-        trio.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
-        trio.pump();
+        p.feed(0, NodeInput::Client { from: CLIENT, req });
+        p.run();
     }
-    assert_eq!(trio.written, TAIL as u64);
+    assert_eq!(p.written.len(), TAIL);
     // No commit period has passed: both followers hold the whole tail
     // unresolved. The leader dies.
-    trio.dead[0] = true;
-    trio.proposing_inputs.clear();
-    let deliveries = trio.coord.borrow_mut().expire_session(1);
-    trio.bus.borrow_mut().extend(deliveries);
-    trio.queue.push_back((1, NodeInput::Timer(TimerKind::Heartbeat))); // routes the events
-    trio.pump();
-    let leader =
-        (1..3).find(|&n| trio.nodes[n].role(RangeId(0)) == Role::Leader).expect("took over");
-    assert_eq!(trio.nodes[leader].last_committed(RangeId(0)).seq(), TAIL as u64);
+    p.proposing.clear();
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    assert_eq!(p.node(leader).last_committed(R0).seq(), TAIL as u64);
 
-    let by_leader: Vec<_> = trio.proposing_inputs.iter().filter(|i| i.node == leader).collect();
+    let by_leader: Vec<_> = p.proposing.iter().filter(|i| i.node == leader).collect();
     assert_eq!(by_leader.len(), 1, "the whole tail fits the window: one input sends it");
-    let ProposingInput { allocs, proposes, .. } = by_leader[0];
-    for peer in (0..3u32).filter(|&p| p as usize != leader) {
-        let sizes: Vec<usize> =
-            proposes.iter().filter(|(to, _)| *to == peer).map(|(_, n)| *n).collect();
+    let (allocs, since) = (by_leader[0].allocs, by_leader[0].since);
+    for peer in (0..3).filter(|&n| n != leader) {
+        let sizes: Vec<usize> = p.proposes(since, leader, peer).iter().map(|(_, n)| *n).collect();
         assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node {peer}");
     }
     // Measured 43: the queue's B-tree nodes for 256 entries, and the
     // outbox growing to hold eight messages.
-    assert!(*allocs <= (TAIL / 4) as u64, "{allocs} allocations re-proposing {TAIL} writes");
+    assert!(allocs <= (TAIL / 4) as u64, "{allocs} allocations re-proposing {TAIL} writes");
 }
 
 /// Catch-up moves committed history out of the leader's log into a
@@ -280,32 +164,34 @@ fn catch_up_allocates_per_frame_and_op_not_per_cell() {
     const N: u64 = 512;
     const FRAMES: u64 = 2 * N.div_ceil(ROUND);
     let catch_up = |value_len: usize| {
-        let mut trio = Trio::new();
-        trio.dead[2] = true;
+        let mut p = Pump::new();
+        // Node 2 sleeps: it hears nothing.
+        p.lose = Box::new(|_, to, _| to == 2);
+        p.hold_events[2] = true;
         let value = vec![b'v'; value_len];
         for k in 0..N {
             let req = put_request(k, u64_to_key(k % 4096), "column", &value);
-            trio.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
+            p.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
             if k % ROUND == ROUND - 1 {
-                trio.pump();
+                p.run();
             }
         }
-        trio.pump();
-        trio.queue.push_back((0, NodeInput::Timer(TimerKind::CommitPeriod)));
-        trio.pump();
-        assert_eq!(trio.written, N);
-        assert_eq!(trio.nodes[0].last_committed(RangeId(0)).seq(), N);
+        p.run();
+        p.commit_tick(0);
+        assert_eq!(p.written.len() as u64, N);
+        assert_eq!(p.node(0).last_committed(R0).seq(), N);
 
-        // Node 2 comes back and hears who leads.
-        trio.dead[2] = false;
-        let before = trio.allocs;
-        let epoch = trio.nodes[0].epoch_of(RangeId(0));
-        let hello = PeerMsg::LeaderHello { range: RangeId(0), epoch, leader: 0 };
-        trio.queue.push_back((2, NodeInput::Peer { from: 0, msg: hello }));
-        trio.pump();
-        assert_eq!(trio.nodes[2].role(RangeId(0)), Role::Follower, "caught up");
-        assert_eq!(trio.nodes[2].last_committed(RangeId(0)).seq(), N);
-        (trio.allocs[0] - before[0], trio.allocs[2] - before[2])
+        // Node 2 wakes up and hears who leads.
+        p.lose = Box::new(|_, _, _| false);
+        p.hold_events[2] = false;
+        let before = p.allocs;
+        let epoch = p.node(0).epoch_of(R0);
+        let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0 };
+        p.feed(2, NodeInput::Peer { from: 0, msg: hello });
+        p.run();
+        assert_eq!(p.role(2), Role::Follower, "caught up");
+        assert_eq!(p.node(2).last_committed(R0).seq(), N);
+        (p.allocs[0] - before[0], p.allocs[2] - before[2])
     };
     let (leader, follower) = catch_up(1024);
     // Leader, measured 1 431 (2 967 when decoding copied a key, a name

@@ -1,294 +1,19 @@
-//! Recovery paths driven by hand: three [`Node`]s, a local coordination
-//! service and one message queue the test controls — which messages are
-//! lost, whose log forces complete, who crashes with what on disk. No
-//! simulator and no timing, so every interleaving a test needs can be
-//! written down exactly.
-
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
-use std::sync::Arc;
+//! Recovery paths driven by hand on the shared pump (`support/pump.rs`):
+//! takeover, catch-up, fail-stop on a refused or unreadable device, and
+//! dissolves with a record in the log tail.
 
 use spinnaker_common::api::{ClientOp, ClientRequest};
-use spinnaker_common::codec::Encode;
-use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs, Vfs};
-use spinnaker_common::{Consistency, Key, Lsn, RangeId};
-use spinnaker_coord::{Coord, CreateMode, Delivery, SessionId, WatchEvent};
-use spinnaker_core::coordcli::CoordClient;
-use spinnaker_core::messages::{ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind};
-use spinnaker_core::node::{get_request, put_request, CohortPaths, Node, NodeConfig, Role};
-use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
+use spinnaker_common::vfs::{FaultPlan, Vfs};
+use spinnaker_common::{Consistency, Lsn};
+use spinnaker_coord::WatchEvent;
+use spinnaker_core::messages::{NodeInput, PeerMsg};
+use spinnaker_core::node::{CohortPaths, NodeConfig, Role};
+use spinnaker_core::partition::{u64_to_key, TABLE_PATH};
 use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
 
-const R0: RangeId = RangeId(0);
-const R1: RangeId = RangeId(1);
-const CLIENT: u32 = 99;
-
-/// Decides which peer messages are lost: `(from, to, message)`.
-type Lose = Box<dyn FnMut(usize, usize, &PeerMsg) -> bool>;
-
-struct Pump {
-    coord: Rc<RefCell<Coord>>,
-    bus: Rc<RefCell<Vec<Delivery>>>,
-    ring: Ring,
-    cfg: NodeConfig,
-    /// Each node's disk; a crash keeps the synced prefix of every file.
-    disks: Vec<MemVfs>,
-    /// Faults in each node's log files (`wal/`)...
-    faults: Vec<Arc<FaultPlan>>,
-    /// ...and in its table files (`store-r*/`).
-    store_faults: Vec<Arc<FaultPlan>>,
-    nodes: Vec<Option<Node>>,
-    sessions: BTreeMap<SessionId, usize>,
-    queue: VecDeque<(usize, NodeInput)>,
-    lose: Lose,
-    /// Nodes whose force completions are withheld (and lost in a crash).
-    hold_forces: [bool; 3],
-    /// Nodes that hear nothing from the coordination service.
-    hold_events: [bool; 3],
-    /// Every peer message delivered or lost, in send order.
-    sent: Vec<(usize, usize, PeerMsg)>,
-    /// Request ids acknowledged with `WriteOk`.
-    written: Vec<u64>,
-    /// The row of the last answered get.
-    last_row: Option<Vec<u8>>,
-    /// Gets and scan pages answered (with whatever content).
-    reads_answered: usize,
-    next_req: u64,
-}
-
-impl Pump {
-    /// Three nodes booted and settled: node 0 leads range 0 in epoch 1.
-    fn new() -> Pump {
-        Pump::with_cfg(NodeConfig::default())
-    }
-
-    fn with_cfg(cfg: NodeConfig) -> Pump {
-        let mut pump = Pump {
-            coord: Rc::new(RefCell::new(Coord::new())),
-            bus: Rc::new(RefCell::new(Vec::new())),
-            ring: Ring::with_nodes(3),
-            cfg,
-            disks: (0..3).map(|_| MemVfs::new()).collect(),
-            faults: (0..3).map(|_| FaultPlan::new()).collect(),
-            store_faults: (0..3).map(|_| FaultPlan::new()).collect(),
-            nodes: vec![None, None, None],
-            sessions: BTreeMap::new(),
-            queue: VecDeque::new(),
-            lose: Box::new(|_, _, _| false),
-            hold_forces: [false; 3],
-            hold_events: [false; 3],
-            sent: Vec::new(),
-            written: Vec::new(),
-            last_row: None,
-            reads_answered: 0,
-            next_req: 1,
-        };
-        // Publish the range table, as a deployment does: splits and
-        // merges are compare-and-sets on it.
-        {
-            let mut coord = pump.coord.borrow_mut();
-            let session = coord.create_session(u64::MAX / 2, 0);
-            coord.create(session, "/ranges", Vec::new(), CreateMode::Persistent).unwrap();
-            let table = pump.ring.encode_to_vec();
-            coord.create(session, TABLE_PATH, table, CreateMode::Persistent).unwrap();
-        }
-        for node in 0..3 {
-            pump.boot(node);
-        }
-        pump.run();
-        assert_eq!(pump.role(0), Role::Leader, "election settled");
-        assert_eq!(pump.node(0).epoch_of(R0), 1);
-        pump
-    }
-
-    /// Start node `i` from its disk with a fresh coordination session.
-    fn boot(&mut self, i: usize) {
-        let session = self.coord.borrow_mut().create_session(u64::MAX / 2, 0);
-        self.sessions.insert(session, i);
-        let cc = CoordClient::new(self.coord.clone(), session, self.bus.clone());
-        let vfs = FaultVfs::scoped(Arc::new(self.disks[i].clone()), self.faults[i].clone(), "wal/");
-        let vfs = FaultVfs::scoped(Arc::new(vfs), self.store_faults[i].clone(), "store-r");
-        let node = Node::new(i as u32, self.ring.clone(), self.cfg.clone(), Arc::new(vfs), cc)
-            .expect("local recovery");
-        self.nodes[i] = Some(node);
-        self.queue.push_back((i, NodeInput::Start));
-    }
-
-    /// Crash node `i`: its memory and unsynced bytes are gone, its
-    /// session expires at once, what was queued for it is lost.
-    fn crash(&mut self, i: usize) {
-        self.nodes[i] = None;
-        self.disks[i] = self.disks[i].crash_clone();
-        self.faults[i].disarm();
-        self.store_faults[i].disarm();
-        self.queue.retain(|(to, _)| *to != i);
-        let session = *self.sessions.iter().find(|(_, n)| **n == i).expect("had a session").0;
-        self.sessions.remove(&session);
-        let deliveries = self.coord.borrow_mut().expire_session(session);
-        self.bus.borrow_mut().extend(deliveries);
-        self.route_events();
-    }
-
-    fn route_events(&mut self) {
-        let deliveries: Vec<Delivery> = self.bus.borrow_mut().drain(..).collect();
-        for (session, event) in deliveries {
-            if let Some(&node) = self.sessions.get(&session) {
-                if !self.hold_events[node] {
-                    self.queue.push_back((node, NodeInput::Coord(event)));
-                }
-            }
-        }
-    }
-
-    fn feed(&mut self, i: usize, input: NodeInput) {
-        let Some(node) = self.nodes[i].as_mut() else { return };
-        let mut out = Outbox::default();
-        node.on_input(0, input, &mut out);
-        let poisoned = node.poisoned();
-        let mut tokens = Vec::new();
-        for effect in out.effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let to = to as usize;
-                    let lost = (self.lose)(i, to, &msg);
-                    self.sent.push((i, to, msg.clone()));
-                    if !lost {
-                        self.queue.push_back((to, NodeInput::Peer { from: i as u32, msg }));
-                    }
-                }
-                Effect::ForceLog { token, .. } => tokens.push(token),
-                Effect::Reply { reply, .. } => match reply {
-                    ClientReply::WriteOk { req, .. } => self.written.push(req),
-                    ClientReply::Row { cells, .. } => {
-                        self.reads_answered += 1;
-                        self.last_row =
-                            cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
-                    }
-                    ClientReply::Rows { .. } => self.reads_answered += 1,
-                    other => panic!("unexpected reply {other:?}"),
-                },
-                Effect::SetTimer { .. } => {}
-            }
-        }
-        if !tokens.is_empty() && !self.hold_forces[i] {
-            self.queue.push_back((i, NodeInput::LogForced { tokens }));
-        }
-        self.route_events();
-        // Fail-stop, as the simulator's host does it.
-        if poisoned {
-            self.crash(i);
-        }
-    }
-
-    /// Deliver until nothing is queued.
-    fn run(&mut self) {
-        while let Some((node, input)) = self.queue.pop_front() {
-            self.feed(node, input);
-        }
-    }
-
-    fn node(&self, i: usize) -> &Node {
-        self.nodes[i].as_ref().expect("node is up")
-    }
-
-    fn role(&self, i: usize) -> Role {
-        self.node(i).role(R0)
-    }
-
-    /// The range key `k` routes to under node `i`'s table.
-    fn range_of(&self, i: usize, k: u64) -> RangeId {
-        self.node(i).ring().range_of(&u64_to_key(k))
-    }
-
-    /// The node leading `range`.
-    fn leader_of(&self, range: RangeId) -> usize {
-        let leads =
-            |i: &usize| self.nodes[*i].as_ref().is_some_and(|n| n.role(range) == Role::Leader);
-        (0..3).find(leads).unwrap_or_else(|| panic!("{range} has a leader"))
-    }
-
-    /// The maintenance tick (with `gc_quiesce` 0 it also collects what
-    /// the node has dissolved).
-    fn maintenance(&mut self, i: usize) {
-        self.feed(i, NodeInput::Timer(TimerKind::Maintenance));
-        self.run();
-    }
-
-    /// `(LSN, key)` of every write record in node `i`'s log stream of
-    /// `range` past `from`.
-    fn stream(&self, i: usize, range: RangeId, from: Lsn) -> Vec<(Lsn, Key)> {
-        let wal = self.node(i).wal();
-        let records = wal.read_range(range, from, wal.state(range).last_lsn).expect("readable");
-        records.into_iter().map(|(lsn, op)| (lsn, op.key)).collect()
-    }
-
-    /// Submit a put of key `k` to `leader` (not yet delivered anywhere
-    /// else); returns its request id.
-    fn put(&mut self, leader: usize, k: u64) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        let request = put_request(req, u64_to_key(k), "c", format!("v{k}").as_bytes());
-        self.feed(leader, NodeInput::Client { from: CLIENT, req: request });
-        req
-    }
-
-    /// Put `keys` one by one through `leader`, each run to quiescence.
-    fn put_all(&mut self, leader: usize, keys: impl IntoIterator<Item = u64>) {
-        for k in keys {
-            let req = self.put(leader, k);
-            self.run();
-            assert!(self.written.contains(&req), "put of key {k} acknowledged");
-        }
-    }
-
-    /// The leader's periodic commit message.
-    fn commit_tick(&mut self, leader: usize) {
-        self.feed(leader, NodeInput::Timer(TimerKind::CommitPeriod));
-        self.run();
-    }
-
-    /// What node `i` reads for key `k` (strong on a leader, timeline on a
-    /// follower).
-    fn read(&mut self, i: usize, k: u64) -> Option<Vec<u8>> {
-        let leads = self.node(i).role(self.range_of(i, k)) == Role::Leader;
-        let consistency = if leads { Consistency::Strong } else { Consistency::Timeline };
-        let req = get_request(self.next_req, u64_to_key(k), "c", consistency);
-        self.next_req += 1;
-        self.last_row = None;
-        self.feed(i, NodeInput::Client { from: CLIENT, req });
-        self.last_row.take()
-    }
-
-    /// The `(first LSN, op count)` of every propose `from` sent `to`
-    /// since index `since` of the send log.
-    fn proposes(&self, since: usize, from: usize, to: usize) -> Vec<(Lsn, usize)> {
-        self.sent[since..]
-            .iter()
-            .filter(|(f, t, _)| (*f, *t) == (from, to))
-            .filter_map(|(_, _, m)| match m {
-                PeerMsg::Propose { lsn, ops, .. } => Some((*lsn, ops.len())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn count_sent(&self, since: usize, from: usize, pred: impl Fn(&PeerMsg) -> bool) -> usize {
-        self.sent[since..].iter().filter(|(f, _, m)| *f == from && pred(m)).count()
-    }
-}
-
-fn is_propose(m: &PeerMsg) -> bool {
-    matches!(m, PeerMsg::Propose { range: R0, .. })
-}
-
-fn is_ack(m: &PeerMsg) -> bool {
-    matches!(m, PeerMsg::Ack { range: R0, .. })
-}
-
-fn is_commit(m: &PeerMsg) -> bool {
-    matches!(m, PeerMsg::Commit { range: R0, .. })
-}
+#[path = "support/pump.rs"]
+mod pump;
+use pump::{Pump, CLIENT, R0, R1};
 
 fn lsn(epoch: u16, seq: u64) -> Lsn {
     Lsn::new(epoch, seq)
@@ -317,7 +42,7 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     p.commit_tick(0);
     p.put_all(0, 5..=6);
     p.hold_forces[0] = true;
-    p.lose = Box::new(|_, to, m| to == 1 && is_propose(m));
+    p.lose = Box::new(|_, to, m| to == 1 && matches!(m, PeerMsg::Propose { range: R0, .. }));
     let orphan = p.put(0, 7);
     p.run();
     assert_eq!(p.node(2).last_lsn(R0), lsn(1, 7));
@@ -327,7 +52,7 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     // election), so node 1 takes over. Node 2 catches up and
     // acknowledges [1.5, 1.6]; every commit message to it is lost.
     p.hold_events[2] = true;
-    p.lose = Box::new(|_, to, m| to == 2 && is_commit(m));
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }));
     p.crash(0);
     p.hold_forces[0] = false;
     p.run();
@@ -341,7 +66,10 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     // re-proposals still in its queue. Node 0 misses 2.8.
     let asked = p.node(2).catchup_requests(R0);
     p.put_all(1, 8..=8);
-    p.lose = Box::new(|_, to, m| (to == 2 && is_commit(m)) || (to == 0 && is_propose(m)));
+    p.lose = Box::new(|_, to, m| {
+        (to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }))
+            || (to == 0 && matches!(m, PeerMsg::Propose { range: R0, .. }))
+    });
     p.put_all(1, 9..=9);
     assert_eq!(p.node(2).last_lsn(R0), lsn(2, 8));
     assert_eq!(p.node(0).last_lsn(R0), lsn(2, 7));
@@ -376,7 +104,11 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
         "one group per epoch, cut at the truncated 1.7"
     );
     assert_eq!(p.node(2).last_committed(R0), lsn(2, 8));
-    assert_eq!(p.count_sent(takeover_from, 2, is_commit), 1, "the opening commit, to node 0");
+    assert_eq!(
+        p.count_sent(takeover_from, 2, |m| matches!(m, PeerMsg::Commit { range: R0, .. })),
+        1,
+        "the opening commit, to node 0"
+    );
     assert_eq!(p.node(0).last_committed(R0), lsn(2, 8));
 
     // Every acknowledged write is readable at the new leader and, after
@@ -426,7 +158,11 @@ fn follower_that_cannot_log_a_group_fail_stops_instead_of_acking() {
     p.run();
     assert_eq!(p.faults[1].injected(), 1);
     assert!(p.nodes[1].is_none(), "node 1 fail-stopped");
-    assert_eq!(p.count_sent(since, 1, is_ack), 0, "and acknowledged nothing");
+    assert_eq!(
+        p.count_sent(since, 1, |m| matches!(m, PeerMsg::Ack { range: R0, .. })),
+        0,
+        "and acknowledged nothing"
+    );
     assert!(!p.written.contains(&req), "so the write is not acknowledged");
     assert_eq!(p.node(0).last_committed(R0), lsn(1, 2));
 
@@ -460,7 +196,7 @@ fn torn_reproposed_group_frame_is_all_or_nothing_and_next_takeover_finishes() {
     p.crash(0);
     // The new leader's re-proposals reach the follower, are logged and
     // forced there — and no ack ever arrives.
-    p.lose = Box::new(|_, _, m| is_ack(m));
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { range: R0, .. }));
     let since = p.sent.len();
     p.run();
     let w = (1..3).find(|&i| p.role(i) == Role::LeaderTakeover).expect("a takeover under way");
@@ -489,6 +225,77 @@ fn torn_reproposed_group_frame_is_all_or_nothing_and_next_takeover_finishes() {
         for k in 1..=N {
             assert_eq!(p.read(node, k), Some(format!("v{k}").into_bytes()), "node {node} key {k}");
         }
+    }
+}
+
+/// A new leader that cannot read its unresolved tail back must not open
+/// the cohort without it. 1.5 is acknowledged by the leader and node 1
+/// (node 2 missed it) and committed nowhere else; the leader dies, and
+/// node 1, holding the longest log, takes over with its log failing to
+/// read back. At the parent commit the read error became an empty tail:
+/// node 1 opened without 1.5 and a strong read of key 5 answered absent.
+/// It fail-stops instead, and once restarted takes over with the tail.
+#[test]
+fn a_takeover_that_cannot_read_its_tail_fail_stops() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put_all(0, 5..=5);
+    p.lose = Box::new(|_, _, _| false);
+    assert_eq!(p.node(1).last_committed(R0), lsn(1, 4));
+    assert_eq!(p.node(1).last_lsn(R0), lsn(1, 5));
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 4));
+
+    p.faults[1].fail_read_after(1);
+    p.crash(0);
+    p.run();
+    assert_eq!(p.faults[1].injected(), 1, "node 1's read of its tail failed");
+    let fail_stopped = p.nodes[1].is_none();
+    if fail_stopped {
+        p.boot(1);
+        p.run();
+    }
+    assert_eq!(p.leader_of(R0), 1, "1.5 wins the election");
+    for k in 1..=5 {
+        assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+    assert!(fail_stopped, "node 1 opened the cohort without its tail");
+}
+
+/// A leader that cannot read its pending writes back cannot bring a
+/// catching-up follower level with them. Keys 1-4 are committed
+/// everywhere; 1.5 is logged everywhere but sits in the leader's commit
+/// queue (every ack is lost) when node 2 restarts and asks to catch up
+/// from 1.4, and the leader's log fails the read of 1.5. At the parent
+/// commit the read error became "nothing pending" and the leader carried
+/// on; it fail-stops instead, and the cohort's next leader serves what
+/// was acknowledged.
+#[test]
+fn a_leader_that_cannot_read_its_pending_writes_fail_stops() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { range: R0, .. }));
+    let pending = p.put(0, 5);
+    p.run();
+    assert!(!p.written.contains(&pending));
+    assert_eq!(p.node(0).last_committed(R0), lsn(1, 4));
+    assert_eq!(p.node(0).last_lsn(R0), lsn(1, 5), "1.5 is in the leader's commit queue");
+
+    // 1.5's force made node 2's commit note for 1.4 durable, so its
+    // catch-up asks for nothing committed: the one log read is of 1.5.
+    p.crash(2);
+    p.lose = Box::new(|_, _, _| false);
+    p.faults[0].fail_read_after(1);
+    p.boot(2);
+    p.run();
+    assert_eq!(p.faults[0].injected(), 1, "the leader's read of 1.5 failed");
+    assert!(p.nodes[0].is_none(), "the leader carried on without its pending writes");
+
+    let leader = p.leader_of(R0);
+    for k in 1..=4 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
     }
 }
 
@@ -703,7 +510,7 @@ fn a_table_catch_up_whose_flush_fails_claims_nothing() {
     assert_eq!(p.node(1).last_committed(R0), lsn(1, 4));
     // Node 1 becomes the only follower holding 1.5, so it wins the next
     // election — and must hold what its watermark says.
-    p.lose = Box::new(|_, to, m| to == 2 && is_propose(m));
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
     p.put_all(0, 5..=5);
     p.lose = Box::new(|_, _, _| false);
     p.crash(0);
@@ -743,7 +550,8 @@ fn a_table_catch_up_the_leader_cannot_read_claims_nothing() {
     // the next election — and must hold what its watermark says.
     let leader = p.leader_of(R0);
     let other = (0..3).find(|&i| i != leader && i != 1).expect("a third node");
-    p.lose = Box::new(move |_, to, m| to == other && is_propose(m));
+    p.lose =
+        Box::new(move |_, to, m| to == other && matches!(m, PeerMsg::Propose { range: R0, .. }));
     p.put_all(leader, 5..=5);
     p.lose = Box::new(|_, _, _| false);
     p.crash(leader);
@@ -765,7 +573,7 @@ fn orphan_awaiting_truncation() -> (Pump, PeerMsg) {
     p.put_all(0, 1..=4);
     p.commit_tick(0);
     p.hold_forces[0] = true;
-    p.lose = Box::new(|_, to, m| to == 1 && is_propose(m));
+    p.lose = Box::new(|_, to, m| to == 1 && matches!(m, PeerMsg::Propose { range: R0, .. }));
     let orphan = p.put(0, 5);
     p.run();
     assert_eq!(p.node(2).last_lsn(R0), lsn(1, 5));
