@@ -2,25 +2,54 @@
 //! used to track pending writes. Writes are committed only after receiving
 //! a sufficient number of acks from a cohort."
 //!
-//! Leaders hold the client reply handle and ack count per pending write;
-//! followers hold just the operation so the asynchronous commit message
-//! can apply it later. Commits drain strictly in LSN order — a later write
-//! never commits before an earlier one, which is what makes conditional
-//! puts deterministic across the cohort (§5.1).
+//! Leaders hold the client reply handle per pending write; followers hold
+//! just the operation so the asynchronous commit message can apply it
+//! later. Commits drain strictly in LSN order — a later write never
+//! commits before an earlier one, which is what makes conditional puts
+//! deterministic across the cohort (§5.1).
+//!
+//! # A ring in LSN order, and watermarks
+//!
+//! The pending writes sit in a `VecDeque` in ascending LSN order, and an
+//! insert only ever appends: the leader sequences its LSNs upward, a
+//! takeover queues its tail window by window in log order, and a follower
+//! queues only the suffix of a propose past what it already holds. Only
+//! [`CommitQueue::clear`] (a new leader, a new epoch) restarts the queue
+//! lower. A steady-state round allocates nothing here: the ring reuses
+//! its buffer, and a drain hands back the drained prefix in place.
+//!
+//! Acks and forces are **cumulative**: the log is appended sequentially,
+//! so a force that covers an LSN covers everything logged before it. The
+//! queue therefore keeps no acker set and no forced flag per write, but
+//! one watermark per follower (its highest ack) and one for our own
+//! force. A write is committable once our force and at least
+//! `needed_acks` followers' acks reach its LSN.
+//!
+//! That is the same rule as an acker set per write. Every watermark is
+//! clamped to the newest write queued when it rises, and the next insert
+//! lands above that write. So a write is at or below follower F's
+//! watermark exactly when an ack from F at or past its LSN arrived while
+//! the write was queued — which is what "F is in this write's acker set"
+//! meant. An ack naming an LSN not queued yet (a straggler from before a
+//! clear) vouches for no later insert. A retransmitted ack raises F's
+//! watermark to where it already is, so it still cannot count twice
+//! toward the quorum. A drain that takes the newest write pulls the
+//! watermarks back to the newest one left (to zero when the queue
+//! empties), which keeps the clamp true.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Deref;
+use std::collections::vec_deque::{Drain, VecDeque};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use spinnaker_common::{Lsn, NodeId, Version, WriteOp};
+use spinnaker_common::{Key, Lsn, NodeId, Timestamp, Version, WriteOp};
 
 use crate::messages::{Addr, RequestId};
 
 /// The operation of a pending write. Reads as the [`WriteOp`] it is.
 #[derive(Clone, Debug)]
 pub enum PendingOp {
-    /// The leader's copy of a client write, taken when the write is
-    /// sequenced — before the group it will be proposed in exists.
+    /// The leader's client write, moved in when the write is sequenced —
+    /// before the group it will be proposed in exists.
     Own(WriteOp),
     /// Op `index` of a proposed group: the very batch the log record and
     /// the propose messages hold, so queueing it copies nothing.
@@ -43,6 +72,21 @@ impl Deref for PendingOp {
     }
 }
 
+impl PendingOp {
+    /// The op itself: moved out of an `Own`, which is left empty, or
+    /// copied out of a shared batch.
+    fn take(&mut self) -> WriteOp {
+        match self {
+            PendingOp::Own(op) => WriteOp {
+                key: std::mem::take(&mut op.key),
+                cells: std::mem::take(&mut op.cells),
+                timestamp: op.timestamp,
+            },
+            PendingOp::Shared { batch, index } => batch[*index].clone(),
+        }
+    }
+}
+
 /// A write sitting between propose and commit.
 #[derive(Clone, Debug)]
 pub struct PendingWrite {
@@ -52,20 +96,18 @@ pub struct PendingWrite {
     pub op: PendingOp,
     /// Client to answer on commit (leader side only).
     pub client: Option<(Addr, RequestId)>,
-    /// *Distinct* followers that acked the write (leader side only).
-    /// Tracking node ids rather than a counter makes retransmitted acks
-    /// idempotent — a duplicate ack from one follower must never count
-    /// twice toward the quorum (it would silently weaken the quorum at
-    /// replication factors above 3).
-    pub ackers: BTreeSet<NodeId>,
-    /// Whether our own log force for this record completed.
-    pub self_forced: bool,
 }
 
 /// The per-cohort commit queue.
 #[derive(Default, Debug)]
 pub struct CommitQueue {
-    entries: BTreeMap<Lsn, PendingWrite>,
+    /// Pending writes, in ascending LSN order.
+    entries: VecDeque<PendingWrite>,
+    /// Each follower's highest ack, never above the newest write queued.
+    /// One slot per follower that ever acked, kept across clears.
+    acked: Vec<(NodeId, Lsn)>,
+    /// How far our own log force reached, never above the newest write.
+    forced: Lsn,
 }
 
 impl CommitQueue {
@@ -74,22 +116,39 @@ impl CommitQueue {
         CommitQueue::default()
     }
 
-    /// Track a pending write.
-    pub fn insert(&mut self, pw: PendingWrite) {
-        self.entries.insert(pw.lsn, pw);
+    /// Track a pending write, `forced` when it is already durable in our
+    /// own log (a takeover's tail). Appends only: `pw.lsn` must be above
+    /// every queued LSN, and a forced write may follow forced ones only —
+    /// one watermark stands for them all.
+    pub fn insert(&mut self, pw: PendingWrite, forced: bool) {
+        debug_assert!(
+            self.newest().is_none_or(|newest| newest < pw.lsn),
+            "the commit queue only grows upward"
+        );
+        debug_assert!(
+            !forced || self.newest().is_none_or(|newest| newest <= self.forced),
+            "a forced write follows forced writes only"
+        );
+        if forced {
+            self.forced = self.forced.max(pw.lsn);
+        }
+        self.entries.push_back(pw);
     }
 
     /// Record a follower ack. Duplicate acks from the same node (leader
-    /// retransmits, follower resends after catch-up) are absorbed by the
-    /// acker set.
+    /// retransmits, follower resends after catch-up) raise its watermark
+    /// to where it already is.
     ///
     /// Acks are **cumulative**: the log is appended sequentially, so a
     /// follower whose force covers `lsn` has every earlier record durable
     /// too. Group proposes lean on this — the follower acks once, at the
     /// batch's last LSN, and that single ack vouches for the whole batch.
     pub fn ack(&mut self, lsn: Lsn, from: NodeId) {
-        for (_, pw) in self.entries.range_mut(..=lsn) {
-            pw.ackers.insert(from);
+        let Some(newest) = self.newest() else { return };
+        let lsn = lsn.min(newest);
+        match self.acked.iter_mut().find(|(node, _)| *node == from) {
+            Some((_, mark)) => *mark = (*mark).max(lsn),
+            None => self.acked.push((from, lsn)),
         }
     }
 
@@ -97,50 +156,78 @@ impl CommitQueue {
     /// reason as [`CommitQueue::ack`]: a force that covers `lsn` covered
     /// everything appended before it.
     pub fn self_forced(&mut self, lsn: Lsn) {
-        for (_, pw) in self.entries.range_mut(..=lsn) {
-            pw.self_forced = true;
+        if let Some(newest) = self.newest() {
+            self.forced = self.forced.max(lsn.min(newest));
         }
     }
 
-    /// Leader-side commit: drain the longest prefix (starting right after
+    /// Leader-side commit: drain the longest run (starting right after
     /// `last_committed`) in which every write has its own force plus at
-    /// least `needed_acks` follower acks. Returns the drained writes in
-    /// LSN order.
+    /// least `needed_acks` follower acks. Hands the drained writes back
+    /// in LSN order; they leave the queue when the drain is dropped.
     pub fn drain_committable(
         &mut self,
         last_committed: Lsn,
         needed_acks: usize,
-    ) -> Vec<PendingWrite> {
-        let mut out = Vec::new();
-        let mut cursor = last_committed;
-        while let Some((&lsn, pw)) = self.entries.range(next_after(cursor)..).next() {
-            if !(pw.self_forced && pw.ackers.len() >= needed_acks) {
-                break;
-            }
-            let pw = self.entries.remove(&lsn).expect("just observed");
-            cursor = lsn;
-            out.push(pw);
-        }
-        out
+    ) -> Drain<'_, PendingWrite> {
+        let start = self.entries.partition_point(|pw| pw.lsn <= last_committed);
+        let ready = self
+            .entries
+            .range(start..)
+            .take_while(|pw| {
+                pw.lsn <= self.forced
+                    && self.acked.iter().filter(|(_, mark)| *mark >= pw.lsn).count() >= needed_acks
+            })
+            .count();
+        self.remove(start..start + ready)
     }
 
     /// Follower-side commit: drain everything at or below `lsn` (the
     /// asynchronous commit message's LSN), in order.
-    pub fn drain_up_to(&mut self, lsn: Lsn) -> Vec<PendingWrite> {
-        let mut out = Vec::new();
-        let keys: Vec<Lsn> = self.entries.range(..=lsn).map(|(&l, _)| l).collect();
-        for l in keys {
-            out.push(self.entries.remove(&l).expect("listed"));
+    pub fn drain_up_to(&mut self, lsn: Lsn) -> Drain<'_, PendingWrite> {
+        let end = self.entries.partition_point(|pw| pw.lsn <= lsn);
+        self.remove(0..end)
+    }
+
+    /// Move the ops of every write from `first` on — the leader's tail
+    /// of sequenced, not yet proposed writes — into one batch, and point
+    /// those writes at it. The log record, the propose messages and the
+    /// queue then share the one copy each op was built as.
+    pub fn share_from(&mut self, first: Lsn) -> Arc<[WriteOp]> {
+        let start = self.entries.partition_point(|pw| pw.lsn < first);
+        let batch: Arc<[WriteOp]> =
+            self.entries.range_mut(start..).map(|pw| pw.op.take()).collect();
+        for (index, pw) in self.entries.range_mut(start..).enumerate() {
+            pw.op = PendingOp::Shared { batch: batch.clone(), index };
         }
-        out
+        batch
     }
 
     /// Discard every pending write (used when a follower learns a new
     /// leader and re-syncs; their fate is decided by catch-up).
     pub fn clear(&mut self) -> usize {
         let n = self.entries.len();
-        self.entries.clear();
+        self.remove(0..n);
         n
+    }
+
+    /// Remove `span` of the entries. A span that takes the newest write
+    /// pulls the watermarks back to the newest one left — to zero when
+    /// the queue empties — so every later insert lands above them all.
+    fn remove(&mut self, span: Range<usize>) -> Drain<'_, PendingWrite> {
+        if span.end == self.entries.len() {
+            let left = span.start.checked_sub(1).and_then(|i| self.entries.get(i));
+            let newest = left.map_or(Lsn::ZERO, |pw| pw.lsn);
+            for (_, mark) in &mut self.acked {
+                *mark = (*mark).min(newest);
+            }
+            self.forced = self.forced.min(newest);
+        }
+        self.entries.drain(span)
+    }
+
+    fn newest(&self) -> Option<Lsn> {
+        self.entries.back().map(|pw| pw.lsn)
     }
 
     /// The commit timestamp of the **oldest** pending write, or `None`
@@ -149,21 +236,17 @@ impl CommitQueue {
     /// write with a timestamp strictly below this is already applied —
     /// which makes `min_pending_ts() - 1` the leader's snapshot-read
     /// safe point while writes are in flight.
-    pub fn min_pending_ts(&self) -> Option<spinnaker_common::Timestamp> {
-        self.entries.values().next().map(|pw| pw.op.timestamp)
+    pub fn min_pending_ts(&self) -> Option<Timestamp> {
+        self.entries.front().map(|pw| pw.op.timestamp)
     }
 
     /// The most recent pending version for `(key, col)`, used by the
     /// leader to evaluate conditional writes against not-yet-committed
     /// state (writes commit in LSN order, so the last pending write's LSN
     /// *will* be the column's version once it commits).
-    pub fn latest_pending_version(
-        &self,
-        key: &spinnaker_common::Key,
-        col: &[u8],
-    ) -> Option<Version> {
+    pub fn latest_pending_version(&self, key: &Key, col: &[u8]) -> Option<Version> {
         self.entries
-            .values()
+            .iter()
             .rev()
             .find(|pw| pw.op.key == *key && pw.op.cells.iter().any(|c| c.column().as_ref() == col))
             .map(|pw| pw.lsn.as_u64())
@@ -171,7 +254,7 @@ impl CommitQueue {
 
     /// Whether a pending write with `lsn` exists.
     pub fn contains(&self, lsn: Lsn) -> bool {
-        self.entries.contains_key(&lsn)
+        self.entries.binary_search_by_key(&lsn, |pw| pw.lsn).is_ok()
     }
 
     /// Number of pending writes.
@@ -186,16 +269,15 @@ impl CommitQueue {
 
     /// The first and last pending LSN (`None` when nothing is pending).
     pub fn span(&self) -> Option<(Lsn, Lsn)> {
-        Some((*self.entries.keys().next()?, *self.entries.keys().next_back()?))
+        Some((self.entries.front()?.lsn, self.newest()?))
     }
-}
-
-fn next_after(lsn: Lsn) -> Lsn {
-    Lsn::from_u64(lsn.as_u64().saturating_add(1))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
     use spinnaker_common::op;
 
     use super::*;
@@ -205,21 +287,22 @@ mod tests {
             lsn: Lsn::new(1, seq),
             op: PendingOp::Own(op::put(&format!("k{seq}"), "c", "v")),
             client: Some((9, seq)),
-            ackers: BTreeSet::new(),
-            self_forced: false,
         }
+    }
+
+    fn seqs(drained: Drain<'_, PendingWrite>) -> Vec<u64> {
+        drained.map(|pw| pw.lsn.seq()).collect()
     }
 
     #[test]
     fn commit_requires_force_and_ack() {
         let mut q = CommitQueue::new();
-        q.insert(pending(1));
-        assert!(q.drain_committable(Lsn::ZERO, 1).is_empty(), "nothing ready");
+        q.insert(pending(1), false);
+        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 0, "nothing ready");
         q.self_forced(Lsn::new(1, 1));
-        assert!(q.drain_committable(Lsn::ZERO, 1).is_empty(), "force alone insufficient");
+        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 0, "force alone insufficient");
         q.ack(Lsn::new(1, 1), 1);
-        let drained = q.drain_committable(Lsn::ZERO, 1);
-        assert_eq!(drained.len(), 1);
+        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 1);
         assert!(q.is_empty());
     }
 
@@ -227,13 +310,14 @@ mod tests {
     fn retransmitted_acks_do_not_fake_a_quorum() {
         // Replication 5: majority needs the leader + 2 distinct followers.
         let mut q = CommitQueue::new();
-        q.insert(pending(1));
+        q.insert(pending(1), false);
         q.self_forced(Lsn::new(1, 1));
         q.ack(Lsn::new(1, 1), 3);
         q.ack(Lsn::new(1, 1), 3); // same follower retransmits
         q.ack(Lsn::new(1, 1), 3);
-        assert!(
-            q.drain_committable(Lsn::ZERO, 2).is_empty(),
+        assert_eq!(
+            q.drain_committable(Lsn::ZERO, 2).len(),
+            0,
             "one follower acking thrice is not two followers"
         );
         q.ack(Lsn::new(1, 1), 4); // a second, distinct follower
@@ -248,17 +332,15 @@ mod tests {
         // 2..3 must wait even though each already holds one ack.
         let mut q = CommitQueue::new();
         for seq in 1..=3 {
-            q.insert(pending(seq));
+            q.insert(pending(seq), false);
         }
         q.self_forced(Lsn::new(1, 3));
         q.ack(Lsn::new(1, 2), 1);
         q.ack(Lsn::new(1, 1), 2);
-        let drained = q.drain_committable(Lsn::ZERO, 2);
-        assert_eq!(drained.iter().map(|p| p.lsn.seq()).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(seqs(q.drain_committable(Lsn::ZERO, 2)), vec![1]);
         // Follower 2 catches up through LSN 2: write 2 drains, 3 stays.
         q.ack(Lsn::new(1, 2), 2);
-        let drained = q.drain_committable(Lsn::new(1, 1), 2);
-        assert_eq!(drained.iter().map(|p| p.lsn.seq()).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(seqs(q.drain_committable(Lsn::new(1, 1), 2)), vec![2]);
         assert_eq!(q.len(), 1);
     }
 
@@ -266,10 +348,9 @@ mod tests {
     fn follower_drain_up_to() {
         let mut q = CommitQueue::new();
         for seq in 1..=5 {
-            q.insert(pending(seq));
+            q.insert(pending(seq), false);
         }
-        let drained = q.drain_up_to(Lsn::new(1, 3));
-        assert_eq!(drained.len(), 3);
+        assert_eq!(q.drain_up_to(Lsn::new(1, 3)).len(), 3);
         assert_eq!(q.len(), 2);
         assert!(q.contains(Lsn::new(1, 4)));
     }
@@ -281,12 +362,11 @@ mod tests {
         // committable at once.
         let mut q = CommitQueue::new();
         for seq in 1..=3 {
-            q.insert(pending(seq));
+            q.insert(pending(seq), false);
         }
         q.self_forced(Lsn::new(1, 3));
         q.ack(Lsn::new(1, 3), 7);
-        let drained = q.drain_committable(Lsn::ZERO, 1);
-        assert_eq!(drained.iter().map(|p| p.lsn.seq()).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(seqs(q.drain_committable(Lsn::ZERO, 1)), vec![1, 2, 3]);
         assert!(q.is_empty());
     }
 
@@ -294,65 +374,189 @@ mod tests {
     fn cumulative_ack_does_not_touch_later_entries() {
         let mut q = CommitQueue::new();
         for seq in 1..=4 {
-            q.insert(pending(seq));
+            q.insert(pending(seq), false);
         }
         q.self_forced(Lsn::new(1, 2));
         q.ack(Lsn::new(1, 2), 7);
-        let drained = q.drain_committable(Lsn::ZERO, 1);
-        assert_eq!(drained.iter().map(|p| p.lsn.seq()).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(seqs(q.drain_committable(Lsn::ZERO, 1)), vec![1, 2]);
         assert_eq!(q.len(), 2, "writes 3 and 4 still pending");
     }
 
     #[test]
     fn latest_pending_version_sees_most_recent_write() {
         let mut q = CommitQueue::new();
-        q.insert(PendingWrite {
-            lsn: Lsn::new(1, 1),
-            op: PendingOp::Own(op::put("k", "c", "v1")),
-            client: None,
-            ackers: BTreeSet::new(),
-            self_forced: false,
-        });
-        q.insert(PendingWrite {
-            lsn: Lsn::new(1, 2),
-            op: PendingOp::Own(op::put("k", "c", "v2")),
-            client: None,
-            ackers: BTreeSet::new(),
-            self_forced: false,
-        });
-        assert_eq!(
-            q.latest_pending_version(&spinnaker_common::Key::from("k"), b"c"),
-            Some(Lsn::new(1, 2).as_u64())
-        );
-        assert_eq!(q.latest_pending_version(&spinnaker_common::Key::from("k"), b"other"), None);
-        assert_eq!(q.latest_pending_version(&spinnaker_common::Key::from("nope"), b"c"), None);
+        for (seq, value) in [(1, "v1"), (2, "v2")] {
+            let op = PendingOp::Own(op::put("k", "c", value));
+            q.insert(PendingWrite { lsn: Lsn::new(1, seq), op, client: None }, false);
+        }
+        assert_eq!(q.latest_pending_version(&Key::from("k"), b"c"), Some(Lsn::new(1, 2).as_u64()));
+        assert_eq!(q.latest_pending_version(&Key::from("k"), b"other"), None);
+        assert_eq!(q.latest_pending_version(&Key::from("nope"), b"c"), None);
     }
 
     #[test]
     fn epoch_boundaries_drain_correctly() {
         let mut q = CommitQueue::new();
         // Old-epoch re-proposals and new-epoch writes coexist at takeover.
-        for pw in [
-            PendingWrite {
-                lsn: Lsn::new(1, 21),
-                op: PendingOp::Own(op::put("a", "c", "1")),
-                client: None,
-                ackers: BTreeSet::from([1]),
-                self_forced: true,
-            },
-            PendingWrite {
-                lsn: Lsn::new(2, 22),
-                op: PendingOp::Own(op::put("b", "c", "2")),
-                client: None,
-                ackers: BTreeSet::from([1]),
-                self_forced: true,
-            },
-        ] {
-            q.insert(pw);
+        for (lsn, key) in [(Lsn::new(1, 21), "a"), (Lsn::new(2, 22), "b")] {
+            let op = PendingOp::Own(op::put(key, "c", "1"));
+            q.insert(PendingWrite { lsn, op, client: None }, true);
         }
-        let drained = q.drain_committable(Lsn::new(1, 20), 1);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].lsn, Lsn::new(1, 21));
-        assert_eq!(drained[1].lsn, Lsn::new(2, 22));
+        q.ack(Lsn::new(2, 22), 1);
+        let drained: Vec<Lsn> = q.drain_committable(Lsn::new(1, 20), 1).map(|pw| pw.lsn).collect();
+        assert_eq!(drained, vec![Lsn::new(1, 21), Lsn::new(2, 22)]);
+    }
+
+    /// The leader's not yet proposed tail moves into one batch, which the
+    /// queue then shares: no op is copied.
+    #[test]
+    fn the_proposed_tail_shares_one_batch() {
+        let mut q = CommitQueue::new();
+        for seq in 1..=4 {
+            q.insert(pending(seq), false);
+        }
+        let batch = q.share_from(Lsn::new(1, 3));
+        let keys: Vec<&Key> = batch.iter().map(|op| &op.key).collect();
+        assert_eq!(keys, vec![&Key::from("k3"), &Key::from("k4")]);
+        assert_eq!(Arc::strong_count(&batch), 1 + 2, "ours, and one per shared write");
+        assert_eq!(q.latest_pending_version(&Key::from("k4"), b"c"), Some(Lsn::new(1, 4).as_u64()));
+        assert_eq!(q.latest_pending_version(&Key::from("k1"), b"c"), Some(Lsn::new(1, 1).as_u64()));
+    }
+
+    /// The queue as it was: an acker set and a forced flag per write,
+    /// each ack and force marking every write queued at or below it.
+    #[derive(Default)]
+    struct Reference {
+        entries: BTreeMap<Lsn, (BTreeSet<NodeId>, bool)>,
+    }
+
+    impl Reference {
+        fn ack(&mut self, lsn: Lsn, from: NodeId) {
+            for (ackers, _) in self.entries.range_mut(..=lsn).map(|(_, e)| e) {
+                ackers.insert(from);
+            }
+        }
+
+        fn self_forced(&mut self, lsn: Lsn) {
+            for (_, forced) in self.entries.range_mut(..=lsn).map(|(_, e)| e) {
+                *forced = true;
+            }
+        }
+
+        fn drain_committable(&mut self, last_committed: Lsn, needed_acks: usize) -> Vec<Lsn> {
+            let mut out = Vec::new();
+            let mut cursor = last_committed;
+            while let Some((&lsn, (ackers, forced))) =
+                self.entries.range(Lsn::from_u64(cursor.as_u64() + 1)..).next()
+            {
+                if !(*forced && ackers.len() >= needed_acks) {
+                    break;
+                }
+                self.entries.remove(&lsn);
+                cursor = lsn;
+                out.push(lsn);
+            }
+            out
+        }
+
+        fn drain_up_to(&mut self, lsn: Lsn) -> Vec<Lsn> {
+            let out: Vec<Lsn> = self.entries.range(..=lsn).map(|(&l, _)| l).collect();
+            for l in &out {
+                self.entries.remove(l);
+            }
+            out
+        }
+
+        fn span(&self) -> Option<(Lsn, Lsn)> {
+            Some((*self.entries.keys().next()?, *self.entries.keys().next_back()?))
+        }
+    }
+
+    /// A write's commit timestamp in the property test: it follows the
+    /// LSN, as the leader's hybrid clock makes it.
+    fn ts_of(lsn: Lsn) -> Timestamp {
+        lsn.as_u64()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// After any history of upward inserts (across epoch bumps, some
+        /// forced as a takeover's tail), acks from two to four followers
+        /// at queued LSNs and past them (duplicates included), forces,
+        /// drains and clears, the queue drains exactly the writes the
+        /// per-write acker sets drained, and reports the same length,
+        /// span and oldest pending timestamp.
+        #[test]
+        fn watermarks_drain_what_acker_sets_drained(
+            peers in 2u32..5,
+            steps in proptest::collection::vec((0u8..16, 0u8..8, any::<u16>()), 1..160),
+        ) {
+            let mut q = CommitQueue::new();
+            let mut model = Reference::default();
+            let (mut epoch, mut seq): (spinnaker_common::Epoch, u64) = (1, 0);
+            let mut last_committed = Lsn::ZERO;
+            for (kind, a, b) in steps {
+                // An LSN around the queued ones: mostly a queued write,
+                // sometimes one past the newest (not queued yet).
+                let queued: Vec<Lsn> = model.entries.keys().copied().collect();
+                let pick = match queued.len() {
+                    0 => Lsn::new(epoch, seq + 1),
+                    _ if b % 5 == 0 => Lsn::new(epoch, seq + 1 + u64::from(b) % 3),
+                    n => queued[usize::from(b) % n],
+                };
+                match kind {
+                    // Sequence 1..=8 writes upward; forced ones only while
+                    // everything queued is forced, as a takeover's tail.
+                    0..=4 => {
+                        let all_forced = model.entries.values().all(|(_, f)| *f);
+                        for _ in 0..=a {
+                            seq += 1;
+                            let lsn = Lsn::new(epoch, seq);
+                            let forced = b % 2 == 0 && all_forced;
+                            let key = Key::from(format!("k{}", seq % 3).as_str());
+                            let op = PendingOp::Own(WriteOp::put(key, "c", "v", ts_of(lsn)));
+                            q.insert(PendingWrite { lsn, op, client: None }, forced);
+                            model.entries.insert(lsn, (BTreeSet::new(), forced));
+                        }
+                    }
+                    5 => epoch += 1,
+                    6..=9 => {
+                        let from = u32::from(a) % peers;
+                        q.ack(pick, from);
+                        model.ack(pick, from);
+                    }
+                    10 | 11 => {
+                        q.self_forced(pick);
+                        model.self_forced(pick);
+                    }
+                    12 | 13 => {
+                        // Mostly from the last commit; sometimes from a
+                        // queued write, leaving older ones in front.
+                        let from = if a == 0 { pick } else { last_committed };
+                        let needed = 1 + usize::from(a % 2);
+                        let got: Vec<Lsn> =
+                            q.drain_committable(from, needed).map(|pw| pw.lsn).collect();
+                        prop_assert_eq!(&got, &model.drain_committable(from, needed));
+                        last_committed = got.last().copied().unwrap_or(last_committed);
+                    }
+                    14 => {
+                        let got: Vec<Lsn> = q.drain_up_to(pick).map(|pw| pw.lsn).collect();
+                        prop_assert_eq!(got, model.drain_up_to(pick));
+                    }
+                    _ => {
+                        prop_assert_eq!(q.clear(), model.entries.len());
+                        model.entries.clear();
+                        // The only way back down: the next insert may be
+                        // below everything acked or forced so far.
+                        seq = seq.saturating_sub(u64::from(a));
+                        last_committed = Lsn::ZERO;
+                    }
+                }
+                prop_assert_eq!(q.len(), model.entries.len());
+                prop_assert_eq!(q.span(), model.span());
+                prop_assert_eq!(q.min_pending_ts(), model.span().map(|(first, _)| ts_of(first)));
+            }
+        }
     }
 }

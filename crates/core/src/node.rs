@@ -1079,9 +1079,11 @@ impl Node {
             }
             if let Ok(files) = self.vfs.list(&format!("store-r{}/", d.range.0)) {
                 for f in files {
+                    // spinlint: allow(E1) -- a file left behind costs space, not data
                     let _ = self.vfs.delete(&f);
                 }
             }
+            // spinlint: allow(E1) -- dropped in memory anyway; a failed save keeps segments longer
             let _ = self.wal.retire_stream(d.range);
             if d.gc_znodes {
                 let _ = self.coord.delete_recursive(&CohortPaths::new(d.range).base);

@@ -299,6 +299,7 @@ impl Node {
             if !s.claim.lsn().is_zero() {
                 // A checkpoint that fails to save replays more after a
                 // crash, never less.
+                // spinlint: allow(E1) -- a lost checkpoint only replays more
                 let _ = self.wal.set_checkpoint(s.id, s.claim.lsn());
             }
         }
@@ -335,6 +336,7 @@ impl Node {
             }
             if homed {
                 // As above: a lost save only replays more.
+                // spinlint: allow(E1) -- a lost checkpoint only replays more
                 let _ = self.wal.set_checkpoint(p.range, start);
                 self.dissolved.push(Dissolved { range: p.range, at: now, gc_znodes: true });
             }
@@ -749,6 +751,7 @@ impl Node {
         // `at`, catch-up and live proposes cover the rest. The stream is
         // reset in memory even when saving that fails, and the claim's
         // checkpoint saves the same file next.
+        // spinlint: allow(E1) -- reset in memory anyway; the claim's checkpoint saves next
         let _ = self.wal.retire_stream(range);
         let joiner = Successor {
             id: range,

@@ -337,11 +337,11 @@ pub struct RangeReplica {
     /// Number of maintenance samples taken since attach (hysteresis: no
     /// automatic resharding before the statistics settle).
     pub(crate) samples: u64,
-    /// Leader: writes assigned an LSN and queued while a propose flush's
-    /// force was in flight — the accumulating **group propose**. Drained
-    /// into one log record / one consensus round when the force
-    /// completes (or the batch cap is hit).
-    pub(crate) unproposed: Vec<(Lsn, WriteOp)>,
+    /// Leader: the LSNs of writes assigned and queued while a propose
+    /// flush's force was in flight — the accumulating **group propose**,
+    /// the commit queue's tail. Drained into one log record / one
+    /// consensus round when the force completes (or the batch cap is hit).
+    pub(crate) unproposed: Vec<Lsn>,
     /// Leader: a propose flush's log force is in flight; new writes
     /// accumulate into `unproposed` until it completes.
     pub(crate) proposing: bool,
@@ -726,13 +726,12 @@ impl RangeReplica {
     /// Queue every write of `group` as pending, sharing its batch.
     fn queue_group(&mut self, (first, ops): &Group, self_forced: bool) {
         for index in 0..ops.len() {
-            self.cq.insert(PendingWrite {
+            let pw = PendingWrite {
                 lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
                 op: PendingOp::Shared { batch: ops.clone(), index },
                 client: None,
-                ackers: BTreeSet::new(),
-                self_forced,
-            });
+            };
+            self.cq.insert(pw, self_forced);
         }
     }
 
@@ -923,19 +922,12 @@ impl RangeReplica {
         // timestamp.
         let ts = (self.last_ts + 1).max(self.served_ts + 1).max(rt.now);
         self.last_ts = ts;
-        let op = WriteOp { key, cells, timestamp: ts };
-        // The one copy of the op this node makes: the queue's, needed
-        // from now on for conditional checks against pending state. The
-        // original goes into the group propose, which everything else
-        // shares.
-        self.cq.insert(PendingWrite {
-            lsn,
-            op: PendingOp::Own(op.clone()),
-            client: Some((from, req.req)),
-            ackers: BTreeSet::new(),
-            self_forced: false,
-        });
-        self.unproposed.push((lsn, op));
+        // The op moves into the queue, where conditional checks see it
+        // from now on; the flush moves it on into the group propose,
+        // which the log record, the messages and the queue then share.
+        let op = PendingOp::Own(WriteOp { key, cells, timestamp: ts });
+        self.cq.insert(PendingWrite { lsn, op, client: Some((from, req.req)) }, false);
+        self.unproposed.push(lsn);
         // Group propose (Fig. 4, amortized): while a flush's force is in
         // flight, later writes accumulate and ship as ONE log record, ONE
         // force, and ONE propose/ack round when it completes — or sooner
@@ -955,11 +947,13 @@ impl RangeReplica {
         if self.unproposed.is_empty() {
             return;
         }
-        let first = self.unproposed[0].0;
-        let last = self.unproposed[self.unproposed.len() - 1].0;
-        // The ops move into one immutable batch; the log record, both
-        // propose messages and the followers' queues share it.
-        let ops: Arc<[WriteOp]> = self.unproposed.drain(..).map(|(_, op)| op).collect();
+        let first = self.unproposed[0];
+        let last = self.unproposed[self.unproposed.len() - 1];
+        // The ops move out of the queue's tail into one immutable batch;
+        // the log record, both propose messages and every queue share it.
+        let ops = self.cq.share_from(first);
+        debug_assert_eq!(ops.len(), self.unproposed.len(), "the tail is the unproposed writes");
+        self.unproposed.clear();
         let bytes = ops.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32;
         let rec = LogRecord::batch(self.range, first, ops.clone());
         if rt.wal.append(&rec).is_err() {
@@ -1460,8 +1454,7 @@ impl RangeReplica {
         }
         // Majority of 3 = leader + 1 follower ack.
         let needed_acks = rt.ring.replication() / 2;
-        let committed = self.cq.drain_committable(self.last_committed, needed_acks);
-        for pw in committed {
+        for pw in self.cq.drain_committable(self.last_committed, needed_acks) {
             self.store.apply(&pw.op, pw.lsn);
             self.last_committed = pw.lsn;
             if let Some((addr, req)) = pw.client {
@@ -1606,6 +1599,7 @@ impl RangeReplica {
         }
         // Non-forced by design: a note that fails to log (or is lost in
         // a crash) only makes local recovery replay from an older f.cmt.
+        // spinlint: allow(E1) -- a lost note only replays from an older f.cmt
         let _ = rt.wal.append(&LogRecord::commit_note(self.range, lsn));
         rt.forces.add_bytes(charged);
         self.last_note = lsn;
@@ -1877,6 +1871,7 @@ impl RangeReplica {
                 return;
             };
             // A checkpoint that fails to save replays more, never less.
+            // spinlint: allow(E1) -- a lost checkpoint only replays more
             let _ = rt.wal.set_checkpoint(self.range, flushed.map_or(up_to, |f| f.max(up_to)));
         }
         self.last_committed = up_to.max(self.last_committed);
@@ -1977,6 +1972,7 @@ impl RangeReplica {
                 // Safe to ignore: the rows are in a table the saved
                 // manifest lists, and a checkpoint that fails to save
                 // makes recovery replay more of the log, never less.
+                // spinlint: allow(E1) -- a lost checkpoint only replays more
                 let _ = rt.wal.set_checkpoint(self.range, flushed);
             }
             if self.store.maybe_compact().is_err() {

@@ -53,7 +53,7 @@
 //!     key: spinnaker_common::Key::from("user:42"),
 //!     cells: vec![(bytes::Bytes::from_static(b"email"), bytes::Bytes::from_static(b"x@y.z"))],
 //! });
-//! let req = session.launch()[0];
+//! let req = session.launch().start;
 //!
 //! // The session picks the target node and builds the wire request;
 //! // a real host hands `wire` to its transport.
@@ -72,6 +72,7 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use rand::Rng;
 
@@ -312,9 +313,10 @@ impl Session {
     }
 
     /// Move queued calls into the window. Returns the request ids to
-    /// transmit (empty when the window is full or the queue is empty).
-    pub fn launch(&mut self) -> Vec<RequestId> {
-        let mut reqs = Vec::new();
+    /// transmit (empty when the window is full or the queue is empty):
+    /// they are minted consecutively, so a range holds them all.
+    pub fn launch(&mut self) -> Range<RequestId> {
+        let first = self.next_req;
         while self.pending.len() < self.window {
             let Some((call, op)) = self.queue.pop_front() else { break };
             let cursor = match &op {
@@ -326,9 +328,8 @@ impl Session {
                 req,
                 InFlight { call, op, cursor, acc: Vec::new(), pinned_ts: 0, prefer_leader: false },
             );
-            reqs.push(req);
         }
-        reqs
+        first..self.next_req
     }
 
     fn fresh_req(&mut self) -> RequestId {
@@ -610,14 +611,14 @@ mod tests {
             });
         }
         let launched = s.launch();
-        assert_eq!(launched.len(), 2, "window of 2 admits 2");
+        assert_eq!(launched.clone().count(), 2, "window of 2 admits 2");
         assert_eq!(s.pending_len(), 2);
         assert_eq!(s.queued_len(), 3);
         // Completing one frees one slot.
         let step =
-            s.on_reply(ClientReply::WriteOk { req: launched[0], version: 1, ts: 1 }, || None);
+            s.on_reply(ClientReply::WriteOk { req: launched.start, version: 1, ts: 1 }, || None);
         assert!(matches!(step, SessionStep::Done { .. }));
-        assert_eq!(s.launch().len(), 1);
+        assert_eq!(s.launch().count(), 1);
     }
 
     /// `launch` gives every non-scan call `Key::default()` as its cursor.
@@ -635,7 +636,7 @@ mod tests {
             columns: ColumnSelect::All,
             consistency: Consistency::Strong,
         });
-        let req = s.launch()[0];
+        let req = s.launch().start;
         let cursor = &s.pending[&req].cursor;
         assert_eq!(cursor.as_bytes().as_ptr(), a.as_bytes().as_ptr());
     }
@@ -647,7 +648,7 @@ mod tests {
             key: Key::from("k"),
             cells: vec![(bytes::Bytes::from_static(b"c"), bytes::Bytes::from_static(b"v"))],
         });
-        let old = s.launch()[0];
+        let old = s.launch().start;
         let fresh = s.on_timeout(old).expect("still pending");
         assert_ne!(old, fresh);
         // The superseded id completes nothing.
@@ -682,7 +683,7 @@ mod tests {
             page: 2,
             consistency: Consistency::Strong,
         });
-        let r1 = s.launch()[0];
+        let r1 = s.launch().start;
         let row = |k: &str| ScanRow { key: Key::from(k), cells: Vec::new() };
         let step = s.on_reply(
             ClientReply::Rows {

@@ -5,7 +5,7 @@
 //! runs with replayable failures) only works if the replicated state
 //! machine, codecs, and recovery paths are actually deterministic and
 //! total. spinlint is a zero-dependency token-level linter that walks
-//! every workspace `.rs` file and enforces five rules:
+//! every workspace `.rs` file and enforces six rules:
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -14,6 +14,7 @@
 //! | `C1` | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery paths |
 //! | `C2` | no truncating `as` integer casts in wire/WAL codecs |
 //! | `P1` | no wildcard `_` arms in matches over protocol enums |
+//! | `E1` | no `let _ =` discarding a log / file-system / store result in the node runtime |
 //!
 //! Scope lives in `lint.toml` at the workspace root; per-site escapes
 //! are in-source waivers of the form

@@ -1,4 +1,4 @@
-//! The five spinlint rules plus waiver application.
+//! The six spinlint rules plus waiver application.
 //!
 //! Every rule is a pattern over the flat token stream from
 //! [`crate::lexer`]; none needs a real parse. See ARCHITECTURE.md
@@ -10,7 +10,7 @@ use crate::lexer::{self, Tok, TokKind};
 /// One diagnostic.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Rule name (`D1`, `D2`, `C1`, `C2`, `P1`, or `W0` for waiver
+    /// Rule name (`D1`, `D2`, `C1`, `C2`, `P1`, `E1`, or `W0` for waiver
     /// hygiene problems).
     pub rule: String,
     /// Workspace-relative path.
@@ -54,7 +54,7 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
             });
         }
         for r in &w.rules {
-            if !matches!(r.as_str(), "D1" | "D2" | "C1" | "C2" | "P1") {
+            if !matches!(r.as_str(), "D1" | "D2" | "C1" | "C2" | "P1" | "E1") {
                 out.push(Violation {
                     rule: "W0".into(),
                     path: path.into(),
@@ -77,6 +77,9 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
     }
     if cfg.applies("C2", path) {
         rule_c2(path, &toks, &mut out);
+    }
+    if cfg.applies("E1", path) {
+        rule_e1(path, &toks, &mut out);
     }
     if cfg.applies("P1", path) {
         let enums = cfg.protocol_enums();
@@ -231,6 +234,57 @@ fn rule_c2(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+/// E1 — discarded store results: a `let _ =` whose expression calls
+/// into the log, the file system or the store (`.wal.`, `.vfs.`,
+/// `.store.`) drops an I/O error unseen. An error there must fail-stop
+/// the node or reach the caller; a deliberate ignore carries a waiver
+/// saying why losing it is safe.
+fn rule_e1(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
+    const FIELDS: &[&str] = &["wal", "vfs", "store"];
+    for (i, t) in toks.iter().enumerate() {
+        let discard = t.is_ident("let")
+            && toks.get(i + 1).is_some_and(|n| n.is_ident("_"))
+            && toks.get(i + 2).is_some_and(|n| n.is_punct('='));
+        if !discard {
+            continue;
+        }
+        // The expression runs to the statement's `;` outside delimiters.
+        let mut reached: Option<&str> = None;
+        let mut depth = 0i64;
+        let mut k = i + 3;
+        while let Some(tok) = toks.get(k) {
+            if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
+                depth += 1;
+            } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+            } else if tok.is_punct(';') && depth == 0 {
+                break;
+            } else if tok.is_punct('.') && toks.get(k + 2).is_some_and(|n| n.is_punct('.')) {
+                let field = toks.get(k + 1).filter(|n| n.kind == TokKind::Ident);
+                if let Some(f) = field.filter(|f| FIELDS.contains(&f.text.as_str())) {
+                    reached.get_or_insert(f.text.as_str());
+                }
+            }
+            k += 1;
+        }
+        if let Some(field) = reached {
+            push(
+                out,
+                "E1",
+                path,
+                t.line,
+                format!(
+                    "`let _ =` discards the result of a `.{field}.` call; fail-stop, \
+                     return it, or waive with the reason it may be lost"
+                ),
+            );
         }
     }
 }

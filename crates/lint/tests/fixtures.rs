@@ -16,6 +16,8 @@ scope = ["fixtures/"]
 scope = ["fixtures/"]
 [rule.C2]
 scope = ["fixtures/"]
+[rule.E1]
+scope = ["fixtures/"]
 [rule.P1]
 scope = ["fixtures/"]
 enums = ["ClientOp", "ClientReply", "PeerMsg", "NodeInput"]
@@ -57,6 +59,19 @@ fn c2_fixture_flags_truncating_casts_only() {
     let got = lint_source("fixtures/c2_cast.rs", include_str!("../fixtures/c2_cast.rs"), &cfg());
     assert!(got.iter().all(|v| v.rule == "C2"), "{got:?}");
     assert_eq!(lines(&got, "C2"), vec![3, 4]);
+}
+
+#[test]
+fn e1_fixture_flags_discarded_log_vfs_and_store_results() {
+    let got =
+        lint_source("fixtures/e1_discard.rs", include_str!("../fixtures/e1_discard.rs"), &cfg());
+    assert!(got.iter().all(|v| v.rule == "E1"), "{got:?}");
+    // `.wal.`, `.vfs.`, a `.store.` split over lines, and the waived
+    // checkpoint — not the coordination call, the bare binding, the
+    // named binding, the used result or the #[cfg(test)] module.
+    assert_eq!(lines(&got, "E1"), vec![3, 4, 5, 13]);
+    let waived: Vec<u32> = got.iter().filter(|v| v.waived).map(|v| v.line).collect();
+    assert_eq!(waived, vec![13]);
 }
 
 #[test]
