@@ -124,17 +124,25 @@ impl Encode for CellOp {
     }
 }
 
+/// One cell's column name and, for a put, its value, both still borrowed:
+/// the single parse [`CellOp::decode_from`] and [`WriteOp::skip`] run, so
+/// the two accept and reject exactly the same bytes.
+fn get_cell_parts<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], Option<&'a [u8]>)> {
+    match codec::get_u8(buf)? {
+        0 => Ok((codec::get_byte_slice(buf)?, Some(codec::get_byte_slice(buf)?))),
+        1 => Ok((codec::get_byte_slice(buf)?, None)),
+        tag => Err(Error::Codec(format!("bad CellOp tag {tag}"))),
+    }
+}
+
 impl Decode for CellOp {
     fn decode_from(buf: &mut Source<'_>) -> Result<CellOp> {
-        match codec::get_u8(buf)? {
-            0 => {
-                let col = buf.bytes()?;
-                let value = buf.bytes()?;
-                Ok(CellOp::Put { col, value })
-            }
-            1 => Ok(CellOp::Delete { col: buf.bytes()? }),
-            tag => Err(Error::Codec(format!("bad CellOp tag {tag}"))),
-        }
+        let (col, value) = get_cell_parts(buf)?;
+        let col = buf.keep(col);
+        Ok(match value {
+            Some(value) => CellOp::Put { col, value: buf.keep(value) },
+            None => CellOp::Delete { col },
+        })
     }
 }
 
@@ -149,19 +157,41 @@ impl Encode for WriteOp {
     }
 }
 
+/// An op's key, timestamp and cell count, the key still borrowed: the
+/// single parse [`WriteOp::decode_from`] and [`WriteOp::skip`] run.
+fn get_op_head<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], Timestamp, usize)> {
+    let key = codec::get_byte_slice(buf)?;
+    let timestamp = codec::get_u64(buf)?;
+    let n = codec::get_varint(buf)? as usize;
+    if n == 0 {
+        return Err(Error::Codec("WriteOp with zero cells".into()));
+    }
+    Ok((key, timestamp, n))
+}
+
 impl Decode for WriteOp {
     fn decode_from(buf: &mut Source<'_>) -> Result<WriteOp> {
-        let key = Key::decode_from(buf)?;
-        let timestamp = codec::get_u64(buf)?;
-        let n = codec::get_varint(buf)? as usize;
-        if n == 0 {
-            return Err(Error::Codec("WriteOp with zero cells".into()));
-        }
+        let (key, timestamp, n) = get_op_head(buf)?;
+        let key = Key(buf.keep(key));
         let mut cells = Vec::with_capacity(n.min(64));
         for _ in 0..n {
             cells.push(CellOp::decode_from(buf)?);
         }
         Ok(WriteOp { key, timestamp, cells })
+    }
+}
+
+impl WriteOp {
+    /// Advance `buf` past one encoded op without allocating — what the
+    /// log's recovery scan walks a frame's ops with, the way
+    /// [`codec::skip_row`] walks a block's rows. Succeeds on, and
+    /// consumes, exactly the bytes [`WriteOp::decode`] does.
+    pub fn skip(buf: &mut &[u8]) -> Result<()> {
+        let (_, _, n) = get_op_head(buf)?;
+        for _ in 0..n {
+            get_cell_parts(buf)?;
+        }
+        Ok(())
     }
 }
 
@@ -196,6 +226,34 @@ mod tests {
         };
         let enc = op.encode_to_vec();
         assert_eq!(WriteOp::decode(&mut enc.as_slice()).unwrap(), op);
+    }
+
+    #[test]
+    fn skip_consumes_and_refuses_what_decode_does() {
+        let op = WriteOp {
+            key: Key::from("row1"),
+            cells: vec![
+                CellOp::Put { col: Bytes::from_static(b"a"), value: Bytes::from_static(b"1") },
+                CellOp::Delete { col: Bytes::from_static(b"b") },
+            ],
+            timestamp: 77,
+        };
+        let mut enc = op.encode_to_vec();
+        enc.push(0xee);
+        let mut bad_tag = enc.clone();
+        bad_tag[1 + 4 + 8 + 1] = 7; // the first cell's tag, after key, timestamp and count
+        assert!(
+            WriteOp::skip(&mut bad_tag.as_slice()).is_err_and(|e| e.to_string().contains("tag"))
+        );
+        let inputs = (0..=enc.len()).map(|cut| enc[..cut].to_vec()).chain([bad_tag]);
+        for input in inputs {
+            let (mut d, mut s) = (input.as_slice(), input.as_slice());
+            match (WriteOp::decode(&mut d), WriteOp::skip(&mut s)) {
+                (Ok(_), Ok(())) => assert_eq!(d.len(), s.len(), "{input:?}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{input:?}: decode {a:?}, skip {b:?}"),
+            }
+        }
     }
 
     #[test]

@@ -34,15 +34,22 @@ pub fn assert_decodes_alike<T: Decode + PartialEq + Debug>(buf: &[u8]) {
     }
 }
 
-/// [`assert_decodes_alike`] over `enc` as it is, cut short at every
-/// length, and with the bit `flip` selects inverted.
-pub fn assert_decodes_alike_when_damaged<T: Decode + PartialEq + Debug>(enc: &[u8], flip: usize) {
-    for cut in 0..=enc.len() {
-        assert_decodes_alike::<T>(&enc[..cut]);
-    }
+/// The damaged forms of `enc` the checks here run over: `enc` cut short
+/// at every length (the whole of it last), and `enc` with the bit `flip`
+/// selects inverted.
+pub fn damaged(enc: &[u8], flip: usize) -> Vec<Vec<u8>> {
+    let mut forms: Vec<Vec<u8>> = (0..=enc.len()).map(|cut| enc[..cut].to_vec()).collect();
     if !enc.is_empty() {
         let mut flipped = enc.to_vec();
         flipped[flip / 8 % enc.len()] ^= 1 << (flip % 8);
-        assert_decodes_alike::<T>(&flipped);
+        forms.push(flipped);
+    }
+    forms
+}
+
+/// [`assert_decodes_alike`] over every [`damaged`] form of `enc`.
+pub fn assert_decodes_alike_when_damaged<T: Decode + PartialEq + Debug>(enc: &[u8], flip: usize) {
+    for form in damaged(enc, flip) {
+        assert_decodes_alike::<T>(&form);
     }
 }

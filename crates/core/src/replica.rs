@@ -1821,21 +1821,35 @@ impl RangeReplica {
         // Which of our own records beyond f.cmt does the leader's history
         // confirm? Anything else in (f.cmt, up_to] was discarded by a
         // previous leader change and must never replay: logical
-        // truncation. A log we cannot read, or a truncation we cannot
+        // truncation. Our tail comes off the log's index in LSN order,
+        // as the reply's records come, so one walk beside them finds
+        // both the orphans and the records we already hold — it reads no
+        // log. A tail below the log's floor, or a truncation we cannot
         // make durable, poisons the node: confirming the catch-up would
         // let local recovery replay an orphan up to the new watermark.
-        let mut own: BTreeSet<Lsn> = BTreeSet::new();
-        let replayed = rt.wal.replay(self.range, f_cmt, st.last_lsn, |lsn, _| {
-            own.insert(lsn);
-        });
-        if replayed.is_err() {
+        debug_assert!(records.windows(2).all(|w| w[0].0 < w[1].0), "records in LSN order");
+        let Ok(mut own) = rt.wal.indexed_lsns(self.range, f_cmt, st.last_lsn) else {
             *rt.poisoned = true;
             return;
+        };
+        let mut orphans = Vec::new();
+        let mut held = Vec::with_capacity(records.len());
+        let mut next = own.next();
+        for (lsn, _) in &records {
+            while let Some(orphan) = next.filter(|o| o < lsn) {
+                if orphan <= up_to {
+                    orphans.push(orphan);
+                }
+                next = own.next();
+            }
+            let holds = next == Some(*lsn);
+            if holds {
+                next = own.next();
+            }
+            held.push(holds);
         }
-        let received: BTreeSet<Lsn> = records.iter().map(|(l, _)| *l).collect();
-        let to_truncate: Vec<Lsn> =
-            own.iter().copied().filter(|l| *l <= up_to && !received.contains(l)).collect();
-        if rt.wal.truncate_logically(self.range, &to_truncate).is_err() {
+        orphans.extend(next.into_iter().chain(own).filter(|o| *o <= up_to));
+        if rt.wal.truncate_logically(self.range, &orphans).is_err() {
             *rt.poisoned = true;
             return;
         }
@@ -1845,8 +1859,8 @@ impl RangeReplica {
         // (`CaughtUp` below) over a hole in the log would let a later
         // election elect us with committed writes missing.
         let mut appended = false;
-        for (lsn, op) in &records {
-            if !own.contains(lsn) {
+        for ((lsn, op), held) in records.iter().zip(held) {
+            if !held {
                 if rt.wal.append(&LogRecord::write(self.range, *lsn, op.clone())).is_err() {
                     *rt.poisoned = true;
                     return;

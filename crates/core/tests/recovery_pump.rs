@@ -646,13 +646,33 @@ fn a_catch_up_whose_truncation_fails_to_save_fail_stops() {
     catch_up_over_a_fault(|plan| plan.fail_sync_after(1));
 }
 
-/// A catch-up that cannot read its own log past the watermark cannot tell
-/// which records to truncate. At the parent commit it truncated nothing
-/// and carried on, and after a restart served the orphan; it fail-stops
-/// instead.
+/// A catch-up finds its orphans in the log's index, not by reading the
+/// log back: with node 2's log device set to fail its next read, node 2
+/// still truncates the orphan 1.5 and confirms, and no read was tried.
+/// (Catch-up used to replay its own tail to list its LSNs, and
+/// fail-stopped on this fault.) After a restart from what its disk kept,
+/// node 2 does not serve the orphan.
 #[test]
-fn a_catch_up_that_cannot_read_its_log_fail_stops() {
-    catch_up_over_a_fault(|plan| plan.fail_read_after(1));
+fn a_catch_up_truncates_its_orphan_without_reading_its_log() {
+    let (mut p, reply) = orphan_awaiting_truncation();
+    let leader = p.leader_of(R0);
+    p.faults[2].fail_read_after(1);
+    let since = p.sent.len();
+    p.feed(2, NodeInput::Peer { from: leader as u32, msg: reply });
+    p.run();
+    assert_eq!(p.faults[2].injected(), 0, "the catch-up read its log");
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.node(2).last_committed(R0), lsn(2, 6));
+    let confirmed = |(from, to, m): &(usize, usize, PeerMsg)| {
+        (*from, *to) == (2, leader) && matches!(m, PeerMsg::CaughtUp { range: R0, .. })
+    };
+    assert!(p.sent[since..].iter().any(confirmed), "node 2 confirmed");
+    p.faults[2].disarm();
+    p.crash(2);
+    p.boot(2);
+    p.run();
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.read(2, 5), None, "the orphan was replayed");
 }
 
 /// A block the leader cannot read is not an absent row. Keys 1-4 live in

@@ -5,9 +5,14 @@
 //! spinnaker-nemesis --seed X [--shrink]            # replay one seed
 //! spinnaker-nemesis --soak [--start-seed S]        # unbounded local soak
 //! spinnaker-nemesis --artifact-dir DIR ...         # dump failing histories
+//! spinnaker-nemesis --history-crc [--seeds N] [--start-seed S]
 //! ```
 //!
 //! Every failure prints the seed; the seed alone reproduces the run.
+//! `--history-crc` prints `seed <n> crc32c <hex>` per seed instead, the
+//! checksum of the seed's serialized history, and sweeps on past a
+//! failure: two builds ran the same histories exactly when the two
+//! outputs `diff` equal.
 
 use std::process::ExitCode;
 
@@ -21,6 +26,7 @@ struct Args {
     soak: bool,
     shrink: bool,
     artifact_dir: Option<String>,
+    history_crc: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -31,6 +37,7 @@ fn parse_args() -> Result<Args, String> {
         soak: false,
         shrink: false,
         artifact_dir: None,
+        history_crc: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -44,10 +51,11 @@ fn parse_args() -> Result<Args, String> {
             "--soak" => args.soak = true,
             "--shrink" => args.shrink = true,
             "--artifact-dir" => args.artifact_dir = Some(value("--artifact-dir")?),
+            "--history-crc" => args.history_crc = true,
             "--help" | "-h" => {
                 println!(
                     "usage: spinnaker-nemesis [--seeds N] [--start-seed S] [--seed X] \
-                     [--soak] [--shrink] [--artifact-dir DIR]"
+                     [--soak] [--shrink] [--artifact-dir DIR] [--history-crc]"
                 );
                 std::process::exit(0);
             }
@@ -138,6 +146,26 @@ fn run_one(seed: u64, args: &Args, dissolves: &mut DissolveCoverage) -> bool {
     }
 }
 
+/// The `--history-crc` sweep: one checksum line per seed, failing or
+/// not, then the failing seeds.
+fn print_history_crcs(args: &Args) -> ExitCode {
+    let mut failing = Vec::new();
+    for seed in args.start_seed..args.start_seed + args.seeds {
+        let report = campaign::run_seed(seed);
+        let crc = spinnaker_common::crc32c::crc32c(report.history.serialize().as_bytes());
+        println!("seed {seed} crc32c {crc:08x}");
+        if report.failed() {
+            failing.push(seed.to_string());
+        }
+    }
+    println!("failing seeds: [{}]", failing.join(" "));
+    if failing.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -146,6 +174,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    if args.history_crc {
+        return print_history_crcs(&args);
+    }
 
     // Successors built per dissolve entry point / claim over the sweep, as
     // `empty tail + re-homed tail (records)`: what the reshard paths saw.

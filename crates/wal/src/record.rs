@@ -12,6 +12,12 @@
 //! encodes the body behind it, and patches length and checksum in — the
 //! log appends from one buffer it reuses, and [`encode_frame`] is the
 //! same encoder over a fresh one.
+//!
+//! Reading back has two depths. [`read_frame`] decodes the record, for
+//! replay. [`scan_frame`] checks the same length and checksum and
+//! validates the same body, but keeps only its [`RecordHeader`] —
+//! cohort, LSN and op count — walking the ops where they lie: the
+//! recovery scan indexes a log with it and allocates nothing per frame.
 
 use std::sync::Arc;
 
@@ -100,6 +106,11 @@ impl LogRecord {
         self.ops().len() as u64
     }
 
+    /// The fields the log indexes the record by.
+    pub fn header(&self) -> RecordHeader {
+        RecordHeader { cohort: self.cohort, lsn: self.lsn, ops: self.ops().len() }
+    }
+
     /// The LSN of this record's last write (`lsn` itself for singles and
     /// commit notes).
     pub fn last_lsn(&self) -> Lsn {
@@ -131,26 +142,52 @@ impl Encode for LogRecord {
     }
 }
 
+/// What a record is indexed by: everything in front of its ops.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RecordHeader {
+    /// Cohort the record belongs to.
+    pub cohort: RangeId,
+    /// The record's LSN: its first write's, or the one a commit note notes.
+    pub lsn: Lsn,
+    /// Writes the record carries: 0 for a commit note.
+    pub ops: usize,
+}
+
+/// Read a record's header — cohort, LSN, tag and, for a batch, its op
+/// count — the one way [`LogRecord::decode_from`] and [`scan_frame`]
+/// both read it, so the two refuse the same bodies with the same errors.
+fn get_header(buf: &mut &[u8]) -> Result<RecordHeader> {
+    let cohort = RangeId(codec::get_varint_u32(buf)?);
+    let lsn = Lsn::from_u64(codec::get_u64(buf)?);
+    let ops = match codec::get_u8(buf)? {
+        0 => 1,
+        1 => 0,
+        2 => {
+            // A WriteOp is at least a tag byte plus a 1-byte key.
+            let n = codec::get_varint_len(buf, "batch ops", 2)?;
+            if n < 2 {
+                return Err(Error::Codec(format!("batch record with {n} ops")));
+            }
+            n
+        }
+        tag => return Err(Error::Codec(format!("bad LogRecord tag {tag}"))),
+    };
+    Ok(RecordHeader { cohort, lsn, ops })
+}
+
 impl Decode for LogRecord {
     fn decode_from(buf: &mut Source<'_>) -> Result<LogRecord> {
-        let cohort = RangeId(codec::get_varint_u32(buf)?);
-        let lsn = Lsn::decode_from(buf)?;
-        let payload = match codec::get_u8(buf)? {
-            0 => Payload::Writes(Arc::from([WriteOp::decode_from(buf)?])),
-            1 => Payload::CommitNote,
-            2 => {
-                // A WriteOp is at least a tag byte plus a 1-byte key.
-                let n = codec::get_varint_len(buf, "batch ops", 2)?;
-                if n < 2 {
-                    return Err(Error::Codec(format!("batch record with {n} ops")));
-                }
+        let RecordHeader { cohort, lsn, ops } = get_header(buf)?;
+        let payload = match ops {
+            0 => Payload::CommitNote,
+            1 => Payload::Writes(Arc::from([WriteOp::decode_from(buf)?])),
+            n => {
                 let mut ops = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     ops.push(WriteOp::decode_from(buf)?);
                 }
                 Payload::Writes(ops.into())
             }
-            tag => return Err(Error::Codec(format!("bad LogRecord tag {tag}"))),
         };
         Ok(LogRecord { cohort, lsn, payload })
     }
@@ -190,18 +227,28 @@ pub fn encode_frame(record: &LogRecord) -> Result<Vec<u8>> {
 
 /// Outcome of attempting to read one frame from a buffer position.
 #[derive(Debug)]
-pub enum FrameRead {
-    /// A valid frame: the record and the total bytes consumed.
-    Record(Box<LogRecord>, usize),
+pub enum FrameRead<R = LogRecord> {
+    /// A valid frame: what was read of it (the record, or its header)
+    /// and the total bytes consumed.
+    Record(R, usize),
     /// The buffer ends before a complete, valid frame: a torn tail if this
     /// is the end of the newest segment, corruption otherwise.
     Torn(&'static str),
 }
 
-/// Try to decode one frame from the front of `src`. Over a shared source
-/// the record's keys, column names and values are views of the buffer
-/// the frame was read into.
-pub fn read_frame(mut src: Source<'_>) -> Result<FrameRead> {
+impl<R> FrameRead<R> {
+    /// Read a valid frame's contents with `f`; a torn frame stays torn.
+    fn and_then<T>(self, f: impl FnOnce(R) -> Result<T>) -> Result<FrameRead<T>> {
+        Ok(match self {
+            FrameRead::Record(r, n) => FrameRead::Record(f(r)?, n),
+            FrameRead::Torn(why) => FrameRead::Torn(why),
+        })
+    }
+}
+
+/// Check the frame at the front of `src` — a plausible length, the whole
+/// body present, a matching checksum — and cut its body off.
+fn checked_body(mut src: Source<'_>) -> Result<FrameRead<Source<'_>>> {
     if src.len() < FRAME_HEADER {
         return Ok(FrameRead::Torn("short header"));
     }
@@ -212,17 +259,48 @@ pub fn read_frame(mut src: Source<'_>) -> Result<FrameRead> {
     }
     let len = usize::try_from(len32)
         .map_err(|_| Error::Codec(format!("frame length {len32} overflows usize")))?;
-    let Some(mut body) = src.take(len) else {
+    let Some(body) = src.take(len) else {
         return Ok(FrameRead::Torn("short body"));
     };
     if crc32c::masked(crc32c::crc32c(body.rest())) != stored_crc {
         return Ok(FrameRead::Torn("checksum mismatch"));
     }
-    let record = LogRecord::decode_from(&mut body)?;
-    if !body.is_empty() {
-        return Err(Error::Codec("trailing bytes in record body".into()));
+    Ok(FrameRead::Record(body, FRAME_HEADER + len))
+}
+
+fn no_trailing_bytes(body: &[u8]) -> Result<()> {
+    if body.is_empty() {
+        Ok(())
+    } else {
+        Err(Error::Codec("trailing bytes in record body".into()))
     }
-    Ok(FrameRead::Record(Box::new(record), FRAME_HEADER + len))
+}
+
+/// Try to decode one frame from the front of `src`. Over a shared source
+/// the record's keys, column names and values are views of the buffer
+/// the frame was read into.
+pub fn read_frame(src: Source<'_>) -> Result<FrameRead> {
+    checked_body(src)?.and_then(|mut body| {
+        let record = LogRecord::decode_from(&mut body)?;
+        no_trailing_bytes(&body)?;
+        Ok(record)
+    })
+}
+
+/// [`read_frame`] that keeps only the record's header: the same checks,
+/// and the ops walked over with [`WriteOp::skip`] instead of decoded. It
+/// succeeds, fails and calls a frame torn exactly where `read_frame`
+/// does, and allocates nothing.
+pub fn scan_frame(buf: &[u8]) -> Result<FrameRead<RecordHeader>> {
+    checked_body(Source::copying(buf))?.and_then(|body| {
+        let mut rest = body.rest();
+        let header = get_header(&mut rest)?;
+        for _ in 0..header.ops {
+            WriteOp::skip(&mut rest)?;
+        }
+        no_trailing_bytes(rest)?;
+        Ok(header)
+    })
 }
 
 #[cfg(test)]
@@ -240,7 +318,7 @@ mod tests {
         let frame = encode_frame(&rec).unwrap();
         match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, n) => {
-                assert_eq!(*r, rec);
+                assert_eq!(r, rec);
                 assert_eq!(n, frame.len());
             }
             other => panic!("expected record, got {other:?}"),
@@ -253,7 +331,7 @@ mod tests {
         let frame = encode_frame(&rec).unwrap();
         match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, _) => {
-                assert_eq!(*r, rec);
+                assert_eq!(r, rec);
                 assert!(!r.is_write());
             }
             other => panic!("expected record, got {other:?}"),
@@ -302,7 +380,7 @@ mod tests {
         let frame = encode_frame(&rec).unwrap();
         match read_frame(Source::copying(&frame)).unwrap() {
             FrameRead::Record(r, n) => {
-                assert_eq!(*r, rec);
+                assert_eq!(r, rec);
                 assert_eq!(n, frame.len());
             }
             other => panic!("expected record, got {other:?}"),
@@ -348,7 +426,7 @@ mod tests {
             let FrameRead::Record(got, n) = read_frame(Source::copying(cursor)).unwrap() else {
                 panic!()
             };
-            assert_eq!(*got, *rec);
+            assert_eq!(got, *rec);
             cursor = &cursor[n..];
         }
         assert!(cursor.is_empty());
@@ -376,10 +454,10 @@ mod tests {
         let FrameRead::Record(first, n) = read_frame(Source::copying(&buf)).unwrap() else {
             panic!()
         };
-        assert_eq!(*first, a);
+        assert_eq!(first, a);
         let FrameRead::Record(second, _) = read_frame(Source::copying(&buf[n..])).unwrap() else {
             panic!()
         };
-        assert_eq!(*second, b);
+        assert_eq!(second, b);
     }
 }

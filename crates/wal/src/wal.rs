@@ -18,7 +18,9 @@ use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
 use crate::checkpoint::Checkpoints;
-use crate::record::{encode_frame_into, read_frame, FrameRead, LogRecord, Payload};
+use crate::record::{
+    encode_frame_into, read_frame, scan_frame, FrameRead, LogRecord, RecordHeader,
+};
 use crate::skipped::SkippedFile;
 
 /// Tuning knobs for the log.
@@ -108,7 +110,10 @@ impl Wal {
     /// A torn tail in the newest segment is tolerated (records after it are
     /// lost, which is correct: they were never acknowledged); a bad frame in
     /// any older segment is reported as corruption. Appends always go to a
-    /// fresh segment so a torn tail is never overwritten.
+    /// fresh segment so a torn tail is never overwritten — and the torn
+    /// segment is first rewritten to its valid prefix, because the fresh
+    /// segment seals it: left as it was, the next open would find the
+    /// damage in a sealed segment and refuse to start.
     pub fn open(vfs: SharedVfs, opts: WalOptions) -> Result<Wal> {
         let checkpoints = Checkpoints::load(vfs.as_ref(), &Self::cp_path(&opts.dir))?;
         let skipped = SkippedFile::load(vfs.as_ref(), &Self::skipped_path(&opts.dir))?;
@@ -130,15 +135,16 @@ impl Wal {
         let mut seg_refs: BTreeMap<u64, usize> = BTreeMap::new();
         let last = seg_ids.last().copied();
         for &id in &seg_ids {
-            let file = vfs.open(&Self::seg_path(&opts.dir, id))?;
+            let path = Self::seg_path(&opts.dir, id);
+            let file = vfs.open(&path)?;
             let len = usize::try_from(file.len()?).map_err(|_| {
                 Error::Corruption(format!("segment {id} is larger than the address space"))
             })?;
             let data = file.read_bytes_at(0, len)?;
             let mut offset = 0usize;
             while offset < data.len() {
-                match read_frame(Source::shared(&data, &data[offset..]))? {
-                    FrameRead::Record(rec, n) => {
+                match scan_frame(&data[offset..])? {
+                    FrameRead::Record(header, n) => {
                         let loc =
                             RecordLoc { segment: id, offset: offset as u64, frame_len: n as u32 };
                         Self::index_record(
@@ -146,7 +152,7 @@ impl Wal {
                             &mut seg_refs,
                             &skipped,
                             &checkpoints,
-                            &rec,
+                            header,
                             loc,
                         );
                         offset += n;
@@ -154,7 +160,9 @@ impl Wal {
                     FrameRead::Torn(why) => {
                         if Some(id) == last {
                             // Torn tail of the newest segment: data past the
-                            // last complete frame was never acknowledged.
+                            // last complete frame was never acknowledged. Cut
+                            // it off before the fresh segment seals this one.
+                            vfs.write_atomic(&path, &data[..offset])?;
                             break;
                         }
                         return Err(Error::Corruption(format!(
@@ -196,36 +204,34 @@ impl Wal {
         seg_refs: &mut BTreeMap<u64, usize>,
         skipped: &SkippedFile,
         checkpoints: &Checkpoints,
-        rec: &LogRecord,
+        header: RecordHeader,
         loc: RecordLoc,
     ) {
-        let entry = index.entry(rec.cohort).or_default();
-        match &rec.payload {
-            // One index entry per op, all pointing at the same frame:
-            // replay, truncation, and checkpointing keep operating
-            // per-LSN however the writes were grouped, and the segment
-            // gets one reference per live entry so partial checkpoints
-            // release it correctly.
-            Payload::Writes(ops) => {
-                let skip = skipped.cohort(rec.cohort);
-                for i in 0..ops.len() as u64 {
-                    let lsn = Lsn::new(rec.lsn.epoch(), rec.lsn.seq() + i);
-                    if skip.is_some_and(|s| s.contains(lsn)) {
-                        continue; // logically truncated: invisible to recovery
-                    }
-                    if lsn > entry.last_lsn {
-                        entry.last_lsn = lsn;
-                    }
-                    if lsn > checkpoints.get(rec.cohort) {
-                        entry.records.insert(lsn, loc);
-                        *seg_refs.entry(loc.segment).or_insert(0) += 1;
-                    }
-                }
+        let RecordHeader { cohort, lsn: first, ops } = header;
+        let entry = index.entry(cohort).or_default();
+        if ops == 0 {
+            // A commit note.
+            if first > entry.last_commit_note {
+                entry.last_commit_note = first;
             }
-            Payload::CommitNote => {
-                if rec.lsn > entry.last_commit_note {
-                    entry.last_commit_note = rec.lsn;
-                }
+            return;
+        }
+        // One index entry per op, all pointing at the same frame: replay,
+        // truncation, and checkpointing keep operating per-LSN however
+        // the writes were grouped, and the segment gets one reference per
+        // live entry so partial checkpoints release it correctly.
+        let skip = skipped.cohort(cohort);
+        for i in 0..ops as u64 {
+            let lsn = Lsn::new(first.epoch(), first.seq() + i);
+            if skip.is_some_and(|s| s.contains(lsn)) {
+                continue; // logically truncated: invisible to recovery
+            }
+            if lsn > entry.last_lsn {
+                entry.last_lsn = lsn;
+            }
+            if lsn > checkpoints.get(cohort) {
+                entry.records.insert(lsn, loc);
+                *seg_refs.entry(loc.segment).or_insert(0) += 1;
             }
         }
     }
@@ -253,7 +259,7 @@ impl Wal {
             &mut self.seg_refs,
             &self.skipped,
             &self.checkpoints,
-            rec,
+            rec.header(),
             loc,
         );
         Ok(loc.segment)
@@ -299,6 +305,50 @@ impl Wal {
         }
     }
 
+    /// The index entries of `cohort` with LSN in `(from, to]`, in LSN
+    /// order: the rules [`Wal::replay`] and [`Wal::indexed_lsns`] share.
+    fn indexed(
+        &self,
+        cohort: RangeId,
+        from: Lsn,
+        to: Lsn,
+    ) -> Result<impl Iterator<Item = (&Lsn, &RecordLoc)>> {
+        let entry = if to <= from {
+            // Empty interval: legal during takeover races where a follower
+            // has committed past the new leader's watermark (its catch-up
+            // request then covers nothing).
+            None
+        } else if let Some(entry) = self.index.get(&cohort) {
+            if from < entry.floor {
+                return Err(Error::NotFound(format!(
+                    "log for {cohort} starts above {from} (floor {})",
+                    entry.floor
+                )));
+            }
+            Some(entry)
+        } else if from == Lsn::ZERO || from >= self.checkpoints.get(cohort) {
+            None
+        } else {
+            return Err(Error::NotFound(format!("cohort {cohort} has no log index")));
+        };
+        let range = (std::ops::Bound::Excluded(from), std::ops::Bound::Included(to));
+        Ok(entry.into_iter().flat_map(move |e| e.records.range(range)))
+    }
+
+    /// The LSNs of `cohort`'s replayable writes in `(from, to]`, in LSN
+    /// order: the LSNs [`Wal::replay`] would visit, read off the index
+    /// without reading the log. Fails where `replay` fails for lack of
+    /// records: with [`Error::NotFound`] when `from` precedes the
+    /// replayable floor.
+    pub fn indexed_lsns(
+        &self,
+        cohort: RangeId,
+        from: Lsn,
+        to: Lsn,
+    ) -> Result<impl Iterator<Item = Lsn> + '_> {
+        Ok(self.indexed(cohort, from, to)?.map(|(&lsn, _)| lsn))
+    }
+
     /// Replay the write records of `cohort` with LSN in `(from, to]`, in
     /// LSN order. Fails with [`Error::NotFound`] when `from` precedes the
     /// replayable floor (checkpointed / garbage-collected territory) —
@@ -310,24 +360,6 @@ impl Wal {
         to: Lsn,
         mut f: impl FnMut(Lsn, &WriteOp),
     ) -> Result<usize> {
-        if to <= from {
-            // Empty interval: legal during takeover races where a follower
-            // has committed past the new leader's watermark (its catch-up
-            // request then covers nothing).
-            return Ok(0);
-        }
-        let Some(entry) = self.index.get(&cohort) else {
-            if from == Lsn::ZERO || from >= self.checkpoints.get(cohort) {
-                return Ok(0);
-            }
-            return Err(Error::NotFound(format!("cohort {cohort} has no log index")));
-        };
-        if from < entry.floor {
-            return Err(Error::NotFound(format!(
-                "log for {cohort} starts above {from} (floor {})",
-                entry.floor
-            )));
-        }
         // The ops of a group propose are consecutive index entries
         // pointing at one frame: read, checksum and decode it once and
         // serve every op of the run from it. Frames of one sealed
@@ -335,9 +367,7 @@ impl Wal {
         let mut held: Option<(RecordLoc, LogRecord)> = None;
         let mut sealed: Option<(u64, Box<dyn VfsFile>)> = None;
         let mut count = 0;
-        for (&lsn, loc) in
-            entry.records.range((std::ops::Bound::Excluded(from), std::ops::Bound::Included(to)))
-        {
+        for (&lsn, loc) in self.indexed(cohort, from, to)? {
             let rec = match &held {
                 Some((at, rec)) if (at.segment, at.offset) == (loc.segment, loc.offset) => rec,
                 _ => &held.insert((*loc, self.read_at(loc, &mut sealed)?)).1,
@@ -387,7 +417,7 @@ impl Wal {
         };
         let frame = file.read_bytes_at(loc.offset, loc.frame_len as usize)?;
         match read_frame(Source::shared(&frame, &frame))? {
-            FrameRead::Record(rec, _) => Ok(*rec),
+            FrameRead::Record(rec, _) => Ok(rec),
             FrameRead::Torn(why) => Err(Error::Corruption(format!(
                 "indexed record unreadable at segment {} offset {}: {why}",
                 loc.segment, loc.offset

@@ -59,6 +59,27 @@ fn torn_partial_frame_at_the_tail_is_tolerated() {
     assert_eq!(wal.read_range(R, Lsn::new(0, 0), Lsn::new(1, 3)).unwrap().len(), 3);
 }
 
+/// Opening a log whose newest segment has a torn tail rolls to a fresh
+/// segment, which seals the torn one. At the parent commit the damage
+/// stayed in it, so the next open found a bad frame in a sealed segment
+/// and refused to start until a checkpoint let the segment be collected.
+/// Open rewrites the segment to its valid prefix before sealing it.
+#[test]
+fn a_torn_tail_survives_a_second_restart() {
+    let vfs = MemVfs::new();
+    seed(&vfs, 3);
+    let mut data = vfs.read_all(SEG1).unwrap();
+    let intact = data.len();
+    data.extend_from_slice(&[0x12, 0x34, 0x56]);
+    vfs.write_atomic(SEG1, &data).unwrap();
+
+    drop(wal_on(&vfs));
+    let wal = wal_on(&vfs);
+    assert_eq!(wal.state(R).last_lsn, Lsn::new(1, 3));
+    assert_eq!(wal.read_range(R, Lsn::new(0, 0), Lsn::new(1, 3)).unwrap().len(), 3);
+    assert_eq!(vfs.read_all(SEG1).unwrap().len(), intact, "cut back to its valid prefix");
+}
+
 #[test]
 fn oversize_length_prefix_is_torn_not_an_allocation() {
     let vfs = MemVfs::new();
@@ -82,6 +103,20 @@ fn bit_flip_in_the_newest_segment_truncates_at_the_flip() {
     // damaged (hence never-trustworthy) record 3 is dropped.
     flip_byte(&vfs, SEG1, 0);
 
+    let wal = wal_on(&vfs);
+    assert_eq!(wal.state(R).last_lsn, Lsn::new(1, 2));
+    assert_eq!(wal.read_range(R, Lsn::new(0, 0), Lsn::new(1, 2)).unwrap().len(), 2);
+}
+
+/// The bit-flip case of [`a_torn_tail_survives_a_second_restart`]: the
+/// damaged last record is cut off the segment before it is sealed.
+#[test]
+fn a_bit_flip_in_the_newest_segment_survives_a_second_restart() {
+    let vfs = MemVfs::new();
+    seed(&vfs, 3);
+    flip_byte(&vfs, SEG1, 0);
+
+    drop(wal_on(&vfs));
     let wal = wal_on(&vfs);
     assert_eq!(wal.state(R).last_lsn, Lsn::new(1, 2));
     assert_eq!(wal.read_range(R, Lsn::new(0, 0), Lsn::new(1, 2)).unwrap().len(), 2);
