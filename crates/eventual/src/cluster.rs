@@ -10,10 +10,11 @@ use rand::Rng;
 
 use spinnaker_common::vfs::MemVfs;
 use spinnaker_common::NodeId;
+use spinnaker_core::client::{ClientStats, SharedStats};
 use spinnaker_core::partition::{u64_to_key, Ring};
 use spinnaker_sim::{
-    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LatencyStats, LogDevice, NetConfig,
-    NetModel, ProcId, Sim, Time, MICROS, MILLIS, SECS,
+    Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LogDevice, NetConfig, NetModel, ProcId,
+    Sim, Time, MICROS, MILLIS, SECS,
 };
 
 use crate::node::{EEffect, ENodeInput, EPeerMsg, EReply, EventualNode, ReadLevel, WriteLevel};
@@ -75,20 +76,6 @@ pub enum EWorkload {
         write_level: WriteLevel,
     },
 }
-
-/// Client statistics (same shape as the Spinnaker client's).
-#[derive(Default)]
-pub struct EClientStats {
-    /// Latency of ops completing inside the window.
-    pub latency: LatencyStats,
-    /// Ops completed inside the window.
-    pub completed: u64,
-    /// Ops completed overall.
-    pub total_completed: u64,
-}
-
-/// Shared stats handle.
-pub type ESharedStats = Rc<RefCell<EClientStats>>;
 
 /// Cluster parameters (mirrors the Spinnaker side for fair comparisons).
 #[derive(Clone, Debug)]
@@ -232,7 +219,7 @@ struct EClientHost {
     nodes: usize,
     workload: EWorkload,
     net: Rc<RefCell<NetModel>>,
-    stats: ESharedStats,
+    stats: SharedStats,
     window: (Time, Time),
     next_req: u64,
     outstanding: Option<(u64, Time)>,
@@ -363,15 +350,17 @@ impl EventualCluster {
         EventualCluster { sim, ring, net, hosts, cfg }
     }
 
-    /// Register a closed-loop client.
+    /// Register a closed-loop client. It fills the latency, `completed`
+    /// and `total_completed` of its [`ClientStats`]; the retry and routing
+    /// counters stay zero.
     pub fn add_client(
         &mut self,
         workload: EWorkload,
         start_at: Time,
         measure_from: Time,
         measure_to: Time,
-    ) -> ESharedStats {
-        let stats: ESharedStats = Rc::new(RefCell::new(EClientStats::default()));
+    ) -> SharedStats {
+        let stats: SharedStats = Rc::new(RefCell::new(ClientStats::default()));
         let value_size = match &workload {
             EWorkload::Writes { value_size, .. } | EWorkload::Mixed { value_size, .. } => {
                 *value_size

@@ -19,7 +19,7 @@ pub mod masterslave;
 pub mod merkle;
 pub mod node;
 
-pub use cluster::{EClientStats, EClusterConfig, EWorkload, EventualCluster};
+pub use cluster::{EClusterConfig, EWorkload, EventualCluster};
 pub use masterslave::{FailoverPolicy, MasterSlavePair};
 pub use merkle::MerkleTree;
 pub use node::{EventualNode, ReadLevel, WriteLevel};

@@ -26,4 +26,4 @@ pub use cpu::CpuModel;
 pub use disk::{DiskOutcome, DiskProfile, ForceToken, LogDevice};
 pub use kernel::{Actor, Ctx, Idle, ProcId, Sim, Time, MICROS, MILLIS, SECS};
 pub use net::{NetConfig, NetModel};
-pub use stats::{LatencyStats, LoadPoint, Series};
+pub use stats::LatencyStats;

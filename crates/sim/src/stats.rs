@@ -1,6 +1,5 @@
 //! Latency statistics: online mean plus a log-scaled histogram for
-//! percentiles, and the sweep/series containers the experiment harness
-//! prints.
+//! percentiles.
 
 use crate::kernel::Time;
 
@@ -117,57 +116,6 @@ impl LatencyStats {
     }
 }
 
-/// One measured point of a load sweep: offered concurrency, achieved
-/// throughput, and the latency distribution.
-#[derive(Clone, Debug)]
-pub struct LoadPoint {
-    /// Number of closed-loop client threads that produced the point.
-    pub clients: usize,
-    /// Achieved operations per second.
-    pub throughput: f64,
-    /// Latency distribution over the measurement window.
-    pub latency: LatencyStats,
-}
-
-/// A named series of load points (one curve in a figure).
-#[derive(Clone, Debug, Default)]
-pub struct Series {
-    /// Curve label as it appears in the paper's legend.
-    pub name: String,
-    /// Measured points, in sweep order.
-    pub points: Vec<LoadPoint>,
-}
-
-impl Series {
-    /// Empty series with a legend name.
-    pub fn new(name: impl Into<String>) -> Series {
-        Series { name: name.into(), points: Vec::new() }
-    }
-
-    /// Render as aligned text rows: `load latency_ms p99_ms`.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.name);
-        let _ = writeln!(
-            out,
-            "{:>10} {:>12} {:>10} {:>10}",
-            "clients", "load(req/s)", "mean(ms)", "p99(ms)"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>12.0} {:>10.2} {:>10.2}",
-                p.clients,
-                p.throughput,
-                p.latency.mean_ms(),
-                p.latency.percentile(99.0) as f64 / 1e6
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::kernel::MILLIS;
@@ -227,17 +175,5 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.min(), 0);
-    }
-
-    #[test]
-    fn series_render_contains_rows() {
-        let mut s = Series::new("Spinnaker Writes");
-        let mut l = LatencyStats::new();
-        l.record(7 * MILLIS);
-        s.points.push(LoadPoint { clients: 4, throughput: 1234.5, latency: l });
-        let text = s.render();
-        assert!(text.contains("Spinnaker Writes"));
-        assert!(text.contains("1235") || text.contains("1234"));
-        assert!(text.contains("7.0"));
     }
 }
