@@ -630,12 +630,13 @@ mod tests {
 
     #[test]
     fn take_cuts_a_framed_body_off_the_front() {
-        let buf = Bytes::from(b"abcdef".to_vec());
+        // Longer than an inline `Bytes`: a buffer with storage to share.
+        let buf = Bytes::from([&b"abcd"[..], &[b'e'; 32]].concat());
         let mut src = Source::shared(&buf, &buf);
-        assert!(src.take(7).is_none(), "not that many left");
-        assert_eq!(src.len(), 6, "and nothing consumed");
+        assert!(src.take(37).is_none(), "not that many left");
+        assert_eq!(src.len(), 36, "and nothing consumed");
         let head = src.take(4).unwrap();
-        assert_eq!((head.rest(), src.rest()), (&b"abcd"[..], &b"ef"[..]));
+        assert_eq!((head.rest(), src.rest()), (&b"abcd"[..], &[b'e'; 32][..]));
         assert_eq!(
             head.keep(&head.rest()[1..3]).as_ptr(),
             buf[1..].as_ptr(),

@@ -211,6 +211,26 @@ fn catch_up_allocates_per_frame_and_op_not_per_cell() {
     assert_eq!(catch_up(64), (leader, follower), "the count does not follow the value size");
 }
 
+/// Naming a row or a column allocates nothing: a key or name of at most
+/// 30 bytes lives inside its `Bytes`, so making, cloning and dropping one
+/// touches no heap. One byte longer, it gets storage.
+#[test]
+fn short_keys_and_column_names_allocate_nothing() {
+    use spinnaker_common::Key;
+    let (allocs, lens) = allocations(|| {
+        let made = (u64_to_key(7), Key::from(&[b'k'; 30][..]), bytes::Bytes::from_static(b"c"));
+        let clones = made.clone();
+        drop(made);
+        [clones.0.len(), clones.1.len(), clones.2.len()]
+    });
+    assert_eq!(lens, [8, 30, 1]);
+    assert_eq!(allocs, 0, "u64_to_key, a 30-byte key, a column name, their clones");
+    let (allocs, key) = allocations(|| Key::from(&[b'k'; 31][..]));
+    assert_eq!((allocs, key.len()), (1, 31), "a 31-byte key has storage");
+    let (allocs, ()) = allocations(|| drop(key.clone()));
+    assert_eq!(allocs, 0, "and a clone of it shares that storage");
+}
+
 /// Launching a call costs its window slot (a node of the pending map now
 /// and then) — not a cursor: the empty key a point call starts with has
 /// no storage; nor a list of the request ids: they are minted in a row

@@ -66,12 +66,15 @@ fn compacting_plain_rows_allocates_per_block_not_per_row() {
     // Decoding allocates four times per such row (key, name, value,
     // output key; its one column is held inline); moving it allocates
     // nothing. What is left is per block (read buffer, entry index, cache
-    // handle; index key on the way out) and per table.
+    // handle; the index key on the way out is short enough to be held
+    // inline) and per table. Measured 884 over 267 blocks and 1 365 over
+    // 309 (1 143 and 1 663, under a budget of `8 * blocks + 64`, while
+    // each index key had storage of its own).
     for (rows, allocs, blocks) in
         [(8_000, wide_allocs, wide_blocks), (32_000, narrow_allocs, narrow_blocks)]
     {
         assert!(allocs < rows / 2, "{rows} rows: {allocs} allocations");
-        assert!(allocs <= 8 * blocks + 64, "{rows} rows, {blocks} blocks: {allocs} allocations");
+        assert!(allocs <= 5 * blocks + 64, "{rows} rows, {blocks} blocks: {allocs} allocations");
     }
     // Four times the rows in the same blocks: the count does not follow
     // the rows.

@@ -1,0 +1,228 @@
+#!/usr/bin/env python3
+"""Where a spinbench workload's allocations come from, by call site.
+
+    scripts/alloc_sites.py --workload read-uniform [--seed 11] [--seconds 2] [--depth 3]
+    scripts/alloc_sites.py --workload write-sat mixed-zipf    # several, one build
+
+`allocs_per_op` says how many allocator calls an operation costs; this
+says which code makes them. It copies the repository (without `target/`
+and `.git/`) to a temporary directory, gives the copy's counting
+allocator (`spinbench/src/alloc.rs`) a sampler, builds the copy with
+debug info into its own target directory, runs each workload timed
+(`--trace 0`), and prints one line per call site:
+
+    share   allocs/op   site
+
+A site is the first `--depth` frames of a sampled allocation's stack,
+innermost first, once the allocator's own frames (`std::`, `core::`,
+`alloc::`, `__rust*`, `spinbench::alloc`) are skipped. `allocs/op` is the
+share times the run's `allocs_per_op`. The sampler takes a stack on a
+random 1 in 128 of the allocations made inside `Meter::run` (random gaps,
+not every 128th call: an operation's allocations repeat with a period and
+would alias), and it does not count the allocations it makes itself, so
+the `allocs_per_op` the patched run prints is the unsampled count; for a
+steady workload at the committed seed the script notes when it differs
+from `BENCH_<workload>.json` (it does when the tree is not the one the
+file was made from). Nothing in the repository is
+modified. A build takes a few minutes; `--seconds 2` of `write-sat`
+gives about 30 k samples.
+"""
+
+import argparse
+import json
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ["write-sat", "read-uniform", "mixed-zipf", "failover"]
+# Sites with a smaller share are summed into one line.
+MIN_SHARE = 0.005
+
+# Appended to the copy's `spinbench/src/alloc.rs`. `DEPTH` is filled in.
+SAMPLER = r"""
+/// Allocation-site sampler (added by `scripts/alloc_sites.py`).
+pub mod sampler {
+    use std::backtrace::Backtrace;
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// How many `Meter::run`s are on the stack.
+    pub static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+    static SAMPLES: Mutex<Vec<Backtrace>> = Mutex::new(Vec::new());
+    const DEPTH: usize = @DEPTH@;
+
+    thread_local! {
+        /// Set while the sampler runs: its own allocations are neither
+        /// counted nor sampled.
+        static BUSY: Cell<bool> = const { Cell::new(false) };
+        static RNG: Cell<u64> = const { Cell::new(0x9e37_79b9_7f4a_7c15) };
+    }
+
+    /// Whether the sampler is running on this thread.
+    pub fn busy() -> bool {
+        BUSY.with(Cell::get)
+    }
+
+    /// Called for every counted allocation.
+    pub fn maybe_sample() {
+        if ACTIVE.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let draw = RNG.with(|r| {
+            let mut x = r.get();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            r.set(x);
+            x >> 57
+        });
+        if draw != 0 {
+            return;
+        }
+        BUSY.with(|b| b.set(true));
+        let bt = Backtrace::force_capture();
+        SAMPLES.lock().unwrap().push(bt);
+        BUSY.with(|b| b.set(false));
+    }
+
+    fn skipped(frame: &str) -> bool {
+        let name = frame.trim_start_matches('<');
+        ["std::", "core::", "alloc::", "__rust", "spinbench::alloc"]
+            .iter()
+            .any(|p| name.starts_with(p))
+    }
+
+    /// Print `# site <count> <frame> <- <frame> ...` per site, then
+    /// `# samples <n>`.
+    pub fn report() {
+        BUSY.with(|b| b.set(true));
+        let samples = std::mem::take(&mut *SAMPLES.lock().unwrap());
+        let mut sites: BTreeMap<String, usize> = BTreeMap::new();
+        for bt in &samples {
+            let text = format!("{bt}");
+            let frames: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.trim_start().split_once(": "))
+                .filter(|(n, _)| n.chars().all(|c| c.is_ascii_digit()))
+                .map(|(_, f)| f)
+                .filter(|f| !skipped(f))
+                .take(DEPTH)
+                .collect();
+            *sites.entry(frames.join(" <- ")).or_default() += 1;
+        }
+        for (site, n) in &sites {
+            println!("# site {n} {site}");
+        }
+        println!("# samples {}", samples.len());
+        BUSY.with(|b| b.set(false));
+    }
+}
+"""
+
+
+def patch(path, old, new, count):
+    text = path.read_text()
+    if text.count(old) != count:
+        sys.exit(f"{path}: expected {count} of {old!r}; the sampler needs updating")
+    path.write_text(text.replace(old, new))
+
+
+def instrument(copy, depth):
+    """Give the copy's spinbench the sampler and a release build with debug info."""
+    src = copy / "spinbench" / "src"
+    alloc = src / "alloc.rs"
+    for sig, call in [("unsafe fn alloc(&self, layout: Layout) -> *mut u8 {",
+                       "System.alloc(layout)"),
+                      ("unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {",
+                       "System.alloc_zeroed(layout)"),
+                      ("unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize)"
+                       " -> *mut u8 {", "System.realloc(ptr, layout, new_size)")]:
+        patch(alloc, sig, sig + f"""
+        if sampler::busy() {{
+            return unsafe {{ {call} }};
+        }}
+        sampler::maybe_sample();""", 1)
+    patch(alloc, "        let out = f();\n",
+          "        sampler::ACTIVE.fetch_add(1, Ordering::Relaxed);\n"
+          "        let out = f();\n"
+          "        sampler::ACTIVE.fetch_sub(1, Ordering::Relaxed);\n", 1)
+    alloc.write_text(alloc.read_text() + SAMPLER.replace("@DEPTH@", str(depth)))
+    patch(src / "main.rs", "    print!(\"{}\", result.table(catalogue));\n",
+          "    spinbench::alloc::sampler::report();\n"
+          "    print!(\"{}\", result.table(catalogue));\n", 1)
+    manifest = copy / "spinbench" / "Cargo.toml"
+    if "[profile.release]" in manifest.read_text():
+        sys.exit(f"{manifest} has a [profile.release] already; the sampler needs updating")
+    manifest.write_text(manifest.read_text() + "\n[profile.release]\ndebug = true\n")
+
+
+def committed_allocs(workload, seed):
+    """`allocs_per_op` of the committed timed run, when it is at `seed`
+    and, like a steady workload's, does not depend on the run's length."""
+    path = ROOT / f"BENCH_{workload}.json"
+    if workload == "failover" or not path.exists():
+        return None
+    doc = json.loads(path.read_text())
+    if doc["seed"] != seed:
+        return None
+    return doc["timed"]["metrics"]["allocs_per_op"]["value"]
+
+
+def sites(exe, workload, seed, seconds):
+    cmd = [str(exe), "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"{workload}: run incorrect or operations failed")
+    per_op = result["metrics"]["allocs_per_op"]["value"]
+    counts = []
+    for line in lines:
+        if line.startswith("# site "):
+            n, site = line[len("# site "):].split(" ", 1)
+            counts.append((int(n), site))
+    total = sum(n for n, _ in counts)
+    print(f"== {workload}: seed {seed}, {seconds} s, allocs_per_op {per_op}, "
+          f"{total} samples")
+    expected = committed_allocs(workload, seed)
+    if expected is not None and expected != per_op:
+        print(f"   (committed BENCH_{workload}.json reads {expected}: the tree differs)")
+    print(f"{'share':>7} {'allocs/op':>9}  site")
+    rest = 0
+    for n, site in sorted(counts, key=lambda c: (-c[0], c[1])):
+        if n < total * MIN_SHARE:
+            rest += n
+            continue
+        print(f"{100 * n / total:6.1f}% {n / total * per_op:9.3f}  {site or '(no frame left)'}")
+    if rest:
+        print(f"{100 * rest / total:6.1f}% {rest / total * per_op:9.3f}  "
+              f"(sites under {100 * MIN_SHARE:g} % each)")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", nargs="+", required=True, choices=WORKLOADS)
+    ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--seconds", type=float, default=2)
+    ap.add_argument("--depth", type=int, default=3)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="alloc-sites-") as tmp:
+        copy = pathlib.Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns("target", ".git"))
+        instrument(copy, args.depth)
+        target = pathlib.Path(tmp) / "target"
+        subprocess.run(["cargo", "build", "--release", "--offline", "--quiet",
+                        "--manifest-path", str(copy / "spinbench" / "Cargo.toml"),
+                        "--target-dir", str(target)], check=True)
+        for workload in args.workload:
+            sites(target / "release" / "spinbench", workload, args.seed, args.seconds)
+
+
+if __name__ == "__main__":
+    main()

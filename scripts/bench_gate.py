@@ -30,6 +30,10 @@ virtual metrics and `allocs_per_op` repeat to the digit; the file's
 `gate` object holds that run's five end-to-end metrics and the three
 `core.recovery.*` readings (virtual milliseconds and a count), and the
 check reruns it and compares.
+
+Building spinbench rewrites its stale `spinbench/Cargo.lock`, a file
+that must stay as committed; the gate puts the lock's bytes back when it
+is done, whether the runs passed, drifted or failed.
 """
 
 import json
@@ -38,6 +42,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+LOCK = ROOT / "spinbench" / "Cargo.lock"
 SEED = 11
 STEADY = ["write-sat", "read-uniform", "mixed-zipf"]
 FAILOVER = "failover"
@@ -144,7 +149,11 @@ def check():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--update"]:
-        update(sys.argv[2:])
-    else:
-        check()
+    lock = LOCK.read_bytes()
+    try:
+        if sys.argv[1:2] == ["--update"]:
+            update(sys.argv[2:])
+        else:
+            check()
+    finally:
+        LOCK.write_bytes(lock)
