@@ -82,7 +82,7 @@ pub fn fig17(quick: bool) -> io::Result<()> {
     let end = phases[2].2;
 
     let mut cluster = SimCluster::new(leader_bound(ssd(5, 1717)));
-    let hot = Workload::HotSpotWrites { value_size: 512, span: 4096 };
+    let hot = Workload::SpanWrites { value_size: 512, lo: 0, hi: 4096 };
     let stats = traced(fleet(&mut cluster, clients, &hot, 1, SECS, (SECS, end)));
     // Split the hot range at the median hot key (the writers span key
     // indexes [0, 4096)).

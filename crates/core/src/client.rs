@@ -9,21 +9,25 @@
 //! `pipeline > 1` the host keeps that many calls in flight at once —
 //! cheaper to sweep at high offered load, and the leader sees real
 //! batches to group-commit.
+//!
+//! The session's transport — sending, retry timers, backoff, re-sends —
+//! is one [`SessionDriver`], shared with the nemesis client: each owner
+//! keeps only which calls it generates and what it records.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use spinnaker_common::{Consistency, Key, Version};
 use spinnaker_sim::{Actor, Ctx, LatencyStats, ProcId, Time, MILLIS, SECS};
 
-use crate::cluster::{Ev, World};
-use crate::messages::{ClientReply, NodeInput, RequestId};
-use crate::partition::u64_to_key;
-use crate::partition::Ring;
+use crate::cluster::{read_table, Ev, World};
+use crate::messages::{ClientError, ClientReply, ColumnSelect, NodeInput, RequestId};
+use crate::partition::{u64_to_key, Ring};
 use crate::session::{CallId, CallOutcome, Session, SessionCall, SessionStep};
 
 /// Client-side events.
@@ -60,6 +64,23 @@ pub struct ClientStats {
     pub trace: Option<Vec<(Time, Time)>>,
     /// Scripted sessions only: each call's outcome, in submission order.
     pub outcomes: Vec<CallOutcome>,
+}
+
+impl ClientStats {
+    /// Record one completed operation that started at `started` and
+    /// finished at `now`; only completions inside `window` count towards
+    /// latency and throughput.
+    pub fn record_completion(&mut self, now: Time, started: Time, window: (Time, Time)) {
+        let latency = now - started;
+        self.total_completed += 1;
+        if now >= window.0 && now <= window.1 {
+            self.latency.record(latency);
+            self.completed += 1;
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push((now, latency));
+        }
+    }
 }
 
 /// Shared handle to client statistics.
@@ -109,19 +130,12 @@ pub enum Workload {
         /// Value size.
         value_size: usize,
     },
-    /// Uniformly random writes over the first `span` key indexes — a hot
-    /// range under contention. Used by the scale-out experiment (fig17):
-    /// after the hot range splits, each operation independently lands on
-    /// one of the children.
-    HotSpotWrites {
-        /// Value size.
-        value_size: usize,
-        /// Number of distinct hot keys (all inside range 0's span).
-        span: u64,
-    },
     /// Uniformly random writes over key indexes `[lo, hi)` — traffic
     /// confined to one slice of the space, so per-range throughput can
     /// be measured across splits, merges, and replica movements (fig18).
+    /// With `lo: 0` it is a hot range under contention (fig17): after the
+    /// hot range splits, each operation independently lands on one of
+    /// the children.
     SpanWrites {
         /// Value size.
         value_size: usize,
@@ -149,22 +163,159 @@ pub enum Workload {
     Script(Rc<Vec<SessionCall>>),
 }
 
-struct CondMeta {
-    key_index: u64,
+/// How long a request waits for its reply before it is re-sent.
+const RETRY_TIMEOUT: Time = SECS;
+
+/// How long a request pauses after an `Unavailable` reply before it is
+/// re-sent.
+const BACKOFF: Time = 20 * MILLIS;
+
+/// The session transport of one simulated client process: every closed
+/// loop ([`ClientHost`], the nemesis client) reaches the cluster through
+/// one.
+///
+/// It owns the process id, the [`Session`], the [`World`] whose network
+/// carries the requests, and the set of requests whose next timer is a
+/// backoff. It transmits (`Session::wire`, then network delivery, then a
+/// 1 s retry timer), digests replies (re-sends redirects and scan pages,
+/// refreshing the range table on `WrongRange`; waits 20 ms after
+/// `Unavailable`) and fires timers (rotates the leader guess, re-sends
+/// under a fresh id).
+///
+/// Its owner routes [`ClientEv::Reply`] and [`ClientEv::Timeout`] here
+/// and hears back only what owners treat differently — a [`DriverReport`].
+pub struct SessionDriver {
+    proc: ProcId,
+    session: Session,
+    /// Calls the owner keeps in flight or waiting at most.
+    window: usize,
+    world: World,
+    /// Requests whose next `Timeout` event ends a backoff: a re-send that
+    /// follows a definitive rejection, not a possibly-applied attempt.
+    backoff: BTreeSet<RequestId>,
+}
+
+/// What a [`SessionDriver`] reports after a reply or a timer.
+#[derive(Debug)]
+pub enum DriverReport {
+    /// Nothing to record: a stale reply or timer, or the next page of a
+    /// scan went out.
+    Quiet,
+    /// A call finished.
+    Done {
+        /// The finished call.
+        call: CallId,
+        /// Its outcome.
+        outcome: CallOutcome,
+    },
+    /// A redirect (`NotLeader`, `WrongRange`, a pinned snapshot page sent
+    /// on to the leader) re-sent the request under a fresh id.
+    Redirect {
+        /// Whether a newer range table was adopted on the way.
+        refreshed_ring: bool,
+    },
+    /// The cohort answered `Unavailable`; the request is re-sent after a
+    /// 20 ms pause.
+    Backoff,
+    /// A timer re-sent a request of `call` under a fresh id.
+    Timeout {
+        /// The call the re-sent request belongs to.
+        call: CallId,
+        /// The timer ended a backoff: the previous attempt was rejected,
+        /// so it cannot have applied. Otherwise a true timeout — the lost
+        /// attempt may have applied.
+        benign: bool,
+    },
+}
+
+impl SessionDriver {
+    /// A driver for process `proc`, routing with `ring` and keeping up to
+    /// `window` calls outstanding.
+    pub fn new(proc: ProcId, ring: Ring, window: usize, world: World) -> SessionDriver {
+        let window = window.max(1);
+        let session = Session::new(ring, window);
+        SessionDriver { proc, session, window, world, backoff: BTreeSet::new() }
+    }
+
+    /// True while fewer than `window` calls are in flight or waiting.
+    pub fn has_room(&self) -> bool {
+        self.session.occupancy() < self.window
+    }
+
+    /// Enqueue a call; it goes out at the next [`SessionDriver::launch`].
+    pub fn submit(&mut self, call: SessionCall) -> CallId {
+        self.session.submit(call)
+    }
+
+    /// Move queued calls into the window and transmit them.
+    pub fn launch(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
+        for req in self.session.launch() {
+            self.transmit(now, req, ctx);
+        }
+    }
+
+    /// Send (or re-send) the outstanding request `req`.
+    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
+        // Every id sent was just minted by `launch`, `on_reply` or
+        // `on_timeout`, so it is pending.
+        let (to, wire) = self.session.wire(req, ctx.rng()).expect("a freshly minted request");
+        let bytes = wire.wire_size();
+        let ev = Ev::Input(NodeInput::Client { from: self.proc, req: wire });
+        self.world.net.borrow_mut().send(ctx, now, self.proc, to, bytes, ev);
+        // Arm (another) retry timer; stale ones are ignored on fire.
+        ctx.schedule(RETRY_TIMEOUT, self.proc, Ev::Client(ClientEv::Timeout(req)));
+    }
+
+    /// Digest a node's reply.
+    pub fn on_reply(
+        &mut self,
+        now: Time,
+        reply: ClientReply,
+        ctx: &mut Ctx<'_, Ev>,
+    ) -> DriverReport {
+        let world = &self.world;
+        match self.session.on_reply(reply, || read_table(world)) {
+            SessionStep::None => DriverReport::Quiet,
+            SessionStep::Retransmit { req, refreshed_ring } => {
+                self.transmit(now, req, ctx);
+                DriverReport::Redirect { refreshed_ring }
+            }
+            SessionStep::Continue { req } => {
+                self.transmit(now, req, ctx);
+                DriverReport::Quiet
+            }
+            SessionStep::Backoff { req } => {
+                // The Timeout event rotates and re-sends.
+                self.backoff.insert(req);
+                ctx.schedule(BACKOFF, self.proc, Ev::Client(ClientEv::Timeout(req)));
+                DriverReport::Backoff
+            }
+            SessionStep::Done { call, outcome } => DriverReport::Done { call, outcome },
+        }
+    }
+
+    /// A retry or backoff timer fired for `req`: the target may be dead,
+    /// so rotate the leader guess and re-send under a fresh id. A stale id
+    /// (its call completed, or a later attempt superseded it) sends
+    /// nothing.
+    pub fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) -> DriverReport {
+        let benign = self.backoff.remove(&req);
+        let (Some(call), Some(next)) = (self.session.call_of(req), self.session.on_timeout(req))
+        else {
+            return DriverReport::Quiet;
+        };
+        self.transmit(now, next, ctx);
+        DriverReport::Timeout { call, benign }
+    }
 }
 
 /// A simulated closed-loop client.
 pub struct ClientHost {
-    proc: ProcId,
-    session: Session,
+    driver: SessionDriver,
     workload: Workload,
-    world: World,
     stats: SharedStats,
     window: (Time, Time),
-    /// Target number of calls in flight (1 = classic closed loop).
-    pipeline: usize,
     value: Bytes,
-    timeout: Time,
     write_index: u64,
     start_index: Option<u64>,
     versions: BTreeMap<u64, Version>,
@@ -172,28 +323,16 @@ pub struct ClientHost {
     /// conditional-put redo inherits the original start time).
     started: BTreeMap<CallId, Time>,
     /// Conditional-put calls' key indexes (version adoption on reply).
-    cond_meta: BTreeMap<CallId, CondMeta>,
+    cond_keys: BTreeMap<CallId, u64>,
     /// Scripted workloads: next call to run.
     script_pos: usize,
     record_outcomes: bool,
 }
 
 impl ClientHost {
-    /// Build a single-outstanding-op client (the classic closed loop).
-    /// `window` is `(measure_from, measure_to)`.
+    /// Build a client keeping up to `pipeline` calls outstanding (1 = the
+    /// classic closed loop). `window` is `(measure_from, measure_to)`.
     pub fn new(
-        proc: ProcId,
-        ring: Ring,
-        workload: Workload,
-        world: World,
-        stats: SharedStats,
-        window: (Time, Time),
-    ) -> ClientHost {
-        ClientHost::with_pipeline(proc, ring, workload, world, stats, window, 1)
-    }
-
-    /// Build a client keeping up to `pipeline` calls outstanding.
-    pub fn with_pipeline(
         proc: ProcId,
         ring: Ring,
         workload: Workload,
@@ -207,7 +346,6 @@ impl ClientHost {
             | Workload::Mixed { value_size, .. }
             | Workload::ConditionalPuts { value_size, .. }
             | Workload::SingleRangeWrites { value_size }
-            | Workload::HotSpotWrites { value_size, .. }
             | Workload::SpanWrites { value_size, .. } => *value_size,
             Workload::Reads { .. } | Workload::Scans { .. } | Workload::Script(_) => 0,
         };
@@ -216,28 +354,25 @@ impl ClientHost {
         // knob: their calls often depend on earlier effects.
         let pipeline = if record_outcomes { 1 } else { pipeline.max(1) };
         ClientHost {
-            proc,
-            session: Session::new(ring, pipeline),
+            driver: SessionDriver::new(proc, ring, pipeline, world),
             workload,
-            world,
             stats,
             window,
-            pipeline,
             value: Bytes::from(vec![0x5au8; value_size.max(1)]),
-            timeout: SECS,
             write_index: 0,
             start_index: None,
             versions: BTreeMap::new(),
             started: BTreeMap::new(),
-            cond_meta: BTreeMap::new(),
+            cond_keys: BTreeMap::new(),
             script_pos: 0,
             record_outcomes,
         }
     }
 
-    fn key_for_index(&self, keys: u64, index: u64) -> Key {
-        // Spread key indexes across the whole space (and therefore across
-        // all cohorts) while keeping per-client sequences deterministic.
+    /// The key of key index `index` in a space of `keys` indexes. Indexes
+    /// spread across the whole key space (and therefore across all
+    /// cohorts) while per-client sequences stay deterministic.
+    pub fn key_for_index(keys: u64, index: u64) -> Key {
         u64_to_key((index % keys.max(1)).wrapping_mul(u64::MAX / keys.max(1)))
     }
 
@@ -245,225 +380,150 @@ impl ClientHost {
         SessionCall::Put { key, cells: vec![(Bytes::from_static(b"c"), self.value.clone())] }
     }
 
-    /// Generate the next operation, or `None` when the workload is
-    /// exhausted (scripts) .
-    fn next_call(
-        &mut self,
-        rng: &mut rand::rngs::SmallRng,
-    ) -> Option<(SessionCall, Option<CondMeta>)> {
+    /// A put of the next key index of this client's sequence.
+    fn sequential_put(&mut self, keys: u64, start: u64) -> SessionCall {
+        let index = start.wrapping_add(self.write_index);
+        self.write_index += 1;
+        self.put_call(Self::key_for_index(keys, index))
+    }
+
+    fn get_call(keys: u64, consistency: Consistency, rng: &mut SmallRng) -> SessionCall {
+        SessionCall::Get {
+            key: Self::key_for_index(keys, rng.gen_range(0..keys)),
+            columns: ColumnSelect::One(Bytes::from_static(b"c")),
+            consistency,
+        }
+    }
+
+    /// A conditional put of key index `key_index` expecting `expected`.
+    fn cond_put_call(&self, key_index: u64, expected: Version) -> SessionCall {
+        let keys = match self.workload {
+            Workload::ConditionalPuts { keys, .. } => keys,
+            _ => 1,
+        };
+        SessionCall::ConditionalPut {
+            key: Self::key_for_index(keys, key_index),
+            col: Bytes::from_static(b"c"),
+            value: self.value.clone(),
+            expected,
+        }
+    }
+
+    /// Generate the next operation — with its key index when it is a
+    /// conditional put — or `None` when the workload is exhausted
+    /// (scripts).
+    fn next_call(&mut self, rng: &mut SmallRng) -> Option<(SessionCall, Option<u64>)> {
         let start = *self.start_index.get_or_insert_with(|| rng.gen());
-        Some(match self.workload.clone() {
-            Workload::Reads { keys, consistency } => (
-                SessionCall::Get {
-                    key: self.key_for_index(keys, rng.gen_range(0..keys)),
-                    columns: crate::messages::ColumnSelect::One(Bytes::from_static(b"c")),
-                    consistency,
-                },
-                None,
-            ),
-            Workload::Writes { keys, .. } => {
-                let index = start.wrapping_add(self.write_index);
-                self.write_index += 1;
-                (self.put_call(self.key_for_index(keys, index)), None)
-            }
+        let call = match self.workload.clone() {
+            Workload::Reads { keys, consistency } => Self::get_call(keys, consistency, rng),
+            Workload::Writes { keys, .. } => self.sequential_put(keys, start),
             Workload::Mixed { keys, write_pct, consistency, .. } => {
                 if rng.gen_range(0..100u8) < write_pct {
-                    let index = start.wrapping_add(self.write_index);
-                    self.write_index += 1;
-                    (self.put_call(self.key_for_index(keys, index)), None)
+                    self.sequential_put(keys, start)
                 } else {
-                    (
-                        SessionCall::Get {
-                            key: self.key_for_index(keys, rng.gen_range(0..keys)),
-                            columns: crate::messages::ColumnSelect::One(Bytes::from_static(b"c")),
-                            consistency,
-                        },
-                        None,
-                    )
+                    Self::get_call(keys, consistency, rng)
                 }
             }
             Workload::ConditionalPuts { keys, .. } => {
                 let key_index = (start.wrapping_add(self.write_index)) % keys.max(1);
                 self.write_index += 1;
                 let expected = self.versions.get(&key_index).copied().unwrap_or(0);
-                (
-                    SessionCall::ConditionalPut {
-                        key: self.key_for_index(keys, key_index),
-                        col: Bytes::from_static(b"c"),
-                        value: self.value.clone(),
-                        expected,
-                    },
-                    Some(CondMeta { key_index }),
-                )
+                return Some((self.cond_put_call(key_index, expected), Some(key_index)));
             }
             Workload::SingleRangeWrites { .. } => {
                 // Keys strictly inside range 0: low end of the space.
                 let index = self.write_index % 4096;
                 self.write_index += 1;
-                (self.put_call(u64_to_key(index)), None)
-            }
-            Workload::HotSpotWrites { span, .. } => {
-                // Uniformly random keys within the hot span: every write
-                // hits the hot range, and once that range is split the
-                // load spreads across its children per-operation instead
-                // of marching through them in lockstep.
-                (self.put_call(u64_to_key(rng.gen_range(0..span.max(1)))), None)
+                self.put_call(u64_to_key(index))
             }
             Workload::SpanWrites { lo, hi, .. } => {
-                (self.put_call(u64_to_key(rng.gen_range(lo..hi.max(lo + 1)))), None)
+                self.put_call(u64_to_key(rng.gen_range(lo..hi.max(lo + 1))))
             }
             Workload::Scans { keys, rows, page, consistency } => {
                 let lo = rng.gen_range(0..keys.max(1));
                 let hi = lo.saturating_add(rows);
                 let step = u64::MAX / keys.max(1);
                 let end = if hi >= keys { None } else { Some(u64_to_key(hi.wrapping_mul(step))) };
-                (
-                    SessionCall::Scan {
-                        start: u64_to_key(lo.wrapping_mul(step)),
-                        end,
-                        page: page.max(1),
-                        consistency,
-                    },
-                    None,
-                )
+                SessionCall::Scan {
+                    start: u64_to_key(lo.wrapping_mul(step)),
+                    end,
+                    page: page.max(1),
+                    consistency,
+                }
             }
             Workload::Script(calls) => {
                 let call = calls.get(self.script_pos)?.clone();
                 self.script_pos += 1;
-                (call, None)
+                call
             }
-        })
+        };
+        Some((call, None))
     }
 
     /// Keep the window full: submit new calls until `pipeline` are in
     /// flight, then transmit everything the session launches.
     fn fill(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
-        while self.session.occupancy() < self.pipeline {
-            let Some((call, meta)) = self.next_call(ctx.rng()) else { break };
-            let id = self.session.submit(call);
+        while self.driver.has_room() {
+            let Some((call, key_index)) = self.next_call(ctx.rng()) else { break };
+            let id = self.driver.submit(call);
             self.started.insert(id, now);
-            if let Some(meta) = meta {
-                self.cond_meta.insert(id, meta);
+            if let Some(key_index) = key_index {
+                self.cond_keys.insert(id, key_index);
             }
         }
-        for req in self.session.launch() {
-            self.transmit(now, req, ctx);
-        }
-    }
-
-    /// Send (or re-send) the outstanding request `req`.
-    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        let Some((to, wire)) = self.session.wire(req, ctx.rng()) else { return };
-        let bytes = wire.wire_size();
-        let at = self.world.net.borrow_mut().delivery_time(now, self.proc, to, bytes, ctx.rng());
-        if let Some(at) = at {
-            ctx.schedule_at(at, to, Ev::Input(NodeInput::Client { from: self.proc, req: wire }));
-        }
-        // Arm (another) retry timer; stale ones are ignored on fire.
-        ctx.schedule(self.timeout, self.proc, Ev::Client(ClientEv::Timeout(req)));
+        self.driver.launch(now, ctx);
     }
 
     fn complete(&mut self, now: Time, call: CallId, outcome: CallOutcome, ctx: &mut Ctx<'_, Ev>) {
+        let started = self.started.remove(&call).unwrap_or(now);
         // A conditional-put workload treats a mismatch as §3 prescribes:
         // adopt the observed version and retry the increment — the call
         // is not complete yet (the redo keeps the original start time).
-        if let Some(meta) = self.cond_meta.remove(&call) {
-            let started = self.started.remove(&call).unwrap_or(now);
+        if let Some(key_index) = self.cond_keys.remove(&call) {
             match outcome {
                 CallOutcome::Written { version, .. } => {
-                    self.versions.insert(meta.key_index, version);
-                    self.finish(now, started);
+                    self.versions.insert(key_index, version);
                 }
-                CallOutcome::Failed(crate::messages::ClientError::VersionMismatch { actual }) => {
-                    self.versions.insert(meta.key_index, actual);
+                CallOutcome::Failed(ClientError::VersionMismatch { actual }) => {
+                    self.versions.insert(key_index, actual);
                     let mut stats = self.stats.borrow_mut();
                     stats.retries += 1;
                     stats.cond_mismatches += 1;
                     drop(stats);
-                    let keys = match self.workload {
-                        Workload::ConditionalPuts { keys, .. } => keys,
-                        _ => 1,
-                    };
-                    let redo = SessionCall::ConditionalPut {
-                        key: self.key_for_index(keys, meta.key_index),
-                        col: Bytes::from_static(b"c"),
-                        value: self.value.clone(),
-                        expected: actual,
-                    };
-                    let id = self.session.submit(redo);
+                    let id = self.driver.submit(self.cond_put_call(key_index, actual));
                     self.started.insert(id, started);
-                    self.cond_meta.insert(id, CondMeta { key_index: meta.key_index });
-                    for req in self.session.launch() {
-                        self.transmit(now, req, ctx);
-                    }
+                    self.cond_keys.insert(id, key_index);
+                    self.driver.launch(now, ctx);
                     return;
                 }
-                _ => self.finish(now, started),
+                _ => {}
             }
-        } else {
-            let started = self.started.remove(&call).unwrap_or(now);
-            if self.record_outcomes {
-                self.stats.borrow_mut().outcomes.push(outcome);
-            }
-            self.finish(now, started);
+        } else if self.record_outcomes {
+            self.stats.borrow_mut().outcomes.push(outcome);
         }
+        self.stats.borrow_mut().record_completion(now, started, self.window);
         self.fill(now, ctx);
-    }
-
-    fn finish(&mut self, now: Time, started: Time) {
-        let latency = now - started;
-        let mut stats = self.stats.borrow_mut();
-        stats.total_completed += 1;
-        if now >= self.window.0 && now <= self.window.1 {
-            stats.latency.record(latency);
-            stats.completed += 1;
-        }
-        if let Some(trace) = stats.trace.as_mut() {
-            trace.push((now, latency));
-        }
-    }
-
-    fn on_reply(&mut self, now: Time, reply: ClientReply, ctx: &mut Ctx<'_, Ev>) {
-        let world = self.world.clone();
-        let step = self.session.on_reply(reply, || crate::cluster::read_table(&world));
-        match step {
-            SessionStep::None => {}
-            SessionStep::Retransmit { req, refreshed_ring } => {
-                let mut stats = self.stats.borrow_mut();
-                stats.retries += 1;
-                if refreshed_ring {
-                    stats.ring_refreshes += 1;
-                }
-                drop(stats);
-                self.transmit(now, req, ctx);
-            }
-            SessionStep::Continue { req } => self.transmit(now, req, ctx),
-            SessionStep::Backoff { req } => {
-                // Back off briefly; the Timeout event rotates and retries.
-                self.stats.borrow_mut().retries += 1;
-                ctx.schedule(20 * MILLIS, self.proc, Ev::Client(ClientEv::Timeout(req)));
-            }
-            SessionStep::Done { call, outcome } => self.complete(now, call, outcome, ctx),
-        }
-    }
-
-    fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        // The target may be dead: rotate our leader guess and resend
-        // under a fresh id (a stale id means the op completed long ago).
-        if let Some(next) = self.session.on_timeout(req) {
-            self.stats.borrow_mut().retries += 1;
-            self.transmit(now, next, ctx);
-        }
     }
 }
 
 impl Actor<Ev> for ClientHost {
     fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        if let Ev::Client(cev) = ev {
-            match cev {
-                ClientEv::Start => self.fill(now, ctx),
-                ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
-                ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
+        let Ev::Client(cev) = ev else { return };
+        let report = match cev {
+            ClientEv::Start => return self.fill(now, ctx),
+            ClientEv::Reply(reply) => self.driver.on_reply(now, reply, ctx),
+            ClientEv::Timeout(req) => self.driver.on_timeout(now, req, ctx),
+        };
+        match report {
+            DriverReport::Quiet => {}
+            DriverReport::Done { call, outcome } => self.complete(now, call, outcome, ctx),
+            DriverReport::Redirect { refreshed_ring } => {
+                let mut stats = self.stats.borrow_mut();
+                stats.retries += 1;
+                stats.ring_refreshes += u64::from(refreshed_ring);
+            }
+            DriverReport::Backoff | DriverReport::Timeout { .. } => {
+                self.stats.borrow_mut().retries += 1;
             }
         }
     }

@@ -214,9 +214,9 @@ impl World {
     }
 }
 
-/// Read the current range table from the coordination service.
-/// Public so external client hosts (e.g. the nemesis fleet) can use the
-/// same ring-refresh closure as [`ClientHost`].
+/// Read the current range table from the coordination service: the
+/// ring refresh of [`crate::client::SessionDriver`], public for client
+/// hosts outside this crate.
 pub fn read_table(world: &World) -> Option<Ring> {
     world
         .coord
@@ -318,35 +318,15 @@ impl NodeHost {
             match eff {
                 crate::messages::Effect::Send { to, msg } => {
                     let bytes = msg.wire_size();
-                    let at = self.world.net.borrow_mut().delivery_time(
-                        now,
-                        self.proc,
-                        to,
-                        bytes,
-                        ctx.rng(),
-                    );
-                    if let Some(at) = at {
-                        ctx.schedule_at(
-                            at,
-                            to,
-                            Ev::Input(NodeInput::Peer { from: from_node, msg }),
-                        );
-                    }
+                    let ev = Ev::Input(NodeInput::Peer { from: from_node, msg });
+                    self.world.net.borrow_mut().send(ctx, now, self.proc, to, bytes, ev);
                 }
                 crate::messages::Effect::Reply { to, reply } => {
                     // Replies are charged their real payload (values,
                     // scan pages) rather than a flat constant.
                     let bytes = reply.wire_size();
-                    let at = self.world.net.borrow_mut().delivery_time(
-                        now,
-                        self.proc,
-                        to,
-                        bytes,
-                        ctx.rng(),
-                    );
-                    if let Some(at) = at {
-                        ctx.schedule_at(at, to, Ev::Client(ClientEv::Reply(reply)));
-                    }
+                    let ev = Ev::Client(ClientEv::Reply(reply));
+                    self.world.net.borrow_mut().send(ctx, now, self.proc, to, bytes, ev);
                 }
                 crate::messages::Effect::ForceLog { token, bytes } => {
                     match self.device.request_force(now, token, bytes, ctx.rng()) {
@@ -517,7 +497,6 @@ pub struct SimCluster {
     pub ring: Ring,
     cfg: ClusterConfig,
     hosts: Vec<Rc<RefCell<NodeHost>>>,
-    clients: Vec<Rc<RefCell<ClientHost>>>,
 }
 
 impl SimCluster {
@@ -572,7 +551,7 @@ impl SimCluster {
         for node_id in 0..cfg.nodes as ProcId {
             sim.schedule(0, node_id, Ev::Restart);
         }
-        SimCluster { sim, world, ring, cfg, hosts, clients: Vec::new() }
+        SimCluster { sim, world, ring, cfg, hosts }
     }
 
     /// Register a closed-loop client; it starts issuing at `start_at` and
@@ -604,7 +583,7 @@ impl SimCluster {
         // Two-phase registration: reserve the proc id, then build the
         // client that knows it.
         let proc = self.sim.add_actor(Box::new(Idle));
-        let client = Rc::new(RefCell::new(ClientHost::with_pipeline(
+        let client = ClientHost::new(
             proc,
             // Clients start from the boot-time table — even when added
             // late — and converge through WrongRange refreshes, exactly
@@ -615,9 +594,8 @@ impl SimCluster {
             stats.clone(),
             (measure_from, measure_to),
             pipeline,
-        )));
-        self.sim.replace_actor(proc, Box::new(client.clone()));
-        self.clients.push(client);
+        );
+        self.sim.replace_actor(proc, Box::new(client));
         self.sim.schedule(start_at, proc, Ev::Client(ClientEv::Start));
         stats
     }

@@ -97,7 +97,7 @@ fn split_under_live_writes_loses_and_duplicates_nothing() {
 fn hot_range_writes_keep_flowing_through_a_split() {
     let mut cluster = quick_cluster(5, 13);
     let hot = cluster.add_client(
-        Workload::HotSpotWrites { value_size: 64, span: 4096 },
+        Workload::SpanWrites { value_size: 64, lo: 0, hi: 4096 },
         2 * SECS,
         2 * SECS,
         20 * SECS,

@@ -10,11 +10,11 @@ use rand::Rng;
 
 use spinnaker_common::vfs::MemVfs;
 use spinnaker_common::NodeId;
-use spinnaker_core::client::{ClientStats, SharedStats};
-use spinnaker_core::partition::{u64_to_key, Ring};
+use spinnaker_core::client::{ClientHost, ClientStats, SharedStats};
+use spinnaker_core::partition::Ring;
 use spinnaker_sim::{
     Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LogDevice, NetConfig, NetModel, ProcId,
-    Sim, Time, MICROS, MILLIS, SECS,
+    Sim, Time, MICROS, MILLIS,
 };
 
 use crate::node::{EEffect, ENodeInput, EPeerMsg, EReply, EventualNode, ReadLevel, WriteLevel};
@@ -30,8 +30,6 @@ pub enum EEv {
     SyncDone,
     /// Client event.
     Client(EClientEv),
-    /// Periodic anti-entropy trigger.
-    AeTick,
 }
 
 /// Client events.
@@ -96,8 +94,6 @@ pub struct EClusterConfig {
     pub write_service: Time,
     /// Coordinator overhead per request.
     pub coord_service: Time,
-    /// Anti-entropy interval (0 disables).
-    pub anti_entropy_interval: Time,
 }
 
 impl Default for EClusterConfig {
@@ -111,7 +107,6 @@ impl Default for EClusterConfig {
             read_service: 1200 * MICROS,
             write_service: 250 * MICROS,
             coord_service: 350 * MICROS,
-            anti_entropy_interval: 0,
         }
     }
 }
@@ -150,25 +145,16 @@ impl ENodeHost {
             match eff {
                 EEffect::Send { to, msg } => {
                     let bytes = msg.wire_size();
-                    let from_node = self.node.id();
-                    let at = self.net.borrow_mut().delivery_time(now, me, to, bytes, ctx.rng());
-                    if let Some(at) = at {
-                        ctx.schedule_at(
-                            at,
-                            to,
-                            EEv::Input(ENodeInput::Peer { from: from_node, msg }),
-                        );
-                    }
+                    let ev = EEv::Input(ENodeInput::Peer { from: self.node.id(), msg });
+                    self.net.borrow_mut().send(ctx, now, me, to, bytes, ev);
                 }
                 EEffect::Reply { to, reply } => {
                     let bytes = match &reply {
                         EReply::Value { value: Some((v, _)), .. } => 64 + v.len(),
                         _ => 64,
                     };
-                    let at = self.net.borrow_mut().delivery_time(now, me, to, bytes, ctx.rng());
-                    if let Some(at) = at {
-                        ctx.schedule_at(at, to, EEv::Client(EClientEv::Reply(reply)));
-                    }
+                    let ev = EEv::Client(EClientEv::Reply(reply));
+                    self.net.borrow_mut().send(ctx, now, me, to, bytes, ev);
                 }
                 EEffect::ForceLog { token, bytes } => {
                     match self.device.request_force(now, token, bytes, ctx.rng()) {
@@ -203,12 +189,6 @@ impl Actor<EEv> for ENodeHost {
                 }
                 self.exec(now, ENodeInput::LogForced { tokens }, ctx);
             }
-            EEv::AeTick => {
-                if self.cfg.anti_entropy_interval > 0 {
-                    self.exec(now, ENodeInput::AntiEntropy, ctx);
-                    ctx.schedule(self.cfg.anti_entropy_interval, self.proc, EEv::AeTick);
-                }
-            }
             EEv::Client(_) => {}
         }
     }
@@ -235,55 +215,31 @@ impl EClientHost {
         // Any node can coordinate: pick one at random (no leader!).
         let coordinator = ctx.rng().gen_range(0..self.nodes) as ProcId;
         let start = *self.start_index.get_or_insert_with(|| ctx.rng().gen());
-        let key_of = |keys: u64, idx: u64| {
-            u64_to_key((idx % keys.max(1)).wrapping_mul(u64::MAX / keys.max(1)))
-        };
-        let (input, bytes) = match self.workload.clone() {
-            EWorkload::Reads { keys, level } => {
-                let key = key_of(keys, ctx.rng().gen_range(0..keys));
-                (ENodeInput::Read { from: self.proc, req, key, level }, 80)
+        // `Ok(level)` writes, `Err(level)` reads.
+        let (keys, op) = match self.workload {
+            EWorkload::Reads { keys, level } => (keys, Err(level)),
+            EWorkload::Writes { keys, level, .. } => (keys, Ok(level)),
+            EWorkload::Mixed { keys, write_pct, read_level, write_level, .. } => {
+                let write = ctx.rng().gen_range(0..100u8) < write_pct;
+                (keys, if write { Ok(write_level) } else { Err(read_level) })
             }
-            EWorkload::Writes { keys, level, .. } => {
+        };
+        let from = self.proc;
+        let (input, bytes) = match op {
+            Ok(level) => {
                 let index = start.wrapping_add(self.write_index);
                 self.write_index += 1;
-                let key = key_of(keys, index);
-                (
-                    ENodeInput::Write {
-                        from: self.proc,
-                        req,
-                        key,
-                        value: self.value.clone(),
-                        level,
-                    },
-                    80 + self.value.len(),
-                )
+                let key = ClientHost::key_for_index(keys, index);
+                let value = self.value.clone();
+                (ENodeInput::Write { from, req, key, value, level }, 80 + self.value.len())
             }
-            EWorkload::Mixed { keys, write_pct, read_level, write_level, .. } => {
-                if ctx.rng().gen_range(0..100u8) < write_pct {
-                    let index = start.wrapping_add(self.write_index);
-                    self.write_index += 1;
-                    let key = key_of(keys, index);
-                    (
-                        ENodeInput::Write {
-                            from: self.proc,
-                            req,
-                            key,
-                            value: self.value.clone(),
-                            level: write_level,
-                        },
-                        80 + self.value.len(),
-                    )
-                } else {
-                    let key = key_of(keys, ctx.rng().gen_range(0..keys));
-                    (ENodeInput::Read { from: self.proc, req, key, level: read_level }, 80)
-                }
+            Err(level) => {
+                let key = ClientHost::key_for_index(keys, ctx.rng().gen_range(0..keys));
+                (ENodeInput::Read { from, req, key, level }, 80)
             }
         };
         self.outstanding = Some((req, now));
-        let at = self.net.borrow_mut().delivery_time(now, self.proc, coordinator, bytes, ctx.rng());
-        if let Some(at) = at {
-            ctx.schedule_at(at, coordinator, EEv::Input(input));
-        }
+        self.net.borrow_mut().send(ctx, now, self.proc, coordinator, bytes, EEv::Input(input));
     }
 }
 
@@ -298,13 +254,7 @@ impl Actor<EEv> for EClientHost {
                     return;
                 }
                 self.outstanding = None;
-                let mut stats = self.stats.borrow_mut();
-                stats.total_completed += 1;
-                if now >= self.window.0 && now <= self.window.1 {
-                    stats.latency.record(now - sent);
-                    stats.completed += 1;
-                }
-                drop(stats);
+                self.stats.borrow_mut().record_completion(now, sent, self.window);
                 self.issue(now, ctx);
             }
         }
@@ -342,9 +292,6 @@ impl EventualCluster {
             }));
             let proc = sim.add_actor(Box::new(host.clone()));
             assert_eq!(proc, id);
-            if cfg.anti_entropy_interval > 0 {
-                sim.schedule(SECS + id as u64 * 7 * MILLIS, proc, EEv::AeTick);
-            }
             hosts.push(host);
         }
         EventualCluster { sim, ring, net, hosts, cfg }
@@ -368,7 +315,7 @@ impl EventualCluster {
             EWorkload::Reads { .. } => 0,
         };
         let placeholder = self.sim.add_actor(Box::new(Idle));
-        let client = Rc::new(RefCell::new(EClientHost {
+        let client = EClientHost {
             proc: placeholder,
             nodes: self.cfg.nodes,
             workload,
@@ -380,7 +327,7 @@ impl EventualCluster {
             value: Bytes::from(vec![0xa5u8; value_size.max(1)]),
             write_index: 0,
             start_index: None,
-        }));
+        };
         self.sim.replace_actor(placeholder, Box::new(client));
         self.sim.schedule(start_at, placeholder, EEv::Client(EClientEv::Start));
         stats

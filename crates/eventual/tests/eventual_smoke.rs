@@ -155,9 +155,17 @@ fn anti_entropy_converges_divergent_replicas() {
         nodes: 5,
         seed: 5,
         disk: DiskProfile::Ssd,
-        anti_entropy_interval: 500 * MILLIS,
         ..Default::default()
     });
+    // Anti-entropy rounds on every node, every 500 ms from t = 1 s
+    // (staggered 7 ms apart), until the end of the run.
+    for node in 0..5u32 {
+        let mut at = SECS + u64::from(node) * 7 * MILLIS;
+        while at <= 20 * SECS {
+            c.inject(at, node, ENodeInput::AntiEntropy);
+            at += 500 * MILLIS;
+        }
+    }
     let key = u64_to_key(424242);
     let range = c.ring.range_of(&key);
     let cohort = c.ring.cohort(range);

@@ -1,9 +1,14 @@
 //! History-recording chaos clients.
 //!
-//! A [`NemesisClient`] drives a typed [`Session`] inside the simulated
+//! A [`NemesisClient`] drives a typed
+//! [`Session`](spinnaker_core::session::Session) inside the simulated
 //! cluster, issuing a seeded mix of point writes, deletes, conditional
 //! ops, and reads/scans at every consistency level — while recording a
 //! complete invoke/retry/ok/fail history the checker can verify.
+//!
+//! The session transport is core's [`SessionDriver`], the same one the
+//! figures' clients use; this client keeps only its op mix and its
+//! history.
 //!
 //! The one subtlety worth reading twice: **retry marking**. A call is
 //! marked [`HEventKind::Retry`] only when a *timeout* retransmits it —
@@ -11,10 +16,11 @@
 //! the checker must admit at-least-once semantics for that call. Benign
 //! retransmits (leader redirects, range-table refreshes, backoff
 //! rotations after an explicit `Unavailable`) follow a definitive
-//! rejection of the attempt and are *not* duplicate risks.
+//! rejection of the attempt and are *not* duplicate risks; the driver
+//! reports those as a redirect or as a *benign* timeout.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -25,12 +31,12 @@ use spinnaker_common::{
     ClientError, Consistency, HCons, HErr, HEventKind, HOp, HResult, HState, History, Key,
     ReadCell, Value, Version,
 };
-use spinnaker_core::client::ClientEv;
-use spinnaker_core::cluster::{read_table, Ev, World};
-use spinnaker_core::messages::{ClientReply, ColumnSelect, NodeInput, RequestId};
+use spinnaker_core::client::{ClientEv, DriverReport, SessionDriver};
+use spinnaker_core::cluster::{Ev, World};
+use spinnaker_core::messages::ColumnSelect;
 use spinnaker_core::partition::Ring;
-use spinnaker_core::session::{CallId, CallOutcome, Session, SessionCall, SessionStep};
-use spinnaker_sim::{Actor, Ctx, ProcId, Time, MILLIS, SECS};
+use spinnaker_core::session::{CallId, CallOutcome, SessionCall};
+use spinnaker_sim::{Actor, Ctx, ProcId, Time};
 
 /// The single distinguished column of the register model.
 fn col() -> Bytes {
@@ -67,15 +73,12 @@ struct PendingCall {
 
 /// A seeded mixed-workload client that records its complete op history.
 pub struct NemesisClient {
-    proc: ProcId,
+    driver: SessionDriver,
     id: u32,
-    session: Session,
-    world: World,
     history: Rc<RefCell<History>>,
     progress: Rc<RefCell<ClientProgress>>,
     /// The shared key universe (small, so ops collide and races matter).
     keys: Rc<Vec<Key>>,
-    pipeline: usize,
     /// Mean think time between issuances; spreads the client's op
     /// budget across the fault window instead of burning it in the
     /// first quiet milliseconds.
@@ -83,11 +86,7 @@ pub struct NemesisClient {
     /// Monotone per-client sequence making every written value unique.
     seq: u64,
     next_op: u32,
-    timeout: Time,
     calls: BTreeMap<CallId, PendingCall>,
-    /// Requests whose next Timeout event is a benign backoff rotation,
-    /// not a duplicate-risk timeout retransmit.
-    backoff: BTreeSet<RequestId>,
     /// Last known `(version, state)` per key index — the belief backing
     /// conditional-op preconditions. Cleared on `VersionMismatch`.
     beliefs: BTreeMap<usize, (Version, HState)>,
@@ -111,22 +110,16 @@ impl NemesisClient {
     ) -> (NemesisClient, Rc<RefCell<ClientProgress>>) {
         let progress =
             Rc::new(RefCell::new(ClientProgress { target, ..ClientProgress::default() }));
-        let pipeline = pipeline.max(1);
         let client = NemesisClient {
-            proc,
+            driver: SessionDriver::new(proc, ring, pipeline, world),
             id,
-            session: Session::new(ring, pipeline),
-            world,
             history,
             progress: progress.clone(),
             keys,
-            pipeline,
             think: think.max(1),
             seq: 0,
             next_op: 0,
-            timeout: SECS,
             calls: BTreeMap::new(),
-            backoff: BTreeSet::new(),
             beliefs: BTreeMap::new(),
             at_pool: Vec::new(),
         };
@@ -285,36 +278,17 @@ impl NemesisClient {
         if issued >= target {
             return;
         }
-        if self.session.occupancy() < self.pipeline {
+        if self.driver.has_room() {
             if let Some((call, pend)) = self.next_call(now, ctx.rng()) {
-                let id = self.session.submit(call);
+                let id = self.driver.submit(call);
                 self.calls.insert(id, pend);
             }
-            for req in self.session.launch() {
-                self.transmit(now, req, ctx);
-            }
+            self.driver.launch(now, ctx);
         }
         if self.progress.borrow().issued < target {
             let delay = ctx.rng().gen_range(self.think / 2..=self.think + self.think / 2);
-            ctx.schedule(delay.max(1), self.proc, Ev::Client(ClientEv::Start));
+            ctx.timer(delay.max(1), Ev::Client(ClientEv::Start));
         }
-    }
-
-    /// Send (or re-send) the outstanding request `req`.
-    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        if let Some((to, wire)) = self.session.wire(req, ctx.rng()) {
-            let bytes = wire.wire_size();
-            let at =
-                self.world.net.borrow_mut().delivery_time(now, self.proc, to, bytes, ctx.rng());
-            if let Some(at) = at {
-                ctx.schedule_at(
-                    at,
-                    to,
-                    Ev::Input(NodeInput::Client { from: self.proc, req: wire }),
-                );
-            }
-        }
-        ctx.schedule(self.timeout, self.proc, Ev::Client(ClientEv::Timeout(req)));
     }
 
     /// Fold a read's cells into the register-model state.
@@ -385,50 +359,30 @@ impl NemesisClient {
             }
         }
     }
-
-    fn on_reply(&mut self, now: Time, reply: ClientReply, ctx: &mut Ctx<'_, Ev>) {
-        let world = self.world.clone();
-        let step = self.session.on_reply(reply, || read_table(&world));
-        match step {
-            SessionStep::None => {}
-            SessionStep::Retransmit { req, .. } => self.transmit(now, req, ctx),
-            SessionStep::Continue { req } => self.transmit(now, req, ctx),
-            SessionStep::Backoff { req } => {
-                // The attempt was *rejected* (`Unavailable`): rotating
-                // after the pause is not a duplicate risk, so remember
-                // to swallow the Retry marking when the timer fires.
-                self.backoff.insert(req);
-                ctx.schedule(20 * MILLIS, self.proc, Ev::Client(ClientEv::Timeout(req)));
-            }
-            SessionStep::Done { call, outcome } => self.complete(now, call, outcome),
-        }
-    }
-
-    fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        let benign = self.backoff.remove(&req);
-        let call = self.session.call_of(req);
-        if let Some(next) = self.session.on_timeout(req) {
-            if !benign {
-                // A true timeout: the lost attempt may have applied.
-                // One Retry line per retransmit — the checker budgets
-                // one potential duplicate apply for each.
-                if let Some(pend) = call.and_then(|c| self.calls.get(&c)) {
-                    self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
-                }
-            }
-            self.transmit(now, next, ctx);
-        }
-    }
 }
 
 impl Actor<Ev> for NemesisClient {
     fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        if let Ev::Client(cev) = ev {
-            match cev {
-                ClientEv::Start => self.tick(now, ctx),
-                ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
-                ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
+        let Ev::Client(cev) = ev else { return };
+        let report = match cev {
+            ClientEv::Start => return self.tick(now, ctx),
+            ClientEv::Reply(reply) => self.driver.on_reply(now, reply, ctx),
+            ClientEv::Timeout(req) => self.driver.on_timeout(now, req, ctx),
+        };
+        match report {
+            DriverReport::Done { call, outcome } => self.complete(now, call, outcome),
+            // A true timeout: the lost attempt may have applied. One
+            // Retry line per retransmit — the checker budgets one
+            // potential duplicate apply for each.
+            DriverReport::Timeout { call, benign: false } => {
+                if let Some(pend) = self.calls.get(&call) {
+                    self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
+                }
             }
+            DriverReport::Quiet
+            | DriverReport::Redirect { .. }
+            | DriverReport::Backoff
+            | DriverReport::Timeout { benign: true, .. } => {}
         }
     }
 }

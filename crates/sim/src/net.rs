@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::kernel::{ProcId, Time};
+use crate::kernel::{Ctx, ProcId, Time};
 
 /// Link parameters.
 #[derive(Clone, Debug)]
@@ -91,6 +91,24 @@ impl NetModel {
         let at = raw.max(self.last_delivery.get(&(src, dst)).copied().unwrap_or(0) + 1);
         self.last_delivery.insert((src, dst), at);
         Some(at)
+    }
+
+    /// Send `ev`, a `bytes`-sized message, from `src` to `dst` at `now`:
+    /// schedule it at its [`NetModel::delivery_time`], or drop it when
+    /// the link is down. The one way every simulated actor reaches the
+    /// network.
+    pub fn send<M>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        now: Time,
+        src: ProcId,
+        dst: ProcId,
+        bytes: usize,
+        ev: M,
+    ) {
+        if let Some(at) = self.delivery_time(now, src, dst, bytes, ctx.rng()) {
+            ctx.schedule_at(at, dst, ev);
+        }
     }
 
     /// Take `node` off the network (crash). In-flight messages already

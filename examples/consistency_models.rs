@@ -26,13 +26,13 @@ fn main() {
         })
         .collect();
     cluster.run_until(12 * SECS);
-    let (mut ok, mut retries) = (0u64, 0u64);
+    let (mut ok, mut conflicts) = (0u64, 0u64);
     for w in &writers {
         let w = w.borrow();
         ok += w.completed;
-        retries += w.retries;
+        conflicts += w.cond_mismatches;
     }
-    println!("  4 writers, 1 key: {ok} committed conditional puts, {retries} version conflicts");
+    println!("  4 writers, 1 key: {ok} committed conditional puts, {conflicts} version conflicts");
     println!("  every success observed the previous version — no update was ever lost");
 
     println!();

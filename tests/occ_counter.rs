@@ -30,10 +30,10 @@ fn concurrent_conditional_puts_serialize_without_lost_updates() {
     for w in &writers {
         let w = w.borrow();
         ok += w.completed;
-        conflicts += w.retries;
+        conflicts += w.cond_mismatches;
     }
     assert!(ok > 100, "progress under contention: {ok}");
-    assert!(conflicts > 0, "contention actually happened: {conflicts}");
+    assert!(conflicts > 0, "version conflicts actually happened: {conflicts}");
     // Linearizability of the version chain: each success consumed exactly
     // one version; the final stored version must therefore be the LSN of
     // the (ok_total)-th committed conditional write — i.e. successes
