@@ -4,9 +4,10 @@
 //! Point gets and scan pages resolve through [`crate::sstable::Table`]
 //! block reads; without a cache each read goes back through the VFS,
 //! re-checksums the chunk and re-indexes it. The [`BlockCache`] keeps the
-//! loaded [`Block`] — the CRC-verified **raw** body plus its entry
-//! offsets, not a decoded copy of every row — so a hot block costs one
-//! `BTreeMap` lookup: no IO, no CRC, no skip pass.
+//! loaded [`Block`] by value — one buffer holding the CRC-verified **raw**
+//! body and, in its tail, the entry offsets; not a decoded copy of every
+//! row — so a hot block costs one `BTreeMap` lookup and a reference-count
+//! bump: no IO, no CRC, no skip pass, no allocation.
 //!
 //! Decoding happens at the reader, one row at a time: a get decodes the
 //! row it returns, an iterator each row it yields, and the block keeps
@@ -16,8 +17,8 @@
 //! column (held inline in the returned row; a wider row costs one vector
 //! of columns), never a copy of its bytes; a cold block read for one key
 //! allocates for that one row,
-//! and eviction frees two flat buffers — once no row handed out still
-//! views the body — not an object graph per stored row.
+//! and eviction frees one flat buffer — once no row handed out still
+//! views it — not an object graph per stored row.
 //!
 //! Design:
 //!
@@ -32,8 +33,9 @@
 //!   tracks real IO saved. It is a function of the file alone, so which
 //!   blocks hit, miss and get evicted depends only on the tables and the
 //!   access order, never on how a block is held in memory. Memory pinned
-//!   per entry is the body and 8 bytes of offsets per row; a row a reader
-//!   still holds keeps the body of an evicted block alive until it drops.
+//!   per entry is its one buffer: the chunk, then 8 bytes of offsets per
+//!   row and whatever spare room the read left unused. A row a reader
+//!   still holds pins that buffer, an evicted block's too, until it drops.
 //! * **Keyed `(table_id, block_offset)`** where `table_id` is a
 //!   cache-unique id handed out by [`BlockCache::register_table`] at
 //!   table open. Ids are never reused, so an entry for a table retired by
@@ -49,16 +51,13 @@ use parking_lot::Mutex;
 
 use crate::block::Block;
 
-/// A loaded data block, shared between the cache and its readers.
-pub type CachedBlock = Arc<Block>;
-
 /// Shared, clonable handle to a node-wide [`BlockCache`].
 pub type SharedBlockCache = Arc<BlockCache>;
 
 const SHARDS: usize = 8;
 
 struct Entry {
-    block: CachedBlock,
+    block: Block,
     charge: u64,
     referenced: bool,
 }
@@ -168,7 +167,7 @@ impl CacheMetrics {
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: u64,
-    next_table_id: Mutex<u64>,
+    next_table_id: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -191,7 +190,7 @@ impl BlockCache {
         BlockCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: (capacity_bytes / SHARDS as u64).max(1),
-            next_table_id: Mutex::new(0),
+            next_table_id: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -203,9 +202,9 @@ impl BlockCache {
     /// retired table's leftover entries can never alias a later table's
     /// blocks.
     pub fn register_table(&self) -> u64 {
-        let mut next = self.next_table_id.lock();
-        *next += 1;
-        *next
+        // Relaxed: an id publishes no other data, and the read-modify-write
+        // alone makes it unique.
+        self.next_table_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn shard(&self, table: u64) -> &Mutex<Shard> {
@@ -213,7 +212,9 @@ impl BlockCache {
     }
 
     /// Look up the block at `(table, offset)`, marking it recently used.
-    pub fn get(&self, table: u64, offset: u64) -> Option<CachedBlock> {
+    /// The block comes back by value: a clone of a [`Block`] is a
+    /// reference-count bump on its one buffer.
+    pub fn get(&self, table: u64, offset: u64) -> Option<Block> {
         let mut shard = self.shard(table).lock();
         match shard.map.get_mut(&(table, offset)) {
             Some(e) => {
@@ -231,7 +232,7 @@ impl BlockCache {
     /// Insert the block at `(table, offset)`, charging `charge` bytes and
     /// evicting by the clock rule until the shard fits its budget. Blocks
     /// larger than a whole shard are not cached.
-    pub fn insert(&self, table: u64, offset: u64, block: CachedBlock, charge: u64) {
+    pub fn insert(&self, table: u64, offset: u64, block: Block, charge: u64) {
         if charge > self.shard_capacity {
             return;
         }
@@ -313,10 +314,12 @@ mod tests {
 
     use super::*;
 
-    fn block(n: usize) -> CachedBlock {
+    fn block(n: usize) -> Block {
         let mut body = Key::from(format!("k{n}").as_str()).encode_to_vec();
         Row::new().encode(&mut body);
-        Arc::new(Block::parse(body.into()).unwrap())
+        let mut buf = bytes::BytesMut::zeroed(body.len() + crate::block::SLOT);
+        buf[..body.len()].copy_from_slice(&body);
+        Block::load(buf, body.len(), body.len()).unwrap()
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod store;
 
 pub use block::Block;
 pub use bloom::Bloom;
-pub use cache::{BlockCache, CacheStats, CachedBlock, SharedBlockCache};
+pub use cache::{BlockCache, CacheStats, SharedBlockCache};
 pub use memtable::Memtable;
 pub use merge::{vec_stream, MergeIter, RowStream};
 pub use sstable::{Table, TableBuilder, TableCtx, TableMeta, TableOptions};

@@ -18,15 +18,15 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use spinnaker_common::codec::{self, Decode, Encode, RowScan, Source};
 use spinnaker_common::types::DisplayBytes;
 use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp};
 
-use crate::block::Block;
+use crate::block::{Block, SLOT};
 use crate::bloom::{Bloom, KeyHash};
-use crate::cache::{CacheMetrics, CachedBlock, SharedBlockCache};
+use crate::cache::{CacheMetrics, SharedBlockCache};
 
 /// `"SPINSST1"` little-endian.
 const MAGIC: u64 = 0x3154_5353_4e49_5053;
@@ -308,6 +308,10 @@ pub struct Table {
     meta: TableMeta,
     index: Vec<IndexEntry>,
     bloom: Bloom,
+    /// Five quarters of the footer's mean rows per block, plus one: the
+    /// entry slots a data block is read with room for, unless its body
+    /// asks for more (`spare_slots`).
+    slots_per_block: usize,
     ctx: TableCtx,
     /// Cache-unique id, assigned at open when a cache is attached. Ids
     /// are never reused, so stale entries can never alias a new table.
@@ -376,6 +380,9 @@ impl Table {
         let bloom_body = read_chunk(file.as_ref(), bloom_off, bloom_len, file_bytes, path)?;
         let bloom = Bloom::decode(&mut &bloom_body[..])?;
 
+        let blocks = (index.len() as u64).max(1);
+        let slots_per_block = usize::try_from(row_count.saturating_mul(5) / (4 * blocks))
+            .map_or(usize::MAX, |slots| slots.saturating_add(1));
         let cache_id = ctx.cache.as_ref().map(|c| c.register_table());
         Ok(Table {
             vfs,
@@ -384,6 +391,7 @@ impl Table {
             meta: TableMeta { min_key, max_key, min_lsn, max_lsn, max_ts, row_count, file_bytes },
             index,
             bloom,
+            slots_per_block,
             ctx,
             cache_id,
         })
@@ -427,7 +435,7 @@ impl Table {
 
     /// The one block that can hold `key`: the last whose first key is
     /// `<= key`.
-    fn block_of(&self, key: &Key) -> Result<Option<CachedBlock>> {
+    fn block_of(&self, key: &Key) -> Result<Option<Block>> {
         match self.index.partition_point(|e| e.first_key <= *key) {
             0 => Ok(None),
             n => self.read_block(n - 1).map(Some),
@@ -436,7 +444,10 @@ impl Table {
 
     /// Read (or fetch from the block cache) the data block at index
     /// position `idx`: checksum-verified and indexed, no row decoded.
-    fn read_block(&self, idx: usize) -> Result<CachedBlock> {
+    /// The chunk is read with room after it for its entries' offsets, so
+    /// a block is one allocation (two when it has more entries than
+    /// `spare_slots` made room for).
+    fn read_block(&self, idx: usize) -> Result<Block> {
         let e = &self.index[idx];
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
             if let Some(block) = cache.get(id, e.offset) {
@@ -446,19 +457,36 @@ impl Table {
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
-        let body =
-            read_chunk(self.file.as_ref(), e.offset, e.len, self.meta.file_bytes, &self.path)?;
+        let chunk_len = e.len as usize;
+        let body_len = chunk_len.saturating_sub(4);
+        let spare = self.spare_slots(body_len) * SLOT;
+        let buf = read_verified(
+            self.file.as_ref(),
+            e.offset,
+            e.len,
+            spare,
+            self.meta.file_bytes,
+            &self.path,
+        )?;
         // The checksum held, so a body that does not parse was written
         // wrong or forged: corruption all the same, not a codec error.
-        let block = Block::parse(body).map_err(|err| {
+        let block = Block::load(buf, body_len, chunk_len).map_err(|err| {
             Error::Corruption(format!("{}: malformed block at {}: {err}", self.path, e.offset))
         })?;
-        let block: CachedBlock = Arc::new(block);
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
             // Charge the on-disk chunk size: it is what a miss costs.
             cache.insert(id, e.offset, block.clone(), u64::from(e.len));
         }
         Ok(block)
+    }
+
+    /// Entry slots the read buffer of a block with a `body_len`-byte
+    /// body leaves room for: one per 64 body bytes or `slots_per_block`,
+    /// whichever is more. An entry takes two bytes at the least, so a
+    /// footer row count that is off cannot ask for more than the body
+    /// could hold.
+    fn spare_slots(&self, body_len: usize) -> usize {
+        self.slots_per_block.max(body_len / 64).min(body_len / 2)
     }
 
     /// Iterate every row in key order.
@@ -522,16 +550,17 @@ impl Table {
     }
 }
 
-/// Read the `len`-byte chunk at `offset` of a `file_bytes`-long file and
-/// return its body, checksum verified and stripped: a view of the buffer
-/// the file was read into.
-fn read_chunk(
+/// Read the `len`-byte chunk at `offset` of a `file_bytes`-long file
+/// into a buffer `spare` bytes longer, and verify its checksum: the
+/// buffer holds the body, the checksum, then `spare` zero bytes.
+fn read_verified(
     file: &dyn VfsFile,
     offset: u64,
     len: u32,
+    spare: usize,
     file_bytes: u64,
     path: &str,
-) -> Result<Bytes> {
+) -> Result<BytesMut> {
     if len < 4 {
         return Err(Error::Corruption(format!("{path}: chunk shorter than its checksum")));
     }
@@ -542,18 +571,31 @@ fn read_chunk(
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"
         )));
     }
-    let buf = file.read_bytes_at(offset, len as usize)?;
-    let body_len = len as usize - 4;
-    let stored = match buf[body_len..].try_into() {
-        Ok(tail) => u32::from_le_bytes(tail),
-        Err(_) => return Err(Error::Corruption(format!("{path}: chunk tail truncated"))),
-    };
+    let len = len as usize;
+    let mut buf = BytesMut::zeroed(len + spare);
+    file.read_exact_at(offset, &mut buf[..len])?;
+    let body_len = len - 4;
+    let mut stored = [0; 4];
+    stored.copy_from_slice(&buf[body_len..len]);
     let actual =
         spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(&buf[..body_len]));
-    if stored != actual {
+    if u32::from_le_bytes(stored) != actual {
         return Err(Error::Corruption(format!("{path}: chunk checksum mismatch at {offset}")));
     }
-    Ok(buf.slice(..body_len))
+    Ok(buf)
+}
+
+/// Read the `len`-byte chunk at `offset` and return its body, checksum
+/// verified and stripped: a view of the buffer the file was read into.
+fn read_chunk(
+    file: &dyn VfsFile,
+    offset: u64,
+    len: u32,
+    file_bytes: u64,
+    path: &str,
+) -> Result<Bytes> {
+    let buf = read_verified(file, offset, len, 0, file_bytes, path)?;
+    Ok(buf.freeze().slice(..len as usize - 4))
 }
 
 /// A table's entries in key order, one block held at a time (so its
@@ -573,7 +615,7 @@ pub struct TableIter<'a> {
     next_block: usize,
     /// The block under the cursor; `None` before the first load and once
     /// the table is exhausted.
-    block: Option<CachedBlock>,
+    block: Option<Block>,
     pos: usize,
 }
 
@@ -631,7 +673,7 @@ mod tests {
     use std::sync::Arc;
 
     use spinnaker_common::vfs::MemVfs;
-    use spinnaker_common::{op, ColumnValue};
+    use spinnaker_common::{op, ColumnValue, WriteOp};
 
     use super::*;
 
@@ -823,6 +865,101 @@ mod tests {
         assert!(Table::open(shared, &path).is_err());
         assert!(latest(&other, &first).is_some());
         assert!(other.delete().is_err(), "nothing left to delete");
+    }
+
+    /// Row `i` of a table of very uneven rows: 1 KiB values, four to a
+    /// block, then a run of 1-byte values, a hundred and more to a block.
+    fn uneven_put(i: u64) -> WriteOp {
+        let len = if i < 400 { 1024 } else { 1 };
+        op::put(&format!("key{i:06}"), "c", &"v".repeat(len))
+    }
+
+    /// Blocks of `t` with more entries than their read left room for.
+    fn overflowed(t: &Table) -> usize {
+        (0..t.index.len())
+            .filter(|&i| {
+                let body_len = t.index[i].len as usize - 4;
+                t.read_block(i).unwrap().len() > t.spare_slots(body_len)
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_block_with_more_entries_than_its_spare_reads_like_any_other() {
+        const ROWS: u64 = 600;
+        let rows: Vec<(Key, Row)> = (0..ROWS)
+            .map(|i| {
+                let put = uneven_put(i);
+                let mut row = Row::new();
+                put.apply_to_row(&mut row, Lsn::new(1, i + 1));
+                (put.key, row)
+            })
+            .collect();
+        // The same rows in 4 KiB blocks, and one to a block.
+        let table = |path: &str, block_bytes: usize| {
+            let vfs: SharedVfs = Arc::new(MemVfs::new());
+            let opts = TableOptions { block_bytes, ..TableOptions::default() };
+            let ctx = TableCtx {
+                cache: Some(Arc::new(crate::BlockCache::new(1 << 20))),
+                ..TableCtx::default()
+            };
+            let mut b = TableBuilder::new_with(vfs, path, opts, ctx).unwrap();
+            for (key, row) in &rows {
+                b.add(key, row).unwrap();
+            }
+            b.finish().unwrap()
+        };
+        let uneven = table("sst/uneven", 4096);
+        let even = table("sst/even", 1);
+        assert!(overflowed(&uneven) > 0, "no block outgrew its spare room");
+        assert_eq!(overflowed(&even), 0);
+
+        for t in [&uneven, &even] {
+            for (i, (key, row)) in rows.iter().enumerate() {
+                assert_eq!(latest(t, key).as_ref(), Some(row), "fold_visible({key:?})");
+                let from: Vec<_> = t.iter_from(key).take(3).map(|r| r.unwrap()).collect();
+                assert_eq!(from, rows[i..(i + 3).min(rows.len())], "iter_from({key:?})");
+            }
+            assert!(latest(t, &Key::from("key000450a")).is_none());
+            assert_eq!(t.iter_from(&Key::from("key000450a")).count(), 149);
+            let (lo, hi) = (&rows[390].0, &rows[520].0);
+            assert_eq!(t.scan(lo, Some(hi)).unwrap(), rows[390..520]);
+            assert_eq!(t.scan(&Key::from(""), None).unwrap(), rows);
+        }
+
+        // Compaction moves the rows of an overflowed block like any other:
+        // two flushes — the uneven rows, then a newer version of every
+        // tenth — merged into one table, in 4 KiB blocks and one to a block.
+        let compacted = |block_bytes: usize| {
+            let mut newer = rows.clone();
+            let table = TableOptions { block_bytes, ..TableOptions::default() };
+            let opts = crate::StoreOptions {
+                memtable_flush_bytes: usize::MAX,
+                table,
+                ..Default::default()
+            };
+            let mut store = crate::RangeStore::open(Arc::new(MemVfs::new()), opts).unwrap();
+            for i in 0..ROWS {
+                store.apply(&uneven_put(i), Lsn::new(1, i + 1));
+            }
+            store.flush().unwrap();
+            let overflowed = store.all_slots().map(|s| overflowed(&s.table)).sum::<usize>();
+            for i in (0..ROWS).step_by(10) {
+                let put = op::put(&format!("key{i:06}"), "c", &format!("new-{i}"));
+                store.apply(&put, Lsn::new(2, i + 1));
+                put.apply_to_row(&mut newer[i as usize].1, Lsn::new(2, i + 1));
+            }
+            store.flush().unwrap();
+            assert_eq!(store.scan(&Key::from(""), None).unwrap(), newer);
+            store.compact_all().unwrap();
+            assert_eq!(store.table_count(), 1);
+            (overflowed, store.scan(&Key::from(""), None).unwrap())
+        };
+        let (uneven_overflowed, uneven_rows) = compacted(4096);
+        let (even_overflowed, even_rows) = compacted(1);
+        assert!(uneven_overflowed > 0 && even_overflowed == 0);
+        assert_eq!(uneven_rows, even_rows);
+        assert_eq!(uneven_rows.len(), rows.len());
     }
 
     #[test]

@@ -155,6 +155,78 @@ fn a_valid_crc_over_a_malformed_block_body_is_corruption_not_a_panic() {
     }
 }
 
+/// Length of the body of the first data block, and the first key of the
+/// second: the index, which the footer locates, gives both.
+fn first_block(file: &[u8]) -> (usize, Key) {
+    let trailer = &file[file.len() - 16..];
+    let footer_off = codec::get_u64(&mut &trailer[..8]).unwrap() as usize;
+    let mut footer = &file[footer_off..];
+    Key::decode(&mut footer).unwrap();
+    Key::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    Lsn::decode(&mut footer).unwrap();
+    codec::get_u64(&mut footer).unwrap(); // max_ts
+    codec::get_u64(&mut footer).unwrap(); // row_count
+    let mut index = &file[codec::get_u64(&mut footer).unwrap() as usize..];
+    codec::get_varint(&mut index).unwrap(); // entries
+    Key::decode(&mut index).unwrap(); // first key
+    assert_eq!(codec::get_u64(&mut index).unwrap(), 0, "the first block starts the file");
+    let body_len = codec::get_u32(&mut index).unwrap() as usize - 4;
+    (body_len, Key::decode(&mut index).unwrap())
+}
+
+/// As above, on a block with far more entries than the room its read
+/// leaves for their offsets: a hundred and twenty short rows and a long
+/// one (121 entries, against room for 68), in a table whose other blocks
+/// hold four long rows each. The
+/// bad row is the block's last, so the walk that finds it is the one
+/// that also counts past the room; the block must still be
+/// `Error::Corruption` from every read API and never cached.
+#[test]
+fn a_valid_crc_over_a_malformed_overflowing_block_is_corruption() {
+    let vfs = MemVfs::new();
+    let mut b =
+        TableBuilder::new(Arc::new(vfs.clone()), "t/sst-o", TableOptions::default()).unwrap();
+    let mut keys = Vec::new();
+    for i in 0..160u64 {
+        let key = Key::from(format!("k{i:03}").as_str());
+        let value = if i < 120 { "v".to_string() } else { "v".repeat(1024) };
+        let mut row = Row::new();
+        op::put(&format!("k{i:03}"), "c", &value).apply_to_row(&mut row, Lsn::new(1, i + 1));
+        b.add(&key, &row).unwrap();
+        keys.push(key);
+    }
+    b.finish().unwrap();
+    let pristine = vfs.read_all("t/sst-o").unwrap();
+    let (body_len, next) = first_block(&pristine);
+    let in_block = keys.iter().take_while(|&k| k < &next).count();
+    assert_eq!(in_block, 121);
+    // The last byte of the block is its last row's chain length.
+    let mut bytes = pristine.clone();
+    assert_eq!(bytes[body_len - 1], 0);
+    bytes[body_len - 1] = 0x7f;
+    let crc = crc32c::masked(crc32c::crc32c(&bytes[..body_len]));
+    bytes[body_len..body_len + 4].copy_from_slice(&crc.to_le_bytes());
+    vfs.write_atomic("t/sst-o", &bytes).unwrap();
+
+    let cache = Arc::new(BlockCache::new(1 << 20));
+    let ctx = TableCtx { cache: Some(cache.clone()), ..Default::default() };
+    let table = Table::open_with(Arc::new(vfs.clone()), "t/sst-o", ctx).unwrap();
+    let is_corruption = |r: spinnaker_common::Result<()>| r.is_err_and(|e| e.is_corruption());
+    for key in &keys[..in_block] {
+        let got = table.fold_visible(key, u64::MAX, &mut Row::new());
+        assert!(is_corruption(got.map(drop)), "fold_visible({key:?})");
+        let seeked = table.iter_from(key).next().expect("an error item");
+        assert!(is_corruption(seeked.map(drop)), "iter_from({key:?})");
+    }
+    let first = table.iter().next().expect("an error item, not an empty iterator");
+    assert!(is_corruption(first.map(drop)), "iter");
+    assert!(is_corruption(table.scan(&keys[0], None).map(drop)), "scan");
+    assert_eq!(cache.stats().entries, 0, "a malformed block was cached");
+    // The blocks after it are intact.
+    assert!(table.fold_visible(&next, u64::MAX, &mut Row::new()).unwrap());
+}
+
 #[test]
 fn trailer_flips_fail_table_open_with_a_typed_error() {
     let vfs = MemVfs::new();
