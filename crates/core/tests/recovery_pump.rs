@@ -756,6 +756,102 @@ fn a_failed_flush_hides_no_acknowledged_row() {
     }
 }
 
+/// A leader whose log refuses its own group must neither propose nor
+/// acknowledge it. Keys 1-4 are committed everywhere when the leader's
+/// log refuses the record of key 5: the leader fail-stops without a
+/// propose or a reply, and the cohort's next leader serves keys 1-4 and
+/// nothing of key 5.
+#[test]
+fn a_leader_that_cannot_log_its_group_fail_stops() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.faults[0].fail_append_after(1);
+    let since = p.sent.len();
+    let req = p.put(0, 5);
+    p.run();
+    assert_eq!(p.faults[0].injected(), 1, "the leader's append failed");
+    assert!(p.nodes[0].is_none(), "the leader did not fail-stop");
+    let proposed = p.count_sent(since, 0, |m| matches!(m, PeerMsg::Propose { .. }));
+    assert_eq!(proposed, 0, "the leader proposed a group it did not log");
+    assert!(!p.written.contains(&req), "the leader acknowledged a write it did not log");
+
+    let leader = p.leader_of(R0);
+    for k in 1..=4 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+    assert_eq!(p.read(leader, 5), None, "key 5 at node {leader}");
+}
+
+/// A follower whose log refuses a caught-up record must not confirm the
+/// catch-up. Node 2 was down while keys 1-4 were committed; restarted,
+/// its log refuses the first record of the leader's reply. It fail-stops
+/// without `CaughtUp`, catches up once restarted on a healthy device,
+/// and after the leader dies the cohort's next leader serves keys 1-4.
+#[test]
+fn a_follower_that_cannot_log_a_caught_up_record_fail_stops() {
+    let mut p = Pump::new();
+    p.crash(2);
+    p.run();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let since = p.sent.len();
+    p.boot(2);
+    p.faults[2].fail_append_after(1);
+    p.run();
+    assert_eq!(p.faults[2].injected(), 1, "node 2's append failed");
+    assert!(p.nodes[2].is_none(), "node 2 did not fail-stop");
+    let confirmed =
+        p.count_sent(since, 2, |m| matches!(m, PeerMsg::CaughtUp { .. } | PeerMsg::Ack { .. }));
+    assert_eq!(confirmed, 0, "node 2 confirmed records it did not log");
+
+    p.boot(2);
+    p.run();
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 4));
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    for k in 1..=4 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// A compaction that fails on the maintenance tick stops the node as a
+/// failed flush does. Keys 1-4 reach a level-0 table each on node 0, one
+/// flush per tick; the fourth table starts a compaction whose output
+/// table fails its sync. The leader fail-stops without a message or a
+/// reply, the cohort's next leader serves keys 1-4, and node 0, once
+/// restarted, holds the checkpoint of the flush that succeeded.
+#[test]
+fn a_failed_compaction_fail_stops() {
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+    for k in 1..=3 {
+        p.put_all(0, k..=k);
+        p.commit_tick(0);
+        p.maintenance(0);
+    }
+    p.put_all(0, 4..=4);
+    p.commit_tick(0);
+    // The flush syncs its table and the manifest; the third sync is the
+    // compaction's output table.
+    p.store_faults[0].fail_sync_after(3);
+    let (since, written) = (p.sent.len(), p.written.len());
+    p.maintenance(0);
+    assert_eq!(p.store_faults[0].injected(), 1, "the compaction failed");
+    assert!(p.nodes[0].is_none(), "the leader did not fail-stop");
+    assert_eq!(p.count_sent(since, 0, |_| true), 0, "the leader sent after the failure");
+    assert_eq!(p.written.len(), written, "the leader answered a client");
+
+    let leader = p.leader_of(R0);
+    for k in 1..=4 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+    p.boot(0);
+    p.run();
+    assert_eq!(p.node(0).wal().checkpoint(R0), lsn(1, 4), "the flush before it was kept");
+}
+
 /// Two gone ranges in one reconcile, each with its own log stream: range
 /// 0 (epoch 1, watermark 1.5) and the left child of range 1 (epoch 2,
 /// watermark 2.3, flushed and checkpointed there — past range 0's
