@@ -224,7 +224,7 @@ macro_rules! runtime {
             wal: &mut $node.wal,
             coord: &$node.coord,
             forces: &mut $node.forces,
-            poisoned: &mut $node.poisoned,
+            poisoned: std::cell::Cell::from_mut(&mut $node.poisoned),
         }
     };
 }

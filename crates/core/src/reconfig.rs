@@ -508,10 +508,7 @@ impl Node {
         if epoch < rep.epoch {
             return; // a deposed leader's split; the table CAS stopped it too
         }
-        if epoch == rep.epoch
-            && matches!(rep.role, Role::Leader | Role::LeaderTakeover)
-            && from != rt.id
-        {
+        if epoch == rep.epoch && rep.role.leads() && from != rt.id {
             return; // two leaders in one epoch cannot happen; drop
         }
         if rep.role == Role::Follower && rep.epoch == epoch {
@@ -1119,10 +1116,7 @@ impl Node {
             if epoch < lrep.epoch {
                 return; // a deposed coordinator's merge
             }
-            if epoch == lrep.epoch
-                && matches!(lrep.role, Role::Leader | Role::LeaderTakeover)
-                && from != self.id
-            {
+            if epoch == lrep.epoch && lrep.role.leads() && from != self.id {
                 return;
             }
         }
