@@ -13,9 +13,8 @@
 //! * [`codec`] — the hand-written binary encoding used by the WAL and
 //!   SSTable formats,
 //! * [`crc32c`] — CRC-32C (Castagnoli) checksums guarding on-disk records,
-//! * [`vfs`] — a virtual file system with in-memory, on-disk and
-//!   fault-injecting backends so storage code can be crash-tested
-//!   deterministically.
+//! * [`vfs`] — a virtual file system with in-memory and fault-injecting
+//!   backends so storage code can be crash-tested deterministically.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
 //! Virtual file system.
 //!
 //! The WAL and SSTable code are written against the [`Vfs`]/[`VfsFile`]
-//! traits so the same storage engine runs on real disks ([`DiskVfs`]),
-//! entirely in memory ([`MemVfs`]) for the deterministic simulator and
-//! tests, and under scripted fault injection ([`FaultVfs`]).
+//! traits so the same storage engine runs entirely in memory
+//! ([`MemVfs`]) for the deterministic simulator and tests, and under
+//! scripted fault injection ([`FaultVfs`]).
 //!
 //! Paths are plain `/`-separated relative strings (`"wal/000001.log"`).
 //! Crash semantics are modeled by [`MemVfs::crash_clone`]: data appended
@@ -11,11 +11,9 @@
 //! tolerate on a real machine with its write cache disabled (the paper's
 //! Appendix C testbed).
 
-mod disk;
 mod fault;
 mod mem;
 
-pub use disk::DiskVfs;
 pub use fault::{FaultPlan, FaultVfs};
 pub use mem::MemVfs;
 
@@ -163,13 +161,5 @@ mod tests {
     #[test]
     fn mem_vfs_contract() {
         contract(&MemVfs::new());
-    }
-
-    #[test]
-    fn disk_vfs_contract() {
-        let dir = std::env::temp_dir().join(format!("spinnaker-vfs-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        contract(&DiskVfs::new(&dir).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! session expiry. The service is a deterministic state machine
 //! ([`Coord`]): every operation takes the caller's clock and returns the
 //! watch deliveries it triggered, so the same code runs under the
-//! discrete-event simulator and the threaded runtime.
+//! discrete-event simulator and in the hand-driven node tests.
 //!
 //! The real ZooKeeper is itself replicated with a Paxos-like protocol; the
 //! paper (§4.2, Appendix A.1) treats it as an externally fault-tolerant

@@ -503,6 +503,7 @@ impl Node {
                 self.adopt_table(&data);
             }
             Err(_) => {
+                // spinlint: allow(E1) -- exists fails only on a malformed path
                 let _ = self.coord.exists_watch(TABLE_PATH);
             }
         }
@@ -549,6 +550,7 @@ impl Node {
                 }
                 // A move target without a leader znode just waits: the
                 // exists-watch wakes it when a leader appears.
+                // spinlint: allow(E1) -- exists fails only on a malformed path
                 let _ = self.coord.exists_watch(&paths.leader);
             }
         }
@@ -586,6 +588,7 @@ impl Node {
                 // have not been voted responsible for. Wait for the
                 // members' election and relearn the leader via the watch.
                 let paths = CohortPaths::new(range);
+                // spinlint: allow(E1) -- exists fails only on a malformed path
                 let _ = self.coord.exists_watch(&paths.leader);
             }
             ServeStatus::Member => {
@@ -984,6 +987,7 @@ impl Node {
             let paths = CohortPaths::new(range);
             if let Ok((data, _)) = self.coord.get_data(&paths.leader) {
                 if parse_node(&data) == self.id {
+                    // spinlint: allow(E1) -- gone already, or our expired session took it
                     let _ = self.coord.delete(&paths.leader);
                 }
             }
@@ -1051,6 +1055,7 @@ impl Node {
             out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
         }
         if let Some(path) = rep.candidate_path {
+            // spinlint: allow(E1) -- gone already, or our expired session took it
             let _ = self.coord.delete(&path);
         }
         self.dissolved.push(Dissolved { range, at: now, gc_znodes: false });
@@ -1086,6 +1091,7 @@ impl Node {
             // spinlint: allow(E1) -- dropped in memory anyway; a failed save keeps segments longer
             let _ = self.wal.retire_stream(d.range);
             if d.gc_znodes {
+                // spinlint: allow(E1) -- fails only on an expired session: the node restarts
                 let _ = self.coord.delete_recursive(&CohortPaths::new(d.range).base);
             }
         }
@@ -1124,6 +1130,7 @@ impl Node {
                     if role == Role::Electing {
                         self.follow_leader_znode(now, range, &paths, out);
                     } else {
+                        // spinlint: allow(E1) -- ROADMAP 7d finding: NoNode leaves no leader watch
                         let _ = self.coord.get_data_watch(&paths.leader); // keep watching
                     }
                 }

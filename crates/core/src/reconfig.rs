@@ -460,6 +460,7 @@ impl Node {
         }
         self.coord.write_epoch(&lp.epoch, pe + 1);
         self.coord.write_epoch(&rp.epoch, pe);
+        // spinlint: allow(E1) -- created this step: only an expired session fails it
         let _ = self.coord.create_ephemeral(&lp.leader, self.id.to_string().into_bytes());
         // The parent's leader znode is deliberately left standing:
         // deleting it would fire the followers' leader-watches *before*
@@ -546,6 +547,7 @@ impl Node {
         let data = match self.coord.get_data_watch(TABLE_PATH) {
             Ok(d) => d,
             Err(_) => {
+                // spinlint: allow(E1) -- exists fails only on a malformed path
                 let _ = self.coord.exists_watch(TABLE_PATH);
                 return;
             }
@@ -605,6 +607,7 @@ impl Node {
             // This path is reached from elections: withdraw a candidacy
             // for a range nobody will elect again.
             if let Some(path) = &p.candidate_path {
+                // spinlint: allow(E1) -- gone already, or our expired session took it
                 let _ = self.coord.delete(path);
             }
         }
@@ -763,6 +766,7 @@ impl Node {
         let paths = CohortPaths::new(range);
         self.coord.ensure_path(&paths.base);
         self.coord.ensure_path(&paths.candidates);
+        // spinlint: allow(E1) -- ROADMAP 7d finding: NoNode leaves no leader watch
         let _ = self.coord.get_data_watch(&paths.leader);
         let mut rt = runtime!(self, now);
         if let Some(rep) = self.replicas.get_mut(&range) {
@@ -1033,6 +1037,7 @@ impl Node {
         self.coord.ensure_path(&mp.base);
         self.coord.ensure_path(&mp.candidates);
         self.coord.write_epoch(&mp.epoch, merged_epoch);
+        // spinlint: allow(E1) -- created this step: only an expired session fails it
         let _ = self.coord.create_ephemeral(&mp.leader, self.id.to_string().into_bytes());
         // Both siblings' leader znodes stay standing until GC, exactly
         // like a split parent's (watch-ordering: peers must process the

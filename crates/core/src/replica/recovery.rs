@@ -101,7 +101,7 @@ impl RangeReplica {
         self.takeover = None;
         // Fig. 7 line 1: clean up our state from a previous round.
         if let Some(old) = self.candidate_path.take() {
-            // spinlint: allow(E1) -- a znode left behind is ephemeral: it dies with our session
+            // spinlint: allow(E1) -- gone already, or our expired session took it
             let _ = rt.coord.delete(&old);
         }
         // Fig. 7 line 4: advertise n.lst in a sequential ephemeral znode.
@@ -125,7 +125,7 @@ impl RangeReplica {
         let paths = CohortPaths::new(self.range);
         self.role = Role::Electing;
         self.leader = None;
-        // spinlint: allow(E1) -- check_election below sets the same watch and reads the list
+        // spinlint: allow(E1) -- check_election repeats it; the retry timer re-drives
         let _ = rt.coord.get_children_watch(&paths.candidates);
         out.set_timer(TimerKind::ElectionRetry, ELECTION_RETRY);
         self.check_election(rt, out);
@@ -183,7 +183,7 @@ impl RangeReplica {
                     self.become_follower(rt, leader, out);
                 }
                 Err(_) => {
-                    // spinlint: allow(E1) -- a lost watch is re-armed by the election-retry timer
+                    // spinlint: allow(E1) -- exists fails only on a malformed path
                     let _ = rt.coord.exists_watch(&paths.leader);
                 }
             }
@@ -199,8 +199,8 @@ impl RangeReplica {
     /// elections resolve to us instead of racing.
     pub(crate) fn claim_leadership(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) {
         let paths = CohortPaths::new(self.range);
-        // spinlint: allow(E1) -- the departed leader's ephemeral; if it stays, the create below fails and we follow its holder
-        let _ = rt.coord.delete(&paths.leader);
+        // spinlint: allow(E1) -- gone already, or our session expired: create fails too
+        let _ = rt.coord.delete(&paths.leader); // the departed leader's ephemeral
         self.take_leader_znode(rt, &paths, out);
     }
 

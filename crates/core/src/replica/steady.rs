@@ -15,11 +15,6 @@ use crate::messages::{Addr, ClientError, ClientOp, ClientReply, ClientRequest, O
 /// What a commit note adds to the bytes the next force is charged for.
 const NOTE_BYTES: u64 = 24;
 
-/// What the next force is charged for logging `ops` as one batch record.
-fn group_bytes(ops: &[WriteOp]) -> u64 {
-    ops.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32
-}
-
 impl RangeReplica {
     pub(crate) fn on_write(
         &mut self,
@@ -146,21 +141,27 @@ impl RangeReplica {
         let last = self.unproposed[self.unproposed.len() - 1];
         // The ops move out of the queue's tail into one immutable batch;
         // the log record, both propose messages and every queue share it.
-        let ops = self.cq.share_from(first);
-        debug_assert_eq!(ops.len(), self.unproposed.len(), "the tail is the unproposed writes");
+        let group = (first, self.cq.share_from(first));
+        debug_assert_eq!(group.1.len(), self.unproposed.len(), "the tail is the unproposed writes");
         self.unproposed.clear();
-        let bytes = group_bytes(&ops);
         // Fail-stop: a leader that cannot log must neither propose nor
         // ack — the batch stays uncommitted and its clients time out.
-        let appended = rt.wal.append(&LogRecord::batch(self.range, first, ops.clone()));
-        if rt.fail_stop(appended).is_none() {
+        if self.log_group(rt, &group).is_none() {
             return;
         }
-        rt.forces.add_bytes(bytes);
         rt.forces.request(Waiter::LeaderWrite { range: self.range, lsn: last }, out);
         self.proposing = true;
         let closed_ts = self.advertised_closed_ts(rt);
-        self.send_group(rt, &self.peers, &(first, ops), closed_ts, out);
+        self.send_group(rt, &self.peers, &group, closed_ts, out);
+    }
+
+    /// Log `group` as one batch record and charge the next force for it;
+    /// `None` once a refused append has failed the node stop.
+    fn log_group(&self, rt: &mut Runtime<'_>, (first, ops): &Group) -> Option<()> {
+        let appended = rt.wal.append(&LogRecord::batch(self.range, *first, ops.clone()));
+        rt.fail_stop(appended)?;
+        rt.forces.add_bytes(ops.iter().map(|op| op.approx_size() as u64 + 8).sum::<u64>() + 32);
+        Some(())
     }
 
     /// Queue every write of `group` as pending, sharing its batch.
@@ -301,14 +302,11 @@ impl RangeReplica {
         // the last LSN vouches for every op in it — and, the log being
         // sequential, for the part of the group we already held.
         if let Some(group) = group {
-            let bytes = group_bytes(&group.1);
             // Fail-stop, like a leader that cannot log: the force below
             // would succeed and acknowledge a group that is not in the log.
-            let appended = rt.wal.append(&LogRecord::batch(self.range, group.0, group.1.clone()));
-            if rt.fail_stop(appended).is_none() {
+            if self.log_group(rt, &group).is_none() {
                 return;
             }
-            rt.forces.add_bytes(bytes);
             self.queue_group(&group, false);
         }
         rt.forces

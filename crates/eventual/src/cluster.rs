@@ -14,7 +14,7 @@ use spinnaker_core::client::{ClientHost, ClientStats, SharedStats};
 use spinnaker_core::partition::Ring;
 use spinnaker_sim::{
     Actor, CpuModel, Ctx, DiskOutcome, DiskProfile, Idle, LogDevice, NetConfig, NetModel, ProcId,
-    Sim, Time, MICROS, MILLIS,
+    Sim, Time, MICROS,
 };
 
 use crate::node::{EEffect, ENodeInput, EPeerMsg, EReply, EventualNode, ReadLevel, WriteLevel};
@@ -128,9 +128,6 @@ impl ENodeHost {
             ENodeInput::Peer { msg, .. } => match msg {
                 EPeerMsg::ReplicaWrite { .. } => self.cfg.write_service,
                 EPeerMsg::ReplicaRead { .. } => self.cfg.read_service,
-                EPeerMsg::TreeReq { .. }
-                | EPeerMsg::TreeResp { .. }
-                | EPeerMsg::SyncRows { .. } => 2 * MILLIS,
                 _ => 80 * MICROS,
             },
             _ => 0,

@@ -5,8 +5,7 @@
 //! range; the coordinator acknowledges after `W` replica acks (weak `W=1`,
 //! quorum `W=2`). Reads fan out to `R` replicas (weak `R=1`, quorum
 //! `R=2`); the newest timestamp wins and divergent replicas receive
-//! read-repair writes. Background anti-entropy compares Merkle trees and
-//! ships differing buckets.
+//! read-repair writes.
 //!
 //! As the paper stresses (§9), even quorum reads/writes do **not** give
 //! Spinnaker's consistency: there is no leader serializing writes and no
@@ -20,7 +19,6 @@ use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{ColumnValue, Key, Lsn, NodeId, RangeId, Result, Row, Timestamp, WriteOp};
 use spinnaker_storage::{RangeStore, StoreOptions};
 
-use crate::merkle::{bucket_of, MerkleTree};
 use spinnaker_core::partition::Ring;
 
 /// Merge a write into a store with last-writer-wins semantics.
@@ -109,25 +107,6 @@ pub enum EPeerMsg {
         /// Stored state (None = absent).
         cv: Option<ColumnValue>,
     },
-    /// Anti-entropy: ask a peer for its Merkle tree of `range`.
-    TreeReq {
-        /// Range to compare.
-        range: RangeId,
-    },
-    /// Anti-entropy: the requested tree.
-    TreeResp {
-        /// Range compared.
-        range: RangeId,
-        /// The peer's tree.
-        tree: MerkleTree,
-    },
-    /// Anti-entropy: rows from differing buckets; merge by timestamp.
-    SyncRows {
-        /// Range being synchronized.
-        range: RangeId,
-        /// Row fragments to merge.
-        rows: Vec<(Key, Row)>,
-    },
 }
 
 impl EPeerMsg {
@@ -136,10 +115,6 @@ impl EPeerMsg {
         match self {
             EPeerMsg::ReplicaWrite { op, .. } => 48 + op.approx_size(),
             EPeerMsg::ReadResp { cv, .. } => 48 + cv.as_ref().map_or(0, |c| c.value.len()),
-            EPeerMsg::TreeResp { .. } => 2 * MerkleTree::leaf_count() * 8,
-            EPeerMsg::SyncRows { rows, .. } => {
-                48 + rows.iter().map(|(k, r)| k.len() + r.approx_size()).sum::<usize>()
-            }
             _ => 48,
         }
     }
@@ -210,8 +185,6 @@ pub enum ENodeInput {
         /// Completed force tokens.
         tokens: Vec<u64>,
     },
-    /// Periodic anti-entropy trigger.
-    AntiEntropy,
 }
 
 /// Effects requested of the hosting runtime.
@@ -270,7 +243,6 @@ pub struct EventualNode {
     force_waiters: BTreeMap<u64, (NodeId, u64)>,
     next_id: u64,
     next_token: u64,
-    ae_cursor: usize,
 }
 
 impl EventualNode {
@@ -295,7 +267,6 @@ impl EventualNode {
             force_waiters: BTreeMap::new(),
             next_id: 1,
             next_token: 1,
-            ae_cursor: 0,
         })
     }
 
@@ -379,16 +350,6 @@ impl EventualNode {
                     }
                 }
             }
-            ENodeInput::AntiEntropy => {
-                // Round-robin one (range, peer) pair per trigger.
-                let ranges = self.ring.ranges_of(self.id);
-                let range = ranges[self.ae_cursor % ranges.len()];
-                let peers: Vec<NodeId> =
-                    self.ring.cohort(range).into_iter().filter(|&n| n != self.id).collect();
-                let peer = peers[(self.ae_cursor / ranges.len()) % peers.len()];
-                self.ae_cursor += 1;
-                out.push(EEffect::Send { to: peer, msg: EPeerMsg::TreeReq { range } });
-            }
         }
     }
 
@@ -421,32 +382,6 @@ impl EventualNode {
                     p.resps.push((replica, cv));
                 }
                 self.maybe_finish_read(id, out);
-            }
-            EPeerMsg::TreeReq { range } => {
-                if let Some(tree) = self.build_tree(range) {
-                    out.push(EEffect::Send { to: from, msg: EPeerMsg::TreeResp { range, tree } });
-                }
-            }
-            EPeerMsg::TreeResp { range, tree } => {
-                let Some(mine) = self.build_tree(range) else { return };
-                let diff = mine.diff(&tree);
-                if diff.is_empty() {
-                    return;
-                }
-                // Push our rows in differing buckets; the peer merges by
-                // timestamp. (The peer's own anti-entropy round pushes the
-                // other direction.)
-                let rows = self.rows_in_buckets(range, &diff);
-                if !rows.is_empty() {
-                    out.push(EEffect::Send { to: from, msg: EPeerMsg::SyncRows { range, rows } });
-                }
-            }
-            EPeerMsg::SyncRows { range, rows } => {
-                if let Some(store) = self.stores.get_mut(&range) {
-                    for (key, row) in &rows {
-                        store.ingest_fragment(key, row);
-                    }
-                }
             }
         }
     }
@@ -528,24 +463,6 @@ impl EventualNode {
         self.pending_reads.remove(&id);
     }
 
-    fn build_tree(&self, range: RangeId) -> Option<MerkleTree> {
-        let store = self.stores.get(&range)?;
-        let start = self.ring.range_start(range);
-        let end = self.ring.range_end(range);
-        let rows = store.scan(&start, end.as_ref()).ok()?;
-        let hashed: Vec<(Key, u64)> =
-            rows.iter().map(|(k, row)| (k.clone(), row_content_hash(row))).collect();
-        Some(MerkleTree::build(hashed.iter().map(|(k, h)| (k, *h))))
-    }
-
-    fn rows_in_buckets(&self, range: RangeId, buckets: &[usize]) -> Vec<(Key, Row)> {
-        let Some(store) = self.stores.get(&range) else { return Vec::new() };
-        let start = self.ring.range_start(range);
-        let end = self.ring.range_end(range);
-        let Ok(rows) = store.scan(&start, end.as_ref()) else { return Vec::new() };
-        rows.into_iter().filter(|(k, _)| buckets.contains(&bucket_of(k))).collect()
-    }
-
     /// Direct store access for tests.
     pub fn store(&self, range: RangeId) -> Option<&RangeStore> {
         self.stores.get(&range)
@@ -555,14 +472,4 @@ impl EventualNode {
     pub fn id(&self) -> NodeId {
         self.id
     }
-}
-
-/// Content hash of a row (all columns' versions + timestamps folded in).
-pub fn row_content_hash(row: &Row) -> u64 {
-    let mut h = 0u64;
-    for (col, cv) in &row.columns {
-        let c = spinnaker_common::crc32c::crc32c(col) as u64;
-        h ^= (c ^ cv.version.rotate_left(17) ^ cv.timestamp).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    h
 }

@@ -1,12 +1,11 @@
 //! End-to-end behaviour of the eventually consistent baseline, including
 //! the consistency caveats §9 spells out.
 
-use spinnaker_common::Key;
 use spinnaker_core::partition::u64_to_key;
 use spinnaker_eventual::cluster::{EClusterConfig, EWorkload, EventualCluster};
 use spinnaker_eventual::node::{ENodeInput, ReadLevel, WriteLevel};
-use spinnaker_eventual::{EventualNode, MerkleTree};
-use spinnaker_sim::{DiskProfile, MILLIS, SECS};
+use spinnaker_eventual::EventualNode;
+use spinnaker_sim::{DiskProfile, SECS};
 
 fn quick(seed: u64) -> EventualCluster {
     EventualCluster::new(EClusterConfig {
@@ -150,55 +149,6 @@ fn concurrent_writes_resolve_by_last_writer_wins() {
 }
 
 #[test]
-fn anti_entropy_converges_divergent_replicas() {
-    let mut c = EventualCluster::new(EClusterConfig {
-        nodes: 5,
-        seed: 5,
-        disk: DiskProfile::Ssd,
-        ..Default::default()
-    });
-    // Anti-entropy rounds on every node, every 500 ms from t = 1 s
-    // (staggered 7 ms apart), until the end of the run.
-    for node in 0..5u32 {
-        let mut at = SECS + u64::from(node) * 7 * MILLIS;
-        while at <= 20 * SECS {
-            c.inject(at, node, ENodeInput::AntiEntropy);
-            at += 500 * MILLIS;
-        }
-    }
-    let key = u64_to_key(424242);
-    let range = c.ring.range_of(&key);
-    let cohort = c.ring.cohort(range);
-    // Seed divergence: write directly into one replica's store via a
-    // repair-style peer message (id 0: no ack, no fan-out).
-    use spinnaker_common::op;
-    let mut w = op::put("x", "c", "orphan");
-    w.key = key.clone();
-    w.timestamp = 999_999;
-    c.inject(
-        SECS,
-        cohort[2],
-        ENodeInput::Peer {
-            from: cohort[0],
-            msg: spinnaker_eventual::node::EPeerMsg::ReplicaWrite { id: 0, op: w },
-        },
-    );
-    c.run_until(SECS + MILLIS);
-    let have = |c: &EventualCluster, n: u32| {
-        c.with_node(n, |node: &EventualNode| {
-            node.store(range).and_then(|s| s.get_column(&key, b"c").ok().flatten()).is_some()
-        })
-    };
-    assert!(have(&c, cohort[2]));
-    assert!(!have(&c, cohort[0]), "other replicas missing it");
-    // Anti-entropy rounds propagate it without any client read.
-    c.run_until(20 * SECS);
-    for &n in &cohort {
-        assert!(have(&c, n), "replica {n} converged via merkle sync");
-    }
-}
-
-#[test]
 fn read_repair_heals_a_stale_replica() {
     let mut c = quick(6);
     let key = u64_to_key(31337);
@@ -235,14 +185,4 @@ fn read_repair_heals_a_stale_replica() {
     };
     assert!(fresh_at(&c, cohort[0]));
     assert!(fresh_at(&c, cohort[1]), "read repair healed the stale replica");
-}
-
-#[test]
-fn merkle_tree_diff_matches_store_divergence() {
-    let a: Vec<(Key, u64)> = (0..100).map(|i| (u64_to_key(i), i)).collect();
-    let mut b = a.clone();
-    b[50].1 = 1;
-    let ta = MerkleTree::build(a.iter().map(|(k, h)| (k, *h)));
-    let tb = MerkleTree::build(b.iter().map(|(k, h)| (k, *h)));
-    assert_eq!(ta.diff(&tb).len(), 1);
 }

@@ -14,7 +14,7 @@
 //! | `C1` | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery paths |
 //! | `C2` | no truncating `as` integer casts in wire/WAL codecs |
 //! | `P1` | no wildcard `_` arms in matches over protocol enums |
-//! | `E1` | no `let _ =` discarding a log / file-system / store result in the node runtime |
+//! | `E1` | no `let _ =` discarding a log / vfs / store / coordination result in the node runtime |
 //!
 //! Scope lives in `lint.toml` at the workspace root; per-site escapes
 //! are in-source waivers of the form

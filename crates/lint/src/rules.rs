@@ -238,13 +238,13 @@ fn rule_c2(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     }
 }
 
-/// E1 — discarded store results: a `let _ =` whose expression calls
-/// into the log, the file system or the store (`.wal.`, `.vfs.`,
-/// `.store.`) drops an I/O error unseen. An error there must fail-stop
-/// the node or reach the caller; a deliberate ignore carries a waiver
-/// saying why losing it is safe.
+/// E1 — discarded results: a `let _ =` whose expression calls into the
+/// log, the file system, the store or the coordination service (`.wal.`,
+/// `.vfs.`, `.store.`, `.coord.`) drops an error unseen. An error there
+/// must fail-stop the node or reach the caller; a deliberate ignore
+/// carries a waiver saying why losing it is safe.
 fn rule_e1(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    const FIELDS: &[&str] = &["wal", "vfs", "store"];
+    const FIELDS: &[&str] = &["wal", "vfs", "store", "coord"];
     for (i, t) in toks.iter().enumerate() {
         let discard = t.is_ident("let")
             && toks.get(i + 1).is_some_and(|n| n.is_ident("_"))

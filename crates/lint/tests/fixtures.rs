@@ -66,12 +66,13 @@ fn e1_fixture_flags_discarded_log_vfs_and_store_results() {
     let got =
         lint_source("fixtures/e1_discard.rs", include_str!("../fixtures/e1_discard.rs"), &cfg());
     assert!(got.iter().all(|v| v.rule == "E1"), "{got:?}");
-    // `.wal.`, `.vfs.`, a `.store.` split over lines, and the waived
-    // checkpoint — not the coordination call, the bare binding, the
-    // named binding, the used result or the #[cfg(test)] module.
-    assert_eq!(lines(&got, "E1"), vec![3, 4, 5, 13]);
+    // `.wal.`, `.vfs.`, a `.store.` split over lines, a `.coord.` call,
+    // the waived checkpoint and the waived watch — not the bare
+    // bindings, the named binding, the used result or the #[cfg(test)]
+    // module.
+    assert_eq!(lines(&got, "E1"), vec![3, 4, 5, 8, 13, 15]);
     let waived: Vec<u32> = got.iter().filter(|v| v.waived).map(|v| v.line).collect();
-    assert_eq!(waived, vec![13]);
+    assert_eq!(waived, vec![13, 15]);
 }
 
 #[test]
