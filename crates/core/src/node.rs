@@ -1091,7 +1091,7 @@ impl Node {
             // spinlint: allow(E1) -- dropped in memory anyway; a failed save keeps segments longer
             let _ = self.wal.retire_stream(d.range);
             if d.gc_znodes {
-                // spinlint: allow(E1) -- fails only on an expired session: the node restarts
+                // spinlint: allow(E1) -- fails only on an expired session; no table names the range
                 let _ = self.coord.delete_recursive(&CohortPaths::new(d.range).base);
             }
         }
