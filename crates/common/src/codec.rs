@@ -17,12 +17,21 @@
 //! bump — so a row decoded out of a cached block or an op decoded out of
 //! a log frame allocates for its containers only, and keeps the buffer
 //! alive for as long as any of its keys, names or values is held.
+//!
+//! An encoded [`Row`] has **one canonical form**: column names strictly
+//! ascending, and each column's versions (head, then chain) strictly
+//! descending. It is what [`Row::encode`](Encode::encode) writes, and it
+//! is checked wherever a row is read — [`Row::decode`], [`skip_row`] and
+//! [`scan_row`] (so an SSTable block at load) and [`fold_visible`] — with
+//! the same error at the same byte. So every reader of a row sees the
+//! same columns and versions, and [`RowMerge`] can merge rows without
+//! decoding them: the encoded form is already the order the merge walks.
 
 use bytes::Bytes;
 
 use crate::error::{Error, Result};
 use crate::lsn::Lsn;
-use crate::types::{ColumnValue, Key, Row, Timestamp};
+use crate::types::{ColumnValue, DisplayBytes, Key, Row, Timestamp};
 
 /// Types that can serialize themselves onto a byte buffer.
 pub trait Encode {
@@ -302,10 +311,15 @@ impl Decode for Key {
 }
 
 fn put_cv_fields(buf: &mut Vec<u8>, cv: &ColumnValue) {
-    put_u8(buf, u8::from(cv.tombstone));
-    put_u64(buf, cv.version);
-    put_u64(buf, cv.timestamp);
-    put_bytes(buf, &cv.value);
+    put_cv_parts(buf, cv.tombstone, cv.version, cv.timestamp, &cv.value);
+}
+
+/// One version's fields: what [`get_cv_parts`] reads back.
+fn put_cv_parts(buf: &mut Vec<u8>, tombstone: bool, version: u64, timestamp: u64, value: &[u8]) {
+    put_u8(buf, u8::from(tombstone));
+    put_u64(buf, version);
+    put_u64(buf, timestamp);
+    put_bytes(buf, value);
 }
 
 /// One version's fields with the value still borrowed: the single parse
@@ -338,13 +352,41 @@ fn get_column_count(buf: &mut &[u8]) -> Result<usize> {
     get_varint_len(buf, "row columns", 19)
 }
 
+/// The canonical column order: `name`, read after `previous`, must sort
+/// strictly after it. Checked by every reader right after it reads a
+/// name, so all of them fail at the same byte with the same error.
+fn check_name_order(previous: Option<&[u8]>, name: &[u8]) -> Result<()> {
+    match previous {
+        Some(previous) if previous >= name => Err(Error::Codec(format!(
+            "column {} after {}: names out of order",
+            DisplayBytes(name),
+            DisplayBytes(previous)
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// The canonical chain order: a version read after `newer` in the same
+/// column must be strictly lower. Checked right after the version's
+/// fields are read.
+fn check_version_order(newer: u64, version: u64) -> Result<()> {
+    if version >= newer {
+        return Err(Error::Codec(format!(
+            "column version {version} after {newer}: chain out of order"
+        )));
+    }
+    Ok(())
+}
+
 /// Advance `buf` past one encoded [`ColumnValue`] (head and MVCC chain)
 /// without allocating. Validates everything [`ColumnValue::decode`]
 /// validates: it succeeds on, and consumes, exactly the same bytes.
 pub fn skip_column_value(buf: &mut &[u8]) -> Result<()> {
-    get_cv_parts(buf)?;
+    let (_, mut newer, _, _) = get_cv_parts(buf)?;
     for _ in 0..get_chain_len(buf)? {
-        get_cv_parts(buf)?;
+        let (_, version, _, _) = get_cv_parts(buf)?;
+        check_version_order(newer, version)?;
+        newer = version;
     }
     Ok(())
 }
@@ -360,14 +402,11 @@ pub fn skip_row(buf: &mut &[u8]) -> Result<()> {
 /// What [`scan_row`] learned about one encoded [`Row`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RowScan {
-    /// The row has at least one column, no tombstone, no version chain,
-    /// and its column names are strictly ascending. Decoding such a row,
-    /// pruning it at any GC floor and encoding it again writes the bytes
-    /// that were scanned — so compaction may move them instead. The
-    /// order check is what makes that hold: [`Row::decode`] inserts each
-    /// column into the row's sorted [`Columns`](crate::types::Columns),
-    /// the last of a repeated name winning, so an unsorted or repeated
-    /// name would come back out as different bytes.
+    /// The row has at least one column, no tombstone and no version
+    /// chain. Decoding such a row, pruning it at any GC floor and
+    /// encoding it again writes the bytes that were scanned — the bytes
+    /// being canonical, which the scan checked — so compaction may move
+    /// them instead.
     pub plain: bool,
     /// Smallest column version (packed LSN) over every version stored;
     /// `u64::MAX` for a row without columns.
@@ -376,38 +415,40 @@ pub struct RowScan {
     pub max_version: u64,
     /// Largest commit timestamp over every version stored.
     pub max_ts: u64,
-    /// [`Row::approx_size`] of the decoded row (when no column name
-    /// repeats: a repeated name is counted once per occurrence here).
+    /// [`Row::approx_size`] of the decoded row.
     pub approx_size: usize,
+}
+
+impl Default for RowScan {
+    /// What a row without columns scans as.
+    fn default() -> RowScan {
+        RowScan { plain: false, min_version: u64::MAX, max_version: 0, max_ts: 0, approx_size: 0 }
+    }
 }
 
 /// [`skip_row`] that also reports what it walked over: advance `buf`
 /// past one encoded [`Row`] without allocating, validating and consuming
-/// exactly what [`Row::decode`] does, and return the row's version and
-/// timestamp bounds, its size estimate, and whether it is *plain* (see
-/// [`RowScan::plain`]).
+/// exactly what [`Row::decode`] does — the canonical order included —
+/// and return the row's version and timestamp bounds, its size estimate,
+/// and whether it is *plain* (see [`RowScan::plain`]).
 pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
     let columns = get_column_count(buf)?;
-    let mut scan = RowScan {
-        plain: columns > 0,
-        min_version: u64::MAX,
-        max_version: 0,
-        max_ts: 0,
-        approx_size: 0,
-    };
+    let mut scan = RowScan { plain: columns > 0, ..RowScan::default() };
     let mut previous: Option<&[u8]> = None;
     for _ in 0..columns {
         let name = get_byte_slice(buf)?;
-        scan.plain &= previous.is_none_or(|p| p < name);
+        check_name_order(previous, name)?;
         previous = Some(name);
         scan.approx_size += name.len();
-        let (tombstone, version, timestamp, value) = get_cv_parts(buf)?;
+        let (tombstone, mut newer, timestamp, value) = get_cv_parts(buf)?;
         scan.plain &= !tombstone;
-        scan.note_version(version, timestamp, value);
+        scan.note_version(newer, timestamp, value);
         let older = get_chain_len(buf)?;
         scan.plain &= older == 0;
         for _ in 0..older {
             let (_, version, timestamp, value) = get_cv_parts(buf)?;
+            check_version_order(newer, version)?;
+            newer = version;
             scan.note_version(version, timestamp, value);
         }
     }
@@ -431,25 +472,31 @@ pub fn scan_row(buf: &mut &[u8]) -> Result<RowScan> {
 /// the row's end wants [`skip_row`].
 ///
 /// Every field up to there goes through the parser [`Row::decode`] and
-/// `skip_row` use. So on bytes `Row::decode` accepts — every row of a
-/// block, which was walked whole when the block was loaded — this
-/// succeeds and, the column names not repeating (no encoder repeats one)
-/// and `into` empty, leaves in `into` what [`Row::decode`] then
-/// [`Row::visible_at`] shows; and where this fails, `Row::decode` fails
-/// with the same error. On an error `into` keeps what was folded before.
+/// `skip_row` use, and the canonical order is checked at the same bytes.
+/// So on bytes `Row::decode` accepts — every row of a block, which was
+/// walked whole when the block was loaded — this succeeds and, `into`
+/// empty, leaves in `into` what [`Row::decode`] then [`Row::visible_at`]
+/// shows; and where this fails, `Row::decode` fails with the same error.
+/// On an error `into` keeps what was folded before.
 pub fn fold_visible(src: &mut Source<'_>, ts: Timestamp, into: &mut Row) -> Result<()> {
     let columns = get_column_count(src)?;
     if into.is_empty() {
         into.columns.reserve(columns);
     }
+    let mut previous: Option<&[u8]> = None;
     for i in 0..columns {
         let last = i + 1 == columns;
         let name = get_byte_slice(src)?;
+        check_name_order(previous, name)?;
+        previous = Some(name);
         let head = get_cv_parts(src)?;
         let mut visible = (head.2 <= ts).then_some(head);
         if !(last && visible.is_some()) {
+            let mut newer = head.1;
             for _ in 0..get_chain_len(src)? {
                 let older = get_cv_parts(src)?;
+                check_version_order(newer, older.1)?;
+                newer = older.1;
                 if visible.is_none() && older.2 <= ts {
                     visible = Some(older);
                     if last {
@@ -467,6 +514,255 @@ pub fn fold_visible(src: &mut Source<'_>, ts: Timestamp, into: &mut Row) -> Resu
         }
     }
     Ok(())
+}
+
+/// Merges the encoded fragments of one row — the rows compaction finds
+/// stored under one key in several input tables, or one row that may
+/// need pruning — into the encoded row the decode-everything merge
+/// writes, without decoding any of them: no [`Row`] is built, no chain
+/// threaded, and what it allocates is its scratch, which it keeps and
+/// reuses from one row to the next.
+///
+/// The fragments are canonical (see the module docs), which is what lets
+/// them be walked as they lie: columns in name order, each column's
+/// versions newest first. The order is checked on the way, and a
+/// fragment out of it, or cut short, is the error [`Row::decode`] would
+/// return. The merged row is,
+/// byte for byte, what decoding every fragment, folding them in order
+/// with [`Row::merge_newer`], pruning at the GC floor and encoding writes:
+///
+/// * a column's versions are the union of its fragments', newest first;
+///   of two with the same version the earlier fragment's is kept (what
+///   `merge_newer` keeps when it meets a version it holds);
+/// * every version with a commit timestamp above `floor` is kept, and
+///   the newest at or below it, which closes the chain (what a read
+///   pinned at the floor sees); a head at or below the floor has no
+///   chain;
+/// * with `drop_tombstones` (nothing older survives below the output), a
+///   column whose newest version is a tombstone at or below the floor
+///   is dropped.
+#[derive(Default)]
+pub struct RowMerge {
+    cursors: Vec<FragmentCursor>,
+    row: Vec<u8>,
+}
+
+/// One version of a column as [`RowMerge`] reads it: its fields, and
+/// where its value lies in its fragment.
+#[derive(Clone, Copy)]
+struct MergeVersion {
+    tombstone: bool,
+    version: u64,
+    timestamp: u64,
+    value: (usize, usize),
+}
+
+/// Where [`RowMerge`] is in one fragment.
+#[derive(Clone, Copy)]
+struct FragmentCursor {
+    /// Offset of the next byte not read.
+    at: usize,
+    /// Columns not opened yet.
+    columns: usize,
+    /// The open column's name, as a range of the fragment; `None` once
+    /// every column has been merged.
+    name: Option<(usize, usize)>,
+    /// Whether the open column is the one being merged.
+    merging: bool,
+    /// The open column's next version, `None` once it is used up.
+    next: Option<MergeVersion>,
+    /// Versions of the open column after `next`.
+    older: usize,
+}
+
+impl MergeVersion {
+    /// Read one version's fields off the front of `rest`, a suffix of
+    /// the fragment `row`.
+    fn read(row: &[u8], rest: &mut &[u8]) -> Result<MergeVersion> {
+        let (tombstone, version, timestamp, value) = get_cv_parts(rest)?;
+        let end = row.len() - rest.len();
+        Ok(MergeVersion { tombstone, version, timestamp, value: (end - value.len(), end) })
+    }
+}
+
+impl FragmentCursor {
+    /// Read the next version of the open column into `next`.
+    fn step(&mut self, row: &[u8]) -> Result<()> {
+        if self.older == 0 {
+            self.next = None;
+            return Ok(());
+        }
+        self.older -= 1;
+        let mut rest = &row[self.at..];
+        let v = MergeVersion::read(row, &mut rest)?;
+        if let Some(newer) = self.next {
+            check_version_order(newer.version, v.version)?;
+        }
+        self.at = row.len() - rest.len();
+        self.next = Some(v);
+        Ok(())
+    }
+
+    /// Walk past what is left of the open column and open the next one:
+    /// its name, its head in `next`, its chain's length in `older`.
+    fn open_next(&mut self, row: &[u8]) -> Result<()> {
+        while self.next.is_some() {
+            self.step(row)?;
+        }
+        if self.columns == 0 {
+            self.name = None;
+            return Ok(());
+        }
+        self.columns -= 1;
+        let mut rest = &row[self.at..];
+        let name = get_byte_slice(&mut rest)?;
+        let start = row.len() - rest.len() - name.len();
+        check_name_order(self.name.map(|(from, to)| &row[from..to]), name)?;
+        self.name = Some((start, start + name.len()));
+        self.next = Some(MergeVersion::read(row, &mut rest)?);
+        self.older = get_chain_len(&mut rest)?;
+        self.at = row.len() - rest.len();
+        Ok(())
+    }
+}
+
+impl RowMerge {
+    /// A merge with no scratch yet: it grows to the widest row merged.
+    pub fn new() -> RowMerge {
+        RowMerge::default()
+    }
+
+    /// Merge `fragments` (see [`RowMerge`]) and return what
+    /// [`scan_row`] would report of the merged row, which [`row`]
+    /// then holds — or `None` when pruning left no column, and there is
+    /// no row to write.
+    ///
+    /// [`row`]: RowMerge::row
+    pub fn merge<R: AsRef<[u8]>>(
+        &mut self,
+        fragments: &[R],
+        floor: Timestamp,
+        drop_tombstones: bool,
+    ) -> Result<Option<RowScan>> {
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        for fragment in fragments {
+            let row = fragment.as_ref();
+            let mut rest = row;
+            let columns = get_column_count(&mut rest)?;
+            let mut cursor = FragmentCursor {
+                at: row.len() - rest.len(),
+                columns,
+                name: None,
+                merging: false,
+                next: None,
+                older: 0,
+            };
+            cursor.open_next(row)?;
+            cursors.push(cursor);
+        }
+        let out = &mut self.row;
+        out.clear();
+        out.push(0); // the column count, patched in once known
+        let mut columns = 0;
+        let mut scan = RowScan { plain: true, ..RowScan::default() };
+        let name_of = |i: usize, c: &FragmentCursor| {
+            c.name.map(|(from, to)| &fragments[i].as_ref()[from..to])
+        };
+        // Column by column, least name first.
+        while let Some(name) = cursors.iter().enumerate().filter_map(|(i, c)| name_of(i, c)).min() {
+            for (i, c) in cursors.iter_mut().enumerate() {
+                c.merging = name_of(i, c) == Some(name);
+            }
+            let Some((from, head)) = next_version(cursors, fragments)? else { break };
+            if !(drop_tombstones && head.tombstone && head.timestamp <= floor) {
+                columns += 1;
+                put_bytes(out, name);
+                scan.approx_size += name.len();
+                scan.plain &= !head.tombstone;
+                put_version(out, &mut scan, fragments[from].as_ref(), head);
+                let chain_at = out.len();
+                out.push(0); // the chain's length, patched in once known
+                let mut chain = 0;
+                if head.timestamp > floor {
+                    while let Some((from, v)) = next_version(cursors, fragments)? {
+                        put_version(out, &mut scan, fragments[from].as_ref(), v);
+                        chain += 1;
+                        if v.timestamp <= floor {
+                            break;
+                        }
+                    }
+                }
+                scan.plain &= chain == 0;
+                patch_varint(out, chain_at, chain);
+            }
+            for (i, c) in cursors.iter_mut().enumerate() {
+                if c.merging {
+                    c.open_next(fragments[i].as_ref())?;
+                }
+            }
+        }
+        if columns == 0 {
+            return Ok(None);
+        }
+        patch_varint(out, 0, columns);
+        Ok(Some(scan))
+    }
+
+    /// The row the last [`merge`](RowMerge::merge) that returned a scan
+    /// wrote, encoded.
+    pub fn row(&self) -> &[u8] {
+        &self.row
+    }
+}
+
+/// The newest next version of the column being merged over every
+/// fragment merging it, and the fragment it is read from (the first, of
+/// equal versions); every fragment holding that version steps past it.
+fn next_version<R: AsRef<[u8]>>(
+    cursors: &mut [FragmentCursor],
+    fragments: &[R],
+) -> Result<Option<(usize, MergeVersion)>> {
+    let mut newest: Option<(usize, MergeVersion)> = None;
+    for (i, c) in cursors.iter().enumerate() {
+        if let (true, Some(v)) = (c.merging, c.next) {
+            if newest.is_none_or(|(_, n)| v.version > n.version) {
+                newest = Some((i, v));
+            }
+        }
+    }
+    if let Some((_, n)) = newest {
+        for (c, fragment) in cursors.iter_mut().zip(fragments) {
+            if c.merging && c.next.is_some_and(|v| v.version == n.version) {
+                c.step(fragment.as_ref())?;
+            }
+        }
+    }
+    Ok(newest)
+}
+
+/// Append one version's fields, its value read out of `fragment`, and
+/// count it into `scan`.
+fn put_version(out: &mut Vec<u8>, scan: &mut RowScan, fragment: &[u8], v: MergeVersion) {
+    let value = &fragment[v.value.0..v.value.1];
+    put_cv_parts(out, v.tombstone, v.version, v.timestamp, value);
+    scan.note_version(v.version, v.timestamp, value);
+}
+
+/// Overwrite the one-byte placeholder at `buf[at]` with `varint(v)`,
+/// moving what follows it up when the varint is longer.
+fn patch_varint(buf: &mut Vec<u8>, at: usize, mut v: u64) {
+    let len = varint_len(v);
+    if len > 1 {
+        let end = buf.len();
+        buf.resize(end + len - 1, 0);
+        buf.copy_within(at + 1..end, at + len);
+    }
+    for byte in &mut buf[at..at + len] {
+        *byte = (v & 0x7f) as u8 | 0x80; // spinlint: allow(C2) -- masked to 7 bits, cannot truncate
+        v >>= 7;
+    }
+    buf[at + len - 1] &= 0x7f;
 }
 
 impl RowScan {
@@ -499,8 +795,12 @@ impl Decode for ColumnValue {
         // runs to hundreds of versions.
         let n = get_chain_len(buf)?;
         let mut older = Vec::with_capacity(n);
+        let mut newer = head.version;
         for _ in 0..n {
-            older.push(get_cv_fields(buf)?);
+            let cv = get_cv_fields(buf)?;
+            check_version_order(newer, cv.version)?;
+            newer = cv.version;
+            older.push(cv);
         }
         head.older = older;
         Ok(head)
@@ -521,8 +821,12 @@ impl Decode for Row {
     fn decode_from(buf: &mut Source<'_>) -> Result<Row> {
         let n = get_column_count(buf)?;
         let mut row = Row::with_capacity(n);
+        let mut previous: Option<&[u8]> = None;
         for _ in 0..n {
-            let name = buf.bytes()?;
+            let name = get_byte_slice(buf)?;
+            check_name_order(previous, name)?;
+            previous = Some(name);
+            let name = buf.keep(name);
             let cv = ColumnValue::decode_from(buf)?;
             row.set(name, cv);
         }
@@ -668,88 +972,160 @@ mod tests {
         assert!(skip_row(&mut [0xffu8, 0xff, 0x03, 0, 0].as_slice()).is_err());
     }
 
-    /// `[n] ([name] [flag 0] [version] [timestamp] [value] [0 older])*`,
-    /// columns in the order given — the encoder itself cannot write them
-    /// unsorted.
-    fn hand_built_row(names: &[&[u8]]) -> Vec<u8> {
+    type Version = (u64, u64, bool, Vec<u8>);
+
+    /// `[n] ([name] [head] [chain length] [chain]*)*`, columns and
+    /// versions in the order given — the encoder itself cannot write
+    /// them out of order.
+    fn hand_encoded(cols: &[(Vec<u8>, Vec<Version>)]) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_varint(&mut buf, names.len() as u64);
-        for (i, name) in names.iter().enumerate() {
+        put_varint(&mut buf, cols.len() as u64);
+        for (name, versions) in cols {
             put_bytes(&mut buf, name);
-            put_u8(&mut buf, 0);
-            put_u64(&mut buf, 10 + i as u64);
-            put_u64(&mut buf, 20 + i as u64);
-            put_bytes(&mut buf, b"value");
-            put_varint(&mut buf, 0);
+            for (i, (version, timestamp, tombstone, value)) in versions.iter().enumerate() {
+                put_cv_parts(&mut buf, *tombstone, *version, *timestamp, value);
+                if i == 0 {
+                    put_varint(&mut buf, versions.len() as u64 - 1);
+                }
+            }
         }
         buf
     }
 
+    /// Live single versions, `10 + i` at `20 + i`, under `names`.
+    fn hand_built_row(names: &[&[u8]]) -> Vec<u8> {
+        let cols: Vec<(Vec<u8>, Vec<Version>)> = (0u64..)
+            .zip(names)
+            .map(|(i, name)| (name.to_vec(), vec![(10 + i, 20 + i, false, b"value".to_vec())]))
+            .collect();
+        hand_encoded(&cols)
+    }
+
+    /// Every reader of a row — decode, skip, scan, the point read's fold —
+    /// rejects it, with the same error.
+    fn assert_rejected_by_all(enc: &[u8], what: &str) {
+        let decoded = Row::decode(&mut &enc[..]).expect_err(what).to_string();
+        assert!(decoded.contains("out of order"), "{what}: {decoded}");
+        assert_eq!(skip_row(&mut &enc[..]).unwrap_err().to_string(), decoded, "{what}");
+        assert_eq!(scan_row(&mut &enc[..]).unwrap_err().to_string(), decoded, "{what}");
+        let folded = fold_visible(&mut Source::copying(enc), 0, &mut Row::new());
+        assert_eq!(folded.unwrap_err().to_string(), decoded, "{what}");
+    }
+
     #[test]
-    fn scan_row_reports_unsorted_or_repeated_columns_as_not_plain() {
+    fn rows_out_of_canonical_order_are_rejected_by_every_reader() {
         let plain = hand_built_row(&[b"a", b"b", b"c"]);
         let scan = scan_row(&mut plain.as_slice()).unwrap();
         assert!(scan.plain);
         assert_eq!((scan.min_version, scan.max_version, scan.max_ts), (10, 12, 22));
         assert_eq!(Row::decode(&mut plain.as_slice()).unwrap().encode_to_vec(), plain);
 
+        // Names unsorted or repeated: decoding once sorted them, the last
+        // of a repeated name winning, while a point read kept the highest
+        // version — two readings of one row.
         for names in [&[b"b" as &[u8], b"a"][..], &[b"a", b"a"], &[b"a", b"c", b"b"]] {
-            let enc = hand_built_row(names);
-            let mut cur = enc.as_slice();
-            let scan = scan_row(&mut cur).unwrap();
-            assert!(cur.is_empty(), "a well-formed row all the same");
-            assert!(!scan.plain, "{names:?}");
-            // Which is the point of the check: decoding sorts and
-            // deduplicates, so these bytes would not survive a rewrite.
-            assert_ne!(Row::decode(&mut enc.as_slice()).unwrap().encode_to_vec(), enc);
+            assert_rejected_by_all(&hand_built_row(names), &format!("names {names:?}"));
+        }
+        // A chain not strictly descending, at its head or further down.
+        let v = |version: u64| (version, version, false, b"v".to_vec());
+        for chain in [vec![v(5), v(7)], vec![v(5), v(5)], vec![v(9), v(5), v(6)]] {
+            let versions: Vec<u64> = chain.iter().map(|c| c.0).collect();
+            let enc = hand_encoded(&[(b"c".to_vec(), chain)]);
+            assert_rejected_by_all(&enc, &format!("versions {versions:?}"));
+            let mut cv = &enc[3..];
+            assert!(skip_column_value(&mut cv).is_err(), "versions {versions:?}");
+            assert!(ColumnValue::decode(&mut &enc[3..]).is_err(), "versions {versions:?}");
         }
         let empty = hand_built_row(&[]);
         assert!(!scan_row(&mut empty.as_slice()).unwrap().plain, "nothing to move");
     }
 
-    type Version = (u64, u64, bool, Vec<u8>);
+    /// Long rows take the varint path [`RowMerge`] patches lengths in by:
+    /// 150 columns, each a chain of 200 versions split over three
+    /// fragments. With nothing at or below the floor the merge keeps
+    /// every version, and writes what `merge_newer` builds.
+    #[test]
+    fn row_merge_writes_what_merge_newer_writes_for_long_rows() {
+        let fragments: Vec<Row> = (0..3u64)
+            .map(|f| {
+                let mut row = Row::new();
+                for col in 0..150u64 {
+                    for v in (1..=200u64).filter(|v| v % 3 == f) {
+                        let value = Bytes::from(format!("{col}@{v}"));
+                        let cv = ColumnValue::live(value, Lsn::from_u64(v), v);
+                        row.apply_version(Bytes::from(format!("col{col:03}")), cv);
+                    }
+                }
+                row
+            })
+            .collect();
+        let mut want = fragments[0].clone();
+        for newer in &fragments[1..] {
+            want.merge_newer(newer);
+        }
+        let encoded: Vec<Vec<u8>> = fragments.iter().map(Encode::encode_to_vec).collect();
+        let mut merge = RowMerge::new();
+        let scan = merge.merge(&encoded, 0, true).unwrap().unwrap();
+        assert_eq!(merge.row(), &want.encode_to_vec()[..]);
+        assert_eq!(scan, scan_row(&mut merge.row()).unwrap());
+        assert_eq!(Row::decode(&mut merge.row()).unwrap(), want);
+    }
 
-    fn cv_of((version, timestamp, tombstone, value): Version) -> ColumnValue {
-        ColumnValue { value: Bytes::from(value), version, timestamp, tombstone, older: Vec::new() }
+    /// Columns as a store writes them (`canonical`: names sorted and
+    /// distinct, versions strictly descending) or as it never does.
+    fn columns_strategy() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<Version>)>> {
+        let version =
+            (0u64..8, any::<u64>(), any::<bool>(), proptest::collection::vec(any::<u8>(), 0..40));
+        let column =
+            (proptest::collection::vec(0u8..3, 0..3), proptest::collection::vec(version, 1..5));
+        (proptest::collection::vec(column, 0..6), any::<bool>()).prop_map(
+            |(mut cols, canonical)| {
+                if canonical {
+                    cols.sort_by(|a, b| a.0.cmp(&b.0));
+                    cols.dedup_by(|a, b| a.0 == b.0);
+                    for (_, versions) in &mut cols {
+                        versions.sort_by_key(|v| std::cmp::Reverse(v.0));
+                        versions.dedup_by(|a, b| a.0 == b.0);
+                    }
+                }
+                cols
+            },
+        )
     }
 
     proptest! {
         #[test]
         fn prop_skip_row_mirrors_decode(
-            cols in proptest::collection::btree_map(
-                proptest::collection::vec(any::<u8>(), 0..12),
-                proptest::collection::vec(
-                    (any::<u64>(), any::<u64>(), any::<bool>(),
-                     proptest::collection::vec(any::<u8>(), 0..40)),
-                    1..5,
-                ),
-                0..6,
-            ),
+            cols in columns_strategy(),
             trailing in proptest::collection::vec(any::<u8>(), 0..8),
         ) {
-            let mut row = Row::new();
-            for (name, mut versions) in cols {
-                let mut head = cv_of(versions.remove(0));
-                head.older = versions.into_iter().map(cv_of).collect();
-                row.set(Bytes::from(name), head);
-            }
-            let mut enc = row.encode_to_vec();
+            let mut enc = hand_encoded(&cols);
             let row_len = enc.len();
             enc.extend_from_slice(&trailing);
+            let canonical = cols.windows(2).all(|w| w[0].0 < w[1].0)
+                && cols.iter().all(|(_, vs)| vs.windows(2).all(|w| w[0].0 > w[1].0));
 
-            // Whole input: both stop at the end of the row, not of the buffer.
+            // Whole input: the three accept exactly the canonical rows, and
+            // stop at the end of the row, not of the buffer.
             let mut d = enc.as_slice();
-            prop_assert_eq!(Row::decode(&mut d).unwrap(), row);
             let mut s = enc.as_slice();
-            skip_row(&mut s).unwrap();
-            prop_assert_eq!(s.len(), trailing.len());
-            prop_assert_eq!(d.len(), s.len());
-
-            // The scan stops where they stop and reports what the decoded
-            // row holds.
             let mut c = enc.as_slice();
-            let scan = scan_row(&mut c).unwrap();
+            let decoded = Row::decode(&mut d);
+            let skipped = skip_row(&mut s);
+            let scanned = scan_row(&mut c);
+            prop_assert_eq!(decoded.is_ok(), canonical);
+            prop_assert_eq!(skipped.is_ok(), canonical);
+            prop_assert_eq!(scanned.is_ok(), canonical);
+            let (Ok(row), Ok(scan)) = (decoded, scanned) else {
+                return;
+            };
+            prop_assert_eq!(d.len(), trailing.len());
+            prop_assert_eq!(s.len(), trailing.len());
             prop_assert_eq!(c.len(), trailing.len());
+            // The bytes accepted are the one encoding of what they decode to.
+            prop_assert_eq!(&row.encode_to_vec()[..], &enc[..row_len]);
+
+            // The scan reports what the decoded row holds.
             let versions = || row.columns.values().flat_map(ColumnValue::versions);
             prop_assert_eq!(scan.min_version, versions().map(|v| v.version).min().unwrap_or(u64::MAX));
             prop_assert_eq!(scan.max_version, versions().map(|v| v.version).max().unwrap_or(0));
@@ -758,14 +1134,6 @@ mod tests {
             let plain = !row.is_empty()
                 && row.columns.values().all(|cv| !cv.tombstone && cv.older.is_empty());
             prop_assert_eq!(scan.plain, plain);
-            if plain {
-                // The byte path's licence: pruning is the identity on a
-                // plain row, whatever the floor.
-                for (floor, drop_tombstones) in [(0, false), (u64::MAX, true)] {
-                    let pruned = row.prune(floor, drop_tombstones).encode_to_vec();
-                    prop_assert_eq!(&pruned[..], &enc[..row_len]);
-                }
-            }
 
             // Every truncation point: same verdict, same bytes consumed.
             for cut in 0..row_len {

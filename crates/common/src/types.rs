@@ -524,9 +524,10 @@ impl Row {
 
     /// Merge `newer` into `self`, unioning the version chains per column
     /// (the highest version becomes the head). Used where a row's history
-    /// is the product — compaction, scans, catch-up, split — to collapse
-    /// its memtable and SSTable fragments; because versions are packed
-    /// LSNs the outcome is order-independent.
+    /// is the product — scans, catch-up, split — to collapse its memtable
+    /// and SSTable fragments; because versions are packed LSNs the
+    /// outcome is order-independent. (Compaction merges fragments the
+    /// same way without decoding them: `codec::RowMerge`.)
     pub fn merge_newer(&mut self, newer: &Row) {
         self.merge_newer_sized(newer);
     }
@@ -572,43 +573,6 @@ impl Row {
             if let Some(v) = cv.visible_at(ts) {
                 row.set(col.clone(), v.flattened());
             }
-        }
-        row
-    }
-
-    /// Garbage-collect version chains against a snapshot `floor`: every
-    /// version with `timestamp > floor` is retained, plus the newest
-    /// version at or below the floor (it is what a read pinned exactly at
-    /// the floor sees). When `drop_tombstones` is set (a full compaction:
-    /// nothing older survives to resurrect) a column whose *entire*
-    /// retained state is a tombstone at or below the floor is dropped
-    /// outright. Returns the pruned row (possibly empty).
-    pub fn prune(&self, floor: Timestamp, drop_tombstones: bool) -> Row {
-        let mut row = Row::with_capacity(self.len());
-        for (col, cv) in &self.columns {
-            if drop_tombstones && cv.tombstone && cv.timestamp <= floor {
-                // The tombstone is the newest version and already below
-                // the floor: no retained reader can see anything else of
-                // this column, and nothing older survives the merge to
-                // resurrect it.
-                continue;
-            }
-            let mut head = cv.flattened();
-            for v in &cv.older {
-                head.older.push(v.flattened());
-                if v.timestamp <= floor {
-                    // The newest version at or below the floor closes the
-                    // chain: everything beneath it is invisible to every
-                    // retained timestamp.
-                    break;
-                }
-            }
-            // The head itself may already sit at/below the floor, in
-            // which case the loop above retained one version too many.
-            if cv.timestamp <= floor {
-                head.older.clear();
-            }
-            row.set(col.clone(), head);
         }
         row
     }
@@ -700,11 +664,6 @@ mod tests {
         assert!(row.get_live(b"x").is_some());
         assert!(row.get_live(b"y").is_none());
         assert!(row.get(b"y").is_some(), "raw get still sees the tombstone");
-        // A full-merge prune with everything below the floor drops the
-        // tombstoned column and keeps the live one.
-        let cleaned = row.prune(u64::MAX, true);
-        assert_eq!(cleaned.len(), 1);
-        assert!(cleaned.get(b"x").is_some());
     }
 
     #[test]
@@ -781,44 +740,6 @@ mod tests {
         let versions: Vec<u64> = ab.get(b"c").unwrap().versions().map(|v| v.version).collect();
         assert_eq!(versions, vec![3, 2, 1]);
         assert_eq!(ab.visible_at(25).get(b"c").unwrap().value.as_ref(), b"v2");
-    }
-
-    #[test]
-    fn prune_keeps_floor_visibility() {
-        let mut row = Row::new();
-        let c = Bytes::from_static(b"c");
-        for (v, ts) in [(1, 10), (2, 20), (3, 30), (4, 40)] {
-            row.apply_version(c.clone(), ts_cv(v, ts, &format!("v{v}")));
-        }
-        // Floor 25: versions 4 and 3 are above; version 2 is the newest
-        // at/below and must survive; version 1 is invisible to every
-        // retained timestamp.
-        let pruned = row.prune(25, false);
-        let versions: Vec<u64> = pruned.get(b"c").unwrap().versions().map(|v| v.version).collect();
-        assert_eq!(versions, vec![4, 3, 2]);
-        for ts in [25u64, 30, 39, 40, 100] {
-            assert_eq!(pruned.visible_at(ts), row.visible_at(ts), "visibility at {ts} preserved");
-        }
-        // Floor above everything: only the head survives.
-        let latest_only = row.prune(1000, false);
-        assert_eq!(latest_only.get(b"c").unwrap().versions().count(), 1);
-    }
-
-    #[test]
-    fn prune_drops_floored_tombstones_only_on_full_merges() {
-        let mut row = Row::new();
-        let c = Bytes::from_static(b"c");
-        row.apply_version(c.clone(), ts_cv(1, 10, "v1"));
-        row.apply_version(c.clone(), ColumnValue::deleted(Lsn::new(1, 2), 20));
-        // Partial merge keeps the tombstone (older tables could resurrect).
-        assert!(row.prune(100, false).get(b"c").unwrap().tombstone);
-        // Full merge at a floor above the tombstone drops the column.
-        assert!(row.prune(100, true).is_empty());
-        // Full merge with the tombstone above the floor keeps it (a pinned
-        // reader between 10 and 20 still needs v1).
-        let kept = row.prune(15, true);
-        assert!(kept.get(b"c").unwrap().tombstone);
-        assert_eq!(kept.visible_at(15).get(b"c").unwrap().value.as_ref(), b"v1");
     }
 
     #[test]

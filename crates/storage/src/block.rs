@@ -4,7 +4,9 @@
 //! A block is `(key, row)*` in key order, each key a length-prefixed byte
 //! string and each row in the [`spinnaker_common::codec`] encoding.
 //! Loading a block walks the body once with `codec::skip_row` — no
-//! allocation per entry, every length and flag validated — and writes
+//! allocation per entry, every length and flag validated, and every row
+//! checked to be in the one canonical order (column names strictly
+//! ascending, each chain strictly descending) — and writes
 //! where each key and row starts into the spare room the block was read
 //! into, past the chunk's checksum: a loaded block is one allocation.
 //! Lookups then binary-search those offsets and compare keys in place; a
@@ -12,8 +14,8 @@
 //! decodes no row: it takes each column's version visible at its
 //! timestamp out of the encoded row (`Block::fold_visible`), whatever the
 //! length of the chains around it. Iteration decodes each row as it is
-//! yielded (`Block::entry`). Compaction reads entries as stored
-//! (`Block::raw_entry`) and moves the rows it need not change as bytes.
+//! yielded (`Block::entry`). Compaction builds no block: it walks the
+//! chunks itself, outside the cache (`sstable::CompactionCursor`).
 //!
 //! The buffer is a [`Bytes`], so a [`Block`] is a handle: cloning one
 //! (what the block cache hands out) bumps a reference count. A decoded
@@ -139,9 +141,8 @@ impl Block {
     }
 
     /// The entry at `pos` as stored: its key, and the body from the start
-    /// of its encoded row on (the row's own encoding says where it ends;
-    /// `codec::scan_row` finds out). What compaction moves.
-    pub(crate) fn raw_entry(&self, pos: usize) -> Option<(&[u8], &[u8])> {
+    /// of its encoded row on (the row's own encoding says where it ends).
+    fn raw_entry(&self, pos: usize) -> Option<(&[u8], &[u8])> {
         if pos >= self.len() {
             return None;
         }

@@ -5,20 +5,23 @@
 //! *When and what* is [`RangeStore::maybe_compact`]: L0 at its fan-in
 //! merges into L1, else the shallowest level over its capacity sends one
 //! table a level down. *How* is [`merge_into`] feeding a [`RunWriter`]: a
-//! streaming merge over raw block entries that moves unchanged rows as
-//! bytes, prunes versions at the MVCC GC floor and drops tombstones at the
-//! bottom of the ladder. Flushed and adopted tables go through the same
-//! writer, so every table of a level gets that level's bloom budget.
+//! streaming merge over the inputs' raw entries, read in file order by
+//! [`CompactionCursor`]s outside the block cache, that decodes no row. It
+//! moves unchanged rows as bytes, and merges the others in their encoded
+//! form with [`RowMerge`] — versions pruned at the MVCC GC floor,
+//! tombstones dropped at the bottom of the ladder. Flushed and adopted
+//! tables go through the same writer, so every table of a level gets that
+//! level's bloom budget.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 
-use spinnaker_common::codec::{self, RowScan};
+use spinnaker_common::codec::{RowMerge, RowScan};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Key, Result, Row, Timestamp};
 
 use crate::manifest::{max_key, min_key, sort_level, table_path, Slot};
-use crate::sstable::{Table, TableBuilder, TableCtx, TableIter, TableOptions};
+use crate::sstable::{CompactionCursor, Table, TableBuilder, TableCtx, TableOptions};
 use crate::store::RangeStore;
 
 /// Which inputs a compaction consumes and where the output lands.
@@ -135,14 +138,21 @@ impl<'a> RunWriter<'a> {
 /// ordered by that entry's key and then by input position — smallest
 /// first out of the (max-)heap.
 struct MergeSource<'a> {
-    cursor: TableIter<'a>,
+    cursor: CompactionCursor<'a>,
     input: usize,
 }
 
 impl MergeSource<'_> {
     fn key(&self) -> &[u8] {
         // Only cursors parked on an entry are ever in the heap.
-        self.cursor.raw().map_or(&[], |(key, _)| key)
+        self.cursor.entry().map_or(&[], |(key, _, _)| key)
+    }
+}
+
+/// The encoded row under the cursor: a fragment for [`RowMerge`].
+impl AsRef<[u8]> for MergeSource<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self.cursor.entry().map_or(&[], |(_, row, _)| row)
     }
 }
 
@@ -163,21 +173,24 @@ impl Ord for MergeSource<'_> {
     }
 }
 
-/// The compaction merge: a streaming k-way merge of `inputs`' raw
-/// entries into `out`, in key order.
+/// The compaction merge: a streaming k-way merge of `inputs`' entries
+/// into `out`, in key order, no row of which is ever decoded.
 ///
-/// A key stored in exactly one input whose row is *plain*
-/// ([`RowScan::plain`]: no tombstone, no version chain, column names
-/// strictly ascending) is **moved as bytes** — pruning could not change
-/// such a row and re-encoding it would reproduce it, so neither happens;
-/// its LSN/timestamp bounds and size come from the scan. Every other key
-/// is decoded, its fragments collapsed with [`Row::merge_newer`], and
-/// pruned: superseded versions at or below the snapshot `floor` are
-/// dropped (the newest at-or-below survives for floor-pinned readers),
-/// tombstones below the floor only when `drop_tombstones` says the output
-/// is the deepest populated level, where nothing older survives to
-/// resurrect. The files written are, byte for byte, those of decoding
-/// everything (`tests/compaction_raw.rs` holds the reference).
+/// Each input is read by a [`CompactionCursor`] (file order, one reused
+/// buffer, outside the block cache). A key stored in exactly one input
+/// whose row is *plain* ([`RowScan::plain`]: no tombstone, no version
+/// chain) is **moved as bytes** — pruning could not change such a row
+/// and re-encoding it would reproduce it, so neither happens; its
+/// LSN/timestamp bounds and size come from the cursor's scan. Every other
+/// key's fragments, in input order, go through [`RowMerge`]: their
+/// versions merged newest first (the lower input's of an equal version
+/// kept), superseded versions at or below the snapshot `floor` dropped
+/// (the newest at-or-below survives for floor-pinned readers), tombstones
+/// below the floor dropped only when `drop_tombstones` says the output is
+/// the deepest populated level, where nothing older survives to
+/// resurrect — written into one reused buffer and appended from it. The
+/// files written are, byte for byte, those of decoding everything
+/// (`tests/compaction_raw.rs` holds the reference).
 fn merge_into(
     inputs: &[&Table],
     floor: Timestamp,
@@ -186,44 +199,38 @@ fn merge_into(
 ) -> Result<()> {
     let mut heap = BinaryHeap::with_capacity(inputs.len());
     for (input, table) in inputs.iter().enumerate() {
-        let mut cursor = table.iter();
-        cursor.load()?;
-        park(&mut heap, MergeSource { cursor, input });
+        park(&mut heap, MergeSource { cursor: table.compaction_cursor()?, input });
     }
+    let mut group: Vec<MergeSource<'_>> = Vec::with_capacity(inputs.len());
+    let mut merge = RowMerge::new();
     while let Some(mut head) = heap.pop() {
         let alone = heap.peek().is_none_or(|next| next.key() != head.key());
-        if alone {
-            if let Some((key, mut rest)) = head.cursor.raw() {
-                let row = rest;
-                let scan = codec::scan_row(&mut rest)?;
-                if scan.plain {
-                    out.add_raw(key, &row[..row.len() - rest.len()], &scan)?;
-                    head.cursor.advance()?;
-                    park(&mut heap, head);
-                    continue;
-                }
+        if alone && head.cursor.entry().is_some_and(|(_, _, scan)| scan.plain) {
+            if let Some((key, row, scan)) = head.cursor.entry() {
+                out.add_raw(key, row, scan)?;
             }
+            head.cursor.advance()?;
+            park(&mut heap, head);
+            continue;
         }
-        let Some(entry) = head.cursor.decode() else { continue };
-        let (key, mut row) = entry?;
-        head.cursor.advance()?;
-        park(&mut heap, head);
-        while heap.peek().is_some_and(|next| next.key() == key.as_bytes()) {
-            let Some(mut dup) = heap.pop() else { break };
-            if let Some(fragment) = dup.cursor.decode() {
-                row.merge_newer(&fragment?.1);
-            }
-            dup.cursor.advance()?;
-            park(&mut heap, dup);
+        group.push(head);
+        while heap.peek().is_some_and(|next| next.key() == group[0].key()) {
+            group.extend(heap.pop());
         }
-        out.add(&key, &row.prune(floor, drop_tombstones))?;
+        if let Some(scan) = merge.merge(&group, floor, drop_tombstones)? {
+            out.add_raw(group[0].key(), merge.row(), &scan)?;
+        }
+        for mut source in group.drain(..) {
+            source.cursor.advance()?;
+            park(&mut heap, source);
+        }
     }
     Ok(())
 }
 
 /// Put a source back into the merge heap unless its table is exhausted.
 fn park<'a>(heap: &mut BinaryHeap<MergeSource<'a>>, source: MergeSource<'a>) {
-    if source.cursor.raw().is_some() {
+    if source.cursor.entry().is_some() {
         heap.push(source);
     }
 }

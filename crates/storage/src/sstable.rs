@@ -15,7 +15,17 @@
 //! contains (§6.1): when a catch-up request cannot be served from the
 //! leader's log because it rolled over, the appropriate SSTables are
 //! located by LSN range and their rows shipped to the follower.
+//!
+//! Reads go two ways. Gets, scans and catch-up read a data block through
+//! `Table::read_block` — the block cache, or the file, CRC check and an
+//! indexing walk into a [`Block`] the cache then keeps — and decode what
+//! they return from it ([`TableIter`]). Compaction reads every block of
+//! its inputs once, in file order, and keeps none: a
+//! `CompactionCursor` reads each chunk into one buffer it reuses, checks
+//! it as a block load does, hands out the raw entries, and never touches
+//! the cache.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -489,6 +499,21 @@ impl Table {
         self.slots_per_block.max(body_len / 64).min(body_len / 2)
     }
 
+    /// A [`CompactionCursor`] on the table's first entry.
+    pub(crate) fn compaction_cursor(&self) -> Result<CompactionCursor<'_>> {
+        let mut cursor = CompactionCursor {
+            table: self,
+            next_block: 0,
+            buf: Vec::new(),
+            body_len: 0,
+            block_offset: 0,
+            at: 0,
+            entry: None,
+        };
+        cursor.advance()?;
+        Ok(cursor)
+    }
+
     /// Iterate every row in key order.
     pub fn iter(&self) -> TableIter<'_> {
         TableIter { table: self, next_block: 0, block: None, pos: 0 }
@@ -561,28 +586,38 @@ fn read_verified(
     file_bytes: u64,
     path: &str,
 ) -> Result<BytesMut> {
+    let len = chunk_len(offset, len, file_bytes, path)?;
+    let mut buf = BytesMut::zeroed(len + spare);
+    read_verified_into(file, offset, &mut buf[..len], path)?;
+    Ok(buf)
+}
+
+/// The length of the `len`-byte chunk at `offset`, once it is known to
+/// lie inside the `file_bytes`-long file and to hold its checksum: what
+/// bounds a buffer sized by a length that may come from a corrupt footer
+/// or index.
+fn chunk_len(offset: u64, len: u32, file_bytes: u64, path: &str) -> Result<usize> {
     if len < 4 {
         return Err(Error::Corruption(format!("{path}: chunk shorter than its checksum")));
     }
-    // Bound the allocation by the file size (measured once, at open)
-    // before trusting a length that may come from a corrupt footer.
     if u64::from(len) > file_bytes || offset > file_bytes - u64::from(len) {
         return Err(Error::Corruption(format!(
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"
         )));
     }
-    let len = len as usize;
-    let mut buf = BytesMut::zeroed(len + spare);
-    file.read_exact_at(offset, &mut buf[..len])?;
-    let body_len = len - 4;
-    let mut stored = [0; 4];
-    stored.copy_from_slice(&buf[body_len..len]);
-    let actual =
-        spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(&buf[..body_len]));
-    if u32::from_le_bytes(stored) != actual {
+    Ok(len as usize)
+}
+
+/// Read the chunk at `offset` into `chunk`, which is as long as the
+/// chunk ([`chunk_len`]), and verify its checksum.
+fn read_verified_into(file: &dyn VfsFile, offset: u64, chunk: &mut [u8], path: &str) -> Result<()> {
+    file.read_exact_at(offset, chunk)?;
+    let (body, stored) = chunk.split_at(chunk.len() - 4);
+    let actual = spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(body));
+    if stored != actual.to_le_bytes() {
         return Err(Error::Corruption(format!("{path}: chunk checksum mismatch at {offset}")));
     }
-    Ok(buf)
+    Ok(())
 }
 
 /// Read the `len`-byte chunk at `offset` and return its body, checksum
@@ -600,15 +635,11 @@ fn read_chunk(
 
 /// A table's entries in key order, one block held at a time (so its
 /// memory footprint is one block, regardless of table size). Blocks come
-/// through the same `read_block` as every other read.
-///
-/// Two ways to step it. As an [`Iterator`] (scans, catch-up reads) it
-/// decodes each row once, as it is yielded, and loads the next block only
-/// when asked for an entry past the current one — a page that ends on a
-/// block's last row never reads the block after it. Compaction instead
-/// parks it on an entry (`load`), reads that entry as stored (`raw`) or
-/// decoded (`decode`), and steps with `advance`, which loads the next
-/// block the moment the cursor leaves a block's last entry.
+/// through the same `read_block` as every other read. It decodes each row
+/// once, as it is yielded, and loads the next block only when asked for
+/// an entry past the current one — a page that ends on a block's last
+/// row never reads the block after it. What scans and catch-up reads
+/// walk; compaction walks a `CompactionCursor`.
 pub struct TableIter<'a> {
     table: &'a Table,
     /// Index position of the next block to load.
@@ -622,7 +653,7 @@ pub struct TableIter<'a> {
 impl TableIter<'_> {
     /// Load blocks until one has an entry under the cursor (or none is
     /// left).
-    pub(crate) fn load(&mut self) -> Result<()> {
+    fn load(&mut self) -> Result<()> {
         while self.block.as_ref().is_none_or(|b| self.pos >= b.len()) {
             if self.next_block >= self.table.index.len() {
                 self.block = None;
@@ -633,23 +664,6 @@ impl TableIter<'_> {
             self.pos = 0;
         }
         Ok(())
-    }
-
-    /// The entry under the cursor — its key, and the block body from the
-    /// start of its encoded row on — or `None` past the last entry.
-    pub(crate) fn raw(&self) -> Option<(&[u8], &[u8])> {
-        self.block.as_ref()?.raw_entry(self.pos)
-    }
-
-    /// The entry under the cursor, decoded.
-    pub(crate) fn decode(&self) -> Option<Result<(Key, Row)>> {
-        self.block.as_ref()?.entry(self.pos)
-    }
-
-    /// Step to the next entry.
-    pub(crate) fn advance(&mut self) -> Result<()> {
-        self.pos += 1;
-        self.load()
     }
 }
 
@@ -662,9 +676,93 @@ impl Iterator for TableIter<'_> {
             self.next_block = self.table.index.len();
             return Some(Err(e));
         }
-        let item = self.decode()?;
+        let item = self.block.as_ref()?.entry(self.pos)?;
         self.pos += 1;
         Some(item)
+    }
+}
+
+/// A table's entries in file order, as stored, for compaction alone.
+///
+/// Each data block is read through the table's own file handle into one
+/// buffer the cursor keeps (it only grows, to the largest block met), its
+/// checksum verified, and its entries walked with [`codec::scan_row`] as
+/// the cursor reaches them — what `Block::load` validates, the canonical
+/// row order included, and a body that fails it is `Error::Corruption`.
+/// No [`Block`] is built, no entry offsets are written, and the block
+/// cache is neither looked up nor filled: a merge counts no hit, miss or
+/// block read against its store, and the blocks of tables it is about to
+/// retire never displace hot ones.
+pub(crate) struct CompactionCursor<'a> {
+    table: &'a Table,
+    /// Index position of the next block to read.
+    next_block: usize,
+    /// The block being walked — its chunk, body then checksum — at the
+    /// front of the reused buffer.
+    buf: Vec<u8>,
+    body_len: usize,
+    /// File offset of the block being walked, for error messages.
+    block_offset: u64,
+    /// Offset in the body of the entry after the current one.
+    at: usize,
+    /// The entry under the cursor; `None` past the last.
+    entry: Option<CursorEntry>,
+}
+
+/// Where a [`CompactionCursor`]'s entry lies in its buffer, and what
+/// scanning its row found.
+struct CursorEntry {
+    key: Range<usize>,
+    row: Range<usize>,
+    scan: RowScan,
+}
+
+impl CompactionCursor<'_> {
+    /// The entry under the cursor — its key, its encoded row (exactly:
+    /// the row's end was found by the scan) and the scan — or `None` past
+    /// the last entry.
+    pub(crate) fn entry(&self) -> Option<(&[u8], &[u8], &RowScan)> {
+        let entry = self.entry.as_ref()?;
+        Some((&self.buf[entry.key.clone()], &self.buf[entry.row.clone()], &entry.scan))
+    }
+
+    /// Step to the next entry, reading blocks until one has it (or none
+    /// is left).
+    pub(crate) fn advance(&mut self) -> Result<()> {
+        while self.at >= self.body_len {
+            let Some(e) = self.table.index.get(self.next_block) else {
+                self.entry = None;
+                return Ok(());
+            };
+            let t = self.table;
+            let len = chunk_len(e.offset, e.len, t.meta.file_bytes, &t.path)?;
+            if self.buf.len() < len {
+                self.buf.resize(len, 0);
+            }
+            read_verified_into(t.file.as_ref(), e.offset, &mut self.buf[..len], &t.path)?;
+            self.next_block += 1;
+            self.body_len = len - 4;
+            self.block_offset = e.offset;
+            self.at = 0;
+        }
+        let body = &self.buf[..self.body_len];
+        let mut rest = &body[self.at..];
+        let mut scan_entry = || -> Result<_> {
+            let key_len = codec::get_byte_slice(&mut rest)?.len();
+            let row = body.len() - rest.len();
+            let scan = codec::scan_row(&mut rest)?;
+            let end = body.len() - rest.len();
+            Ok(CursorEntry { key: row - key_len..row, row: row..end, scan })
+        };
+        // The checksum held, so a body that does not parse was written
+        // wrong or forged: corruption, as `Table::read_block` says.
+        let entry = scan_entry().map_err(|err| {
+            let (path, offset) = (&self.table.path, self.block_offset);
+            Error::Corruption(format!("{path}: malformed block at {offset}: {err}"))
+        })?;
+        self.at = entry.row.end;
+        self.entry = Some(entry);
+        Ok(())
     }
 }
 

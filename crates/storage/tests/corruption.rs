@@ -503,3 +503,82 @@ fn a_malformed_block_met_mid_compaction_leaves_the_store_untouched() {
     assert!(store.get(&Key::from("k000")).unwrap().is_some());
     assert!(store.get(&Key::from("k046")).expect_err("in the bad block").is_corruption());
 }
+
+/// Where `needle` first occurs in `hay` at or after `from`.
+fn find(hay: &[u8], needle: &[u8], from: usize) -> usize {
+    from + hay[from..].windows(needle.len()).position(|w| w == needle).expect("pattern present")
+}
+
+/// One canonical row form: a block whose checksum holds over a row that
+/// repeats a column name, lists its names out of order, or holds a
+/// version chain that is not strictly descending is `Error::Corruption`
+/// for every reader — a get, a scan, an iterator and a compaction alike —
+/// rather than read one way by a get (which kept the highest version of
+/// a repeated name) and another by the rest (which kept the last). The
+/// block is rejected when it is loaded, so it is never cached, and the
+/// compaction that meets it leaves the store as it was.
+#[test]
+fn a_valid_crc_over_a_row_out_of_canonical_order_is_corruption_for_every_reader() {
+    let head = Lsn::new(1, 4).as_u64().to_le_bytes();
+    let chained = Lsn::new(1, 3).as_u64().to_le_bytes();
+    let newer = Lsn::new(1, 5).as_u64().to_le_bytes();
+    let damage: [(&str, &[u8], &[u8]); 3] = [
+        ("a repeated column name", b"\x04colB", b"\x04colA"),
+        ("column names out of order", b"\x04colA", b"\x04colZ"),
+        ("a chain version above its head", &chained, &newer),
+    ];
+    for (what, from, to) in damage {
+        let vfs = MemVfs::new();
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let opts = || StoreOptions {
+            memtable_flush_bytes: usize::MAX,
+            cache: Some(cache.clone()),
+            ..Default::default()
+        };
+        let mut store = RangeStore::open(Arc::new(vfs.clone()), opts()).unwrap();
+        // k1: two columns. k2: one column, a version and the one it
+        // superseded. Then a second table, so a compaction has two inputs.
+        store.apply(&op::put("k1", "colA", "x"), Lsn::new(1, 1));
+        store.apply(&op::put("k1", "colB", "y"), Lsn::new(1, 2));
+        store.apply(&op::put("k2", "c", "old"), Lsn::new(1, 3));
+        store.apply(&op::put("k2", "c", "new"), Lsn::new(1, 4));
+        store.flush().unwrap();
+        store.apply(&op::put("k3", "c", "z"), Lsn::new(1, 5));
+        store.flush().unwrap();
+        drop(store);
+
+        let tables = vfs.list("store/sst-").unwrap();
+        let mut bytes = vfs.read_all(&tables[0]).unwrap();
+        let blocks = data_blocks(&bytes);
+        assert_eq!(blocks.len(), 1, "{what}: one block");
+        let (offset, len) = blocks[0];
+        let body = offset + len - 4;
+        // The chain's version follows the head's.
+        let start = if from == chained { find(&bytes, &head, offset) } else { offset };
+        let at = find(&bytes[..body], from, start);
+        bytes[at..at + to.len()].copy_from_slice(to);
+        let crc = crc32c::masked(crc32c::crc32c(&bytes[offset..body]));
+        bytes[body..body + 4].copy_from_slice(&crc.to_le_bytes());
+        vfs.write_atomic(&tables[0], &bytes).unwrap();
+
+        let mut store = RangeStore::open(Arc::new(vfs.clone()), opts()).unwrap();
+        let is_corruption = |r: spinnaker_common::Result<()>| r.is_err_and(|e| e.is_corruption());
+        for key in ["k1", "k2"] {
+            let got = store.get(&Key::from(key)).map(drop);
+            assert!(is_corruption(got), "{what}: get({key})");
+        }
+        assert_eq!(cache.stats().entries, 0, "{what}: the block was cached");
+        let scanned = store.scan(&Key::from(""), None).map(drop);
+        assert!(is_corruption(scanned), "{what}: scan");
+        let table = Table::open(Arc::new(vfs.clone()), &tables[0]).unwrap();
+        let first = table.iter().next().expect("an error item, not an empty iterator");
+        assert!(is_corruption(first.map(drop)), "{what}: iter");
+
+        let manifest = vfs.read_all("store/MANIFEST").unwrap();
+        let err = store.compact_all().expect_err("the merge met the block");
+        assert!(err.is_corruption(), "{what}: compact_all: {err}");
+        assert_eq!(vfs.read_all("store/MANIFEST").unwrap(), manifest, "{what}: manifest");
+        assert_eq!(vfs.list("store/sst-").unwrap(), tables, "{what}: tables");
+        assert!(store.get(&Key::from("k3")).unwrap().is_some(), "{what}: the other table");
+    }
+}

@@ -327,3 +327,65 @@ fn manifest_crash_mid_compaction_reopens_consistent() {
         }
     }
 }
+
+/// Compaction reads its inputs outside the block cache: a merge looks up
+/// nothing, inserts nothing and counts no hit, miss or block read against
+/// its store, so the blocks of tables it is about to retire never
+/// displace hot ones. All it does to the cache is evict what the retired
+/// inputs had in it; another store's blocks stay, and still hit.
+#[test]
+fn compaction_leaves_the_block_cache_alone() {
+    let cache = Arc::new(BlockCache::new(1 << 20));
+    let vfs: SharedVfs = Arc::new(MemVfs::new());
+    let opts = |dir: &str| StoreOptions {
+        dir: dir.into(),
+        memtable_flush_bytes: usize::MAX,
+        compaction_fanin: 2,
+        cache: Some(cache.clone()),
+        ..Default::default()
+    };
+    let mut store = RangeStore::open(vfs.clone(), opts("store")).unwrap();
+    let mut bystander = RangeStore::open(vfs, opts("bystander")).unwrap();
+    // Two inputs of several blocks each.
+    for round in 0..2u64 {
+        for k in 0..100u8 {
+            let lsn = round * 100 + u64::from(k) + 1;
+            let value = bytes::Bytes::from(vec![b'v'; 100]);
+            let put = WriteOp::put(key_of(k), bytes::Bytes::from_static(b"c"), value, lsn);
+            store.apply(&put, Lsn::new(1, lsn));
+        }
+        store.flush().unwrap();
+    }
+    bystander.apply(&put_ts(7, 1, 1), Lsn::new(1, 1));
+    bystander.flush().unwrap();
+    // Warm: the block holding a key in each input, and the bystander's.
+    store.get(&key_of(3)).unwrap().unwrap();
+    let ours = cache.stats().entries;
+    assert!(ours > 0);
+    bystander.get(&key_of(7)).unwrap().unwrap();
+    let warm = cache.stats();
+    assert_eq!((warm.inserts, warm.entries), (ours + 1, ours + 1));
+    let stats = store.stats();
+    let inputs = store.live_cache_ids();
+
+    assert!(store.maybe_compact().unwrap(), "L0 is at its fan-in");
+    let after = cache.stats();
+    assert_eq!(after.inserts, warm.inserts, "compaction filled the cache");
+    assert_eq!((after.hits, after.misses), (warm.hits, warm.misses), "compaction looked it up");
+    let compacted = store.stats();
+    assert_eq!(compacted.compactions, stats.compactions + 1);
+    assert_eq!(
+        (compacted.cache_hits, compacted.cache_misses, compacted.block_reads),
+        (stats.cache_hits, stats.cache_misses, stats.block_reads),
+        "compaction counted cache traffic against its store"
+    );
+    // Only the retired inputs' blocks went: the bystander's is still there.
+    assert_eq!((after.evictions, after.entries), (warm.evictions + ours, 1));
+    assert!(store.live_cache_ids().iter().all(|id| !inputs.contains(id)), "inputs retired");
+
+    let before = bystander.stats();
+    bystander.get(&key_of(7)).unwrap().unwrap();
+    let read = bystander.stats();
+    assert_eq!((read.cache_hits, read.cache_misses), (before.cache_hits + 1, before.cache_misses));
+    assert_eq!(cache.stats().hits, after.hits + 1);
+}

@@ -3,6 +3,7 @@
 
     scripts/alloc_sites.py --workload read-uniform [--seed 11] [--seconds 2] [--depth 3]
     scripts/alloc_sites.py --workload write-sat mixed-zipf    # several, one build
+    scripts/alloc_sites.py --workload mixed-zipf --under merge_into flush
 
 `allocs_per_op` says how many allocator calls an operation costs; this
 says which code makes them. It copies the repository (without `target/`
@@ -16,7 +17,12 @@ debug info into its own target directory, runs each workload timed
 A site is the first `--depth` frames of a sampled allocation's stack,
 innermost first, once the allocator's own frames (`std::`, `core::`,
 `alloc::`, `__rust*`, `spinbench::alloc`) are skipped. `allocs/op` is the
-share times the run's `allocs_per_op`. The sampler takes a stack on a
+share times the run's `allocs_per_op`. With `--under FRAME...` the
+sampler keeps whole stacks, and after the table the script prints, per
+FRAME, the share and allocations per op of the samples with a frame
+whose name contains FRAME anywhere on the stack: everything a function
+allocates, with all it calls (`--under merge_into` is what compaction's
+merge costs per op). The sampler takes a stack on a
 random 1 in 128 of the allocations made inside `Meter::run` (random gaps,
 not every 128th call: an operation's allocations repeat with a period and
 would alias), and it does not count the allocations it makes itself, so
@@ -173,7 +179,7 @@ def committed_allocs(workload, seed):
     return doc["timed"]["metrics"]["allocs_per_op"]["value"]
 
 
-def sites(exe, workload, seed, seconds):
+def sites(exe, workload, seed, seconds, depth, under):
     cmd = [str(exe), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
@@ -182,11 +188,18 @@ def sites(exe, workload, seed, seconds):
     if not result["correct"] or result["failed"]:
         sys.exit(f"{workload}: run incorrect or operations failed")
     per_op = result["metrics"]["allocs_per_op"]["value"]
-    counts = []
+    stacks = []
     for line in lines:
         if line.startswith("# site "):
             n, site = line[len("# site "):].split(" ", 1)
-            counts.append((int(n), site))
+            stacks.append((int(n), site.split(" <- ") if site else []))
+    # A site is the first `depth` frames of a stack (the sampler kept
+    # whole ones when `under` is given).
+    by_site = {}
+    for n, frames in stacks:
+        site = " <- ".join(frames[:depth])
+        by_site[site] = by_site.get(site, 0) + n
+    counts = [(n, site) for site, n in by_site.items()]
     total = sum(n for n, _ in counts)
     print(f"== {workload}: seed {seed}, {seconds} s, allocs_per_op {per_op}, "
           f"{total} samples")
@@ -203,6 +216,10 @@ def sites(exe, workload, seed, seconds):
     if rest:
         print(f"{100 * rest / total:6.1f}% {rest / total * per_op:9.3f}  "
               f"(sites under {100 * MIN_SHARE:g} % each)")
+    for frame in under:
+        n = sum(n for n, frames in stacks if any(frame in f for f in frames))
+        print(f"{100 * n / max(total, 1):6.1f}% {n / max(total, 1) * per_op:9.3f}  "
+              f"under {frame}")
 
 
 def main():
@@ -211,17 +228,23 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--seconds", type=float, default=2)
     ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--under", nargs="+", default=[], metavar="FRAME",
+                    help="also print the allocations per op under each FRAME "
+                         "(a substring of a frame's name), from whole stacks")
     args = ap.parse_args()
+    # Whole stacks when a frame is to be looked for anywhere on them.
+    kept = 1 << 16 if args.under else args.depth
     with tempfile.TemporaryDirectory(prefix="alloc-sites-") as tmp:
         copy = pathlib.Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns("target", ".git"))
-        instrument(copy, args.depth)
+        instrument(copy, kept)
         target = pathlib.Path(tmp) / "target"
         subprocess.run(["cargo", "build", "--release", "--offline", "--quiet",
                         "--manifest-path", str(copy / "spinbench" / "Cargo.toml"),
                         "--target-dir", str(target)], check=True)
         for workload in args.workload:
-            sites(target / "release" / "spinbench", workload, args.seed, args.seconds)
+            sites(target / "release" / "spinbench", workload, args.seed, args.seconds,
+                  args.depth, args.under)
 
 
 if __name__ == "__main__":
