@@ -172,8 +172,6 @@ pub struct ClusterConfig {
     pub disk: DiskProfile,
     /// Network link parameters.
     pub net: NetConfig,
-    /// Coordination session timeout (the paper used 2 s).
-    pub session_timeout: Time,
 }
 
 impl Default for ClusterConfig {
@@ -185,7 +183,6 @@ impl Default for ClusterConfig {
             perf: PerfConfig::default(),
             disk: DiskProfile::Hdd,
             net: NetConfig::default(),
-            session_timeout: 2 * SECS,
         }
     }
 }
@@ -241,6 +238,8 @@ pub(crate) fn route_deliveries(world: &World, ctx: &mut Ctx<'_, Ev>) {
     }
 }
 
+/// Coordination session timeout (the paper's 2 s).
+const SESSION_TIMEOUT: Time = 2 * SECS;
 /// Supervisor restart delay after a coordination-session expiry.
 const SESSION_RESTART_DELAY: Time = 50 * MILLIS;
 
@@ -252,7 +251,6 @@ pub struct NodeHost {
     node_cfg: NodeConfig,
     perf: PerfConfig,
     disk_profile: DiskProfile,
-    session_timeout: Time,
     world: World,
     vfs: MemVfs,
     node: Option<Node>,
@@ -289,7 +287,7 @@ impl NodeHost {
         if self.session != 0 {
             self.world.owners.borrow_mut().remove(&self.session);
         }
-        let session = self.world.coord.borrow_mut().create_session(self.session_timeout, now);
+        let session = self.world.coord.borrow_mut().create_session(SESSION_TIMEOUT, now);
         self.world.owners.borrow_mut().insert(session, self.proc);
         self.session = session;
         let cc = CoordClient::new(self.world.coord.clone(), session, self.world.bus.clone());
@@ -523,7 +521,6 @@ impl SimCluster {
                 node_cfg: cfg.node.clone(),
                 perf: cfg.perf.clone(),
                 disk_profile: cfg.disk,
-                session_timeout: cfg.session_timeout,
                 world: world.clone(),
                 vfs: MemVfs::new(),
                 node: None,

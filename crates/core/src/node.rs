@@ -36,9 +36,7 @@ use crate::messages::{
     PeerMsg, TimerKind,
 };
 use crate::partition::{Ring, TABLE_PATH};
-use crate::reconfig::{
-    ingest_span, span_of, Claim, DissolveCoverage, DissolveEntry, Successor, Then,
-};
+use crate::reconfig::{span_of, Claim, DissolveCoverage, DissolveEntry, Successor, Then};
 use crate::replica::{
     parse_node, FollowUp, ForceTracker, RangeReplica, ReshardAdvice, Runtime, Waiter,
 };
@@ -74,6 +72,9 @@ pub(crate) const RESHARD_COOLDOWN: u64 = 10_000_000_000;
 /// Abort a cohort movement whose joining node has not confirmed durable
 /// catch-up within this long.
 pub(crate) const MOVE_TIMEOUT: u64 = 10_000_000_000;
+/// Abort a range merge whose barriers have not both drained within this
+/// long.
+pub(crate) const MERGE_TIMEOUT: u64 = 10_000_000_000;
 
 /// Node tuning knobs.
 #[derive(Clone, Debug)]
@@ -111,9 +112,6 @@ pub struct NodeConfig {
     /// Automatic split/merge triggers from load + size statistics.
     /// `None` (the default) leaves resharding to administrative RPCs.
     pub reshard: Option<ReshardPolicy>,
-    /// Abort a range merge whose barriers have not both drained within
-    /// this long.
-    pub merge_timeout: u64,
     /// How long a dissolved range (split parent, merged sibling,
     /// departed replica) rests before its store directory, WAL stream,
     /// and `/r{N}` znodes are garbage collected.
@@ -147,7 +145,6 @@ impl Default for NodeConfig {
             piggyback_commits: false,
             propose_batch: 8,
             reshard: None,
-            merge_timeout: 10_000_000_000,
             gc_quiesce: 5_000_000_000,
             snapshot_retain: 30_000_000_000,
             pin_lease: 10_000_000_000,
@@ -322,7 +319,7 @@ impl Node {
     /// Local recovery of one range: open its store and re-apply the log
     /// from the checkpoint through `f.cmt`.
     fn recover_range(&mut self, range: RangeId) -> Result<()> {
-        let mut store = RangeStore::open(self.vfs.clone(), self.store_opts(range))?;
+        let store = RangeStore::open(self.vfs.clone(), self.store_opts(range))?;
         let st = self.wal.state(range);
         let def = self.ring.def(range);
         let span = def.map(span_of).unwrap_or_default();
@@ -339,7 +336,8 @@ impl Node {
             _ => None,
         };
         if let Some((pstore, parent_cmt)) = parent {
-            ingest_span(&mut store, &pstore, &span.0, span.1.as_ref())?;
+            let parts = [(&pstore, &span.0, span.1.as_ref())];
+            let store = RangeStore::assemble(self.vfs.clone(), self.store_opts(range), &parts)?;
             let (claim, then) = (Claim::Own(parent_cmt), Then::Wait);
             let child = Successor { id: range, span, peers, store, claim, epoch: 0, then };
             self.dissolve(0, DissolveEntry::Boot, &[], vec![child], &mut Outbox::default());
@@ -950,7 +948,7 @@ impl Node {
                 }
             }
             if let Some(m) = &rep.merging {
-                if now.saturating_sub(m.since) > self.cfg.merge_timeout {
+                if now.saturating_sub(m.since) > MERGE_TIMEOUT {
                     merge_timeouts.push((range, m.coordinator));
                 }
             }

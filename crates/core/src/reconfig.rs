@@ -6,19 +6,22 @@
 //! `T…`, and this node must build its replicas of `T` from its replicas
 //! of `P` without losing anything it acknowledged. That shared end is
 //! `Node::dissolve`. An entry point keeps what is its own — the barrier,
-//! the table CAS, the znodes, the peer message, the epoch guard, and the
-//! recipe that builds the successor *stores* — then states, per successor,
-//! what it may `Claim` and how it `Then` enters its cohort:
+//! the table CAS, the znodes, the peer message, the epoch guard — then
+//! states, per successor, what it may `Claim` and how it `Then` enters its
+//! cohort. The successor *stores* have one recipe, `Node::assemble`: every
+//! local predecessor replica whose span overlaps the successor's, clipped
+//! to it, through `RangeStore::assemble`. Only a move's joiner differs,
+//! because its predecessor is on another node:
 //!
-//! | entry point | store built by | may claim | leads |
+//! | entry point | store assembled from | may claim | leads |
 //! |---|---|---|---|
-//! | `execute_split` | `RangeStore::split` | the barrier | left child; observes the right |
-//! | `on_split_msg` | `RangeStore::split` | the barrier, or its own watermark when it lags | joins both |
-//! | `reconcile_gone_ranges` | scan + `ingest_fragment` | own watermark if one gone span contains the target, else zero | joins |
-//! | `execute_merge` | `RangeStore::merge` | the merged base | the merged range |
-//! | `on_merge_msg` | `RangeStore::merge` | the merged base after two gap-free drains, else zero | joins |
-//! | `on_join_range` | `import_snapshot` | the snapshot's LSN | follows the sender |
-//! | `Node::new` (child with no state) | scan of the surviving parent | the parent's watermark | joins on `Start` |
+//! | `execute_split` | the parent | the barrier | left child; observes the right |
+//! | `on_split_msg` | the parent | the barrier, or its own watermark when it lags | joins both |
+//! | `reconcile_gone_ranges` | every gone replica it overlaps | own watermark if one gone span contains the target, else zero | joins |
+//! | `execute_merge` | both siblings | the merged base | the merged range |
+//! | `on_merge_msg` | both siblings | the merged base after two gap-free drains, else zero | joins |
+//! | `on_join_range` | (`import_snapshot` of the sender's) | the snapshot's LSN | follows the sender |
+//! | `Node::new` (child with no state) | the surviving parent | the parent's watermark | joins on `Start` |
 //!
 //! The log tail always goes to the same place: every predecessor record
 //! past that predecessor's committed watermark (or past the claim of a
@@ -231,34 +234,18 @@ impl Node {
         }
     }
 
-    /// Fork `range`'s store at `at`: each child's id, span and store.
-    /// `None` after a fail-stop (or when `range` is not attached).
-    fn fork(
-        &mut self,
-        range: RangeId,
-        at: &Key,
-        left: RangeId,
-        right: RangeId,
-    ) -> Option<[(RangeId, Span, RangeStore); 2]> {
-        let rep = self.replicas.get(&range)?;
-        let (start, end) = rep.span.clone();
-        let forked = rep.store.split(at, self.store_opts(left), self.store_opts(right));
-        let (lstore, rstore) = self.fail_stop(forked)?;
-        Some([(left, (start, Some(at.clone())), lstore), (right, (at.clone(), end), rstore)])
-    }
-
-    /// Merge the stores of adjacent `left` and `right` into `merged`'s:
-    /// its span and store. `None` after a fail-stop.
-    fn join_stores(
-        &mut self,
-        left: RangeId,
-        right: RangeId,
-        merged: RangeId,
-    ) -> Option<(Span, RangeStore)> {
-        let (lrep, rrep) = (self.replicas.get(&left)?, self.replicas.get(&right)?);
-        let span = (lrep.span.0.clone(), rrep.span.1.clone());
-        let joined = RangeStore::merge(&lrep.store, &rrep.store, self.store_opts(merged));
-        Some((span, self.fail_stop(joined)?))
+    /// The store of successor `id` over `span`: every replica of `preds`
+    /// whose span overlaps it, clipped to `span`, assembled into one.
+    fn assemble(&self, id: RangeId, span: &Span, preds: &[RangeId]) -> Result<RangeStore> {
+        let clips: Vec<(&RangeStore, Span)> = preds
+            .iter()
+            .filter_map(|r| self.replicas.get(r))
+            .filter(|p| spans_overlap(&p.span, span))
+            .map(|p| (&p.store, span_clip(&p.span, span)))
+            .collect();
+        let parts: Vec<_> =
+            clips.iter().map(|(store, (lo, hi))| (*store, lo, hi.as_ref())).collect();
+        RangeStore::assemble(self.vfs.clone(), self.store_opts(id), &parts)
     }
 
     /// Replace the replicas of `preds` by `succs` — the one end of every
@@ -447,6 +434,12 @@ impl Node {
         };
         let (barrier, pe) = (rep.last_committed, rep.epoch);
         let peers = rep.peers.clone();
+        let (start, end) = rep.span.clone();
+        let lead = Then::Lead { from: Lsn::new(pe + 1, barrier.seq()) };
+        let children = [
+            (left, (start, Some(at.clone())), pe + 1, lead),
+            (right, (at.clone(), end), pe, Then::Observe),
+        ];
 
         // Children's election state: the left child inherits this leader
         // at `pe + 1` (epochs only move forward, Appendix B); the right
@@ -468,21 +461,21 @@ impl Node {
         // pushing them onto the conservative reconcile for no reason.
         // The quiesced GC removes the whole `/r{N}` subtree later.
 
-        let Some([l, r]) = self.fork(range, &at, left, right) else { return };
+        let built: Result<Vec<Successor>> = children
+            .into_iter()
+            .map(|(id, span, epoch, then)| {
+                let store = self.assemble(id, &span, &[range])?;
+                let (peers, claim) = (peers.clone(), Claim::Full(barrier));
+                Ok(Successor { id, span, peers, store, claim, epoch, then })
+            })
+            .collect();
+        let Some(successors) = self.fail_stop(built) else { return };
         for &peer in &peers {
             out.send(
                 peer,
                 PeerMsg::Split { range, epoch: pe, split_key: at.clone(), left, right, barrier },
             );
         }
-        let lead = Then::Lead { from: Lsn::new(pe + 1, barrier.seq()) };
-        let successors = [(l, pe + 1, lead), (r, pe, Then::Observe)]
-            .into_iter()
-            .map(|((id, span, store), epoch, then)| {
-                let (peers, claim) = (peers.clone(), Claim::Full(barrier));
-                Successor { id, span, peers, store, claim, epoch, then }
-            })
-            .collect();
         self.dissolve(now, DissolveEntry::Split, &[range], successors, out);
     }
 
@@ -525,14 +518,17 @@ impl Node {
             Claim::Own(rep.last_committed)
         };
         let parent_peers = rep.peers.clone();
-        let Some(children) = self.fork(range, &split_key, left, right) else { return };
-        let successors = children
+        let (start, end) = rep.span.clone();
+        let children = [(left, (start, Some(split_key.clone()))), (right, (split_key, end))];
+        let built: Result<Vec<Successor>> = children
             .into_iter()
-            .map(|(id, span, store)| {
+            .map(|(id, span)| {
+                let store = self.assemble(id, &span, &[range])?;
                 let peers = self.peers_of(id, &parent_peers);
-                Successor { id, span, peers, store, claim, epoch, then: Then::Join }
+                Ok(Successor { id, span, peers, store, claim, epoch, then: Then::Join })
             })
             .collect();
+        let Some(successors) = self.fail_stop(built) else { return };
         self.dissolve(now, DissolveEntry::SplitMsg, &[range], successors, out);
     }
 
@@ -623,11 +619,7 @@ impl Node {
                 let span = span_of(def);
                 let contributors: Vec<&RangeReplica> =
                     parents.iter().copied().filter(|p| spans_overlap(&p.span, &span)).collect();
-                let mut store = RangeStore::recreate(self.vfs.clone(), self.store_opts(def.id))?;
-                for p in &contributors {
-                    let (lo, hi) = span_clip(&p.span, &span);
-                    ingest_span(&mut store, &p.store, &lo, hi.as_ref())?;
-                }
+                let store = self.assemble(def.id, &span, &gone)?;
                 let contained =
                     contributors.len() == 1 && span_contains(&contributors[0].span, &span);
                 Ok(Successor {
@@ -1029,6 +1021,7 @@ impl Node {
         let merged_epoch = le.max(re) + 1;
         let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
         let peers = lrep.peers.clone();
+        let span = (lrep.span.0.clone(), rrep.span.1.clone());
 
         // Election state of the merged range: this leader continues at
         // `max(epochs) + 1`, so every merged-range LSN exceeds every LSN
@@ -1043,7 +1036,8 @@ impl Node {
         // like a split parent's (watch-ordering: peers must process the
         // Merge message first).
 
-        let Some((span, store)) = self.join_stores(left, right, merged) else { return };
+        let built = self.assemble(merged, &span, &[left, right]);
+        let Some(store) = self.fail_stop(built) else { return };
         for &peer in &peers {
             out.send(
                 peer,
@@ -1149,7 +1143,9 @@ impl Node {
             (Claim::Zero, lrep.epoch.max(rrep.epoch))
         };
         let peers = self.peers_of(merged, &lrep.peers);
-        let Some((span, store)) = self.join_stores(left, right, merged) else { return };
+        let span = (lrep.span.0.clone(), rrep.span.1.clone());
+        let built = self.assemble(merged, &span, &[left, right]);
+        let Some(store) = self.fail_stop(built) else { return };
         let successor =
             Successor { id: merged, span, peers, store, claim, epoch, then: Then::Join };
         self.dissolve(now, DissolveEntry::MergeMsg, &[left, right], vec![successor], out);
@@ -1195,22 +1191,6 @@ fn merging(
         since: now,
         token,
     }
-}
-
-/// Copy `source`'s rows in `[lo, hi)` into `into`. The rows were pruned
-/// at the source's GC floor; the rebuilt store must not serve snapshots
-/// below it.
-pub(crate) fn ingest_span(
-    into: &mut RangeStore,
-    source: &RangeStore,
-    lo: &Key,
-    hi: Option<&Key>,
-) -> Result<()> {
-    for (key, row) in source.scan(lo, hi)? {
-        into.ingest_fragment(&key, &row);
-    }
-    into.set_gc_floor(source.gc_floor());
-    Ok(())
 }
 
 /// `def`'s key bounds.

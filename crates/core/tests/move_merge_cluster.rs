@@ -229,8 +229,9 @@ fn merge_completes_when_one_node_leads_both_siblings() {
     );
 
     cluster.merge_ranges(8 * SECS, left, right);
-    // Well within merge_timeout (10 s): an un-announced local barrier
-    // used to wedge until the timeout aborted it.
+    // Well within the merge timeout (`MERGE_TIMEOUT`, 10 s): an
+    // un-announced local barrier used to wedge until the timeout aborted
+    // it.
     cluster.run_until(11 * SECS);
     let ring = cluster.current_ring();
     assert_eq!(ring.version(), 3, "the merge completed promptly, no timeout-abort cycle");

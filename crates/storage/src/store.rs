@@ -8,8 +8,10 @@
 //!   checkpoint — the caller wires that up), merged reads across memtable
 //!   and tables (newest version per column), `rows_since` — the
 //!   SSTable-backed catch-up feed used by recovery when the leader's log
-//!   has rolled over (§6.1) — and the lifecycle that forks, joins and
-//!   ships whole stores (split / extract / merge / snapshot);
+//!   has rolled over (§6.1) — and the lifecycle of whole stores: one
+//!   constructor, [`RangeStore::assemble`], builds every successor of a
+//!   split, merge or rebuild from clipped local stores, and a snapshot
+//!   ships a store to another node;
 //! * `manifest.rs` — the bytes of `MANIFEST`, and the check that
 //!   level assignments read from a file or a peer are safe to serve from;
 //! * `compaction.rs` — when tables are merged, which ones, and how
@@ -218,9 +220,9 @@ impl RangeStore {
 
     /// Open a store on a *fresh* manifest, discarding any leftovers in
     /// the directory: stale state from a replica that departed earlier,
-    /// or a fork that crashed before completing. What a node about to
-    /// receive a snapshot calls, and what every fork starts its children
-    /// from.
+    /// or an assembly that crashed before completing. What a node about
+    /// to receive a snapshot calls, and what [`RangeStore::assemble`]
+    /// starts from.
     pub fn recreate(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
         let store = RangeStore::empty(vfs, opts);
         store.save_manifest()?;
@@ -324,7 +326,7 @@ impl RangeStore {
     /// forward — a lagging caller cannot resurrect pruned history, so
     /// regressions are ignored. The floor is persisted with the
     /// manifest (on the next flush/compaction) and inherited by
-    /// split/merge/extract children and snapshot importers, so a store
+    /// assembled successors and snapshot importers, so a store
     /// whose tables were pruned at some floor never claims it can
     /// serve below it. Passing `u64::MAX` (the "unarmed" sentinel) is a
     /// no-op: an armed floor can never be disarmed.
@@ -425,116 +427,51 @@ impl RangeStore {
         Ok(out)
     }
 
-    /// Fork the store at `at` into two children (dynamic range splitting):
-    /// the memtable is cloned in halves, and every SSTable is assigned
-    /// wholly to one side **at its own level** when its key bounds allow —
-    /// a cheap file copy — or re-partitioned into per-side tables (still
-    /// at its level) when it straddles the split key. Clipping preserves
-    /// each level's non-overlap, since each side receives a disjoint
-    /// sub-run. `self` is left untouched; the caller dissolves the parent
-    /// once both children are durable.
-    pub fn split(
-        &self,
-        at: &Key,
-        left_opts: StoreOptions,
-        right_opts: StoreOptions,
-    ) -> Result<(RangeStore, RangeStore)> {
-        let mut left = RangeStore::recreate(self.vfs.clone(), left_opts)?;
-        let mut right = RangeStore::recreate(self.vfs.clone(), right_opts)?;
-        // The children adopt tables pruned at the parent's floor; they
-        // must not claim they can serve below it.
-        left.gc_floor = self.gc_floor;
-        right.gc_floor = self.gc_floor;
-        for (key, row) in self.memtable.iter() {
-            let side = if key < at { &mut left } else { &mut right };
-            side.memtable.merge_row(key, row);
-        }
-        // L0 oldest first, inserting at the front, so each child's L0
-        // ends newest-first like its parent (merges are version-driven,
-        // but the invariant keeps compaction heuristics honest).
-        for slot in self.l0.iter().rev() {
-            Self::split_one(slot, at, 0, &mut left, &mut right)?;
-        }
-        for (k, level) in self.deeper.iter().enumerate() {
-            for slot in level {
-                Self::split_one(slot, at, k as u32 + 1, &mut left, &mut right)?;
-            }
-        }
-        left.save_manifest()?;
-        right.save_manifest()?;
-        Ok((left, right))
-    }
-
-    fn split_one(
-        slot: &Slot,
-        at: &Key,
-        level: u32,
-        left: &mut RangeStore,
-        right: &mut RangeStore,
-    ) -> Result<()> {
-        let meta = slot.table.meta();
-        if &meta.max_key < at {
-            left.adopt_table_file(slot.table.path(), level)
-        } else if &meta.min_key >= at {
-            right.adopt_table_file(slot.table.path(), level)
-        } else {
-            left.adopt_rows(&slot.table.scan(&Key::default(), Some(at))?, level)?;
-            right.adopt_rows(&slot.table.scan(at, None)?, level)
-        }
-    }
-
-    /// Extract the slice `[start, end)` into a fresh child store (the
-    /// generic, bounds-driven fork used by table-only split recovery,
-    /// where the exact split lineage may span several chained splits).
-    /// Unlike [`RangeStore::split`] this always re-partitions rows; it is
-    /// the rare-path variant, so simplicity wins over file reuse. The
-    /// merged scan yields one sorted, duplicate-free run, which lands as
-    /// non-overlapping L1 tables.
-    pub fn extract(
-        &self,
-        start: &Key,
-        end: Option<&Key>,
+    /// Build a fresh store in `opts.dir` from `parts`, each a source store
+    /// clipped to the keys `[lo, hi)` — the one recipe for every successor
+    /// of a range split, merge, table-driven reconcile or boot-time child
+    /// rebuild. Per part: the store adopts the stricter GC floor (its
+    /// tables were pruned at the source's), takes the memtable rows in
+    /// the clip, and walks the tables — L0 oldest first, inserting at the
+    /// front so L0 stays newest first, then the deeper levels. A table
+    /// wholly inside the clip is copied as a file **at its own level**; one
+    /// that straddles the clip is re-partitioned into tables at that level
+    /// holding only the clipped rows (none if the clip holds no key of
+    /// it); a disjoint one is skipped. Parts are meant to be disjoint, and
+    /// clipping a sub-run of a level keeps it non-overlapping; should two
+    /// parts overlap, their overlapping tables are demoted to L0, where
+    /// reads stay version-driven. The sources are left untouched; the
+    /// caller dissolves them once the successor is durable.
+    pub fn assemble(
+        vfs: SharedVfs,
         opts: StoreOptions,
+        parts: &[(&RangeStore, &Key, Option<&Key>)],
     ) -> Result<RangeStore> {
-        let mut child = RangeStore::recreate(self.vfs.clone(), opts)?;
-        child.gc_floor = self.gc_floor;
-        child.adopt_rows(&self.scan(start, end)?, 1)?;
-        child.save_manifest()?;
-        Ok(child)
-    }
-
-    /// Merge two sibling stores with *disjoint* key spans into one child
-    /// (dynamic range merging — the inverse of [`RangeStore::split`]).
-    /// Because no key can live on both sides, every SSTable is adopted
-    /// wholesale as a cheap file copy **at its own level** (disjoint
-    /// parents keep every level non-overlapping) and the memtables are
-    /// unioned; no row-level merge is ever needed. The parents are left
-    /// untouched; the caller dissolves them once the merged child is
-    /// durable.
-    pub fn merge(left: &RangeStore, right: &RangeStore, opts: StoreOptions) -> Result<RangeStore> {
-        let mut merged = RangeStore::recreate(left.vfs.clone(), opts)?;
-        // Adopt the stricter of the parents' floors (MAX inputs are
-        // no-ops, so an armed floor always wins over an unarmed one).
-        merged.set_gc_floor(left.gc_floor());
-        merged.set_gc_floor(right.gc_floor());
-        for parent in [left, right] {
-            // L0 oldest first, inserting at the front, preserving each
-            // side's newest-first order (the sides are disjoint, so their
-            // relative interleaving carries no version semantics).
-            for slot in parent.l0.iter().rev() {
-                merged.adopt_table_file(slot.table.path(), 0)?;
+        let mut store = RangeStore::recreate(vfs, opts)?;
+        for &(src, lo, hi) in parts {
+            let below_hi = |k: &Key| hi.is_none_or(|h| k < h);
+            store.set_gc_floor(src.gc_floor);
+            for (key, row) in src.memtable.range_from(lo).take_while(|(k, _)| below_hi(k)) {
+                store.memtable.merge_row(key, row);
             }
-            for (k, level) in parent.deeper.iter().enumerate() {
-                for slot in level {
-                    merged.adopt_table_file(slot.table.path(), k as u32 + 1)?;
+            let l0 = src.l0.iter().rev().map(|slot| (slot, 0));
+            let deeper =
+                src.deeper.iter().zip(1u32..).flat_map(|(v, l)| v.iter().map(move |s| (s, l)));
+            for (slot, level) in l0.chain(deeper) {
+                let meta = slot.table.meta();
+                if &meta.max_key < lo || !below_hi(&meta.min_key) {
+                    continue;
+                }
+                if &meta.min_key >= lo && below_hi(&meta.max_key) {
+                    store.adopt_image(&src.vfs.read_all(slot.table.path())?, level)?;
+                } else {
+                    store.adopt_rows(&slot.table.scan(lo, hi)?, level)?;
                 }
             }
-            for (key, row) in parent.memtable.iter() {
-                merged.memtable.merge_row(key, row);
-            }
         }
-        merged.save_manifest()?;
-        Ok(merged)
+        heal_levels(&mut store.l0, &mut store.deeper);
+        store.save_manifest()?;
+        Ok(store)
     }
 
     /// Export a consistent snapshot of the whole store: raw SSTable file
@@ -608,13 +545,6 @@ impl RangeStore {
         }
         self.deeper[k].push(slot);
         sort_level(&mut self.deeper[k]);
-    }
-
-    /// Adopt a whole SSTable from another store by copying its file,
-    /// placing it at `level`.
-    fn adopt_table_file(&mut self, src: &str, level: u32) -> Result<()> {
-        let image = self.vfs.read_all(src)?;
-        self.adopt_image(&image, level)
     }
 
     /// Write `image` — the bytes of a whole SSTable — as a table of this
@@ -840,6 +770,25 @@ mod tests {
             StoreOptions { memtable_flush_bytes: 1 << 20, ..Default::default() },
         )
         .unwrap()
+    }
+
+    fn in_dir(dir: &str) -> StoreOptions {
+        StoreOptions { dir: dir.into(), ..Default::default() }
+    }
+
+    /// `s` split at `at`: the stores assembled in `left` and `right` from
+    /// the parent clipped to either side.
+    fn split(s: &RangeStore, at: &Key) -> (RangeStore, RangeStore) {
+        let child = |dir: &str, lo: &Key, hi: Option<&Key>| {
+            RangeStore::assemble(s.vfs.clone(), in_dir(dir), &[(s, lo, hi)]).unwrap()
+        };
+        (child("left", &Key::default(), Some(at)), child("right", at, None))
+    }
+
+    /// The children of a split at `at`, assembled back into `merged`.
+    fn merge(left: &RangeStore, right: &RangeStore, at: &Key) -> RangeStore {
+        let parts = [(left, &Key::default(), Some(at)), (right, at, None)];
+        RangeStore::assemble(left.vfs.clone(), in_dir("merged"), &parts).unwrap()
     }
 
     #[test]
@@ -1096,38 +1045,18 @@ mod tests {
         let reopened = store_on(&vfs.crash_clone());
         assert_eq!(reopened.gc_floor(), 25, "floor persisted with the manifest");
 
-        // Split children, an extracted child, a merged store, and a
-        // snapshot importer all inherit it.
-        let (left, right) = s
-            .split(
-                &Key::from("m"),
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
+        // Split children, a merged store, a store assembled from a clip
+        // bounded on both sides, and a snapshot importer all inherit it.
+        let at = Key::from("m");
+        let (left, right) = split(&s, &at);
         assert_eq!((left.gc_floor(), right.gc_floor()), (25, 25));
-        let merged = RangeStore::merge(
-            &left,
-            &right,
-            StoreOptions { dir: "merged".into(), ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(merged.gc_floor(), 25);
-        let extracted = s
-            .extract(
-                &Key::default(),
-                None,
-                StoreOptions { dir: "extracted".into(), ..Default::default() },
-            )
-            .unwrap();
-        assert_eq!(extracted.gc_floor(), 25);
+        assert_eq!(merge(&left, &right, &at).gc_floor(), 25);
+        let (lo, hi) = (Key::from("a"), Key::from("z"));
+        let clipped = RangeStore::assemble(s.vfs.clone(), in_dir("clip"), &[(&s, &lo, Some(&hi))]);
+        assert_eq!(clipped.unwrap().gc_floor(), 25);
         let snap = s.export_snapshot().unwrap();
         assert_eq!(snap.gc_floor, 25);
-        let mut joiner = RangeStore::recreate(
-            Arc::new(MemVfs::new()),
-            StoreOptions { dir: "joined".into(), ..Default::default() },
-        )
-        .unwrap();
+        let mut joiner = RangeStore::recreate(Arc::new(MemVfs::new()), in_dir("joined")).unwrap();
         assert_eq!(joiner.gc_floor(), u64::MAX, "fresh store: unarmed");
         joiner.import_snapshot(&snap).unwrap();
         assert_eq!(joiner.gc_floor(), 25, "importer adopts the exporter's floor");
@@ -1335,13 +1264,7 @@ mod tests {
         s.apply(&op::put("z2", "c", "mem"), Lsn::new(1, 6));
 
         let at = Key::from("m");
-        let (left, right) = s
-            .split(
-                &at,
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
+        let (left, right) = split(&s, &at);
 
         // Every key reads identically from the child owning its side.
         for key in ["a1", "a2", "a3", "z1", "z2"] {
@@ -1381,13 +1304,7 @@ mod tests {
         assert!(s.tables_per_level().len() > 1, "parent has deeper levels");
 
         let at = Key::from("k0100");
-        let (left, right) = s
-            .split(
-                &at,
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
+        let (left, right) = split(&s, &at);
         for child in [&left, &right] {
             let per_level = child.tables_per_level();
             for level in 1..per_level.len() {
@@ -1403,6 +1320,77 @@ mod tests {
             let child = if k < at { &left } else { &right };
             assert_eq!(child.get(&k).unwrap(), s.get(&k).unwrap(), "key k{i:04}");
         }
+
+        // A parent table wholly inside a child's clip is copied as a file:
+        // the child holds its exact bytes, at the same level.
+        let tables = |st: &RangeStore| -> Vec<(u32, Vec<u8>, Key, Key)> {
+            let l0 = st.l0.iter().map(|slot| (0, slot));
+            let deeper =
+                st.deeper.iter().zip(1u32..).flat_map(|(v, l)| v.iter().map(move |s| (l, s)));
+            l0.chain(deeper)
+                .map(|(l, slot)| {
+                    let (min, max) = (min_key(slot).clone(), max_key(slot).clone());
+                    (l, st.vfs.read_all(slot.table.path()).unwrap(), min, max)
+                })
+                .collect()
+        };
+        let parent = tables(&s);
+        let mut copied = 0;
+        for (child, lo, hi) in [(&left, Key::default(), Some(&at)), (&right, at.clone(), None)] {
+            let held = tables(child);
+            let inside =
+                parent.iter().filter(|(_, _, min, max)| *min >= lo && hi.is_none_or(|h| max < h));
+            for (level, image, min, _) in inside {
+                let twin = held.iter().any(|(l, im, _, _)| l == level && im == image);
+                assert!(twin, "the table at level {level} from {min:?} is copied byte for byte");
+                copied += 1;
+            }
+        }
+        assert!(copied > 1, "both children copy tables: {copied}");
+    }
+
+    #[test]
+    fn a_straddled_clip_that_holds_no_key_writes_no_table() {
+        let vfs = MemVfs::new();
+        let mut s = store_on(&vfs);
+        s.apply(&op::put("a", "c", "1"), Lsn::new(1, 1));
+        s.apply(&op::put("z", "c", "2"), Lsn::new(1, 2));
+        s.flush().unwrap();
+        // The one table spans [a, z]; the clip [m, n) falls between its keys.
+        let (lo, hi) = (Key::from("m"), Key::from("n"));
+        let clip = RangeStore::assemble(s.vfs.clone(), in_dir("clip"), &[(&s, &lo, Some(&hi))]);
+        let clip = clip.unwrap();
+        assert_eq!((clip.table_count(), clip.memtable_len()), (0, 0));
+        assert_eq!(clip.vfs.list("clip/").unwrap(), vec!["clip/MANIFEST".to_string()]);
+    }
+
+    /// Overlapping parts break no read: where their tables would overlap
+    /// within a level, the later ones are demoted to L0, and the newest
+    /// version of each column wins.
+    #[test]
+    fn overlapping_parts_read_by_version() {
+        let vfs = MemVfs::new();
+        // Each source ends as one L1 table; the older one starts higher,
+        // so a level search for a key both hold would find only it.
+        let source = |dir: &str, keys: std::ops::Range<u64>, value: &str, base: u64| {
+            let mut s = RangeStore::open(Arc::new(vfs.clone()), in_dir(dir)).unwrap();
+            for i in keys {
+                s.apply(&op::put(&format!("k{i:02}"), "c", value), Lsn::new(1, base + i));
+                s.flush().unwrap();
+            }
+            s.compact_all().unwrap();
+            assert_eq!(s.tables_per_level(), vec![0, 1]);
+            s
+        };
+        let (old, new) = (source("old", 10..30, "old", 0), source("new", 0..20, "new", 100));
+        let parts = [(&old, &Key::default(), None), (&new, &Key::default(), None)];
+        let both = RangeStore::assemble(Arc::new(vfs.clone()), in_dir("both"), &parts).unwrap();
+        assert_eq!(both.tables_per_level(), vec![1, 1], "the overlapping table went to L0");
+        for i in 0..30u64 {
+            let row = both.get(&Key::from(format!("k{i:02}").as_str())).unwrap().unwrap();
+            let want: &[u8] = if i < 20 { b"new" } else { b"old" };
+            assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), want, "k{i:02}");
+        }
     }
 
     #[test]
@@ -1414,28 +1402,14 @@ mod tests {
         }
         s.flush().unwrap();
         s.apply(&op::put("k99", "c", "late"), Lsn::new(1, 100));
-        let (mut left, mut right) = s
-            .split(
-                &Key::from("k20"),
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
+        let (mut left, mut right) = split(&s, &Key::from("k20"));
         left.flush().unwrap();
         right.flush().unwrap();
 
         // Crash: only synced state survives; both children reopen intact.
         let image = vfs.crash_clone();
-        let left2 = RangeStore::open(
-            Arc::new(image.clone()),
-            StoreOptions { dir: "left".into(), ..Default::default() },
-        )
-        .unwrap();
-        let right2 = RangeStore::open(
-            Arc::new(image),
-            StoreOptions { dir: "right".into(), ..Default::default() },
-        )
-        .unwrap();
+        let left2 = RangeStore::open(Arc::new(image.clone()), in_dir("left")).unwrap();
+        let right2 = RangeStore::open(Arc::new(image), in_dir("right")).unwrap();
         assert_eq!(
             left2.get(&Key::from("k07")).unwrap().unwrap().get_live(b"c").unwrap().value.as_ref(),
             b"v7"
@@ -1459,19 +1433,8 @@ mod tests {
         }
         s.apply(&op::delete("k05", "c"), Lsn::new(1, 100));
         let at = Key::from("k15");
-        let (left, right) = s
-            .split(
-                &at,
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
-        let merged = RangeStore::merge(
-            &left,
-            &right,
-            StoreOptions { dir: "merged".into(), ..Default::default() },
-        )
-        .unwrap();
+        let (left, right) = split(&s, &at);
+        let merged = merge(&left, &right, &at);
         for i in 0..30u64 {
             let k = Key::from(format!("k{i:02}").as_str());
             assert_eq!(merged.get(&k).unwrap(), s.get(&k).unwrap(), "key k{i:02}");
@@ -1491,25 +1454,11 @@ mod tests {
             s.apply(&op::put(&format!("k{i:02}"), "c", &format!("v{i}")), Lsn::new(1, i + 1));
         }
         s.flush().unwrap();
-        let (left, right) = s
-            .split(
-                &Key::from("k10"),
-                StoreOptions { dir: "left".into(), ..Default::default() },
-                StoreOptions { dir: "right".into(), ..Default::default() },
-            )
-            .unwrap();
-        let mut merged = RangeStore::merge(
-            &left,
-            &right,
-            StoreOptions { dir: "merged".into(), ..Default::default() },
-        )
-        .unwrap();
+        let at = Key::from("k10");
+        let (left, right) = split(&s, &at);
+        let mut merged = merge(&left, &right, &at);
         merged.flush().unwrap();
-        let merged2 = RangeStore::open(
-            Arc::new(vfs.crash_clone()),
-            StoreOptions { dir: "merged".into(), ..Default::default() },
-        )
-        .unwrap();
+        let merged2 = RangeStore::open(Arc::new(vfs.crash_clone()), in_dir("merged")).unwrap();
         for i in 0..20u64 {
             let k = Key::from(format!("k{i:02}").as_str());
             assert_eq!(merged2.get(&k).unwrap(), s.get(&k).unwrap());
@@ -1534,11 +1483,7 @@ mod tests {
 
         // Import on a different node's (fresh) filesystem.
         let vfs2 = MemVfs::new();
-        let mut dst = RangeStore::recreate(
-            Arc::new(vfs2.clone()),
-            StoreOptions { dir: "joined".into(), ..Default::default() },
-        )
-        .unwrap();
+        let mut dst = RangeStore::recreate(Arc::new(vfs2.clone()), in_dir("joined")).unwrap();
         dst.import_snapshot(&snap).unwrap();
         for i in 0..25u64 {
             let k = Key::from(format!("k{i:02}").as_str());
@@ -1548,11 +1493,7 @@ mod tests {
 
         // The imported tables are durable; memtable rows need a flush.
         dst.flush().unwrap();
-        let dst2 = RangeStore::open(
-            Arc::new(vfs2.crash_clone()),
-            StoreOptions { dir: "joined".into(), ..Default::default() },
-        )
-        .unwrap();
+        let dst2 = RangeStore::open(Arc::new(vfs2.crash_clone()), in_dir("joined")).unwrap();
         assert_eq!(
             dst2.scan(&Key::default(), None).unwrap(),
             src.scan(&Key::default(), None).unwrap()
@@ -1580,11 +1521,7 @@ mod tests {
         assert!(per_level.len() > 1, "source has a ladder: {per_level:?}");
 
         let snap = src.export_snapshot().unwrap();
-        let mut dst = RangeStore::recreate(
-            Arc::new(MemVfs::new()),
-            StoreOptions { dir: "joined".into(), ..Default::default() },
-        )
-        .unwrap();
+        let mut dst = RangeStore::recreate(Arc::new(MemVfs::new()), in_dir("joined")).unwrap();
         dst.import_snapshot(&snap).unwrap();
         assert_eq!(dst.tables_per_level(), per_level, "importer mirrors the exporter's levels");
         for i in 0..100u64 {
