@@ -508,6 +508,8 @@ impl SimCluster {
         {
             let mut coord = world.coord.borrow_mut();
             let boot = coord.create_session(u64::MAX / 2, 0);
+            // Both run on a fresh coordination service, where neither
+            // znode exists yet and the boot session is live.
             let _ = coord.create(boot, "/ranges", Vec::new(), CreateMode::Persistent);
             let _ = coord.create(boot, TABLE_PATH, ring.encode_to_vec(), CreateMode::Persistent);
         }

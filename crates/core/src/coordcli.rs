@@ -165,6 +165,8 @@ impl CoordClient {
 
     /// Refresh the session.
     pub fn heartbeat(&self, now: u64) {
+        // It fails only on an expired session, which the service also
+        // reports as `SessionExpired`; the host restarts the node on it.
         let _ = self.svc.borrow_mut().heartbeat(self.session, now);
     }
 }

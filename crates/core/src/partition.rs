@@ -71,10 +71,12 @@ impl Ring {
     pub fn uniform(nodes: usize, replication: usize) -> Ring {
         assert!(nodes >= replication, "need at least as many nodes as replicas");
         assert!(replication >= 1);
+        let count = u32::try_from(nodes).expect("node ids are u32");
         let step = u64::MAX / nodes as u64;
         let ranges = (0..nodes)
-            .map(|i| RangeDef {
-                id: RangeId(i as u32),
+            .zip(0u32..)
+            .map(|(i, id)| RangeDef {
+                id: RangeId(id),
                 // The first range starts at the absolute minimum (the empty
                 // key), not at eight zero bytes: keys shorter than 8 bytes
                 // sort below `u64_to_key(0)` and must still be covered.
@@ -87,7 +89,7 @@ impl Ring {
                 moving: None,
             })
             .collect();
-        Ring { nodes, replication, version: 1, next_id: nodes as u32, ranges }
+        Ring { nodes, replication, version: 1, next_id: count, ranges }
     }
 
     /// Standard 3-way replicated ring.
@@ -335,7 +337,12 @@ impl Ring {
 impl Encode for Ring {
     fn encode(&self, buf: &mut Vec<u8>) {
         codec::put_u64(buf, self.version);
+        // Both fit: `uniform` checks the node count against u32 and the
+        // replication factor against the node count, and `decode` reads
+        // each from a u32.
+        // spinlint: allow(C2) -- at most u32::MAX, see above
         codec::put_u32(buf, self.nodes as u32);
+        // spinlint: allow(C2) -- at most u32::MAX, see above
         codec::put_u32(buf, self.replication as u32);
         codec::put_u32(buf, self.next_id);
         codec::put_varint(buf, self.ranges.len() as u64);
@@ -377,10 +384,15 @@ impl Encode for Ring {
 impl Decode for Ring {
     fn decode_from(buf: &mut Source<'_>) -> Result<Ring> {
         let version = codec::get_u64(buf)?;
+        // spinlint: allow(C2) -- u32 into usize widens on every supported target
         let nodes = codec::get_u32(buf)? as usize;
+        // spinlint: allow(C2) -- u32 into usize widens on every supported target
         let replication = codec::get_u32(buf)? as usize;
         let next_id = codec::get_u32(buf)?;
-        let n = codec::get_varint(buf)? as usize;
+        // A range is at least 14 bytes: its id and home (4 each), then a
+        // byte each for the start key's length, the end, parent and
+        // moving flags, the cohort count and the generation.
+        let n = codec::get_varint_len(buf, "range", 14)?;
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
             let id = RangeId(codec::get_u32(buf)?);
@@ -389,7 +401,7 @@ impl Decode for Ring {
                 0 => None,
                 _ => Some(Key(buf.bytes()?)),
             };
-            let c = codec::get_varint(buf)? as usize;
+            let c = codec::get_varint_len(buf, "cohort member", 4)?;
             let mut cohort = Vec::with_capacity(c);
             for _ in 0..c {
                 cohort.push(codec::get_u32(buf)?);
@@ -719,5 +731,30 @@ mod tests {
         let a: Vec<_> = ring.defs().cloned().collect();
         let b: Vec<_> = back.defs().cloned().collect();
         assert_eq!(a, b);
+    }
+
+    /// Every node and client decodes the table from the coordination
+    /// service, so a corrupt one must decode to an error. A range or
+    /// cohort count the bytes cannot back used to size a `Vec` and panic
+    /// with `capacity overflow`.
+    #[test]
+    fn a_corrupt_table_is_an_error_not_a_panic() {
+        let bytes = Ring::with_nodes(3).encode_to_vec();
+        let with_count_at = |at: usize| {
+            let mut out = bytes[..at].to_vec();
+            codec::put_varint(&mut out, u64::MAX);
+            out.extend_from_slice(&bytes[at + 1..]);
+            out
+        };
+        // The range count follows the 20-byte header; the first range's
+        // cohort count follows its id, empty start key and 8-byte end key.
+        let (ranges_at, cohort_at) = (20, 20 + 1 + 4 + 1 + 1 + 9);
+        assert_eq!((bytes[ranges_at], bytes[cohort_at]), (3, 3));
+        for at in [ranges_at, cohort_at] {
+            assert!(Ring::decode(&mut with_count_at(at).as_slice()).is_err(), "count at {at}");
+        }
+        for cut in 0..bytes.len() {
+            assert!(Ring::decode(&mut &bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 }

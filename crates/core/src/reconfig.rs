@@ -815,6 +815,8 @@ impl Node {
     /// Abandon an in-flight move: CAS the marker away and drop the
     /// learner from the propose fan-out.
     pub(crate) fn abort_move(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
+        // A lost CAS leaves the `moving` marker; the leader's maintenance
+        // tick CASes a marker with no move behind it away.
         let _ = self.cas_table(|t| t.abort_move(range).is_ok());
         let Some(rep) = self.replicas.get_mut(&range) else { return };
         if let Some(m) = rep.moving.take() {

@@ -70,9 +70,9 @@ impl Manifest {
         for s in l0 {
             tables.push((s.id, 0));
         }
-        for (k, level) in deeper.iter().enumerate() {
-            for s in level {
-                tables.push((s.id, k as u32 + 1));
+        for (level, slots) in (1u32..).zip(deeper) {
+            for s in slots {
+                tables.push((s.id, level));
             }
         }
         Manifest { tables, next_id, gc_floor }

@@ -4,8 +4,15 @@
 //! (paper §4.1): "In order to share the same log, each cohort on a node
 //! uses its own logical LSNs." Records are framed with length + CRC32C;
 //! recovery scans all segments, tolerates a torn tail in the newest
-//! segment, honours the skipped-LSN lists (logical truncation, §6.1.1),
-//! and rebuilds a per-cohort index used for replay and catch-up reads.
+//! segment, and rebuilds a per-cohort index used for replay and catch-up
+//! reads.
+//!
+//! Everything the log knows about one cohort is one `Cohort` entry:
+//! its checkpoint, where local recovery starts replaying (§6.1), and its
+//! skipped-LSN list, the records a new leader discarded that no replay
+//! may see (logical truncation, §6.1.1). Both are kept durable in one
+//! sidecar, `<dir>/cohorts`, which every change replaces whole, so a
+//! checkpoint and its skipped list are always saved together.
 //!
 //! Force policy is the caller's: [`Wal::append`] buffers in the OS file,
 //! [`Wal::sync`] forces everything appended so far — group commit batches
@@ -13,20 +20,19 @@
 
 use std::collections::BTreeMap;
 
-use spinnaker_common::codec::Source;
+use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
-use crate::checkpoint::Checkpoints;
 use crate::record::{
     encode_frame_into, read_frame, scan_frame, FrameRead, LogRecord, RecordHeader,
 };
-use crate::skipped::SkippedFile;
 
 /// Tuning knobs for the log.
 #[derive(Clone, Debug)]
 pub struct WalOptions {
-    /// Directory (within the VFS namespace) holding segments and sidecars.
+    /// Directory (within the VFS namespace) holding segments and the
+    /// cohorts sidecar.
     pub dir: String,
     /// Rollover threshold: a segment is sealed once it exceeds this size.
     pub segment_bytes: u64,
@@ -53,19 +59,26 @@ pub struct CohortLogState {
 struct RecordLoc {
     segment: u64,
     offset: u64,
-    frame_len: u32,
+    frame_len: usize,
 }
 
+/// What the log knows about one cohort's logical stream.
 #[derive(Default)]
-struct CohortIndex {
-    /// Non-truncated write records still available for replay.
+struct Cohort {
+    /// Every write at or below it is flushed to an SSTable: local
+    /// recovery replays from here, the index keeps nothing at or below
+    /// it, and a replay starting below it must fall back to SSTable-based
+    /// catch-up. Durable; never moves back.
+    checkpoint: Lsn,
+    /// Logically truncated LSNs, sorted: invisible to every replay. "Since
+    /// this list is expected to be small, it is loaded into memory before
+    /// recovery." Durable; entries at or below the checkpoint are dropped.
+    skipped: Vec<Lsn>,
+    /// Non-truncated write records above the checkpoint, for replay.
     records: BTreeMap<Lsn, RecordLoc>,
+    /// Highest write LSN seen, never below the checkpoint.
     last_lsn: Lsn,
     last_commit_note: Lsn,
-    /// Records at or below this LSN may have been dropped from the index
-    /// (checkpointed and possibly garbage collected); replay starting below
-    /// it must fall back to SSTable-based catch-up.
-    floor: Lsn,
 }
 
 struct OpenSegment {
@@ -80,9 +93,7 @@ pub struct Wal {
     opts: WalOptions,
     sealed: Vec<u64>,
     current: OpenSegment,
-    index: BTreeMap<RangeId, CohortIndex>,
-    checkpoints: Checkpoints,
-    skipped: SkippedFile,
+    cohorts: BTreeMap<RangeId, Cohort>,
     /// Live index references per segment; a sealed segment with zero
     /// references is garbage.
     seg_refs: BTreeMap<u64, usize>,
@@ -97,26 +108,27 @@ impl Wal {
         format!("{dir}/seg-{id:010}.log")
     }
 
-    fn cp_path(dir: &str) -> String {
-        format!("{dir}/checkpoints")
-    }
-
-    fn skipped_path(dir: &str) -> String {
-        format!("{dir}/skipped")
+    fn cohorts_path(dir: &str) -> String {
+        format!("{dir}/cohorts")
     }
 
     /// Open the log, running the recovery scan over existing segments.
     ///
     /// A torn tail in the newest segment is tolerated (records after it are
     /// lost, which is correct: they were never acknowledged); a bad frame in
-    /// any older segment is reported as corruption. Appends always go to a
-    /// fresh segment so a torn tail is never overwritten — and the torn
-    /// segment is first rewritten to its valid prefix, because the fresh
-    /// segment seals it: left as it was, the next open would find the
-    /// damage in a sealed segment and refuse to start.
+    /// any older segment is reported as corruption, and so is a cohorts
+    /// sidecar that does not decode. Appends always go to a fresh segment
+    /// so a torn tail is never overwritten — and the torn segment is first
+    /// rewritten to its valid prefix, because the fresh segment seals it:
+    /// left as it was, the next open would find the damage in a sealed
+    /// segment and refuse to start.
     pub fn open(vfs: SharedVfs, opts: WalOptions) -> Result<Wal> {
-        let checkpoints = Checkpoints::load(vfs.as_ref(), &Self::cp_path(&opts.dir))?;
-        let skipped = SkippedFile::load(vfs.as_ref(), &Self::skipped_path(&opts.dir))?;
+        let sidecar = Self::cohorts_path(&opts.dir);
+        let mut cohorts = if vfs.exists(&sidecar)? {
+            decode_cohorts(&vfs.read_all(&sidecar)?)?
+        } else {
+            BTreeMap::new()
+        };
 
         let mut seg_ids: Vec<u64> = Vec::new();
         for path in vfs.list(&format!("{}/seg-", opts.dir))? {
@@ -131,7 +143,6 @@ impl Wal {
         }
         seg_ids.sort_unstable();
 
-        let mut index: BTreeMap<RangeId, CohortIndex> = BTreeMap::new();
         let mut seg_refs: BTreeMap<u64, usize> = BTreeMap::new();
         let last = seg_ids.last().copied();
         for &id in &seg_ids {
@@ -145,16 +156,8 @@ impl Wal {
             while offset < data.len() {
                 match scan_frame(&data[offset..])? {
                     FrameRead::Record(header, n) => {
-                        let loc =
-                            RecordLoc { segment: id, offset: offset as u64, frame_len: n as u32 };
-                        Self::index_record(
-                            &mut index,
-                            &mut seg_refs,
-                            &skipped,
-                            &checkpoints,
-                            header,
-                            loc,
-                        );
+                        let loc = RecordLoc { segment: id, offset: offset as u64, frame_len: n };
+                        Self::index_record(&mut cohorts, &mut seg_refs, header, loc);
                         offset += n;
                     }
                     FrameRead::Torn(why) => {
@@ -173,25 +176,13 @@ impl Wal {
             }
         }
 
-        // Floors: nothing below a checkpoint is guaranteed replayable, and
-        // anything the index never saw is likewise unavailable.
-        for (cohort, cp) in checkpoints.iter() {
-            let entry = index.entry(cohort).or_default();
-            entry.floor = cp;
-            if cp > entry.last_lsn {
-                entry.last_lsn = cp;
-            }
-        }
-
         let next_id = seg_ids.last().map_or(1, |m| m + 1);
         let file = vfs.create(&Self::seg_path(&opts.dir, next_id))?;
         Ok(Wal {
             vfs,
             sealed: seg_ids,
             current: OpenSegment { id: next_id, file, bytes: 0 },
-            index,
-            checkpoints,
-            skipped,
+            cohorts,
             seg_refs,
             appended_since_sync: false,
             frame: Vec::new(),
@@ -200,15 +191,13 @@ impl Wal {
     }
 
     fn index_record(
-        index: &mut BTreeMap<RangeId, CohortIndex>,
+        cohorts: &mut BTreeMap<RangeId, Cohort>,
         seg_refs: &mut BTreeMap<u64, usize>,
-        skipped: &SkippedFile,
-        checkpoints: &Checkpoints,
         header: RecordHeader,
         loc: RecordLoc,
     ) {
         let RecordHeader { cohort, lsn: first, ops } = header;
-        let entry = index.entry(cohort).or_default();
+        let entry = cohorts.entry(cohort).or_default();
         if ops == 0 {
             // A commit note.
             if first > entry.last_commit_note {
@@ -220,16 +209,15 @@ impl Wal {
         // truncation, and checkpointing keep operating per-LSN however
         // the writes were grouped, and the segment gets one reference per
         // live entry so partial checkpoints release it correctly.
-        let skip = skipped.cohort(cohort);
         for i in 0..ops as u64 {
             let lsn = Lsn::new(first.epoch(), first.seq() + i);
-            if skip.is_some_and(|s| s.contains(lsn)) {
+            if entry.skipped.binary_search(&lsn).is_ok() {
                 continue; // logically truncated: invisible to recovery
             }
             if lsn > entry.last_lsn {
                 entry.last_lsn = lsn;
             }
-            if lsn > checkpoints.get(cohort) {
+            if lsn > entry.checkpoint {
                 entry.records.insert(lsn, loc);
                 *seg_refs.entry(loc.segment).or_insert(0) += 1;
             }
@@ -247,21 +235,14 @@ impl Wal {
         let loc = RecordLoc {
             segment: self.current.id,
             offset: self.current.bytes,
-            frame_len: frame_len as u32,
+            frame_len: self.frame.len(),
         };
         self.current.file.append(&self.frame)?;
         self.current.bytes += frame_len;
         self.appended_since_sync = true;
         // Index updates mirror the recovery scan so a running node and a
         // restarted node agree exactly.
-        Self::index_record(
-            &mut self.index,
-            &mut self.seg_refs,
-            &self.skipped,
-            &self.checkpoints,
-            rec.header(),
-            loc,
-        );
+        Self::index_record(&mut self.cohorts, &mut self.seg_refs, rec.header(), loc);
         Ok(loc.segment)
     }
 
@@ -295,42 +276,33 @@ impl Wal {
 
     /// Durable state of a cohort (paper's `f.lst` / `f.cmt`).
     pub fn state(&self, cohort: RangeId) -> CohortLogState {
-        let cp = self.checkpoints.get(cohort);
-        match self.index.get(&cohort) {
+        match self.cohorts.get(&cohort) {
             Some(e) => CohortLogState {
-                last_lsn: e.last_lsn.max(cp),
-                last_committed: e.last_commit_note.max(cp),
+                last_lsn: e.last_lsn,
+                last_committed: e.last_commit_note.max(e.checkpoint),
             },
-            None => CohortLogState { last_lsn: cp, last_committed: cp },
+            None => CohortLogState { last_lsn: Lsn::ZERO, last_committed: Lsn::ZERO },
         }
     }
 
     /// The index entries of `cohort` with LSN in `(from, to]`, in LSN
     /// order: the rules [`Wal::replay`] and [`Wal::indexed_lsns`] share.
+    /// An empty interval is legal during takeover races where a follower
+    /// has committed past the new leader's watermark (its catch-up
+    /// request then covers nothing).
     fn indexed(
         &self,
         cohort: RangeId,
         from: Lsn,
         to: Lsn,
     ) -> Result<impl Iterator<Item = (&Lsn, &RecordLoc)>> {
-        let entry = if to <= from {
-            // Empty interval: legal during takeover races where a follower
-            // has committed past the new leader's watermark (its catch-up
-            // request then covers nothing).
-            None
-        } else if let Some(entry) = self.index.get(&cohort) {
-            if from < entry.floor {
-                return Err(Error::NotFound(format!(
-                    "log for {cohort} starts above {from} (floor {})",
-                    entry.floor
-                )));
-            }
-            Some(entry)
-        } else if from == Lsn::ZERO || from >= self.checkpoints.get(cohort) {
-            None
-        } else {
-            return Err(Error::NotFound(format!("cohort {cohort} has no log index")));
-        };
+        let entry = self.cohorts.get(&cohort).filter(|_| to > from);
+        if let Some(e) = entry.filter(|e| from < e.checkpoint) {
+            return Err(Error::NotFound(format!(
+                "log for {cohort} starts above {from} (checkpoint {})",
+                e.checkpoint
+            )));
+        }
         let range = (std::ops::Bound::Excluded(from), std::ops::Bound::Included(to));
         Ok(entry.into_iter().flat_map(move |e| e.records.range(range)))
     }
@@ -339,7 +311,7 @@ impl Wal {
     /// order: the LSNs [`Wal::replay`] would visit, read off the index
     /// without reading the log. Fails where `replay` fails for lack of
     /// records: with [`Error::NotFound`] when `from` precedes the
-    /// replayable floor.
+    /// checkpoint.
     pub fn indexed_lsns(
         &self,
         cohort: RangeId,
@@ -351,7 +323,7 @@ impl Wal {
 
     /// Replay the write records of `cohort` with LSN in `(from, to]`, in
     /// LSN order. Fails with [`Error::NotFound`] when `from` precedes the
-    /// replayable floor (checkpointed / garbage-collected territory) —
+    /// checkpoint (flushed and possibly garbage-collected territory) —
     /// callers then serve catch-up from SSTables instead (§6.1).
     pub fn replay(
         &self,
@@ -378,10 +350,11 @@ impl Wal {
             let op = lsn
                 .seq()
                 .checked_sub(rec.lsn.seq())
-                .and_then(|i| rec.ops().get(i as usize))
+                .and_then(|i| usize::try_from(i).ok())
+                .and_then(|i| rec.ops().get(i))
                 .ok_or_else(|| {
-                Error::Corruption(format!("lsn {lsn} outside the record at {}", rec.lsn))
-            })?;
+                    Error::Corruption(format!("lsn {lsn} outside the record at {}", rec.lsn))
+                })?;
             f(lsn, op);
             count += 1;
         }
@@ -415,7 +388,7 @@ impl Wal {
                 }
             }
         };
-        let frame = file.read_bytes_at(loc.offset, loc.frame_len as usize)?;
+        let frame = file.read_bytes_at(loc.offset, loc.frame_len)?;
         match read_frame(Source::shared(&frame, &frame))? {
             FrameRead::Record(rec, _) => Ok(rec),
             FrameRead::Torn(why) => Err(Error::Corruption(format!(
@@ -433,63 +406,50 @@ impl Wal {
         if lsns.is_empty() {
             return Ok(());
         }
-        let entry = self.index.entry(cohort).or_default();
-        let list = self.skipped.cohort_mut(cohort);
+        let entry = self.cohorts.entry(cohort).or_default();
         for &lsn in lsns {
-            list.insert(lsn);
+            if let Err(pos) = entry.skipped.binary_search(&lsn) {
+                entry.skipped.insert(pos, lsn);
+            }
             if let Some(loc) = entry.records.remove(&lsn) {
-                if let Some(refs) = self.seg_refs.get_mut(&loc.segment) {
-                    *refs = refs.saturating_sub(1);
-                }
+                release(&mut self.seg_refs, &loc);
             }
         }
-        entry.last_lsn = entry
-            .records
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(Lsn::ZERO)
-            .max(self.checkpoints.get(cohort));
-        self.skipped.save(self.vfs.as_ref(), &Self::skipped_path(&self.opts.dir))
+        entry.last_lsn =
+            entry.records.keys().next_back().copied().unwrap_or(Lsn::ZERO).max(entry.checkpoint);
+        self.save_cohorts()
     }
 
     /// The logically truncated LSNs currently remembered for `cohort`.
     pub fn skipped_lsns(&self, cohort: RangeId) -> Vec<Lsn> {
-        self.skipped.cohort(cohort).map(|s| s.iter().collect()).unwrap_or_default()
+        self.cohorts.get(&cohort).map(|e| e.skipped.clone()).unwrap_or_default()
     }
 
     /// Advance `cohort`'s checkpoint to `lsn` after its writes were flushed
-    /// to an SSTable. Drops index entries at or below `lsn`, garbage
-    /// collects skipped-LSN entries, and deletes sealed segments no cohort
-    /// still needs.
+    /// to an SSTable; a checkpoint never moves back. Forgets skipped LSNs
+    /// at or below it and saves the sidecar; then drops the index entries
+    /// at or below it and deletes sealed segments no cohort still needs.
+    /// A failed save returns before the index is touched, so the records
+    /// stay on disk for the recovery that replays from the old checkpoint.
     pub fn set_checkpoint(&mut self, cohort: RangeId, lsn: Lsn) -> Result<()> {
-        self.checkpoints.advance(cohort, lsn);
-        self.checkpoints.save(self.vfs.as_ref(), &Self::cp_path(&self.opts.dir))?;
-        let entry = self.index.entry(cohort).or_default();
-        if lsn > entry.floor {
-            entry.floor = lsn;
-        }
-        if lsn > entry.last_lsn {
-            entry.last_lsn = lsn;
-        }
+        let entry = self.cohorts.entry(cohort).or_default();
+        let lsn = lsn.max(entry.checkpoint);
+        entry.checkpoint = lsn;
+        entry.last_lsn = entry.last_lsn.max(lsn);
+        entry.skipped.retain(|&l| l > lsn);
+        self.save_cohorts()?;
+        let entry = self.cohorts.entry(cohort).or_default();
         // Split off the portion of the index that stays replayable.
         let keep = entry.records.split_off(&lsn.next());
         for (_, loc) in std::mem::replace(&mut entry.records, keep) {
-            if let Some(refs) = self.seg_refs.get_mut(&loc.segment) {
-                *refs = refs.saturating_sub(1);
-            }
-        }
-        let list = self.skipped.cohort_mut(cohort);
-        if !list.is_empty() {
-            list.gc(lsn);
-            self.skipped.save(self.vfs.as_ref(), &Self::skipped_path(&self.opts.dir))?;
+            release(&mut self.seg_refs, &loc);
         }
         self.maybe_gc()
     }
 
-    /// The checkpoint of `cohort`.
+    /// The checkpoint of `cohort` (`Lsn::ZERO` when never flushed).
     pub fn checkpoint(&self, cohort: RangeId) -> Lsn {
-        self.checkpoints.get(cohort)
+        self.cohorts.get(&cohort).map_or(Lsn::ZERO, |e| e.checkpoint)
     }
 
     fn maybe_gc(&mut self) -> Result<()> {
@@ -509,24 +469,37 @@ impl Wal {
     /// Retire `cohort`'s logical stream: its range was dissolved (split or
     /// merge) or its replica departed this node, and another stream — or
     /// another node — now owns the data. Drops the replay index, the
-    /// skipped-LSN list and the checkpoint entry, releasing the stream's
+    /// skipped-LSN list and the checkpoint, releasing the stream's
     /// segment references so shared segments become collectable. The
     /// stream afterwards reads as pristine, which is exactly what a later
     /// re-handoff (the replica moving back) expects.
     pub fn retire_stream(&mut self, cohort: RangeId) -> Result<()> {
-        if let Some(entry) = self.index.remove(&cohort) {
+        if let Some(entry) = self.cohorts.remove(&cohort) {
             for loc in entry.records.values() {
-                if let Some(refs) = self.seg_refs.get_mut(&loc.segment) {
-                    *refs = refs.saturating_sub(1);
-                }
+                release(&mut self.seg_refs, loc);
             }
         }
-        self.checkpoints.remove(cohort);
-        self.checkpoints.save(self.vfs.as_ref(), &Self::cp_path(&self.opts.dir))?;
-        if self.skipped.by_cohort.remove(&cohort).is_some() {
-            self.skipped.save(self.vfs.as_ref(), &Self::skipped_path(&self.opts.dir))?;
-        }
+        self.save_cohorts()?;
         self.maybe_gc()
+    }
+
+    /// Replace the sidecar with every cohort that has a checkpoint or a
+    /// skipped LSN: its id, its checkpoint, then its skipped LSNs.
+    fn save_cohorts(&self) -> Result<()> {
+        let listed = || {
+            self.cohorts.iter().filter(|(_, e)| e.checkpoint != Lsn::ZERO || !e.skipped.is_empty())
+        };
+        let mut buf = Vec::new();
+        codec::put_varint(&mut buf, listed().count() as u64);
+        for (id, e) in listed() {
+            codec::put_varint(&mut buf, u64::from(id.0));
+            e.checkpoint.encode(&mut buf);
+            codec::put_varint(&mut buf, e.skipped.len() as u64);
+            for lsn in &e.skipped {
+                lsn.encode(&mut buf);
+            }
+        }
+        self.vfs.write_atomic(&Self::cohorts_path(&self.opts.dir), &buf)
     }
 
     /// Number of on-disk segments (sealed + current), for tests.
@@ -536,8 +509,41 @@ impl Wal {
 
     /// Total frames currently indexed for `cohort` (replayable writes).
     pub fn indexed_records(&self, cohort: RangeId) -> usize {
-        self.index.get(&cohort).map_or(0, |e| e.records.len())
+        self.cohorts.get(&cohort).map_or(0, |e| e.records.len())
     }
+}
+
+/// Drop one index reference to the segment `loc` is in.
+fn release(seg_refs: &mut BTreeMap<u64, usize>, loc: &RecordLoc) {
+    if let Some(refs) = seg_refs.get_mut(&loc.segment) {
+        *refs = refs.saturating_sub(1);
+    }
+}
+
+/// Decode the cohorts sidecar that [`Wal::save_cohorts`] writes. Each
+/// listed cohort starts its replay at its checkpoint.
+fn decode_cohorts(data: &[u8]) -> Result<BTreeMap<RangeId, Cohort>> {
+    let buf = &mut Source::copying(data);
+    // A cohort is at least a one-byte id, its checkpoint and a count.
+    let n = codec::get_varint_len(buf, "cohort", 10)?;
+    let mut cohorts = BTreeMap::new();
+    for _ in 0..n {
+        let id = RangeId(codec::get_varint_u32(buf)?);
+        let checkpoint = Lsn::decode_from(buf)?;
+        let len = codec::get_varint_len(buf, "skipped LSN", 8)?;
+        let skipped = (0..len).map(|_| Lsn::decode_from(buf)).collect::<Result<Vec<_>>>()?;
+        if !skipped.windows(2).all(|w| w[0] < w[1]) {
+            return Err(Error::Corruption(format!("skipped LSNs of {id} out of order")));
+        }
+        let entry = Cohort { checkpoint, skipped, last_lsn: checkpoint, ..Cohort::default() };
+        if cohorts.insert(id, entry).is_some() {
+            return Err(Error::Corruption(format!("cohort {id} listed twice")));
+        }
+    }
+    if !buf.is_empty() {
+        return Err(Error::Corruption(format!("{} bytes after the last cohort", buf.len())));
+    }
+    Ok(cohorts)
 }
 
 #[cfg(test)]
@@ -795,8 +801,124 @@ mod tests {
             WalOptions { dir: "wal".into(), segment_bytes: 256 },
         );
         // Old cohort-0 records may still sit in surviving segments, but
-        // the checkpoint/skipped sidecars no longer mention the cohort.
+        // the cohorts sidecar no longer lists the cohort.
         assert_eq!(reopened.unwrap().checkpoint(RangeId(0)), Lsn::ZERO);
+    }
+
+    /// A checkpoint never moves back, in memory or across a reopen.
+    #[test]
+    fn a_checkpoint_never_moves_back() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        assert_eq!(wal.checkpoint(RangeId(0)), Lsn::ZERO);
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 10)).unwrap();
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 5)).unwrap(); // ignored: would move back
+        assert_eq!(wal.checkpoint(RangeId(0)), Lsn::new(1, 10));
+
+        let after = vfs.crash_clone();
+        let mut wal = wal_on(&after);
+        assert_eq!(wal.checkpoint(RangeId(0)), Lsn::new(1, 10));
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 5)).unwrap();
+        assert_eq!(wal_on(&after.crash_clone()).checkpoint(RangeId(0)), Lsn::new(1, 10));
+        wal.set_checkpoint(RangeId(0), Lsn::new(2, 11)).unwrap();
+        assert_eq!(wal_on(&after.crash_clone()).checkpoint(RangeId(0)), Lsn::new(2, 11));
+    }
+
+    /// Truncated LSNs at or below a new checkpoint can never be replayed
+    /// again: they are forgotten, and stay forgotten after a reopen.
+    #[test]
+    fn skipped_lsns_at_or_below_a_checkpoint_are_dropped() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        let lsns = [Lsn::new(1, 5), Lsn::new(1, 22), Lsn::new(2, 3)];
+        wal.truncate_logically(RangeId(0), &lsns).unwrap();
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 22)).unwrap();
+        assert_eq!(wal.skipped_lsns(RangeId(0)), vec![Lsn::new(2, 3)]);
+        assert_eq!(wal_on(&vfs.crash_clone()).skipped_lsns(RangeId(0)), vec![Lsn::new(2, 3)]);
+    }
+
+    /// A log without a sidecar (a fresh node) has no checkpoint and no
+    /// skipped LSN for any cohort, and replays from the beginning.
+    #[test]
+    fn a_log_without_a_sidecar_opens_pristine() {
+        use spinnaker_common::vfs::Vfs;
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        wal.append(&wr(0, 1, 1)).unwrap();
+        wal.sync().unwrap();
+        assert!(!vfs.exists("wal/cohorts").unwrap(), "nothing to list, nothing written");
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.checkpoint(RangeId(0)), Lsn::ZERO);
+        assert!(reopened.skipped_lsns(RangeId(0)).is_empty());
+        assert_eq!(reopened.read_range(RangeId(0), Lsn::ZERO, Lsn::MAX).unwrap().len(), 1);
+    }
+
+    /// The sidecar is replaced whole and atomically: a crash right after
+    /// a logical truncation, and right after a checkpoint, reopens with
+    /// both the checkpoint and the skipped LSNs.
+    #[test]
+    fn the_sidecar_survives_a_crash_after_each_save() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        for seq in 1..=5 {
+            wal.append(&wr(0, 1, seq)).unwrap();
+        }
+        wal.sync().unwrap();
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 2)).unwrap();
+        wal.truncate_logically(RangeId(0), &[Lsn::new(1, 5)]).unwrap();
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.checkpoint(RangeId(0)), Lsn::new(1, 2));
+        assert_eq!(reopened.skipped_lsns(RangeId(0)), vec![Lsn::new(1, 5)]);
+        assert_eq!(reopened.state(RangeId(0)).last_lsn, Lsn::new(1, 4));
+
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 3)).unwrap();
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.checkpoint(RangeId(0)), Lsn::new(1, 3));
+        assert_eq!(reopened.skipped_lsns(RangeId(0)), vec![Lsn::new(1, 5)]);
+        let tail = reopened.read_range(RangeId(0), Lsn::new(1, 3), Lsn::MAX).unwrap();
+        assert_eq!(tail.iter().map(|(l, _)| l.seq()).collect::<Vec<_>>(), vec![4]);
+    }
+
+    /// Every cohort's checkpoint comes back from the one sidecar under
+    /// its own id; a cohort it does not list has none.
+    #[test]
+    fn checkpoints_of_several_cohorts_survive_a_reopen() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 3)).unwrap();
+        wal.set_checkpoint(RangeId(7), Lsn::new(4, 9)).unwrap();
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.checkpoint(RangeId(0)), Lsn::new(1, 3));
+        assert_eq!(reopened.checkpoint(RangeId(7)), Lsn::new(4, 9));
+        assert_eq!(reopened.checkpoint(RangeId(1)), Lsn::ZERO);
+    }
+
+    /// Every cohort's skipped LSNs come back under its own id too, with
+    /// no checkpoint where none was set.
+    #[test]
+    fn skipped_lsns_of_several_cohorts_survive_a_reopen() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        wal.truncate_logically(RangeId(0), &[Lsn::new(1, 22)]).unwrap();
+        wal.truncate_logically(RangeId(2), &[Lsn::new(3, 7)]).unwrap();
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.skipped_lsns(RangeId(0)), vec![Lsn::new(1, 22)]);
+        assert_eq!(reopened.skipped_lsns(RangeId(2)), vec![Lsn::new(3, 7)]);
+        assert_eq!(reopened.checkpoint(RangeId(2)), Lsn::ZERO);
+        assert!(reopened.skipped_lsns(RangeId(1)).is_empty());
+    }
+
+    /// Truncating an LSN twice remembers it once, and the list is kept in
+    /// LSN order whatever order the truncations came in.
+    #[test]
+    fn truncating_an_lsn_twice_remembers_it_once() {
+        let vfs = MemVfs::new();
+        let mut wal = wal_on(&vfs);
+        wal.truncate_logically(RangeId(0), &[Lsn::new(1, 22), Lsn::new(1, 22)]).unwrap();
+        wal.truncate_logically(RangeId(0), &[Lsn::new(1, 5), Lsn::new(1, 22)]).unwrap();
+        let want = vec![Lsn::new(1, 5), Lsn::new(1, 22)];
+        assert_eq!(wal.skipped_lsns(RangeId(0)), want);
+        assert_eq!(wal_on(&vfs.crash_clone()).skipped_lsns(RangeId(0)), want);
     }
 
     fn batch_rec(cohort: u32, epoch: u16, first: u64, n: u64) -> LogRecord {

@@ -177,9 +177,9 @@ fn opening_a_log_allocates_for_its_index_not_its_frames() {
         "opening {WRITES} writes in 1 024 frames: {allocs} allocations, {index_allocs} the index's"
     );
     assert_eq!(segments, 1);
-    // The rest: the listing, the sidecars, the segment's name, handle and
+    // The rest: the listing, the sidecar, the segment's name, handle and
     // read buffer, and the fresh segment the log appends to.
-    assert_eq!((allocs, index_allocs), (789, 768));
+    assert_eq!((allocs, index_allocs), (787, 768));
     assert_eq!(open_allocs(false, 1, 16, 8 << 20), (allocs, 1), "fewer frames, the same count");
     // Each further segment: its name (listed, then as a path), its handle
     // and its buffer — whatever the frames in it hold.

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use spinnaker_common::codec::{self, Encode};
 use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs, Vfs};
 use spinnaker_common::{op, Error, Lsn, RangeId};
 use spinnaker_wal::{Wal, WalOptions};
@@ -174,5 +175,92 @@ fn injected_append_failure_is_typed_not_a_panic() {
     match wal.append(&rec(1)) {
         Err(Error::Io(_)) => {}
         other => panic!("expected Io error from injected fault, got {other:?}"),
+    }
+}
+
+/// Where the log keeps every cohort's checkpoint and skipped LSNs.
+const SIDECAR: &str = "wal/cohorts";
+
+/// Open a log whose only file is a cohorts sidecar holding `bytes`.
+fn open_with_sidecar(bytes: &[u8]) -> spinnaker_common::Result<Wal> {
+    let vfs = MemVfs::new();
+    vfs.write_atomic(SIDECAR, bytes).unwrap();
+    Wal::open(Arc::new(vfs), opts())
+}
+
+/// The typed error opening over `bytes` must fail with.
+fn refused(bytes: &[u8]) -> Error {
+    match open_with_sidecar(bytes) {
+        Ok(wal) => panic!("opened, with checkpoint {} for {R}", wal.checkpoint(R)),
+        Err(e @ (Error::Codec(_) | Error::Corruption(_))) => e,
+        Err(e) => panic!("not a codec error: {e}"),
+    }
+}
+
+/// A sidecar listing one cohort `id` with checkpoint 1.3 and `skipped`.
+fn one_cohort(id: u64, skipped: &[Lsn]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::put_varint(&mut bytes, 1);
+    codec::put_varint(&mut bytes, id);
+    Lsn::new(1, 3).encode(&mut bytes);
+    codec::put_varint(&mut bytes, skipped.len() as u64);
+    for lsn in skipped {
+        lsn.encode(&mut bytes);
+    }
+    bytes
+}
+
+/// Local recovery reads the cohorts sidecar before any log record, so a
+/// torn or cut one must stop the open with a typed error: every proper
+/// prefix of a valid sidecar is refused.
+#[test]
+fn every_truncation_of_the_cohorts_sidecar_is_refused() {
+    let vfs = MemVfs::new();
+    {
+        let mut wal = wal_on(&vfs);
+        wal.truncate_logically(R, &[Lsn::new(1, 9), Lsn::new(2, 4)]).unwrap();
+        wal.set_checkpoint(R, Lsn::new(1, 3)).unwrap();
+        wal.set_checkpoint(RangeId(300), Lsn::new(1, 6)).unwrap();
+    }
+    let bytes = vfs.read_all(SIDECAR).unwrap();
+    let wal = open_with_sidecar(&bytes).unwrap();
+    assert_eq!(wal.checkpoint(R), Lsn::new(1, 3));
+    assert_eq!(wal.skipped_lsns(R), vec![Lsn::new(1, 9), Lsn::new(2, 4)]);
+    assert_eq!(wal.checkpoint(RangeId(300)), Lsn::new(1, 6));
+    for cut in 0..bytes.len() {
+        refused(&bytes[..cut]);
+    }
+}
+
+/// A cohort id is a `u32`. One above it used to be narrowed with `as
+/// u32`, so `2^32 + 7` opened as cohort 7's checkpoint; it is refused.
+#[test]
+fn a_cohort_id_above_u32_is_refused_not_wrapped() {
+    let wal = open_with_sidecar(&one_cohort(u64::from(R.0), &[])).unwrap();
+    assert_eq!(wal.checkpoint(R), Lsn::new(1, 3));
+    refused(&one_cohort((1 << 32) + u64::from(R.0), &[]));
+    refused(&one_cohort(u64::from(u32::MAX) + 1, &[]));
+}
+
+/// A cohort or skipped-LSN count the remaining bytes cannot back is
+/// refused before anything is sized by it.
+#[test]
+fn a_count_the_sidecar_cannot_back_is_refused() {
+    let valid = one_cohort(u64::from(R.0), &[Lsn::new(2, 1)]);
+    open_with_sidecar(&valid).unwrap();
+    // The cohort count: the first byte.
+    for count in [2, 1 << 40, u64::MAX] {
+        let mut bytes = Vec::new();
+        codec::put_varint(&mut bytes, count);
+        bytes.extend_from_slice(&valid[1..]);
+        refused(&bytes);
+    }
+    // The skipped-LSN count: after the count, the one-byte id and the
+    // 8-byte checkpoint.
+    for count in [2, 1 << 40, u64::MAX] {
+        let mut bytes = valid[..10].to_vec();
+        codec::put_varint(&mut bytes, count);
+        bytes.extend_from_slice(&valid[11..]);
+        refused(&bytes);
     }
 }

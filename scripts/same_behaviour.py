@@ -15,8 +15,10 @@ and runs on each side:
 - `spinnaker-nemesis --history-crc --start-seed S --seeds N`, which prints
   the CRC-32C of every seed's serialized history and the failing seeds.
 
-It prints `identical` and exits 0, or names the first CSV or nemesis line
-that differs, keeps the temporary directory for inspection and exits 1.
+It prints `identical` and exits 0. Otherwise it names the first CSV that
+differs and, when the nemesis outputs differ, how many seeds' history
+CRCs differ, which seeds, and both sides' `failing seeds:` lines; it keeps
+the temporary directory for inspection and exits 1.
 The two sides run at the same time, one process each; at 246 seeds that
 takes about ten minutes on two cores, builds included. A base older than
 the `--history-crc` flag gets the working tree's nemesis command-line
@@ -25,7 +27,6 @@ front end (`crates/nemesis/src/bin/nemesis.rs`) copied into its export.
 
 import argparse
 import concurrent.futures
-import itertools
 import os
 import pathlib
 import shutil
@@ -83,11 +84,31 @@ def first_csv_difference(base_dir, tree_dir):
     return None
 
 
-def first_line_difference(base_lines, tree_lines):
-    for a, b in itertools.zip_longest(base_lines, tree_lines):
-        if a != b:
-            return f"base: {a!r}, tree: {b!r}"
-    return None
+def crcs(lines):
+    """Map each seed to its history CRC, from `seed <n> crc32c <hex>` lines."""
+    out = {}
+    for line in lines:
+        words = line.split()
+        if len(words) == 4 and words[0] == "seed" and words[2] == "crc32c":
+            out[int(words[1])] = words[3]
+    return out
+
+
+def failing_line(lines):
+    return next((l for l in reversed(lines) if l.startswith("failing seeds:")),
+                "no `failing seeds:` line")
+
+
+def nemesis_difference(base, tree):
+    """Describe how two `--history-crc` outputs differ, or return None."""
+    (base_lines, base_status), (tree_lines, tree_status) = base, tree
+    if base_lines == tree_lines and base_status == tree_status:
+        return None
+    a, b = crcs(base_lines), crcs(tree_lines)
+    seeds = sorted(s for s in a.keys() | b.keys() if a.get(s) != b.get(s))
+    return (f"{len(seeds)} seeds' history CRCs differ: {' '.join(map(str, seeds))}\n"
+            f"  base (exit {base_status}): {failing_line(base_lines)}\n"
+            f"  tree (exit {tree_status}): {failing_line(tree_lines)}")
 
 
 def main():
@@ -115,18 +136,18 @@ def main():
         results = {name: f.result() for name, f in futures.items()}
 
     experiments = [tmp / f"{name}-run" / "target" / "experiments" for name in sides]
-    diff = first_csv_difference(*experiments)
-    if diff:
-        print(f"differs: {diff} (outputs kept in {tmp})")
-        return 1
-    (base_lines, base_status), (tree_lines, tree_status) = results["base"], results["tree"]
-    diff = first_line_difference(base_lines, tree_lines)
-    if diff or base_status != tree_status:
-        print(f"differs: nemesis {diff or f'exit {base_status} vs {tree_status}'} "
-              f"(outputs kept in {tmp})")
+    csv_diff = first_csv_difference(*experiments)
+    nemesis_diff = nemesis_difference(results["base"], results["tree"])
+    if csv_diff:
+        print(f"differs: {csv_diff}")
+    if nemesis_diff:
+        print(f"differs: nemesis, {nemesis_diff}")
+    if csv_diff or nemesis_diff:
+        print(f"outputs kept in {tmp}")
         return 1
     csvs = len(list(experiments[0].glob("*.csv")))
     shutil.rmtree(tmp)
+    tree_lines = results["tree"][0]
     last = tree_lines[-1] if tree_lines else "no output"
     print(f"identical: {csvs} CSVs, {len(tree_lines)} nemesis lines "
           f"(base {rev[:7]}, seeds {args.start_seed}..{args.start_seed + args.seeds - 1}; "

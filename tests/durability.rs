@@ -49,9 +49,9 @@ fn acknowledged_writes_survive_full_cluster_power_loss() {
 
 #[test]
 fn storage_stack_survives_crash_at_every_layer() {
-    // WAL + sstables + checkpoints + skipped lists all reload from the
-    // synced image; exercised indirectly above, directly here via the
-    // public crate APIs.
+    // WAL + sstables + the cohorts sidecar (checkpoints and skipped lists)
+    // all reload from the synced image; exercised indirectly above,
+    // directly here via the public crate APIs.
     use spinnaker::common::vfs::{MemVfs, Vfs};
     use spinnaker::common::{op, Lsn, RangeId};
     use spinnaker::wal::{LogRecord, Wal, WalOptions};
@@ -73,7 +73,7 @@ fn storage_stack_survives_crash_at_every_layer() {
         wal.set_checkpoint(RangeId(0), Lsn::new(1, 10)).unwrap();
     }
     let after = vfs.crash_clone();
-    assert!(after.exists("wal/skipped").unwrap());
+    assert!(after.exists("wal/cohorts").unwrap());
     let wal = Wal::open(Arc::new(after), WalOptions::default()).unwrap();
     assert_eq!(wal.state(RangeId(0)).last_lsn, Lsn::new(1, 49), "truncation survived");
     assert_eq!(wal.checkpoint(RangeId(0)), Lsn::new(1, 10), "checkpoint survived");
