@@ -44,7 +44,7 @@ pub use messages::{
     Addr, ClientOp, ClientReply, ClientRequest, ColumnSelect, Effect, NodeInput, Outbox, PeerMsg,
     ReadCell, RequestId, ScanRow, TimerKind,
 };
-pub use node::{get_request, put_request, CohortPaths, Node, NodeConfig, ReshardPolicy, Role};
+pub use node::{get_request, put_request, CohortPaths, Node, NodeConfig, Role};
 pub use partition::{key_to_u64, u64_to_key, RangeDef, Ring, REPLICATION, TABLE_PATH};
 pub use reconfig::{ClaimKind, DissolveCoverage, DissolveEntry, TailCounts};
 pub use replica::RangeReplica;

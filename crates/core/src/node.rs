@@ -8,7 +8,7 @@
 //! replication Fig. 4, catch-up §6.1) lives on [`RangeReplica`]. This
 //! file is the node's steady half: local recovery, input dispatch to the
 //! right replica, force completions and timers, the maintenance tick
-//! (flush, automatic reshard triggers, move/merge timeouts), retiring a
+//! (flush, move/merge timeouts), retiring a
 //! replica that left this node, and the quiesced GC of dissolved ranges'
 //! store directories, WAL streams and `/r{N}` znodes. The operations
 //! that replace replicas by other replicas — split, merge, cohort
@@ -37,38 +37,14 @@ use crate::messages::{
 };
 use crate::partition::{Ring, TABLE_PATH};
 use crate::reconfig::{span_of, Claim, DissolveCoverage, DissolveEntry, Successor, Then};
-use crate::replica::{
-    parse_node, FollowUp, ForceTracker, RangeReplica, ReshardAdvice, Runtime, Waiter,
-};
+use crate::replica::{parse_node, FollowUp, ForceTracker, RangeReplica, Runtime, Waiter};
 
 pub use crate::replica::Role;
-
-/// Thresholds for automatic split/merge decisions, sampled on the
-/// maintenance tick from per-range load (ops/sec) and size (store bytes)
-/// statistics.
-#[derive(Clone, Debug)]
-pub struct ReshardPolicy {
-    /// Split a range whose leader serves more than this many ops/sec.
-    pub split_ops_per_sec: f64,
-    /// Split a range whose store exceeds this many bytes.
-    pub split_bytes: u64,
-    /// Merge a range (with its right neighbour) when both run below this
-    /// many ops/sec...
-    pub merge_ops_per_sec: f64,
-    /// ...and both stores are smaller than this many bytes.
-    pub merge_bytes: u64,
-}
 
 /// Coordination-service session heartbeat interval.
 pub(crate) const HEARTBEAT_INTERVAL: u64 = 500_000_000;
 /// Election progress re-check interval (safety net for watch races).
 pub(crate) const ELECTION_RETRY: u64 = 100_000_000;
-/// Cool-down after an automatic split/merge: while the range's table
-/// entry keeps the generation recorded when the action was taken, no
-/// further automatic resharding of that range is proposed for this long —
-/// the damper that keeps split/merge from oscillating on a load level
-/// that sits near both thresholds.
-pub(crate) const RESHARD_COOLDOWN: u64 = 10_000_000_000;
 /// Abort a cohort movement whose joining node has not confirmed durable
 /// catch-up within this long.
 pub(crate) const MOVE_TIMEOUT: u64 = 10_000_000_000;
@@ -109,9 +85,6 @@ pub struct NodeConfig {
     /// adds latency on an idle range; `1` restores the classic
     /// propose-per-write protocol.
     pub propose_batch: usize,
-    /// Automatic split/merge triggers from load + size statistics.
-    /// `None` (the default) leaves resharding to administrative RPCs.
-    pub reshard: Option<ReshardPolicy>,
     /// How long a dissolved range (split parent, merged sibling,
     /// departed replica) rests before its store directory, WAL stream,
     /// and `/r{N}` znodes are garbage collected.
@@ -144,7 +117,6 @@ impl Default for NodeConfig {
             block_cache_bytes: 32 << 20,
             piggyback_commits: false,
             propose_batch: 8,
-            reshard: None,
             gc_quiesce: 5_000_000_000,
             snapshot_retain: 30_000_000_000,
             pin_lease: 10_000_000_000,
@@ -247,11 +219,6 @@ pub struct Node {
     /// host observes it and crashes the node; the synced log prefix it
     /// restarts from is exactly what was acknowledged.
     pub(crate) poisoned: bool,
-    /// Automatic-reshard cool-down marks: range → (table generation when
-    /// the last auto split/merge was initiated, virtual time it was
-    /// initiated). Advice for a range whose entry still carries the
-    /// marked generation is suppressed until the cool-down elapses.
-    reshard_marks: BTreeMap<RangeId, (u64, u64)>,
     /// Dissolves executed, by entry point and claim (coverage only).
     pub(crate) dissolves: DissolveCoverage,
 }
@@ -284,7 +251,6 @@ impl Node {
             dissolved: Vec::new(),
             started: false,
             poisoned: false,
-            reshard_marks: BTreeMap::new(),
             dissolves: DissolveCoverage::default(),
         };
         for range in node.ring.ranges_of(id) {
@@ -443,9 +409,8 @@ impl Node {
 
     /// Read/compaction statistics for this node's replica of `range`:
     /// tables per level, bloom true/false positives, block-cache hit
-    /// rates, bytes compacted. The same store the auto-reshard
-    /// maintenance tick samples for size; benchmarks and operators read
-    /// the multipliers from here.
+    /// rates, bytes compacted. Benchmarks and operators read the
+    /// multipliers from here.
     pub fn store_stats(&self, range: RangeId) -> Option<StoreStats> {
         self.replicas.get(&range).map(|r| r.store.stats())
     }
@@ -879,51 +844,14 @@ impl Node {
         }
     }
 
-    /// The maintenance tick: per-replica flush/compaction + load
-    /// sampling, automatic reshard triggers, move/merge timeouts, stale
-    /// move-marker repair, and dissolved-range GC.
+    /// The maintenance tick: per-replica flush/compaction, move/merge
+    /// timeouts, stale move-marker repair, and dissolved-range GC.
     fn on_maintenance(&mut self, now: u64, out: &mut Outbox) {
         let ranges: Vec<RangeId> = self.replicas.keys().copied().collect();
-        let mut advices: Vec<(RangeId, ReshardAdvice)> = Vec::new();
         for range in ranges {
             let mut rt = runtime!(self, now);
             if let Some(rep) = self.replicas.get_mut(&range) {
-                let advice = rep.maintenance_tick(&mut rt, now);
-                if advice != ReshardAdvice::None {
-                    advices.push((range, advice));
-                }
-            }
-        }
-        for (range, advice) in advices {
-            // Cool-down, keyed to the table generation: after an auto
-            // split/merge is initiated for a range, further advice is
-            // suppressed while its table entry still carries the marked
-            // generation and the cool-down has not elapsed. A genuine
-            // reconfiguration bumps the generation and re-arms
-            // immediately; a failed attempt re-arms when the clock runs
-            // out. This is what keeps borderline load from flapping a
-            // range between split and merge.
-            let gen = self.ring.def(range).map_or(0, |d| d.gen);
-            if let Some(&(marked_gen, at)) = self.reshard_marks.get(&range) {
-                if marked_gen == gen && now < at.saturating_add(RESHARD_COOLDOWN) {
-                    continue;
-                }
-            }
-            match advice {
-                ReshardAdvice::Split => {
-                    let at = self.replicas.get(&range).and_then(|r| r.store.mid_key());
-                    if let Some(at) = at {
-                        self.reshard_marks.insert(range, (gen, now));
-                        self.on_split_request(now, range, at, out);
-                    }
-                }
-                ReshardAdvice::MergeRight => {
-                    if let Some(right) = self.mergeable_right_sibling(range) {
-                        self.reshard_marks.insert(range, (gen, now));
-                        self.on_merge_request(now, range, right, out);
-                    }
-                }
-                ReshardAdvice::None => {}
+                rep.maintenance_tick(&mut rt, now);
             }
         }
 
@@ -993,23 +921,6 @@ impl Node {
 
         self.gc_dissolved(now);
         out.set_timer(TimerKind::Maintenance, self.cfg.maintenance_interval);
-    }
-
-    /// The right-hand neighbour of `range` if the pair is merge-eligible
-    /// (adjacent, same replica set, no move in flight, and we replicate
-    /// both sides locally).
-    pub(crate) fn mergeable_right_sibling(&self, range: RangeId) -> Option<RangeId> {
-        let def = self.ring.def(range)?;
-        let end = def.end.as_ref()?;
-        let neighbour = self.ring.defs().find(|d| &d.start == end)?;
-        let mut a = def.cohort.clone();
-        let mut b = neighbour.cohort.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        if a != b || def.moving.is_some() || neighbour.moving.is_some() {
-            return None;
-        }
-        self.replicas.contains_key(&neighbour.id).then_some(neighbour.id)
     }
 
     /// Read-modify-CAS the shared range table; adopts the new table on

@@ -912,6 +912,23 @@ impl Node {
         self.advance_merge(now, left, out);
     }
 
+    /// The right-hand neighbour of `range` if the pair is merge-eligible
+    /// (adjacent, same replica set, no move in flight, and we replicate
+    /// both sides locally).
+    fn mergeable_right_sibling(&self, range: RangeId) -> Option<RangeId> {
+        let def = self.ring.def(range)?;
+        let end = def.end.as_ref()?;
+        let neighbour = self.ring.defs().find(|d| &d.start == end)?;
+        let mut a = def.cohort.clone();
+        let mut b = neighbour.cohort.clone();
+        a.sort_unstable();
+        b.sort_unstable();
+        if a != b || def.moving.is_some() || neighbour.moving.is_some() {
+            return None;
+        }
+        self.replicas.contains_key(&neighbour.id).then_some(neighbour.id)
+    }
+
     /// Right sibling's leader: barrier on request. Once the queue
     /// drains, a commit message up to the barrier goes to the cohort
     /// (same FIFO links as the proposes it covers) and `MergeReady` to

@@ -1,28 +1,14 @@
 //! The maintenance tick: the MVCC garbage-collection floor, memtable
-//! flush and compaction, and the load/size sample behind automatic
-//! splits and merges.
+//! flush and compaction.
 
-use super::{RangeReplica, Role, Runtime};
-
-/// What the load/size statistics recommend for a range (sampled on the
-/// maintenance tick when a reshard policy is configured).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ReshardAdvice {
-    /// Nothing to do.
-    None,
-    /// Hot or oversized: split at the store's median key.
-    Split,
-    /// Cold and small: merge with the right-hand neighbour if eligible.
-    MergeRight,
-}
+use super::{RangeReplica, Runtime};
 
 impl RangeReplica {
-    /// Memtable flush / compaction check, plus the load/size sample
-    /// behind automatic split/merge triggers. Also advances the MVCC
+    /// Memtable flush / compaction check. Also advances the MVCC
     /// garbage-collection floor: version chains older than
     /// `snapshot_retain` fall out at the next compaction, so a snapshot
     /// pinned within the retention window never loses its cut.
-    pub(crate) fn maintenance_tick(&mut self, rt: &mut Runtime<'_>, now: u64) -> ReshardAdvice {
+    pub(crate) fn maintenance_tick(&mut self, rt: &mut Runtime<'_>, now: u64) {
         // The floor chases `now - snapshot_retain` but never passes the
         // oldest live pin lease: an active reader holds its cut open by
         // renewing (every page served renews), an abandoned one lets the
@@ -39,7 +25,7 @@ impl RangeReplica {
             // checkpoint moves, so a restart replays the rows from the
             // log), and the cohort's next leader serves its own copy.
             let Some(flushed) = rt.fail_stop(self.store.flush()) else {
-                return ReshardAdvice::None;
+                return;
             };
             if let Some(flushed) = flushed {
                 // Safe to ignore: the rows are in a table the saved
@@ -48,35 +34,7 @@ impl RangeReplica {
                 // spinlint: allow(E1) -- a lost checkpoint only replays more
                 let _ = rt.wal.set_checkpoint(self.range, flushed);
             }
-            if rt.fail_stop(self.store.maybe_compact()).is_none() {
-                return ReshardAdvice::None;
-            }
+            rt.fail_stop(self.store.maybe_compact());
         }
-
-        let elapsed = now.saturating_sub(self.last_sample_at);
-        let ops = std::mem::take(&mut self.ops_since_sample);
-        self.last_sample_at = now;
-        self.samples += 1;
-        let Some(policy) = rt.cfg.reshard.as_ref() else { return ReshardAdvice::None };
-        // Hysteresis: let the statistics settle after attach, and never
-        // trigger while another reconfiguration is already running.
-        if self.samples < 3
-            || self.role != Role::Leader
-            || self.barrier_pending()
-            || self.moving.is_some()
-            || self.takeover.is_some()
-            || elapsed == 0
-        {
-            return ReshardAdvice::None;
-        }
-        let ops_per_sec = ops as f64 * 1e9 / elapsed as f64;
-        let bytes = self.store.approx_total_bytes();
-        if ops_per_sec > policy.split_ops_per_sec || bytes > policy.split_bytes {
-            return ReshardAdvice::Split;
-        }
-        if ops_per_sec < policy.merge_ops_per_sec && bytes < policy.merge_bytes {
-            return ReshardAdvice::MergeRight;
-        }
-        ReshardAdvice::None
     }
 }

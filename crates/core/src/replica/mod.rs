@@ -12,8 +12,7 @@
 //!   catch-up with logical truncation (§6.1);
 //! - `reads` — the consistency gate, snapshot safe points, closed
 //!   timestamps, pins, gets and scans;
-//! - `maintenance` — flush, compaction, the GC floor and the reshard
-//!   sample.
+//! - `maintenance` — flush, compaction and the GC floor.
 //!
 //! The [`crate::node::Node`] is a thin runtime that owns the shared WAL,
 //! the coordination session and a `RangeId → RangeReplica` registry and
@@ -44,7 +43,6 @@ use crate::messages::{Addr, ClientRequest, Outbox};
 use crate::node::NodeConfig;
 use crate::partition::Ring;
 
-pub(crate) use maintenance::ReshardAdvice;
 pub use recovery::CATCHUP_PARK_GROUPS;
 use recovery::{Parked, Takeover};
 
@@ -289,15 +287,6 @@ pub struct RangeReplica {
     /// bounds which current ranges can legitimately be derived from this
     /// replica's local state.
     pub(crate) span: (Key, Option<Key>),
-    /// Operations observed since the last maintenance sample (leader
-    /// writes + strong reads, follower proposes) — the load statistic
-    /// behind automatic split/merge triggers.
-    pub(crate) ops_since_sample: u64,
-    /// Virtual time of the last maintenance sample.
-    pub(crate) last_sample_at: u64,
-    /// Number of maintenance samples taken since attach (hysteresis: no
-    /// automatic resharding before the statistics settle).
-    pub(crate) samples: u64,
     /// Leader: the LSNs of writes assigned and queued while a propose
     /// flush's force was in flight — the accumulating **group propose**,
     /// the commit queue's tail. Drained into one log record / one
@@ -363,9 +352,6 @@ impl RangeReplica {
             splitting: None,
             merging: None,
             moving: None,
-            ops_since_sample: 0,
-            last_sample_at: 0,
-            samples: 0,
             unproposed: Vec::new(),
             proposing: false,
             closed_ts: 0,

@@ -85,7 +85,6 @@ impl RangeReplica {
                 if self.role != Role::Leader {
                     return Err(ClientError::NotLeader { hint: self.leader });
                 }
-                self.ops_since_sample += 1;
                 Ok(u64::MAX)
             }
             Consistency::Timeline => {
@@ -103,7 +102,6 @@ impl RangeReplica {
                 if self.role != Role::Leader {
                     return Err(ClientError::NotLeader { hint: self.leader });
                 }
-                self.ops_since_sample += 1;
                 self.snapshot_pages += 1;
                 let pin = self.snapshot_safe_ts(rt);
                 // Fence the clock: no later write may commit at or
@@ -147,7 +145,6 @@ impl RangeReplica {
                     return Err(ClientError::Unavailable);
                 }
                 if self.role == Role::Leader {
-                    self.ops_since_sample += 1;
                     self.served_ts = self.served_ts.max(ts);
                 }
                 self.snapshot_pages += 1;

@@ -97,7 +97,6 @@ impl RangeReplica {
                 return;
             }
         }
-        self.ops_since_sample += 1;
 
         // Fig. 4: append + force in parallel with propose to followers.
         let lsn = Lsn::new(self.epoch, self.last_assigned.seq() + 1);
@@ -276,7 +275,6 @@ impl RangeReplica {
             self.park(rt, first, Parked { from, epoch, ops, committed, closed_ts }, out);
             return;
         }
-        self.ops_since_sample += ops.len() as u64;
         // Keep only the suffix past `tip`. The leader re-sends pending
         // writes (serving a catch-up, nudging a takeover) in groups cut
         // from its log, which share no boundaries with the groups they

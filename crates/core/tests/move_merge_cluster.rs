@@ -3,15 +3,14 @@
 //! original replica set (snapshot + log-tail handoff, CAS cohort swap)
 //! while client traffic continues, a departing leader hands leadership
 //! to the joining node, split children merge back into one range under
-//! live conditional-put chains, load/size statistics trigger resharding
-//! without an admin RPC, and dissolved ranges' local state is garbage
-//! collected after the quiesce period.
+//! live conditional-put chains, and dissolved ranges' local state is
+//! garbage collected after the quiesce period.
 
 use spinnaker_common::vfs::Vfs;
 use spinnaker_common::RangeId;
 use spinnaker_core::client::Workload;
 use spinnaker_core::cluster::{ClusterConfig, SimCluster};
-use spinnaker_core::node::{ReshardPolicy, Role};
+use spinnaker_core::node::Role;
 use spinnaker_core::partition::u64_to_key;
 use spinnaker_sim::{DiskProfile, MILLIS, SECS};
 
@@ -248,61 +247,6 @@ fn merge_completes_when_one_node_leads_both_siblings() {
         matches!(role, Role::Leader | Role::Follower),
         "restarted replica serves the merged range (role {role:?})"
     );
-}
-
-#[test]
-fn load_and_size_statistics_trigger_resharding_without_admin_rpcs() {
-    // Auto-split: a tiny size threshold makes the hot range split on its
-    // own once enough bytes accumulate. Auto-merge: thresholds that mark
-    // everything cold-and-small pull split children back together. Both
-    // run purely off the maintenance-tick statistics.
-    let mut cfg =
-        ClusterConfig { nodes: 5, seed: 45, disk: DiskProfile::Ssd, ..Default::default() };
-    cfg.node.commit_period = 200 * MILLIS;
-    cfg.node.reshard = Some(ReshardPolicy {
-        split_ops_per_sec: f64::INFINITY, // size-triggered only
-        split_bytes: 96 << 10,
-        merge_ops_per_sec: -1.0, // merges disabled in this phase
-        merge_bytes: 0,
-    });
-    let mut cluster = SimCluster::new(cfg);
-    let writes =
-        cluster.add_client(Workload::SingleRangeWrites { value_size: 512 }, SECS, SECS, 20 * SECS);
-    cluster.run_until(20 * SECS);
-    let ring = cluster.current_ring();
-    assert!(ring.version() > 1, "the size statistic split the growing range without an admin RPC");
-    assert!(ring.def(RangeId(0)).is_none(), "the hot base range was the one split");
-    assert!(cluster.all_ranges_led());
-    assert!(writes.borrow().completed > 500, "writes flowed throughout");
-
-    // Auto-merge: a fresh cluster where everything is cold and small;
-    // manually split a quiet range, then let the statistics merge it
-    // back (the left child's leader replicates both sides).
-    let mut cfg =
-        ClusterConfig { nodes: 5, seed: 46, disk: DiskProfile::Ssd, ..Default::default() };
-    cfg.node.commit_period = 200 * MILLIS;
-    cfg.node.reshard = Some(ReshardPolicy {
-        split_ops_per_sec: f64::INFINITY,
-        split_bytes: u64::MAX,
-        merge_ops_per_sec: 5.0,
-        merge_bytes: 1 << 20,
-    });
-    let mut cluster = SimCluster::new(cfg);
-    cluster.run_until(3 * SECS);
-    cluster.split_range(3 * SECS, RangeId(0), u64_to_key(HOT_SPLIT));
-    // The statistics notice the cold, small children within a few
-    // maintenance ticks of the split and merge them straight back.
-    cluster.run_until(20 * SECS);
-    let ring = cluster.current_ring();
-    assert_eq!(ring.version(), 3, "the cold children auto-merged");
-    let merged = ring.range_of(&u64_to_key(0));
-    assert_eq!(ring.range_of(&u64_to_key(HOT_SPLIT)), merged);
-    assert_eq!(
-        ring.def(merged).unwrap().end.as_ref(),
-        Some(&u64_to_key(u64::MAX / 5)),
-        "original span restored"
-    );
-    assert!(cluster.all_ranges_led());
 }
 
 #[test]

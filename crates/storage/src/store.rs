@@ -114,7 +114,7 @@ impl StoreSnapshot {
 }
 
 /// Read/compaction observables for one store, surfaced through the
-/// node's store-stats path (the same feed auto-reshard samples).
+/// node's store-stats path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Live tables per level, L0 first (trailing empty levels trimmed).
@@ -665,21 +665,10 @@ impl RangeStore {
     }
 
     /// Approximate total bytes held (memtable estimate + SSTable file
-    /// sizes) — the size statistic behind automatic split triggers.
+    /// sizes).
     pub fn approx_total_bytes(&self) -> u64 {
         self.memtable.approx_bytes() as u64
             + self.all_slots().map(|s| s.table.meta().file_bytes).sum::<u64>()
-    }
-
-    /// An approximate median key: the middle key of a merged scan. Costs a
-    /// full scan, so callers invoke it only when a size/load trigger has
-    /// already decided to split. `None` when the store holds no rows.
-    pub fn mid_key(&self) -> Option<Key> {
-        let rows = self.scan(&Key::default(), None).ok()?;
-        if rows.len() < 2 {
-            return None;
-        }
-        Some(rows[rows.len() / 2].0.clone())
     }
 
     /// Rows currently buffered in the memtable.
@@ -1542,11 +1531,10 @@ mod tests {
     }
 
     #[test]
-    fn size_and_mid_key_statistics() {
+    fn size_statistics() {
         let vfs = MemVfs::new();
         let mut s = store_on(&vfs);
         assert_eq!(s.approx_total_bytes(), 0);
-        assert!(s.mid_key().is_none());
         for i in 0..40u64 {
             s.apply(&op::put(&format!("k{i:02}"), "c", &"x".repeat(32)), Lsn::new(1, i + 1));
         }
@@ -1554,10 +1542,6 @@ mod tests {
         assert!(mem_only > 0);
         s.flush().unwrap();
         assert!(s.approx_total_bytes() > 0, "flushed bytes counted via file sizes");
-        let mid = s.mid_key().unwrap();
-        // The midpoint splits the keys roughly in half.
-        let below = (0..40u64).filter(|i| Key::from(format!("k{i:02}").as_str()) < mid).count();
-        assert!((10..=30).contains(&below), "mid key is central: {below} below");
     }
 
     #[test]
