@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use spinnaker_common::codec::{Decode, Encode};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Consistency, Error, Key, Lsn, NodeId, RangeId, Result};
-use spinnaker_coord::WatchEvent;
+use spinnaker_coord::{CoordError, CoordResult, WatchEvent};
 use spinnaker_storage::{BlockCache, RangeStore, SharedBlockCache, StoreOptions, StoreStats};
 use spinnaker_wal::{Wal, WalOptions};
 
@@ -1017,6 +1017,25 @@ impl Node {
         Some((range, self.replicas.get(&range)?.role))
     }
 
+    /// The leader znode at `path` is gone: its deletion was delivered,
+    /// or re-arming a watch on it found nothing (the service registers
+    /// no watch then, so no `Deleted` will follow). Re-read before
+    /// electing: a cohort-movement hand-off deletes and re-creates the
+    /// znode in one step, so the deletion may be stale — electing over
+    /// a live claimant (or over our own freshly-claimed leadership)
+    /// would wedge the cohort. Truly gone: elect (§7).
+    pub(crate) fn on_leader_deleted(&mut self, now: u64, path: &str, out: &mut Outbox) {
+        match self.leader_path_replica(path) {
+            Some((range, role)) if role != Role::Offline => {
+                let paths = CohortPaths::new(range);
+                if self.follow_leader_znode(now, range, &paths, out).is_none() {
+                    self.try_start_election(now, range, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
     fn on_coord_event(&mut self, now: u64, ev: WatchEvent, out: &mut Outbox) {
         match ev {
             WatchEvent::ChildrenChanged(path) => {
@@ -1038,28 +1057,12 @@ impl Node {
                     let paths = CohortPaths::new(range);
                     if role == Role::Electing {
                         self.follow_leader_znode(now, range, &paths, out);
-                    } else {
-                        // spinlint: allow(E1) -- ROADMAP 7d finding: NoNode leaves no leader watch
-                        let _ = self.coord.get_data_watch(&paths.leader); // keep watching
+                    } else if watch_found_no_node(self.coord.get_data_watch(&paths.leader)) {
+                        self.on_leader_deleted(now, &path, out);
                     }
                 }
             }
-            WatchEvent::Deleted(path) => {
-                // Re-read before electing: a cohort-movement hand-off
-                // deletes and re-creates the znode in one step, so the
-                // deletion event may be stale — electing over a live
-                // claimant (or over our own freshly-claimed leadership)
-                // would wedge the cohort. Truly gone: elect (§7).
-                match self.leader_path_replica(&path) {
-                    Some((range, role)) if role != Role::Offline => {
-                        let paths = CohortPaths::new(range);
-                        if self.follow_leader_znode(now, range, &paths, out).is_none() {
-                            self.try_start_election(now, range, out);
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            WatchEvent::Deleted(path) => self.on_leader_deleted(now, &path, out),
             WatchEvent::SessionExpired => {
                 // Our session is gone: we are effectively partitioned
                 // from the cluster. Step down everywhere; the hosting
@@ -1071,6 +1074,12 @@ impl Node {
             }
         }
     }
+}
+
+/// True when arming a data watch found no znode, and so set no watch.
+/// Reading a znode fails only then or on a malformed path.
+pub(crate) fn watch_found_no_node<T>(armed: CoordResult<T>) -> bool {
+    matches!(armed, Err(CoordError::NoNode(_)))
 }
 
 /// Store layout and tuning for a range's LSM tree. The block cache is

@@ -944,3 +944,35 @@ fn two_gone_ranges_in_one_reconcile_each_keep_their_own_tail() {
         assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
     }
 }
+
+/// A follower's leader watch is one-shot: it fires once for a change of
+/// the leader znode, and the follower re-arms it when it handles the
+/// event. If the leader dies in between, its znode is gone by then and no
+/// `Deleted` event will ever come for it, so the re-arm itself must notice
+/// the missing znode and take the `Deleted` path: re-read, then elect.
+#[test]
+fn a_leader_watch_rearmed_after_the_znode_is_gone_still_elects() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=3);
+    p.commit_tick(0);
+    // The leader dies; the followers' watches have fired for an earlier
+    // change of the znode, so they hear nothing of its deletion.
+    p.hold_events = [false, true, true];
+    p.crash(0);
+    p.run();
+    p.hold_events = [false; 3];
+    assert_eq!(p.role(1), Role::Follower);
+    assert_eq!(p.role(2), Role::Follower);
+    // The stale notification arrives at one follower after the znode is
+    // gone.
+    let leader = CohortPaths::new(R0).leader;
+    p.feed(1, NodeInput::Coord(WatchEvent::DataChanged(leader)));
+    p.run();
+    let elected = (1..3).find(|&i| p.role(i) == Role::Leader);
+    assert!(elected.is_some(), "the cohort elected a leader after the stale event");
+    let leader = elected.unwrap();
+    assert_eq!(p.node(leader).epoch_of(R0), 2);
+    for k in 1..=3 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k}");
+    }
+}
