@@ -6,9 +6,11 @@
 //! live conditional-put chains, and dissolved ranges' local state is
 //! garbage collected after the quiesce period.
 
+use std::collections::BTreeMap;
+
 use spinnaker_common::vfs::Vfs;
 use spinnaker_common::RangeId;
-use spinnaker_core::client::Workload;
+use spinnaker_core::client::{ClientStats, Workload};
 use spinnaker_core::cluster::{ClusterConfig, SimCluster};
 use spinnaker_core::node::Role;
 use spinnaker_core::partition::u64_to_key;
@@ -247,6 +249,78 @@ fn merge_completes_when_one_node_leads_both_siblings() {
         matches!(role, Role::Leader | Role::Follower),
         "restarted replica serves the merged range (role {role:?})"
     );
+}
+
+/// Completions of `client` in `(from, to]`.
+fn completed_between(client: &ClientStats, from: u64, to: u64) -> usize {
+    client.trace.as_ref().unwrap().iter().filter(|(t, _)| *t > from && *t <= to).count()
+}
+
+#[test]
+fn merges_of_ineligible_pairs_are_refused_and_writes_keep_flowing() {
+    // Range 0 split twice gives three adjacent children `a | b | c` with
+    // range 0's cohort; range 1 (the next span) has a different cohort.
+    // A merge request is refused when the pair is not adjacent (`a`,
+    // `c`), when the cohorts differ (`c`, range 1), and when a move is in
+    // flight (`a`, `b` while `b` moves to a node that is down, so the
+    // move never finishes before the check). A refusal leaves the table
+    // as it was, and writes to both ranges of the pair keep completing.
+    let mut cluster = quick_cluster(5, 52);
+    cluster.run_until(3 * SECS);
+    cluster.split_range(3 * SECS, RangeId(0), u64_to_key(1000));
+    cluster.run_until(5 * SECS);
+    let right = cluster.current_ring().children_of(RangeId(0))[1].id;
+    cluster.split_range(5 * SECS, right, u64_to_key(3000));
+    cluster.run_until(7 * SECS);
+    let ring = cluster.current_ring();
+    let [a, b, c] = [0, 1000, 3000].map(|k| ring.range_of(&u64_to_key(k)));
+    let r1 = ring.range_of(&u64_to_key(u64::MAX / 5));
+    assert_eq!(r1, RangeId(1));
+    assert_eq!(ring.children_of(right).len(), 2, "both splits completed");
+    for r in [a, b, c] {
+        assert_eq!(ring.def(r).unwrap().cohort, vec![0, 1, 2], "{r} keeps range 0's cohort");
+    }
+    assert_ne!(ring.cohort(c), ring.cohort(r1));
+
+    let spans =
+        [(a, 0, 1000), (b, 1000, 3000), (c, 3000, 4000), (r1, u64::MAX / 5, u64::MAX / 5 + 1000)];
+    let clients: BTreeMap<RangeId, _> = spans
+        .into_iter()
+        .map(|(r, lo, hi)| {
+            let w = cluster.add_client(
+                Workload::SpanWrites { value_size: 64, lo, hi },
+                7 * SECS,
+                7 * SECS,
+                30 * SECS,
+            );
+            w.borrow_mut().trace = Some(Vec::new());
+            (r, w)
+        })
+        .collect();
+    cluster.run_until(8 * SECS);
+
+    // Ask to merge `left` and `right` at `at`; over the next three
+    // seconds the table must not move and both ranges must take writes.
+    let refused = |cluster: &mut SimCluster, at: u64, left: RangeId, right: RangeId| {
+        let version = cluster.current_ring().version();
+        cluster.merge_ranges(at, left, right);
+        cluster.run_until(at + 3 * SECS);
+        let ring = cluster.current_ring();
+        assert_eq!(ring.version(), version, "merge of {left} and {right} refused");
+        assert!(ring.def(left).is_some() && ring.def(right).is_some());
+        for r in [left, right] {
+            let done = completed_between(&clients[&r].borrow(), at + SECS, at + 3 * SECS);
+            assert!(done > 20, "writes to {r} kept completing: {done}");
+        }
+    };
+    refused(&mut cluster, 8 * SECS, a, c);
+    refused(&mut cluster, 11 * SECS, c, r1);
+    cluster.crash_node(14 * SECS, 4, true);
+    cluster.move_replica(14 * SECS + 500 * MILLIS, b, 2, 4);
+    cluster.run_until(15 * SECS);
+    assert!(cluster.current_ring().def(b).unwrap().moving.is_some(), "the move is in flight");
+    refused(&mut cluster, 15 * SECS, a, b);
+    assert!(cluster.current_ring().def(b).unwrap().moving.is_some(), "still in flight");
 }
 
 #[test]
