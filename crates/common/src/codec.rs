@@ -188,6 +188,16 @@ pub fn varint_len(mut v: u64) -> usize {
     n
 }
 
+/// A stored `u32` (a length, an offset, a count) as an in-memory size.
+/// `usize` is at least 32 bits on every target this builds for (checked
+/// below), so the conversion widens and cannot truncate.
+#[inline]
+pub fn usize_from(n: u32) -> usize {
+    const _: () = assert!(usize::BITS >= u32::BITS);
+    // spinlint: allow(C2) -- u32 into usize widens; the assertion above holds the bound
+    n as usize
+}
+
 /// Read a varint that must fit in `u32` (ids, small offsets). Overflow
 /// is a typed codec error, never a silent truncation.
 pub fn get_varint_u32(buf: &mut &[u8]) -> Result<u32> {

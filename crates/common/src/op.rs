@@ -162,7 +162,8 @@ impl Encode for WriteOp {
 fn get_op_head<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], Timestamp, usize)> {
     let key = codec::get_byte_slice(buf)?;
     let timestamp = codec::get_u64(buf)?;
-    let n = codec::get_varint(buf)? as usize;
+    // A cell is at least 2 bytes: its tag and its column name's length.
+    let n = codec::get_varint_len(buf, "WriteOp cell", 2)?;
     if n == 0 {
         return Err(Error::Codec("WriteOp with zero cells".into()));
     }

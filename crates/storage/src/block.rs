@@ -83,7 +83,8 @@ impl Block {
         let n = walk(&mut buf, body_len, slots)?;
         let exact = n * SLOT + slots;
         if exact > buf.len() {
-            let mut grown = BytesMut::zeroed(narrow(exact)? as usize);
+            narrow(exact)?;
+            let mut grown = BytesMut::zeroed(exact);
             grown[..slots].copy_from_slice(&buf[..slots]);
             walk(&mut grown, body_len, slots)?;
             buf = grown;
@@ -100,11 +101,13 @@ impl Block {
     /// key is `buf[key..row]`, its encoded row starts at `row`. Callers
     /// dereference the buffer once and pass it in.
     fn offsets(&self, buf: &[u8], pos: usize) -> (usize, usize) {
-        let at = self.slots as usize + pos * SLOT;
-        let mut slot = [0; SLOT];
-        slot.copy_from_slice(&buf[at..at + SLOT]);
-        let slot = u64::from_le_bytes(slot);
-        (slot as u32 as usize, (slot >> 32) as usize)
+        let at = codec::usize_from(self.slots) + pos * SLOT;
+        let offset = |at: usize| {
+            let mut word = [0; 4];
+            word.copy_from_slice(&buf[at..at + 4]);
+            codec::usize_from(u32::from_le_bytes(word))
+        };
+        (offset(at), offset(at + 4))
     }
 
     /// Position of the first entry whose key is `>= key`.
@@ -137,7 +140,7 @@ impl Block {
 
     /// Number of entries.
     pub(crate) fn len(&self) -> usize {
-        self.n as usize
+        codec::usize_from(self.n)
     }
 
     /// The entry at `pos` as stored: its key, and the body from the start
@@ -148,7 +151,7 @@ impl Block {
         }
         let buf: &[u8] = &self.buf;
         let (key, row) = self.offsets(buf, pos);
-        Some((&buf[key..row], &buf[row..self.body_len as usize]))
+        Some((&buf[key..row], &buf[row..codec::usize_from(self.body_len)]))
     }
 
     /// The entry at `pos` decoded, key and cells views of the buffer.

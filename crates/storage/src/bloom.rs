@@ -30,6 +30,12 @@ fn probes(k: u32, num_bits: u64, (h1, h2): KeyHash) -> impl Iterator<Item = u64>
     (0..u64::from(k)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % num_bits)
 }
 
+/// The filter word holding probe position `bit`.
+fn word(bit: u64) -> usize {
+    // spinlint: allow(C2) -- bit < num_bits <= 64 * bits.len(), so bit / 64 indexes a Vec
+    (bit / 64) as usize
+}
+
 /// The two hashes a key contributes to the filter. A table builder
 /// keeps these instead of the keys it has seen.
 pub type KeyHash = (u64, u64);
@@ -51,12 +57,14 @@ impl Bloom {
         n: usize,
         bits_per_key: usize,
     ) -> Bloom {
-        let num_bits = ((n.max(1) * bits_per_key) as u64).max(64);
+        let num_bits = (n.max(1) * bits_per_key).max(64);
+        // spinlint: allow(C2) -- a float cast saturates, and the clamp bounds it to 1..=30
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
-        let mut bloom = Bloom { bits: vec![0; num_bits.div_ceil(64) as usize], num_bits, k };
+        let words = num_bits.div_ceil(64);
+        let mut bloom = Bloom { bits: vec![0; words], num_bits: num_bits as u64, k };
         for hash in hashes {
-            for bit in probes(k, num_bits, hash) {
-                bloom.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+            for bit in probes(k, bloom.num_bits, hash) {
+                bloom.bits[word(bit)] |= 1 << (bit % 64);
             }
         }
         bloom
@@ -66,7 +74,7 @@ impl Bloom {
     /// negatives impossible).
     pub fn may_contain(&self, key: &[u8]) -> bool {
         probes(self.k, self.num_bits, Bloom::hash(key))
-            .all(|bit| self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
+            .all(|bit| self.bits[word(bit)] & (1 << (bit % 64)) != 0)
     }
 
     /// Serialized size in bytes (approximate).
@@ -93,7 +101,7 @@ impl Decode for Bloom {
         // Each filter word is 8 bytes; bounding the count by the input
         // keeps a corrupt header from driving a huge allocation.
         let n = codec::get_varint_len(buf, "bloom filter words", 8)?;
-        if k == 0 || k > 64 || num_bits == 0 || n != (num_bits.div_ceil(64) as usize) {
+        if k == 0 || k > 64 || num_bits == 0 || n as u64 != num_bits.div_ceil(64) {
             return Err(Error::Corruption("implausible bloom header".into()));
         }
         let mut bits = Vec::with_capacity(n);

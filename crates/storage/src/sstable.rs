@@ -232,10 +232,12 @@ impl TableBuilder {
     fn write_chunk(&mut self, chunk: &mut Vec<u8>) -> Result<(u64, u32)> {
         let crc = spinnaker_common::crc32c::masked(spinnaker_common::crc32c::crc32c(chunk));
         codec::put_u32(chunk, crc);
+        let len = u32::try_from(chunk.len())
+            .map_err(|_| Error::Codec(format!("chunk of {} bytes overflows u32", chunk.len())))?;
         let start = self.offset;
         self.file.append(chunk)?;
-        self.offset += chunk.len() as u64;
-        Ok((start, chunk.len() as u32))
+        self.offset += u64::from(len);
+        Ok((start, len))
     }
 
     fn flush_block(&mut self) -> Result<()> {
@@ -467,7 +469,7 @@ impl Table {
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
-        let chunk_len = e.len as usize;
+        let chunk_len = codec::usize_from(e.len);
         let body_len = chunk_len.saturating_sub(4);
         let spare = self.spare_slots(body_len) * SLOT;
         let buf = read_verified(
@@ -605,7 +607,7 @@ fn chunk_len(offset: u64, len: u32, file_bytes: u64, path: &str) -> Result<usize
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"
         )));
     }
-    Ok(len as usize)
+    Ok(codec::usize_from(len))
 }
 
 /// Read the chunk at `offset` into `chunk`, which is as long as the
@@ -630,7 +632,7 @@ fn read_chunk(
     path: &str,
 ) -> Result<Bytes> {
     let buf = read_verified(file, offset, len, 0, file_bytes, path)?;
-    Ok(buf.freeze().slice(..len as usize - 4))
+    Ok(buf.freeze().slice(..codec::usize_from(len) - 4))
 }
 
 /// A table's entries in key order, one block held at a time (so its
