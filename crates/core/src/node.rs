@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use spinnaker_common::codec::{Decode, Encode};
 use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Consistency, Error, Key, Lsn, NodeId, RangeId, Result};
-use spinnaker_coord::{CoordError, CoordResult, WatchEvent};
+use spinnaker_coord::{CoordError, WatchEvent};
 use spinnaker_storage::{BlockCache, RangeStore, SharedBlockCache, StoreOptions, StoreStats};
 use spinnaker_wal::{Wal, WalOptions};
 
@@ -1017,14 +1017,24 @@ impl Node {
         Some((range, self.replicas.get(&range)?.role))
     }
 
-    /// The leader znode at `path` is gone: its deletion was delivered,
-    /// or re-arming a watch on it found nothing (the service registers
-    /// no watch then, so no `Deleted` will follow). Re-read before
-    /// electing: a cohort-movement hand-off deletes and re-creates the
-    /// znode in one step, so the deletion may be stale — electing over
-    /// a live claimant (or over our own freshly-claimed leadership)
-    /// would wedge the cohort. Truly gone: elect (§7).
-    pub(crate) fn on_leader_deleted(&mut self, now: u64, path: &str, out: &mut Outbox) {
+    /// (Re-)arm the watch on `range`'s leader znode. The service
+    /// registers a data watch only on a read that succeeds, and the read
+    /// fails only on a malformed path or a missing znode: a leader that
+    /// died before this call, whose `Deleted` will never come. Take that
+    /// path now.
+    pub(crate) fn watch_leader(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
+        let leader = CohortPaths::new(range).leader;
+        if let Err(CoordError::NoNode(_)) = self.coord.get_data_watch(&leader) {
+            self.on_leader_deleted(now, &leader, out);
+        }
+    }
+
+    /// The leader znode at `path` is gone. Re-read before electing: a
+    /// cohort-movement hand-off deletes and re-creates the znode in one
+    /// step, so the deletion may be stale — electing over a live
+    /// claimant (or over our own freshly-claimed leadership) would wedge
+    /// the cohort. Truly gone: elect (§7).
+    fn on_leader_deleted(&mut self, now: u64, path: &str, out: &mut Outbox) {
         match self.leader_path_replica(path) {
             Some((range, role)) if role != Role::Offline => {
                 let paths = CohortPaths::new(range);
@@ -1054,11 +1064,10 @@ impl Node {
                     return;
                 }
                 if let Some((range, role)) = self.leader_path_replica(&path) {
-                    let paths = CohortPaths::new(range);
                     if role == Role::Electing {
-                        self.follow_leader_znode(now, range, &paths, out);
-                    } else if watch_found_no_node(self.coord.get_data_watch(&paths.leader)) {
-                        self.on_leader_deleted(now, &path, out);
+                        self.follow_leader_znode(now, range, &CohortPaths::new(range), out);
+                    } else {
+                        self.watch_leader(now, range, out);
                     }
                 }
             }
@@ -1074,12 +1083,6 @@ impl Node {
             }
         }
     }
-}
-
-/// True when arming a data watch found no znode, and so set no watch.
-/// Reading a znode fails only then or on a malformed path.
-pub(crate) fn watch_found_no_node<T>(armed: CoordResult<T>) -> bool {
-    matches!(armed, Err(CoordError::NoNode(_)))
 }
 
 /// Store layout and tuning for a range's LSM tree. The block cache is

@@ -38,9 +38,7 @@ use spinnaker_storage::{RangeStore, StoreSnapshot};
 use spinnaker_wal::LogRecord;
 
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg};
-use crate::node::{
-    runtime, store_options, watch_found_no_node, CohortPaths, Dissolved, Node, ServeStatus,
-};
+use crate::node::{runtime, store_options, CohortPaths, Dissolved, Node, ServeStatus};
 use crate::partition::{RangeDef, Ring, TABLE_PATH};
 use crate::replica::{Merging, MoveState, RangeReplica, Role, Runtime};
 
@@ -760,14 +758,11 @@ impl Node {
         let paths = CohortPaths::new(range);
         self.coord.ensure_path(&paths.base);
         self.coord.ensure_path(&paths.candidates);
-        let gone = watch_found_no_node(self.coord.get_data_watch(&paths.leader));
         let mut rt = runtime!(self, now);
         if let Some(rep) = self.replicas.get_mut(&range) {
             rep.become_follower(&mut rt, leader, out);
         }
-        if gone {
-            self.on_leader_deleted(now, &paths.leader, out);
-        }
+        self.watch_leader(now, range, out);
     }
 
     /// The learner confirmed durable catch-up: commit the new replica
