@@ -8,11 +8,12 @@
 //! replication Fig. 4, catch-up §6.1) lives on [`RangeReplica`]. This
 //! file is the node's steady half: local recovery, input dispatch to the
 //! right replica, force completions and timers, the maintenance tick
-//! (flush, move/merge timeouts), retiring a
-//! replica that left this node, and the quiesced GC of dissolved ranges'
-//! store directories, WAL streams and `/r{N}` znodes. The operations
-//! that replace replicas by other replicas — split, merge, cohort
-//! movement, table-driven reconcile — are [`crate::reconfig`].
+//! (flush, move/merge timeouts), retiring a replica that left this node,
+//! and the quiesced GC of dissolved ranges' store directories, WAL
+//! streams and `/r{N}` znodes. The operations that replace replicas by
+//! other replicas — split, merge, cohort movement, table-driven
+//! reconcile — are [`crate::reconfig`]; splits and merges start only
+//! from their admin entry points.
 //!
 //! The node is a sans-IO state machine: it consumes [`NodeInput`]s and
 //! emits [`Effect`]s into an [`Outbox`]. Log *content* is written

@@ -60,8 +60,8 @@ impl Bloom {
         let num_bits = (n.max(1) * bits_per_key).max(64);
         // spinlint: allow(C2) -- a float cast saturates, and the clamp bounds it to 1..=30
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
-        let words = num_bits.div_ceil(64);
-        let mut bloom = Bloom { bits: vec![0; words], num_bits: num_bits as u64, k };
+        let mut bloom =
+            Bloom { bits: vec![0; num_bits.div_ceil(64)], num_bits: num_bits as u64, k };
         for hash in hashes {
             for bit in probes(k, bloom.num_bits, hash) {
                 bloom.bits[word(bit)] |= 1 << (bit % 64);
