@@ -4,7 +4,9 @@
 //! A small hand-built history is verified clean, then corrupted four
 //! ways — a lost acknowledged write, a stale strong read, a torn
 //! snapshot cut, and a duplicated scan row — and the checker must catch
-//! every mutation, each under the expected violation class.
+//! every mutation, each under the expected violation class. A second
+//! history retries two writes over an outage and must accept a read
+//! only a retry explains, and reject a stale one.
 
 use spinnaker_common::{HCons, HEventKind, HOp, HResult, HState, History, Key, Value};
 use spinnaker_nemesis::check;
@@ -108,4 +110,35 @@ fn duplicate_scan_row_is_caught() {
     );
     let v = check(&h);
     assert!(v.iter().any(|v| v.kind == "scan-shape"), "duplicate scan row not caught: {v:#?}");
+}
+
+/// Two writes retried over an outage, then a strong get: each retry may
+/// have applied its write again, so the get may see either value, but
+/// never the one both overwrote. The search takes each write's ghost
+/// applications in one order; it must still find the ghost that
+/// explains `v2` after `v3` and find none that explains `v1`.
+fn retried_history(read: &str) -> History {
+    let put = |value: &str| HOp::Put { key: key(), value: val(value) };
+    let mut h = History::new();
+    h.push(100, 0, 0, HEventKind::Invoke(put("v1")));
+    h.push(200, 0, 0, HEventKind::Ok(HResult::Write { version: 1, ts: 150 }));
+    h.push(300, 0, 1, HEventKind::Invoke(put("v2")));
+    h.push(310, 1, 0, HEventKind::Invoke(put("v3")));
+    for at in [400, 500, 600] {
+        h.push(at, 0, 1, HEventKind::Retry);
+        h.push(at + 10, 1, 0, HEventKind::Retry);
+    }
+    h.push(700, 0, 1, HEventKind::Ok(HResult::Write { version: 2, ts: 650 }));
+    h.push(720, 1, 0, HEventKind::Ok(HResult::Write { version: 3, ts: 690 }));
+    h.push(800, 2, 0, HEventKind::Invoke(HOp::Get { key: key(), cons: HCons::Strong }));
+    h.push(900, 2, 0, HEventKind::Ok(HResult::Read { state: HState::Val(val(read)), at_ts: 0 }));
+    h
+}
+
+#[test]
+fn a_stale_read_behind_retried_writes_is_caught() {
+    let v = check(&retried_history("v2"));
+    assert!(v.is_empty(), "a retried v2 may land after v3: {v:#?}");
+    let v = check(&retried_history("v1"));
+    assert!(v.iter().any(|v| v.kind == "linearizability"), "stale read not caught: {v:#?}");
 }
