@@ -73,6 +73,13 @@ pub enum PeerMsg {
         /// write with `ts <= closed_ts`. A follower applied through `lsn`
         /// may serve snapshot reads at or below this bound. `0` disables.
         closed_ts: u64,
+        /// The newest LSN the sender had proposed when it sent its
+        /// previous commit message (`Lsn::ZERO`: no claim). Those
+        /// proposes went out a commit period before this message on the
+        /// same FIFO link, so a follower of this epoch whose log stops
+        /// short of it lost one to a partition and asks for catch-up,
+        /// which re-sends the leader's pending writes.
+        sent: Lsn,
     },
     /// New leader announcing itself after winning election (§6.2). Also
     /// sent in reply to a recovering follower's ping.

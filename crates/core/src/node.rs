@@ -422,6 +422,15 @@ impl Node {
         self.replicas.get(&range).map_or(0, |r| r.closed_ts)
     }
 
+    /// One line per replica this node holds, naming its role, epoch,
+    /// committed watermark, log tip, commit-queue span, blocked writes,
+    /// held conditional rejections, barrier, move and takeover state,
+    /// and parked proposes: what a stall report prints for each node.
+    pub fn replica_states(&self) -> Vec<String> {
+        let tip = |range| self.wal.state(range).last_lsn;
+        self.replicas.values().map(|r| r.describe(tip(r.range))).collect()
+    }
+
     /// Catch-up requests this node's replica of `range` has sent since
     /// it was attached (a restart starts the count over).
     pub fn catchup_requests(&self, range: RangeId) -> u64 {
@@ -682,8 +691,8 @@ impl Node {
                 FollowUp::default()
             }
             PeerMsg::Ack { epoch, lsn, .. } => rep.on_ack(&mut rt, from, epoch, lsn, out),
-            PeerMsg::Commit { epoch, lsn, closed_ts, .. } => {
-                rep.on_commit_msg(&mut rt, from, epoch, lsn, closed_ts, out);
+            PeerMsg::Commit { epoch, lsn, closed_ts, sent, .. } => {
+                rep.on_commit_msg(&mut rt, from, epoch, lsn, closed_ts, sent, out);
                 FollowUp::default()
             }
             PeerMsg::LeaderHello { epoch, leader, .. } => {

@@ -295,6 +295,9 @@ pub struct RangeReplica {
     /// Leader: a propose flush's log force is in flight; new writes
     /// accumulate into `unproposed` until it completes.
     pub(crate) proposing: bool,
+    /// Leader: the newest LSN proposed when the last commit message went
+    /// out; the next one names it (`PeerMsg::Commit::sent`).
+    pub(crate) proposed_at_tick: Lsn,
     /// Follower: highest **closed timestamp** adopted from the leader.
     /// The leader promises never to commit another write at or below it,
     /// so — having applied everything the promise covers — this replica
@@ -354,6 +357,7 @@ impl RangeReplica {
             moving: None,
             unproposed: Vec::new(),
             proposing: false,
+            proposed_at_tick: Lsn::ZERO,
             closed_ts: 0,
             snapshot_pages: 0,
             pins: BTreeMap::new(),
@@ -378,6 +382,44 @@ impl RangeReplica {
         self.splitting.is_some()
             || self.merging.is_some()
             || self.moving.as_ref().is_some_and(|m| m.draining)
+    }
+
+    /// One line of protocol state, for a stall report: what a range
+    /// that stopped making progress is waiting on. `log_tip` is the last
+    /// LSN this node logged for the range.
+    pub(crate) fn describe(&self, log_tip: Lsn) -> String {
+        let queue = self.cq.span().map_or_else(|| "-".to_owned(), |(a, b)| format!("{a}..{b}"));
+        let merging = self.merging.as_ref().map(|m| {
+            let side = if m.coordinator { "coordinator" } else { "subordinate" };
+            format!("{side} with {} (ready {:?})", m.sibling, m.sibling_barrier)
+        });
+        let moving = self
+            .moving
+            .as_ref()
+            .map(|m| format!("{}->{}{}", m.from, m.to, if m.draining { " draining" } else { "" }));
+        let parked = match (self.parked.first_key_value(), self.parked.last_key_value()) {
+            (Some((first, _)), Some((last, _))) => {
+                format!("{} from {first} to {last}", self.parked.len())
+            }
+            _ => "0".to_owned(),
+        };
+        format!(
+            "{} {:?} epoch={} leader={:?} committed={} log_tip={log_tip} queue={queue} \
+             ({} pending, {} unproposed) blocked={} deferred={} split={:?} merge={merging:?} \
+             move={moving:?} takeover={:?} catchup_asked={:?} parked={parked}",
+            self.range,
+            self.role,
+            self.epoch,
+            self.leader,
+            self.last_committed,
+            self.cq.len(),
+            self.unproposed.len(),
+            self.blocked_writes.len(),
+            self.deferred_mismatches.len(),
+            self.splitting,
+            self.takeover.as_ref().map(Takeover::describe),
+            self.catchup_asked,
+        )
     }
 }
 

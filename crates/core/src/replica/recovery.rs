@@ -80,6 +80,14 @@ pub(crate) struct Takeover {
     reproposing: bool,
 }
 
+impl Takeover {
+    /// Who has caught up and what is left to re-propose (stall reports).
+    pub(super) fn describe(&self) -> String {
+        let left: usize = self.repropose.iter().map(|(_, ops)| ops.len()).sum();
+        format!("caught_up={:?} reproposing={} ops_left={left}", self.caught_up, self.reproposing)
+    }
+}
+
 /// A propose a follower could not log yet (it starts past the follower's
 /// frontier), kept until catch-up closes the gap.
 pub(crate) struct Parked {
@@ -267,6 +275,7 @@ impl RangeReplica {
         self.served_ts = self.served_ts.max(self.closed_ts);
         self.unproposed.clear();
         self.proposing = false;
+        self.proposed_at_tick = Lsn::ZERO;
         self.takeover =
             Some(Takeover { caught_up: BTreeSet::new(), repropose, reproposing: false });
         self.last_assigned = l_lst;
@@ -330,9 +339,9 @@ impl RangeReplica {
         // up in this epoch get it: only their queues are known to hold
         // our re-proposals and nothing else.
         if t.reproposing {
-            let lsn = self.last_committed;
+            let (range, lsn, sent) = (self.range, self.last_committed, Lsn::ZERO);
             for &peer in &t.caught_up {
-                out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts: 0 });
+                out.send(peer, PeerMsg::Commit { range, epoch, lsn, closed_ts: 0, sent });
             }
         }
         fu.redispatch = std::mem::take(&mut self.blocked_writes);

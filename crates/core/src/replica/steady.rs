@@ -269,7 +269,7 @@ impl RangeReplica {
         // boundary a leftover higher-seq tail from the old epoch may be
         // divergent.
         let st = rt.wal.state(self.range);
-        let tip = self.cq.span().map_or(self.last_committed, |(_, l)| l.max(self.last_committed));
+        let tip = self.held_tip();
         let log_tip = if first.epoch() == st.last_lsn.epoch() { st.last_lsn.seq() } else { 0 };
         if first.seq() > log_tip.max(tip.seq()) + 1 {
             self.park(rt, first, Parked { from, epoch, ops, committed, closed_ts }, out);
@@ -388,10 +388,11 @@ impl RangeReplica {
                     let (sibling, requester, token) = (m.sibling, m.requester, m.token);
                     // Barrier commit first, on the same FIFO links as the
                     // proposes it covers; then the readiness announcement.
+                    let (range, sent) = (self.range, Lsn::ZERO);
                     for &peer in &self.peers {
                         out.send(
                             peer,
-                            PeerMsg::Commit { range: self.range, epoch, lsn: barrier, closed_ts },
+                            PeerMsg::Commit { range, epoch, lsn: barrier, closed_ts, sent },
                         );
                     }
                     self.note_commit(rt, barrier, NOTE_BYTES);
@@ -448,6 +449,14 @@ impl RangeReplica {
     /// about them — that leader may have discarded them and reused their
     /// sequence numbers — so it starts a catch-up with the sender instead
     /// of draining the queue.
+    ///
+    /// A propose lost to a partition leaves a hole nothing else reveals
+    /// when no later propose follows it (a leader whose next writes wait
+    /// on that one, behind a barrier or a held conditional rejection).
+    /// `sent` names what the leader had proposed a commit period ago: a
+    /// tip short of it is such a hole, and catch-up re-sends the
+    /// leader's pending writes.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_commit_msg(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -455,6 +464,7 @@ impl RangeReplica {
         epoch: Epoch,
         lsn: Lsn,
         closed_ts: u64,
+        sent: Lsn,
         out: &mut Outbox,
     ) {
         if epoch < self.epoch || !matches!(self.role, Role::Follower | Role::CatchingUp) {
@@ -472,6 +482,16 @@ impl RangeReplica {
             return;
         }
         self.commit_and_close(rt, lsn, closed_ts);
+        if sent.seq() > self.held_tip().seq() {
+            self.role = Role::CatchingUp;
+            self.ask_catchup(rt, from, out);
+        }
+    }
+
+    /// Follower: the newest write we hold beyond dispute — the committed
+    /// prefix and, queued behind it, this epoch's leader's proposals.
+    fn held_tip(&self) -> Lsn {
+        self.cq.span().map_or(self.last_committed, |(_, l)| l.max(self.last_committed))
     }
 
     /// Follower: commit through the leader's watermark `lsn`, then adopt
@@ -575,8 +595,16 @@ impl RangeReplica {
         let lsn = self.last_committed;
         let epoch = self.epoch;
         self.note_commit(rt, lsn, NOTE_BYTES);
+        // Name what was proposed by the previous tick, not by this one:
+        // a commit sent right behind a propose can overtake it on the
+        // follower's cores, but not by a whole commit period.
+        let proposed = match self.unproposed.first() {
+            Some(first) => Lsn::new(first.epoch(), first.seq() - 1),
+            None => self.last_assigned,
+        };
+        let sent = std::mem::replace(&mut self.proposed_at_tick, proposed);
         for &peer in &self.peers {
-            out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts });
+            out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts, sent });
         }
     }
 }

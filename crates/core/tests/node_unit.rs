@@ -40,6 +40,12 @@ fn peer(from: u32, msg: PeerMsg) -> NodeInput {
     NodeInput::Peer { from, msg }
 }
 
+/// The commit message of range 0's leader in `epoch`, claiming no
+/// proposed LSN.
+fn commit(epoch: u16, lsn: Lsn) -> PeerMsg {
+    PeerMsg::Commit { range: R0, epoch, lsn, closed_ts: 0, sent: Lsn::ZERO }
+}
+
 fn client(req: ClientRequest) -> NodeInput {
     NodeInput::Client { from: 99, req }
 }
@@ -197,7 +203,7 @@ fn follower_forces_before_acking_a_propose() {
     }
 
     // The commit message applies it.
-    p.step(1, peer(0, PeerMsg::Commit { range: R0, epoch: 1, lsn, closed_ts: 0 }));
+    p.step(1, peer(0, commit(1, lsn)));
     let out = p.step(1, client(get_request(6, u64_to_key(1), "c", Consistency::Timeline)));
     match replies(&out).as_slice() {
         [ClientReply::Row { cells, .. }] if cells.len() == 1 => {
@@ -293,10 +299,7 @@ fn follower_through_5() -> Pump {
 fn commit_from_a_newer_epoch_starts_catch_up_instead_of_draining_the_queue() {
     let mut p = follower_through_5();
     p.step(1, peer(0, propose(1, 6, 3))); // 1.6..1.8 queued
-    let out = p.step(
-        1,
-        peer(2, PeerMsg::Commit { range: R0, epoch: 2, lsn: Lsn::new(2, 8), closed_ts: 0 }),
-    );
+    let out = p.step(1, peer(2, commit(2, Lsn::new(2, 8))));
     assert_eq!(p.node(1).last_committed(R0), Lsn::new(1, 5), "nothing applied");
     assert_eq!(p.read(1, 6), None, "the stale 1.6 stays invisible");
     assert_eq!(p.role(1), Role::CatchingUp);
@@ -367,7 +370,7 @@ fn parked_proposes_are_skipped_trimmed_or_logged_when_the_reply_lands() {
         .collect();
     assert_eq!(acks, vec![Lsn::new(1, 8), Lsn::new(1, 9)]);
     // The trimmed group's writes apply like any other.
-    p.step(1, peer(0, PeerMsg::Commit { range: R0, epoch: 1, lsn: Lsn::new(1, 9), closed_ts: 0 }));
+    p.step(1, peer(0, commit(1, Lsn::new(1, 9))));
     assert_eq!(p.node(1).last_committed(R0), Lsn::new(1, 9));
     for key in 1..=9 {
         assert_eq!(p.read(1, key), Some(format!("v{key}").into_bytes()));

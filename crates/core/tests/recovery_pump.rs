@@ -2,11 +2,12 @@
 //! takeover, catch-up, fail-stop on a refused or unreadable device, and
 //! dissolves with a record in the log tail.
 
+use bytes::Bytes;
 use spinnaker_common::api::{ClientOp, ClientRequest};
 use spinnaker_common::vfs::{FaultPlan, Vfs};
 use spinnaker_common::{Consistency, Lsn};
 use spinnaker_coord::WatchEvent;
-use spinnaker_core::messages::{NodeInput, PeerMsg};
+use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg};
 use spinnaker_core::node::{CohortPaths, NodeConfig, Role};
 use spinnaker_core::partition::{u64_to_key, TABLE_PATH};
 use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
@@ -296,6 +297,49 @@ fn a_leader_that_cannot_read_its_pending_writes_fail_stops() {
     let leader = p.leader_of(R0);
     for k in 1..=4 {
         assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// A propose lost to every follower is sent again. Key 5's put (1.5)
+/// reaches neither follower, and the only write after it is a
+/// conditional put on key 5 expecting the column unwritten: the leader
+/// holds that rejection until 1.5 commits and proposes nothing new, so
+/// no follower sees a gap to ask about. At the parent commit nothing
+/// re-sent 1.5 and both calls waited for good (nemesis seed 119, where a
+/// split barrier waited on such a write). Each commit message names the
+/// newest LSN the leader had proposed a commit period earlier; the
+/// followers, short of it, catch up, and the re-sent 1.5 commits.
+#[test]
+fn a_propose_lost_to_every_follower_is_sent_again() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Propose { .. }));
+    let put = p.put(0, 5);
+    p.run();
+    p.lose = Box::new(|_, _, _| false);
+    assert_eq!((p.node(1).last_lsn(R0), p.node(2).last_lsn(R0)), (lsn(1, 4), lsn(1, 4)));
+    let cond = p.next_req;
+    p.next_req += 1;
+    let op = ClientOp::ConditionalPut {
+        key: u64_to_key(5),
+        col: Bytes::from_static(b"c"),
+        value: Bytes::from_static(b"w"),
+        expected: 0,
+    };
+    let req = ClientRequest { req: cond, ring_version: 0, op };
+    p.feed(0, NodeInput::Client { from: CLIENT, req });
+    p.run();
+    p.commit_tick(0);
+    p.commit_tick(0);
+    assert!(p.written.contains(&put), "the lost put committed");
+    let mismatch = ClientError::VersionMismatch { actual: lsn(1, 5).as_u64() };
+    assert!(
+        p.replies.contains(&ClientReply::Err { req: cond, error: mismatch }),
+        "the conditional put was answered"
+    );
+    for i in 1..3 {
+        assert_eq!(p.node(i).last_lsn(R0), lsn(1, 5), "node {i} logged 1.5");
     }
 }
 

@@ -48,7 +48,9 @@ use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs};
 use spinnaker_common::{Consistency, Key, Lsn, RangeId};
 use spinnaker_coord::{Coord, CreateMode, Delivery, SessionId};
 use spinnaker_core::coordcli::CoordClient;
-use spinnaker_core::messages::{ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind};
+use spinnaker_core::messages::{
+    ClientError, ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind,
+};
 use spinnaker_core::node::{get_request, put_request, Node, NodeConfig, Role};
 use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
 
@@ -98,6 +100,8 @@ pub struct Pump {
     pub sent: Vec<(usize, usize, PeerMsg)>,
     /// Request ids acknowledged with `WriteOk`.
     pub written: Vec<u64>,
+    /// Every client reply, in send order.
+    pub replies: Vec<ClientReply>,
     /// The row of the last answered get.
     last_row: Option<Vec<u8>>,
     /// Gets and scan pages answered (with whatever content).
@@ -150,6 +154,7 @@ impl Pump {
             hold_events: [false; 3],
             sent: Vec::new(),
             written: Vec::new(),
+            replies: Vec::new(),
             last_row: None,
             reads_answered: 0,
             next_req: 1,
@@ -247,16 +252,20 @@ impl Pump {
                     }
                 }
                 Effect::ForceLog { token, .. } => tokens.push(token),
-                Effect::Reply { reply, .. } => match reply {
-                    ClientReply::WriteOk { req, .. } => self.written.push(req),
-                    ClientReply::Row { cells, .. } => {
-                        self.reads_answered += 1;
-                        self.last_row =
-                            cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
+                Effect::Reply { reply, .. } => {
+                    match &reply {
+                        ClientReply::WriteOk { req, .. } => self.written.push(*req),
+                        ClientReply::Row { cells, .. } => {
+                            self.reads_answered += 1;
+                            self.last_row =
+                                cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
+                        }
+                        ClientReply::Rows { .. } => self.reads_answered += 1,
+                        ClientReply::Err { error: ClientError::VersionMismatch { .. }, .. } => {}
+                        other => panic!("unexpected reply {other:?}"),
                     }
-                    ClientReply::Rows { .. } => self.reads_answered += 1,
-                    other => panic!("unexpected reply {other:?}"),
-                },
+                    self.replies.push(reply);
+                }
                 Effect::SetTimer { .. } => {}
             }
         }

@@ -106,7 +106,10 @@ pub struct RunReport {
     /// (diagnostic for stalls: `false` points at an election wedge, not
     /// a client bug).
     pub ranges_led: bool,
-    /// End-of-run cluster health lines (populated on a stall).
+    /// End-of-run cluster health lines (populated on a stall): each
+    /// node's liveness and the state of every replica it holds
+    /// ([`spinnaker_core::node::Node::replica_states`]), then each
+    /// range's cohort and roles.
     pub health: Vec<String>,
     /// Which reconfiguration paths the run reached: successors built per
     /// dissolve entry point and claim, with or without a re-homed tail.
@@ -234,6 +237,8 @@ pub fn run(seed: u64, cfg: &CampaignConfig, schedule: &Schedule) -> RunReport {
     if stalled {
         for id in 0..cfg.nodes as NodeId {
             health.push(format!("node {id}: up={}", cluster.is_up(id)));
+            let replicas = cluster.with_node(id, |n| n.replica_states()).unwrap_or_default();
+            health.extend(replicas.into_iter().map(|line| format!("  {line}")));
         }
         let ring = cluster.current_ring();
         for def in ring.defs() {

@@ -25,22 +25,36 @@ fn pinned_seeds_stay_clean() {
     //     LSN commits.
     // 1, 7: high-fault-count mixes (splits/merges/moves under partitions
     //     and disk faults) kept as general coverage.
+    // 119, 155: a propose lost to a partition reached neither follower,
+    //     and nothing proposed after it revealed the hole (a split
+    //     barrier in 119, conditional puts held on the lost write in
+    //     155), so it was never re-sent and the range stalled. Fixed by
+    //     naming the leader's newest proposed LSN in its commit
+    //     messages: a follower short of it asks for catch-up.
     // The reconfiguration branches the 30-seed sweep does not reach with
     // a record in hand (`Node::dissolve`'s coverage, asserted below):
-    // 49:  a follower whose drain to a merge barrier has a gap
-    //      under-claims the merged range (`on_merge_msg`, claim zero).
+    // 49:  a follower whose drain to a merge barrier had a gap
+    //      under-claimed the merged range (`on_merge_msg`, claim zero)
+    //      until lost proposes were re-sent (119); the gap is closed
+    //      before the merge now, and the seed stays as coverage.
+    // 2904: the same under-claiming merge, the lost propose within the
+    //      two commit periods before the barrier that a follower needs
+    //      to notice it.
     // 151: the table-driven reconcile finds a tail record with no
     //      successor left to take it (the merged range was already
     //      rebuilt from the other sibling) and strands it — a known
     //      defect (CHANGES, PR 23 finding ii), so nothing below requires
     //      it; the seed is its reproduction and must stay clean.
-    // 166: a split follower whose watermark is *ahead* of the barrier (a
+    // 166: a split follower whose watermark was *ahead* of the barrier (a
     //      move's hand-off made a leader of a joiner one write short)
-    //      re-homes the record past the barrier into the children.
+    //      re-homed the record past the barrier into the children, until
+    //      lost proposes were re-sent: the joiner catches up now. No seed
+    //      in 1..9000 reaches that re-home any more, so it is not
+    //      asserted below (ROADMAP 1h); the seed stays as coverage.
     // 167: the table-driven reconcile re-homes a tail record into a
     //      child it claims at its own watermark.
     let mut dissolves = DissolveCoverage::default();
-    for seed in [1u64, 7, 10, 29, 49, 151, 166, 167] {
+    for seed in [1u64, 7, 10, 29, 49, 119, 151, 155, 166, 167, 2904] {
         let r = run_seed(seed);
         assert!(r.violations.is_empty(), "seed {seed} inconsistent: {:#?}", r.violations);
         assert!(!r.stalled, "seed {seed} stalled after heal: {:?}", r.health);
@@ -55,11 +69,9 @@ fn pinned_seeds_stay_clean() {
     }
     // A schedule change that stops reaching these fails here instead of
     // going unnoticed.
-    let rehomed = |entry, claim| dissolves.get(entry, claim).rehomed;
     assert!(
-        rehomed(DissolveEntry::SplitMsg, ClaimKind::Full) > 0
-            && rehomed(DissolveEntry::Table, ClaimKind::Own) > 0,
-        "no re-homed tail on the fork and the table-driven entry: {dissolves}"
+        dissolves.get(DissolveEntry::Table, ClaimKind::Own).rehomed > 0,
+        "no re-homed tail on the table-driven entry: {dissolves}"
     );
     let under_claimed = dissolves.get(DissolveEntry::MergeMsg, ClaimKind::Zero);
     assert!(under_claimed.empty + under_claimed.rehomed > 0, "no under-claiming merge");
