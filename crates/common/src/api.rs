@@ -291,6 +291,10 @@ pub enum ClientReply {
         /// Commit timestamp the leader stamped on the write — the write
         /// is visible to every snapshot read pinned at or above it.
         ts: Timestamp,
+        /// The leader that committed the write: after a takeover, the
+        /// successor that answered for its predecessor. Clients route
+        /// their next strong op there.
+        leader: NodeId,
     },
     /// `Get` result: the selected columns that exist. Deleted columns
     /// appear with `value: None` and the tombstone's version;
@@ -671,11 +675,12 @@ impl Decode for ScanRow {
 impl Encode for ClientReply {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            ClientReply::WriteOk { req, version, ts } => {
+            ClientReply::WriteOk { req, version, ts, leader } => {
                 codec::put_u8(buf, 0);
                 codec::put_u64(buf, *req);
                 codec::put_u64(buf, *version);
                 codec::put_u64(buf, *ts);
+                codec::put_u32(buf, *leader);
             }
             ClientReply::Row { req, cells, at_ts } => {
                 codec::put_u8(buf, 1);
@@ -712,6 +717,7 @@ impl Decode for ClientReply {
                 req: codec::get_u64(buf)?,
                 version: codec::get_u64(buf)?,
                 ts: codec::get_u64(buf)?,
+                leader: codec::get_u32(buf)?,
             }),
             1 => {
                 let req = codec::get_u64(buf)?;
@@ -818,7 +824,7 @@ mod tests {
     #[test]
     fn replies_roundtrip() {
         let replies = vec![
-            ClientReply::WriteOk { req: 1, version: 99, ts: 1234 },
+            ClientReply::WriteOk { req: 1, version: 99, ts: 1234, leader: 2 },
             ClientReply::Row {
                 req: 2,
                 at_ts: 0,

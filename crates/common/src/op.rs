@@ -10,6 +10,7 @@
 
 use bytes::Bytes;
 
+use crate::api::RequestId;
 use crate::codec::{self, Decode, Encode, Source};
 use crate::error::{Error, Result};
 use crate::lsn::Lsn;
@@ -60,6 +61,12 @@ pub struct WriteOp {
     pub cells: Vec<CellOp>,
     /// Timestamp assigned when the write was accepted.
     pub timestamp: Timestamp,
+    /// The client waiting on the write — its address and request id —
+    /// set by the leader that accepted it. It travels with the op in the
+    /// group propose, so a follower that takes over knows whom to answer
+    /// when it commits the tail. In memory only: it is not encoded, and
+    /// a decoded op has none.
+    pub origin: Option<(u32, RequestId)>,
 }
 
 impl WriteOp {
@@ -74,12 +81,18 @@ impl WriteOp {
             key,
             cells: vec![CellOp::Put { col: col.into(), value: value.into() }],
             timestamp: ts,
+            origin: None,
         }
     }
 
     /// Single-column delete.
     pub fn delete(key: Key, col: impl Into<ColumnName>, ts: Timestamp) -> WriteOp {
-        WriteOp { key, cells: vec![CellOp::Delete { col: col.into() }], timestamp: ts }
+        WriteOp {
+            key,
+            cells: vec![CellOp::Delete { col: col.into() }],
+            timestamp: ts,
+            origin: None,
+        }
     }
 
     /// Apply this write to `row` as of `lsn`. Deterministic and idempotent:
@@ -178,7 +191,7 @@ impl Decode for WriteOp {
         for _ in 0..n {
             cells.push(CellOp::decode_from(buf)?);
         }
-        Ok(WriteOp { key, timestamp, cells })
+        Ok(WriteOp { key, timestamp, cells, origin: None })
     }
 }
 
@@ -224,9 +237,13 @@ mod tests {
                 CellOp::Delete { col: Bytes::from_static(b"b") },
             ],
             timestamp: 77,
+            origin: None,
         };
         let enc = op.encode_to_vec();
         assert_eq!(WriteOp::decode(&mut enc.as_slice()).unwrap(), op);
+        // The waiting client is not part of the encoding.
+        let waited = WriteOp { origin: Some((3, 9)), ..op.clone() };
+        assert_eq!(waited.encode_to_vec(), enc);
     }
 
     #[test]
@@ -238,6 +255,7 @@ mod tests {
                 CellOp::Delete { col: Bytes::from_static(b"b") },
             ],
             timestamp: 77,
+            origin: None,
         };
         let mut enc = op.encode_to_vec();
         enc.push(0xee);
@@ -259,7 +277,7 @@ mod tests {
 
     #[test]
     fn zero_cells_rejected() {
-        let op = WriteOp { key: Key::from("k"), cells: vec![], timestamp: 0 };
+        let op = WriteOp { key: Key::from("k"), cells: vec![], timestamp: 0, origin: None };
         let enc = op.encode_to_vec();
         assert!(WriteOp::decode(&mut enc.as_slice()).is_err());
     }

@@ -84,8 +84,9 @@ fn row_strat() -> impl Strategy<Value = ScanRow> {
 
 fn reply_strat() -> impl Strategy<Value = ClientReply> {
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u64>())
-            .prop_map(|(req, version, ts)| ClientReply::WriteOk { req, version, ts }),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
+            |(req, version, ts, leader)| ClientReply::WriteOk { req, version, ts, leader }
+        ),
         (any::<u64>(), proptest::collection::vec(cell_strat(), 0..4), any::<u64>())
             .prop_map(|(req, cells, at_ts)| ClientReply::Row { req, cells, at_ts }),
         (any::<u64>(), proptest::collection::vec(row_strat(), 0..4), opt_key_strat(), any::<u64>())
@@ -139,7 +140,7 @@ fn write_op_strat() -> impl Strategy<Value = WriteOp> {
         bytes_strat().prop_map(|col| CellOp::Delete { col }),
     ];
     (key_strat(), any::<u64>(), proptest::collection::vec(cell, 1..4))
-        .prop_map(|(key, timestamp, cells)| WriteOp { key, cells, timestamp })
+        .prop_map(|(key, timestamp, cells)| WriteOp { key, cells, timestamp, origin: None })
 }
 
 proptest! {

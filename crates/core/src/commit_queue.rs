@@ -2,11 +2,13 @@
 //! used to track pending writes. Writes are committed only after receiving
 //! a sufficient number of acks from a cohort."
 //!
-//! Leaders hold the client reply handle per pending write; followers hold
-//! just the operation so the asynchronous commit message can apply it
-//! later. Commits drain strictly in LSN order — a later write never
-//! commits before an earlier one, which is what makes conditional puts
-//! deterministic across the cohort (§5.1).
+//! Every pending write holds its operation, and the operation names the
+//! client waiting on it ([`WriteOp::origin`]): a leader answers that
+//! client at commit, and a follower that takes over answers it in its
+//! predecessor's place. Followers apply the operation once the
+//! asynchronous commit message arrives. Commits drain strictly in LSN
+//! order — a later write never commits before an earlier one, which is
+//! what makes conditional puts deterministic across the cohort (§5.1).
 //!
 //! # A ring in LSN order, and watermarks
 //!
@@ -42,8 +44,6 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use spinnaker_common::{Key, Lsn, NodeId, Timestamp, Version, WriteOp};
-
-use crate::messages::{Addr, RequestId};
 
 /// The operation of a pending write. Reads as the [`WriteOp`] it is.
 #[derive(Clone, Debug)]
@@ -81,6 +81,7 @@ impl PendingOp {
                 key: std::mem::take(&mut op.key),
                 cells: std::mem::take(&mut op.cells),
                 timestamp: op.timestamp,
+                origin: op.origin,
             },
             PendingOp::Shared { batch, index } => batch[*index].clone(),
         }
@@ -92,10 +93,9 @@ impl PendingOp {
 pub struct PendingWrite {
     /// LSN assigned by the leader.
     pub lsn: Lsn,
-    /// The operation (needed to apply at commit time).
+    /// The operation (needed to apply at commit time), and the client
+    /// it answers.
     pub op: PendingOp,
-    /// Client to answer on commit (leader side only).
-    pub client: Option<(Addr, RequestId)>,
 }
 
 /// The per-cohort commit queue.
@@ -252,9 +252,9 @@ impl CommitQueue {
             .map(|pw| pw.lsn.as_u64())
     }
 
-    /// Whether a pending write with `lsn` exists.
-    pub fn contains(&self, lsn: Lsn) -> bool {
-        self.entries.binary_search_by_key(&lsn, |pw| pw.lsn).is_ok()
+    /// The pending writes in ascending LSN order.
+    pub fn iter(&self) -> impl Iterator<Item = &PendingWrite> {
+        self.entries.iter()
     }
 
     /// Number of pending writes.
@@ -283,11 +283,8 @@ mod tests {
     use super::*;
 
     fn pending(seq: u64) -> PendingWrite {
-        PendingWrite {
-            lsn: Lsn::new(1, seq),
-            op: PendingOp::Own(op::put(&format!("k{seq}"), "c", "v")),
-            client: Some((9, seq)),
-        }
+        let op = WriteOp { origin: Some((9, seq)), ..op::put(&format!("k{seq}"), "c", "v") };
+        PendingWrite { lsn: Lsn::new(1, seq), op: PendingOp::Own(op) }
     }
 
     fn seqs(drained: Drain<'_, PendingWrite>) -> Vec<u64> {
@@ -352,7 +349,7 @@ mod tests {
         }
         assert_eq!(q.drain_up_to(Lsn::new(1, 3)).len(), 3);
         assert_eq!(q.len(), 2);
-        assert!(q.contains(Lsn::new(1, 4)));
+        assert_eq!(q.span(), Some((Lsn::new(1, 4), Lsn::new(1, 5))));
     }
 
     #[test]
@@ -387,7 +384,7 @@ mod tests {
         let mut q = CommitQueue::new();
         for (seq, value) in [(1, "v1"), (2, "v2")] {
             let op = PendingOp::Own(op::put("k", "c", value));
-            q.insert(PendingWrite { lsn: Lsn::new(1, seq), op, client: None }, false);
+            q.insert(PendingWrite { lsn: Lsn::new(1, seq), op }, false);
         }
         assert_eq!(q.latest_pending_version(&Key::from("k"), b"c"), Some(Lsn::new(1, 2).as_u64()));
         assert_eq!(q.latest_pending_version(&Key::from("k"), b"other"), None);
@@ -400,7 +397,7 @@ mod tests {
         // Old-epoch re-proposals and new-epoch writes coexist at takeover.
         for (lsn, key) in [(Lsn::new(1, 21), "a"), (Lsn::new(2, 22), "b")] {
             let op = PendingOp::Own(op::put(key, "c", "1"));
-            q.insert(PendingWrite { lsn, op, client: None }, true);
+            q.insert(PendingWrite { lsn, op }, true);
         }
         q.ack(Lsn::new(2, 22), 1);
         let drained: Vec<Lsn> = q.drain_committable(Lsn::new(1, 20), 1).map(|pw| pw.lsn).collect();
@@ -418,6 +415,7 @@ mod tests {
         let batch = q.share_from(Lsn::new(1, 3));
         let keys: Vec<&Key> = batch.iter().map(|op| &op.key).collect();
         assert_eq!(keys, vec![&Key::from("k3"), &Key::from("k4")]);
+        assert_eq!(batch[1].origin, Some((9, 4)), "the waiting client moves with its op");
         assert_eq!(Arc::strong_count(&batch), 1 + 2, "ours, and one per shared write");
         assert_eq!(q.latest_pending_version(&Key::from("k4"), b"c"), Some(Lsn::new(1, 4).as_u64()));
         assert_eq!(q.latest_pending_version(&Key::from("k1"), b"c"), Some(Lsn::new(1, 1).as_u64()));
@@ -516,7 +514,7 @@ mod tests {
                             let forced = b % 2 == 0 && all_forced;
                             let key = Key::from(format!("k{}", seq % 3).as_str());
                             let op = PendingOp::Own(WriteOp::put(key, "c", "v", ts_of(lsn)));
-                            q.insert(PendingWrite { lsn, op, client: None }, forced);
+                            q.insert(PendingWrite { lsn, op }, forced);
                             model.entries.insert(lsn, (BTreeSet::new(), forced));
                         }
                     }

@@ -38,7 +38,9 @@ pub enum PeerMsg {
         /// record, acked once at the last LSN, atomic across crashes.
         /// One immutable batch: the leader's log record, the message to
         /// each follower, and every follower's log record and commit
-        /// queue hold this allocation instead of copies of the ops.
+        /// queue hold this allocation instead of copies of the ops. Each
+        /// op names the client waiting on it ([`WriteOp::origin`]), so
+        /// a follower that takes over can answer it.
         ops: Arc<[WriteOp]>,
         /// Piggy-backed last-committed LSN (§D.1), `Lsn::ZERO` disables.
         committed: Lsn,
@@ -261,8 +263,12 @@ impl PeerMsg {
     /// Approximate wire size, for the network model.
     pub fn wire_size(&self) -> usize {
         match self {
+            // An op naming its waiting client carries its address and
+            // request id too.
             PeerMsg::Propose { ops, .. } => {
-                64 + ops.iter().map(|op| 8 + op.approx_size()).sum::<usize>()
+                let op_size =
+                    |op: &WriteOp| 8 + op.approx_size() + 12 * usize::from(op.origin.is_some());
+                64 + ops.iter().map(op_size).sum::<usize>()
             }
             PeerMsg::CatchupRecords { records, fragments, .. } => {
                 64 + records.iter().map(|(_, op)| 16 + op.approx_size()).sum::<usize>()

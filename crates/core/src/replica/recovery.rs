@@ -233,16 +233,13 @@ impl RangeReplica {
         let l_cmt = self.last_committed.max(st.last_committed);
         let l_lst = st.last_lsn;
         // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst],
-        // read in one pass and cut into the groups they travel in. A tail
-        // that cannot be read poisons the node: opening the cohort
-        // without it would lose acknowledged writes.
-        let mut tail = RunCutter::default();
-        let replayed =
-            rt.wal.replay(self.range, l_cmt, l_lst, |lsn, op| tail.push(lsn, op.clone()));
-        if rt.fail_stop(replayed).is_none() {
-            return;
-        }
-        let repropose: VecDeque<Group> = tail.finish().into();
+        // read in one pass and cut into the groups they travel in, each
+        // naming the client our queue says waits on it — answered once
+        // it commits under us. A tail that cannot be read poisons the
+        // node: opening the cohort without it would lose acknowledged
+        // writes.
+        let Some(tail) = self.read_groups(rt, l_cmt, l_lst, false) else { return };
+        let repropose: VecDeque<Group> = tail.into();
 
         let paths = CohortPaths::new(self.range);
         // Bump the epoch in the coordination service before accepting any
@@ -489,19 +486,36 @@ impl RangeReplica {
     /// cannot read back the writes it is replicating cannot bring a
     /// follower level with them.
     fn pending_groups(&self, rt: &mut Runtime<'_>) -> Vec<Group> {
-        let mut pending = RunCutter::default();
-        if let Some((first, last)) = self.cq.span() {
-            let before = Lsn::from_u64(first.as_u64() - 1);
-            let replayed = rt.wal.replay(self.range, before, last, |lsn, op| {
-                if self.cq.contains(lsn) {
-                    pending.push(lsn, op.clone());
-                }
-            });
-            if rt.fail_stop(replayed).is_none() {
-                return Vec::new();
+        let Some((first, last)) = self.cq.span() else { return Vec::new() };
+        let before = Lsn::from_u64(first.as_u64() - 1);
+        self.read_groups(rt, before, last, true).unwrap_or_default()
+    }
+
+    /// Read `(from, to]` back from the log and cut it into groups, each
+    /// op naming the client its queued copy names (a decoded op names
+    /// none). The queue and the replay both run in LSN order, so one
+    /// walk beside the replay matches them by full LSN. `queued_only`
+    /// drops the writes the queue does not hold. `None` once an
+    /// unreadable log has poisoned the node.
+    fn read_groups(
+        &self,
+        rt: &mut Runtime<'_>,
+        from: Lsn,
+        to: Lsn,
+        queued_only: bool,
+    ) -> Option<Vec<Group>> {
+        let mut cutter = RunCutter::default();
+        let mut queued = self.cq.iter().peekable();
+        let replayed = rt.wal.replay(self.range, from, to, |lsn, op| {
+            while queued.next_if(|pw| pw.lsn < lsn).is_some() {}
+            match queued.next_if(|pw| pw.lsn == lsn) {
+                Some(pw) => cutter.push(lsn, WriteOp { origin: pw.op.origin, ..op.clone() }),
+                None if !queued_only => cutter.push(lsn, op.clone()),
+                None => {}
             }
-        }
-        pending.finish()
+        });
+        rt.fail_stop(replayed)?;
+        Some(cutter.finish())
     }
 
     /// Ship `(f_cmt, l.cmt]` from the log, or — the log rolled over —

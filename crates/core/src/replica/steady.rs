@@ -114,8 +114,11 @@ impl RangeReplica {
         // The op moves into the queue, where conditional checks see it
         // from now on; the flush moves it on into the group propose,
         // which the log record, the messages and the queue then share.
-        let op = PendingOp::Own(WriteOp { key, cells, timestamp: ts });
-        self.cq.insert(PendingWrite { lsn, op, client: Some((from, req.req)) }, false);
+        // The waiting client rides along, so whoever commits the write —
+        // we, or a follower that takes over from us — can answer it.
+        let origin = Some((from, req.req));
+        let op = PendingOp::Own(WriteOp { key, cells, timestamp: ts, origin });
+        self.cq.insert(PendingWrite { lsn, op }, false);
         self.unproposed.push(lsn);
         // Group propose (Fig. 4, amortized): while a flush's force is in
         // flight, later writes accumulate and ship as ONE log record, ONE
@@ -169,7 +172,6 @@ impl RangeReplica {
             let pw = PendingWrite {
                 lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
                 op: PendingOp::Shared { batch: ops.clone(), index },
-                client: None,
             };
             self.cq.insert(pw, self_forced);
         }
@@ -336,8 +338,10 @@ impl RangeReplica {
     }
 
     /// Leader: drain every write that now has its own force + a quorum of
-    /// acks, in LSN order; apply, reply to clients. Reports drained
-    /// split/merge barriers and takeover completion to the node runtime.
+    /// acks, in LSN order; apply, and answer the client each op names —
+    /// also for a write a predecessor accepted, whose client a takeover
+    /// found on its queue. Reports drained split/merge barriers and
+    /// takeover completion to the node runtime.
     pub(crate) fn try_commit(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) -> FollowUp {
         let mut fu = FollowUp::default();
         if !self.role.leads() {
@@ -348,13 +352,12 @@ impl RangeReplica {
         for pw in self.cq.drain_committable(self.last_committed, needed_acks) {
             self.store.apply(&pw.op, pw.lsn);
             self.last_committed = pw.lsn;
-            if let Some((addr, req)) = pw.client {
+            if let Some((addr, req)) = pw.op.origin {
                 // The commit timestamp rides the ack: the client learns
-                // exactly which snapshot cuts include this write.
-                out.reply(
-                    addr,
-                    ClientReply::WriteOk { req, version: pw.lsn.as_u64(), ts: pw.op.timestamp },
-                );
+                // exactly which snapshot cuts include this write, and
+                // which node leads.
+                let (version, ts, leader) = (pw.lsn.as_u64(), pw.op.timestamp, rt.id);
+                out.reply(addr, ClientReply::WriteOk { req, version, ts, leader });
             }
         }
         // Release held conditional-write rejections whose observed

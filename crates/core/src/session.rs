@@ -9,10 +9,11 @@
 //! * **routing** — keys route through the session's cached range table;
 //!   strong ops (and snapshot pins) go to the cached cohort leader,
 //!   timeline reads and pinned snapshot pages to a random replica;
-//! * **redirects** — `NotLeader` hints are learned, `WrongRange`
-//!   refreshes the table (splits, merges, and cohort moves re-route
-//!   live traffic), leader guesses rotate modulo the range's **actual
-//!   cohort size**;
+//! * **redirects** — `NotLeader` hints are learned, and so is the
+//!   leader every `WriteOk` names (after a failover, the successor that
+//!   answered for its predecessor); `WrongRange` refreshes the table
+//!   (splits, merges, and cohort moves re-route live traffic), leader
+//!   guesses rotate modulo the range's **actual cohort size**;
 //! * **scan continuation** — a logical scan fans across every range it
 //!   crosses: each reply's continuation key becomes the next page's
 //!   cursor, re-routed through the (possibly refreshed) table, so the
@@ -61,14 +62,13 @@
 //! assert_eq!(wire.req, req);
 //!
 //! // ... the leader commits and replies; the session resolves the call.
-//! let reply = ClientReply::WriteOk { req, version: 99, ts: 1234 };
+//! let reply = ClientReply::WriteOk { req, version: 99, ts: 1234, leader: node };
 //! match session.on_reply(reply, || None) {
 //!     SessionStep::Done { call: done, outcome: CallOutcome::Written { version, ts } } => {
 //!         assert_eq!((done, version, ts), (call, 99, 1234));
 //!     }
 //!     other => panic!("unexpected step: {other:?}"),
 //! }
-//! # let _ = node;
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
@@ -365,6 +365,8 @@ impl Session {
         *e = (*e + 1) % len;
     }
 
+    /// Route `range`'s strong ops to `node` from now on; a node outside
+    /// the cached cohort changes nothing.
     fn learn_leader(&mut self, range: RangeId, node: u32) {
         if let Some(idx) = self.cohort(range).iter().position(|&n| n == node) {
             self.leader_cache.insert(range, idx);
@@ -457,7 +459,10 @@ impl Session {
             return SessionStep::None; // superseded attempt
         };
         match reply {
-            ClientReply::WriteOk { version, ts, .. } => {
+            ClientReply::WriteOk { version, ts, leader, .. } => {
+                // The committing leader: after a failover, the successor
+                // that answered for its predecessor.
+                self.learn_leader(self.ring.range_of(Self::key_of(&inf)), leader);
                 SessionStep::Done { call: inf.call, outcome: CallOutcome::Written { version, ts } }
             }
             ClientReply::Row { cells, at_ts, .. } => {
@@ -509,8 +514,7 @@ impl Session {
             // between what the session absorbs (routing errors) and what
             // it surfaces (terminal outcomes) is `is_retryable`.
             ClientReply::Err { error: ClientError::NotLeader { hint }, .. } => {
-                let key = self.key_of(&inf);
-                let range = self.ring.range_of(&key);
+                let range = self.ring.range_of(Self::key_of(&inf));
                 match hint {
                     Some(node) => self.learn_leader(range, node),
                     None => self.rotate_leader(range),
@@ -557,9 +561,7 @@ impl Session {
                     _ => false,
                 };
                 if !refreshed {
-                    let key = self.key_of(&inf);
-                    let range = self.ring.range_of(&key);
-                    self.rotate_leader(range);
+                    self.rotate_leader(self.ring.range_of(Self::key_of(&inf)));
                 }
                 let next = self.fresh_req();
                 self.pending.insert(next, inf);
@@ -572,14 +574,15 @@ impl Session {
         }
     }
 
-    fn key_of(&self, inf: &InFlight) -> Key {
+    /// The key an outstanding request routes by.
+    fn key_of(inf: &InFlight) -> &Key {
         match &inf.op {
             SessionCall::Get { key, .. }
             | SessionCall::Put { key, .. }
             | SessionCall::Delete { key, .. }
             | SessionCall::ConditionalPut { key, .. }
-            | SessionCall::ConditionalDelete { key, .. } => key.clone(),
-            SessionCall::Scan { .. } => inf.cursor.clone(),
+            | SessionCall::ConditionalDelete { key, .. } => key,
+            SessionCall::Scan { .. } => &inf.cursor,
         }
     }
 
@@ -588,9 +591,7 @@ impl Session {
     /// `None` when the id is no longer outstanding.
     pub fn on_timeout(&mut self, req: RequestId) -> Option<RequestId> {
         let inf = self.pending.remove(&req)?;
-        let key = self.key_of(&inf);
-        let range = self.ring.range_of(&key);
-        self.rotate_leader(range);
+        self.rotate_leader(self.ring.range_of(Self::key_of(&inf)));
         let next = self.fresh_req();
         self.pending.insert(next, inf);
         Some(next)
@@ -615,8 +616,10 @@ mod tests {
         assert_eq!(s.pending_len(), 2);
         assert_eq!(s.queued_len(), 3);
         // Completing one frees one slot.
-        let step =
-            s.on_reply(ClientReply::WriteOk { req: launched.start, version: 1, ts: 1 }, || None);
+        let step = s.on_reply(
+            ClientReply::WriteOk { req: launched.start, version: 1, ts: 1, leader: 0 },
+            || None,
+        );
         assert!(matches!(step, SessionStep::Done { .. }));
         assert_eq!(s.launch().count(), 1);
     }
@@ -653,14 +656,44 @@ mod tests {
         assert_ne!(old, fresh);
         // The superseded id completes nothing.
         assert!(matches!(
-            s.on_reply(ClientReply::WriteOk { req: old, version: 1, ts: 1 }, || None),
+            s.on_reply(ClientReply::WriteOk { req: old, version: 1, ts: 1, leader: 0 }, || None),
             SessionStep::None
         ));
         // The fresh one does.
         assert!(matches!(
-            s.on_reply(ClientReply::WriteOk { req: fresh, version: 1, ts: 1 }, || None),
+            s.on_reply(ClientReply::WriteOk { req: fresh, version: 1, ts: 1, leader: 0 }, || None),
             SessionStep::Done { .. }
         ));
+    }
+
+    /// The leader a `WriteOk` names — after a failover, the successor
+    /// that answered for its predecessor — takes the next strong op; a
+    /// node outside the cached cohort changes nothing.
+    #[test]
+    fn a_write_ok_routes_the_next_strong_op_to_the_leader_it_names() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut s = Session::new(Ring::with_nodes(3), 1);
+        let mut put_and_route = |s: &mut Session| {
+            s.submit(SessionCall::Put {
+                key: Key::from("k"),
+                cells: vec![(bytes::Bytes::from_static(b"c"), bytes::Bytes::from_static(b"v"))],
+            });
+            let req = s.launch().start;
+            (req, s.wire(req, &mut rng).expect("pending").0)
+        };
+        let (req, first) = put_and_route(&mut s);
+        let cohort = s.ring.cohort(s.ring.range_of(&Key::from("k"))).to_vec();
+        let successor = *cohort.iter().find(|&&n| n != first).expect("a second member");
+        let reply = ClientReply::WriteOk { req, version: 1, ts: 1, leader: successor };
+        assert!(matches!(s.on_reply(reply, || None), SessionStep::Done { .. }));
+        let (req, to) = put_and_route(&mut s);
+        assert_eq!(to, successor, "the named leader takes the next write");
+        let stranger = 99;
+        assert!(!cohort.contains(&stranger));
+        let reply = ClientReply::WriteOk { req, version: 2, ts: 2, leader: stranger };
+        assert!(matches!(s.on_reply(reply, || None), SessionStep::Done { .. }));
+        assert_eq!(put_and_route(&mut s).1, successor, "a node outside the cohort is ignored");
     }
 
     #[test]

@@ -42,13 +42,13 @@ impl Actor<Ev> for ScriptedNode {
     fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
         let Ev::Input(NodeInput::Client { from, req }) = ev else { return };
         self.seen.push((now, req.req));
+        let me = ctx.self_id();
         let reply = match self.script.pop_front().unwrap_or(Answer::Ok) {
-            Answer::Ok => ClientReply::WriteOk { req: req.req, version: 1, ts: 1 },
+            Answer::Ok => ClientReply::WriteOk { req: req.req, version: 1, ts: 1, leader: me },
             Answer::Unavailable => ClientReply::err(req.req, ClientError::Unavailable),
             Answer::WrongRange => ClientReply::err(req.req, ClientError::WrongRange { version: 2 }),
             Answer::Drop => return,
         };
-        let me = ctx.self_id();
         let ev = Ev::Client(ClientEv::Reply(reply));
         self.net.borrow_mut().send(ctx, now, me, from, 64, ev);
     }

@@ -3,6 +3,8 @@
 //! dissolves with a record in the log tail.
 
 use bytes::Bytes;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use spinnaker_common::api::{ClientOp, ClientRequest};
 use spinnaker_common::vfs::{FaultPlan, Vfs};
 use spinnaker_common::{Consistency, Lsn};
@@ -10,6 +12,7 @@ use spinnaker_coord::WatchEvent;
 use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg};
 use spinnaker_core::node::{CohortPaths, NodeConfig, Role};
 use spinnaker_core::partition::{u64_to_key, TABLE_PATH};
+use spinnaker_core::session::{CallOutcome, Session, SessionCall, SessionStep};
 use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
 
 #[path = "support/pump.rs"]
@@ -139,6 +142,64 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
         }
         assert_eq!(p.read(node, 7), None);
     }
+}
+
+/// A successor answers the clients of the tail it commits. Key 5's put
+/// (1.5) is logged by both followers, but every ack is lost and node 0
+/// dies before it commits. The follower that takes over commits 1.5 and
+/// sends the client the `WriteOk` node 0 would have sent — the version
+/// and timestamp node 0 stamped — naming itself; the call completes
+/// once, and the session sends its next write to the successor. At the
+/// parent commit nobody answered, and the client waited out its timer.
+#[test]
+fn a_successor_answers_the_clients_of_the_tail_it_commits() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut session = Session::new(p.ring.clone(), 1);
+    let put = |k: u64| SessionCall::Put {
+        key: u64_to_key(k),
+        cells: vec![(Bytes::from_static(b"c"), Bytes::from(format!("v{k}")))],
+    };
+    let call = session.submit(put(5));
+    let req = session.launch().start;
+    let (to, wire) = session.wire(req, &mut rng).expect("pending");
+    assert_eq!(to, 0, "the session starts at the range's first member");
+    let before = p.replies.len();
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { .. }));
+    p.feed(0, NodeInput::Client { from: CLIENT, req: wire });
+    p.run();
+    assert_eq!(p.node(1).last_lsn(R0), lsn(1, 5), "node 1 logged 1.5");
+    let stamped = p.sent.iter().find_map(|(_, _, m)| match m {
+        PeerMsg::Propose { lsn: first, ops, .. } if *first == lsn(1, 5) => Some(ops[0].clone()),
+        _ => None,
+    });
+    let stamped = stamped.expect("1.5 was proposed");
+    assert_eq!(stamped.origin, Some((CLIENT, req)), "the propose names the waiting client");
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    let ok = ClientReply::WriteOk {
+        req,
+        version: lsn(1, 5).as_u64(),
+        ts: stamped.timestamp,
+        leader: leader as u32,
+    };
+    assert_eq!(p.replies[before..], [ok], "the successor answered once, as node 0 would have");
+    let steps: Vec<SessionStep> =
+        p.replies[before..].iter().map(|r| session.on_reply(r.clone(), || None)).collect();
+    match steps.as_slice() {
+        [SessionStep::Done { call: done, outcome: CallOutcome::Written { version, ts } }] => {
+            assert_eq!((*done, *version, *ts), (call, lsn(1, 5).as_u64(), stamped.timestamp));
+        }
+        other => panic!("expected the call done once, got {other:?}"),
+    }
+    session.submit(put(6));
+    let req = session.launch().start;
+    assert_eq!(session.wire(req, &mut rng).expect("pending").0, leader as u32);
+    assert_eq!(p.read(leader, 5), acked(5));
 }
 
 /// ROADMAP 7d. A follower whose log refuses an append must not

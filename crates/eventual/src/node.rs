@@ -444,6 +444,7 @@ impl EventualNode {
                     value: w.value.clone(),
                 }],
                 timestamp: w.timestamp,
+                origin: None,
             };
             let me = self.id;
             for target in repairs {

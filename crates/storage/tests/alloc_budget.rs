@@ -174,7 +174,10 @@ fn cached_store(rows: u64, cols: usize, name_len: usize, value_len: usize) -> Ra
                 value: Bytes::from(vec![b'v'; value_len]),
             })
             .collect();
-        store.apply(&WriteOp { key: key(i), cells, timestamp: 1_000 + i }, Lsn::new(1, i + 1));
+        store.apply(
+            &WriteOp { key: key(i), cells, timestamp: 1_000 + i, origin: None },
+            Lsn::new(1, i + 1),
+        );
     }
     store.flush().unwrap();
     store

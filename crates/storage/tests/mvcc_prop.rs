@@ -242,7 +242,7 @@ proptest! {
         // timestamp 1, so the first check reads a stored row at 0, where
         // nothing of it is visible, and a tombstone head from 1 on.
         let (mut ts, mut floor) = (1u64, 0u64);
-        let prelude = WriteOp { key: key_of(6), cells: cells_of(&[(0, Some(7)), (1, None)]), timestamp: 1 };
+        let prelude = WriteOp { key: key_of(6), cells: cells_of(&[(0, Some(7)), (1, None)]), timestamp: 1, origin: None };
         store.apply(&prelude, Lsn::new(1, 1));
         let (nothing_visible, tombstone_heads) = check_point_reads(&store, floor, ts);
         prop_assert!(nothing_visible > 0 && tombstone_heads > 0);
@@ -251,7 +251,7 @@ proptest! {
             match step {
                 WideStep::Write { key, cells } => {
                     ts += 1;
-                    let op = WriteOp { key: key_of(key), cells: cells_of(&cells), timestamp: ts };
+                    let op = WriteOp { key: key_of(key), cells: cells_of(&cells), timestamp: ts, origin: None };
                     store.apply(&op, Lsn::new(1, ts));
                 }
                 WideStep::Flush => { store.flush().unwrap(); }

@@ -80,6 +80,7 @@ fn record_of(first: u64, n: u64, cells: usize, value_len: usize) -> LogRecord {
                 })
                 .collect(),
             timestamp: 1_000 + seq,
+            origin: None,
         })
         .collect();
     LogRecord::batch(RangeId(0), Lsn::new(1, first), ops)

@@ -32,7 +32,7 @@ fn pinned_op(seq: u64) -> WriteOp {
             value: Bytes::from(vec![(seq % 251) as u8; 3]),
         });
     }
-    WriteOp { key, cells, timestamp: 1_000 + seq * 3 }
+    WriteOp { key, cells, timestamp: 1_000 + seq * 3, origin: None }
 }
 
 /// The pinned stream: per round and cohort a single write, a 2-op batch,

@@ -115,6 +115,7 @@ proptest! {
                         })
                         .collect(),
                     timestamp: lsn.as_u64() ^ 0x5a,
+                    origin: None,
                 })
                 .collect();
             LogRecord::batch(RangeId(cohort), lsn, ops)
