@@ -462,7 +462,8 @@ impl Session {
             ClientReply::WriteOk { version, ts, leader, .. } => {
                 // The committing leader: after a failover, the successor
                 // that answered for its predecessor.
-                self.learn_leader(self.ring.range_of(Self::key_of(&inf)), leader);
+                let key = self.key_of(&inf);
+                self.learn_leader(self.ring.range_of(&key), leader);
                 SessionStep::Done { call: inf.call, outcome: CallOutcome::Written { version, ts } }
             }
             ClientReply::Row { cells, at_ts, .. } => {
@@ -514,7 +515,8 @@ impl Session {
             // between what the session absorbs (routing errors) and what
             // it surfaces (terminal outcomes) is `is_retryable`.
             ClientReply::Err { error: ClientError::NotLeader { hint }, .. } => {
-                let range = self.ring.range_of(Self::key_of(&inf));
+                let key = self.key_of(&inf);
+                let range = self.ring.range_of(&key);
                 match hint {
                     Some(node) => self.learn_leader(range, node),
                     None => self.rotate_leader(range),
@@ -561,7 +563,9 @@ impl Session {
                     _ => false,
                 };
                 if !refreshed {
-                    self.rotate_leader(self.ring.range_of(Self::key_of(&inf)));
+                    let key = self.key_of(&inf);
+                    let range = self.ring.range_of(&key);
+                    self.rotate_leader(range);
                 }
                 let next = self.fresh_req();
                 self.pending.insert(next, inf);
@@ -574,15 +578,14 @@ impl Session {
         }
     }
 
-    /// The key an outstanding request routes by.
-    fn key_of(inf: &InFlight) -> &Key {
+    fn key_of(&self, inf: &InFlight) -> Key {
         match &inf.op {
             SessionCall::Get { key, .. }
             | SessionCall::Put { key, .. }
             | SessionCall::Delete { key, .. }
             | SessionCall::ConditionalPut { key, .. }
-            | SessionCall::ConditionalDelete { key, .. } => key,
-            SessionCall::Scan { .. } => &inf.cursor,
+            | SessionCall::ConditionalDelete { key, .. } => key.clone(),
+            SessionCall::Scan { .. } => inf.cursor.clone(),
         }
     }
 
@@ -591,7 +594,9 @@ impl Session {
     /// `None` when the id is no longer outstanding.
     pub fn on_timeout(&mut self, req: RequestId) -> Option<RequestId> {
         let inf = self.pending.remove(&req)?;
-        self.rotate_leader(self.ring.range_of(Self::key_of(&inf)));
+        let key = self.key_of(&inf);
+        let range = self.ring.range_of(&key);
+        self.rotate_leader(range);
         let next = self.fresh_req();
         self.pending.insert(next, inf);
         Some(next)

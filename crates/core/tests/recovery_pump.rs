@@ -373,6 +373,7 @@ fn a_leader_that_cannot_read_its_pending_writes_fail_stops() {
 #[test]
 fn a_propose_lost_to_every_follower_is_sent_again() {
     let mut p = Pump::new();
+    p.expect_errors = true;
     p.put_all(0, 1..=4);
     p.commit_tick(0);
     p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Propose { .. }));
@@ -583,6 +584,60 @@ fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
     let leader = p.leader_of(merged);
     for k in 1..=8 {
         assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+}
+
+/// (iv) A split follower whose watermark is *ahead* of the barrier
+/// claims the barrier and re-homes what it committed past it. Range 0's
+/// replica moves from its leader, node 0, to node 3 while key 5's put
+/// (1.5) is in flight: the joiner misses the propose (and its re-send),
+/// confirms its catch-up at 1.4, and the leader's next commit message
+/// names 1.5 committed while naming nothing newer than 1.4 as sent, so
+/// the joiner does not notice the hole. The hand-off then makes node 3
+/// the leader one committed write short (the open defect of ROADMAP item
+/// 1(h)), and its split's barrier, 1.4, is below the watermark 1.5 of
+/// both followers: each claims 1.4 for the children and re-homes 1.5
+/// into the left child's stream. No nemesis seed reaches this branch
+/// since lost proposes are sent again (seed 166 did before).
+#[test]
+fn a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it() {
+    let mut p = Pump::<4>::settled(eager_gc());
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| {
+        let lost_propose = matches!(m, PeerMsg::Propose { lsn, .. } if lsn.seq() == 5);
+        (to == 3 && lost_propose) || matches!(m, PeerMsg::CaughtUp { .. })
+    });
+    p.feed(0, NodeInput::MoveReplica { range: R0, from: 0, to: 3 });
+    let put = p.put(0, 5);
+    p.run();
+    assert!(p.written.contains(&put), "1.5 committed without the joiner");
+    let caught_up = p.sent.iter().rev().find_map(|(from, to, m)| {
+        (*from == 3 && *to == 0 && matches!(m, PeerMsg::CaughtUp { .. })).then(|| m.clone())
+    });
+    let caught_up = caught_up.expect("the joiner confirmed its catch-up");
+    p.lose = Box::new(|_, _, _| false);
+    p.commit_tick(0);
+    for f in [1, 2] {
+        assert_eq!(p.node(f).last_committed(R0), lsn(1, 5));
+    }
+    assert_eq!(p.node(3).last_lsn(R0), lsn(1, 4), "the joiner never noticed 1.5");
+    p.feed(0, NodeInput::Peer { from: 3, msg: caught_up });
+    p.run();
+    assert_eq!(p.leader_of(R0), 3, "the hand-off made the joiner the leader");
+    assert_eq!(p.node(3).last_committed(R0), lsn(1, 4));
+    p.feed(3, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
+    p.run();
+    let left = p.range_of(1, 5);
+    assert!(left != R0 && p.range_of(1, 7) != left, "range 0 split");
+    for f in [1, 2] {
+        assert_eq!(p.stream(f, left, lsn(1, 4)), vec![(lsn(1, 5), u64_to_key(5))], "node {f}");
+        assert_eq!(
+            p.node(f).dissolve_coverage().get(DissolveEntry::SplitMsg, ClaimKind::Full),
+            TailCounts { empty: 1, rehomed: 1, records: 1 },
+            "node {f}"
+        );
     }
 }
 

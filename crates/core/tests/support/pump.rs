@@ -7,7 +7,8 @@
 //!
 //! - [`Pump::new`] (or [`Pump::with_cfg`]) gives three booted nodes with
 //!   node 0 leading range 0 in epoch 1; [`Pump::unsettled`] three nodes
-//!   nobody started.
+//!   nobody started. `Pump::<4>::settled` boots four, so that one node
+//!   (node 3) is outside range 0's cohort.
 //! - [`Pump::feed`] and [`Pump::run`] deliver and route: peer sends are
 //!   queued unless [`Pump::lose`] drops them, force requests complete at
 //!   once unless [`Pump::hold_forces`] withholds them, coordination
@@ -48,9 +49,7 @@ use spinnaker_common::vfs::{FaultPlan, FaultVfs, MemVfs};
 use spinnaker_common::{Consistency, Key, Lsn, RangeId};
 use spinnaker_coord::{Coord, CreateMode, Delivery, SessionId};
 use spinnaker_core::coordcli::CoordClient;
-use spinnaker_core::messages::{
-    ClientError, ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind,
-};
+use spinnaker_core::messages::{ClientReply, Effect, NodeInput, Outbox, PeerMsg, TimerKind};
 use spinnaker_core::node::{get_request, put_request, Node, NodeConfig, Role};
 use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
 
@@ -77,7 +76,9 @@ pub struct Proposing {
     pub since: usize,
 }
 
-pub struct Pump {
+/// `N` nodes (three unless a test needs a node outside range 0's
+/// cohort, say to move a replica to).
+pub struct Pump<const N: usize = 3> {
     coord: Rc<RefCell<Coord>>,
     bus: Rc<RefCell<Vec<Delivery>>>,
     pub ring: Ring,
@@ -93,22 +94,25 @@ pub struct Pump {
     pub queue: VecDeque<(usize, NodeInput)>,
     pub lose: Lose,
     /// Nodes whose force completions are withheld (and lost in a crash).
-    pub hold_forces: [bool; 3],
+    pub hold_forces: [bool; N],
     /// Nodes that hear nothing from the coordination service.
-    pub hold_events: [bool; 3],
+    pub hold_events: [bool; N],
     /// Every peer message delivered or lost, in send order.
     pub sent: Vec<(usize, usize, PeerMsg)>,
     /// Request ids acknowledged with `WriteOk`.
     pub written: Vec<u64>,
     /// Every client reply, in send order.
     pub replies: Vec<ClientReply>,
+    /// Whether an error reply is only recorded in [`Pump::replies`], for
+    /// the test to check; by default one panics.
+    pub expect_errors: bool,
     /// The row of the last answered get.
     last_row: Option<Vec<u8>>,
     /// Gets and scan pages answered (with whatever content).
     pub reads_answered: usize,
     pub next_req: u64,
     /// Allocations made inside `on_input`, per node.
-    pub allocs: [u64; 3],
+    pub allocs: [u64; N],
     /// The routed inputs that sent proposes, in delivery order.
     pub proposing: Vec<Proposing>,
     /// Handed to every `on_input` and taken back once routed.
@@ -122,8 +126,20 @@ impl Pump {
     }
 
     pub fn with_cfg(cfg: NodeConfig) -> Pump {
+        Pump::settled(cfg)
+    }
+
+    /// Three nodes built from empty disks, none of them started.
+    pub fn unsettled() -> Pump {
+        Pump::built(NodeConfig::default())
+    }
+}
+
+impl<const N: usize> Pump<N> {
+    /// `N` nodes booted and settled: node 0 leads range 0 in epoch 1.
+    pub fn settled(cfg: NodeConfig) -> Pump<N> {
         let mut pump = Pump::built(cfg);
-        for node in 0..3 {
+        for node in 0..N {
             pump.queue.push_back((node, NodeInput::Start));
         }
         pump.run();
@@ -132,33 +148,29 @@ impl Pump {
         pump
     }
 
-    /// Three nodes built from empty disks, none of them started.
-    pub fn unsettled() -> Pump {
-        Pump::built(NodeConfig::default())
-    }
-
-    fn built(cfg: NodeConfig) -> Pump {
+    fn built(cfg: NodeConfig) -> Pump<N> {
         let mut pump = Pump {
             coord: Rc::new(RefCell::new(Coord::new())),
             bus: Rc::new(RefCell::new(Vec::new())),
-            ring: Ring::with_nodes(3),
+            ring: Ring::with_nodes(N),
             cfg,
-            disks: (0..3).map(|_| MemVfs::new()).collect(),
-            faults: (0..3).map(|_| FaultPlan::new()).collect(),
-            store_faults: (0..3).map(|_| FaultPlan::new()).collect(),
-            nodes: vec![None, None, None],
+            disks: (0..N).map(|_| MemVfs::new()).collect(),
+            faults: (0..N).map(|_| FaultPlan::new()).collect(),
+            store_faults: (0..N).map(|_| FaultPlan::new()).collect(),
+            nodes: (0..N).map(|_| None).collect(),
             sessions: BTreeMap::new(),
             queue: VecDeque::new(),
             lose: Box::new(|_, _, _| false),
-            hold_forces: [false; 3],
-            hold_events: [false; 3],
+            hold_forces: [false; N],
+            hold_events: [false; N],
             sent: Vec::new(),
             written: Vec::new(),
             replies: Vec::new(),
+            expect_errors: false,
             last_row: None,
             reads_answered: 0,
             next_req: 1,
-            allocs: [0; 3],
+            allocs: [0; N],
             proposing: Vec::new(),
             out: Outbox::default(),
         };
@@ -171,7 +183,7 @@ impl Pump {
             let table = pump.ring.encode_to_vec();
             coord.create(session, TABLE_PATH, table, CreateMode::Persistent).unwrap();
         }
-        for node in 0..3 {
+        for node in 0..N {
             pump.open(node);
         }
         pump
@@ -261,7 +273,7 @@ impl Pump {
                                 cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
                         }
                         ClientReply::Rows { .. } => self.reads_answered += 1,
-                        ClientReply::Err { error: ClientError::VersionMismatch { .. }, .. } => {}
+                        ClientReply::Err { .. } if self.expect_errors => {}
                         other => panic!("unexpected reply {other:?}"),
                     }
                     self.replies.push(reply);
@@ -320,7 +332,7 @@ impl Pump {
     pub fn leader_of(&self, range: RangeId) -> usize {
         let leads =
             |i: &usize| self.nodes[*i].as_ref().is_some_and(|n| n.role(range) == Role::Leader);
-        (0..3).find(leads).unwrap_or_else(|| panic!("{range} has a leader"))
+        (0..N).find(leads).unwrap_or_else(|| panic!("{range} has a leader"))
     }
 
     /// The maintenance tick (with `gc_quiesce` 0 it also collects what

@@ -49,8 +49,10 @@ fn pinned_seeds_stay_clean() {
     //      move's hand-off made a leader of a joiner one write short)
     //      re-homed the record past the barrier into the children, until
     //      lost proposes were re-sent: the joiner catches up now. No seed
-    //      in 1..9000 reaches that re-home any more, so it is not
-    //      asserted below (ROADMAP 1h); the seed stays as coverage.
+    //      in 1..9000 reaches that re-home any more, so the pump test
+    //      `a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it`
+    //      (crates/core/tests/recovery_pump.rs) asserts it instead of the
+    //      check below; the seed stays as coverage.
     // 167: the table-driven reconcile re-homes a tail record into a
     //      child it claims at its own watermark.
     let mut dissolves = DissolveCoverage::default();
