@@ -685,6 +685,7 @@ impl Node {
         let Some(rep) = self.replicas.get_mut(&range) else {
             return;
         };
+        let was_electing = rep.role == Role::Electing;
         let fu = match msg {
             PeerMsg::Propose { epoch, lsn, ops, committed, closed_ts, .. } => {
                 rep.on_propose(&mut rt, from, epoch, lsn, ops, committed, closed_ts, out);
@@ -717,6 +718,14 @@ impl Node {
             | PeerMsg::MergeAbort { .. }
             | PeerMsg::Merge { .. } => FollowUp::default(),
         };
+        // A candidate that learns the winner from its first message, not
+        // from the election, watches the winner's znode as any follower
+        // does: it must stand again when that leader dies.
+        let role = self.replicas.get(&range).map(|r| r.role);
+        if was_electing && matches!(role, Some(Role::Follower | Role::CatchingUp)) {
+            // spinlint: allow(E1) -- exists fails only on a malformed path
+            let _ = self.coord.exists_watch(&CohortPaths::new(range).leader);
+        }
         self.follow_up(now, range, fu, out);
     }
 

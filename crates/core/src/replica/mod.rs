@@ -263,6 +263,9 @@ pub struct RangeReplica {
     /// Last commit-note LSN logged (so idle periods log nothing new).
     pub(crate) last_note: Lsn,
     pub(crate) candidate_path: Option<String>,
+    /// The cohort's epoch when this replica last entered an election:
+    /// candidacies from before it are left over from earlier rounds.
+    pub(crate) round: Epoch,
     pub(crate) takeover: Option<Takeover>,
     /// Client writes buffered while takeover runs or while a split/merge
     /// drains the commit queue toward its barrier.
@@ -349,6 +352,7 @@ impl RangeReplica {
             last_committed: Lsn::ZERO,
             last_note: Lsn::ZERO,
             candidate_path: None,
+            round: 0,
             takeover: None,
             blocked_writes: Vec::new(),
             deferred_mismatches: Vec::new(),

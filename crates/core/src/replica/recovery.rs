@@ -112,9 +112,11 @@ impl RangeReplica {
             // spinlint: allow(E1) -- gone already, or our expired session took it
             let _ = rt.coord.delete(&old);
         }
-        // Fig. 7 line 4: advertise n.lst in a sequential ephemeral znode.
+        // Fig. 7 line 4: advertise n.lst in a sequential ephemeral znode,
+        // with the epoch this round elects a successor to.
         let lst = rt.wal.state(self.range).last_lsn;
-        let data = format!("{}:{}", rt.id, lst.as_u64());
+        self.round = rt.coord.read_epoch(&paths.epoch);
+        let data = format!("{}:{}:{}", rt.id, lst.as_u64(), self.round);
         // On session trouble the election timer retries.
         let prefix = format!("{}/c-", paths.candidates);
         if let Ok(path) = rt.coord.create_ephemeral_sequential(&prefix, data.into_bytes()) {
@@ -133,6 +135,7 @@ impl RangeReplica {
         let paths = CohortPaths::new(self.range);
         self.role = Role::Electing;
         self.leader = None;
+        self.round = rt.coord.read_epoch(&paths.epoch);
         // spinlint: allow(E1) -- check_election repeats it; the retry timer re-drives
         let _ = rt.coord.get_children_watch(&paths.candidates);
         out.set_timer(TimerKind::ElectionRetry, ELECTION_RETRY);
@@ -151,11 +154,18 @@ impl RangeReplica {
         };
         // Candidate entries: (lst desc, seq asc) per node id (a node may
         // briefly have a stale entry from an earlier round; keep its best).
+        // A candidate deletes its znode only when it next stands, so one
+        // that stood in an earlier round and has logged since still shows
+        // its old `lst`: counting it could elect a leader short of a
+        // committed write. Only candidacies of this round's epoch count.
         let mut best: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
         for child in &children {
             let full = format!("{}/{child}", paths.candidates);
             let Ok((data, stat)) = rt.coord.get_data(&full) else { continue };
-            let Some((node, lst)) = parse_candidate(&data) else { continue };
+            let Some((node, lst, round)) = parse_candidate(&data) else { continue };
+            if round < self.round {
+                continue;
+            }
             let seq = stat.sequence.unwrap_or(u64::MAX);
             let entry = best.entry(node).or_insert((lst, seq));
             if lst > entry.0 || (lst == entry.0 && seq < entry.1) {
@@ -668,8 +678,9 @@ impl RangeReplica {
     }
 }
 
-fn parse_candidate(data: &[u8]) -> Option<(NodeId, u64)> {
+fn parse_candidate(data: &[u8]) -> Option<(NodeId, u64, Epoch)> {
     let s = std::str::from_utf8(data).ok()?;
-    let (node, lst) = s.split_once(':')?;
-    Some((node.parse().ok()?, lst.parse().ok()?))
+    let (node, rest) = s.split_once(':')?;
+    let (lst, round) = rest.split_once(':')?;
+    Some((node.parse().ok()?, lst.parse().ok()?, round.parse().ok()?))
 }

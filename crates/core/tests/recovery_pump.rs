@@ -53,30 +53,31 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     assert_eq!(p.node(1).last_lsn(R0), lsn(1, 6));
 
     // Epoch 2: node 2 hears of the death late (its 1.7 would win it the
-    // election), so node 1 takes over. Node 2 catches up and
-    // acknowledges [1.5, 1.6]; every commit message to it is lost.
+    // election), and node 0 restarts at once without 1.7, never forced:
+    // nodes 0 and 1 stand with 1.6 and node 0, the range's home, takes
+    // over. Node 2 catches up and acknowledges [1.5, 1.6]; every commit
+    // message to it is lost.
     p.hold_events[2] = true;
     p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }));
     p.crash(0);
     p.hold_forces[0] = false;
-    p.run();
-    assert_eq!(p.role(1), Role::Leader);
-    assert_eq!(p.node(1).epoch_of(R0), 2);
-    assert_eq!(p.role(2), Role::Follower);
-    assert_eq!(p.node(2).last_committed(R0), lsn(1, 4), "node 2 never saw a commit past 1.4");
     p.boot(0);
     p.run();
+    assert_eq!(p.role(0), Role::Leader);
+    assert_eq!(p.node(0).epoch_of(R0), 2);
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 4), "node 2 never saw a commit past 1.4");
     // 2.7 and 2.8: node 2 logs them over its orphan, vouched for by the
-    // re-proposals still in its queue. Node 0 misses 2.8.
+    // re-proposals still in its queue. Node 1 misses 2.8.
     let asked = p.node(2).catchup_requests(R0);
-    p.put_all(1, 8..=8);
+    p.put_all(0, 8..=8);
     p.lose = Box::new(|_, to, m| {
         (to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }))
-            || (to == 0 && matches!(m, PeerMsg::Propose { range: R0, .. }))
+            || (to == 1 && matches!(m, PeerMsg::Propose { range: R0, .. }))
     });
-    p.put_all(1, 9..=9);
+    p.put_all(0, 9..=9);
     assert_eq!(p.node(2).last_lsn(R0), lsn(2, 8));
-    assert_eq!(p.node(0).last_lsn(R0), lsn(2, 7));
+    assert_eq!(p.node(1).last_lsn(R0), lsn(2, 7));
     assert_eq!(p.node(2).catchup_requests(R0), asked, "no catch-up across the epoch boundary");
 
     // Node 2 restarts and catches up through 2.8, which truncates 1.7 —
@@ -92,18 +93,18 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     p.crash(2);
     p.hold_forces[2] = false;
 
-    // Epoch 3: node 1 dies while node 2 is down. Node 2 comes back to a
+    // Epoch 3: node 0 dies while node 2 is down. Node 2 comes back to a
     // cohort without a leader, stands with what its disk says, and wins
-    // on 2.8 against node 0's 2.7.
+    // on 2.8 against node 1's 2.7.
     p.lose = Box::new(|_, _, _| false);
     let takeover_from = p.sent.len();
-    p.crash(1);
+    p.crash(0);
     p.boot(2);
     p.run();
     assert_eq!(p.role(2), Role::Leader);
     assert_eq!(p.node(2).epoch_of(R0), 3);
     assert_eq!(
-        p.proposes(takeover_from, 2, 0),
+        p.proposes(takeover_from, 2, 1),
         vec![(lsn(1, 5), 2), (lsn(2, 7), 2)],
         "one group per epoch, cut at the truncated 1.7"
     );
@@ -111,15 +112,15 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     assert_eq!(
         p.count_sent(takeover_from, 2, |m| matches!(m, PeerMsg::Commit { range: R0, .. })),
         1,
-        "the opening commit, to node 0"
+        "the opening commit, to node 1"
     );
-    assert_eq!(p.node(0).last_committed(R0), lsn(2, 8));
+    assert_eq!(p.node(1).last_committed(R0), lsn(2, 8));
 
     // Every acknowledged write is readable at the new leader and, after
     // a commit period, at the followers; the orphan was never
     // acknowledged and is gone.
     assert!(!p.written.contains(&orphan));
-    p.boot(1);
+    p.boot(0);
     p.run();
     p.put_all(2, 10..=10);
     p.commit_tick(2);
@@ -1123,10 +1124,12 @@ fn a_leader_watch_rearmed_after_the_znode_is_gone_still_elects() {
     p.hold_events = [false; 3];
     assert_eq!(p.role(1), Role::Follower);
     assert_eq!(p.role(2), Role::Follower);
-    // The stale notification arrives at one follower after the znode is
+    // The stale notification arrives at each follower after the znode is
     // gone.
     let leader = CohortPaths::new(R0).leader;
-    p.feed(1, NodeInput::Coord(WatchEvent::DataChanged(leader)));
+    for f in [1, 2] {
+        p.feed(f, NodeInput::Coord(WatchEvent::DataChanged(leader.clone())));
+    }
     p.run();
     let elected = (1..3).find(|&i| p.role(i) == Role::Leader);
     assert!(elected.is_some(), "the cohort elected a leader after the stale event");
@@ -1134,5 +1137,40 @@ fn a_leader_watch_rearmed_after_the_znode_is_gone_still_elects() {
     assert_eq!(p.node(leader).epoch_of(R0), 2);
     for k in 1..=3 {
         assert_eq!(p.read(leader, k), acked(k), "key {k}");
+    }
+}
+
+/// A candidacy left over from an earlier round does not count toward the
+/// next one. Every node stands in the boot election, and a candidate
+/// deletes its znode only when it next stands, so after the boot round
+/// node 2's znode still says `lst` 0. Node 2 then logs 1.4 (its ack
+/// commits it; node 1 never sees the propose), and the leader dies
+/// before node 2 hears of it. At the parent commit node 1 stood with
+/// 1.3, counted node 2's boot-time znode toward the majority, won, and
+/// truncated the acknowledged 1.4 out of node 2's log (nemesis seed 346
+/// lost a write so). A candidacy names the epoch it stands in, and a
+/// candidate counts only those of its own epoch or later: node 1 waits
+/// for node 2 to stand, and node 2, holding 1.4, wins.
+#[test]
+fn a_candidacy_from_an_earlier_round_does_not_count() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=3);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| to == 1 && matches!(m, PeerMsg::Propose { .. }));
+    p.put_all(0, 4..=4);
+    p.lose = Box::new(|_, _, _| false);
+    assert_eq!((p.node(1).last_lsn(R0), p.node(2).last_lsn(R0)), (lsn(1, 3), lsn(1, 4)));
+    p.hold_events[2] = true;
+    p.crash(0);
+    p.run();
+    assert_eq!(p.role(1), Role::Electing, "node 1 waits for node 2's candidacy");
+    // Node 2 hears of the leader's death late, and stands.
+    p.hold_events[2] = false;
+    p.feed(2, NodeInput::Coord(WatchEvent::Deleted(CohortPaths::new(R0).leader)));
+    p.run();
+    assert_eq!(p.leader_of(R0), 2, "the candidate holding 1.4 wins");
+    assert_eq!(p.role(1), Role::Follower);
+    for k in 1..=4 {
+        assert_eq!(p.read(2, k), acked(k), "key {k}");
     }
 }
