@@ -152,12 +152,13 @@ impl RangeReplica {
         let Ok(children) = rt.coord.get_children_watch(&paths.candidates) else {
             return;
         };
-        // Candidate entries: (lst desc, seq asc) per node id (a node may
-        // briefly have a stale entry from an earlier round; keep its best).
+        // Candidate entries: (lst desc, seq asc) per node id (a node that
+        // stood twice in one epoch may briefly have two; keep its best).
         // A candidate deletes its znode only when it next stands, so one
         // that stood in an earlier round and has logged since still shows
         // its old `lst`: counting it could elect a leader short of a
-        // committed write. Only candidacies of this round's epoch count.
+        // committed write. Only candidacies of this round's epoch, or a
+        // later one, count.
         let mut best: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
         for child in &children {
             let full = format!("{}/{child}", paths.candidates);

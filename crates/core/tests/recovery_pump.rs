@@ -1144,13 +1144,13 @@ fn a_leader_watch_rearmed_after_the_znode_is_gone_still_elects() {
 /// next one. Every node stands in the boot election, and a candidate
 /// deletes its znode only when it next stands, so after the boot round
 /// node 2's znode still says `lst` 0. Node 2 then logs 1.4 (its ack
-/// commits it; node 1 never sees the propose), and the leader dies
-/// before node 2 hears of it. At the parent commit node 1 stood with
-/// 1.3, counted node 2's boot-time znode toward the majority, won, and
-/// truncated the acknowledged 1.4 out of node 2's log (nemesis seed 346
-/// lost a write so). A candidacy names the epoch it stands in, and a
-/// candidate counts only those of its own epoch or later: node 1 waits
-/// for node 2 to stand, and node 2, holding 1.4, wins.
+/// commits it; node 1 never sees the propose), and the leader dies;
+/// node 2 hears of it late. At the parent commit node 1 stood with 1.3,
+/// counted node 2's boot-time znode toward the majority, won, and served
+/// the acknowledged key 4 as absent (nemesis seed 346 lost a write so).
+/// A candidacy names the cohort's epoch when it stood, and a candidate
+/// counts only those of its own epoch or later: node 1 waits for node 2
+/// to stand, and node 2, holding 1.4, wins.
 #[test]
 fn a_candidacy_from_an_earlier_round_does_not_count() {
     let mut p = Pump::new();
