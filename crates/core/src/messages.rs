@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Row, WriteOp};
+use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Row, Timestamp, WriteOp};
 use spinnaker_coord::WatchEvent;
 use spinnaker_storage::StoreSnapshot;
 
@@ -115,6 +115,10 @@ pub enum PeerMsg {
         /// Row fragments from SSTables when log records were garbage
         /// collected (§6.1: "the appropriate SSTable is located and sent").
         fragments: Vec<(Key, Row)>,
+        /// The leader's MVCC garbage-collection floor: `fragments` were
+        /// pruned at it, so a follower that ingests them first raises its
+        /// own floor to it (`u64::MAX` = never armed).
+        gc_floor: Timestamp,
         /// Everything up to this LSN is committed once applied.
         up_to: Lsn,
     },

@@ -704,8 +704,10 @@ impl Node {
                 rep.on_catchup_req(&mut rt, from, f_cmt, out);
                 FollowUp::default()
             }
-            PeerMsg::CatchupRecords { epoch, records, fragments, up_to, .. } => {
-                rep.on_catchup_records(&mut rt, from, epoch, records, fragments, up_to, out);
+            PeerMsg::CatchupRecords { epoch, records, fragments, gc_floor, up_to, .. } => {
+                rep.on_catchup_records(
+                    &mut rt, from, epoch, records, fragments, gc_floor, up_to, out,
+                );
                 FollowUp::default()
             }
             PeerMsg::CaughtUp { .. } => rep.on_caught_up(&mut rt, from, out),

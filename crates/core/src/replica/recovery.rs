@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, WriteOp};
+use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, Timestamp, WriteOp};
 use spinnaker_wal::LogRecord;
 
 use super::{group_last, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter};
@@ -548,6 +548,7 @@ impl RangeReplica {
             epoch: self.epoch,
             records,
             fragments,
+            gc_floor: self.store.gc_floor(),
             up_to,
         };
         out.send(follower, msg);
@@ -563,6 +564,7 @@ impl RangeReplica {
         epoch: Epoch,
         records: Vec<(Lsn, WriteOp)>,
         fragments: Vec<(Key, Row)>,
+        gc_floor: Timestamp,
         up_to: Lsn,
         out: &mut Outbox,
     ) {
@@ -624,6 +626,10 @@ impl RangeReplica {
             self.store.apply(op, *lsn);
         }
         if !fragments.is_empty() {
+            // The leader's compaction pruned the fragments at its floor:
+            // below it, what this store would serve is a mix of its own
+            // old versions and the leader's new ones.
+            self.store.set_gc_floor(gc_floor);
             for (key, frag) in &fragments {
                 self.store.ingest_fragment(key, frag);
             }

@@ -176,6 +176,7 @@ fn follower_forces_before_acking_a_propose() {
         epoch: 1,
         records: vec![],
         fragments: vec![],
+        gc_floor: u64::MAX,
         up_to: Lsn::ZERO,
     };
     p.step(1, peer(0, nothing));
@@ -278,6 +279,7 @@ fn catchup_records(epoch: u16, from: u64, to: u64) -> PeerMsg {
         epoch,
         records: (from..=to).map(|s| Lsn::new(epoch, s)).zip(ops.iter().cloned()).collect(),
         fragments: vec![],
+        gc_floor: u64::MAX,
         up_to: Lsn::new(epoch, to),
     }
 }

@@ -8,15 +8,19 @@
 //! commit timestamp (piggybacked on `WriteOk`), so the model can decide
 //! membership in the cut exactly: a write belongs iff `ts <= pinned`.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use spinnaker_common::{ClientError, Consistency, Key, RangeId};
-use spinnaker_core::cluster::{ClusterConfig, SimCluster};
-use spinnaker_core::messages::ColumnSelect;
+use spinnaker_core::client::ClientEv;
+use spinnaker_core::cluster::{ClusterConfig, Ev, SimCluster};
+use spinnaker_core::messages::{ClientReply, ClientRequest, ColumnSelect, NodeInput};
+use spinnaker_core::node::get_request;
 use spinnaker_core::partition::u64_to_key;
 use spinnaker_core::session::{CallOutcome, SessionCall};
-use spinnaker_sim::{DiskProfile, MILLIS, SECS};
+use spinnaker_sim::{Actor, Ctx, DiskProfile, ProcId, Time, MILLIS, SECS};
 
 fn quick_cluster(nodes: usize, seed: u64) -> SimCluster {
     let mut cfg = ClusterConfig { nodes, seed, ..Default::default() };
@@ -443,4 +447,96 @@ fn snapshot_reads_below_the_gc_floor_fail_cleanly() {
         }
         other => panic!("fresh pin get: {other:?}"),
     }
+}
+
+/// Hands one request to the node it names, whatever that node's role,
+/// and keeps what the node answers.
+struct Probe {
+    node: ProcId,
+    req: ClientRequest,
+    replies: Rc<RefCell<Vec<ClientReply>>>,
+}
+
+impl Actor<Ev> for Probe {
+    fn on_event(&mut self, _now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Ev::Client(ClientEv::Start) => {
+                let input = NodeInput::Client { from: ctx.self_id(), req: self.req.clone() };
+                ctx.schedule(0, self.node, Ev::Input(input));
+            }
+            Ev::Client(ClientEv::Reply(reply)) => self.replies.borrow_mut().push(reply),
+            _ => {}
+        }
+    }
+}
+
+/// A follower brought level from the leader's *store* (the leader's log
+/// no longer reaches back to the follower's watermark) is sent row
+/// chains the leader's compaction pruned at its GC floor. It must take
+/// that floor with them: a follower that kept its own, lower floor
+/// would hold `v1` from before its crash and `v3` from the leader, with
+/// the pruned `v2` gone, and serve `v1` to a read pinned between `v2`
+/// and `v3`. Every maintenance tick flushes (so the leader's checkpoint
+/// passes the follower's watermark), and the leader alone retains
+/// 100 ms of history.
+#[test]
+fn a_store_catch_up_carries_the_leaders_gc_floor() {
+    let mut cfg = ClusterConfig { nodes: 3, seed: 51, ..Default::default() };
+    cfg.disk = DiskProfile::Ssd;
+    cfg.node.commit_period = 100 * MILLIS;
+    cfg.node.memtable_flush_bytes = 1;
+    let mut cluster = SimCluster::new(cfg);
+    let key = u64_to_key(5);
+    let first = cluster.add_session(vec![put(key.clone(), "v1")], 2 * SECS);
+    cluster.run_until(3 * SECS);
+    assert!(matches!(&first.borrow().outcomes[..], [CallOutcome::Written { .. }]));
+    let leader = cluster.leader_of(RangeId(0)).expect("range 0 led");
+    let cohort = cluster.current_ring().cohort(RangeId(0));
+    let follower = cohort.into_iter().find(|&n| n != leader).expect("a follower");
+    let committed = cluster.with_node(follower, |n| n.last_committed(RangeId(0))).unwrap();
+    assert!(!committed.is_zero(), "the follower committed v1 before it went down");
+
+    // The follower sleeps through v2, v3 and one write per maintenance
+    // tick after them, enough flushes for a compaction.
+    cluster.set_retention(3 * SECS, leader, 100 * MILLIS);
+    cluster.crash_node(3 * SECS, follower, true);
+    let later = cluster.add_session(vec![put(key.clone(), "v2"), put(key.clone(), "v3")], 3 * SECS);
+    for i in 0..8 {
+        cluster.add_session(
+            vec![put(u64_to_key(100 + i), "filler")],
+            3 * SECS + (i + 2) * 250 * MILLIS,
+        );
+    }
+    cluster.run_until(6 * SECS);
+    let ts2 = match &later.borrow().outcomes[..] {
+        [CallOutcome::Written { ts: ts2, .. }, CallOutcome::Written { ts: ts3, .. }] => {
+            assert!(ts2 < ts3);
+            *ts2
+        }
+        other => panic!("v2 and v3: {other:?}"),
+    };
+    let (leader_floor, at_ts2) = cluster
+        .with_node(leader, |n| {
+            let store = n.store(RangeId(0)).expect("the leader's store");
+            (store.gc_floor(), store.get_at(&key, ts2).unwrap())
+        })
+        .unwrap();
+    assert!(leader_floor != u64::MAX && leader_floor > ts2, "floor {leader_floor}");
+    assert_eq!(at_ts2, None, "the leader's compaction pruned v2");
+
+    cluster.restart_node(6 * SECS, follower);
+    cluster.run_until(8 * SECS);
+    let floor = cluster.with_node(follower, |n| n.store(RangeId(0)).unwrap().gc_floor()).unwrap();
+    assert!(floor != u64::MAX && floor >= leader_floor, "follower floor {floor}");
+
+    let replies = Rc::new(RefCell::new(Vec::new()));
+    let req = get_request(1, key, "c", Consistency::snapshot_at(ts2));
+    let probe = Probe { node: follower, req, replies: replies.clone() };
+    let proc = cluster.sim.add_actor(Box::new(probe));
+    cluster.sim.schedule(8 * SECS, proc, Ev::Client(ClientEv::Start));
+    cluster.run_until(9 * SECS);
+    match &replies.borrow()[..] {
+        [ClientReply::Err { error: ClientError::Unavailable, .. }] => {}
+        other => panic!("a read below the follower's floor must be refused: {other:?}"),
+    };
 }
