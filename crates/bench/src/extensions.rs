@@ -123,7 +123,7 @@ pub fn fig17(quick: bool) -> io::Result<()> {
 /// A hot range is split mid-run; the right child's leadership lands on
 /// another original cohort member (fig17's scale-out). Then that child's
 /// *leader replica moves to a fresh node* that was never part of the
-/// range's replica set — snapshot + log-tail handoff, CAS cohort swap,
+/// range's replica set — the joiner catches up from empty, CAS cohort swap,
 /// direct leadership hand-off — and a *cold pair* of split siblings is
 /// merged back into one range (the inverse of the split).
 ///

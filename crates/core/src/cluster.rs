@@ -632,7 +632,7 @@ impl SimCluster {
     }
 
     /// Ask for `range`'s replica on node `from` to move to node `to`
-    /// (snapshot + log-tail handoff, CAS cohort swap). The request is
+    /// (the joiner catches up from empty, CAS cohort swap). The request is
     /// broadcast at time `at`; only the range's current leader acts.
     pub fn move_replica(&mut self, at: Time, range: RangeId, from: NodeId, to: NodeId) {
         for node in 0..self.cfg.nodes as ProcId {

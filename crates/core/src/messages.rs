@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Row, Timestamp, WriteOp};
 use spinnaker_coord::WatchEvent;
-use spinnaker_storage::StoreSnapshot;
 
 pub use spinnaker_common::api::{
     ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, ReadCell, RequestId, ScanRow,
@@ -109,11 +108,12 @@ pub enum PeerMsg {
         range: RangeId,
         /// Leader's epoch.
         epoch: Epoch,
-        /// Log records in `(f.cmt, up_to]`, in LSN order. Empty when the
-        /// log rolled over and `fragments` is used instead.
+        /// Log records in `(f.cmt, up_to]`, in LSN order. Empty when
+        /// `fragments` is used instead.
         records: Vec<(Lsn, WriteOp)>,
-        /// Row fragments from SSTables when log records were garbage
-        /// collected (§6.1: "the appropriate SSTable is located and sent").
+        /// Row fragments from the leader's store past `f.cmt` (§6.1: "the
+        /// appropriate SSTable is located and sent"), when the log no
+        /// longer reaches back to `f.cmt` or `f.cmt` is zero.
         fragments: Vec<(Key, Row)>,
         /// The leader's MVCC garbage-collection floor: `fragments` were
         /// pruned at it, so a follower that ingests them first raises its
@@ -131,20 +131,15 @@ pub enum PeerMsg {
         /// The LSN the follower is caught up to.
         at: Lsn,
     },
-    /// Leader → joining node (cohort movement): attach a replica of
-    /// `range` seeded from this consistent store snapshot, then catch up
-    /// from the leader's log tail. The `/ranges/table` entry already
-    /// carries the in-flight `moving` marker for this handoff.
+    /// Leader → joining node (cohort movement): attach an empty replica
+    /// of `range` and catch up from the sender like any follower — from
+    /// zero, so it is sent the whole store. The `/ranges/table` entry
+    /// already carries the in-flight `moving` marker for this handoff.
     JoinRange {
         /// The range whose cohort the receiver is joining.
         range: RangeId,
         /// Leader's epoch.
         epoch: Epoch,
-        /// The snapshot is consistent up to this (committed) LSN; it
-        /// becomes the joiner's starting checkpoint and `f.cmt`.
-        at: Lsn,
-        /// Full-store snapshot: SSTable images + memtable rows.
-        snapshot: StoreSnapshot,
     },
     /// Leader → cohort (old and new members): the replica movement
     /// committed in the range table. Receivers refresh their peer sets;
@@ -279,9 +274,8 @@ impl PeerMsg {
                     + fragments.iter().map(|(k, r)| k.len() + r.approx_size()).sum::<usize>()
             }
             PeerMsg::Split { split_key, .. } => 96 + split_key.len(),
-            PeerMsg::JoinRange { snapshot, .. } => 128 + snapshot.approx_size(),
             PeerMsg::CohortChange { cohort, .. } => 96 + 4 * cohort.len(),
-            PeerMsg::Merge { .. } => 128,
+            PeerMsg::JoinRange { .. } | PeerMsg::Merge { .. } => 128,
             PeerMsg::Ack { .. }
             | PeerMsg::Commit { .. }
             | PeerMsg::LeaderHello { .. }
@@ -348,9 +342,9 @@ pub enum NodeInput {
         at: Key,
     },
     /// Administrative request: move `range`'s replica from node `from` to
-    /// node `to` (snapshot + log-tail handoff, then a CAS cohort swap).
-    /// Only the range's current leader acts on it, so harnesses may
-    /// broadcast.
+    /// node `to` (the joiner catches up from empty, then a CAS cohort
+    /// swap). Only the range's current leader acts on it, so harnesses
+    /// may broadcast.
     MoveReplica {
         /// The range whose cohort changes.
         range: RangeId,

@@ -635,8 +635,8 @@ impl Node {
                 self.on_split_msg(now, range, from, epoch, split_key, left, right, barrier, out);
                 return;
             }
-            PeerMsg::JoinRange { range, epoch, at, snapshot } => {
-                self.on_join_range(now, from, range, epoch, at, &snapshot, out);
+            PeerMsg::JoinRange { range, epoch } => {
+                self.on_join_range(now, from, range, epoch, out);
                 return;
             }
             PeerMsg::CohortChange { range, epoch, cohort, departing, joining, .. } => {

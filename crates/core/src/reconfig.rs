@@ -10,8 +10,9 @@
 //! states, per successor, what it may `Claim` and how it `Then` enters its
 //! cohort. The successor *stores* have one recipe, `Node::assemble`: every
 //! local predecessor replica whose span overlaps the successor's, clipped
-//! to it, through `RangeStore::assemble`. Only a move's joiner differs,
-//! because its predecessor is on another node:
+//! to it, through `RangeStore::assemble`. Only a move's joiner differs:
+//! its predecessor is on another node, so it starts empty, claims
+//! nothing, and catch-up ships it the sender's store:
 //!
 //! | entry point | store assembled from | may claim | leads |
 //! |---|---|---|---|
@@ -20,7 +21,7 @@
 //! | `reconcile_gone_ranges` | every gone replica it overlaps | own watermark if one gone span contains the target, else zero | joins |
 //! | `execute_merge` | both siblings | the merged base | the merged range |
 //! | `on_merge_msg` | both siblings | the merged base after two gap-free drains, else zero | joins |
-//! | `on_join_range` | (`import_snapshot` of the sender's) | the snapshot's LSN | follows the sender |
+//! | `on_join_range` | nothing (empty; catch-up ships the sender's) | zero | follows the sender |
 //! | `Node::new` (child with no state) | the surviving parent | the parent's watermark | joins on `Start` |
 //!
 //! The log tail always goes to the same place: every predecessor record
@@ -34,7 +35,7 @@ use std::fmt;
 
 use spinnaker_common::codec::Decode;
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Result};
-use spinnaker_storage::{RangeStore, StoreSnapshot};
+use spinnaker_storage::RangeStore;
 use spinnaker_wal::LogRecord;
 
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg};
@@ -665,7 +666,7 @@ impl Node {
     // =================================================================
 
     /// Administrative entry point: the range's leader CAS-publishes the
-    /// move intent, streams a consistent snapshot to the joining node,
+    /// move intent, tells the joining node to attach an empty replica,
     /// and keeps proposing to it as a **learner** until it confirms
     /// durable catch-up. Every other node ignores the request, so
     /// harnesses may broadcast it.
@@ -694,30 +695,20 @@ impl Node {
         if !rep.peers.contains(&to) {
             rep.peers.push(to);
         }
-        let at = rep.last_committed;
-        let epoch = rep.epoch;
-        match rep.store.export_snapshot() {
-            Ok(snapshot) => {
-                out.send(to, PeerMsg::JoinRange { range, epoch, at, snapshot });
-            }
-            Err(_) => self.abort_move(now, range, out),
-        }
+        out.send(to, PeerMsg::JoinRange { range, epoch: rep.epoch });
     }
 
-    /// Joining-node side: seed a fresh replica from the snapshot, hand
-    /// the WAL stream its starting checkpoint, and catch up from the
-    /// leader's log tail through the normal follower path. The final
-    /// `CaughtUp` confirmation is sent only after the appended tail is
-    /// durable, which is exactly the leader's commit gate.
-    #[allow(clippy::too_many_arguments)]
+    /// Joining-node side: attach an empty replica that claims nothing and
+    /// catch up through the normal follower path. Its request starts at
+    /// zero, so the sender ships its whole store (see `serve_catchup`).
+    /// The final `CaughtUp` confirmation is sent only once what it
+    /// ingested is durable, which is exactly the leader's commit gate.
     pub(crate) fn on_join_range(
         &mut self,
         now: u64,
         leader: NodeId,
         range: RangeId,
         epoch: Epoch,
-        at: Lsn,
-        snapshot: &StoreSnapshot,
         out: &mut Outbox,
     ) {
         if self.replicas.contains_key(&range) {
@@ -730,27 +721,23 @@ impl Node {
         if !expected {
             return; // stale or aborted handoff
         }
-        // A snapshot that does not import is the sender's problem, not
-        // this node's: the move times out and aborts.
-        let Ok(mut store) = RangeStore::recreate(self.vfs.clone(), self.store_opts(range)) else {
+        // A store that cannot be made leaves the move to time out and
+        // abort.
+        let Ok(store) = RangeStore::recreate(self.vfs.clone(), self.store_opts(range)) else {
             return;
         };
-        if store.import_snapshot(snapshot).is_err() {
-            return;
-        }
         // What an earlier stay on this node left in the stream must not
-        // outlive it: the snapshot vouches for everything at or below
-        // `at`, catch-up and live proposes cover the rest. The stream is
-        // reset in memory even when saving that fails, and the claim's
-        // checkpoint saves the same file next.
-        // spinlint: allow(E1) -- reset in memory anyway; the claim's checkpoint saves next
+        // outlive it: catch-up and live proposes bring everything back.
+        // The stream is reset in memory even when saving that fails, and
+        // the next checkpoint (catch-up's) saves the same file.
+        // spinlint: allow(E1) -- reset in memory anyway; the next checkpoint saves it
         let _ = self.wal.retire_stream(range);
         let joiner = Successor {
             id: range,
             span: span_of(def),
             peers: self.peers_of(range, &[]),
             store,
-            claim: Claim::Full(at),
+            claim: Claim::Zero,
             epoch,
             then: Then::Wait,
         };

@@ -529,16 +529,22 @@ impl RangeReplica {
         Some(cutter.finish())
     }
 
-    /// Ship `(f_cmt, l.cmt]` from the log, or — the log rolled over —
-    /// the rows the store holds past `f_cmt` (§6.1). Rows the store
-    /// cannot read are not "no rows": an empty reply up to `up_to` would
-    /// have the follower claim a watermark it holds nothing for, so the
-    /// node fail-stops instead.
+    /// Ship `(f_cmt, l.cmt]` from the log, or the rows the store holds
+    /// past `f_cmt` (§6.1) when the log no longer reaches back to `f_cmt`
+    /// or `f_cmt` is zero. A follower at zero vouches for nothing — a
+    /// move's joiner, or a replica rebuilt at claim zero — and a leader
+    /// rebuilt at claim zero holds assembled rows its own log never held,
+    /// so only its store has them all. Rows the store cannot read are not
+    /// "no rows": an empty reply up to `up_to` would have the follower
+    /// claim a watermark it holds nothing for, so the node fail-stops
+    /// instead.
     fn serve_catchup(&self, rt: &Runtime<'_>, follower: NodeId, f_cmt: Lsn, out: &mut Outbox) {
         let up_to = self.last_committed;
-        let (records, fragments) = match rt.wal.read_range(self.range, f_cmt, up_to) {
-            Ok(records) => (records, Vec::new()),
-            Err(_) => {
+        let logged =
+            if f_cmt.is_zero() { None } else { rt.wal.read_range(self.range, f_cmt, up_to).ok() };
+        let (records, fragments) = match logged {
+            Some(records) => (records, Vec::new()),
+            None => {
                 let Some(fragments) = rt.fail_stop(self.store.rows_since(f_cmt)) else { return };
                 (Vec::new(), fragments)
             }

@@ -155,24 +155,30 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
 }
 
 /// Catch-up moves committed history out of the leader's log into a
-/// follower's log and memtable. A follower that missed 512 one-KB writes
-/// (114 frames: a single and a group of eight per round) asks once; what the leader allocates serving them
-/// grows with the frames it reads and the ops it ships — an op's key,
-/// column and value are views of its frame — and what the follower
-/// allocates ingesting them is per op: its copy for a log record of its
-/// own, and its memtable row. Neither count follows the size of the
-/// values.
+/// follower's log and memtable. A follower that committed the first of
+/// 512 one-KB writes (so it is sent the log, not the store) missed the
+/// other 511 (114 frames: a single and a group of up to eight per round)
+/// and asks once; what the leader allocates serving them grows with the
+/// frames it reads and the ops it ships — an op's key, column and value
+/// are views of its frame — and what the follower allocates ingesting
+/// them is per op: its copy for a log record of its own, and its
+/// memtable row. Neither count follows the size of the values.
 #[test]
 fn catch_up_allocates_per_frame_and_op_not_per_cell() {
     const N: u64 = 512;
     const FRAMES: u64 = 2 * N.div_ceil(ROUND);
     let catch_up = |value_len: usize| {
         let mut p = Pump::new();
+        let value = vec![b'v'; value_len];
+        let first = put_request(0, u64_to_key(0), "column", &value);
+        p.queue.push_back((0, NodeInput::Client { from: CLIENT, req: first }));
+        p.run();
+        p.commit_tick(0);
+        assert_eq!(p.node(2).last_committed(R0).seq(), 1);
         // Node 2 sleeps: it hears nothing.
         p.lose = Box::new(|_, to, _| to == 2);
         p.hold_events[2] = true;
-        let value = vec![b'v'; value_len];
-        for k in 0..N {
+        for k in 1..N {
             let req = put_request(k, u64_to_key(k % 4096), "column", &value);
             p.queue.push_back((0, NodeInput::Client { from: CLIENT, req }));
             if k % ROUND == ROUND - 1 {

@@ -1,20 +1,27 @@
 //! End-to-end tests of cohort movement and range merging on the
 //! simulated cluster: a replica moves to a node outside the range's
-//! original replica set (snapshot + log-tail handoff, CAS cohort swap)
-//! while client traffic continues, a departing leader hands leadership
+//! original replica set (the joiner catches up from empty, CAS cohort
+//! swap) while client traffic continues, the joiner serves a snapshot
+//! pinned before it joined, a departing leader hands leadership
 //! to the joining node, split children merge back into one range under
 //! live conditional-put chains, and dissolved ranges' local state is
 //! garbage collected after the quiesce period.
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use spinnaker_common::vfs::Vfs;
-use spinnaker_common::RangeId;
+use spinnaker_common::{Consistency, RangeId};
 use spinnaker_core::client::Workload;
 use spinnaker_core::cluster::{ClusterConfig, SimCluster};
-use spinnaker_core::node::Role;
+use spinnaker_core::messages::{ClientReply, ColumnSelect};
+use spinnaker_core::node::{get_request, Role};
 use spinnaker_core::partition::u64_to_key;
+use spinnaker_core::session::{CallOutcome, SessionCall};
 use spinnaker_sim::{DiskProfile, MILLIS, SECS};
+
+#[path = "support/probe.rs"]
+mod probe;
 
 fn quick_cluster(nodes: usize, seed: u64) -> SimCluster {
     let mut cfg = ClusterConfig { nodes, seed, disk: DiskProfile::Ssd, ..Default::default() };
@@ -29,8 +36,8 @@ const HOT_SPLIT: u64 = 2048;
 #[test]
 fn replica_moves_to_a_node_outside_the_original_ring_under_live_chains() {
     // Range 0's cohort in the 5-node ring is {0, 1, 2}; node 4 was never
-    // part of that replica set ("ring") — the move must stream it a
-    // snapshot, catch it up, and CAS it into the cohort while
+    // part of that replica set ("ring") — the move must catch it up
+    // from empty and CAS it into the cohort while
     // conditional-put chains observe zero lost or duplicated acks.
     let mut cluster = quick_cluster(5, 41);
     let cond = cluster.add_client(
@@ -76,7 +83,7 @@ fn replica_moves_to_a_node_outside_the_original_ring_under_live_chains() {
 fn moved_replica_holds_committed_data_and_serves_after_leader_crash() {
     // After the move, crash the leader: the cohort {0, 1, 4} must
     // re-elect among its *current* members and keep every committed
-    // write — which proves the snapshot + log-tail handoff really gave
+    // write — which proves the catch-up from empty really gave
     // node 4 the data, not just a table entry.
     let mut cluster = quick_cluster(5, 43);
     let cond = cluster.add_client(
@@ -103,6 +110,67 @@ fn moved_replica_holds_committed_data_and_serves_after_leader_crash() {
     let c = cond.borrow();
     assert!(c.completed > 200, "writes kept flowing: {}", c.completed);
     assert_eq!(c.cond_mismatches, 0, "no committed write lost across move + crash");
+}
+
+/// The joiner starts empty and is sent the leader's store, version
+/// chains and GC floor included, so it serves history from before it
+/// joined. A get pinned between two writes of one key is answered by the
+/// joiner, after the move commits, with the first value. The leader's
+/// pin lease holds its floor at the pin (the other nodes of the range
+/// retain 1 s), and the joiner's floor is the leader's.
+#[test]
+fn a_joiner_serves_a_snapshot_pinned_before_it_joined() {
+    let mut cfg =
+        ClusterConfig { nodes: 5, seed: 44, disk: DiskProfile::Ssd, ..Default::default() };
+    cfg.node.commit_period = 100 * MILLIS;
+    let mut cluster = SimCluster::new(cfg);
+    for node in 0..4 {
+        cluster.set_retention(0, node, SECS);
+    }
+    let key = u64_to_key(5);
+    let put = |v: &str| SessionCall::Put {
+        key: u64_to_key(5),
+        cells: vec![(Bytes::from_static(b"c"), Bytes::copy_from_slice(v.as_bytes()))],
+    };
+    let pin = SessionCall::Get {
+        key: key.clone(),
+        columns: ColumnSelect::One(Bytes::from_static(b"c")),
+        consistency: Consistency::SNAPSHOT_PIN,
+    };
+    let calls = cluster.add_session(vec![put("v1"), pin, put("v2")], 2 * SECS);
+    cluster.run_until(5 * SECS);
+    let pinned = match &calls.borrow().outcomes[..] {
+        [CallOutcome::Written { .. }, CallOutcome::Row { at_ts, .. }, CallOutcome::Written { ts, .. }] =>
+        {
+            assert!(at_ts < ts, "the pin precedes the overwrite");
+            *at_ts
+        }
+        other => panic!("put, pin, put: {other:?}"),
+    };
+
+    cluster.move_replica(5 * SECS, RangeId(0), 2, 4);
+    cluster.run_until(9 * SECS);
+    assert_eq!(cluster.current_ring().cohort(RangeId(0)), vec![0, 1, 4], "the move committed");
+    let leader = cluster.leader_of(RangeId(0)).expect("range 0 led");
+    assert_ne!(leader, 4, "the joiner follows");
+    let floor = |n: &spinnaker_core::node::Node| n.store(RangeId(0)).unwrap().gc_floor();
+    let leader_floor = cluster.with_node(leader, floor).unwrap();
+    assert_eq!(leader_floor, pinned, "the lease holds the leader's floor at the pin");
+    assert_eq!(cluster.with_node(4, floor), Some(leader_floor), "the joiner's floor");
+
+    let req = get_request(1, key, "c", Consistency::snapshot_at(pinned));
+    let replies = probe::ask(&mut cluster, 9 * SECS, 4, req);
+    cluster.run_until(10 * SECS);
+    match &replies.borrow()[..] {
+        [ClientReply::Row { cells, .. }] => {
+            assert_eq!(
+                cells[0].value.as_deref(),
+                Some(&b"v1"[..]),
+                "the value before the overwrite"
+            );
+        }
+        other => panic!("the joiner's answer: {other:?}"),
+    };
 }
 
 #[test]

@@ -724,6 +724,39 @@ fn a_table_catch_up_the_leader_cannot_read_claims_nothing() {
     assert!(fail_stopped, "the leader answered a catch-up it could not read");
 }
 
+/// A follower at watermark zero vouches for nothing, so it is sent the
+/// leader's store even while the leader's log still reaches back to
+/// zero: a leader rebuilt at claim zero holds rows its own log never
+/// held, and a move's joiner starts at zero. Node 1 was down while keys
+/// 1-4 were committed, and the leader never flushed; its one reply
+/// carries the four rows and no log record.
+#[test]
+fn a_follower_at_zero_is_sent_the_store_though_the_log_reaches_back() {
+    let mut p = Pump::new();
+    p.crash(1);
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    assert!(p.node(0).wal().checkpoint(R0).is_zero(), "the leader's log reaches back to zero");
+    let since = p.sent.len();
+    p.boot(1);
+    p.run();
+    let replies: Vec<(usize, usize)> = p.sent[since..]
+        .iter()
+        .filter_map(|(from, to, m)| match m {
+            PeerMsg::CatchupRecords { records, fragments, .. } if (*from, *to) == (0, 1) => {
+                Some((records.len(), fragments.len()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replies, vec![(0, 4)], "(records, rows) of each reply to node 1");
+    assert_eq!(p.role(1), Role::Follower);
+    assert_eq!(p.node(1).last_committed(R0), lsn(1, 4));
+    for k in 1..=4 {
+        assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+}
+
 /// Node 2 holds an orphan past its committed watermark 1.4 — 1.5, logged
 /// by it alone before the epoch-1 leader died unforced — while the other
 /// two commit 2.5 and 2.6 in epoch 2 without it. Returns the pump with
@@ -945,16 +978,21 @@ fn a_leader_that_cannot_log_its_group_fail_stops() {
 }
 
 /// A follower whose log refuses a caught-up record must not confirm the
-/// catch-up. Node 2 was down while keys 1-4 were committed; restarted,
-/// its log refuses the first record of the leader's reply. It fail-stops
-/// without `CaughtUp`, catches up once restarted on a healthy device,
-/// and after the leader dies the cohort's next leader serves keys 1-4.
+/// catch-up. Node 2 committed key 1 and flushed it (so it vouches for
+/// something and is sent the log), then was down while keys 2-4 were
+/// committed; restarted, its log refuses the first record of the
+/// leader's reply. It fail-stops without `CaughtUp`, catches up once
+/// restarted on a healthy device, and after the leader dies the cohort's
+/// next leader serves keys 1-4.
 #[test]
 fn a_follower_that_cannot_log_a_caught_up_record_fail_stops() {
-    let mut p = Pump::new();
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..NodeConfig::default() });
+    p.put_all(0, 1..=1);
+    p.commit_tick(0);
+    p.maintenance(2);
     p.crash(2);
     p.run();
-    p.put_all(0, 1..=4);
+    p.put_all(0, 2..=4);
     p.commit_tick(0);
     let since = p.sent.len();
     p.boot(2);

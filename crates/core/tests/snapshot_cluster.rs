@@ -8,19 +8,19 @@
 //! commit timestamp (piggybacked on `WriteOk`), so the model can decide
 //! membership in the cut exactly: a write belongs iff `ts <= pinned`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use bytes::Bytes;
 use spinnaker_common::{ClientError, Consistency, Key, RangeId};
-use spinnaker_core::client::ClientEv;
-use spinnaker_core::cluster::{ClusterConfig, Ev, SimCluster};
-use spinnaker_core::messages::{ClientReply, ClientRequest, ColumnSelect, NodeInput};
+use spinnaker_core::cluster::{ClusterConfig, SimCluster};
+use spinnaker_core::messages::{ClientReply, ColumnSelect};
 use spinnaker_core::node::get_request;
 use spinnaker_core::partition::u64_to_key;
 use spinnaker_core::session::{CallOutcome, SessionCall};
-use spinnaker_sim::{Actor, Ctx, DiskProfile, ProcId, Time, MILLIS, SECS};
+use spinnaker_sim::{DiskProfile, MILLIS, SECS};
+
+#[path = "support/probe.rs"]
+mod probe;
 
 fn quick_cluster(nodes: usize, seed: u64) -> SimCluster {
     let mut cfg = ClusterConfig { nodes, seed, ..Default::default() };
@@ -449,27 +449,6 @@ fn snapshot_reads_below_the_gc_floor_fail_cleanly() {
     }
 }
 
-/// Hands one request to the node it names, whatever that node's role,
-/// and keeps what the node answers.
-struct Probe {
-    node: ProcId,
-    req: ClientRequest,
-    replies: Rc<RefCell<Vec<ClientReply>>>,
-}
-
-impl Actor<Ev> for Probe {
-    fn on_event(&mut self, _now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Ev::Client(ClientEv::Start) => {
-                let input = NodeInput::Client { from: ctx.self_id(), req: self.req.clone() };
-                ctx.schedule(0, self.node, Ev::Input(input));
-            }
-            Ev::Client(ClientEv::Reply(reply)) => self.replies.borrow_mut().push(reply),
-            _ => {}
-        }
-    }
-}
-
 /// A follower brought level from the leader's *store* (the leader's log
 /// no longer reaches back to the follower's watermark) is sent row
 /// chains the leader's compaction pruned at its GC floor. It must take
@@ -529,11 +508,8 @@ fn a_store_catch_up_carries_the_leaders_gc_floor() {
     let floor = cluster.with_node(follower, |n| n.store(RangeId(0)).unwrap().gc_floor()).unwrap();
     assert!(floor != u64::MAX && floor >= leader_floor, "follower floor {floor}");
 
-    let replies = Rc::new(RefCell::new(Vec::new()));
     let req = get_request(1, key, "c", Consistency::snapshot_at(ts2));
-    let probe = Probe { node: follower, req, replies: replies.clone() };
-    let proc = cluster.sim.add_actor(Box::new(probe));
-    cluster.sim.schedule(8 * SECS, proc, Ev::Client(ClientEv::Start));
+    let replies = probe::ask(&mut cluster, 8 * SECS, follower, req);
     cluster.run_until(9 * SECS);
     match &replies.borrow()[..] {
         [ClientReply::Err { error: ClientError::Unavailable, .. }] => {}

@@ -29,4 +29,4 @@ pub use cache::{BlockCache, CacheStats, SharedBlockCache};
 pub use memtable::Memtable;
 pub use merge::{vec_stream, MergeIter, RowStream};
 pub use sstable::{Table, TableBuilder, TableCtx, TableMeta, TableOptions};
-pub use store::{RangeStore, ScanPage, StoreOptions, StoreSnapshot, StoreStats};
+pub use store::{RangeStore, ScanPage, StoreOptions, StoreStats};

@@ -4,11 +4,11 @@
 //! compaction and fork. There is one format; bytes that do not begin
 //! with its magic are [`Error::Corruption`].
 //!
-//! A level assignment is a *claim* — it comes from a file or from another
-//! node's snapshot — so it is bounded where it enters ([`checked_level`]),
-//! and the promise reads rely on, that the tables of a level below L0 do
-//! not overlap, is re-established by [`heal_levels`] after every load and
-//! every import.
+//! A level assignment read back from the file is a *claim* — the bytes
+//! may have been damaged since they were written — so it is bounded where
+//! it enters ([`checked_level`]), and the promise reads rely on, that the
+//! tables of a level below L0 do not overlap, is re-established by
+//! [`heal_levels`] after every load and every assembly.
 
 use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::SharedVfs;
@@ -145,7 +145,7 @@ pub(crate) fn sort_level(level: &mut [Slot]) {
 
 /// Restore each deeper level's key order, then self-heal: a table that
 /// overlaps its level peers (a bit flip in a manifest that survived
-/// decode, a snapshot whose sender assigned levels wrongly) is demoted
+/// decode, or two overlapping parts assembled into one store) is demoted
 /// to L0, where overlap is legal. Reads are version-driven, so placement
 /// is a pure performance property — demotion can never change results,
 /// while an overlap left in place hides rows from the per-level binary

@@ -7,13 +7,13 @@
 //!   memtable, flushing it to LSN-tagged SSTables (which advances the WAL
 //!   checkpoint — the caller wires that up), merged reads across memtable
 //!   and tables (newest version per column), `rows_since` — the
-//!   SSTable-backed catch-up feed used by recovery when the leader's log
-//!   has rolled over (§6.1) — and the lifecycle of whole stores: one
+//!   SSTable-backed catch-up feed a leader ships when its log has rolled
+//!   over or the follower vouches for nothing (§6.1), which is also how a
+//!   move's joiner gets its data — and the lifecycle of whole stores: one
 //!   constructor, [`RangeStore::assemble`], builds every successor of a
-//!   split, merge or rebuild from clipped local stores, and a snapshot
-//!   ships a store to another node;
+//!   split, merge or rebuild from clipped local stores;
 //! * `manifest.rs` — the bytes of `MANIFEST`, and the check that
-//!   level assignments read from a file or a peer are safe to serve from;
+//!   level assignments read from the file are safe to serve from;
 //! * `compaction.rs` — when tables are merged, which ones, and how
 //!   the output is written.
 //!
@@ -32,9 +32,7 @@ use spinnaker_common::vfs::SharedVfs;
 use spinnaker_common::{Key, Lsn, Result, Row, Timestamp, WriteOp};
 
 use crate::cache::{CacheMetrics, SharedBlockCache};
-use crate::manifest::{
-    checked_level, heal_levels, max_key, min_key, sort_level, table_path, Manifest, Slot,
-};
+use crate::manifest::{heal_levels, max_key, min_key, sort_level, table_path, Manifest, Slot};
 use crate::memtable::Memtable;
 use crate::merge::{vec_stream, MergeIter, RowStream};
 use crate::sstable::{Table, TableCtx, TableOptions};
@@ -81,37 +79,6 @@ impl Default for StoreOptions {
 /// *not* returned (the caller's resume cursor), or `None` when the
 /// bounds were exhausted.
 pub type ScanPage = (Vec<(Key, Row)>, Option<Key>);
-
-/// A consistent full-store snapshot, streamed to a node joining a cohort
-/// (replica movement): raw SSTable file images (L0 newest first, then
-/// deeper levels in key order, matching the exporter's placement) plus
-/// unflushed memtable rows.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StoreSnapshot {
-    /// Raw SSTable file contents (L0 newest first, then L1.., matching
-    /// `levels`).
-    pub tables: Vec<Vec<u8>>,
-    /// Level assignment for each entry of `tables` (parallel array), so
-    /// the importer reproduces the exporter's leveled placement instead
-    /// of flattening everything into L0.
-    pub levels: Vec<u32>,
-    /// Memtable row fragments (versions embedded).
-    pub mem_rows: Vec<(Key, Row)>,
-    /// Highest LSN captured anywhere in the snapshot.
-    pub max_lsn: Lsn,
-    /// The exporter's MVCC garbage-collection floor: the shipped tables
-    /// were pruned at it, so the importer must not serve snapshot reads
-    /// below it (`u64::MAX` = the exporter never pruned).
-    pub gc_floor: Timestamp,
-}
-
-impl StoreSnapshot {
-    /// Approximate wire size, for the network model.
-    pub fn approx_size(&self) -> usize {
-        self.tables.iter().map(Vec::len).sum::<usize>()
-            + self.mem_rows.iter().map(|(k, r)| k.len() + r.approx_size()).sum::<usize>()
-    }
-}
 
 /// Read/compaction observables for one store, surfaced through the
 /// node's store-stats path.
@@ -220,9 +187,9 @@ impl RangeStore {
 
     /// Open a store on a *fresh* manifest, discarding any leftovers in
     /// the directory: stale state from a replica that departed earlier,
-    /// or an assembly that crashed before completing. What a node about
-    /// to receive a snapshot calls, and what [`RangeStore::assemble`]
-    /// starts from.
+    /// or an assembly that crashed before completing. What a move's
+    /// joiner starts from before catch-up fills it, and what
+    /// [`RangeStore::assemble`] starts from.
     pub fn recreate(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
         let store = RangeStore::empty(vfs, opts);
         store.save_manifest()?;
@@ -325,10 +292,10 @@ impl RangeStore {
     /// snapshot_retain` on its maintenance tick. Floors only move
     /// forward — a lagging caller cannot resurrect pruned history, so
     /// regressions are ignored. The floor is persisted with the
-    /// manifest (on the next flush/compaction) and inherited by
-    /// assembled successors and snapshot importers, so a store
-    /// whose tables were pruned at some floor never claims it can
-    /// serve below it. Passing `u64::MAX` (the "unarmed" sentinel) is a
+    /// manifest (on the next flush/compaction), inherited by assembled
+    /// successors and raised to the leader's by a follower that ingests
+    /// a store catch-up, so a store holding rows pruned at some floor
+    /// never claims it can serve below it. Passing `u64::MAX` (the "unarmed" sentinel) is a
     /// no-op: an armed floor can never be disarmed.
     pub fn set_gc_floor(&mut self, floor: Timestamp) {
         if floor == Timestamp::MAX {
@@ -472,64 +439,6 @@ impl RangeStore {
         heal_levels(&mut store.l0, &mut store.deeper);
         store.save_manifest()?;
         Ok(store)
-    }
-
-    /// Export a consistent snapshot of the whole store: raw SSTable file
-    /// images (with their level assignments) plus the memtable rows that
-    /// have not been flushed yet. Used to stream a range's data to a node
-    /// joining its cohort (replica movement); everything the store holds
-    /// at call time is captured, so the snapshot is consistent up to
-    /// [`RangeStore::max_lsn`].
-    pub fn export_snapshot(&self) -> Result<StoreSnapshot> {
-        let mut tables = Vec::with_capacity(self.table_count());
-        let mut levels = Vec::with_capacity(self.table_count());
-        for slot in &self.l0 {
-            tables.push(self.vfs.read_all(slot.table.path())?);
-            levels.push(0);
-        }
-        for (k, level) in self.deeper.iter().enumerate() {
-            for slot in level {
-                tables.push(self.vfs.read_all(slot.table.path())?);
-                levels.push(k as u32 + 1);
-            }
-        }
-        let mem_rows: Vec<(Key, Row)> =
-            self.memtable.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-        Ok(StoreSnapshot {
-            tables,
-            levels,
-            mem_rows,
-            max_lsn: self.max_lsn(),
-            gc_floor: self.gc_floor,
-        })
-    }
-
-    /// Import a snapshot into this (expected-fresh) store: the table
-    /// images are written and synced as local SSTables at the exporter's
-    /// level assignments, and the row fragments land in the memtable. The
-    /// caller flushes and advances its WAL checkpoint to make the handoff
-    /// durable.
-    ///
-    /// The snapshot comes from another node, so its level assignments are
-    /// checked like a manifest's: a level past the bound is refused before
-    /// anything is written, and overlapping level peers are demoted to L0.
-    pub fn import_snapshot(&mut self, snap: &StoreSnapshot) -> Result<()> {
-        for &level in &snap.levels {
-            checked_level(u64::from(level))?;
-        }
-        // The imported tables were pruned at the exporter's floor; adopt
-        // it so this store never serves snapshot reads below it.
-        self.set_gc_floor(snap.gc_floor);
-        // Reverse order, inserting L0 images at the front, so this store's
-        // L0 ends newest-first exactly like the exporter's.
-        for (i, image) in snap.tables.iter().enumerate().rev() {
-            self.adopt_image(image, snap.levels.get(i).copied().unwrap_or(0))?;
-        }
-        heal_levels(&mut self.l0, &mut self.deeper);
-        for (key, row) in &snap.mem_rows {
-            self.memtable.merge_row(key, row);
-        }
-        self.save_manifest()
     }
 
     /// Place an adopted slot at `level`. L0 inserts at the front; deeper
@@ -1034,8 +943,8 @@ mod tests {
         let reopened = store_on(&vfs.crash_clone());
         assert_eq!(reopened.gc_floor(), 25, "floor persisted with the manifest");
 
-        // Split children, a merged store, a store assembled from a clip
-        // bounded on both sides, and a snapshot importer all inherit it.
+        // Split children, a merged store and a store assembled from a
+        // clip bounded on both sides all inherit it.
         let at = Key::from("m");
         let (left, right) = split(&s, &at);
         assert_eq!((left.gc_floor(), right.gc_floor()), (25, 25));
@@ -1043,12 +952,6 @@ mod tests {
         let (lo, hi) = (Key::from("a"), Key::from("z"));
         let clipped = RangeStore::assemble(s.vfs.clone(), in_dir("clip"), &[(&s, &lo, Some(&hi))]);
         assert_eq!(clipped.unwrap().gc_floor(), 25);
-        let snap = s.export_snapshot().unwrap();
-        assert_eq!(snap.gc_floor, 25);
-        let mut joiner = RangeStore::recreate(Arc::new(MemVfs::new()), in_dir("joined")).unwrap();
-        assert_eq!(joiner.gc_floor(), u64::MAX, "fresh store: unarmed");
-        joiner.import_snapshot(&snap).unwrap();
-        assert_eq!(joiner.gc_floor(), 25, "importer adopts the exporter's floor");
     }
 
     #[test]
@@ -1451,71 +1354,6 @@ mod tests {
         for i in 0..20u64 {
             let k = Key::from(format!("k{i:02}").as_str());
             assert_eq!(merged2.get(&k).unwrap(), s.get(&k).unwrap());
-        }
-    }
-
-    #[test]
-    fn snapshot_export_import_roundtrip() {
-        let vfs = MemVfs::new();
-        let mut src = store_on(&vfs);
-        for i in 0..25u64 {
-            src.apply(&op::put(&format!("k{i:02}"), "c", &format!("v{i}")), Lsn::new(2, i + 1));
-            if i == 10 {
-                src.flush().unwrap();
-            }
-        }
-        src.apply(&op::delete("k03", "c"), Lsn::new(2, 90));
-        let snap = src.export_snapshot().unwrap();
-        assert_eq!(snap.max_lsn, Lsn::new(2, 90));
-        assert!(snap.approx_size() > 0);
-        assert_eq!(snap.tables.len(), snap.levels.len(), "levels parallel the images");
-
-        // Import on a different node's (fresh) filesystem.
-        let vfs2 = MemVfs::new();
-        let mut dst = RangeStore::recreate(Arc::new(vfs2.clone()), in_dir("joined")).unwrap();
-        dst.import_snapshot(&snap).unwrap();
-        for i in 0..25u64 {
-            let k = Key::from(format!("k{i:02}").as_str());
-            assert_eq!(dst.get(&k).unwrap(), src.get(&k).unwrap(), "key k{i:02}");
-        }
-        assert_eq!(dst.max_lsn(), src.max_lsn());
-
-        // The imported tables are durable; memtable rows need a flush.
-        dst.flush().unwrap();
-        let dst2 = RangeStore::open(Arc::new(vfs2.crash_clone()), in_dir("joined")).unwrap();
-        assert_eq!(
-            dst2.scan(&Key::default(), None).unwrap(),
-            src.scan(&Key::default(), None).unwrap()
-        );
-    }
-
-    #[test]
-    fn snapshot_preserves_leveled_placement() {
-        let vfs = MemVfs::new();
-        let mut src = RangeStore::open(
-            Arc::new(vfs.clone()),
-            StoreOptions { compaction_fanin: 2, ..Default::default() },
-        )
-        .unwrap();
-        for i in 0..100u64 {
-            src.apply(&op::put(&format!("k{i:03}"), "c", &"v".repeat(30)), Lsn::new(1, i + 1));
-        }
-        src.flush().unwrap();
-        src.apply(&op::put("k999", "c", "x"), Lsn::new(1, 500));
-        src.flush().unwrap();
-        while src.maybe_compact().unwrap() {}
-        src.apply(&op::put("k000", "c", "newest"), Lsn::new(1, 600));
-        src.flush().unwrap();
-        let per_level = src.tables_per_level();
-        assert!(per_level.len() > 1, "source has a ladder: {per_level:?}");
-
-        let snap = src.export_snapshot().unwrap();
-        let mut dst = RangeStore::recreate(Arc::new(MemVfs::new()), in_dir("joined")).unwrap();
-        dst.import_snapshot(&snap).unwrap();
-        assert_eq!(dst.tables_per_level(), per_level, "importer mirrors the exporter's levels");
-        for i in 0..100u64 {
-            let k = Key::from(format!("k{i:03}").as_str());
-            assert_eq!(dst.get(&k).unwrap(), src.get(&k).unwrap(), "key k{i:03}");
         }
     }
 

@@ -15,9 +15,10 @@ use proptest::prelude::*;
 
 use spinnaker_common::vfs::{MemVfs, SharedVfs, Vfs};
 use spinnaker_common::{ColumnValue, Key, Lsn, Row, Timestamp};
-use spinnaker_storage::{
-    RangeStore, StoreOptions, StoreSnapshot, Table, TableBuilder, TableOptions,
-};
+use spinnaker_storage::{RangeStore, StoreOptions, Table, TableBuilder, TableOptions};
+
+#[path = "support/store_dir.rs"]
+mod store_dir;
 
 /// Garbage-collect a row's version chains against a snapshot `floor`:
 /// every version with `timestamp > floor` is retained, plus the newest
@@ -290,7 +291,7 @@ proptest! {
         // optionally an unrelated table at L2, which is not an input of
         // the L0 -> L1 compaction but forbids dropping tombstones.
         let mut tables = inputs.clone();
-        let mut levels = vec![0u32; inputs.len()];
+        let mut levels = vec![0u64; inputs.len()];
         if deeper_data {
             let mut far = TableSpec::new();
             far.insert(b"zzzz".to_vec(), BTreeMap::from([(0u8, vec![(false, 3u8, false)])]));
@@ -304,16 +305,8 @@ proptest! {
             table: TableOptions { block_bytes, bloom_bits_per_key: 10 },
             ..Default::default()
         };
-        let mut store = RangeStore::recreate(Arc::new(vfs.clone()), opts).unwrap();
-        store
-            .import_snapshot(&StoreSnapshot {
-                tables,
-                levels,
-                mem_rows: Vec::new(),
-                max_lsn: Lsn::ZERO,
-                gc_floor: floor,
-            })
-            .unwrap();
+        store_dir::write_store(&vfs, "store", &tables, &levels, floor);
+        let mut store = RangeStore::open(Arc::new(vfs.clone()), opts).unwrap();
         let before: BTreeSet<String> = vfs.list("store/sst-").unwrap().into_iter().collect();
         prop_assert!(store.maybe_compact().unwrap(), "L0 is at its fan-in");
 

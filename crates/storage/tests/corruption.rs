@@ -12,9 +12,11 @@ use spinnaker_common::codec::{self, Decode};
 use spinnaker_common::vfs::{MemVfs, Vfs};
 use spinnaker_common::{crc32c, op, Key, Lsn, Row};
 use spinnaker_storage::{
-    BlockCache, RangeStore, StoreOptions, StoreSnapshot, Table, TableBuilder, TableCtx,
-    TableOptions,
+    BlockCache, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
 };
+
+#[path = "support/store_dir.rs"]
+mod store_dir;
 
 fn small_table(vfs: &MemVfs, path: &str) -> Vec<Key> {
     // Tiny blocks so the table has several data blocks + index + bloom.
@@ -364,43 +366,35 @@ fn table_image(keys: &[&str]) -> Vec<u8> {
     vfs.read_all("t").unwrap()
 }
 
-fn snapshot_of(tables: Vec<Vec<u8>>, levels: Vec<u32>) -> StoreSnapshot {
-    StoreSnapshot { tables, levels, mem_rows: Vec::new(), max_lsn: Lsn::new(1, 2), gc_floor: 0 }
-}
-
-/// A snapshot comes from another node, and the level it assigns a table
-/// is a claim. Two tables whose spans overlap, both claimed for L1, must
+/// The level a manifest assigns a table is a claim the bytes may no
+/// longer back. Two tables whose spans overlap, both listed at L1, must
 /// not be served as a sorted run: the per-level binary search would look
-/// for `z` in `[m, n]` only. The import heals the level like `open` does.
+/// for `z` in `[m, n]` only. `open` heals the level before any read.
 #[test]
-fn an_imported_snapshot_with_overlapping_level_peers_is_healed_before_any_read() {
-    let snap = snapshot_of(vec![table_image(&["a", "z"]), table_image(&["m", "n"])], vec![1, 1]);
+fn a_manifest_with_overlapping_level_peers_is_healed_before_any_read() {
     let vfs = MemVfs::new();
-    let mut store = RangeStore::recreate(Arc::new(vfs.clone()), store_opts()).unwrap();
-    store.import_snapshot(&snap).unwrap();
+    let tables = [table_image(&["a", "z"]), table_image(&["m", "n"])];
+    store_dir::write_store(&vfs, "store", &tables, &[1, 1], 0);
+    let store = RangeStore::open(Arc::new(vfs.clone()), store_opts()).unwrap();
     for key in ["a", "m", "n", "z"] {
         assert!(store.get(&Key::from(key)).unwrap().is_some(), "{key} is in the store");
     }
     assert_eq!(store.scan(&Key::default(), None).unwrap().len(), 4);
     assert_eq!(store.tables_per_level(), vec![1, 1], "the overlapping table went to L0");
-    // The healed placement is what was persisted.
-    let reopened = RangeStore::open(Arc::new(vfs.crash_clone()), store_opts()).unwrap();
-    assert_eq!(reopened.tables_per_level(), vec![1, 1]);
-    assert!(reopened.get(&Key::from("z")).unwrap().is_some());
 }
 
-/// A level past the bound would size the level structure: it is refused
-/// with a typed error before a single file is written.
+/// A level past the bound would size the level structure: `open`
+/// refuses it with a typed error, and nothing in the directory is
+/// rewritten.
 #[test]
-fn an_imported_snapshot_with_an_absurd_level_is_refused_before_anything_is_written() {
-    let vfs = MemVfs::new();
-    let mut store = RangeStore::recreate(Arc::new(vfs.clone()), store_opts()).unwrap();
-    let before = store_dir(&vfs);
-    for level in [63, u32::MAX] {
-        let snap = snapshot_of(vec![table_image(&["a"]), table_image(&["b"])], vec![0, level]);
-        let err = store.import_snapshot(&snap).expect_err("implausible level");
-        assert!(err.is_corruption(), "level {level}: {err}");
-        assert_eq!(store.table_count(), 0, "level {level}");
+fn a_manifest_with_an_absurd_level_is_refused_and_the_directory_is_left_alone() {
+    for level in [63, u64::from(u32::MAX)] {
+        let vfs = MemVfs::new();
+        let tables = [table_image(&["a"]), table_image(&["b"])];
+        store_dir::write_store(&vfs, "store", &tables, &[0, level], 0);
+        let before = store_dir(&vfs);
+        let err = RangeStore::open(Arc::new(vfs.clone()), store_opts()).err();
+        assert!(err.is_some_and(|e| e.is_corruption()), "level {level} was not refused");
         assert_eq!(store_dir(&vfs), before, "level {level}: directory untouched");
     }
 }

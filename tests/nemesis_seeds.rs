@@ -77,4 +77,8 @@ fn pinned_seeds_stay_clean() {
     );
     let under_claimed = dissolves.get(DissolveEntry::MergeMsg, ClaimKind::Zero);
     assert!(under_claimed.empty + under_claimed.rehomed > 0, "no under-claiming merge");
+    // A move's joiner attaches an empty replica that claims nothing and
+    // is brought level by catch-up alone.
+    let joined = dissolves.get(DissolveEntry::Join, ClaimKind::Zero);
+    assert!(joined.empty + joined.rehomed > 0, "no move's joiner attached: {dissolves}");
 }
