@@ -642,15 +642,6 @@ impl RangeStore {
             block_reads: self.ctx.metrics.block_reads(),
         }
     }
-
-    /// Highest column version stored anywhere in this store.
-    pub fn max_lsn(&self) -> Lsn {
-        let mut max = self.memtable.max_lsn();
-        for s in self.all_slots() {
-            max = max.max(s.table.meta().max_lsn);
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -1380,17 +1371,6 @@ mod tests {
         assert!(mem_only > 0);
         s.flush().unwrap();
         assert!(s.approx_total_bytes() > 0, "flushed bytes counted via file sizes");
-    }
-
-    #[test]
-    fn max_lsn_spans_memtable_and_tables() {
-        let vfs = MemVfs::new();
-        let mut s = store_on(&vfs);
-        assert_eq!(s.max_lsn(), Lsn::ZERO);
-        s.apply(&op::put("a", "c", "1"), Lsn::new(1, 5));
-        s.flush().unwrap();
-        s.apply(&op::put("b", "c", "2"), Lsn::new(1, 3));
-        assert_eq!(s.max_lsn(), Lsn::new(1, 5));
     }
 
     #[test]
