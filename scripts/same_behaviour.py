@@ -15,10 +15,11 @@ and runs on each side:
 - `spinnaker-nemesis --history-crc --start-seed S --seeds N`, which prints
   the CRC-32C of every seed's serialized history and the failing seeds.
 
-It prints `identical` and exits 0. Otherwise it names the first CSV that
-differs and, when the nemesis outputs differ, how many seeds' history
-CRCs differ, which seeds, and both sides' `failing seeds:` lines; it keeps
-the temporary directory for inspection and exits 1.
+It prints `identical` and exits 0. Otherwise it names every CSV that
+differs, with how many of its lines differ, and, when the nemesis outputs
+differ, how many seeds' history CRCs differ, which seeds, and both sides'
+`failing seeds:` lines; it keeps the temporary directory for inspection
+and exits 1.
 The two sides run at the same time, one process each; at 246 seeds that
 takes about ten minutes on two cores, builds included. A base older than
 the `--history-crc` flag gets the working tree's nemesis command-line
@@ -73,15 +74,23 @@ def run_side(target, work, start_seed, seeds):
     return nemesis.stdout.splitlines(), nemesis.returncode
 
 
-def first_csv_difference(base_dir, tree_dir):
+def csv_differences(base_dir, tree_dir):
+    """One line per CSV that differs: its name and how many of its lines
+    differ (a line present on one side only counts), or which side lacks
+    it."""
     names = sorted({p.name for d in (base_dir, tree_dir) for p in d.glob("*.csv")})
     if not names:
-        return "no CSV written"
+        return ["no CSV written"]
+    out = []
     for name in names:
         a, b = base_dir / name, tree_dir / name
-        if not a.exists() or not b.exists() or a.read_bytes() != b.read_bytes():
-            return name
-    return None
+        if not a.exists() or not b.exists():
+            out.append(f"{name} (only in {'tree' if b.exists() else 'base'})")
+        elif a.read_bytes() != b.read_bytes():
+            la, lb = a.read_bytes().splitlines(), b.read_bytes().splitlines()
+            differing = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
+            out.append(f"{name} ({differing} of {max(len(la), len(lb))} lines differ)")
+    return out
 
 
 def crcs(lines):
@@ -136,10 +145,10 @@ def main():
         results = {name: f.result() for name, f in futures.items()}
 
     experiments = [tmp / f"{name}-run" / "target" / "experiments" for name in sides]
-    csv_diff = first_csv_difference(*experiments)
+    csv_diff = csv_differences(*experiments)
     nemesis_diff = nemesis_difference(results["base"], results["tree"])
-    if csv_diff:
-        print(f"differs: {csv_diff}")
+    for line in csv_diff:
+        print(f"differs: {line}")
     if nemesis_diff:
         print(f"differs: nemesis, {nemesis_diff}")
     if csv_diff or nemesis_diff:
