@@ -121,15 +121,28 @@ pub enum PeerMsg {
         gc_floor: Timestamp,
         /// Everything up to this LSN is committed once applied.
         up_to: Lsn,
+        /// A taking-over leader's unresolved tail past `up_to` (Fig. 6
+        /// line 9), as maximal runs `(first LSN, count)` of consecutive
+        /// sequence numbers in one epoch; empty from a settled leader.
+        /// The follower vouches for the prefix of it that its own log
+        /// holds ([`PeerMsg::CaughtUp::held`]), and is sent only the
+        /// rest.
+        tail: Vec<(Lsn, u64)>,
     },
     /// Follower → leader: fully caught up to `at` (Fig. 6 line 8).
     CaughtUp {
         /// Cohort.
         range: RangeId,
-        /// Epoch.
+        /// The epoch of the leader whose catch-up reply this answers.
         epoch: Epoch,
         /// The LSN the follower is caught up to.
         at: Lsn,
+        /// The last LSN of the longest prefix of the reply's `tail` that
+        /// the follower's log holds, durably, with no other write of its
+        /// own among them (`Lsn::ZERO`: none). It states what an ack of
+        /// each of those writes re-proposed would state, so the leader
+        /// counts it as this follower's cumulative ack.
+        held: Lsn,
     },
     /// Leader → joining node (cohort movement): attach an empty replica
     /// of `range` and catch up from the sender like any follower — from
@@ -186,6 +199,10 @@ pub enum PeerMsg {
         epoch: Epoch,
         /// The attempt token from the matching [`PeerMsg::MergeProposal`].
         token: u64,
+        /// The right sibling leader's timestamp clock: the highest commit
+        /// timestamp it assigned or snapshot timestamp it served. The
+        /// merged range stamps above it.
+        clock: u64,
     },
     /// Merge coordinator → right sibling's leader: the merge was
     /// abandoned (CAS race, timeout); unblock held writes.
@@ -215,6 +232,10 @@ pub enum PeerMsg {
         barrier: Lsn,
         /// The right sibling's barrier LSN.
         right_barrier: Lsn,
+        /// The highest timestamp either sibling's leader assigned or
+        /// served: a receiver that comes to lead the merged range stamps
+        /// above it.
+        clock: u64,
     },
     /// Leader → followers: the range was split at `split_key` with every
     /// write up to `barrier` committed. The new range table is already in
@@ -235,6 +256,10 @@ pub enum PeerMsg {
         /// Barrier LSN: the parent's last committed write. Both children
         /// start their logical LSN streams just above it.
         barrier: Lsn,
+        /// The splitting leader's timestamp clock: the highest commit
+        /// timestamp it assigned or snapshot timestamp it served. A
+        /// receiver that comes to lead a child stamps above it.
+        clock: u64,
     },
 }
 
@@ -269,9 +294,10 @@ impl PeerMsg {
                     |op: &WriteOp| 8 + op.approx_size() + 12 * usize::from(op.origin.is_some());
                 64 + ops.iter().map(op_size).sum::<usize>()
             }
-            PeerMsg::CatchupRecords { records, fragments, .. } => {
+            PeerMsg::CatchupRecords { records, fragments, tail, .. } => {
                 64 + records.iter().map(|(_, op)| 16 + op.approx_size()).sum::<usize>()
                     + fragments.iter().map(|(k, r)| k.len() + r.approx_size()).sum::<usize>()
+                    + 16 * tail.len()
             }
             PeerMsg::Split { split_key, .. } => 96 + split_key.len(),
             PeerMsg::CohortChange { cohort, .. } => 96 + 4 * cohort.len(),

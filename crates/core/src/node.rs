@@ -631,8 +631,10 @@ impl Node {
         // Lifecycle messages attach, detach, or span multiple replicas;
         // the node handles them with their own guards.
         match msg {
-            PeerMsg::Split { range, epoch, split_key, left, right, barrier } => {
-                self.on_split_msg(now, range, from, epoch, split_key, left, right, barrier, out);
+            PeerMsg::Split { range, epoch, split_key, left, right, barrier, clock } => {
+                self.on_split_msg(
+                    now, range, from, epoch, split_key, left, right, barrier, clock, out,
+                );
                 return;
             }
             PeerMsg::JoinRange { range, epoch } => {
@@ -647,15 +649,24 @@ impl Node {
                 self.on_merge_proposal(now, from, range, left, token, out);
                 return;
             }
-            PeerMsg::MergeReady { range, right, barrier, token, .. } => {
-                self.on_merge_ready(now, range, right, barrier, token, out);
+            PeerMsg::MergeReady { range, right, barrier, token, clock, .. } => {
+                self.on_merge_ready(now, range, right, barrier, token, clock, out);
                 return;
             }
             PeerMsg::MergeAbort { range, .. } => {
                 self.on_merge_abort(now, range, out);
                 return;
             }
-            PeerMsg::Merge { range, right, merged, epoch, right_epoch, barrier, right_barrier } => {
+            PeerMsg::Merge {
+                range,
+                right,
+                merged,
+                epoch,
+                right_epoch,
+                barrier,
+                right_barrier,
+                clock,
+            } => {
                 self.on_merge_msg(
                     now,
                     from,
@@ -666,6 +677,7 @@ impl Node {
                     right_epoch,
                     barrier,
                     right_barrier,
+                    clock,
                     out,
                 );
                 return;
@@ -704,13 +716,17 @@ impl Node {
                 rep.on_catchup_req(&mut rt, from, f_cmt, out);
                 FollowUp::default()
             }
-            PeerMsg::CatchupRecords { epoch, records, fragments, gc_floor, up_to, .. } => {
+            PeerMsg::CatchupRecords {
+                epoch, records, fragments, gc_floor, up_to, tail, ..
+            } => {
                 rep.on_catchup_records(
-                    &mut rt, from, epoch, records, fragments, gc_floor, up_to, out,
+                    &mut rt, from, epoch, records, fragments, gc_floor, up_to, &tail, out,
                 );
                 FollowUp::default()
             }
-            PeerMsg::CaughtUp { .. } => rep.on_caught_up(&mut rt, from, out),
+            PeerMsg::CaughtUp { epoch, held, .. } => {
+                rep.on_caught_up(&mut rt, from, epoch, held, out)
+            }
             // Handled above.
             PeerMsg::Split { .. }
             | PeerMsg::JoinRange { .. }
@@ -796,9 +812,8 @@ impl Node {
                     let epoch = self.replicas.get(&range).map_or(0, |r| r.epoch);
                     out.send(leader, PeerMsg::Ack { range, epoch, lsn });
                 }
-                Some(Waiter::CatchupDone { range, up_to, leader }) => {
-                    let epoch = self.replicas.get(&range).map_or(0, |r| r.epoch);
-                    out.send(leader, PeerMsg::CaughtUp { range, epoch, at: up_to });
+                Some(Waiter::CatchupDone { range, epoch, up_to, held, leader }) => {
+                    out.send(leader, PeerMsg::CaughtUp { range, epoch, at: up_to, held });
                 }
                 None => {}
             }

@@ -433,7 +433,7 @@ impl Node {
             self.unblock_writes(now, range, out);
             return;
         };
-        let (barrier, pe) = (rep.last_committed, rep.epoch);
+        let (barrier, pe, clock) = (rep.last_committed, rep.epoch, rep.clock());
         let peers = rep.peers.clone();
         let (start, end) = rep.span.clone();
         let lead = Then::Lead { from: Lsn::new(pe + 1, barrier.seq()) };
@@ -472,9 +472,10 @@ impl Node {
             .collect();
         let Some(successors) = self.fail_stop(built) else { return };
         for &peer in &peers {
+            let split_key = at.clone();
             out.send(
                 peer,
-                PeerMsg::Split { range, epoch: pe, split_key: at.clone(), left, right, barrier },
+                PeerMsg::Split { range, epoch: pe, split_key, left, right, barrier, clock },
             );
         }
         self.dissolve(now, DissolveEntry::Split, &[range], successors, out);
@@ -496,6 +497,7 @@ impl Node {
         left: RangeId,
         right: RangeId,
         barrier: Lsn,
+        clock: u64,
         out: &mut Outbox,
     ) {
         let mut rt = runtime!(self, now);
@@ -506,6 +508,7 @@ impl Node {
         if epoch == rep.epoch && rep.role.leads() && from != rt.id {
             return; // two leaders in one epoch cannot happen; drop
         }
+        rep.adopt_clock(clock);
         if rep.role == Role::Follower && rep.epoch == epoch {
             rep.apply_commit(&mut rt, barrier);
         }
@@ -940,6 +943,7 @@ impl Node {
     }
 
     /// Coordinator: the right sibling's barrier is known.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_merge_ready(
         &mut self,
         now: u64,
@@ -947,6 +951,7 @@ impl Node {
         right: RangeId,
         barrier: Lsn,
         token: u64,
+        clock: u64,
         out: &mut Outbox,
     ) {
         let Some(lrep) = self.replicas.get_mut(&left) else { return };
@@ -958,6 +963,11 @@ impl Node {
                 m.sibling_barrier = Some(barrier);
             }
             _ => return,
+        }
+        // The merged range, which we are about to lead, stamps above
+        // whatever the right sibling's leader stamped or served.
+        if let Some(rrep) = self.replicas.get_mut(&right) {
+            rrep.adopt_clock(clock);
         }
         self.advance_merge(now, left, out);
     }
@@ -1023,6 +1033,7 @@ impl Node {
         let (lrep, rrep) = (&self.replicas[&left], &self.replicas[&right]);
         let barrier = lrep.last_committed;
         let (le, re) = (lrep.epoch, rrep.epoch);
+        let clock = lrep.clock().max(rrep.clock());
         let merged_epoch = le.max(re) + 1;
         let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
         let peers = lrep.peers.clone();
@@ -1054,6 +1065,7 @@ impl Node {
                     right_epoch: re,
                     barrier,
                     right_barrier,
+                    clock,
                 },
             );
         }
@@ -1114,15 +1126,17 @@ impl Node {
         right_epoch: Epoch,
         barrier: Lsn,
         right_barrier: Lsn,
+        clock: u64,
         out: &mut Outbox,
     ) {
-        if let Some(lrep) = self.replicas.get(&left) {
+        if let Some(lrep) = self.replicas.get_mut(&left) {
             if epoch < lrep.epoch {
                 return; // a deposed coordinator's merge
             }
             if epoch == lrep.epoch && lrep.role.leads() && from != self.id {
                 return;
             }
+            lrep.adopt_clock(clock);
         }
         self.adopt_table_from_coord();
         if !self.replicas.contains_key(&left) || !self.replicas.contains_key(&right) {

@@ -89,12 +89,17 @@ pub(crate) enum Waiter {
         /// Leader to ack.
         leader: NodeId,
     },
-    /// Catch-up records were appended; confirm `CaughtUp` when durable.
+    /// Catch-up records were appended, or a takeover's tail vouched
+    /// for; confirm `CaughtUp` when durable.
     CatchupDone {
         /// Cohort.
         range: RangeId,
+        /// The epoch of the leader whose reply this confirms.
+        epoch: Epoch,
         /// Caught up to this LSN.
         up_to: Lsn,
+        /// The end of the vouched prefix of the leader's tail.
+        held: Lsn,
         /// Leader to confirm to.
         leader: NodeId,
     },
@@ -316,10 +321,11 @@ pub struct RangeReplica {
     /// loses its cut to the blanket retention window.
     pub(crate) pins: BTreeMap<u64, u64>,
     /// Follower: when the catch-up request still awaiting its reply was
-    /// sent (`None`: none outstanding). One request is answered with the
-    /// whole committed history, so another is sent only once this one
-    /// has gone [`crate::node::ELECTION_RETRY`] unanswered.
-    pub(crate) catchup_asked: Option<u64>,
+    /// sent, and in which epoch (`None`: none outstanding). One request
+    /// is answered with the whole committed history, so another is sent
+    /// only once this one has gone [`crate::node::ELECTION_RETRY`]
+    /// unanswered.
+    pub(crate) catchup_asked: Option<(u64, Epoch)>,
     /// Catch-up requests this replica has sent — the observable behind
     /// the request-storm regression test.
     pub(crate) catchup_requests: u64,
@@ -378,6 +384,19 @@ impl RangeReplica {
             && !self.barrier_pending()
             && self.moving.is_none()
             && self.takeover.is_none()
+    }
+
+    /// The highest timestamp this replica assigned to a write or served
+    /// a snapshot at: a replica that takes over its keys must stamp
+    /// above it, or a cut already read could grow a write.
+    pub(crate) fn clock(&self) -> u64 {
+        self.last_ts.max(self.served_ts)
+    }
+
+    /// Take in a predecessor leader's [`Self::clock`]: whoever leads
+    /// what this replica becomes stamps above it.
+    pub(crate) fn adopt_clock(&mut self, clock: u64) {
+        self.served_ts = self.served_ts.max(clock);
     }
 
     /// True while a barrier (split, merge, or a departing leader's

@@ -4,13 +4,14 @@
 //! level with the leader's committed history, logically truncating what
 //! no leader committed (§6.1, §6.1.1).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, Timestamp, WriteOp};
 use spinnaker_wal::LogRecord;
 
 use super::{group_last, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter};
+use crate::commit_queue::{PendingOp, PendingWrite};
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
 
@@ -72,19 +73,71 @@ impl RunCutter {
 
 /// Leader-takeover progress (Fig. 6).
 pub(crate) struct Takeover {
-    caught_up: BTreeSet<NodeId>,
-    /// Unresolved writes `(l.cmt, l.lst]`, cut into groups and
-    /// re-proposed through the normal replication protocol (Fig. 6
-    /// line 9).
+    /// The followers that caught up in this epoch, each with the end of
+    /// the tail prefix its log vouched for (`Lsn::ZERO`: none).
+    caught_up: BTreeMap<NodeId, Lsn>,
+    /// The unresolved writes `(l.cmt, l.lst]` as maximal runs `(first
+    /// LSN, count)`, named in every catch-up reply the takeover serves.
+    runs: Vec<(Lsn, u64)>,
+    /// The part of that tail not queued yet, cut into the groups it is
+    /// re-proposed in through the normal replication protocol (Fig. 6
+    /// line 9) to a follower that does not hold it.
     repropose: VecDeque<Group>,
-    reproposing: bool,
 }
 
 impl Takeover {
-    /// Who has caught up and what is left to re-propose (stall reports).
+    /// Who has caught up and what is left to queue (stall reports).
     pub(super) fn describe(&self) -> String {
         let left: usize = self.repropose.iter().map(|(_, ops)| ops.len()).sum();
-        format!("caught_up={:?} reproposing={} ops_left={left}", self.caught_up, self.reproposing)
+        format!("caught_up={:?} runs={} ops_left={left}", self.caught_up, self.runs.len())
+    }
+}
+
+/// The maximal runs `(first LSN, count)` of consecutive sequence numbers
+/// in one epoch that `groups`, in LSN order, cover: the cut
+/// [`RunCutter`] makes, without its caps.
+fn runs_of<'a>(groups: impl IntoIterator<Item = &'a Group>) -> Vec<(Lsn, u64)> {
+    let mut runs: Vec<(Lsn, u64)> = Vec::new();
+    for (first, ops) in groups {
+        let count = ops.len() as u64;
+        match runs.last_mut() {
+            Some((start, n))
+                if start.epoch() == first.epoch() && start.seq() + *n == first.seq() =>
+            {
+                *n += count;
+            }
+            _ => runs.push((*first, count)),
+        }
+    }
+    runs
+}
+
+/// The part of `runs` past `lsn`.
+fn runs_past(runs: &[(Lsn, u64)], lsn: Lsn) -> Vec<(Lsn, u64)> {
+    let past = |&(first, count): &(Lsn, u64)| {
+        let last = Lsn::new(first.epoch(), first.seq() + count - 1);
+        if last <= lsn {
+            None
+        } else if lsn < first {
+            Some((first, count))
+        } else {
+            // `first <= lsn < last` puts all three in one epoch.
+            Some((lsn.next(), last.seq() - lsn.seq()))
+        }
+    };
+    runs.iter().filter_map(past).collect()
+}
+
+/// `group` cut after `lsn`: the writes at or below it, and the rest.
+fn split_group((first, ops): Group, lsn: Lsn) -> (Option<Group>, Option<Group>) {
+    let last = group_last(first, &ops);
+    if last <= lsn {
+        (Some((first, ops)), None)
+    } else if lsn < first {
+        (None, Some((first, ops)))
+    } else {
+        let held = (lsn.seq() + 1 - first.seq()) as usize;
+        (Some((first, Arc::from(&ops[..held]))), Some((lsn.next(), Arc::from(&ops[held..]))))
     }
 }
 
@@ -250,6 +303,7 @@ impl RangeReplica {
         // node: opening the cohort without it would lose acknowledged
         // writes.
         let Some(tail) = self.read_groups(rt, l_cmt, l_lst, false) else { return };
+        let runs = runs_of(&tail);
         let repropose: VecDeque<Group> = tail.into();
 
         let paths = CohortPaths::new(self.range);
@@ -284,8 +338,7 @@ impl RangeReplica {
         self.unproposed.clear();
         self.proposing = false;
         self.proposed_at_tick = Lsn::ZERO;
-        self.takeover =
-            Some(Takeover { caught_up: BTreeSet::new(), repropose, reproposing: false });
+        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), runs, repropose });
         self.last_assigned = l_lst;
         let epoch = self.epoch;
         for &peer in &self.peers {
@@ -300,11 +353,14 @@ impl RangeReplica {
     }
 
     /// Fig. 6 lines 8-10. Once a follower has caught up, the unresolved
-    /// tail goes back through the normal replication protocol **in
-    /// groups**: each run [`RunCutter`] cut is one propose — one batch
-    /// frame, one force and one cumulative ack at every follower, the
-    /// shape a steady-state group propose has — with at most
-    /// [`REPROPOSE_WINDOW`] full groups in flight. The records are
+    /// tail is queued, in the groups [`RunCutter`] cut. The part a
+    /// caught-up follower's log vouched for is queued at once: its vouch
+    /// is counted as its ack ([`Self::on_caught_up`]), and it commits.
+    /// The rest goes back through the normal replication protocol to
+    /// the caught-up followers that lack it: each group is one propose
+    /// — one batch frame, one force and one cumulative ack at the
+    /// follower, the shape a steady-state group propose has — with at
+    /// most [`REPROPOSE_WINDOW`] full groups in flight. The records are
     /// already durable in our own log, so the queue entries start out
     /// self-forced. When the last one commits the cohort opens.
     pub(crate) fn maybe_finish_takeover(
@@ -314,23 +370,35 @@ impl RangeReplica {
     ) -> FollowUp {
         let mut fu = FollowUp::default();
         // Fig. 6 line 8: wait until at least one follower caught up.
-        if self.takeover.as_ref().is_none_or(|t| t.caught_up.is_empty()) {
+        let Some(&vouched) = self.takeover.as_ref().and_then(|t| t.caught_up.values().max()) else {
             return fu;
-        }
-        let mut sent_any = false;
-        while self.cq.len() <= (REPROPOSE_WINDOW - 1) * REPROPOSE_GROUP_OPS {
+        };
+        loop {
             let t = self.takeover.as_mut().expect("still in takeover");
-            let Some(group) = t.repropose.pop_front() else { break };
-            t.reproposing = true;
+            let Some(&(first, _)) = t.repropose.front() else { break };
+            let window = (REPROPOSE_WINDOW - 1) * REPROPOSE_GROUP_OPS;
+            if vouched < first && self.cq.len() > window {
+                break;
+            }
+            let group = t.repropose.pop_front().expect("a front group");
+            let group = match split_group(group, vouched) {
+                (Some(head), Some(rest)) => {
+                    t.repropose.push_front(rest);
+                    head
+                }
+                (head, rest) => head.or(rest).expect("a group is not empty"),
+            };
             self.queue_group(&group, true);
+            let last = group_last(group.0, &group.1);
+            let t = self.takeover.as_ref().expect("still in takeover");
+            let lacking = t.caught_up.iter().filter(move |&(_, &held)| held < last);
             // Mid-takeover the cohort is resyncing; closed timestamps
             // resume with steady-state traffic.
-            self.send_group(rt, &self.peers, &group, 0, out);
-            sent_any = true;
+            self.send_group(rt, lacking.map(|(&n, _)| n), &group, 0, out);
         }
         let t = self.takeover.as_ref().expect("still in takeover");
-        if sent_any || (t.reproposing && !self.cq.is_empty()) {
-            return fu; // in-flight re-proposals have not all committed yet
+        if !t.repropose.is_empty() || !self.cq.is_empty() {
+            return fu; // the tail has not all committed yet
         }
         // Fig. 6 line 10: open the cohort for writes. New LSNs are
         // (new_epoch, seq) with seq continuing past l.lst, so every new
@@ -339,16 +407,16 @@ impl RangeReplica {
         let t = self.takeover.take().expect("still in takeover");
         self.role = Role::Leader;
         self.last_assigned = Lsn::new(epoch, self.last_assigned.seq());
-        // Open with a commit when a tail was re-proposed: the followers
+        // Open with a commit when a tail was resolved: the followers
         // hold it queued, and their committed watermark is what vouches
         // for a log across the epoch boundary the next propose crosses —
         // left a commit period stale, it would send them back to fetch
-        // the tail they just acknowledged. Only the followers that caught
-        // up in this epoch get it: only their queues are known to hold
-        // our re-proposals and nothing else.
-        if t.reproposing {
+        // the tail they just vouched for or acknowledged. Only the
+        // followers that caught up in this epoch get it: only their
+        // queues are known to hold our tail and nothing else.
+        if !t.runs.is_empty() {
             let (range, lsn, sent) = (self.range, self.last_committed, Lsn::ZERO);
-            for &peer in &t.caught_up {
+            for &peer in t.caught_up.keys() {
                 out.send(peer, PeerMsg::Commit { range, epoch, lsn, closed_ts: 0, sent });
             }
         }
@@ -358,29 +426,49 @@ impl RangeReplica {
 
     /// Re-drive a stalled takeover (fired by the election-retry timer).
     ///
-    /// `begin_takeover` sends `LeaderHello` and re-proposes the
-    /// unresolved tail exactly once. Any of those messages lost to a
-    /// partition or a crashed peer would otherwise wedge the cohort
-    /// forever: the takeover leader sits silent waiting for a caught-up
-    /// follower that never learned who leads. Re-sending is safe —
-    /// `on_leader_hello` is idempotent (same-epoch hellos just restart
-    /// the follower's catch-up) and a follower that already holds a
-    /// re-sent group logs nothing and acknowledges it again.
+    /// `begin_takeover` sends `LeaderHello` once, and each re-proposed
+    /// group goes out once. Any of those messages lost to a partition or
+    /// a crashed peer would otherwise wedge the cohort forever: the
+    /// takeover leader sits silent waiting for a caught-up follower that
+    /// never learned who leads. Re-sending is safe — `on_leader_hello`
+    /// is idempotent (a same-epoch hello restarts the follower's
+    /// catch-up, or leaves an outstanding request be) and a follower
+    /// that already holds a re-sent group logs nothing and acknowledges
+    /// it again.
     pub(crate) fn retry_takeover(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) -> FollowUp {
         let Some(t) = self.takeover.as_ref().filter(|_| self.role == Role::LeaderTakeover) else {
             return FollowUp::default();
         };
         let epoch = self.epoch;
         for &peer in &self.peers {
-            if !t.caught_up.contains(&peer) {
+            if !t.caught_up.contains_key(&peer) {
                 out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
             }
         }
         // Nudge in-flight re-proposals whose Propose or Ack went missing.
-        for group in self.pending_groups(rt) {
-            self.send_group(rt, &self.peers, &group, 0, out);
+        for (&follower, &held) in &t.caught_up {
+            self.send_queued_tail(rt, follower, held, out);
         }
         self.maybe_finish_takeover(rt, out)
+    }
+
+    /// Send `follower` the part of the queued tail past `held`, the end
+    /// of what its log vouched for.
+    fn send_queued_tail(
+        &self,
+        rt: &mut Runtime<'_>,
+        follower: NodeId,
+        held: Lsn,
+        out: &mut Outbox,
+    ) {
+        if self.cq.span().is_none_or(|(_, last)| last <= held) {
+            return;
+        }
+        for group in self.pending_groups(rt) {
+            if let (_, Some(lacking)) = split_group(group, held) {
+                self.send_group(rt, [follower], &lacking, 0, out);
+            }
+        }
     }
 
     pub(crate) fn on_leader_hello(
@@ -404,10 +492,15 @@ impl RangeReplica {
         out: &mut Outbox,
     ) {
         let paths = CohortPaths::new(self.range);
-        let epoch = rt.coord.read_epoch(&paths.epoch);
+        let epoch = rt.coord.read_epoch(&paths.epoch).max(self.epoch);
+        // A request already sent to this leader in this epoch is
+        // answered with all a second one would be: a hello that follows
+        // the election's verdict leaves it be.
+        let asked =
+            self.leader == Some(leader) && self.catchup_asked.is_some_and(|(_, e)| e == epoch);
         self.role = Role::CatchingUp;
         self.leader = Some(leader);
-        self.epoch = self.epoch.max(epoch);
+        self.epoch = epoch;
         self.cq.clear();
         self.unproposed.clear();
         self.proposing = false;
@@ -424,7 +517,9 @@ impl RangeReplica {
         // in the history it will ship or among the pending writes it
         // re-sends behind that.
         self.parked.clear();
-        self.catchup_asked = None;
+        if !asked {
+            self.catchup_asked = None;
+        }
         self.ask_catchup(rt, leader, out);
     }
 
@@ -434,10 +529,10 @@ impl RangeReplica {
     /// so a second request buys nothing while the first can still be
     /// answered; one unanswered for [`ELECTION_RETRY`] is presumed lost.
     pub(super) fn ask_catchup(&mut self, rt: &Runtime<'_>, leader: NodeId, out: &mut Outbox) {
-        if self.catchup_asked.is_some_and(|at| rt.now < at.saturating_add(ELECTION_RETRY)) {
+        if self.catchup_asked.is_some_and(|(at, _)| rt.now < at.saturating_add(ELECTION_RETRY)) {
             return;
         }
-        self.catchup_asked = Some(rt.now);
+        self.catchup_asked = Some((rt.now, self.epoch));
         self.catchup_requests += 1;
         out.send(
             leader,
@@ -473,7 +568,9 @@ impl RangeReplica {
     /// meanwhile it holds a complete, gap-free prefix. The re-sends are
     /// groups cut from the log ([`RunCutter`]), whatever groups the
     /// writes first travelled in; the follower keeps of each the part it
-    /// does not hold yet.
+    /// does not hold yet. A taking-over leader's queue holds only its
+    /// tail, which the reply names: the follower vouches for the part it
+    /// holds and is sent the rest once it confirms.
     pub(crate) fn on_catchup_req(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -485,9 +582,12 @@ impl RangeReplica {
             return; // not the leader (any more); the follower will re-learn
         }
         self.serve_catchup(rt, follower, f_cmt, out);
+        if self.role == Role::LeaderTakeover {
+            return;
+        }
         let closed_ts = self.advertised_closed_ts(rt);
         for group in self.pending_groups(rt) {
-            self.send_group(rt, &[follower], &group, closed_ts, out);
+            self.send_group(rt, [follower], &group, closed_ts, out);
         }
     }
 
@@ -531,7 +631,8 @@ impl RangeReplica {
 
     /// Ship `(f_cmt, l.cmt]` from the log, or the rows the store holds
     /// past `f_cmt` (§6.1) when the log no longer reaches back to `f_cmt`
-    /// or `f_cmt` is zero. A follower at zero vouches for nothing — a
+    /// or `f_cmt` is zero, and name a takeover's unresolved tail past
+    /// `l.cmt`. A follower at zero vouches for nothing — a
     /// move's joiner, or a replica rebuilt at claim zero — and a leader
     /// rebuilt at claim zero holds assembled rows its own log never held,
     /// so only its store has them all. Rows the store cannot read are not
@@ -549,6 +650,10 @@ impl RangeReplica {
                 (Vec::new(), fragments)
             }
         };
+        let tail = match &self.takeover {
+            Some(t) if self.role == Role::LeaderTakeover => runs_past(&t.runs, up_to),
+            _ => Vec::new(),
+        };
         let msg = PeerMsg::CatchupRecords {
             range: self.range,
             epoch: self.epoch,
@@ -556,12 +661,15 @@ impl RangeReplica {
             fragments,
             gc_floor: self.store.gc_floor(),
             up_to,
+            tail,
         };
         out.send(follower, msg);
     }
 
     /// Follower side of catch-up completion: ingest, **logically
-    /// truncate** orphaned records (§6.1.1), confirm, replay the park.
+    /// truncate** orphaned records (§6.1.1), vouch for the part of a
+    /// taking-over leader's `tail` our log holds, confirm, replay the
+    /// park.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_catchup_records(
         &mut self,
@@ -572,6 +680,7 @@ impl RangeReplica {
         fragments: Vec<(Key, Row)>,
         gc_floor: Timestamp,
         up_to: Lsn,
+        tail: &[(Lsn, u64)],
         out: &mut Outbox,
     ) {
         let st = rt.wal.state(self.range);
@@ -590,6 +699,15 @@ impl RangeReplica {
         // log. A tail below the log's floor, or a truncation we cannot
         // make durable, poisons the node: confirming the catch-up would
         // let local recovery replay an orphan up to the new watermark.
+        //
+        // The walk goes on along a taking-over leader's unresolved tail
+        // past `up_to`: `vouched` ends the longest prefix of it that we
+        // hold — committed, or in our index. An LSN names one record
+        // (each epoch has one leader) and the index leaves out what was
+        // truncated, so holding the LSN is holding the write. Our own
+        // records among that prefix that the tail does not list are
+        // orphans too: the leader commits through `vouched` on our word,
+        // and they must not replay below it.
         debug_assert!(records.windows(2).all(|w| w[0].0 < w[1].0), "records in LSN order");
         let own = rt.wal.indexed_lsns(self.range, f_cmt, st.last_lsn);
         let Some(mut own) = rt.fail_stop(own) else { return };
@@ -609,7 +727,30 @@ impl RangeReplica {
             }
             held.push(holds);
         }
-        orphans.extend(next.into_iter().chain(own).filter(|o| *o <= up_to));
+        while let Some(orphan) = next.filter(|o| *o <= up_to) {
+            orphans.push(orphan);
+            next = own.next();
+        }
+        let mut vouched = Lsn::ZERO;
+        let mut between = Vec::new();
+        'tail: for &(first, count) in tail {
+            for seq in first.seq()..first.seq() + count {
+                let lsn = Lsn::new(first.epoch(), seq);
+                if lsn > f_cmt {
+                    while let Some(orphan) = next.filter(|o| *o < lsn) {
+                        between.push(orphan);
+                        next = own.next();
+                    }
+                    if next != Some(lsn) {
+                        break 'tail;
+                    }
+                    next = own.next();
+                    orphans.append(&mut between);
+                }
+                vouched = lsn;
+            }
+        }
+        drop(own);
         let truncated = rt.wal.truncate_logically(self.range, &orphans);
         if rt.fail_stop(truncated).is_none() {
             return;
@@ -655,11 +796,28 @@ impl RangeReplica {
         appended |= self.note_commit(rt, up_to, 0);
         self.role = Role::Follower;
         self.catchup_asked = None;
+        // The vouched tail past what we committed or queued joins the
+        // queue as this leader's proposals, read back from our own log:
+        // its commit messages drain them here.
+        let tip = self.held_tip();
+        if vouched > tip {
+            let cq = &mut self.cq;
+            let replayed = rt.wal.replay_batches(self.range, tip, vouched, |lsn, batch, index| {
+                let op = PendingOp::Shared { batch: batch.clone(), index };
+                cq.insert(PendingWrite { lsn, op }, false);
+            });
+            if rt.fail_stop(replayed).is_none() {
+                return;
+            }
+        }
 
-        if appended {
-            rt.forces.request(Waiter::CatchupDone { range: self.range, up_to, leader }, out);
+        // A vouch, like an ack, speaks for durable records only: the
+        // writes we hold may still sit unforced in our log.
+        let (range, held) = (self.range, vouched);
+        if appended || !held.is_zero() {
+            rt.forces.request(Waiter::CatchupDone { range, epoch, up_to, held, leader }, out);
         } else {
-            out.send(leader, PeerMsg::CaughtUp { range: self.range, epoch: self.epoch, at: up_to });
+            out.send(leader, PeerMsg::CaughtUp { range, epoch, at: up_to, held });
         }
         // Replay what was parked while the reply was on its way, in LSN
         // order, as the proposes they are. What the reply covered is
@@ -673,16 +831,32 @@ impl RangeReplica {
         }
     }
 
+    /// Leader: `follower` confirmed the catch-up reply of our `epoch`
+    /// durable, and vouched for our unresolved tail through `held`. In a
+    /// takeover it is sent the queued tail it lacks, and its vouch counts
+    /// as its cumulative ack: the tail up to `held` is queued and
+    /// commits.
     pub(crate) fn on_caught_up(
         &mut self,
         rt: &mut Runtime<'_>,
         follower: NodeId,
+        epoch: Epoch,
+        held: Lsn,
         out: &mut Outbox,
     ) -> FollowUp {
         let mut fu = FollowUp::default();
-        if let Some(t) = self.takeover.as_mut() {
-            t.caught_up.insert(follower);
+        // A confirmation from another epoch answered another leader's
+        // reply: it vouches for nothing in this one.
+        if epoch != self.epoch {
+            return fu;
+        }
+        if let Some(t) = self.takeover.as_mut().filter(|_| self.role == Role::LeaderTakeover) {
+            t.caught_up.insert(follower, held);
+            self.send_queued_tail(rt, follower, held, out);
             fu.merge_from(self.maybe_finish_takeover(rt, out));
+            if !held.is_zero() {
+                fu.merge_from(self.on_ack(rt, follower, epoch, held, out));
+            }
         }
         if self.moving.as_ref().is_some_and(|m| m.to == follower) && self.role.leads() {
             fu.move_target_caught_up = true;

@@ -154,7 +154,7 @@ impl RangeReplica {
         rt.forces.request(Waiter::LeaderWrite { range: self.range, lsn: last }, out);
         self.proposing = true;
         let closed_ts = self.advertised_closed_ts(rt);
-        self.send_group(rt, &self.peers, &group, closed_ts, out);
+        self.send_group(rt, self.peers.iter().copied(), &group, closed_ts, out);
     }
 
     /// Log `group` as one batch record and charge the next force for it;
@@ -181,13 +181,13 @@ impl RangeReplica {
     pub(super) fn send_group(
         &self,
         rt: &Runtime<'_>,
-        to: &[NodeId],
+        to: impl IntoIterator<Item = NodeId>,
         (first, ops): &Group,
         closed_ts: u64,
         out: &mut Outbox,
     ) {
         let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
-        for &peer in to {
+        for peer in to {
             out.send(
                 peer,
                 PeerMsg::Propose {
@@ -411,6 +411,7 @@ impl RangeReplica {
                                 barrier,
                                 epoch,
                                 token,
+                                clock: self.clock(),
                             },
                         );
                     }
@@ -493,7 +494,7 @@ impl RangeReplica {
 
     /// Follower: the newest write we hold beyond dispute — the committed
     /// prefix and, queued behind it, this epoch's leader's proposals.
-    fn held_tip(&self) -> Lsn {
+    pub(super) fn held_tip(&self) -> Lsn {
         self.cq.span().map_or(self.last_committed, |(_, l)| l.max(self.last_committed))
     }
 

@@ -114,41 +114,45 @@ fn a_follower_queues_the_proposed_batch_itself() {
 }
 
 /// Takeover moves the unresolved tail in groups. A new leader with 256
-/// unresolved writes sends four proposes of 64 to each peer — not 256 of
-/// one — all in the input that learns a follower caught up, and that
-/// input allocates next to nothing: the groups were cut when the tail
-/// was read, the log record, both messages and the queue entries share
-/// each group's one batch, and the queue's ring reuses the buffer the
-/// tail filled while this node followed. (Re-proposing write by write
-/// built an `Arc` per write here, and a message per write and peer.)
-/// What the takeover allocates per write elsewhere is what any committed
-/// write costs: its share of the memtable.
+/// unresolved writes that its one caught-up follower lacks sends it four
+/// proposes of 64 — not 256 of one — all in the input that learns the
+/// follower caught up, and that input allocates next to nothing: the
+/// groups were cut when the tail was read, the log record, the message
+/// and the queue entries share each group's one batch, and the queue's
+/// ring reuses the buffer the tail filled while this node followed.
+/// (Re-proposing write by write built an `Arc` per write here, and a
+/// message per write and peer.) What the takeover allocates per write
+/// elsewhere is what any committed write costs: its share of the
+/// memtable.
 #[test]
 fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     const TAIL: usize = 256;
     const GROUP: usize = 64;
     let mut p = Pump::new();
+    // Node 2 is cut off while the writes happen; no commit period
+    // passes, so node 1 holds all of them unresolved and node 2 none.
+    p.lose = Box::new(|from, to, _| from == 2 || to == 2);
     for k in 0..TAIL as u64 {
         let req = put_request(k, u64_to_key(k), "c", &[b'v'; 256]);
         p.feed(0, NodeInput::Client { from: CLIENT, req });
         p.run();
     }
     assert_eq!(p.written.len(), TAIL);
-    // No commit period has passed: both followers hold the whole tail
-    // unresolved. The leader dies.
+    // The leader dies; node 1 holds the longest log and takes over.
+    p.lose = Box::new(|_, _, _| false);
     p.proposing.clear();
     p.crash(0);
     p.run();
     let leader = p.leader_of(R0);
+    assert_eq!(leader, 1);
     assert_eq!(p.node(leader).last_committed(R0).seq(), TAIL as u64);
 
     let by_leader: Vec<_> = p.proposing.iter().filter(|i| i.node == leader).collect();
     assert_eq!(by_leader.len(), 1, "the whole tail fits the window: one input sends it");
     let (allocs, since) = (by_leader[0].allocs, by_leader[0].since);
-    for peer in (0..3).filter(|&n| n != leader) {
-        let sizes: Vec<usize> = p.proposes(since, leader, peer).iter().map(|(_, n)| *n).collect();
-        assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node {peer}");
-    }
+    let sizes: Vec<usize> = p.proposes(since, leader, 2).iter().map(|(_, n)| *n).collect();
+    assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node 2");
+    assert_eq!(p.proposes(since, leader, 0), [], "nothing to the dead node 0");
     // Measured 1 when set (43 while the queue was a B-tree of entries
     // with an acker set each).
     assert!(allocs <= 4, "{allocs} allocations re-proposing {TAIL} writes");

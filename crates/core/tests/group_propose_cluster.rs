@@ -137,9 +137,13 @@ fn leader_crash_mid_group_propose_keeps_acked_writes_and_reconverges() {
 /// some in flight, some not yet sent — and its followers keep whatever
 /// re-proposed frames their logs had forced. The crash lands just
 /// before a commit tick, so the tail is a commit period long (a dozen
-/// groups). The old leader comes back, the cohort elects a third time,
-/// and that takeover must finish: every write a client saw acknowledged
-/// under the first leader is readable, and writes resume.
+/// groups). One follower was down while the tail was written and comes
+/// back as the leader dies, and the other one takes over: the tail is
+/// re-proposed to the one that lacks it (a follower that holds it only
+/// vouches for it) and commits group by group. The old leader comes back,
+/// the cohort elects a third time, and that takeover must finish: every
+/// write a client saw acknowledged under the first leader is readable,
+/// and writes resume.
 #[test]
 fn new_leader_crash_mid_repropose_keeps_acked_writes_and_next_takeover_finishes() {
     const R0: RangeId = RangeId(0);
@@ -157,14 +161,20 @@ fn new_leader_crash_mid_repropose_keeps_acked_writes_and_next_takeover_finishes(
         );
         stats.borrow_mut().trace = Some(Vec::new());
         let kill = 4 * SECS - 10 * MILLIS;
-        cluster.run_until(kill);
+        let asleep = kill - 300 * MILLIS;
+        cluster.run_until(asleep);
         let first = cluster.leader_of(R0).expect("range 0 led");
+        let cohort = cluster.ring.cohort(R0);
+        let sleeper = *cohort.iter().rfind(|&&n| n != first).expect("a follower");
+        cluster.crash_node(asleep, sleeper, true);
+        cluster.run_until(kill);
+        assert_eq!(cluster.leader_of(R0), Some(first), "the leader outlived the sleeper");
         let acked_before = stats.borrow().completed;
         cluster.crash_node(kill, first, true);
+        cluster.restart_node(kill, sleeper);
 
         // Step until a successor has re-committed part of the tail and is
         // still taking over; kill it there.
-        let cohort = cluster.ring.cohort(R0);
         let mut now = kill;
         let mut taking_over: Option<(u32, spinnaker_common::Lsn)> = None;
         let second = loop {

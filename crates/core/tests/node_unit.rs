@@ -178,6 +178,7 @@ fn follower_forces_before_acking_a_propose() {
         fragments: vec![],
         gc_floor: u64::MAX,
         up_to: Lsn::ZERO,
+        tail: vec![],
     };
     p.step(1, peer(0, nothing));
     assert_eq!(p.role(1), Role::Follower);
@@ -281,6 +282,7 @@ fn catchup_records(epoch: u16, from: u64, to: u64) -> PeerMsg {
         fragments: vec![],
         gc_floor: u64::MAX,
         up_to: Lsn::new(epoch, to),
+        tail: vec![],
     }
 }
 
@@ -405,4 +407,28 @@ fn park_overflow_drops_the_oldest_and_catch_up_still_converges() {
     assert!(!sends(&out).iter().any(|(_, m)| matches!(m, PeerMsg::CatchupReq { .. })));
     assert_eq!(p.node(1).last_lsn(R0), Lsn::new(1, last));
     assert_eq!(p.node(1).wal().indexed_records(R0), last as usize);
+}
+
+/// A `CaughtUp` answers the catch-up reply of one epoch's leader. Node 0
+/// dies and its successor takes over range 0 in epoch 2 while every
+/// confirmation is lost; then a late one from epoch 1 arrives. At the
+/// parent commit it marked its sender caught up, and the takeover (its
+/// tail empty) opened on it. It counts for nothing; the confirmation of
+/// this epoch opens the takeover.
+#[test]
+fn a_caught_up_from_another_epoch_does_not_count() {
+    let mut p = Pump::new();
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::CaughtUp { .. }));
+    p.crash(0);
+    p.run();
+    let leader = (1..3).find(|&i| p.role(i) == Role::LeaderTakeover).expect("a takeover waits");
+    let follower = 3 - leader as u32;
+    assert_eq!(p.node(leader).epoch_of(R0), 2);
+    let confirm = |epoch| PeerMsg::CaughtUp { range: R0, epoch, at: Lsn::ZERO, held: Lsn::ZERO };
+
+    let out = p.step(leader, peer(follower, confirm(1)));
+    assert_eq!(p.role(leader), Role::LeaderTakeover, "a stale confirmation opened the takeover");
+    assert!(sends(&out).is_empty(), "and sent {:?}", sends(&out));
+    p.step(leader, peer(follower, confirm(2)));
+    assert_eq!(p.role(leader), Role::Leader);
 }

@@ -11,7 +11,7 @@ use spinnaker_common::{Consistency, Lsn};
 use spinnaker_coord::WatchEvent;
 use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg};
 use spinnaker_core::node::{CohortPaths, NodeConfig, Role};
-use spinnaker_core::partition::{u64_to_key, TABLE_PATH};
+use spinnaker_core::partition::{key_to_u64, u64_to_key, TABLE_PATH};
 use spinnaker_core::session::{CallOutcome, Session, SessionCall, SessionStep};
 use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
 
@@ -23,11 +23,21 @@ fn lsn(epoch: u16, seq: u64) -> Lsn {
     Lsn::new(epoch, seq)
 }
 
-/// Takeover re-proposes the unresolved tail in groups that break at an
-/// epoch boundary and at a logically truncated LSN, a follower that
-/// already holds a whole group acknowledges it without logging it again,
-/// and afterwards every acknowledged write is readable on every replica
-/// — from its memory and from a replay of its log.
+/// The tail prefix each `CaughtUp` node `from` sent since index `since`
+/// of the send log vouched for.
+fn vouches(p: &Pump, since: usize, from: usize) -> Vec<Lsn> {
+    let held = |(f, _, m): &(usize, usize, PeerMsg)| match m {
+        PeerMsg::CaughtUp { range: R0, held, .. } if *f == from => Some(*held),
+        _ => None,
+    };
+    p.sent[since..].iter().filter_map(held).collect()
+}
+
+/// Takeover names the unresolved tail in runs that break at an epoch
+/// boundary and at a logically truncated LSN, a follower vouches for the
+/// part of it that it holds — committed or logged — and is re-proposed
+/// only the rest, and afterwards every acknowledged write is readable on
+/// every replica — from its memory and from a replay of its log.
 ///
 /// The tail is built the way a real cohort builds one: commit messages
 /// lost to one follower (node 2) leave its committed watermark at 1.4
@@ -55,7 +65,7 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     // Epoch 2: node 2 hears of the death late (its 1.7 would win it the
     // election), and node 0 restarts at once without 1.7, never forced:
     // nodes 0 and 1 stand with 1.6 and node 0, the range's home, takes
-    // over. Node 2 catches up and acknowledges [1.5, 1.6]; every commit
+    // over. Node 2 catches up and vouches for [1.5, 1.6]; every commit
     // message to it is lost.
     p.hold_events[2] = true;
     p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }));
@@ -68,7 +78,7 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     assert_eq!(p.role(2), Role::Follower);
     assert_eq!(p.node(2).last_committed(R0), lsn(1, 4), "node 2 never saw a commit past 1.4");
     // 2.7 and 2.8: node 2 logs them over its orphan, vouched for by the
-    // re-proposals still in its queue. Node 1 misses 2.8.
+    // tail still in its queue. Node 1 misses 2.8.
     let asked = p.node(2).catchup_requests(R0);
     p.put_all(0, 8..=8);
     p.lose = Box::new(|_, to, m| {
@@ -95,7 +105,9 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
 
     // Epoch 3: node 0 dies while node 2 is down. Node 2 comes back to a
     // cohort without a leader, stands with what its disk says, and wins
-    // on 2.8 against node 1's 2.7.
+    // on 2.8 against node 1's 2.7. Node 1 has committed past node 2's
+    // 1.4 (through the opening commit of epoch 2, 1.6): it holds 1.5 and
+    // 1.6 as committed, and 2.7 in its log, and is sent only 2.8.
     p.lose = Box::new(|_, _, _| false);
     let takeover_from = p.sent.len();
     p.crash(0);
@@ -103,11 +115,20 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     p.run();
     assert_eq!(p.role(2), Role::Leader);
     assert_eq!(p.node(2).epoch_of(R0), 3);
+    let tails: Vec<&Vec<(Lsn, u64)>> = p.sent[takeover_from..]
+        .iter()
+        .filter_map(|(from, to, m)| match m {
+            PeerMsg::CatchupRecords { range: R0, tail, .. } if (*from, *to) == (2, 1) => Some(tail),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        p.proposes(takeover_from, 2, 1),
-        vec![(lsn(1, 5), 2), (lsn(2, 7), 2)],
-        "one group per epoch, cut at the truncated 1.7"
+        tails,
+        [&vec![(lsn(1, 5), 2), (lsn(2, 7), 2)]],
+        "one run per epoch, cut at the truncated 1.7"
     );
+    assert_eq!(vouches(&p, takeover_from, 1), [lsn(2, 7)]);
+    assert_eq!(p.proposes(takeover_from, 2, 1), [(lsn(2, 8), 1)], "what node 1 lacks");
     assert_eq!(p.node(2).last_committed(R0), lsn(2, 8));
     assert_eq!(
         p.count_sent(takeover_from, 2, |m| matches!(m, PeerMsg::Commit { range: R0, .. })),
@@ -403,6 +424,235 @@ fn a_propose_lost_to_every_follower_is_sent_again() {
     );
     for i in 1..3 {
         assert_eq!(p.node(i).last_lsn(R0), lsn(1, 5), "node {i} logged 1.5");
+    }
+}
+
+// =====================================================================
+// takeover: a follower vouches for the tail it holds
+// =====================================================================
+
+/// One catch-up request per takeover. A follower learns who won from the
+/// election and asks; the winner's hello, which follows, finds that
+/// request outstanding and leaves it be. At the parent commit the hello
+/// restarted the catch-up: the follower asked twice, and the leader
+/// served its history twice.
+#[test]
+fn a_takeover_costs_a_follower_one_catch_up_request() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let asked = [1, 2].map(|i| p.node(i).catchup_requests(R0));
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    let follower = 3 - leader;
+    assert_eq!(p.node(follower).catchup_requests(R0), asked[follower - 1] + 1);
+    assert_eq!(p.node(leader).catchup_requests(R0), asked[leader - 1]);
+}
+
+/// A follower that holds the whole unresolved tail vouches for it and is
+/// sent none of it. Keys 5-8 are logged everywhere but committed at node
+/// 0 alone when it dies: the successor commits them on the follower's
+/// `CaughtUp`, answers their clients, and opens.
+#[test]
+fn a_follower_that_holds_the_whole_tail_is_sent_none_of_it() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=8);
+    let since = p.sent.len();
+    let answered = p.written.len();
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    let follower = 3 - leader;
+    assert_eq!(p.node(leader).epoch_of(R0), 2);
+    assert_eq!(vouches(&p, since, follower), [lsn(1, 8)]);
+    assert_eq!(p.proposes(since, leader, follower), [], "a tail propose");
+    assert_eq!(p.node(leader).last_committed(R0), lsn(1, 8));
+    assert_eq!(p.written.len(), answered + 4, "the successor answered the tail's clients");
+    assert_eq!(p.node(follower).last_committed(R0), lsn(1, 8), "the opening commit drained");
+    for node in [leader, follower] {
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A follower that missed the last group vouches for the prefix it holds
+/// and is sent only the rest as payload. Node 2 misses keys 7 and 8, so
+/// node 1 takes over with the longer log; node 2 vouches for 1.5 and 1.6
+/// and is proposed 1.7 and 1.8 in one group.
+#[test]
+fn a_follower_that_missed_the_last_group_is_sent_only_that() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=6);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put_all(0, 7..=8);
+    p.lose = Box::new(|_, _, _| false);
+    let since = p.sent.len();
+    p.crash(0);
+    p.run();
+    assert_eq!(p.leader_of(R0), 1, "node 1 holds the longest log");
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 6)]);
+    assert_eq!(p.proposes(since, 1, 2), [(lsn(1, 7), 2)], "only what node 2 lacks");
+    assert_eq!(p.node(1).last_committed(R0), lsn(1, 8));
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 8));
+    for node in [1, 2] {
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// An orphan inside the vouched span is truncated and never replayed.
+/// Node 2 logs 1.7 alone (node 0's own force never completes) and hears
+/// no commit past 1.4. Node 0 comes back without 1.7 and, with node 1,
+/// opens epoch 2 on the tail 1.5, 1.6, which node 2 vouches for; node 2
+/// logs 2.7 behind them, over its orphan. Nodes 0 and 2 go down, node 1
+/// stands first, and once node 2 is back it wins epoch 3 on the tie with
+/// the tail 2.7. Node 2 holds 2.7 with 1.7 below it: it vouches for 2.7,
+/// truncates 1.7, and after a restart past a later commit serves no key
+/// 7. At the parent commit 1.7 stayed in its log and replayed.
+#[test]
+fn an_orphan_inside_the_vouched_tail_is_truncated_and_never_replayed() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let commit_to_2 = |to: usize, m: &PeerMsg| to == 2 && matches!(m, PeerMsg::Commit { .. });
+    p.lose = Box::new(move |_, to, m| commit_to_2(to, m));
+    p.put_all(0, 5..=6);
+    p.hold_forces[0] = true;
+    p.lose = Box::new(move |_, to, m| {
+        commit_to_2(to, m) || (to == 1 && matches!(m, PeerMsg::Propose { range: R0, .. }))
+    });
+    let orphan = p.put(0, 7);
+    p.run();
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 7));
+
+    p.hold_events[2] = true;
+    p.lose = Box::new(move |_, to, m| commit_to_2(to, m));
+    p.crash(0);
+    p.hold_forces[0] = false;
+    p.boot(0);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(0).epoch_of(R0)), (0, 2));
+    p.put_all(0, 8..=8);
+    assert_eq!(p.node(2).last_lsn(R0), lsn(2, 7), "node 2 logged 2.7 over its orphan");
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 4));
+
+    p.crash(0);
+    p.crash(2);
+    p.run();
+    p.hold_events[2] = false;
+    p.lose = Box::new(|_, _, _| false);
+    let since = p.sent.len();
+    p.boot(2);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(1).epoch_of(R0)), (1, 3));
+    assert_eq!(vouches(&p, since, 2), [lsn(2, 7)]);
+    assert_eq!(p.node(2).wal().skipped_lsns(R0), [lsn(1, 7)], "the orphan is truncated");
+    assert_eq!(p.proposes(since, 1, 2), []);
+
+    p.put_all(1, 9..=9);
+    p.commit_tick(1);
+    p.crash(2);
+    p.boot(2);
+    p.run();
+    assert!(!p.written.contains(&orphan));
+    for node in [1, 2] {
+        for k in (1..=6).chain(8..=9) {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+        assert_eq!(p.read(node, 7), None, "node {node} replayed the orphan");
+    }
+}
+
+/// A follower that crashes right after vouching still has every write it
+/// vouched for. Node 2 logs keys 5-8 with its forces held, so they sit
+/// unsynced in its log, and it misses the election: node 0 comes back
+/// and takes over with the tail 1.5-1.8, and node 2 vouches for all of
+/// it. It crashes the moment its `CaughtUp` leaves, and its disk holds
+/// the four writes: the vouch waited for a force.
+#[test]
+fn a_follower_that_crashes_right_after_vouching_keeps_what_it_vouched_for() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.hold_forces[2] = true;
+    p.put_all(0, 5..=8);
+    p.hold_forces[2] = false;
+    p.hold_events[2] = true;
+    p.crash(0);
+    p.boot(0);
+    let since = p.sent.len();
+    while vouches(&p, since, 2).is_empty() {
+        let (node, input) = p.queue.pop_front().expect("node 2 confirms its catch-up");
+        p.feed(node, input);
+    }
+    assert_eq!(p.node(0).epoch_of(R0), 2);
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 8)]);
+    p.crash(2);
+    p.hold_events[2] = false;
+    p.boot(2);
+    let keys: Vec<u64> = p.stream(2, R0, lsn(1, 4)).iter().map(|(_, k)| key_to_u64(k)).collect();
+    assert_eq!(keys, [5, 6, 7, 8], "node 2 lost writes it vouched for");
+    p.run();
+    for k in 1..=8 {
+        assert_eq!(p.read(0, k), acked(k), "key {k}");
+    }
+}
+
+/// A vouch is read off the log's index, not its tip. Node 1 logs 1.7
+/// alone (node 0's force never completes); epoch 2 runs without node 1,
+/// and node 2 logs 2.7 alone. Node 1 then takes over epoch 3 with the
+/// tail 1.5-1.7, and node 2, whose log tip 2.7 lies past all of it,
+/// holds only 1.5 and 1.6 (committed): it vouches for 1.6 and is sent
+/// 1.7.
+#[test]
+fn a_vouch_is_read_off_the_index_not_the_log_tip() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=6);
+    p.hold_forces[0] = true;
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put(0, 7);
+    p.run();
+    assert_eq!(p.node(1).last_lsn(R0), lsn(1, 7));
+
+    // Epoch 2, without node 1.
+    p.hold_events[1] = true;
+    p.lose = Box::new(|from, to, _| from == 1 || to == 1);
+    p.crash(0);
+    p.hold_forces[0] = false;
+    p.boot(0);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(0).epoch_of(R0)), (0, 2));
+    p.hold_forces[0] = true;
+    p.put(0, 9);
+    p.run();
+    assert_eq!(p.node(2).last_lsn(R0), lsn(2, 7));
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 6));
+
+    // Epoch 3: nodes 0 and 1 stand, node 2 does not.
+    p.hold_events = [false, false, true];
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.crash(1);
+    p.hold_forces[0] = false;
+    let since = p.sent.len();
+    p.boot(0);
+    p.boot(1);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(1).epoch_of(R0)), (1, 3));
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 6)]);
+    assert_eq!(p.proposes(since, 1, 2), [(lsn(1, 7), 1)], "node 2 lacks 1.7");
+    p.commit_tick(1);
+    for k in 1..=7 {
+        assert_eq!(p.read(2, k), acked(k), "key {k}");
     }
 }
 

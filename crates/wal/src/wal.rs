@@ -19,13 +19,14 @@
 //! multiple appends under one sync (§5 "group commit is also used").
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
 use crate::record::{
-    encode_frame_into, read_frame, scan_frame, FrameRead, LogRecord, RecordHeader,
+    encode_frame_into, read_frame, scan_frame, FrameRead, LogRecord, Payload, RecordHeader,
 };
 
 /// Tuning knobs for the log.
@@ -332,6 +333,20 @@ impl Wal {
         to: Lsn,
         mut f: impl FnMut(Lsn, &WriteOp),
     ) -> Result<usize> {
+        self.replay_batches(cohort, from, to, |lsn, batch, index| f(lsn, &batch[index]))
+    }
+
+    /// [`Wal::replay`], handing each write as its place in the batch it
+    /// was logged in: `batch[index]` is the write at the LSN. The batch
+    /// is decoded once per frame, so a caller that keeps writes shares
+    /// it instead of copying them.
+    pub fn replay_batches(
+        &self,
+        cohort: RangeId,
+        from: Lsn,
+        to: Lsn,
+        mut f: impl FnMut(Lsn, &Arc<[WriteOp]>, usize),
+    ) -> Result<usize> {
         // The ops of a group propose are consecutive index entries
         // pointing at one frame: read, checksum and decode it once and
         // serve every op of the run from it. Frames of one sealed
@@ -347,15 +362,19 @@ impl Wal {
             debug_assert_eq!(rec.lsn.epoch(), lsn.epoch());
             // The indexed LSN selects its op out of the frame by its
             // offset from the record's first LSN.
-            let op = lsn
+            let batch = match &rec.payload {
+                Payload::Writes(batch) => Some(batch),
+                Payload::CommitNote => None,
+            };
+            let found = lsn
                 .seq()
                 .checked_sub(rec.lsn.seq())
                 .and_then(|i| usize::try_from(i).ok())
-                .and_then(|i| rec.ops().get(i))
-                .ok_or_else(|| {
-                    Error::Corruption(format!("lsn {lsn} outside the record at {}", rec.lsn))
-                })?;
-            f(lsn, op);
+                .and_then(|i| batch.filter(|b| i < b.len()).map(|b| (b, i)));
+            let (batch, index) = found.ok_or_else(|| {
+                Error::Corruption(format!("lsn {lsn} outside the record at {}", rec.lsn))
+            })?;
+            f(lsn, batch, index);
             count += 1;
         }
         Ok(count)
@@ -548,8 +567,6 @@ fn decode_cohorts(data: &[u8]) -> Result<BTreeMap<RangeId, Cohort>> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use spinnaker_common::op;
     use spinnaker_common::vfs::MemVfs;
 
