@@ -593,12 +593,6 @@ impl RangeReplica {
             return;
         }
         let closed_ts = self.advertised_closed_ts(rt);
-        if self.last_committed == Lsn::ZERO && closed_ts == 0 {
-            return; // nothing committed, nothing closed: stay quiet
-        }
-        let lsn = self.last_committed;
-        let epoch = self.epoch;
-        self.note_commit(rt, lsn, NOTE_BYTES);
         // Name what was proposed by the previous tick, not by this one:
         // a commit sent right behind a propose can overtake it on the
         // follower's cores, but not by a whole commit period.
@@ -607,6 +601,15 @@ impl RangeReplica {
             None => self.last_assigned,
         };
         let sent = std::mem::replace(&mut self.proposed_at_tick, proposed);
+        // A range's first propose, lost to every follower, is revealed
+        // only by `sent`: stay quiet only while nothing is committed,
+        // proposed or closed.
+        if self.last_committed.is_zero() && sent.seq() == 0 && closed_ts == 0 {
+            return;
+        }
+        let lsn = self.last_committed;
+        let epoch = self.epoch;
+        self.note_commit(rt, lsn, NOTE_BYTES);
         for &peer in &self.peers {
             out.send(peer, PeerMsg::Commit { range: self.range, epoch, lsn, closed_ts, sent });
         }

@@ -427,6 +427,26 @@ fn a_propose_lost_to_every_follower_is_sent_again() {
     }
 }
 
+/// The same hole on a range with nothing committed yet: its first propose
+/// lost to every follower. At the parent commit the leader stayed quiet
+/// on its commit period while its watermark was zero, so no commit
+/// message named what it had sent, and the put waited forever.
+#[test]
+fn a_ranges_first_propose_lost_to_every_follower_is_sent_again() {
+    let mut p = Pump::new();
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Propose { .. }));
+    let put = p.put(0, 1);
+    p.run();
+    p.lose = Box::new(|_, _, _| false);
+    assert!(!p.written.contains(&put), "nothing acknowledged the lost put");
+    p.commit_tick(0);
+    p.commit_tick(0);
+    assert!(p.written.contains(&put), "the lost first put committed");
+    for i in 1..3 {
+        assert_eq!(p.node(i).last_lsn(R0), lsn(1, 1), "node {i} logged 1.1");
+    }
+}
+
 // =====================================================================
 // takeover: a follower vouches for the tail it holds
 // =====================================================================

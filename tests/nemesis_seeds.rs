@@ -31,6 +31,11 @@ fn pinned_seeds_stay_clean() {
     //     155), so it was never re-sent and the range stalled. Fixed by
     //     naming the leader's newest proposed LSN in its commit
     //     messages: a follower short of it asks for catch-up.
+    // 428: the same hole on a range whose first propose was lost to
+    //     every follower: a leader with nothing committed sent no commit
+    //     message, so nothing named what it had proposed. Fixed by
+    //     staying quiet only while nothing is committed, proposed or
+    //     closed.
     // The reconfiguration branches the 30-seed sweep does not reach with
     // a record in hand (`Node::dissolve`'s coverage, asserted below):
     // 49:  a follower whose drain to a merge barrier had a gap
@@ -62,7 +67,7 @@ fn pinned_seeds_stay_clean() {
     //      merged range, 172 has the table-driven reconcile re-home a tail
     //      record at its own watermark.
     let mut dissolves = DissolveCoverage::default();
-    for seed in [1u64, 7, 10, 29, 49, 119, 151, 155, 166, 167, 171, 172, 2904] {
+    for seed in [1u64, 7, 10, 29, 49, 119, 151, 155, 166, 167, 171, 172, 428, 2904] {
         let r = run_seed(seed);
         assert!(r.violations.is_empty(), "seed {seed} inconsistent: {:#?}", r.violations);
         assert!(!r.stalled, "seed {seed} stalled after heal: {:?}", r.health);
