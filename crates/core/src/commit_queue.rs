@@ -14,8 +14,8 @@
 //!
 //! The pending writes sit in a `VecDeque` in ascending LSN order, and an
 //! insert only ever appends: the leader sequences its LSNs upward, a
-//! takeover queues its tail window by window in log order, and a follower
-//! queues only the suffix of a propose past what it already holds. Only
+//! takeover queues its whole tail in log order as it begins, and a
+//! follower queues only the suffix of a propose past what it holds. Only
 //! [`CommitQueue::clear`] (a new leader, a new epoch) restarts the queue
 //! lower. A steady-state round allocates nothing here: the ring reuses
 //! its buffer, and a drain hands back the drained prefix in place.

@@ -452,6 +452,20 @@ fn group_last(first: Lsn, ops: &[WriteOp]) -> Lsn {
     Lsn::new(first.epoch(), first.seq() + ops.len() as u64 - 1)
 }
 
+/// The part of `group` past `lsn`: all of it, a copy of a suffix, or
+/// nothing.
+fn group_past((first, ops): &Group, lsn: Lsn) -> Option<Group> {
+    if lsn < *first {
+        Some((*first, ops.clone()))
+    } else if lsn < group_last(*first, ops) {
+        // `first <= lsn < last` puts all three in one epoch.
+        let held = (lsn.seq() + 1 - first.seq()) as usize;
+        Some((lsn.next(), Arc::from(&ops[held..])))
+    } else {
+        None
+    }
+}
+
 pub(crate) fn parse_node(data: &[u8]) -> NodeId {
     std::str::from_utf8(data).ok().and_then(|s| s.trim().parse().ok()).unwrap_or(u32::MAX)
 }

@@ -4,13 +4,15 @@
 //! level with the leader's committed history, logically truncating what
 //! no leader committed (§6.1, §6.1.1).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, Timestamp, WriteOp};
 use spinnaker_wal::LogRecord;
 
-use super::{group_last, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter};
+use super::{
+    group_last, group_past, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter,
+};
 use crate::commit_queue::{PendingOp, PendingWrite};
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
@@ -22,9 +24,6 @@ pub(super) const REPROPOSE_GROUP_OPS: usize = 64;
 /// Most bytes one re-proposed group carries: 64 large values must not add
 /// up to a frame the log refuses (`MAX_RECORD_BYTES`, 64 MiB).
 const REPROPOSE_GROUP_BYTES: usize = 1 << 20;
-/// Full re-proposed groups kept in flight during takeover: enough to
-/// overlap the link trip with the followers' forces.
-const REPROPOSE_WINDOW: usize = 4;
 /// Most proposes a catching-up follower parks: a reply of several MB is
 /// on the wire for tens of milliseconds, a few hundred group proposes on
 /// a busy range. Past it the oldest (the likeliest to be covered by the
@@ -76,69 +75,35 @@ pub(crate) struct Takeover {
     /// The followers that caught up in this epoch, each with the end of
     /// the tail prefix its log vouched for (`Lsn::ZERO`: none).
     caught_up: BTreeMap<NodeId, Lsn>,
-    /// The unresolved writes `(l.cmt, l.lst]` as maximal runs `(first
-    /// LSN, count)`, named in every catch-up reply the takeover serves.
-    runs: Vec<(Lsn, u64)>,
-    /// The part of that tail not queued yet, cut into the groups it is
-    /// re-proposed in through the normal replication protocol (Fig. 6
-    /// line 9) to a follower that does not hold it.
-    repropose: VecDeque<Group>,
+    /// The unresolved writes `(l.cmt, l.lst]` in the groups [`RunCutter`]
+    /// cut, queued whole when the takeover began (the queue shares their
+    /// batches) and re-proposed from here through the normal replication
+    /// protocol (Fig. 6 line 9) to a follower that does not hold them.
+    tail: Vec<Group>,
 }
 
 impl Takeover {
-    /// Who has caught up and what is left to queue (stall reports).
+    /// Who has caught up and how much tail there was (stall reports).
     pub(super) fn describe(&self) -> String {
-        let left: usize = self.repropose.iter().map(|(_, ops)| ops.len()).sum();
-        format!("caught_up={:?} runs={} ops_left={left}", self.caught_up, self.runs.len())
+        let ops: usize = self.tail.iter().map(|(_, ops)| ops.len()).sum();
+        format!("caught_up={:?} groups={} ops={ops}", self.caught_up, self.tail.len())
     }
 }
 
 /// The maximal runs `(first LSN, count)` of consecutive sequence numbers
-/// in one epoch that `groups`, in LSN order, cover: the cut
-/// [`RunCutter`] makes, without its caps.
-fn runs_of<'a>(groups: impl IntoIterator<Item = &'a Group>) -> Vec<(Lsn, u64)> {
+/// in one epoch among `lsns`, in LSN order: the cut [`RunCutter`] makes,
+/// without its caps.
+fn runs_of(lsns: impl IntoIterator<Item = Lsn>) -> Vec<(Lsn, u64)> {
     let mut runs: Vec<(Lsn, u64)> = Vec::new();
-    for (first, ops) in groups {
-        let count = ops.len() as u64;
+    for lsn in lsns {
         match runs.last_mut() {
-            Some((start, n))
-                if start.epoch() == first.epoch() && start.seq() + *n == first.seq() =>
-            {
-                *n += count;
+            Some((start, n)) if start.epoch() == lsn.epoch() && start.seq() + *n == lsn.seq() => {
+                *n += 1;
             }
-            _ => runs.push((*first, count)),
+            _ => runs.push((lsn, 1)),
         }
     }
     runs
-}
-
-/// The part of `runs` past `lsn`.
-fn runs_past(runs: &[(Lsn, u64)], lsn: Lsn) -> Vec<(Lsn, u64)> {
-    let past = |&(first, count): &(Lsn, u64)| {
-        let last = Lsn::new(first.epoch(), first.seq() + count - 1);
-        if last <= lsn {
-            None
-        } else if lsn < first {
-            Some((first, count))
-        } else {
-            // `first <= lsn < last` puts all three in one epoch.
-            Some((lsn.next(), last.seq() - lsn.seq()))
-        }
-    };
-    runs.iter().filter_map(past).collect()
-}
-
-/// `group` cut after `lsn`: the writes at or below it, and the rest.
-fn split_group((first, ops): Group, lsn: Lsn) -> (Option<Group>, Option<Group>) {
-    let last = group_last(first, &ops);
-    if last <= lsn {
-        (Some((first, ops)), None)
-    } else if lsn < first {
-        (None, Some((first, ops)))
-    } else {
-        let held = (lsn.seq() + 1 - first.seq()) as usize;
-        (Some((first, Arc::from(&ops[..held]))), Some((lsn.next(), Arc::from(&ops[held..]))))
-    }
 }
 
 /// A propose a follower could not log yet (it starts past the follower's
@@ -303,8 +268,6 @@ impl RangeReplica {
         // node: opening the cohort without it would lose acknowledged
         // writes.
         let Some(tail) = self.read_groups(rt, l_cmt, l_lst, false) else { return };
-        let runs = runs_of(&tail);
-        let repropose: VecDeque<Group> = tail.into();
 
         let paths = CohortPaths::new(self.range);
         // Bump the epoch in the coordination service before accepting any
@@ -324,12 +287,8 @@ impl RangeReplica {
         // original stamps). New writes then get strictly larger
         // timestamps, preserving ts-order == LSN-order across the
         // takeover.
-        let tail_ts = repropose
-            .iter()
-            .flat_map(|(_, ops)| ops.iter())
-            .map(|op| op.timestamp)
-            .max()
-            .unwrap_or(0);
+        let tail_ts =
+            tail.iter().flat_map(|(_, ops)| ops.iter()).map(|op| op.timestamp).max().unwrap_or(0);
         // `closed_ts` joins the seed: whatever cut we (as a follower)
         // already served locally must stay closed under our leadership —
         // no new write may ever be stamped at or below it.
@@ -338,7 +297,14 @@ impl RangeReplica {
         self.unproposed.clear();
         self.proposing = false;
         self.proposed_at_tick = Lsn::ZERO;
-        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), runs, repropose });
+        // Queue the whole tail now, sharing its groups' batches: what a
+        // follower vouches for commits on its word, and the rest on the
+        // acks of the re-proposals. The records are already durable in
+        // our own log, so the entries start out self-forced.
+        for group in &tail {
+            self.queue_group(group, true);
+        }
+        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), tail });
         self.last_assigned = l_lst;
         let epoch = self.epoch;
         for &peer in &self.peers {
@@ -352,53 +318,14 @@ impl RangeReplica {
         out.set_timer(TimerKind::ElectionRetry, ELECTION_RETRY);
     }
 
-    /// Fig. 6 lines 8-10. Once a follower has caught up, the unresolved
-    /// tail is queued, in the groups [`RunCutter`] cut. The part a
-    /// caught-up follower's log vouched for is queued at once: its vouch
-    /// is counted as its ack ([`Self::on_caught_up`]), and it commits.
-    /// The rest goes back through the normal replication protocol to
-    /// the caught-up followers that lack it: each group is one propose
-    /// — one batch frame, one force and one cumulative ack at the
-    /// follower, the shape a steady-state group propose has — with at
-    /// most [`REPROPOSE_WINDOW`] full groups in flight. The records are
-    /// already durable in our own log, so the queue entries start out
-    /// self-forced. When the last one commits the cohort opens.
-    pub(crate) fn maybe_finish_takeover(
-        &mut self,
-        rt: &mut Runtime<'_>,
-        out: &mut Outbox,
-    ) -> FollowUp {
+    /// Fig. 6 lines 8 and 10: open the cohort once at least one follower
+    /// has caught up and the whole tail has committed — on a follower's
+    /// vouch ([`Self::on_caught_up`]), or on the acks of what it was
+    /// re-proposed.
+    pub(crate) fn maybe_finish_takeover(&mut self, out: &mut Outbox) -> FollowUp {
         let mut fu = FollowUp::default();
-        // Fig. 6 line 8: wait until at least one follower caught up.
-        let Some(&vouched) = self.takeover.as_ref().and_then(|t| t.caught_up.values().max()) else {
+        if self.takeover.as_ref().is_none_or(|t| t.caught_up.is_empty()) || !self.cq.is_empty() {
             return fu;
-        };
-        loop {
-            let t = self.takeover.as_mut().expect("still in takeover");
-            let Some(&(first, _)) = t.repropose.front() else { break };
-            let window = (REPROPOSE_WINDOW - 1) * REPROPOSE_GROUP_OPS;
-            if vouched < first && self.cq.len() > window {
-                break;
-            }
-            let group = t.repropose.pop_front().expect("a front group");
-            let group = match split_group(group, vouched) {
-                (Some(head), Some(rest)) => {
-                    t.repropose.push_front(rest);
-                    head
-                }
-                (head, rest) => head.or(rest).expect("a group is not empty"),
-            };
-            self.queue_group(&group, true);
-            let last = group_last(group.0, &group.1);
-            let t = self.takeover.as_ref().expect("still in takeover");
-            let lacking = t.caught_up.iter().filter(move |&(_, &held)| held < last);
-            // Mid-takeover the cohort is resyncing; closed timestamps
-            // resume with steady-state traffic.
-            self.send_group(rt, lacking.map(|(&n, _)| n), &group, 0, out);
-        }
-        let t = self.takeover.as_ref().expect("still in takeover");
-        if !t.repropose.is_empty() || !self.cq.is_empty() {
-            return fu; // the tail has not all committed yet
         }
         // Fig. 6 line 10: open the cohort for writes. New LSNs are
         // (new_epoch, seq) with seq continuing past l.lst, so every new
@@ -414,7 +341,7 @@ impl RangeReplica {
         // the tail they just vouched for or acknowledged. Only the
         // followers that caught up in this epoch get it: only their
         // queues are known to hold our tail and nothing else.
-        if !t.runs.is_empty() {
+        if !t.tail.is_empty() {
             let (range, lsn, sent) = (self.range, self.last_committed, Lsn::ZERO);
             for &peer in t.caught_up.keys() {
                 out.send(peer, PeerMsg::Commit { range, epoch, lsn, closed_ts: 0, sent });
@@ -426,15 +353,14 @@ impl RangeReplica {
 
     /// Re-drive a stalled takeover (fired by the election-retry timer).
     ///
-    /// `begin_takeover` sends `LeaderHello` once, and each re-proposed
-    /// group goes out once. Any of those messages lost to a partition or
-    /// a crashed peer would otherwise wedge the cohort forever: the
-    /// takeover leader sits silent waiting for a caught-up follower that
-    /// never learned who leads. Re-sending is safe — `on_leader_hello`
-    /// is idempotent (a same-epoch hello restarts the follower's
-    /// catch-up, or leaves an outstanding request be) and a follower
-    /// that already holds a re-sent group logs nothing and acknowledges
-    /// it again.
+    /// `begin_takeover` sends `LeaderHello` once, and a caught-up
+    /// follower is sent the tail past its vouch once. Any of those lost
+    /// to a partition or a crashed peer would otherwise wedge the cohort
+    /// forever, so each is sent again. Re-sending is safe —
+    /// `on_leader_hello` is idempotent (a same-epoch hello restarts the
+    /// follower's catch-up, or leaves an outstanding request be) and a
+    /// follower that already holds a re-sent group logs nothing and
+    /// acknowledges it again.
     pub(crate) fn retry_takeover(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) -> FollowUp {
         let Some(t) = self.takeover.as_ref().filter(|_| self.role == Role::LeaderTakeover) else {
             return FollowUp::default();
@@ -445,30 +371,10 @@ impl RangeReplica {
                 out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
             }
         }
-        // Nudge in-flight re-proposals whose Propose or Ack went missing.
         for (&follower, &held) in &t.caught_up {
-            self.send_queued_tail(rt, follower, held, out);
+            self.send_pending(rt, follower, held, 0, out);
         }
-        self.maybe_finish_takeover(rt, out)
-    }
-
-    /// Send `follower` the part of the queued tail past `held`, the end
-    /// of what its log vouched for.
-    fn send_queued_tail(
-        &self,
-        rt: &mut Runtime<'_>,
-        follower: NodeId,
-        held: Lsn,
-        out: &mut Outbox,
-    ) {
-        if self.cq.span().is_none_or(|(_, last)| last <= held) {
-            return;
-        }
-        for group in self.pending_groups(rt) {
-            if let (_, Some(lacking)) = split_group(group, held) {
-                self.send_group(rt, [follower], &lacking, 0, out);
-            }
-        }
+        self.maybe_finish_takeover(out)
     }
 
     pub(crate) fn on_leader_hello(
@@ -586,8 +492,32 @@ impl RangeReplica {
             return;
         }
         let closed_ts = self.advertised_closed_ts(rt);
-        for group in self.pending_groups(rt) {
-            self.send_group(rt, [follower], &group, closed_ts, out);
+        self.send_pending(rt, follower, Lsn::ZERO, closed_ts, out);
+    }
+
+    /// Send `follower` the pending writes past `past` and past what has
+    /// committed, one propose a group: a takeover's tail from memory, a
+    /// settled leader's queue re-read from the log. A takeover passes
+    /// `closed_ts` 0: closed timestamps resume with steady-state traffic.
+    fn send_pending(
+        &self,
+        rt: &mut Runtime<'_>,
+        follower: NodeId,
+        past: Lsn,
+        closed_ts: u64,
+        out: &mut Outbox,
+    ) {
+        let past = past.max(self.last_committed);
+        let read;
+        let groups = match &self.takeover {
+            Some(t) if self.role == Role::LeaderTakeover => &t.tail,
+            _ => {
+                read = self.pending_groups(rt);
+                &read
+            }
+        };
+        for lacking in groups.iter().filter_map(|group| group_past(group, past)) {
+            self.send_group(rt, [follower], &lacking, closed_ts, out);
         }
     }
 
@@ -650,9 +580,10 @@ impl RangeReplica {
                 (Vec::new(), fragments)
             }
         };
-        let tail = match &self.takeover {
-            Some(t) if self.role == Role::LeaderTakeover => runs_past(&t.runs, up_to),
-            _ => Vec::new(),
+        let tail = if self.role == Role::LeaderTakeover {
+            runs_of(self.cq.iter().map(|pw| pw.lsn).filter(|&lsn| lsn > up_to))
+        } else {
+            Vec::new()
         };
         let msg = PeerMsg::CatchupRecords {
             range: self.range,
@@ -833,9 +764,9 @@ impl RangeReplica {
 
     /// Leader: `follower` confirmed the catch-up reply of our `epoch`
     /// durable, and vouched for our unresolved tail through `held`. In a
-    /// takeover it is sent the queued tail it lacks, and its vouch counts
-    /// as its cumulative ack: the tail up to `held` is queued and
-    /// commits.
+    /// takeover it is sent the rest of the tail at once, in groups shaped
+    /// as steady-state proposes, and its vouch counts as its cumulative
+    /// ack: the tail up to `held` commits.
     pub(crate) fn on_caught_up(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -852,8 +783,8 @@ impl RangeReplica {
         }
         if let Some(t) = self.takeover.as_mut().filter(|_| self.role == Role::LeaderTakeover) {
             t.caught_up.insert(follower, held);
-            self.send_queued_tail(rt, follower, held, out);
-            fu.merge_from(self.maybe_finish_takeover(rt, out));
+            self.send_pending(rt, follower, held, 0, out);
+            fu.merge_from(self.maybe_finish_takeover(out));
             if !held.is_zero() {
                 fu.merge_from(self.on_ack(rt, follower, epoch, held, out));
             }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use spinnaker_common::{CellOp, Epoch, Lsn, NodeId, WriteOp};
 use spinnaker_wal::LogRecord;
 
-use super::{group_last, FollowUp, Group, Parked, RangeReplica, Role, Runtime, Waiter};
+use super::{group_last, group_past, FollowUp, Group, Parked, RangeReplica, Role, Runtime, Waiter};
 use crate::commit_queue::{PendingOp, PendingWrite};
 use crate::messages::{Addr, ClientError, ClientOp, ClientReply, ClientRequest, Outbox, PeerMsg};
 
@@ -284,15 +284,7 @@ impl RangeReplica {
         // catch-up reply just delivered. What is at or below `tip` is
         // already in our log.
         let last = group_last(first, &ops);
-        let group = if tip < first {
-            Some((first, ops))
-        } else if tip < last {
-            // `first <= tip < last` puts all three in one epoch.
-            let held = (tip.seq() + 1 - first.seq()) as usize;
-            Some((tip.next(), Arc::from(&ops[held..])))
-        } else {
-            None
-        };
+        let group = group_past(&(first, ops), tip);
         // Run the normal replication protocol even when the record
         // already sits in our log from the previous epoch (a takeover
         // re-proposal, Fig. 6 line 9): append and force again.
@@ -376,7 +368,7 @@ impl RangeReplica {
             self.deferred_mismatches = keep;
         }
         if self.takeover.is_some() {
-            fu.merge_from(self.maybe_finish_takeover(rt, out));
+            fu.merge_from(self.maybe_finish_takeover(out));
         }
         // A pending barrier whose queue just drained can now execute. A
         // subordinate merge barrier announces readiness itself; the

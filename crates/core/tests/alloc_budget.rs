@@ -113,20 +113,21 @@ fn a_follower_queues_the_proposed_batch_itself() {
     assert!(allocs < 6, "{allocs} allocations handling an 8-op propose");
 }
 
-/// Takeover moves the unresolved tail in groups. A new leader with 256
-/// unresolved writes that its one caught-up follower lacks sends it four
-/// proposes of 64 — not 256 of one — all in the input that learns the
+/// Takeover moves the unresolved tail in groups. A new leader with 384
+/// unresolved writes that its one caught-up follower lacks sends it six
+/// proposes of 64 — not 384 of one — all in the input that learns the
 /// follower caught up, and that input allocates next to nothing: the
-/// groups were cut when the tail was read, the log record, the message
-/// and the queue entries share each group's one batch, and the queue's
-/// ring reuses the buffer the tail filled while this node followed.
+/// groups were cut when the tail was read and queued whole when the
+/// takeover began (the queue's ring reusing the buffer the tail filled
+/// while this node followed), and the log record, the message and the
+/// queue entries share each group's one batch.
 /// (Re-proposing write by write built an `Arc` per write here, and a
 /// message per write and peer.) What the takeover allocates per write
 /// elsewhere is what any committed write costs: its share of the
 /// memtable.
 #[test]
 fn takeover_reproposes_the_tail_in_groups_not_per_write() {
-    const TAIL: usize = 256;
+    const TAIL: usize = 384;
     const GROUP: usize = 64;
     let mut p = Pump::new();
     // Node 2 is cut off while the writes happen; no commit period
@@ -148,7 +149,7 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     assert_eq!(p.node(leader).last_committed(R0).seq(), TAIL as u64);
 
     let by_leader: Vec<_> = p.proposing.iter().filter(|i| i.node == leader).collect();
-    assert_eq!(by_leader.len(), 1, "the whole tail fits the window: one input sends it");
+    assert_eq!(by_leader.len(), 1, "one input sends the whole tail");
     let (allocs, since) = (by_leader[0].allocs, by_leader[0].since);
     let sizes: Vec<usize> = p.proposes(since, leader, 2).iter().map(|(_, n)| *n).collect();
     assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node 2");
