@@ -562,13 +562,13 @@ impl RangeReplica {
     /// Ship `(f_cmt, l.cmt]` from the log, or the rows the store holds
     /// past `f_cmt` (§6.1) when the log no longer reaches back to `f_cmt`
     /// or `f_cmt` is zero, and name a takeover's unresolved tail past
-    /// `l.cmt`. A follower at zero vouches for nothing — a
-    /// move's joiner, or a replica rebuilt at claim zero — and a leader
-    /// rebuilt at claim zero holds assembled rows its own log never held,
-    /// so only its store has them all. Rows the store cannot read are not
-    /// "no rows": an empty reply up to `up_to` would have the follower
-    /// claim a watermark it holds nothing for, so the node fail-stops
-    /// instead.
+    /// `l.cmt`: its queue, which holds exactly the uncommitted tail. A
+    /// follower at zero vouches for nothing — a move's joiner, or a
+    /// replica rebuilt at claim zero — and a leader rebuilt at claim zero
+    /// holds assembled rows its own log never held, so only its store has
+    /// them all. Rows the store cannot read are not "no rows": an empty
+    /// reply up to `up_to` would have the follower claim a watermark it
+    /// holds nothing for, so the node fail-stops instead.
     fn serve_catchup(&self, rt: &Runtime<'_>, follower: NodeId, f_cmt: Lsn, out: &mut Outbox) {
         let up_to = self.last_committed;
         let logged =
@@ -581,7 +581,7 @@ impl RangeReplica {
             }
         };
         let tail = if self.role == Role::LeaderTakeover {
-            runs_of(self.cq.iter().map(|pw| pw.lsn).filter(|&lsn| lsn > up_to))
+            runs_of(self.cq.iter().map(|pw| pw.lsn))
         } else {
             Vec::new()
         };

@@ -117,10 +117,9 @@ fn a_follower_queues_the_proposed_batch_itself() {
 /// unresolved writes that its one caught-up follower lacks sends it six
 /// proposes of 64 — not 384 of one — all in the input that learns the
 /// follower caught up, and that input allocates next to nothing: the
-/// groups were cut when the tail was read and queued whole when the
-/// takeover began (the queue's ring reusing the buffer the tail filled
-/// while this node followed), and the log record, the message and the
-/// queue entries share each group's one batch.
+/// groups were cut when the tail was read and queued when the takeover
+/// began, and the log record, the message and the queue entries share
+/// each group's one batch.
 /// (Re-proposing write by write built an `Arc` per write here, and a
 /// message per write and peer.) What the takeover allocates per write
 /// elsewhere is what any committed write costs: its share of the
