@@ -82,8 +82,12 @@ pub enum PeerMsg {
         /// which re-sends the leader's pending writes.
         sent: Lsn,
     },
-    /// New leader announcing itself after winning election (§6.2). Also
-    /// sent in reply to a recovering follower's ping.
+    /// New leader announcing itself when its takeover begins (§6.2), and
+    /// again to each follower that has not caught up while the takeover
+    /// stalls. It carries the catch-up verdict an empty
+    /// [`PeerMsg::CatchupRecords`] would: a follower that has committed
+    /// through `up_to` needs no records and vouches for `tail` on the
+    /// hello itself; one behind it sends [`PeerMsg::CatchupReq`].
     LeaderHello {
         /// Cohort.
         range: RangeId,
@@ -91,6 +95,11 @@ pub enum PeerMsg {
         epoch: Epoch,
         /// The leader's node id.
         leader: NodeId,
+        /// The leader's committed watermark.
+        up_to: Lsn,
+        /// The leader's unresolved tail past `up_to`, as
+        /// [`PeerMsg::CatchupRecords::tail`] names it.
+        tail: Vec<(Lsn, u64)>,
     },
     /// Follower → leader: "I have committed up to `from`; send me
     /// everything after that" (§6.1 catch-up, also Fig. 6 lines 3-7).
@@ -170,6 +179,10 @@ pub enum PeerMsg {
         departing: NodeId,
         /// The replica that joined in its place.
         joining: NodeId,
+        /// The sending leader's timestamp clock: the highest commit
+        /// timestamp it assigned or snapshot timestamp it served. A
+        /// receiver that comes to lead the range stamps above it.
+        clock: u64,
     },
     /// Merge coordinator (left sibling's leader) → right sibling's
     /// leader: drain your commit queue and answer [`PeerMsg::MergeReady`].
@@ -299,12 +312,12 @@ impl PeerMsg {
                     + fragments.iter().map(|(k, r)| k.len() + r.approx_size()).sum::<usize>()
                     + 16 * tail.len()
             }
+            PeerMsg::LeaderHello { tail, .. } => 64 + 16 * tail.len(),
             PeerMsg::Split { split_key, .. } => 96 + split_key.len(),
             PeerMsg::CohortChange { cohort, .. } => 96 + 4 * cohort.len(),
             PeerMsg::JoinRange { .. } | PeerMsg::Merge { .. } => 128,
             PeerMsg::Ack { .. }
             | PeerMsg::Commit { .. }
-            | PeerMsg::LeaderHello { .. }
             | PeerMsg::CatchupReq { .. }
             | PeerMsg::CaughtUp { .. }
             | PeerMsg::MergeProposal { .. }

@@ -530,7 +530,8 @@ impl Node {
     }
 
     /// Read `range`'s leader znode, leaving a watch on it, and follow the
-    /// leader it names unless that is this node. `None`: no such znode.
+    /// leader it names unless that is this node (a candidate waits for
+    /// that leader's hello to catch up). `None`: no such znode.
     fn follow_leader_znode(
         &mut self,
         now: u64,
@@ -543,7 +544,7 @@ impl Node {
         if leader != self.id {
             let mut rt = runtime!(self, now);
             if let Some(rep) = self.replicas.get_mut(&range) {
-                rep.become_follower(&mut rt, leader, out);
+                rep.follow_named(&mut rt, leader, out);
             }
         }
         Some(leader)
@@ -641,8 +642,8 @@ impl Node {
                 self.on_join_range(now, from, range, epoch, out);
                 return;
             }
-            PeerMsg::CohortChange { range, epoch, cohort, departing, joining, .. } => {
-                self.on_cohort_change(now, range, epoch, cohort, departing, joining, out);
+            PeerMsg::CohortChange { range, epoch, cohort, departing, joining, clock, .. } => {
+                self.on_cohort_change(now, range, epoch, cohort, departing, joining, clock, out);
                 return;
             }
             PeerMsg::MergeProposal { range, left, token, .. } => {
@@ -708,8 +709,8 @@ impl Node {
                 rep.on_commit_msg(&mut rt, from, epoch, lsn, closed_ts, sent, out);
                 FollowUp::default()
             }
-            PeerMsg::LeaderHello { epoch, leader, .. } => {
-                rep.on_leader_hello(&mut rt, epoch, leader, out);
+            PeerMsg::LeaderHello { epoch, leader, up_to, tail, .. } => {
+                rep.on_leader_hello(&mut rt, epoch, leader, up_to, &tail, out);
                 FollowUp::default()
             }
             PeerMsg::CatchupReq { from: f_cmt, .. } => {

@@ -782,6 +782,7 @@ impl Node {
             cohort: def.cohort.clone(),
             departing: from,
             joining: to,
+            clock: rep.clock(),
         };
         let mut recipients = rep.peers.clone();
         if from != self.id && !recipients.contains(&from) {
@@ -815,7 +816,8 @@ impl Node {
     }
 
     /// The committed cohort change reached a member (or the departing
-    /// replica): refresh the peer set, or detach.
+    /// replica): refresh the peer set and take in the sending leader's
+    /// clock (whoever leads next stamps above it), or detach.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_cohort_change(
         &mut self,
@@ -825,6 +827,7 @@ impl Node {
         cohort: Vec<NodeId>,
         departing: NodeId,
         joining: NodeId,
+        clock: u64,
         out: &mut Outbox,
     ) {
         self.adopt_table_from_coord();
@@ -839,6 +842,7 @@ impl Node {
         }
         let claim = joining == self.id && rep.leader == Some(departing);
         rep.peers = cohort.into_iter().filter(|&n| n != self.id).collect();
+        rep.adopt_clock(clock);
         if claim {
             // The departing replica was the leader and named us its
             // successor: take over directly (we are fully caught up —

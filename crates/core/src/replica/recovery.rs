@@ -217,7 +217,7 @@ impl RangeReplica {
             match rt.coord.get_data_watch(&paths.leader) {
                 Ok(data) => {
                     let leader = parse_node(&data);
-                    self.become_follower(rt, leader, out);
+                    self.follow_named(rt, leader, out);
                 }
                 Err(_) => {
                     // spinlint: allow(E1) -- exists fails only on a malformed path
@@ -250,7 +250,7 @@ impl RangeReplica {
                 if let Ok(data) = rt.coord.get_data_watch(&paths.leader) {
                     let leader = parse_node(&data);
                     if leader != rt.id {
-                        self.become_follower(rt, leader, out);
+                        self.follow_named(rt, leader, out);
                     }
                 }
             }
@@ -306,9 +306,9 @@ impl RangeReplica {
         }
         self.takeover = Some(Takeover { caught_up: BTreeMap::new(), tail });
         self.last_assigned = l_lst;
-        let epoch = self.epoch;
+        let hello = self.hello(rt.id);
         for &peer in &self.peers {
-            out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
+            out.send(peer, hello.clone());
         }
         // If we are somehow alone (all peers dead), we must wait: the
         // cohort stays unavailable until a majority participates. The
@@ -358,17 +358,17 @@ impl RangeReplica {
     /// to a partition or a crashed peer would otherwise wedge the cohort
     /// forever, so each is sent again. Re-sending is safe —
     /// `on_leader_hello` is idempotent (a same-epoch hello restarts the
-    /// follower's catch-up, or leaves an outstanding request be) and a
-    /// follower that already holds a re-sent group logs nothing and
-    /// acknowledges it again.
+    /// follower's catch-up: it vouches again, or leaves an outstanding
+    /// request be) and a follower that already holds a re-sent group
+    /// logs nothing and acknowledges it again.
     pub(crate) fn retry_takeover(&mut self, rt: &mut Runtime<'_>, out: &mut Outbox) -> FollowUp {
         let Some(t) = self.takeover.as_ref().filter(|_| self.role == Role::LeaderTakeover) else {
             return FollowUp::default();
         };
-        let epoch = self.epoch;
+        let hello = self.hello(rt.id);
         for &peer in &self.peers {
             if !t.caught_up.contains_key(&peer) {
-                out.send(peer, PeerMsg::LeaderHello { range: self.range, epoch, leader: rt.id });
+                out.send(peer, hello.clone());
             }
         }
         for (&follower, &held) in &t.caught_up {
@@ -377,31 +377,85 @@ impl RangeReplica {
         self.maybe_finish_takeover(out)
     }
 
+    /// Our hello: the catch-up verdict an empty reply would carry — the
+    /// committed watermark and the unresolved tail past it.
+    fn hello(&self, leader: NodeId) -> PeerMsg {
+        let (range, epoch, up_to) = (self.range, self.epoch, self.last_committed);
+        PeerMsg::LeaderHello { range, epoch, leader, up_to, tail: self.takeover_runs() }
+    }
+
+    /// A taking-over leader's unresolved tail past `l.cmt`, as runs: its
+    /// queue, which holds exactly the uncommitted tail. Empty from a
+    /// settled leader.
+    fn takeover_runs(&self) -> Vec<(Lsn, u64)> {
+        if self.role == Role::LeaderTakeover {
+            runs_of(self.cq.iter().map(|pw| pw.lsn))
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Follow the sender of a hello. Committed through its `up_to`, we
+    /// need no records: we vouch for its `tail` on the hello itself,
+    /// through the walk an empty catch-up reply runs. Behind it, we ask.
     pub(crate) fn on_leader_hello(
         &mut self,
         rt: &mut Runtime<'_>,
         epoch: Epoch,
         leader: NodeId,
+        up_to: Lsn,
+        tail: &[(Lsn, u64)],
         out: &mut Outbox,
     ) {
         if epoch < self.epoch || leader == rt.id {
             return;
         }
-        self.become_follower(rt, leader, out);
+        self.follow(rt, leader, out);
         self.epoch = self.epoch.max(epoch);
+        if self.last_committed >= up_to && epoch == self.epoch {
+            // No records, and no fragments whose GC floor to take in.
+            let (records, fragments, gc_floor) = (Vec::new(), Vec::new(), u64::MAX);
+            self.on_catchup_records(
+                rt, leader, epoch, records, fragments, gc_floor, up_to, tail, out,
+            );
+        } else {
+            self.ask_catchup(rt, leader, out);
+        }
     }
 
+    /// Follow `leader` and ask it for catch-up.
     pub(crate) fn become_follower(
         &mut self,
         rt: &mut Runtime<'_>,
         leader: NodeId,
         out: &mut Outbox,
     ) {
+        self.follow(rt, leader, out);
+        self.ask_catchup(rt, leader, out);
+    }
+
+    /// Follow `leader`, named by the coordination service. A candidate
+    /// asks nothing: the winner's hello carries the catch-up verdict. A
+    /// request sent now would be served after the cohort opens, and ship
+    /// the whole tail the takeover just committed. A lost hello is sent
+    /// again while the takeover stalls; once the cohort is open, a parked
+    /// propose or a commit message asks instead.
+    pub(crate) fn follow_named(&mut self, rt: &mut Runtime<'_>, leader: NodeId, out: &mut Outbox) {
+        if self.role == Role::Electing {
+            self.follow(rt, leader, out);
+        } else {
+            self.become_follower(rt, leader, out);
+        }
+    }
+
+    /// Become `leader`'s follower, catching up: drop what the last leader
+    /// left queued, parked or blocked. Asks for nothing.
+    fn follow(&mut self, rt: &mut Runtime<'_>, leader: NodeId, out: &mut Outbox) {
         let paths = CohortPaths::new(self.range);
         let epoch = rt.coord.read_epoch(&paths.epoch).max(self.epoch);
         // A request already sent to this leader in this epoch is
-        // answered with all a second one would be: a hello that follows
-        // the election's verdict leaves it be.
+        // answered with all a second one would be: a re-sent hello that
+        // finds it outstanding leaves it be.
         let asked =
             self.leader == Some(leader) && self.catchup_asked.is_some_and(|(_, e)| e == epoch);
         self.role = Role::CatchingUp;
@@ -426,7 +480,6 @@ impl RangeReplica {
         if !asked {
             self.catchup_asked = None;
         }
-        self.ask_catchup(rt, leader, out);
     }
 
     /// Ask `leader` for everything past our committed watermark — unless
@@ -580,11 +633,6 @@ impl RangeReplica {
                 (Vec::new(), fragments)
             }
         };
-        let tail = if self.role == Role::LeaderTakeover {
-            runs_of(self.cq.iter().map(|pw| pw.lsn))
-        } else {
-            Vec::new()
-        };
         let msg = PeerMsg::CatchupRecords {
             range: self.range,
             epoch: self.epoch,
@@ -592,7 +640,7 @@ impl RangeReplica {
             fragments,
             gc_floor: self.store.gc_floor(),
             up_to,
-            tail,
+            tail: self.takeover_runs(),
         };
         out.send(follower, msg);
     }

@@ -451,7 +451,10 @@ impl RangeReplica {
     /// on that one, behind a barrier or a held conditional rejection).
     /// `sent` names what the leader had proposed a commit period ago: a
     /// tip short of it is such a hole, and catch-up re-sends the
-    /// leader's pending writes.
+    /// leader's pending writes. A tip that reaches it while the leader's
+    /// watermark does not means the acks were lost instead, and nothing
+    /// later would carry a cumulative one: we acknowledge `sent` again,
+    /// once a force has made what we hold durable.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_commit_msg(
         &mut self,
@@ -481,6 +484,9 @@ impl RangeReplica {
         if sent.seq() > self.held_tip().seq() {
             self.role = Role::CatchingUp;
             self.ask_catchup(rt, from, out);
+        } else if sent.seq() > lsn.seq() {
+            let range = self.range;
+            rt.forces.request(Waiter::FollowerWrite { range, lsn: sent, leader: from }, out);
         }
     }
 

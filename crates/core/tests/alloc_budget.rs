@@ -194,12 +194,13 @@ fn catch_up_allocates_per_frame_and_op_not_per_cell() {
         assert_eq!(p.written.len() as u64, N);
         assert_eq!(p.node(0).last_committed(R0).seq(), N);
 
-        // Node 2 wakes up and hears who leads.
+        // Node 2 wakes up and hears who leads, committed far past it:
+        // it asks.
         p.lose = Box::new(|_, _, _| false);
         p.hold_events[2] = false;
         let before = p.allocs;
-        let epoch = p.node(0).epoch_of(R0);
-        let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0 };
+        let (epoch, up_to) = (p.node(0).epoch_of(R0), p.node(0).last_committed(R0));
+        let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0, up_to, tail: vec![] };
         p.feed(2, NodeInput::Peer { from: 0, msg: hello });
         p.run();
         assert_eq!(p.role(2), Role::Follower, "caught up");

@@ -50,14 +50,16 @@ fn client(req: ClientRequest) -> NodeInput {
     NodeInput::Client { from: 99, req }
 }
 
-/// Node 1 started alone and told that node 0 leads range 0 in `epoch`:
-/// it asks node 0 for everything, in the epoch it holds until a reply
-/// lands.
+/// Node 1 started alone and told that node 0 leads range 0 in `epoch`,
+/// committed through `epoch`.5: it asks node 0 for everything, in the
+/// hello's epoch.
 fn hears_leader(epoch: u16) -> Pump {
     let mut p = Pump::unsettled();
     p.step(1, NodeInput::Start);
-    let hello = p.step(1, peer(0, PeerMsg::LeaderHello { range: R0, epoch, leader: 0 }));
-    let ask = PeerMsg::CatchupReq { range: R0, epoch: 0, from: Lsn::ZERO };
+    let up_to = Lsn::new(epoch, 5);
+    let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0, up_to, tail: vec![] };
+    let hello = p.step(1, peer(0, hello));
+    let ask = PeerMsg::CatchupReq { range: R0, epoch, from: Lsn::ZERO };
     assert_eq!(sends(&hello), [(0, &ask)]);
     p
 }

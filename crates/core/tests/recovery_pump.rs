@@ -9,8 +9,8 @@ use spinnaker_common::api::{ClientOp, ClientRequest};
 use spinnaker_common::vfs::{FaultPlan, Vfs};
 use spinnaker_common::{Consistency, Lsn};
 use spinnaker_coord::WatchEvent;
-use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg};
-use spinnaker_core::node::{CohortPaths, NodeConfig, Role};
+use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg, TimerKind};
+use spinnaker_core::node::{get_request, CohortPaths, NodeConfig, Role};
 use spinnaker_core::partition::{key_to_u64, u64_to_key, TABLE_PATH};
 use spinnaker_core::session::{CallOutcome, Session, SessionCall, SessionStep};
 use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
@@ -107,7 +107,8 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     // cohort without a leader, stands with what its disk says, and wins
     // on 2.8 against node 1's 2.7. Node 1 has committed past node 2's
     // 1.4 (through the opening commit of epoch 2, 1.6): it holds 1.5 and
-    // 1.6 as committed, and 2.7 in its log, and is sent only 2.8.
+    // 1.6 as committed, and 2.7 in its log, so it vouches on the hello
+    // without asking and is sent only 2.8.
     p.lose = Box::new(|_, _, _| false);
     let takeover_from = p.sent.len();
     p.crash(0);
@@ -115,18 +116,22 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     p.run();
     assert_eq!(p.role(2), Role::Leader);
     assert_eq!(p.node(2).epoch_of(R0), 3);
-    let tails: Vec<&Vec<(Lsn, u64)>> = p.sent[takeover_from..]
+    let hellos: Vec<(Lsn, &Vec<(Lsn, u64)>)> = p.sent[takeover_from..]
         .iter()
         .filter_map(|(from, to, m)| match m {
-            PeerMsg::CatchupRecords { range: R0, tail, .. } if (*from, *to) == (2, 1) => Some(tail),
+            PeerMsg::LeaderHello { range: R0, up_to, tail, .. } if (*from, *to) == (2, 1) => {
+                Some((*up_to, tail))
+            }
             _ => None,
         })
         .collect();
     assert_eq!(
-        tails,
-        [&vec![(lsn(1, 5), 2), (lsn(2, 7), 2)]],
+        hellos,
+        [(lsn(1, 4), &vec![(lsn(1, 5), 2), (lsn(2, 7), 2)])],
         "one run per epoch, cut at the truncated 1.7"
     );
+    let asks = |m: &PeerMsg| matches!(m, PeerMsg::CatchupReq { range: R0, .. });
+    assert_eq!(p.count_sent(takeover_from, 1, asks), 0, "node 1 needs no records");
     assert_eq!(vouches(&p, takeover_from, 1), [lsn(2, 7)]);
     assert_eq!(p.proposes(takeover_from, 2, 1), [(lsn(2, 8), 1)], "what node 1 lacks");
     assert_eq!(p.node(2).last_committed(R0), lsn(2, 8));
@@ -427,6 +432,47 @@ fn a_propose_lost_to_every_follower_is_sent_again() {
     }
 }
 
+/// An ack lost from every follower is sent again. Key 5's put (1.5)
+/// reaches both followers, which log it, but both acks are lost, and the
+/// only write after it is a conditional put on key 5 that the leader holds
+/// until 1.5 commits: nothing new is proposed, so no later cumulative ack
+/// covers 1.5. At the parent commit both calls waited for good (nemesis
+/// seed 2850, where a split barrier waited on such a write). A follower
+/// that holds what a commit message names as proposed a commit period
+/// earlier, past the leader's watermark, acknowledges it again.
+#[test]
+fn an_ack_lost_from_every_follower_is_sent_again() {
+    let mut p = Pump::new();
+    p.expect_errors = true;
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { .. }));
+    let put = p.put(0, 5);
+    p.run();
+    p.lose = Box::new(|_, _, _| false);
+    assert_eq!((p.node(1).last_lsn(R0), p.node(2).last_lsn(R0)), (lsn(1, 5), lsn(1, 5)));
+    assert!(!p.written.contains(&put), "no ack reached the leader");
+    let cond = p.next_req;
+    p.next_req += 1;
+    let op = ClientOp::ConditionalPut {
+        key: u64_to_key(5),
+        col: Bytes::from_static(b"c"),
+        value: Bytes::from_static(b"w"),
+        expected: 0,
+    };
+    let req = ClientRequest { req: cond, ring_version: 0, op };
+    p.feed(0, NodeInput::Client { from: CLIENT, req });
+    p.run();
+    p.commit_tick(0);
+    p.commit_tick(0);
+    assert!(p.written.contains(&put), "the put whose acks were lost committed");
+    let mismatch = ClientError::VersionMismatch { actual: lsn(1, 5).as_u64() };
+    assert!(
+        p.replies.contains(&ClientReply::Err { req: cond, error: mismatch }),
+        "the conditional put was answered"
+    );
+}
+
 /// The same hole on a range with nothing committed yet: its first propose
 /// lost to every follower. At the parent commit the leader stayed quiet
 /// on its commit period while its watermark was zero, so no commit
@@ -451,23 +497,160 @@ fn a_ranges_first_propose_lost_to_every_follower_is_sent_again() {
 // takeover: a follower vouches for the tail it holds
 // =====================================================================
 
-/// One catch-up request per takeover. A follower learns who won from the
-/// election and asks; the winner's hello, which follows, finds that
-/// request outstanding and leaves it be. At the parent commit the hello
-/// restarted the catch-up: the follower asked twice, and the leader
-/// served its history twice.
+/// At most one catch-up request per takeover, sent on the hello. Node 2
+/// hears no commit past 1.2 and misses 1.5, so node 1 takes over with
+/// the longer log and a watermark (1.4) node 2 lacks. Node 2 learns who
+/// won from the election and asks nothing; the winner's hello names 1.4,
+/// and node 2 asks once. Before the hello carried a watermark, the
+/// election's verdict asked; earlier still, the hello asked a second
+/// time, and the leader served the history twice.
 #[test]
 fn a_takeover_costs_a_follower_one_catch_up_request() {
     let mut p = Pump::new();
+    p.put_all(0, 1..=2);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }));
+    p.put_all(0, 3..=4);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put_all(0, 5..=5);
+    p.lose = Box::new(|_, _, _| false);
+    let asked = [1, 2].map(|i| p.node(i).catchup_requests(R0));
+    let since = p.sent.len();
+    p.crash(0);
+    p.run();
+    assert_eq!(p.leader_of(R0), 1, "node 1 holds the longest log");
+    assert_eq!(p.node(2).catchup_requests(R0), asked[1] + 1);
+    assert_eq!(p.node(1).catchup_requests(R0), asked[0]);
+    // The request follows the hello: nothing before it asked.
+    let hello = p.sent[since..]
+        .iter()
+        .position(|(f, t, m)| (*f, *t) == (1, 2) && matches!(m, PeerMsg::LeaderHello { .. }))
+        .expect("node 1 greeted node 2");
+    let asks = |m: &PeerMsg| matches!(m, PeerMsg::CatchupReq { range: R0, .. });
+    assert_eq!(p.count_sent(since + hello, 2, asks), 1);
+    for node in [1, 2] {
+        for k in 1..=5 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A follower that holds the committed history vouches on the hello and
+/// never asks. Keys 1-4 are committed everywhere and 5-8 logged
+/// everywhere but committed at node 0 alone when it dies: the
+/// successor's hello names watermark 1.4 and the tail 1.5-1.8, and the
+/// follower vouches for all of it without a catch-up round. At the
+/// parent commit the election's verdict sent a request, and the leader
+/// answered it with an empty reply before the cohort could open.
+#[test]
+fn a_follower_that_holds_the_committed_history_vouches_on_the_hello() {
+    let mut p = Pump::new();
     p.put_all(0, 1..=4);
     p.commit_tick(0);
+    p.put_all(0, 5..=8);
     let asked = [1, 2].map(|i| p.node(i).catchup_requests(R0));
+    let since = p.sent.len();
     p.crash(0);
     p.run();
     let leader = p.leader_of(R0);
     let follower = 3 - leader;
-    assert_eq!(p.node(follower).catchup_requests(R0), asked[follower - 1] + 1);
-    assert_eq!(p.node(leader).catchup_requests(R0), asked[leader - 1]);
+    assert_eq!(p.node(follower).catchup_requests(R0), asked[follower - 1], "no request");
+    let catch_up =
+        |m: &PeerMsg| matches!(m, PeerMsg::CatchupReq { .. } | PeerMsg::CatchupRecords { .. });
+    assert_eq!(p.count_sent(since, follower, catch_up), 0);
+    assert_eq!(p.count_sent(since, leader, catch_up), 0);
+    let hello = PeerMsg::LeaderHello {
+        range: R0,
+        epoch: 2,
+        leader: leader as u32,
+        up_to: lsn(1, 4),
+        tail: vec![(lsn(1, 5), 4)],
+    };
+    assert!(p.sent[since..].contains(&(leader, follower, hello)), "the hello names the tail");
+    assert_eq!(vouches(&p, since, follower), [lsn(1, 8)]);
+    assert_eq!(p.node(leader).last_committed(R0), lsn(1, 8));
+    assert_eq!(p.node(follower).last_committed(R0), lsn(1, 8), "the opening commit drained");
+    for node in [leader, follower] {
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A follower behind the hello's watermark asks, and vouches on the
+/// reply. Node 2 hears no commit past 1.2 while keys 3-6 are committed
+/// and 7-8 logged everywhere: the successor's hello names 1.6, which node
+/// 2 lacks. It asks once, is shipped 1.3-1.6 with the tail 1.7-1.8 named
+/// again, vouches for the tail and is proposed none of it.
+#[test]
+fn a_follower_behind_the_hellos_watermark_asks_and_vouches_on_the_reply() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=2);
+    p.commit_tick(0);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Commit { range: R0, .. }));
+    p.put_all(0, 3..=6);
+    p.commit_tick(0);
+    p.put_all(0, 7..=8);
+    p.lose = Box::new(|_, _, _| false);
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 2));
+    let since = p.sent.len();
+    p.crash(0);
+    p.run();
+    assert_eq!(p.leader_of(R0), 1, "node 1 wins the tie: it stood first");
+    let asks = |m: &PeerMsg| matches!(m, PeerMsg::CatchupReq { range: R0, .. });
+    assert_eq!(p.count_sent(since, 2, asks), 1);
+    let replies: Vec<_> = p.sent[since..]
+        .iter()
+        .filter_map(|(f, t, m)| match m {
+            PeerMsg::CatchupRecords { records, up_to, tail, .. } if (*f, *t) == (1, 2) => {
+                Some((records.len(), *up_to, tail.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replies, [(4, lsn(1, 6), vec![(lsn(1, 7), 2)])], "1.3-1.6, naming 1.7-1.8");
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 8)]);
+    assert_eq!(p.proposes(since, 1, 2), [], "node 2 holds the tail");
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 8));
+    for node in [1, 2] {
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A lost hello still converges. Every hello of the takeover is lost:
+/// the follower learned who won from the election, asks nothing, and
+/// the takeover stalls — until the election-retry timer re-sends the
+/// hello, which the follower vouches on.
+#[test]
+fn a_lost_hello_still_converges() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=6);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::LeaderHello { .. }));
+    p.crash(0);
+    p.run();
+    let leader = [1, 2].into_iter().find(|&i| p.role(i) == Role::LeaderTakeover).expect("won");
+    let follower = 3 - leader;
+    assert_eq!(p.role(follower), Role::CatchingUp);
+    assert_eq!(p.node(follower).leader_of(R0), Some(leader as u32));
+    p.lose = Box::new(|_, _, _| false);
+    let since = p.sent.len();
+    p.feed(leader, NodeInput::Timer(TimerKind::ElectionRetry));
+    p.run();
+    assert_eq!(p.role(leader), Role::Leader);
+    assert_eq!(p.role(follower), Role::Follower);
+    assert_eq!(vouches(&p, since, follower), [lsn(1, 6)]);
+    p.put_all(leader, 7..=7);
+    p.commit_tick(leader);
+    for node in [leader, follower] {
+        for k in 1..=7 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
 }
 
 /// A follower that holds the whole unresolved tail vouches for it and is
@@ -910,6 +1093,44 @@ fn a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it() {
             "node {f}"
         );
     }
+}
+
+/// A move's hand-off hands over the departing leader's clock (ROADMAP
+/// item 2, nemesis seed 1887). Node 0's clock runs ahead: it pins a
+/// snapshot at 1 000 000, far above any write stamped so far, and then
+/// moves its replica of range 0 to node 3, whose clock reads 0. Node 3
+/// takes over on the cohort change, and the put it commits next must be
+/// stamped above the pin, or the cut already read grows a write. At the
+/// parent commit `CohortChange` carried no clock: node 3 seeded its clock
+/// from its store and stamped the put 5.
+#[test]
+fn a_move_hands_the_leaders_clock_to_its_successor() {
+    const PIN: u64 = 1_000_000;
+    let mut p = Pump::<4>::settled(eager_gc());
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.now = PIN;
+    let req = p.next_req;
+    p.next_req += 1;
+    let pin = get_request(req, u64_to_key(1), "c", Consistency::SNAPSHOT_PIN);
+    p.feed(0, NodeInput::Client { from: CLIENT, req: pin });
+    assert!(
+        matches!(p.replies.last(), Some(ClientReply::Row { at_ts: PIN, .. })),
+        "node 0 pinned its clock: {:?}",
+        p.replies.last()
+    );
+    p.now = 0;
+    p.feed(0, NodeInput::MoveReplica { range: R0, from: 0, to: 3 });
+    p.run();
+    assert_eq!(p.leader_of(R0), 3, "the hand-off made the joiner the leader");
+    let put = p.put(3, 9);
+    p.run();
+    let ts = p.replies.iter().find_map(|r| match r {
+        ClientReply::WriteOk { req, ts, .. } if *req == put => Some(*ts),
+        _ => None,
+    });
+    let ts = ts.expect("the put committed");
+    assert!(ts > PIN, "the put stamped {ts}, inside the cut pinned at {PIN}");
 }
 
 /// A catch-up served from the leader's tables (its log has rolled over)

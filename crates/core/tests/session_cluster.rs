@@ -32,71 +32,87 @@ fn val(s: &str) -> Bytes {
 }
 
 /// §3 `put` + `get` in all three selection shapes (one column, a column
-/// set, the whole row), at both consistency levels.
+/// set, the whole row), at both consistency levels. The timeline read
+/// runs in a second session a second after the first starts, ten commit
+/// periods after the put committed: whichever replica serves it has
+/// applied the put. Several seeds, so the check does not rest on which
+/// replica one seed's draw picks.
 #[test]
 fn put_and_get_cover_the_selection_shapes() {
-    let mut cluster = quick_cluster(3, 41);
-    let stats = cluster.add_session(
-        vec![
-            SessionCall::Put {
-                key: u64_to_key(7),
-                cells: vec![(col("a"), val("v-a")), (col("b"), val("v-b"))],
-            },
-            SessionCall::Get {
-                key: u64_to_key(7),
-                columns: ColumnSelect::All,
-                consistency: Consistency::Strong,
-            },
-            SessionCall::Get {
-                key: u64_to_key(7),
-                columns: ColumnSelect::One(col("a")),
-                consistency: Consistency::Strong,
-            },
-            SessionCall::Get {
+    for seed in 41..=47 {
+        let mut cluster = quick_cluster(3, seed);
+        let stats = cluster.add_session(
+            vec![
+                SessionCall::Put {
+                    key: u64_to_key(7),
+                    cells: vec![(col("a"), val("v-a")), (col("b"), val("v-b"))],
+                },
+                SessionCall::Get {
+                    key: u64_to_key(7),
+                    columns: ColumnSelect::All,
+                    consistency: Consistency::Strong,
+                },
+                SessionCall::Get {
+                    key: u64_to_key(7),
+                    columns: ColumnSelect::One(col("a")),
+                    consistency: Consistency::Strong,
+                },
+                SessionCall::Get {
+                    key: u64_to_key(999),
+                    columns: ColumnSelect::All,
+                    consistency: Consistency::Strong,
+                },
+            ],
+            2 * SECS,
+        );
+        let timeline = cluster.add_session(
+            vec![SessionCall::Get {
                 key: u64_to_key(7),
                 columns: ColumnSelect::Set(vec![col("a"), col("b"), col("nope")]),
                 consistency: Consistency::Timeline,
-            },
-            SessionCall::Get {
-                key: u64_to_key(999),
-                columns: ColumnSelect::All,
-                consistency: Consistency::Strong,
-            },
-        ],
-        2 * SECS,
-    );
-    cluster.run_until(8 * SECS);
-    let s = stats.borrow();
-    assert_eq!(s.outcomes.len(), 5, "all calls completed: {:?}", s.outcomes);
-    let put_version = match &s.outcomes[0] {
-        CallOutcome::Written { version, .. } => *version,
-        other => panic!("put: {other:?}"),
-    };
-    match &s.outcomes[1] {
-        CallOutcome::Row { cells, .. } => {
-            assert_eq!(cells.len(), 2, "whole-row get sees both columns");
-            assert_eq!(cells[0].value.as_ref().unwrap().as_ref(), b"v-a");
-            assert_eq!(cells[1].value.as_ref().unwrap().as_ref(), b"v-b");
-            assert!(cells.iter().all(|c| c.version == put_version), "one write, one version");
+            }],
+            3 * SECS,
+        );
+        cluster.run_until(8 * SECS);
+        let s = stats.borrow();
+        assert_eq!(s.outcomes.len(), 4, "seed {seed}: all calls completed: {:?}", s.outcomes);
+        let put_version = match &s.outcomes[0] {
+            CallOutcome::Written { version, .. } => *version,
+            other => panic!("seed {seed}: put: {other:?}"),
+        };
+        match &s.outcomes[1] {
+            CallOutcome::Row { cells, .. } => {
+                assert_eq!(cells.len(), 2, "seed {seed}: whole-row get sees both columns");
+                assert_eq!(cells[0].value.as_ref().unwrap().as_ref(), b"v-a");
+                assert_eq!(cells[1].value.as_ref().unwrap().as_ref(), b"v-b");
+                assert!(cells.iter().all(|c| c.version == put_version), "one write, one version");
+            }
+            other => panic!("seed {seed}: get all: {other:?}"),
         }
-        other => panic!("get all: {other:?}"),
-    }
-    match &s.outcomes[2] {
-        CallOutcome::Row { cells, .. } => {
-            assert_eq!(cells.len(), 1);
-            assert_eq!(cells[0].col.as_ref(), b"a");
+        match &s.outcomes[2] {
+            CallOutcome::Row { cells, .. } => {
+                assert_eq!(cells.len(), 1, "seed {seed}");
+                assert_eq!(cells[0].col.as_ref(), b"a");
+            }
+            other => panic!("seed {seed}: get one: {other:?}"),
         }
-        other => panic!("get one: {other:?}"),
-    }
-    match &s.outcomes[3] {
-        CallOutcome::Row { cells, .. } => {
-            assert_eq!(cells.len(), 2, "never-written column omitted from the set");
+        match &s.outcomes[3] {
+            CallOutcome::Row { cells, .. } => {
+                assert!(cells.is_empty(), "seed {seed}: absent row reads empty")
+            }
+            other => panic!("seed {seed}: get absent: {other:?}"),
         }
-        other => panic!("get set: {other:?}"),
-    }
-    match &s.outcomes[4] {
-        CallOutcome::Row { cells, .. } => assert!(cells.is_empty(), "absent row reads empty"),
-        other => panic!("get absent: {other:?}"),
+        let t = timeline.borrow();
+        match t.outcomes.as_slice() {
+            [CallOutcome::Row { cells, .. }] => {
+                assert_eq!(
+                    cells.len(),
+                    2,
+                    "seed {seed}: never-written column omitted from the set"
+                );
+            }
+            other => panic!("seed {seed}: get set: {other:?}"),
+        }
     }
 }
 

@@ -21,7 +21,8 @@
 //!   are the usual steps, each run to quiescence.
 //! - [`Pump::step`] runs one `on_input` and hands back its effects,
 //!   routing nothing, for tests that drive a node by hand and assert on
-//!   them ([`sends`], [`replies`], [`force_tokens`]).
+//!   them ([`sends`], [`replies`], [`force_tokens`]). Every input runs
+//!   at the virtual time [`Pump::now`], 0 unless a test sets it.
 //! - [`Pump::crash`] keeps only the synced bytes of a node's disk and
 //!   expires its session; [`Pump::boot`] restarts it from them. The fault
 //!   plans [`Pump::faults`] (`wal/`) and [`Pump::store_faults`]
@@ -117,6 +118,9 @@ pub struct Pump<const N: usize = 3> {
     pub proposing: Vec<Proposing>,
     /// Handed to every `on_input` and taken back once routed.
     out: Outbox,
+    /// The virtual time every `on_input` runs at (0 unless a test moves
+    /// it, say to give one node's clock a lead over the others').
+    pub now: u64,
 }
 
 impl Pump {
@@ -173,6 +177,7 @@ impl<const N: usize> Pump<N> {
             allocs: [0; N],
             proposing: Vec::new(),
             out: Outbox::default(),
+            now: 0,
         };
         // Publish the range table, as a deployment does: splits and
         // merges are compare-and-sets on it.
@@ -239,7 +244,8 @@ impl<const N: usize> Pump<N> {
     pub fn step(&mut self, i: usize, input: NodeInput) -> Outbox {
         let mut out = std::mem::take(&mut self.out);
         let node = self.nodes[i].as_mut().expect("node is up");
-        let (allocs, ()) = allocations(|| node.on_input(0, input, &mut out));
+        let now = self.now;
+        let (allocs, ()) = allocations(|| node.on_input(now, input, &mut out));
         self.allocs[i] += allocs;
         out
     }

@@ -29,7 +29,10 @@
 //! Conditional ops self-deduplicate (the version precondition can only
 //! match once), so a retried conditional that *failed* collapses to
 //! "may or may not have applied" and a retried conditional that
-//! succeeded stays exact.
+//! succeeded stays exact. A blind put applied twice stores its value
+//! under two versions, so a conditional op refused against that value
+//! (it read the other version) constrains nothing; against a value
+//! written once, a refusal still means the state was not that value.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -212,6 +215,17 @@ fn key_of(op: &HOp) -> Option<&Key> {
 fn check_linearizable(calls: &[Call], universe: &BTreeSet<Key>, violations: &mut Vec<Violation>) {
     let mut per_key: BTreeMap<Key, Vec<LinOp>> = BTreeMap::new();
     let mut add = |key: &Key, op: LinOp| per_key.entry(key.clone()).or_default().push(op);
+    // The values a retried blind put wrote: each application stores the
+    // value under a version of its own, so it may stand under a version
+    // other than the one a conditional op read.
+    let rewritten: BTreeSet<(&Key, &Value)> = calls
+        .iter()
+        .filter(|c| c.retries > 0)
+        .filter_map(|c| match &c.op {
+            HOp::Put { key, value } => Some((key, value)),
+            _ => None,
+        })
+        .collect();
 
     for (idx, c) in calls.iter().enumerate() {
         match &c.op {
@@ -270,9 +284,13 @@ fn check_linearizable(calls: &[Call], universe: &BTreeSet<Key>, violations: &mut
                     }
                     Some((t, Err(HErr::VersionMismatch))) if c.retries == 0 => {
                         // Definitively rejected. Only a `Val` expectation
-                        // maps version inequality to state inequality
-                        // (values are unique; tombstones are not).
-                        if matches!(expect, HState::Val(_)) {
+                        // maps version inequality to state inequality:
+                        // values are unique, unless a retried put wrote
+                        // one twice, and tombstones are not. Against such
+                        // a value the refusal says only that the version
+                        // moved, which the register cannot see.
+                        let once = |v: &Value| !rewritten.contains(&(key, v));
+                        if matches!(expect, HState::Val(v) if once(v)) {
                             add(
                                 key,
                                 LinOp {

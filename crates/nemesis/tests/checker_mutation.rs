@@ -6,9 +6,12 @@
 //! snapshot cut, and a duplicated scan row — and the checker must catch
 //! every mutation, each under the expected violation class. A second
 //! history retries two writes over an outage and must accept a read
-//! only a retry explains, and reject a stale one.
+//! only a retry explains, and reject a stale one. A third has a
+//! conditional put refused while the value it expected still stands: a
+//! retried put that wrote that value explains it, a value written once
+//! does not.
 
-use spinnaker_common::{HCons, HEventKind, HOp, HResult, HState, History, Key, Value};
+use spinnaker_common::{HCons, HErr, HEventKind, HOp, HResult, HState, History, Key, Value};
 use spinnaker_nemesis::check;
 
 fn key() -> Key {
@@ -141,4 +144,38 @@ fn a_stale_read_behind_retried_writes_is_caught() {
     assert!(v.is_empty(), "a retried v2 may land after v3: {v:#?}");
     let v = check(&retried_history("v1"));
     assert!(v.iter().any(|v| v.kind == "linearizability"), "stale read not caught: {v:#?}");
+}
+
+/// `v1` is put (retried `retries` times) and read strongly; a
+/// conditional put expecting it is then refused, and a later strong get
+/// still reads `v1`. Put once, `v1` has one version, the one the
+/// conditional read, so the refusal is a violation. Retried, the put may
+/// have applied again under a new version with the same value, and the
+/// refusal is explained.
+fn refused_conditional_history(retries: u64) -> History {
+    let mut h = History::new();
+    h.push(100, 0, 0, HEventKind::Invoke(HOp::Put { key: key(), value: val("v1") }));
+    for i in 0..retries {
+        h.push(110 + i, 0, 0, HEventKind::Retry);
+    }
+    h.push(200, 0, 0, HEventKind::Ok(HResult::Write { version: 1, ts: 150 }));
+    h.push(300, 1, 0, HEventKind::Invoke(HOp::Get { key: key(), cons: HCons::Strong }));
+    h.push(400, 1, 0, HEventKind::Ok(HResult::Read { state: HState::Val(val("v1")), at_ts: 0 }));
+    let cond = HOp::CondPut { key: key(), value: val("v2"), expect: HState::Val(val("v1")) };
+    h.push(500, 1, 1, HEventKind::Invoke(cond));
+    h.push(600, 1, 1, HEventKind::Fail(HErr::VersionMismatch));
+    h.push(700, 2, 0, HEventKind::Invoke(HOp::Get { key: key(), cons: HCons::Strong }));
+    h.push(800, 2, 0, HEventKind::Ok(HResult::Read { state: HState::Val(val("v1")), at_ts: 0 }));
+    h
+}
+
+#[test]
+fn a_conditional_refused_against_a_value_written_once_is_caught() {
+    let v = check(&refused_conditional_history(0));
+    assert!(
+        v.iter().any(|v| v.kind == "linearizability"),
+        "refusal against the only version not caught: {v:#?}"
+    );
+    let v = check(&refused_conditional_history(1));
+    assert!(v.is_empty(), "a retried put may have written v1 again: {v:#?}");
 }

@@ -36,6 +36,17 @@ fn pinned_seeds_stay_clean() {
     //     message, so nothing named what it had proposed. Fixed by
     //     staying quiet only while nothing is committed, proposed or
     //     closed.
+    // 1510, 1887: a move's joiner took over without the departing
+    //     leader's clock and stamped a write below a pin that leader had
+    //     served (snapshot-cut; 1887 shrinks to two clock skews and a
+    //     move). Fixed by `CohortChange` carrying the leader's clock. 340
+    //     and 354 reach the same hole once a takeover's hello carries the
+    //     catch-up verdict, and pass with the clock handed over.
+    // 2850: on the same timings, both followers' acks of a write were
+    //     lost while a split barrier held every later write back, so no
+    //     cumulative ack ever covered it and the range stalled. Fixed by
+    //     a follower acknowledging again what a commit message names as
+    //     proposed a period earlier, past the leader's watermark.
     // The reconfiguration branches the 30-seed sweep does not reach with
     // a record in hand (`Node::dissolve`'s coverage, asserted below):
     // 49:  a follower whose drain to a merge barrier had a gap
@@ -66,8 +77,19 @@ fn pinned_seeds_stay_clean() {
     //      more (they stay as coverage): 171 has a follower under-claim a
     //      merged range, 172 has the table-driven reconcile re-home a tail
     //      record at its own watermark.
+    // 113, 181: since a takeover's hello carries the catch-up verdict (a
+    //      follower holding the committed history vouches on it, and a
+    //      candidate waits for it instead of asking), 171 and 172 reach
+    //      neither branch any more (they stay as coverage). A per-seed
+    //      scan of 1..2000 found 113, whose table-driven reconcile
+    //      re-homes a tail record at its own watermark, and 181, whose
+    //      follower under-claims a merged range.
     let mut dissolves = DissolveCoverage::default();
-    for seed in [1u64, 7, 10, 29, 49, 119, 151, 155, 166, 167, 171, 172, 428, 2904] {
+    let seeds = [
+        1u64, 7, 10, 29, 49, 113, 119, 151, 155, 166, 167, 171, 172, 181, 340, 354, 428, 1510,
+        1887, 2850, 2904,
+    ];
+    for seed in seeds {
         let r = run_seed(seed);
         assert!(r.violations.is_empty(), "seed {seed} inconsistent: {:#?}", r.violations);
         assert!(!r.stalled, "seed {seed} stalled after heal: {:?}", r.health);
