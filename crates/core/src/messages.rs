@@ -87,7 +87,9 @@ pub enum PeerMsg {
     /// stalls. It carries the catch-up verdict an empty
     /// [`PeerMsg::CatchupRecords`] would: a follower that has committed
     /// through `up_to` needs no records and vouches for `tail` on the
-    /// hello itself; one behind it sends [`PeerMsg::CatchupReq`].
+    /// hello itself; one behind it sends [`PeerMsg::CatchupReq`]. So
+    /// does a follower at zero unless `store_empty`: it vouches for
+    /// nothing, and catch-up sends it the leader's store.
     LeaderHello {
         /// Cohort.
         range: RangeId,
@@ -100,6 +102,11 @@ pub enum PeerMsg {
         /// The leader's unresolved tail past `up_to`, as
         /// [`PeerMsg::CatchupRecords::tail`] names it.
         tail: Vec<(Lsn, u64)>,
+        /// The leader's store holds no row and no GC floor, so a
+        /// follower at zero lacks nothing of it (true at a cluster's
+        /// boot; false from a leader rebuilt at claim zero, whose rows
+        /// are in its store alone).
+        store_empty: bool,
     },
     /// Follower → leader: "I have committed up to `from`; send me
     /// everything after that" (§6.1 catch-up, also Fig. 6 lines 3-7).

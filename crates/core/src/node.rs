@@ -709,8 +709,8 @@ impl Node {
                 rep.on_commit_msg(&mut rt, from, epoch, lsn, closed_ts, sent, out);
                 FollowUp::default()
             }
-            PeerMsg::LeaderHello { epoch, leader, up_to, tail, .. } => {
-                rep.on_leader_hello(&mut rt, epoch, leader, up_to, &tail, out);
+            PeerMsg::LeaderHello { epoch, leader, up_to, tail, store_empty, .. } => {
+                rep.on_leader_hello(&mut rt, epoch, leader, up_to, &tail, store_empty, out);
                 FollowUp::default()
             }
             PeerMsg::CatchupReq { from: f_cmt, .. } => {

@@ -378,10 +378,22 @@ impl RangeReplica {
     }
 
     /// Our hello: the catch-up verdict an empty reply would carry — the
-    /// committed watermark and the unresolved tail past it.
+    /// committed watermark and the unresolved tail past it — and whether
+    /// a follower at zero would be sent a store.
     fn hello(&self, leader: NodeId) -> PeerMsg {
         let (range, epoch, up_to) = (self.range, self.epoch, self.last_committed);
-        PeerMsg::LeaderHello { range, epoch, leader, up_to, tail: self.takeover_runs() }
+        let store = &self.store;
+        let store_empty = store.memtable_len() == 0
+            && store.table_count() == 0
+            && store.gc_floor() == Timestamp::MAX;
+        PeerMsg::LeaderHello {
+            range,
+            epoch,
+            leader,
+            up_to,
+            tail: self.takeover_runs(),
+            store_empty,
+        }
     }
 
     /// A taking-over leader's unresolved tail past `l.cmt`, as runs: its
@@ -397,7 +409,10 @@ impl RangeReplica {
 
     /// Follow the sender of a hello. Committed through its `up_to`, we
     /// need no records: we vouch for its `tail` on the hello itself,
-    /// through the walk an empty catch-up reply runs. Behind it, we ask.
+    /// through the walk an empty catch-up reply runs. Behind it, we ask;
+    /// at zero we ask too unless its store is empty, since
+    /// `serve_catchup` sends a follower at zero the leader's store.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_leader_hello(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -405,6 +420,7 @@ impl RangeReplica {
         leader: NodeId,
         up_to: Lsn,
         tail: &[(Lsn, u64)],
+        store_empty: bool,
         out: &mut Outbox,
     ) {
         if epoch < self.epoch || leader == rt.id {
@@ -412,7 +428,9 @@ impl RangeReplica {
         }
         self.follow(rt, leader, out);
         self.epoch = self.epoch.max(epoch);
-        if self.last_committed >= up_to && epoch == self.epoch {
+        let lacks_nothing =
+            self.last_committed >= up_to && (store_empty || !self.last_committed.is_zero());
+        if lacks_nothing && epoch == self.epoch {
             // No records, and no fragments whose GC floor to take in.
             let (records, fragments, gc_floor) = (Vec::new(), Vec::new(), u64::MAX);
             self.on_catchup_records(

@@ -200,7 +200,14 @@ fn catch_up_allocates_per_frame_and_op_not_per_cell() {
         p.hold_events[2] = false;
         let before = p.allocs;
         let (epoch, up_to) = (p.node(0).epoch_of(R0), p.node(0).last_committed(R0));
-        let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0, up_to, tail: vec![] };
+        let hello = PeerMsg::LeaderHello {
+            range: R0,
+            epoch,
+            leader: 0,
+            up_to,
+            tail: vec![],
+            store_empty: false,
+        };
         p.feed(2, NodeInput::Peer { from: 0, msg: hello });
         p.run();
         assert_eq!(p.role(2), Role::Follower, "caught up");

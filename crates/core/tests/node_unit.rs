@@ -57,7 +57,14 @@ fn hears_leader(epoch: u16) -> Pump {
     let mut p = Pump::unsettled();
     p.step(1, NodeInput::Start);
     let up_to = Lsn::new(epoch, 5);
-    let hello = PeerMsg::LeaderHello { range: R0, epoch, leader: 0, up_to, tail: vec![] };
+    let hello = PeerMsg::LeaderHello {
+        range: R0,
+        epoch,
+        leader: 0,
+        up_to,
+        tail: vec![],
+        store_empty: false,
+    };
     let hello = p.step(1, peer(0, hello));
     let ask = PeerMsg::CatchupReq { range: R0, epoch, from: Lsn::ZERO };
     assert_eq!(sends(&hello), [(0, &ask)]);

@@ -566,6 +566,7 @@ fn a_follower_that_holds_the_committed_history_vouches_on_the_hello() {
         leader: leader as u32,
         up_to: lsn(1, 4),
         tail: vec![(lsn(1, 5), 4)],
+        store_empty: false,
     };
     assert!(p.sent[since..].contains(&(leader, follower, hello)), "the hello names the tail");
     assert_eq!(vouches(&p, since, follower), [lsn(1, 8)]);
@@ -1245,6 +1246,76 @@ fn a_follower_at_zero_is_sent_the_store_though_the_log_reaches_back() {
     assert_eq!(p.node(1).last_committed(R0), lsn(1, 4));
     for k in 1..=4 {
         assert_eq!(p.read(1, k), acked(k), "key {k}");
+    }
+}
+
+/// A follower at zero asks a leader at claim zero whose store holds rows,
+/// though the hello's watermark is zero too. Node 1 misses range 0's
+/// keys 5-8 (its proposes, commits and catch-up replies are lost) and
+/// takes the `Merge` message with a gap before the barrier: it
+/// under-claims the merged range. Node 2 holds keys 1-8 and learns of the
+/// merge from the table alone: it rebuilds the merged range at claim zero
+/// too. Both logs were flushed away below their watermarks, so neither
+/// re-homes a tail. The merge's leader dies with node 1; node 2 stands
+/// first and wins the tie when node 1 comes back, and takes over at
+/// watermark zero with an empty tail. Rows 5-8 are in its store alone:
+/// node 1 must ask for them, not vouch on the hello.
+#[test]
+fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..eager_gc() });
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.maintenance(1);
+    let lost_to_1 = |to: usize, m: &PeerMsg| {
+        let r0 =
+            matches!(m, PeerMsg::Propose { range: R0, .. } | PeerMsg::Commit { range: R0, .. });
+        to == 1 && (r0 || matches!(m, PeerMsg::CatchupRecords { .. }))
+    };
+    p.lose = Box::new(move |_, to, m| lost_to_1(to, m));
+    p.put_all(0, 5..=8);
+    p.commit_tick(0);
+    p.maintenance(2);
+    p.lose = Box::new(move |_, to, m| {
+        let lost_to_2 = matches!(
+            m,
+            PeerMsg::Merge { .. }
+                | PeerMsg::LeaderHello { .. }
+                | PeerMsg::Commit { .. }
+                | PeerMsg::CatchupRecords { .. }
+        );
+        lost_to_1(to, m) || (to == 2 && lost_to_2)
+    });
+    p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
+    p.run();
+    let merged = p.range_of(0, 1);
+    assert!(merged != R0 && p.node(0).role(merged) == Role::Leader, "ranges 0 and 1 merged");
+    for i in [1, 2] {
+        assert_eq!(p.node(i).last_committed(merged), Lsn::ZERO, "node {i} claims zero");
+    }
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    p.crash(1);
+    p.run();
+    let since = p.sent.len();
+    p.boot(1);
+    p.run();
+    assert_eq!(p.leader_of(merged), 2);
+    let hello = PeerMsg::LeaderHello {
+        range: merged,
+        epoch: 3,
+        leader: 2,
+        up_to: Lsn::ZERO,
+        tail: vec![],
+        store_empty: false,
+    };
+    assert!(p.sent[since..].contains(&(2, 1, hello)), "the hello names watermark zero");
+    let asks = |m: &PeerMsg| matches!(m, PeerMsg::CatchupReq { range, .. } if *range == merged);
+    assert_eq!(p.count_sent(since, 1, asks), 1);
+    assert_eq!(p.node(1).role(merged), Role::Follower);
+    for node in [1, 2] {
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "key {k} at node {node}");
+        }
     }
 }
 
