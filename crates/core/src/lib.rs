@@ -46,6 +46,6 @@ pub use messages::{
 };
 pub use node::{get_request, put_request, CohortPaths, Node, NodeConfig, Role};
 pub use partition::{key_to_u64, u64_to_key, RangeDef, Ring, REPLICATION, TABLE_PATH};
-pub use reconfig::{ClaimKind, DissolveCoverage, DissolveEntry, TailCounts};
+pub use reconfig::{ClaimKind, DissolveCoverage, DissolveEntry};
 pub use replica::RangeReplica;
 pub use session::{CallId, CallOutcome, Session, SessionCall, SessionStep};

@@ -232,54 +232,20 @@ pub enum PeerMsg {
         /// The coordinator's epoch on the left sibling.
         epoch: Epoch,
     },
-    /// Merge coordinator → cohort: both siblings drained and the merged
-    /// `RangeDef` is already in the table. Receivers apply both commit
-    /// queues up to the barriers, merge their local stores, and join the
-    /// merged cohort.
+    /// Merge coordinator → cohort: both siblings drained and the table
+    /// retired them, with their barriers, in favour of the merged range.
+    /// A nudge: queued behind every propose of the left sibling on the
+    /// same link, it tells a follower to dissolve both siblings now, as
+    /// the range table describes.
     Merge {
         /// The left sibling (dissolved).
         range: RangeId,
-        /// The right sibling (dissolved).
-        right: RangeId,
-        /// The merged range both dissolve into.
-        merged: RangeId,
-        /// Coordinator's epoch on the left sibling (stale coordinators
-        /// are rejected).
-        epoch: Epoch,
-        /// The right sibling leader's epoch at its barrier.
-        right_epoch: Epoch,
-        /// The left sibling's barrier LSN.
-        barrier: Lsn,
-        /// The right sibling's barrier LSN.
-        right_barrier: Lsn,
-        /// The highest timestamp either sibling's leader assigned or
-        /// served: a receiver that comes to lead the merged range stamps
-        /// above it.
-        clock: u64,
     },
-    /// Leader → followers: the range was split at `split_key` with every
-    /// write up to `barrier` committed. The new range table is already in
-    /// the coordination service; receivers apply their commit queue up to
-    /// the barrier, fork their store at the split key, and join the two
-    /// child cohorts.
+    /// Leader → followers: the table retired `range` at its barrier in
+    /// favour of two children. A nudge, like [`PeerMsg::Merge`].
     Split {
         /// The parent cohort being dissolved.
         range: RangeId,
-        /// Epoch of the splitting leader (stale leaders are rejected).
-        epoch: Epoch,
-        /// First key of the right child (exclusive end of the left child).
-        split_key: Key,
-        /// Left child range id.
-        left: RangeId,
-        /// Right child range id.
-        right: RangeId,
-        /// Barrier LSN: the parent's last committed write. Both children
-        /// start their logical LSN streams just above it.
-        barrier: Lsn,
-        /// The splitting leader's timestamp clock: the highest commit
-        /// timestamp it assigned or snapshot timestamp it served. A
-        /// receiver that comes to lead a child stamps above it.
-        clock: u64,
     },
 }
 
@@ -320,16 +286,17 @@ impl PeerMsg {
                     + 16 * tail.len()
             }
             PeerMsg::LeaderHello { tail, .. } => 64 + 16 * tail.len(),
-            PeerMsg::Split { split_key, .. } => 96 + split_key.len(),
             PeerMsg::CohortChange { cohort, .. } => 96 + 4 * cohort.len(),
-            PeerMsg::JoinRange { .. } | PeerMsg::Merge { .. } => 128,
+            PeerMsg::JoinRange { .. } => 128,
             PeerMsg::Ack { .. }
             | PeerMsg::Commit { .. }
             | PeerMsg::CatchupReq { .. }
             | PeerMsg::CaughtUp { .. }
             | PeerMsg::MergeProposal { .. }
             | PeerMsg::MergeReady { .. }
-            | PeerMsg::MergeAbort { .. } => 64,
+            | PeerMsg::MergeAbort { .. }
+            | PeerMsg::Merge { .. }
+            | PeerMsg::Split { .. } => 64,
         }
     }
 }

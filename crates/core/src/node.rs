@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use spinnaker_common::codec::{Decode, Encode};
 use spinnaker_common::vfs::SharedVfs;
-use spinnaker_common::{Consistency, Error, Key, Lsn, NodeId, RangeId, Result};
+use spinnaker_common::{Consistency, Key, Lsn, NodeId, RangeId, Result};
 use spinnaker_coord::{CoordError, WatchEvent};
 use spinnaker_storage::{BlockCache, RangeStore, SharedBlockCache, StoreOptions, StoreStats};
 use spinnaker_wal::{Wal, WalOptions};
@@ -37,7 +37,7 @@ use crate::messages::{
     PeerMsg, TimerKind,
 };
 use crate::partition::{Ring, TABLE_PATH};
-use crate::reconfig::{span_of, Claim, DissolveCoverage, DissolveEntry, Successor, Then};
+use crate::reconfig::{span_in, DissolveCoverage};
 use crate::replica::{parse_node, FollowUp, ForceTracker, RangeReplica, Runtime, Waiter};
 
 pub use crate::replica::Role;
@@ -288,31 +288,17 @@ impl Node {
     fn recover_range(&mut self, range: RangeId) -> Result<()> {
         let store = RangeStore::open(self.vfs.clone(), self.store_opts(range))?;
         let st = self.wal.state(range);
-        let def = self.ring.def(range);
-        let span = def.map(span_of).unwrap_or_default();
-        let peers = self.peers_of(range, &[]);
-        // A range with no local state at all may be a split child whose
-        // fork this node never performed: rebuild it from the parent's
-        // surviving local state where there is any.
-        let fresh = self.wal.checkpoint(range).is_zero()
-            && st.last_lsn.is_zero()
-            && store.table_count() == 0
-            && store.memtable_len() == 0;
-        let parent = match def {
-            Some(def) if fresh => self.surviving_parent(def)?,
-            _ => None,
-        };
-        if let Some((pstore, parent_cmt)) = parent {
-            let parts = [(&pstore, &span.0, span.1.as_ref())];
-            let store = RangeStore::assemble(self.vfs.clone(), self.store_opts(range), &parts)?;
-            let (claim, then) = (Claim::Own(parent_cmt), Then::Wait);
-            let child = Successor { id: range, span, peers, store, claim, epoch: 0, then };
-            self.dissolve(0, DissolveEntry::Boot, &[], vec![child], &mut Outbox::default());
-            if self.poisoned {
-                return Err(Error::Unavailable(format!("could not flush bootstrapped {range}")));
-            }
+        // A live range with neither a checkpoint nor a log record may be
+        // the successor of a reshard this node slept through, or one
+        // whose dissolve a crash cut short: attach what it holds of the
+        // predecessors instead, and `Start` dissolves them into it as the
+        // table says.
+        let fresh = self.wal.checkpoint(range).is_zero() && st.last_lsn.is_zero();
+        if fresh && self.ring.def(range).is_some() && self.recover_predecessors(range)? {
             return Ok(());
         }
+        let span = span_in(&self.ring, range).unwrap_or_default();
+        let peers = self.peers_of(range, &[]);
         let mut rep = RangeReplica::new(range, store, peers, span);
         // Idempotent replay of committed records (checkpoint, f.cmt].
         self.wal.replay(range, self.wal.checkpoint(range), st.last_committed, |lsn, op| {
@@ -323,6 +309,27 @@ impl Node {
         rep.epoch = st.last_lsn.epoch();
         self.replicas.insert(range, rep);
         Ok(())
+    }
+
+    /// Recover every predecessor of `range` the table names that this
+    /// node holds anything of, going back through a predecessor it holds
+    /// nothing of; true when one is attached.
+    fn recover_predecessors(&mut self, range: RangeId) -> Result<bool> {
+        let preds: Vec<RangeId> = self.ring.predecessors(range).map(|r| r.id).collect();
+        let mut found = false;
+        for p in preds {
+            let held = !self.wal.state(p).last_lsn.is_zero()
+                || self.vfs.exists(&format!("store-r{}/MANIFEST", p.0))?;
+            found |= if self.replicas.contains_key(&p) {
+                true
+            } else if held {
+                self.recover_range(p)?;
+                true
+            } else {
+                self.recover_predecessors(p)?
+            };
+        }
+        Ok(found)
     }
 
     /// This node's id.
@@ -346,14 +353,6 @@ impl Node {
     /// `range`'s store options under this node's configuration and cache.
     pub(crate) fn store_opts(&self, range: RangeId) -> StoreOptions {
         store_options(range, &self.cfg, self.cache.as_ref())
-    }
-
-    /// Sync the WAL, poisoning the node on refusal — shared by every
-    /// durability point outside the force path.
-    pub(crate) fn sync_wal(&mut self) {
-        if self.wal.sync().is_err() {
-            self.poisoned = true;
-        }
     }
 
     /// Current role for a range (diagnostics, tests, harnesses).
@@ -502,9 +501,9 @@ impl Node {
         let status = self.serve_status(range);
         match status {
             // A range the table no longer contains must not be joined
-            // (its leader znode, if any, is a leftover): reconcile it
-            // against the table instead.
-            ServeStatus::Gone => return self.reconcile_gone_ranges(now, vec![range], out),
+            // (its leader znode, if any, is a leftover): dissolve it as
+            // the table says instead.
+            ServeStatus::Gone => return self.dissolve_retired(now, range, false, out),
             // Not ours (any more): a departed replica's leftovers.
             ServeStatus::NotMember => return self.retire_replica(now, range, out),
             ServeStatus::Member | ServeStatus::MoveTarget => {}
@@ -551,11 +550,11 @@ impl Node {
     }
 
     /// Run an election for `range` after re-validating that the table
-    /// still names us: gone ranges reconcile, departed replicas retire,
+    /// still names us: gone ranges dissolve, departed replicas retire,
     /// move targets wait for the members to elect among themselves.
     fn try_start_election(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         match self.serve_status(range) {
-            ServeStatus::Gone => self.reconcile_gone_ranges(now, vec![range], out),
+            ServeStatus::Gone => self.dissolve_retired(now, range, false, out),
             ServeStatus::NotMember => self.retire_replica(now, range, out),
             ServeStatus::MoveTarget => {
                 // Learners never stand for election — they hold data they
@@ -632,10 +631,8 @@ impl Node {
         // Lifecycle messages attach, detach, or span multiple replicas;
         // the node handles them with their own guards.
         match msg {
-            PeerMsg::Split { range, epoch, split_key, left, right, barrier, clock } => {
-                self.on_split_msg(
-                    now, range, from, epoch, split_key, left, right, barrier, clock, out,
-                );
+            PeerMsg::Split { range } | PeerMsg::Merge { range } => {
+                self.on_reshard_msg(now, range, out);
                 return;
             }
             PeerMsg::JoinRange { range, epoch } => {
@@ -656,31 +653,6 @@ impl Node {
             }
             PeerMsg::MergeAbort { range, .. } => {
                 self.on_merge_abort(now, range, out);
-                return;
-            }
-            PeerMsg::Merge {
-                range,
-                right,
-                merged,
-                epoch,
-                right_epoch,
-                barrier,
-                right_barrier,
-                clock,
-            } => {
-                self.on_merge_msg(
-                    now,
-                    from,
-                    range,
-                    right,
-                    merged,
-                    epoch,
-                    right_epoch,
-                    barrier,
-                    right_barrier,
-                    clock,
-                    out,
-                );
                 return;
             }
             // Per-replica protocol traffic: routed to the owning replica
@@ -725,8 +697,8 @@ impl Node {
                 );
                 FollowUp::default()
             }
-            PeerMsg::CaughtUp { epoch, held, .. } => {
-                rep.on_caught_up(&mut rt, from, epoch, held, out)
+            PeerMsg::CaughtUp { epoch, at, held, .. } => {
+                rep.on_caught_up(&mut rt, from, epoch, at, held, out)
             }
             // Handled above.
             PeerMsg::Split { .. }
@@ -900,7 +872,7 @@ impl Node {
         let mut merge_timeouts = Vec::new();
         for (&range, rep) in &self.replicas {
             match &rep.moving {
-                Some(m) if now.saturating_sub(m.since) > MOVE_TIMEOUT && !m.draining => {
+                Some(m) if now.saturating_sub(m.since) > MOVE_TIMEOUT => {
                     move_aborts.push(range);
                 }
                 Some(_) => {}

@@ -8,7 +8,10 @@
 //! inherit the parent's replicas (ScalienDB-style elastic re-sharding).
 //! Every mutation bumps the table `version`; the encoded table lives in the
 //! coordination service (see [`TABLE_PATH`]) so nodes and clients can
-//! refresh stale routing after a `WrongRange` reply.
+//! refresh stale routing after a `WrongRange` reply. A split or merge
+//! also records each range it retires — its bounds, its drained
+//! [`Barrier`] and its successors — so a replica that missed the reshard
+//! rebuilds the successors from the table exactly as one that took part.
 //!
 //! Routing is **byte-order** based: a key belongs to the last range whose
 //! inclusive `start` bound is `<=` the key under plain lexicographic byte
@@ -17,7 +20,7 @@
 //! boundaries — see the boundary regression tests below.)
 
 use spinnaker_common::codec::{self, Decode, Encode, Source};
-use spinnaker_common::{Error, Key, NodeId, RangeId, Result};
+use spinnaker_common::{Epoch, Error, Key, Lsn, NodeId, RangeId, Result};
 
 /// Replication factor (the paper fixes N = 3 and so do we by default).
 pub const REPLICATION: usize = 3;
@@ -39,9 +42,6 @@ pub struct RangeDef {
     pub cohort: Vec<NodeId>,
     /// Preferred (initial) leader; election tie-breaks toward it.
     pub home: NodeId,
-    /// The range this one was split from, if any — recovery uses it to
-    /// rebuild a child store from the parent's local state.
-    pub parent: Option<RangeId>,
     /// Cohort-change generation: bumped by every replica-set mutation
     /// (move begin/commit/abort). Lets observers distinguish "same cohort
     /// list" from "same cohort history" across CAS races.
@@ -50,6 +50,35 @@ pub struct RangeDef {
     /// *before* any data moves so crash recovery can see the intent; the
     /// commit CAS clears it and swaps the cohort entry.
     pub moving: Option<(NodeId, NodeId)>,
+}
+
+/// Where a range's leader stood when its barrier drained and the table
+/// retired the range: everything the range committed is at or below
+/// `lsn`, and nothing it stamped or served is above `clock`.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct Barrier {
+    /// The leader's epoch.
+    pub epoch: Epoch,
+    /// The leader's last committed LSN.
+    pub lsn: Lsn,
+    /// The leader's timestamp clock: the highest commit timestamp it
+    /// assigned or snapshot timestamp it served.
+    pub clock: u64,
+}
+
+/// A range the table no longer serves (split or merged away).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Retired {
+    /// The retired range.
+    pub id: RangeId,
+    /// Its inclusive lower bound.
+    pub start: Key,
+    /// Its exclusive upper bound (`None` = end of the space).
+    pub end: Option<Key>,
+    /// Its drained barrier.
+    pub barrier: Barrier,
+    /// The ranges that took over its keys, in key order.
+    pub successors: Vec<RangeId>,
 }
 
 /// The versioned range table ("ring" kept for historical continuity).
@@ -61,6 +90,8 @@ pub struct Ring {
     next_id: u32,
     /// Sorted by `start` (ascending); bounds tile the key space.
     ranges: Vec<RangeDef>,
+    /// Every range a split or merge retired, oldest first.
+    retired: Vec<Retired>,
 }
 
 impl Ring {
@@ -84,12 +115,11 @@ impl Ring {
                 end: (i + 1 < nodes).then(|| u64_to_key((i as u64 + 1) * step)),
                 cohort: (0..replication).map(|j| ((i + j) % nodes) as NodeId).collect(),
                 home: i as NodeId,
-                parent: None,
                 gen: 0,
                 moving: None,
             })
             .collect();
-        Ring { nodes, replication, version: 1, next_id: count, ranges }
+        Ring { nodes, replication, version: 1, next_id: count, ranges, retired: Vec::new() }
     }
 
     /// Standard 3-way replicated ring.
@@ -149,6 +179,23 @@ impl Ring {
         self.def(range).map(|d| d.home).unwrap_or(u32::MAX)
     }
 
+    /// The entry of `range` if the table retired it.
+    pub fn retired(&self, range: RangeId) -> Option<&Retired> {
+        self.retired.iter().find(|r| r.id == range)
+    }
+
+    /// The retired ranges `range` took keys over from.
+    pub fn predecessors(&self, range: RangeId) -> impl Iterator<Item = &Retired> {
+        self.retired.iter().filter(move |r| r.successors.contains(&range))
+    }
+
+    /// Record that `def` was retired at `barrier` in favour of
+    /// `successors`.
+    fn retire(&mut self, def: &RangeDef, barrier: Barrier, successors: Vec<RangeId>) {
+        let (id, start, end) = (def.id, def.start.clone(), def.end.clone());
+        self.retired.push(Retired { id, start, end, barrier, successors });
+    }
+
     /// Inclusive lower bound of a range as a key.
     pub fn range_start(&self, range: RangeId) -> Key {
         self.def(range).map(|d| d.start.clone()).unwrap_or_default()
@@ -163,8 +210,14 @@ impl Ring {
     /// parent's replicas: the left child keeps the parent's preferred
     /// leader, the right child's preference moves to the next cohort
     /// member (so leadership of a hot range spreads after the split).
-    /// Bumps the table version. Returns `(left, right)` child ids.
-    pub fn split(&mut self, parent: RangeId, at: &Key) -> Result<(RangeId, RangeId)> {
+    /// Retires `parent` at `barrier` and bumps the table version. Returns
+    /// `(left, right)` child ids.
+    pub fn split(
+        &mut self,
+        parent: RangeId,
+        at: &Key,
+        barrier: Barrier,
+    ) -> Result<(RangeId, RangeId)> {
         let idx = self
             .ranges
             .iter()
@@ -195,7 +248,6 @@ impl Ring {
             end: Some(at.clone()),
             cohort: d.cohort.clone(),
             home: d.home,
-            parent: Some(parent),
             gen: 0,
             moving: None,
         };
@@ -205,10 +257,11 @@ impl Ring {
             end: d.end.clone(),
             cohort: d.cohort.clone(),
             home: right_home,
-            parent: Some(parent),
             gen: 0,
             moving: None,
         };
+        let parent_def = d.clone();
+        self.retire(&parent_def, barrier, vec![left, right]);
         self.ranges.splice(idx..=idx, [left_def, right_def]);
         self.version += 1;
         Ok((left, right))
@@ -218,8 +271,14 @@ impl Ring {
     /// (the inverse of [`Ring::split`]). The merged range gets a fresh id;
     /// it keeps the left side's cohort ordering and preferred leader, so
     /// the coordinating left leader leads the merged range without a
-    /// leadership transfer. Bumps the table version. Returns the merged id.
-    pub fn merge(&mut self, left: RangeId, right: RangeId) -> Result<RangeId> {
+    /// leadership transfer. Retires both at their `barriers` (left, right)
+    /// and bumps the table version. Returns the merged id.
+    pub fn merge(
+        &mut self,
+        left: RangeId,
+        right: RangeId,
+        barriers: [Barrier; 2],
+    ) -> Result<RangeId> {
         let li = self
             .ranges
             .iter()
@@ -230,7 +289,7 @@ impl Ring {
             .iter()
             .position(|d| d.id == right)
             .ok_or_else(|| Error::NotFound(format!("range {right} not in table")))?;
-        let (ld, rd) = (&self.ranges[li], &self.ranges[ri]);
+        let (ld, rd) = (self.ranges[li].clone(), self.ranges[ri].clone());
         if ld.end.as_ref() != Some(&rd.start) {
             return Err(Error::InvalidArgument(format!("{left} and {right} are not adjacent")));
         }
@@ -256,11 +315,13 @@ impl Ring {
             end: rd.end.clone(),
             cohort: ld.cohort.clone(),
             home: ld.home,
-            parent: None,
             gen: 0,
             moving: None,
         };
         debug_assert_eq!(ri, li + 1, "adjacency implies consecutive table slots");
+        for (sibling, barrier) in [&ld, &rd].into_iter().zip(barriers) {
+            self.retire(sibling, barrier, vec![merged]);
+        }
         self.ranges.splice(li..=ri, [def]);
         self.version += 1;
         Ok(merged)
@@ -330,7 +391,8 @@ impl Ring {
     /// The children a split of `parent` produced, in key order (empty when
     /// `parent` was never split or is still live).
     pub fn children_of(&self, parent: RangeId) -> Vec<&RangeDef> {
-        self.ranges.iter().filter(|d| d.parent == Some(parent)).collect()
+        let children = self.retired(parent).map_or(&[][..], |r| &r.successors[..]);
+        self.ranges.iter().filter(|d| children.contains(&d.id)).collect()
     }
 }
 
@@ -361,13 +423,6 @@ impl Encode for Ring {
                 codec::put_u32(buf, n);
             }
             codec::put_u32(buf, d.home);
-            match d.parent {
-                Some(p) => {
-                    codec::put_u8(buf, 1);
-                    codec::put_u32(buf, p.0);
-                }
-                None => codec::put_u8(buf, 0),
-            }
             codec::put_varint(buf, d.gen);
             match d.moving {
                 Some((from, to)) => {
@@ -376,6 +431,25 @@ impl Encode for Ring {
                     codec::put_u32(buf, to);
                 }
                 None => codec::put_u8(buf, 0),
+            }
+        }
+        codec::put_varint(buf, self.retired.len() as u64);
+        for r in &self.retired {
+            codec::put_u32(buf, r.id.0);
+            codec::put_bytes(buf, r.start.as_bytes());
+            match &r.end {
+                Some(e) => {
+                    codec::put_u8(buf, 1);
+                    codec::put_bytes(buf, e.as_bytes());
+                }
+                None => codec::put_u8(buf, 0),
+            }
+            codec::put_varint(buf, u64::from(r.barrier.epoch));
+            r.barrier.lsn.encode(buf);
+            codec::put_u64(buf, r.barrier.clock);
+            codec::put_varint(buf, r.successors.len() as u64);
+            for s in &r.successors {
+                codec::put_u32(buf, s.0);
             }
         }
     }
@@ -389,10 +463,10 @@ impl Decode for Ring {
         // spinlint: allow(C2) -- u32 into usize widens on every supported target
         let replication = codec::get_u32(buf)? as usize;
         let next_id = codec::get_u32(buf)?;
-        // A range is at least 14 bytes: its id and home (4 each), then a
-        // byte each for the start key's length, the end, parent and
-        // moving flags, the cohort count and the generation.
-        let n = codec::get_varint_len(buf, "range", 14)?;
+        // A range is at least 13 bytes: its id and home (4 each), then a
+        // byte each for the start key's length, the end and moving flags,
+        // the cohort count and the generation.
+        let n = codec::get_varint_len(buf, "range", 13)?;
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
             let id = RangeId(codec::get_u32(buf)?);
@@ -407,21 +481,42 @@ impl Decode for Ring {
                 cohort.push(codec::get_u32(buf)?);
             }
             let home = codec::get_u32(buf)?;
-            let parent = match codec::get_u8(buf)? {
-                0 => None,
-                _ => Some(RangeId(codec::get_u32(buf)?)),
-            };
             let gen = codec::get_varint(buf)?;
             let moving = match codec::get_u8(buf)? {
                 0 => None,
                 _ => Some((codec::get_u32(buf)?, codec::get_u32(buf)?)),
             };
-            ranges.push(RangeDef { id, start, end, cohort, home, parent, gen, moving });
+            ranges.push(RangeDef { id, start, end, cohort, home, gen, moving });
         }
         if ranges.is_empty() {
             return Err(Error::Corruption("range table with no ranges".into()));
         }
-        Ok(Ring { nodes, replication, version, next_id, ranges })
+        // A retired range is at least 22 bytes: its id and barrier LSN (4
+        // and 8), its clock (8), then a byte each for the start key's
+        // length, the end flag, the epoch and the successor count.
+        let n = codec::get_varint_len(buf, "retired range", 22)?;
+        let mut retired = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = RangeId(codec::get_u32(buf)?);
+            let start = Key(buf.bytes()?);
+            let end = match codec::get_u8(buf)? {
+                0 => None,
+                _ => Some(Key(buf.bytes()?)),
+            };
+            let epoch = codec::get_varint(buf)?;
+            let epoch = Epoch::try_from(epoch)
+                .map_err(|_| Error::Codec(format!("retired epoch {epoch} overflows")))?;
+            let lsn = Lsn::decode_from(buf)?;
+            let clock = codec::get_u64(buf)?;
+            let c = codec::get_varint_len(buf, "successor", 4)?;
+            let mut successors = Vec::with_capacity(c);
+            for _ in 0..c {
+                successors.push(RangeId(codec::get_u32(buf)?));
+            }
+            let barrier = Barrier { epoch, lsn, clock };
+            retired.push(Retired { id, start, end, barrier, successors });
+        }
+        Ok(Ring { nodes, replication, version, next_id, ranges, retired })
     }
 }
 
@@ -447,6 +542,8 @@ pub fn key_to_u64(key: &Key) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const NO_BARRIER: Barrier = Barrier { epoch: 0, lsn: Lsn::ZERO, clock: 0 };
 
     #[test]
     fn five_node_layout_matches_figure_2() {
@@ -564,7 +661,7 @@ mod tests {
         let mut ring = Ring::with_nodes(5);
         let v0 = ring.version();
         let at = u64_to_key(1000);
-        let (left, right) = ring.split(RangeId(0), &at).unwrap();
+        let (left, right) = ring.split(RangeId(0), &at, NO_BARRIER).unwrap();
         assert_eq!(ring.version(), v0 + 1);
         assert!(ring.def(RangeId(0)).is_none(), "parent removed");
         let ld = ring.def(left).unwrap();
@@ -575,7 +672,6 @@ mod tests {
         assert_eq!(rd.start, at);
         assert_eq!(ld.home, 0, "left keeps the parent's preferred leader");
         assert_eq!(rd.home, 1, "right preference moves to the next replica");
-        assert_eq!((ld.parent, rd.parent), (Some(RangeId(0)), Some(RangeId(0))));
         // Routing: split key belongs to the right child, predecessor left.
         assert_eq!(ring.range_of(&at), right);
         assert_eq!(ring.range_of(&u64_to_key(999)), left);
@@ -591,11 +687,14 @@ mod tests {
         // Range 1 spans [step, 2*step); its own start is not *strictly*
         // inside, and keys beyond its end belong to other ranges.
         let step = u64::MAX / 4;
-        assert!(ring.split(RangeId(1), &u64_to_key(step)).is_err(), "start not inside");
-        assert!(ring.split(RangeId(1), &u64_to_key(2 * step)).is_err(), "end not inside");
-        assert!(ring.split(RangeId(0), &Key::default()).is_err(), "minimum not inside");
-        assert!(ring.split(RangeId(9), &u64_to_key(1)).is_err(), "unknown range");
-        assert!(ring.split(RangeId(1), &u64_to_key(step + 1)).is_ok());
+        assert!(ring.split(RangeId(1), &u64_to_key(step), NO_BARRIER).is_err(), "start not inside");
+        assert!(
+            ring.split(RangeId(1), &u64_to_key(2 * step), NO_BARRIER).is_err(),
+            "end not inside"
+        );
+        assert!(ring.split(RangeId(0), &Key::default(), NO_BARRIER).is_err(), "minimum not inside");
+        assert!(ring.split(RangeId(9), &u64_to_key(1), NO_BARRIER).is_err(), "unknown range");
+        assert!(ring.split(RangeId(1), &u64_to_key(step + 1), NO_BARRIER).is_ok());
     }
 
     #[test]
@@ -605,7 +704,7 @@ mod tests {
         for _ in 0..6 {
             let target = ring.range_of(&u64_to_key(at));
             let key = u64_to_key(at);
-            if ring.split(target, &key).is_ok() {
+            if ring.split(target, &key, NO_BARRIER).is_ok() {
                 at = at.wrapping_mul(31).wrapping_add(997);
             }
         }
@@ -628,9 +727,9 @@ mod tests {
     fn merge_is_the_inverse_of_split() {
         let mut ring = Ring::with_nodes(5);
         let at = u64_to_key(1000);
-        let (left, right) = ring.split(RangeId(0), &at).unwrap();
+        let (left, right) = ring.split(RangeId(0), &at, NO_BARRIER).unwrap();
         let v = ring.version();
-        let merged = ring.merge(left, right).unwrap();
+        let merged = ring.merge(left, right, [NO_BARRIER; 2]).unwrap();
         assert_eq!(ring.version(), v + 1);
         assert!(ring.def(left).is_none() && ring.def(right).is_none(), "children dissolved");
         let d = ring.def(merged).unwrap();
@@ -652,13 +751,13 @@ mod tests {
         let mut ring = Ring::with_nodes(5);
         // Base ranges 0 and 1 are adjacent but replicated by different
         // cohorts under chained declustering: must be rejected.
-        assert!(ring.merge(RangeId(0), RangeId(1)).is_err(), "cohorts differ");
+        assert!(ring.merge(RangeId(0), RangeId(1), [NO_BARRIER; 2]).is_err(), "cohorts differ");
         // Non-adjacent pair.
-        assert!(ring.merge(RangeId(0), RangeId(2)).is_err(), "not adjacent");
+        assert!(ring.merge(RangeId(0), RangeId(2), [NO_BARRIER; 2]).is_err(), "not adjacent");
         // Wrong order (right before left) is not adjacency either.
-        let (l, r) = ring.split(RangeId(0), &u64_to_key(7)).unwrap();
-        assert!(ring.merge(r, l).is_err(), "reversed order rejected");
-        assert!(ring.merge(l, r).is_ok());
+        let (l, r) = ring.split(RangeId(0), &u64_to_key(7), NO_BARRIER).unwrap();
+        assert!(ring.merge(r, l, [NO_BARRIER; 2]).is_err(), "reversed order rejected");
+        assert!(ring.merge(l, r, [NO_BARRIER; 2]).is_ok());
     }
 
     #[test]
@@ -676,7 +775,7 @@ mod tests {
         assert_eq!(ring.version(), v + 1);
         // A second move (or a split) cannot start while one is in flight.
         assert!(ring.begin_move(RangeId(0), 1, 3).is_err());
-        assert!(ring.split(RangeId(0), &u64_to_key(9)).is_err());
+        assert!(ring.split(RangeId(0), &u64_to_key(9), NO_BARRIER).is_err());
 
         ring.commit_move(RangeId(0), 2, 4).unwrap();
         let d = ring.def(RangeId(0)).unwrap();
@@ -718,9 +817,33 @@ mod tests {
     }
 
     #[test]
+    fn a_reshard_retires_its_ranges_with_their_barriers() {
+        let mut ring = Ring::with_nodes(5);
+        let split_at = Barrier { epoch: 3, lsn: Lsn::new(3, 17), clock: 900 };
+        let (left, right) = ring.split(RangeId(0), &u64_to_key(7), split_at).unwrap();
+        let parent = ring.retired(RangeId(0)).expect("the parent is retired");
+        assert_eq!((parent.barrier, parent.successors.clone()), (split_at, vec![left, right]));
+        assert_eq!(
+            (parent.start.clone(), parent.end.clone()),
+            (Key::default(), ring.range_end(right))
+        );
+        let sides = [
+            Barrier { epoch: 4, lsn: Lsn::new(4, 20), clock: 950 },
+            Barrier { epoch: 3, lsn: Lsn::new(3, 17), clock: 990 },
+        ];
+        let merged = ring.merge(left, right, sides).unwrap();
+        let preds: Vec<_> = ring.predecessors(merged).map(|r| (r.id, r.barrier)).collect();
+        assert_eq!(preds, vec![(left, sides[0]), (right, sides[1])]);
+        assert_eq!(ring.predecessors(left).map(|r| r.id).collect::<Vec<_>>(), vec![RangeId(0)]);
+        assert!(ring.retired(merged).is_none() && ring.def(merged).is_some());
+    }
+
+    #[test]
     fn encode_decode_round_trips() {
         let mut ring = Ring::with_nodes(5);
-        ring.split(RangeId(2), &u64_to_key(u64::MAX / 5 * 2 + 77)).unwrap();
+        let barrier = Barrier { epoch: 2, lsn: Lsn::new(2, 9), clock: 77 };
+        let (l, r) = ring.split(RangeId(2), &u64_to_key(u64::MAX / 5 * 2 + 77), barrier).unwrap();
+        ring.merge(l, r, [barrier; 2]).unwrap();
         ring.begin_move(RangeId(0), 1, 3).unwrap();
         let bytes = ring.encode_to_vec();
         let back = Ring::decode(&mut bytes.as_slice()).unwrap();
@@ -731,6 +854,7 @@ mod tests {
         let a: Vec<_> = ring.defs().cloned().collect();
         let b: Vec<_> = back.defs().cloned().collect();
         assert_eq!(a, b);
+        assert_eq!(back.retired, ring.retired);
     }
 
     /// Every node and client decodes the table from the coordination
@@ -748,13 +872,20 @@ mod tests {
         };
         // The range count follows the 20-byte header; the first range's
         // cohort count follows its id, empty start key and 8-byte end key.
-        let (ranges_at, cohort_at) = (20, 20 + 1 + 4 + 1 + 1 + 9);
-        assert_eq!((bytes[ranges_at], bytes[cohort_at]), (3, 3));
-        for at in [ranges_at, cohort_at] {
+        // The retired count is the last byte.
+        let (ranges_at, cohort_at, retired_at) = (20, 20 + 1 + 4 + 1 + 1 + 9, bytes.len() - 1);
+        assert_eq!((bytes[ranges_at], bytes[cohort_at], bytes[retired_at]), (3, 3, 0));
+        for at in [ranges_at, cohort_at, retired_at] {
             assert!(Ring::decode(&mut with_count_at(at).as_slice()).is_err(), "count at {at}");
         }
         for cut in 0..bytes.len() {
             assert!(Ring::decode(&mut &bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut split = Ring::with_nodes(3);
+        split.split(RangeId(0), &u64_to_key(7), NO_BARRIER).unwrap();
+        let bytes = split.encode_to_vec();
+        for cut in 0..bytes.len() {
+            assert!(Ring::decode(&mut &bytes[..cut]).is_err(), "retired entry cut at {cut}");
         }
     }
 }

@@ -1,34 +1,32 @@
 //! Reconfiguration: the node-level operations that replace replicas by
-//! other replicas — range split, cohort movement, range merge, and the
-//! table-driven reconcile of a change this node slept through.
+//! other replicas — range split, range merge and cohort movement.
 //!
 //! Every one of them ends the same way: the table replaced ranges `P…` by
 //! `T…`, and this node must build its replicas of `T` from its replicas
 //! of `P` without losing anything it acknowledged. That shared end is
-//! `Node::dissolve`. An entry point keeps what is its own — the barrier,
-//! the table CAS, the znodes, the peer message, the epoch guard — then
-//! states, per successor, what it may `Claim` and how it `Then` enters its
-//! cohort. The successor *stores* have one recipe, `Node::assemble`: every
-//! local predecessor replica whose span overlaps the successor's, clipped
-//! to it, through `RangeStore::assemble`. Only a move's joiner differs:
-//! its predecessor is on another node, so it starts empty, claims
-//! nothing, and catch-up ships it the sender's store:
+//! `Node::dissolve`. The CAS that retires a range runs after its barrier
+//! drained, and writes that barrier — the last LSN the range committed,
+//! its leader's epoch and clock — and the successors into the table
+//! (`Ring::retired`). So a replica that got the `Split` or `Merge` nudge
+//! and one that read the table (its watch, an election, a boot) dissolve
+//! the same way, through `Node::dissolve_retired`: same claim, same clock.
+//! The successor *stores* have one recipe, `Node::assemble`: every local
+//! predecessor replica whose span overlaps the successor's, clipped to
+//! it, through `RangeStore::assemble`. Only a move's joiner differs: its
+//! predecessor is on another node, so it starts empty, claims nothing,
+//! and catch-up ships it the sender's store:
 //!
 //! | entry point | store assembled from | may claim | leads |
 //! |---|---|---|---|
 //! | `execute_split` | the parent | the barrier | left child; observes the right |
-//! | `on_split_msg` | the parent | the barrier, or its own watermark when it lags | joins both |
-//! | `reconcile_gone_ranges` | every gone replica it overlaps | own watermark if one gone span contains the target, else zero | joins |
 //! | `execute_merge` | both siblings | the merged base | the merged range |
-//! | `on_merge_msg` | both siblings | the merged base after two gap-free drains, else zero | joins |
+//! | `dissolve_retired` | every local predecessor of the successor | split: the barrier, or its own gap-free tip below it; merge: the merged base, or zero when one side is short | joins |
 //! | `on_join_range` | nothing (empty; catch-up ships the sender's) | zero | follows the sender |
-//! | `Node::new` (child with no state) | the surviving parent | the parent's watermark | joins on `Start` |
 //!
-//! The log tail always goes to the same place: every predecessor record
-//! past that predecessor's committed watermark (or past the claim of a
-//! successor taking over its keys, where that is lower) is appended, under
-//! its original LSN, to the stream of the successor whose span holds its
-//! key.
+//! What a predecessor logged is never carried over: at or below its
+//! barrier it is committed — in the successor stores, or on the replicas
+//! that claim the barrier — and past the barrier nothing was, since the
+//! barrier drained the queue and the leader accepted no write behind it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,11 +34,10 @@ use std::fmt;
 use spinnaker_common::codec::Decode;
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, RangeId, Result};
 use spinnaker_storage::RangeStore;
-use spinnaker_wal::LogRecord;
 
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg};
-use crate::node::{runtime, store_options, CohortPaths, Dissolved, Node, ServeStatus};
-use crate::partition::{RangeDef, Ring, TABLE_PATH};
+use crate::node::{runtime, CohortPaths, Dissolved, Node, ServeStatus};
+use crate::partition::{Barrier, Retired, Ring, TABLE_PATH};
 use crate::replica::{Merging, MoveState, RangeReplica, Role, Runtime};
 
 /// Key bounds `[start, end)` of a replica; `None` is unbounded above.
@@ -52,7 +49,7 @@ pub(crate) type Span = (Key, Option<Key>);
 pub(crate) enum Claim {
     /// Everything the dissolve's barrier covers.
     Full(Lsn),
-    /// This replica's own watermark, short of the barrier.
+    /// This replica's own gap-free tip, short of a split's barrier.
     Own(Lsn),
     /// Nothing (under-claim): catch-up rebuilds the rest, so an election
     /// can never pick a leader whose state cannot back its watermark.
@@ -86,8 +83,7 @@ pub(crate) enum Then {
     /// Follow its leader if the coordination service names one, else
     /// stand for election.
     Join,
-    /// The caller brings it in (the move's joiner follows the sender; a
-    /// booting node joins everything on `Start`).
+    /// The caller brings it in (the move's joiner follows the sender).
     Wait,
 }
 
@@ -108,18 +104,13 @@ pub(crate) struct Successor {
 pub enum DissolveEntry {
     /// The split leader's own fork.
     Split,
-    /// A follower applying the `Split` message.
-    SplitMsg,
-    /// The table-driven reconcile of ranges that left the table unseen.
-    Table,
     /// The merge coordinator.
     Merge,
-    /// A follower applying the `Merge` message.
-    MergeMsg,
     /// A cohort movement's joining node.
     Join,
-    /// Local recovery of a split child from its surviving parent.
-    Boot,
+    /// Any other replica of a range the table retired: on its leader's
+    /// nudge, on the table watch, in an election, or at boot.
+    Follower,
 }
 
 /// What a successor was allowed to claim (see the module table).
@@ -127,57 +118,37 @@ pub enum DissolveEntry {
 pub enum ClaimKind {
     /// The dissolve's barrier.
     Full,
-    /// The replica's own committed watermark.
+    /// The replica's own gap-free tip.
     Own,
     /// Nothing.
     Zero,
-}
-
-/// Successors counted for one (entry point, claim).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct TailCounts {
-    /// Successors no predecessor tail record was re-homed into.
-    pub empty: u64,
-    /// Successors that received at least one.
-    pub rehomed: u64,
-    /// Records re-homed in all.
-    pub records: u64,
 }
 
 /// Which dissolves a node (or a sweep of campaigns) has executed, by
 /// entry point and claim. Coverage only: nothing decides anything by it.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct DissolveCoverage {
-    cases: BTreeMap<(DissolveEntry, ClaimKind), TailCounts>,
+    cases: BTreeMap<(DissolveEntry, ClaimKind), u64>,
     stranded: u64,
     unreadable: u64,
 }
 
 impl DissolveCoverage {
-    fn record(&mut self, entry: DissolveEntry, claim: ClaimKind, records: u64) {
-        let c = self.cases.entry((entry, claim)).or_default();
-        if records == 0 {
-            c.empty += 1;
-        } else {
-            c.rehomed += 1;
-            c.records += records;
-        }
-    }
-
-    /// The counts for one (entry point, claim).
-    pub fn get(&self, entry: DissolveEntry, claim: ClaimKind) -> TailCounts {
+    /// The successors built for one (entry point, claim).
+    pub fn get(&self, entry: DissolveEntry, claim: ClaimKind) -> u64 {
         self.cases.get(&(entry, claim)).copied().unwrap_or_default()
     }
 
-    /// Tail records that found no home: no successor built here held
-    /// their key, or the log refused the copy. Their predecessor stream
-    /// was left unretired.
+    /// Committed records a dissolve dropped: a predecessor's watermark
+    /// stood past the barrier the table names, so the range was retired
+    /// by a leader one committed write short. Zero unless a hand-off
+    /// makes such a leader again.
     pub fn stranded(&self) -> u64 {
         self.stranded
     }
 
-    /// Predecessor tails the log could not read back: nothing of them was
-    /// re-homed, and their stream was left unretired.
+    /// Predecessor logs the commit through a barrier could not read:
+    /// their successors claim only what the queue committed.
     pub fn unreadable(&self) -> u64 {
         self.unreadable
     }
@@ -186,21 +157,18 @@ impl DissolveCoverage {
     pub fn add(&mut self, other: &DissolveCoverage) {
         self.stranded += other.stranded;
         self.unreadable += other.unreadable;
-        for (&case, c) in &other.cases {
-            let sum = self.cases.entry(case).or_default();
-            sum.empty += c.empty;
-            sum.rehomed += c.rehomed;
-            sum.records += c.records;
+        for (&case, n) in &other.cases {
+            *self.cases.entry(case).or_default() += n;
         }
     }
 }
 
-/// One line: `Entry/Claim empty+rehomed(records)` per case reached, then
-/// the stranded records and the unreadable tails.
+/// One line: `Entry/Claim successors` per case reached, then the stranded
+/// records and the unreadable logs.
 impl fmt::Display for DissolveCoverage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for ((entry, claim), c) in &self.cases {
-            write!(f, "{entry:?}/{claim:?} {}+{}({}) ", c.empty, c.rehomed, c.records)?;
+        for ((entry, claim), n) in &self.cases {
+            write!(f, "{entry:?}/{claim:?} {n} ")?;
         }
         write!(f, "stranded {} unreadable {}", self.stranded, self.unreadable)
     }
@@ -253,20 +221,15 @@ impl Node {
     /// reconfiguration (see the module docs for who calls it with what).
     ///
     /// In order: flush the successor stores (a claim is backed by tables,
-    /// never by a memtable; a failed flush fail-stops before anything is
-    /// claimed); checkpoint each successor stream at its claim; re-home
-    /// every predecessor record past that predecessor's watermark —
-    /// which this replica may have **acknowledged** toward a quorum —
-    /// into the successor whose span holds its key, under its original
-    /// LSN, so it stays durable and visible to elections as `n.lst`;
-    /// retire a predecessor stream only if its tail was readable and every
-    /// record of it found a home (otherwise its copy stays replayable
-    /// until a restart);
-    /// sync the log once; attach the successors with the inherited epoch,
-    /// watermark, commit note and timestamp clocks (every successor, led
-    /// or not, stamps above everything a predecessor assigned or served:
-    /// ts-order == LSN-order survives); answer the predecessors' buffered
-    /// writes; enter the cohorts.
+    /// never by a memtable) and checkpoint each successor stream at its
+    /// claim, fail-stopping before anything is attached if either fails;
+    /// queue the
+    /// predecessors' streams and stores for GC (nothing of their logs is
+    /// carried over, see the module docs); attach the successors with the
+    /// inherited epoch, watermark, commit note and timestamp clocks
+    /// (every successor, led or not, stamps above everything a
+    /// predecessor assigned or served: ts-order == LSN-order survives);
+    /// answer the predecessors' buffered writes; enter the cohorts.
     pub(crate) fn dissolve(
         &mut self,
         now: u64,
@@ -280,65 +243,28 @@ impl Node {
             if self.fail_stop(flushed).is_none() {
                 return;
             }
+            // The claim lives only in the successor stream's checkpoint:
+            // a restart that lost it would advertise nothing over a store
+            // that holds everything. Local recovery rebuilds a successor
+            // with no checkpoint from predecessors it still holds.
+            if !s.claim.lsn().is_zero() {
+                let saved = self.wal.set_checkpoint(s.id, s.claim.lsn());
+                if self.fail_stop(saved).is_none() {
+                    return;
+                }
+            }
         }
         let preds: Vec<RangeReplica> =
             preds.iter().filter_map(|r| self.replicas.remove(r)).collect();
-        for s in &succs {
-            if !s.claim.lsn().is_zero() {
-                // A checkpoint that fails to save replays more after a
-                // crash, never less.
-                // spinlint: allow(E1) -- a lost checkpoint only replays more
-                let _ = self.wal.set_checkpoint(s.id, s.claim.lsn());
-            }
-        }
-        let mut rehomed = vec![0u64; succs.len()];
         for p in &preds {
-            // The tail starts at the predecessor's own watermark — or
-            // lower, where a successor taking over its keys claims less
-            // than it committed (a split follower ahead of the barrier):
-            // what no successor claims must be in a successor's log. Only
-            // the successors of *this* predecessor count: LSNs of unrelated
-            // streams do not compare.
-            let start = succs
-                .iter()
-                .filter(|s| spans_overlap(&s.span, &p.span))
-                .map(|s| s.claim.lsn())
-                .filter(|claim| !claim.is_zero())
-                .fold(p.last_committed, Lsn::min);
-            let tail = self.wal.read_range(p.range, start, self.wal.state(p.range).last_lsn);
-            let mut homed = tail.is_ok();
-            if !homed {
-                self.dissolves.unreadable += 1;
-            }
-            for (lsn, op) in tail.unwrap_or_default() {
-                let home = succs.iter().position(|s| span_holds(&s.span, &op.key));
-                match home {
-                    Some(i) if self.wal.append(&LogRecord::write(succs[i].id, lsn, op)).is_ok() => {
-                        rehomed[i] += 1;
-                    }
-                    _ => {
-                        homed = false;
-                        self.dissolves.stranded += 1;
-                    }
-                }
-            }
-            if homed {
-                // As above: a lost save only replays more.
-                // spinlint: allow(E1) -- a lost checkpoint only replays more
-                let _ = self.wal.set_checkpoint(p.range, start);
-                self.dissolved.push(Dissolved { range: p.range, at: now, gc_znodes: true });
-            }
-        }
-        if !preds.is_empty() {
-            // The copies must be as durable as the acked originals.
-            self.sync_wal();
+            self.dissolved.push(Dissolved { range: p.range, at: now, gc_znodes: true });
         }
         let last_ts = preds.iter().map(|p| p.last_ts).max().unwrap_or(0);
         let served_ts = preds.iter().map(|p| p.served_ts).max().unwrap_or(0);
         let leads = succs.iter().any(|s| matches!(s.then, Then::Lead { .. }));
         let mut entering = Vec::with_capacity(succs.len());
-        for (s, records) in succs.into_iter().zip(rehomed) {
-            self.dissolves.record(entry, s.claim.kind(), records);
+        for s in succs {
+            *self.dissolves.cases.entry((entry, s.claim.kind())).or_default() += 1;
             let claim = s.claim.lsn();
             let mut rep = RangeReplica::new(s.id, s.store, s.peers, s.span);
             rep.epoch = s.epoch;
@@ -410,18 +336,19 @@ impl Node {
     /// The barrier has drained: perform the split. The authoritative
     /// range table in the coordination service is updated first
     /// (conditional on its version, so a racing update aborts us
-    /// cleanly); only then is the local store forked and the replica
-    /// dissolved into the two children. The left child keeps this leader
-    /// under a bumped epoch; the right child runs a fresh election whose
-    /// tie-break prefers the *next* cohort member, moving half the hot
-    /// range's load to another node.
+    /// cleanly), retiring the parent at its barrier; only then is the
+    /// local store forked and the replica dissolved into the two
+    /// children. The left child keeps this leader under a bumped epoch;
+    /// the right child runs a fresh election whose tie-break prefers the
+    /// *next* cohort member, moving half the hot range's load to another
+    /// node.
     pub(crate) fn execute_split(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
-        let Some(at) = self.replicas.get_mut(&range).and_then(|r| r.splitting.take()) else {
-            return;
-        };
+        let Some(rep) = self.replicas.get_mut(&range) else { return };
+        let Some(at) = rep.splitting.take() else { return };
+        let barrier = Barrier { epoch: rep.epoch, lsn: rep.last_committed, clock: rep.clock() };
         let mut children = None;
         let updated = self.cas_table(|t| {
-            children = t.split(range, &at).ok();
+            children = t.split(range, &at, barrier).ok();
             children.is_some()
         });
         let (Some(_), Some((left, right)), Some(rep)) =
@@ -433,13 +360,13 @@ impl Node {
             self.unblock_writes(now, range, out);
             return;
         };
-        let (barrier, pe, clock) = (rep.last_committed, rep.epoch, rep.clock());
+        let pe = barrier.epoch;
         let peers = rep.peers.clone();
         let (start, end) = rep.span.clone();
-        let lead = Then::Lead { from: Lsn::new(pe + 1, barrier.seq()) };
+        let lead = Then::Lead { from: Lsn::new(pe + 1, barrier.lsn.seq()) };
         let children = [
             (left, (start, Some(at.clone())), pe + 1, lead),
-            (right, (at.clone(), end), pe, Then::Observe),
+            (right, (at, end), pe, Then::Observe),
         ];
 
         // Children's election state: the left child inherits this leader
@@ -458,91 +385,38 @@ impl Node {
         let _ = self.coord.create_ephemeral(&lp.leader, self.id.to_string().into_bytes());
         // The parent's leader znode is deliberately left standing:
         // deleting it would fire the followers' leader-watches *before*
-        // the Split message works through their (FIFO) request queues,
-        // pushing them onto the conservative reconcile for no reason.
-        // The quiesced GC removes the whole `/r{N}` subtree later.
+        // the Split nudge works through their (FIFO) request queues,
+        // pulling them into an election for no reason. The quiesced GC
+        // removes the whole `/r{N}` subtree later.
 
         let built: Result<Vec<Successor>> = children
             .into_iter()
             .map(|(id, span, epoch, then)| {
                 let store = self.assemble(id, &span, &[range])?;
-                let (peers, claim) = (peers.clone(), Claim::Full(barrier));
+                let (peers, claim) = (peers.clone(), Claim::Full(barrier.lsn));
                 Ok(Successor { id, span, peers, store, claim, epoch, then })
             })
             .collect();
         let Some(successors) = self.fail_stop(built) else { return };
         for &peer in &peers {
-            let split_key = at.clone();
-            out.send(
-                peer,
-                PeerMsg::Split { range, epoch: pe, split_key, left, right, barrier, clock },
-            );
+            out.send(peer, PeerMsg::Split { range });
         }
         self.dissolve(now, DissolveEntry::Split, &[range], successors, out);
     }
 
-    /// Follower side of a split: the leader's table update is already in
-    /// the coordination service. Apply the commit queue up to the barrier
-    /// (the in-order link guarantees every propose `<= barrier` preceded
-    /// this message when we are a same-epoch follower), fork the store,
-    /// and join both child cohorts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_split_msg(
-        &mut self,
-        now: u64,
-        range: RangeId,
-        from: NodeId,
-        epoch: Epoch,
-        split_key: Key,
-        left: RangeId,
-        right: RangeId,
-        barrier: Lsn,
-        clock: u64,
-        out: &mut Outbox,
-    ) {
-        let mut rt = runtime!(self, now);
-        let Some(rep) = self.replicas.get_mut(&range) else { return };
-        if epoch < rep.epoch {
-            return; // a deposed leader's split; the table CAS stopped it too
-        }
-        if epoch == rep.epoch && rep.role.leads() && from != rt.id {
-            return; // two leaders in one epoch cannot happen; drop
-        }
-        rep.adopt_clock(clock);
-        if rep.role == Role::Follower && rep.epoch == epoch {
-            rep.apply_commit(&mut rt, barrier);
-        }
+    /// A `Split` or `Merge` nudge: the sender's proposes for `range`
+    /// precede it on this link, so this replica's queue holds what the
+    /// range committed. Dissolve it as the table says.
+    pub(crate) fn on_reshard_msg(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         self.adopt_table_from_coord();
-        let Some(rep) = self.replicas.get(&range) else { return };
-        // A catching-up replica may hold a queue with holes: it claims
-        // its own committed watermark and child catch-up fills the rest.
-        let claim = if rep.last_committed >= barrier {
-            Claim::Full(barrier)
-        } else {
-            Claim::Own(rep.last_committed)
-        };
-        let parent_peers = rep.peers.clone();
-        let (start, end) = rep.span.clone();
-        let children = [(left, (start, Some(split_key.clone()))), (right, (split_key, end))];
-        let built: Result<Vec<Successor>> = children
-            .into_iter()
-            .map(|(id, span)| {
-                let store = self.assemble(id, &span, &[range])?;
-                let peers = self.peers_of(id, &parent_peers);
-                Ok(Successor { id, span, peers, store, claim, epoch, then: Then::Join })
-            })
-            .collect();
-        let Some(successors) = self.fail_stop(built) else { return };
-        self.dissolve(now, DissolveEntry::SplitMsg, &[range], successors, out);
+        if self.serve_status(range) == ServeStatus::Gone {
+            self.dissolve_retired(now, range, false, out);
+        }
     }
 
-    /// Watch-driven table refresh. When a range this node serves
-    /// vanished from the table, its split/merge metadata is
-    /// authoritative even though the leader's message never arrived (it
-    /// may have crashed between the table update and the fan-out):
-    /// reconcile locally at our own committed watermark — the
-    /// conservative path. A live def that no longer names us (a
-    /// committed departure we slept through) retires the local replica.
+    /// Watch-driven table refresh: dissolve every local replica of a
+    /// range the table retired, and retire one whose live def no longer
+    /// names us (a committed departure we slept through).
     pub(crate) fn refresh_table(&mut self, now: u64, out: &mut Outbox) {
         let data = match self.coord.get_data_watch(TABLE_PATH) {
             Ok(d) => d,
@@ -557,23 +431,9 @@ impl Node {
         }
         let mut gone = Vec::new();
         let mut departed = Vec::new();
-        for (&range, r) in &self.replicas {
+        for &range in self.replicas.keys() {
             match self.serve_status(range) {
-                // A follower with a live remote leader defers: the
-                // leader's Split/Merge message is queued behind every
-                // outstanding propose on the in-order link, so
-                // reconciling on the (out-of-band) watch would drop
-                // writes we already acked. If the leader is actually
-                // dead, its leader-znode deletion reaches us and the
-                // election path redirects to the conservative
-                // reconcile.
-                ServeStatus::Gone => {
-                    let defer = matches!(r.role, Role::Follower | Role::CatchingUp)
-                        && r.leader.is_some_and(|l| l != self.id);
-                    if !defer {
-                        gone.push(range);
-                    }
-                }
+                ServeStatus::Gone => gone.push(range),
                 ServeStatus::NotMember => departed.push(range),
                 ServeStatus::Member | ServeStatus::MoveTarget => {}
             }
@@ -581,68 +441,117 @@ impl Node {
         for range in departed {
             self.retire_replica(now, range, out);
         }
-        self.reconcile_gone_ranges(now, gone, out);
+        for range in gone {
+            self.dissolve_retired(now, range, true, out);
+        }
     }
 
-    /// Conservative, table-driven reconciliation of ranges that vanished
-    /// from the table while this replica lagged (crashed leader mid
-    /// fan-out, slept-through splits/merges, chained either way). The
-    /// targets are all current ranges that name us a replica and
-    /// intersect a gone replica's recorded span:
+    /// The one follower-side dissolve: replace this node's replica of
+    /// `range`, which the table retired, by the successors this node does
+    /// not hold yet — each built from *all* of its local predecessors at
+    /// once, so every other local replica that shares a successor with
+    /// `range` dissolves in the same step.
     ///
-    /// * a target **contained** in a single gone span is the split case:
-    ///   rebuild it at that replica's committed watermark (the watermark
-    ///   vouches for the whole target);
-    /// * any other intersection (merges, mixed chains) rebuilds from all
-    ///   intersecting spans at watermark **zero**, and catch-up fills
-    ///   the gaps.
-    pub(crate) fn reconcile_gone_ranges(&mut self, now: u64, gone: Vec<RangeId>, out: &mut Outbox) {
-        let gone: Vec<RangeId> =
-            gone.into_iter().filter(|r| self.replicas.contains_key(r)).collect();
-        if gone.is_empty() {
+    /// Each predecessor first commits through its table barrier
+    /// (`RangeReplica::commit_to_barrier`) and takes in its leader's
+    /// clock. A split child then claims its parent's barrier, or the
+    /// parent's own gap-free tip below it; a merged range claims the
+    /// merged base when every sibling is here and committed through its
+    /// barrier, and nothing otherwise. A successor the table retired too
+    /// (a chain slept through) is built as well, and its own cohort entry
+    /// dissolves it in turn.
+    ///
+    /// `defer` (the table watch) leaves the group alone while one of its
+    /// replicas follows a live leader of another node: that leader's
+    /// nudge is queued behind every propose it covers, and if the leader
+    /// dies instead, its leader znode's deletion brings the replica here
+    /// through an election.
+    pub(crate) fn dissolve_retired(
+        &mut self,
+        now: u64,
+        range: RangeId,
+        defer: bool,
+        out: &mut Outbox,
+    ) {
+        if !self.replicas.contains_key(&range) {
             return;
         }
-        let parents: Vec<&RangeReplica> = gone.iter().map(|r| &self.replicas[r]).collect();
-        for p in &parents {
-            // This path is reached from elections: withdraw a candidacy
-            // for a range nobody will elect again.
-            if let Some(path) = &p.candidate_path {
-                // spinlint: allow(E1) -- gone already, or our expired session took it
-                let _ = self.coord.delete(path);
+        let succs: Vec<RangeId> = self
+            .ring
+            .retired(range)
+            .map(|r| r.successors.iter().copied())
+            .into_iter()
+            .flatten()
+            .filter(|s| !self.replicas.contains_key(s))
+            .collect();
+        let mut preds = vec![range];
+        for &s in &succs {
+            for p in self.ring.predecessors(s) {
+                if self.replicas.contains_key(&p.id) && !preds.contains(&p.id) {
+                    preds.push(p.id);
+                }
             }
         }
-        let built: Result<Vec<Successor>> = self
-            .ring
-            .defs()
-            .filter(|d| {
-                d.cohort.contains(&self.id)
-                    && !self.replicas.contains_key(&d.id)
-                    && parents.iter().any(|p| spans_overlap(&p.span, &span_of(d)))
-            })
-            .map(|def| {
-                let span = span_of(def);
-                let contributors: Vec<&RangeReplica> =
-                    parents.iter().copied().filter(|p| spans_overlap(&p.span, &span)).collect();
-                let store = self.assemble(def.id, &span, &gone)?;
-                let contained =
-                    contributors.len() == 1 && span_contains(&contributors[0].span, &span);
-                Ok(Successor {
-                    id: def.id,
-                    span,
-                    peers: self.peers_of(def.id, &[]),
-                    store,
-                    claim: if contained {
-                        Claim::Own(contributors[0].last_committed)
-                    } else {
-                        Claim::Zero
-                    },
-                    epoch: contributors.iter().map(|p| p.epoch).max().unwrap_or(0),
-                    then: Then::Join,
-                })
-            })
-            .collect();
+        let waits = |r: &RangeReplica| {
+            matches!(r.role, Role::Follower | Role::CatchingUp)
+                && r.leader.is_some_and(|l| l != self.id)
+        };
+        if defer && preds.iter().any(|p| waits(&self.replicas[p])) {
+            return;
+        }
+        for &p in &preds {
+            let Some(barrier) = self.ring.retired(p).map(|r| r.barrier) else { continue };
+            let mut rt = runtime!(self, now);
+            let Some(rep) = self.replicas.get_mut(&p) else { continue };
+            // Reached from elections too: withdraw a candidacy for a
+            // range nobody will elect again.
+            if let Some(path) = rep.candidate_path.take() {
+                // spinlint: allow(E1) -- gone already, or our expired session took it
+                let _ = rt.coord.delete(&path);
+            }
+            rep.adopt_clock(barrier.clock);
+            if rep.commit_to_barrier(&mut rt, barrier).is_err() {
+                self.dissolves.unreadable += 1;
+            }
+            if rep.last_committed > barrier.lsn {
+                self.dissolves.stranded += rep.last_committed.seq() - barrier.lsn.seq();
+            }
+        }
+        let built: Result<Vec<Successor>> =
+            succs.iter().filter_map(|&id| self.table_successor(id, &preds)).collect();
         let Some(successors) = self.fail_stop(built) else { return };
-        self.dissolve(now, DissolveEntry::Table, &gone, successors, out);
+        self.dissolve(now, DissolveEntry::Follower, &preds, successors, out);
+    }
+
+    /// Successor `id` of the local replicas `preds`, as the table
+    /// describes it (`None` when it names no such range).
+    fn table_successor(&self, id: RangeId, preds: &[RangeId]) -> Option<Result<Successor>> {
+        let span = span_in(&self.ring, id)?;
+        let table_preds: Vec<&Retired> = self.ring.predecessors(id).collect();
+        let committed = |p: &Retired| self.replicas.get(&p.id).map(|r| r.last_committed);
+        let (claim, epoch) = match table_preds.as_slice() {
+            [p] => match committed(p).unwrap_or(Lsn::ZERO) {
+                own if own >= p.barrier.lsn => (Claim::Full(p.barrier.lsn), p.barrier.epoch),
+                own => (Claim::Own(own), p.barrier.epoch),
+            },
+            siblings => {
+                let (epoch, base) = merged_base(siblings.iter().map(|p| p.barrier));
+                let clean =
+                    siblings.iter().all(|p| committed(p).is_some_and(|c| c >= p.barrier.lsn));
+                (if clean { Claim::Full(base) } else { Claim::Zero }, epoch)
+            }
+        };
+        let fallback = preds.iter().find_map(|p| self.replicas.get(p)).map(|r| r.peers.clone());
+        let peers = self.peers_of(id, &fallback.unwrap_or_default());
+        Some(self.assemble(id, &span, preds).map(|store| Successor {
+            id,
+            span,
+            peers,
+            store,
+            claim,
+            epoch,
+            then: Then::Join,
+        }))
     }
 
     /// Pull the freshest table from the coordination service (used when
@@ -692,7 +601,7 @@ impl Node {
             return; // lost a table race; the admin can retry
         }
         let Some(rep) = self.replicas.get_mut(&range) else { return };
-        rep.moving = Some(MoveState { from, to, since: now, draining: false });
+        rep.moving = Some(MoveState { from, to, since: now, draining: false, held: Lsn::ZERO });
         // The learner receives every subsequent propose (its acks are
         // excluded from the quorum until the commit CAS).
         if !rep.peers.contains(&to) {
@@ -737,7 +646,7 @@ impl Node {
         let _ = self.wal.retire_stream(range);
         let joiner = Successor {
             id: range,
-            span: span_of(def),
+            span: (def.start.clone(), def.end.clone()),
             peers: self.peers_of(range, &[]),
             store,
             claim: Claim::Zero,
@@ -758,13 +667,20 @@ impl Node {
     /// The learner confirmed durable catch-up: commit the new replica
     /// set. A departing leader first drains its commit queue (a barrier,
     /// like a split's) so no client ack is ever owed by a replica that
-    /// just left.
+    /// just left, and then waits for the learner to confirm it holds
+    /// that barrier (its acks, or the catch-up a commit message naming a
+    /// write it missed sends it into): the learner takes the range over.
     pub(crate) fn finish_move(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         let Some(rep) = self.replicas.get_mut(&range) else { return };
         let Some(m) = rep.moving.as_mut() else { return };
         let (from, to) = (m.from, m.to);
-        if from == self.id && !rep.cq.is_empty() {
-            m.draining = true; // barrier: try_commit re-triggers when drained
+        if from == self.id && (!rep.cq.is_empty() || m.held < rep.last_committed) {
+            // Barrier: try_commit or the learner re-triggers, and the
+            // move timeout counts from here.
+            if !m.draining {
+                m.draining = true;
+                m.since = now;
+            }
             return;
         }
         let committed = self.cas_table(|t| t.commit_move(range, from, to).is_ok());
@@ -1010,9 +926,10 @@ impl Node {
         self.execute_merge(now, left, right, right_barrier, out);
     }
 
-    /// Both barriers drained: CAS the merged `RangeDef`, merge the local
-    /// stores, lead the merged range, fan the `Merge` message to the
-    /// cohort, and dissolve both siblings.
+    /// Both barriers drained: CAS the merged `RangeDef` (retiring both
+    /// siblings at their barriers), merge the local stores, lead the
+    /// merged range, nudge the cohort with `Merge`, and dissolve both
+    /// siblings.
     fn execute_merge(
         &mut self,
         now: u64,
@@ -1021,27 +938,27 @@ impl Node {
         right_barrier: Lsn,
         out: &mut Outbox,
     ) {
-        let mut merged = None;
-        let updated = self.replicas.contains_key(&left)
-            && self.replicas.contains_key(&right)
-            && self
-                .cas_table(|t| {
-                    merged = t.merge(left, right).ok();
-                    merged.is_some()
-                })
-                .is_some();
-        let (true, Some(merged)) = (updated, merged) else {
+        let (Some(lrep), Some(rrep)) = (self.replicas.get(&left), self.replicas.get(&right)) else {
             self.abort_merge(now, left, out);
             return;
         };
-        let (lrep, rrep) = (&self.replicas[&left], &self.replicas[&right]);
-        let barrier = lrep.last_committed;
-        let (le, re) = (lrep.epoch, rrep.epoch);
         let clock = lrep.clock().max(rrep.clock());
-        let merged_epoch = le.max(re) + 1;
-        let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
+        let barriers = [
+            Barrier { epoch: lrep.epoch, lsn: lrep.last_committed, clock },
+            Barrier { epoch: rrep.epoch, lsn: right_barrier, clock },
+        ];
+        let (merged_epoch, base) = merged_base(barriers);
         let peers = lrep.peers.clone();
         let span = (lrep.span.0.clone(), rrep.span.1.clone());
+        let mut merged = None;
+        let updated = self.cas_table(|t| {
+            merged = t.merge(left, right, barriers).ok();
+            merged.is_some()
+        });
+        let (Some(_), Some(merged)) = (updated, merged) else {
+            self.abort_merge(now, left, out);
+            return;
+        };
 
         // Election state of the merged range: this leader continues at
         // `max(epochs) + 1`, so every merged-range LSN exceeds every LSN
@@ -1054,24 +971,12 @@ impl Node {
         let _ = self.coord.create_ephemeral(&mp.leader, self.id.to_string().into_bytes());
         // Both siblings' leader znodes stay standing until GC, exactly
         // like a split parent's (watch-ordering: peers must process the
-        // Merge message first).
+        // Merge nudge first).
 
         let built = self.assemble(merged, &span, &[left, right]);
         let Some(store) = self.fail_stop(built) else { return };
         for &peer in &peers {
-            out.send(
-                peer,
-                PeerMsg::Merge {
-                    range: left,
-                    right,
-                    merged,
-                    epoch: le,
-                    right_epoch: re,
-                    barrier,
-                    right_barrier,
-                    clock,
-                },
-            );
+            out.send(peer, PeerMsg::Merge { range: left });
         }
         let successor = Successor {
             id: merged,
@@ -1112,89 +1017,6 @@ impl Node {
         rep.merging = None;
         self.unblock_writes(now, right, out);
     }
-
-    /// Follower side of a merge: both barriers are committed history.
-    /// Drain both queues through their barriers; two gap-free drains keep
-    /// the merged stream's full watermark, anything else under-claims and
-    /// lets catch-up fill the gaps — an election must never see a
-    /// watermark the local state cannot back.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_merge_msg(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        left: RangeId,
-        right: RangeId,
-        merged: RangeId,
-        epoch: Epoch,
-        right_epoch: Epoch,
-        barrier: Lsn,
-        right_barrier: Lsn,
-        clock: u64,
-        out: &mut Outbox,
-    ) {
-        if let Some(lrep) = self.replicas.get_mut(&left) {
-            if epoch < lrep.epoch {
-                return; // a deposed coordinator's merge
-            }
-            if epoch == lrep.epoch && lrep.role.leads() && from != self.id {
-                return;
-            }
-            lrep.adopt_clock(clock);
-        }
-        self.adopt_table_from_coord();
-        if !self.replicas.contains_key(&left) || !self.replicas.contains_key(&right) {
-            // Missing one side entirely: fall back to the conservative
-            // table-driven reconcile over whatever we do hold.
-            let gone = [left, right].into_iter().filter(|r| self.ring.def(*r).is_none()).collect();
-            self.reconcile_gone_ranges(now, gone, out);
-            return;
-        }
-        let mut clean = true;
-        for (range, e, b) in [(left, epoch, barrier), (right, right_epoch, right_barrier)] {
-            let mut rt = runtime!(self, now);
-            let Some(rep) = self.replicas.get_mut(&range) else { return };
-            let pre = matches!(rep.role, Role::Follower | Role::Leader) && rep.epoch == e;
-            clean &= rep.commit_through_barrier(&mut rt, b) && pre;
-        }
-        let (lrep, rrep) = (&self.replicas[&left], &self.replicas[&right]);
-        let merged_epoch = epoch.max(right_epoch) + 1;
-        let (claim, epoch) = if clean {
-            let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
-            (Claim::Full(base), merged_epoch)
-        } else {
-            (Claim::Zero, lrep.epoch.max(rrep.epoch))
-        };
-        let peers = self.peers_of(merged, &lrep.peers);
-        let span = (lrep.span.0.clone(), rrep.span.1.clone());
-        let built = self.assemble(merged, &span, &[left, right]);
-        let Some(store) = self.fail_stop(built) else { return };
-        let successor =
-            Successor { id: merged, span, peers, store, claim, epoch, then: Then::Join };
-        self.dissolve(now, DissolveEntry::MergeMsg, &[left, right], vec![successor], out);
-    }
-
-    /// Local recovery of a split child that has no state of its own
-    /// (this node crashed between the split's table update and its local
-    /// fork, or missed the split entirely): the parent's surviving store,
-    /// replayed through the parent's committed watermark, and that
-    /// watermark — the most the child may claim. `None` when nothing of
-    /// the parent survives here; the child then starts empty and cohort
-    /// catch-up fills it in.
-    pub(crate) fn surviving_parent(&self, def: &RangeDef) -> Result<Option<(RangeStore, Lsn)>> {
-        let Some(parent) = def.parent else { return Ok(None) };
-        let pst = self.wal.state(parent);
-        let have_store = self.vfs.exists(&format!("store-r{}/MANIFEST", parent.0))?;
-        if !have_store && pst.last_lsn.is_zero() {
-            return Ok(None);
-        }
-        let mut pstore =
-            RangeStore::open(self.vfs.clone(), store_options(parent, &self.cfg, None))?;
-        self.wal.replay(parent, self.wal.checkpoint(parent), pst.last_committed, |lsn, op| {
-            pstore.apply(op, lsn);
-        })?;
-        Ok(Some((pstore, pst.last_committed)))
-    }
 }
 
 /// A fresh barrier record for one sibling of a merge.
@@ -1216,29 +1038,26 @@ fn merging(
     }
 }
 
-/// `def`'s key bounds.
-pub(crate) fn span_of(def: &RangeDef) -> Span {
-    (def.start.clone(), def.end.clone())
+/// The key bounds of `range`, live or retired.
+pub(crate) fn span_in(ring: &Ring, range: RangeId) -> Option<Span> {
+    match (ring.def(range), ring.retired(range)) {
+        (Some(d), _) => Some((d.start.clone(), d.end.clone())),
+        (None, Some(r)) => Some((r.start.clone(), r.end.clone())),
+        (None, None) => None,
+    }
 }
 
-/// True when `key` routes inside `span`.
-fn span_holds(span: &Span, key: &Key) -> bool {
-    *key >= span.0 && span.1.as_ref().is_none_or(|end| key < end)
+/// The epoch and base LSN of a range merged from ranges retired at
+/// `barriers`: every LSN it assigns exceeds every LSN either sibling used.
+fn merged_base(barriers: impl IntoIterator<Item = Barrier>) -> (Epoch, Lsn) {
+    let (epoch, seq) =
+        barriers.into_iter().fold((0, 0), |(e, s), b| (e.max(b.epoch), s.max(b.lsn.seq())));
+    (epoch + 1, Lsn::new(epoch + 1, seq))
 }
 
 /// True when the two spans share a key.
 fn spans_overlap(a: &Span, b: &Span) -> bool {
     b.1.as_ref().is_none_or(|be| *be > a.0) && a.1.as_ref().is_none_or(|ae| *ae > b.0)
-}
-
-/// True when `inner` lies entirely inside `outer`.
-fn span_contains(outer: &Span, inner: &Span) -> bool {
-    inner.0 >= outer.0
-        && match (&inner.1, &outer.1) {
-            (_, None) => true,
-            (Some(ie), Some(oe)) => ie <= oe,
-            (None, Some(_)) => false,
-        }
 }
 
 /// The keys both spans hold: `[lo, hi)`.

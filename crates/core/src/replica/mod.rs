@@ -219,6 +219,10 @@ pub(crate) struct MoveState {
     /// A departing *leader* drains its commit queue before handing off
     /// (a barrier, like a split's); true once the drain is armed.
     pub(crate) draining: bool,
+    /// The learner's confirmed durable prefix: its catch-up point and
+    /// its acks since. A departing leader hands off only once it reaches
+    /// the drained barrier.
+    pub(crate) held: Lsn,
 }
 
 /// An in-flight range merge, tracked on both siblings' leaders.

@@ -829,15 +829,17 @@ impl RangeReplica {
     }
 
     /// Leader: `follower` confirmed the catch-up reply of our `epoch`
-    /// durable, and vouched for our unresolved tail through `held`. In a
-    /// takeover it is sent the rest of the tail at once, in groups shaped
-    /// as steady-state proposes, and its vouch counts as its cumulative
-    /// ack: the tail up to `held` commits.
+    /// durable through `at`, and vouched for our unresolved tail through
+    /// `held`. In a takeover it is sent the rest of the tail at once, in
+    /// groups shaped as steady-state proposes, and its vouch counts as its
+    /// cumulative ack: the tail up to `held` commits. A move's learner
+    /// confirming is what commits the move.
     pub(crate) fn on_caught_up(
         &mut self,
         rt: &mut Runtime<'_>,
         follower: NodeId,
         epoch: Epoch,
+        at: Lsn,
         held: Lsn,
         out: &mut Outbox,
     ) -> FollowUp {
@@ -855,8 +857,9 @@ impl RangeReplica {
                 fu.merge_from(self.on_ack(rt, follower, epoch, held, out));
             }
         }
-        if self.moving.as_ref().is_some_and(|m| m.to == follower) && self.role.leads() {
-            fu.move_target_caught_up = true;
+        if let Some(m) = self.moving.as_mut().filter(|m| m.to == follower) {
+            m.held = m.held.max(at);
+            fu.move_target_caught_up = self.role.leads();
         }
         fu
     }

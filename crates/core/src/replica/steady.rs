@@ -5,12 +5,13 @@
 
 use std::sync::Arc;
 
-use spinnaker_common::{CellOp, Epoch, Lsn, NodeId, WriteOp};
+use spinnaker_common::{CellOp, Epoch, Lsn, NodeId, Result, WriteOp};
 use spinnaker_wal::LogRecord;
 
 use super::{group_last, group_past, FollowUp, Group, Parked, RangeReplica, Role, Runtime, Waiter};
 use crate::commit_queue::{PendingOp, PendingWrite};
 use crate::messages::{Addr, ClientError, ClientOp, ClientReply, ClientRequest, Outbox, PeerMsg};
+use crate::partition::Barrier;
 
 /// What a commit note adds to the bytes the next force is charged for.
 const NOTE_BYTES: u64 = 24;
@@ -321,9 +322,12 @@ impl RangeReplica {
         }
         // A cohort-movement learner's acks never count toward the *old*
         // cohort's quorum: a commit vouched for only by leader + learner
-        // would not survive the old majority's failure rules.
-        if self.moving.as_ref().is_some_and(|m| m.to == from) {
-            return FollowUp::default();
+        // would not survive the old majority's failure rules. They tell a
+        // departing leader waiting at its drained barrier what it holds.
+        if let Some(m) = self.moving.as_mut().filter(|m| m.to == from) {
+            m.held = m.held.max(lsn);
+            let move_target_caught_up = m.draining && self.cq.is_empty();
+            return FollowUp { move_target_caught_up, ..FollowUp::default() };
         }
         self.cq.ack(lsn, from);
         self.try_commit(rt, out)
@@ -565,20 +569,41 @@ impl RangeReplica {
         }
     }
 
-    /// Commit through a merge `barrier` all or nothing: true (and the
-    /// watermark at the barrier) only when the drained history was
-    /// gap-free. Everything drained is known committed — the coordinator
-    /// saw both barriers — so it is applied either way.
-    pub(crate) fn commit_through_barrier(&mut self, rt: &mut Runtime<'_>, barrier: Lsn) -> bool {
-        if self.last_committed >= barrier {
-            return true;
+    /// Commit through `barrier`, where the range table says a retired
+    /// range's leader stood: this epoch's leader's proposals from the
+    /// queue first, then whatever of the rest the log holds. The log
+    /// counts only where its LSNs past the watermark run dense up to the
+    /// barrier itself: an orphan of an earlier epoch shares its sequence
+    /// number with a committed write, or ends the run short of the
+    /// barrier. An unreadable log leaves the watermark where the queue
+    /// left it.
+    pub(crate) fn commit_to_barrier(
+        &mut self,
+        rt: &mut Runtime<'_>,
+        barrier: Barrier,
+    ) -> Result<()> {
+        if self.epoch == barrier.epoch {
+            self.apply_commit(rt, barrier.lsn);
         }
-        let clean = self.drain_dense(barrier) == barrier;
-        if clean {
-            self.last_committed = barrier;
-            self.note_commit(rt, barrier, NOTE_BYTES);
+        let from = self.last_committed;
+        if from >= barrier.lsn {
+            return Ok(());
         }
-        clean
+        // A log that starts above the watermark (a store catch-up
+        // checkpointed past it) holds no dense run from it.
+        let Ok(logged) = rt.wal.indexed_lsns(self.range, from, barrier.lsn) else { return Ok(()) };
+        let (mut last, mut dense) = (from, true);
+        for lsn in logged {
+            dense &= lsn.seq() == last.seq() + 1;
+            last = lsn;
+        }
+        if dense && last == barrier.lsn {
+            let store = &mut self.store;
+            rt.wal.replay(self.range, from, barrier.lsn, |lsn, op| store.apply(op, lsn))?;
+            self.last_committed = barrier.lsn;
+            self.note_commit(rt, barrier.lsn, NOTE_BYTES);
+        }
+        Ok(())
     }
 
     /// The periodic commit message (Fig. 4 right; the *commit period*).

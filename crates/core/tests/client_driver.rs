@@ -15,7 +15,7 @@ use spinnaker_coord::{Coord, CreateMode};
 use spinnaker_core::client::{ClientEv, DriverReport, SessionDriver};
 use spinnaker_core::cluster::{Ev, World};
 use spinnaker_core::messages::{ClientReply, NodeInput, RequestId};
-use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
+use spinnaker_core::partition::{u64_to_key, Barrier, Ring, TABLE_PATH};
 use spinnaker_core::session::SessionCall;
 use spinnaker_sim::{Actor, Ctx, NetConfig, NetModel, ProcId, Sim, Time, MILLIS, SECS};
 
@@ -196,7 +196,7 @@ fn wrong_range_reports_a_refresh_only_when_a_newer_table_exists() {
 
     let world = world();
     let mut newer = Ring::with_nodes(NODES);
-    newer.split(RangeId(0), &u64_to_key(1 << 20)).unwrap();
+    newer.split(RangeId(0), &u64_to_key(1 << 20), Barrier::default()).unwrap();
     assert!(newer.version() > Ring::with_nodes(NODES).version());
     publish(&world, &newer);
     assert!(first_redirect(world), "a newer table is adopted");

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use spinnaker_common::{Key, RangeId};
 use spinnaker_core::node::CohortPaths;
-use spinnaker_core::partition::{u64_to_key, Ring, TABLE_PATH};
+use spinnaker_core::partition::{u64_to_key, Barrier, Ring, TABLE_PATH};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -34,7 +34,7 @@ proptest! {
         let mut key = at | 1; // never the minimum
         for _ in 0..splits {
             let target = ring.range_of(&u64_to_key(key));
-            let _ = ring.split(target, &u64_to_key(key));
+            let _ = ring.split(target, &u64_to_key(key), Barrier::default());
             key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
         }
         for range in ring.ranges().collect::<Vec<_>>() {
@@ -76,7 +76,7 @@ fn table_split_and_encode_round_trip_under_splits() {
     for at in [10u64, 1 << 20, 1 << 40, u64::MAX / 2, u64::MAX - 3] {
         let key = u64_to_key(at);
         let target = ring.range_of(&key);
-        let _ = ring.split(target, &key);
+        let _ = ring.split(target, &key, Barrier::default());
     }
     let encoded = spinnaker_common::codec::Encode::encode_to_vec(&ring);
     let decoded: Ring = spinnaker_common::codec::Decode::decode(&mut encoded.as_slice()).unwrap();

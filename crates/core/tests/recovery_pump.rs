@@ -13,7 +13,7 @@ use spinnaker_core::messages::{ClientError, ClientReply, NodeInput, PeerMsg, Tim
 use spinnaker_core::node::{get_request, CohortPaths, NodeConfig, Role};
 use spinnaker_core::partition::{key_to_u64, u64_to_key, TABLE_PATH};
 use spinnaker_core::session::{CallOutcome, Session, SessionCall, SessionStep};
-use spinnaker_core::{ClaimKind, DissolveEntry, TailCounts};
+use spinnaker_core::{ClaimKind, DissolveEntry};
 
 #[path = "support/pump.rs"]
 mod pump;
@@ -889,11 +889,12 @@ fn acked(k: u64) -> Option<Vec<u8>> {
 }
 
 /// (i) The split leader dies between the table CAS and the `Split`
-/// fan-out: the followers learn of the split from the table alone and
-/// build the children at their own watermark. Their acknowledged tail
-/// moves into the child streams by key, under its LSNs, where the child
-/// elections see it — and whoever wins them serves every write the
-/// client was told succeeded.
+/// nudge: the followers learn of the split from the table alone. Their
+/// acknowledged tail 1.6-1.8, past their watermark 1.5, is at or below
+/// the barrier the table names, 1.8, and their logs hold it gap-free: they
+/// commit through it and claim the barrier for both children, as a
+/// follower that got the nudge does, and whoever wins the children's
+/// elections serves every write the client was told succeeded.
 #[test]
 fn acked_tail_follows_its_keys_into_the_children_of_a_split_nobody_announced() {
     let mut p = with_acked_tail(eager_gc());
@@ -904,22 +905,15 @@ fn acked_tail_follows_its_keys_into_the_children_of_a_split_nobody_announced() {
     let (left, right) = (p.range_of(1, 6), p.range_of(1, 7));
     assert!(left != R0 && right != R0 && left != right);
     for f in [1, 2] {
-        assert_eq!(p.stream(f, left, lsn(1, 5)), vec![(lsn(1, 6), u64_to_key(6))]);
-        assert_eq!(
-            p.stream(f, right, lsn(1, 5)),
-            vec![(lsn(1, 7), u64_to_key(7)), (lsn(1, 8), u64_to_key(8))]
-        );
-        assert_eq!(p.node(f).last_lsn(left), lsn(1, 6), "n.lst advertises the tail");
-        assert_eq!(p.node(f).last_lsn(right), lsn(1, 8));
-        // Each child claimed the follower's own watermark and got a tail.
+        for child in [left, right] {
+            assert_eq!(p.node(f).last_committed(child), lsn(1, 8), "{child} claims the barrier");
+            assert_eq!(p.node(f).last_lsn(child), lsn(1, 8), "n.lst advertises it");
+        }
         let coverage = p.node(f).dissolve_coverage();
-        assert_eq!(
-            coverage.get(DissolveEntry::Table, ClaimKind::Own),
-            TailCounts { empty: 0, rehomed: 2, records: 3 }
-        );
-        assert_eq!(coverage.stranded(), 0);
-        // Every record found a home, so the parent stream is retired.
-        assert_eq!(p.node(f).wal().indexed_records(R0), 3);
+        assert_eq!(coverage.get(DissolveEntry::Follower, ClaimKind::Full), 2);
+        assert_eq!((coverage.stranded(), coverage.unreadable()), (0, 0));
+        // Nothing of the parent stream is carried over: it goes with the
+        // quiesced GC.
         p.maintenance(f);
         assert_eq!(p.node(f).wal().indexed_records(R0), 0);
     }
@@ -929,34 +923,33 @@ fn acked_tail_follows_its_keys_into_the_children_of_a_split_nobody_announced() {
     }
 }
 
-/// The same split, but node 1's log refuses one copy (its third append:
-/// two checkpoint saves, then 1.6). The record is missing from the left
-/// child's stream there, so node 1 must not retire the stream that still
-/// holds it — and the left child's election goes to the replica that
-/// advertises 1.6.
+/// The same split, but node 1 restarted before it (its catch-up reply
+/// lost), so its queue is empty and the tail 1.6-1.8 is in its log
+/// alone; and its log fails to read the tail back. It must not claim a
+/// barrier it could not replay into the children: it claims its own
+/// watermark 1.5, counts the unreadable log, and the children's elections
+/// go to node 2, which commits through the barrier and serves everything.
 #[test]
-fn a_refused_tail_copy_leaves_the_predecessor_stream_unretired() {
+fn a_barrier_the_log_cannot_read_back_is_not_claimed() {
     let mut p = with_acked_tail(eager_gc());
+    p.lose = Box::new(|_, to, m| to == 1 && matches!(m, PeerMsg::CatchupRecords { .. }));
+    p.crash(1);
+    p.boot(1);
+    p.run();
+    assert_eq!(p.node(1).last_committed(R0), lsn(1, 5));
+    assert_eq!(p.node(1).last_lsn(R0), lsn(1, 8));
     p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Split { .. }));
     p.feed(0, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
-    p.faults[1].fail_append_after(3);
+    p.faults[1].fail_read_after(1);
     p.crash(0);
     p.run();
-    assert_eq!(p.faults[1].injected(), 1);
-    assert!(p.nodes[1].is_some(), "a refused copy is not a fail-stop");
-    // The left child got nothing on node 1, the right child its two.
+    assert!(p.faults[1].injected() >= 1, "node 1's log refused the read");
     let coverage = p.node(1).dissolve_coverage();
-    assert_eq!(
-        coverage.get(DissolveEntry::Table, ClaimKind::Own),
-        TailCounts { empty: 1, rehomed: 1, records: 2 }
-    );
-    assert_eq!(coverage.stranded(), 1);
-    for f in [1, 2] {
-        p.maintenance(f);
+    assert_eq!(coverage.get(DissolveEntry::Follower, ClaimKind::Own), 2);
+    assert_eq!((coverage.stranded(), coverage.unreadable()), (0, 1));
+    for k in [6, 7] {
+        assert_eq!(p.leader_of(p.range_of(1, k)), 2, "1.8 beats 1.5");
     }
-    assert_eq!(p.node(1).wal().indexed_records(R0), 8, "node 1 keeps the stream, whole");
-    assert_eq!(p.node(2).wal().indexed_records(R0), 0, "node 2 retired it");
-    assert_eq!(p.leader_of(p.range_of(1, 6)), 2, "1.6 beats 1.5");
     for k in 1..=8 {
         let leader = p.leader_of(p.range_of(2, k));
         assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
@@ -964,12 +957,14 @@ fn a_refused_tail_copy_leaves_the_predecessor_stream_unretired() {
 }
 
 /// (ii) Node 2 is down while ranges 0 and 1 merge and comes back under
-/// a table that has neither: its replica of range 0 contributes to a
-/// merged range it can vouch for nothing of (claim zero — range 1's half
-/// it rebuilds from nothing), yet the tail it acknowledged is in the
-/// merged stream before range 0's is retired.
+/// a table that has neither. The table names both siblings' barriers:
+/// range 0's log holds its acknowledged tail 1.6-1.8 gap-free up to its
+/// barrier 1.8, and range 1 committed nothing, so node 2 commits both
+/// through their barriers and claims the merged base, as if it had got
+/// the `Merge` nudge. Before the table carried the barriers it rebuilt
+/// the merged range at claim zero.
 #[test]
-fn acked_tail_moves_into_the_merged_stream_of_a_merge_slept_through() {
+fn acked_tail_moves_into_the_merged_range_of_a_merge_slept_through() {
     let mut p = with_acked_tail(eager_gc());
     p.crash(2);
     p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
@@ -982,15 +977,11 @@ fn acked_tail_moves_into_the_merged_stream_of_a_merge_slept_through() {
     p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::CatchupRecords { .. }));
     p.boot(2);
     p.run();
-    assert_eq!(p.node(2).role(merged), Role::CatchingUp);
-    assert_eq!(p.node(2).last_committed(merged), Lsn::ZERO, "it vouches for nothing");
-    let tail: Vec<_> = (6..=8).map(|k| (lsn(1, k), u64_to_key(k))).collect();
-    assert_eq!(p.stream(2, merged, Lsn::ZERO), tail);
-    assert_eq!(p.node(2).last_lsn(merged), lsn(1, 8));
-    assert_eq!(
-        p.node(2).dissolve_coverage().get(DissolveEntry::Table, ClaimKind::Zero),
-        TailCounts { empty: 0, rehomed: 1, records: 3 }
-    );
+    let base = p.node(0).last_committed(merged);
+    assert_eq!(base, lsn(2, 8), "the merged base");
+    assert_eq!(p.node(2).last_committed(merged), base, "it claims the base");
+    assert_eq!(p.node(2).last_lsn(merged), base);
+    assert_eq!(p.node(2).dissolve_coverage().get(DissolveEntry::Follower, ClaimKind::Full), 1);
     p.maintenance(2);
     assert_eq!(p.node(2).wal().indexed_records(R0), 0, "range 0's stream is retired");
     // The merged range's leader dies; whoever follows it serves it all.
@@ -1004,9 +995,10 @@ fn acked_tail_moves_into_the_merged_stream_of_a_merge_slept_through() {
 }
 
 /// (iii) Node 2 misses the propose of 1.7 and the catch-up that would
-/// have closed the gap, so when the `Merge` message arrives its queue
-/// for range 0 stops at 1.6, short of the barrier 1.8: it under-claims
-/// the merged range, and the 1.6 it acknowledged is in the merged stream.
+/// have closed the gap, so when the `Merge` nudge arrives its queue and
+/// its log for range 0 stop at 1.6, short of the barrier 1.8: it
+/// under-claims the merged range (the 1.6 it acknowledged is in its
+/// store, and committed on the replicas that claim the base).
 #[test]
 fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
     let mut p = Pump::with_cfg(eager_gc());
@@ -1024,12 +1016,8 @@ fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
     let merged = p.range_of(2, 1);
     assert!(merged != R0 && p.node(0).role(merged) == Role::Leader);
     assert_eq!(p.node(2).last_committed(merged), Lsn::ZERO, "under-claimed");
-    assert_eq!(p.stream(2, merged, Lsn::ZERO), vec![(lsn(1, 6), u64_to_key(6))]);
-    assert_eq!(p.node(2).last_lsn(merged), lsn(1, 6));
-    assert_eq!(
-        p.node(2).dissolve_coverage().get(DissolveEntry::MergeMsg, ClaimKind::Zero),
-        TailCounts { empty: 0, rehomed: 1, records: 1 }
-    );
+    assert_eq!(p.node(2).last_lsn(merged), Lsn::ZERO, "it advertises nothing");
+    assert_eq!(p.node(2).dissolve_coverage().get(DissolveEntry::Follower, ClaimKind::Zero), 1);
     assert_eq!(p.node(1).last_committed(merged), lsn(2, 8), "node 1 drained cleanly");
     p.maintenance(2);
     assert_eq!(p.node(2).wal().indexed_records(R0), 0);
@@ -1042,20 +1030,21 @@ fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
     }
 }
 
-/// (iv) A split follower whose watermark is *ahead* of the barrier
-/// claims the barrier and re-homes what it committed past it. Range 0's
-/// replica moves from its leader, node 0, to node 3 while key 5's put
-/// (1.5) is in flight: the joiner misses the propose (and its re-send),
-/// confirms its catch-up at 1.4, and the leader's next commit message
-/// names 1.5 committed while naming nothing newer than 1.4 as sent, so
-/// the joiner does not notice the hole. The hand-off then makes node 3
-/// the leader one committed write short (the open defect of ROADMAP item
-/// 1(h)), and its split's barrier, 1.4, is below the watermark 1.5 of
-/// both followers: each claims 1.4 for the children and re-homes 1.5
-/// into the left child's stream. No nemesis seed reaches this branch
-/// since lost proposes are sent again (seed 166 did before).
+/// ROADMAP 1(h): a move's hand-off makes the joiner the leader only once
+/// it holds the departing leader's drained barrier. Range 0's replica
+/// moves from its leader, node 0, to node 3 while key 5's put (1.5) is in
+/// flight: the joiner misses the propose (and its re-send), confirms its
+/// catch-up at 1.4, and the leader's next commit message names 1.5
+/// committed while naming nothing newer than 1.4 as sent, so the joiner
+/// does not notice the hole. At the parent commit the hand-off then made
+/// node 3 the leader one committed write short: it served 1.5 as absent,
+/// and a split it led next retired range 0 at a barrier (1.4) below the
+/// followers' watermark (1.5), which stays stranded past it. The
+/// departing leader now waits at its barrier: its next commit message
+/// names 1.5 as sent, the joiner catches up, confirms 1.5 and takes over
+/// holding it; its split's barrier is the followers' watermark.
 #[test]
-fn a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it() {
+fn a_move_hands_off_only_to_a_joiner_that_holds_the_drained_barrier() {
     let mut p = Pump::<4>::settled(eager_gc());
     p.put_all(0, 1..=4);
     p.commit_tick(0);
@@ -1080,19 +1069,19 @@ fn a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it() {
     assert_eq!(p.node(3).last_lsn(R0), lsn(1, 4), "the joiner never noticed 1.5");
     p.feed(0, NodeInput::Peer { from: 3, msg: caught_up });
     p.run();
+    p.commit_tick(0);
     assert_eq!(p.leader_of(R0), 3, "the hand-off made the joiner the leader");
-    assert_eq!(p.node(3).last_committed(R0), lsn(1, 4));
+    assert_eq!(p.node(3).last_committed(R0), lsn(1, 5), "holding the barrier");
+    assert_eq!(p.read(3, 5), acked(5));
     p.feed(3, NodeInput::SplitRange { range: R0, at: u64_to_key(7) });
     p.run();
     let left = p.range_of(1, 5);
     assert!(left != R0 && p.range_of(1, 7) != left, "range 0 split");
     for f in [1, 2] {
-        assert_eq!(p.stream(f, left, lsn(1, 4)), vec![(lsn(1, 5), u64_to_key(5))], "node {f}");
-        assert_eq!(
-            p.node(f).dissolve_coverage().get(DissolveEntry::SplitMsg, ClaimKind::Full),
-            TailCounts { empty: 1, rehomed: 1, records: 1 },
-            "node {f}"
-        );
+        let coverage = p.node(f).dissolve_coverage();
+        assert_eq!(coverage.get(DissolveEntry::Follower, ClaimKind::Full), 2, "node {f}");
+        assert_eq!(coverage.stranded(), 0, "node {f}");
+        assert_eq!(p.node(f).last_committed(left), lsn(1, 5), "node {f}");
     }
 }
 
@@ -1252,14 +1241,14 @@ fn a_follower_at_zero_is_sent_the_store_though_the_log_reaches_back() {
 /// A follower at zero asks a leader at claim zero whose store holds rows,
 /// though the hello's watermark is zero too. Node 1 misses range 0's
 /// keys 5-8 (its proposes, commits and catch-up replies are lost) and
-/// takes the `Merge` message with a gap before the barrier: it
-/// under-claims the merged range. Node 2 holds keys 1-8 and learns of the
-/// merge from the table alone: it rebuilds the merged range at claim zero
-/// too. Both logs were flushed away below their watermarks, so neither
-/// re-homes a tail. The merge's leader dies with node 1; node 2 stands
-/// first and wins the tie when node 1 comes back, and takes over at
-/// watermark zero with an empty tail. Rows 5-8 are in its store alone:
-/// node 1 must ask for them, not vouch on the hello.
+/// node 2 misses range 1's one write: each is short of one sibling's
+/// barrier when the ranges merge, so each claims the merged range at
+/// zero — node 1 on the `Merge` nudge, node 2 (which loses it) once the
+/// merge's leader is gone. Both logs were flushed away below their
+/// watermarks. The merge's leader dies with node 1; node 2 stands first
+/// and wins the tie when node 1 comes back, and takes over at watermark
+/// zero with an empty tail. Rows 5-8 are in its store alone: node 1 must
+/// ask for them, not vouch on the hello.
 #[test]
 fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
     let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..eager_gc() });
@@ -1275,27 +1264,29 @@ fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
     p.put_all(0, 5..=8);
     p.commit_tick(0);
     p.maintenance(2);
-    p.lose = Box::new(move |_, to, m| {
-        let lost_to_2 = matches!(
+    let lost_to_2 = |to: usize, m: &PeerMsg| {
+        let lost = matches!(
             m,
-            PeerMsg::Merge { .. }
+            PeerMsg::Propose { range: R1, .. }
+                | PeerMsg::Merge { .. }
                 | PeerMsg::LeaderHello { .. }
                 | PeerMsg::Commit { .. }
                 | PeerMsg::CatchupRecords { .. }
         );
-        lost_to_1(to, m) || (to == 2 && lost_to_2)
-    });
+        to == 2 && lost
+    };
+    p.lose = Box::new(move |_, to, m| lost_to_1(to, m) || lost_to_2(to, m));
+    p.put_all(1, [u64::MAX / 2]);
     p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
     p.run();
     let merged = p.range_of(0, 1);
     assert!(merged != R0 && p.node(0).role(merged) == Role::Leader, "ranges 0 and 1 merged");
-    for i in [1, 2] {
-        assert_eq!(p.node(i).last_committed(merged), Lsn::ZERO, "node {i} claims zero");
-    }
+    assert_eq!(p.node(1).last_committed(merged), Lsn::ZERO, "node 1 claims zero");
     p.lose = Box::new(|_, _, _| false);
     p.crash(0);
     p.crash(1);
     p.run();
+    assert_eq!(p.node(2).last_committed(merged), Lsn::ZERO, "node 2 claims zero");
     let since = p.sent.len();
     p.boot(1);
     p.run();
@@ -1317,6 +1308,46 @@ fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
             assert_eq!(p.read(node, k), acked(k), "key {k} at node {node}");
         }
     }
+}
+
+/// ROADMAP 1(i): a merged range is built from both siblings at once.
+/// Keys 1-8 are committed in range 0 with node 2 down for 5-8, and every
+/// store is flushed. Node 1, range 1's leader, loses the `Merge` nudge
+/// and every catch-up reply: it learns of the merge from the table. At
+/// the parent commit its table watch rebuilt the merged range from range
+/// 1 alone at claim zero, and range 0, reconciled once its leader died,
+/// found the merged range built and added nothing; node 2 came back with
+/// keys 1-4 and rebuilt it at claim zero too, won the tie and answered
+/// key 5 absent. Node 1's replica of range 0 now waits for its leader's
+/// nudge, and with that leader dead dissolves together with range 1: both
+/// commit through their table barriers, node 1 claims the merged base,
+/// wins and serves keys 1-8.
+#[test]
+fn a_merge_missed_by_a_siblings_leader_is_built_from_both_siblings() {
+    let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..eager_gc() });
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.crash(2);
+    p.put_all(0, 5..=8);
+    p.commit_tick(0);
+    for i in [0, 1] {
+        p.maintenance(i);
+    }
+    p.lose = Box::new(|_, to, m| {
+        to == 1 && matches!(m, PeerMsg::Merge { .. } | PeerMsg::CatchupRecords { .. })
+    });
+    p.feed(0, NodeInput::MergeRanges { left: R0, right: R1 });
+    p.run();
+    let merged = p.range_of(0, 1);
+    assert!(merged != R0 && p.node(0).role(merged) == Role::Leader, "ranges 0 and 1 merged");
+    p.crash(0);
+    p.boot(2);
+    p.run();
+    let leader = p.leader_of(merged);
+    for k in 1..=8 {
+        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    }
+    assert_eq!(leader, 1, "the replica that claims the merged base wins");
 }
 
 /// Node 2 holds an orphan past its committed watermark 1.4 — 1.5, logged
@@ -1613,14 +1644,14 @@ fn a_failed_compaction_fail_stops() {
     assert_eq!(p.node(0).wal().checkpoint(R0), lsn(1, 4), "the flush before it was kept");
 }
 
-/// Two gone ranges in one reconcile, each with its own log stream: range
-/// 0 (epoch 1, watermark 1.5) and the left child of range 1 (epoch 2,
-/// watermark 2.3, flushed and checkpointed there — past range 0's
-/// watermark). Node 2's table watch fires late: it has already seen both
-/// leaders vanish and stands in both elections when the table tells it
-/// that both ranges were split. Each predecessor's tail is read from its
-/// *own* watermark (an LSN of one stream says nothing about another), so
-/// the records only node 2 still holds reach the grandchildren's streams
+/// Two gone ranges dissolved by one table refresh, each with its own log
+/// stream: range 0 (epoch 1, watermark 1.5) and the left child of range 1
+/// (epoch 2, watermark 2.3, flushed and checkpointed there — past range
+/// 0's watermark). Node 2's table watch fires late: it has already seen
+/// both leaders vanish and stands in both elections when the table tells
+/// it that both ranges were split. Each predecessor commits through its
+/// *own* barrier (an LSN of one stream says nothing about another), so
+/// the records only node 2 still holds reach the grandchildren's claims
 /// and win their elections.
 #[test]
 fn two_gone_ranges_in_one_reconcile_each_keep_their_own_tail() {
@@ -1669,25 +1700,15 @@ fn two_gone_ranges_in_one_reconcile_each_keep_their_own_tail() {
     p.feed(2, NodeInput::Coord(WatchEvent::DataChanged(TABLE_PATH.to_string())));
     p.run();
 
-    let children = [(6, lsn(1, 5)), (7, lsn(1, 5)), (base + 3, lsn(2, 3)), (base + 4, lsn(2, 3))];
-    let tails = [
-        vec![(lsn(1, 6), u64_to_key(6))],
-        vec![(lsn(1, 7), u64_to_key(7)), (lsn(1, 8), u64_to_key(8))],
-        vec![],
-        vec![(lsn(2, 4), u64_to_key(base + 4)), (lsn(2, 5), u64_to_key(base + 5))],
-    ];
-    for ((k, watermark), tail) in children.into_iter().zip(tails) {
+    let children = [(6, lsn(1, 8)), (7, lsn(1, 8)), (base + 3, lsn(2, 5)), (base + 4, lsn(2, 5))];
+    for (k, barrier) in children {
         let child = p.range_of(2, k);
-        assert_eq!(p.node(2).last_committed(child), watermark, "{child} claims its parent's");
-        let last = tail.last().map_or(watermark, |(lsn, _)| *lsn);
-        assert_eq!(p.node(2).last_lsn(child), last, "{child} advertises its tail");
-        assert_eq!(p.stream(2, child, watermark), tail, "{child}");
+        assert_eq!(p.node(2).last_committed(child), barrier, "{child} claims its parent's barrier");
+        assert_eq!(p.node(2).last_lsn(child), barrier, "{child} advertises it");
     }
+    // Two children of range 1's first split, then these four.
     let coverage = p.node(2).dissolve_coverage();
-    assert_eq!(
-        coverage.get(DissolveEntry::Table, ClaimKind::Own),
-        TailCounts { empty: 1, rehomed: 3, records: 5 }
-    );
+    assert_eq!(coverage.get(DissolveEntry::Follower, ClaimKind::Full), 6);
     assert_eq!((coverage.stranded(), coverage.unreadable()), (0, 0));
     p.maintenance(2);
     assert_eq!(p.node(2).wal().indexed_records(R0), 0);

@@ -52,7 +52,8 @@ pub struct CampaignConfig {
     pub snapshot_retain: Time,
     /// Snapshot pin lease (`NodeConfig::pin_lease`; 0 disables).
     pub pin_lease: Time,
-    /// Closed-timestamp piggyback period (`NodeConfig::commit_period`).
+    /// The leaders' commit-message period (`NodeConfig::commit_period`;
+    /// no campaign sets `piggyback_commits`, so nothing else rides it).
     pub commit_period: Time,
 }
 

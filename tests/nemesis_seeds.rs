@@ -47,47 +47,40 @@ fn pinned_seeds_stay_clean() {
     //     cumulative ack ever covered it and the range stalled. Fixed by
     //     a follower acknowledging again what a commit message names as
     //     proposed a period earlier, past the leader's watermark.
-    // The reconfiguration branches the 30-seed sweep does not reach with
-    // a record in hand (`Node::dissolve`'s coverage, asserted below):
-    // 49:  a follower whose drain to a merge barrier had a gap
-    //      under-claimed the merged range (`on_merge_msg`, claim zero)
-    //      until lost proposes were re-sent (119); the gap is closed
-    //      before the merge now, and the seed stays as coverage.
-    // 2904: the same under-claiming merge, the lost propose within the
-    //      two commit periods before the barrier that a follower needs
-    //      to notice it.
-    // 151: the table-driven reconcile finds a tail record with no
-    //      successor left to take it (the merged range was already
-    //      rebuilt from the other sibling) and strands it — a known
-    //      defect (CHANGES, PR 23 finding ii), so nothing below requires
-    //      it; the seed is its reproduction and must stay clean.
+    // 62, 142, 481: a node that missed a merge rebuilt the merged range
+    //      from the range table alone at claim zero, one sibling at a
+    //      time, and stranded acknowledged tail records (62 one, 142
+    //      two; 481 re-homed one and stranded another). Fixed by the
+    //      table carrying each retired range's barrier and clock: every
+    //      replica that missed the nudge commits through the barrier and
+    //      builds each successor from all its local predecessors at once,
+    //      so nothing past a watermark is left to re-home.
+    // The follower-side dissolve's branches the 30-seed sweep does not
+    // reach (`Node::dissolve`'s coverage, asserted below):
+    // 49, 171, 181, 2904: a follower whose drain to a merge barrier had a
+    //      gap under-claimed the merged range (claim zero); since the
+    //      table carries the barriers, 181 alone of them still does.
+    // 151: the table-driven rebuild of a merge once found a tail record
+    //      with no successor left to take it (the merged range was already
+    //      rebuilt from the other sibling) and stranded it (CHANGES, PR 23
+    //      finding ii). The merged range is built from both siblings at
+    //      once now; the seed stays as coverage.
     // 166: a split follower whose watermark was *ahead* of the barrier (a
     //      move's hand-off made a leader of a joiner one write short)
     //      re-homed the record past the barrier into the children, until
-    //      lost proposes were re-sent: the joiner catches up now. No seed
-    //      in 1..9000 reaches that re-home any more, so the pump test
-    //      `a_split_follower_ahead_of_the_barrier_rehomes_what_it_committed_past_it`
-    //      (crates/core/tests/recovery_pump.rs) asserts it instead of the
-    //      check below; the seed stays as coverage.
-    // 167: the table-driven reconcile re-homes a tail record into a
-    //      child it claims at its own watermark.
-    // 171, 172: since a takeover's follower vouches for the tail it holds
-    //      and asks for catch-up once, every campaign runs on other
-    //      timings, and 49, 167 and 2904 reach neither branch below any
-    //      more (they stay as coverage): 171 has a follower under-claim a
-    //      merged range, 172 has the table-driven reconcile re-home a tail
-    //      record at its own watermark.
-    // 113, 181: since a takeover's hello carries the catch-up verdict (a
-    //      follower holding the committed history vouches on it, and a
-    //      candidate waits for it instead of asking), 171 and 172 reach
-    //      neither branch any more (they stay as coverage). A per-seed
-    //      scan of 1..2000 found 113, whose table-driven reconcile
-    //      re-homes a tail record at its own watermark, and 181, whose
-    //      follower under-claims a merged range.
+    //      lost proposes were re-sent. A departing leader now hands off
+    //      only to a joiner that holds its drained barrier: the pump test
+    //      `a_move_hands_off_only_to_a_joiner_that_holds_the_drained_barrier`
+    //      (crates/core/tests/recovery_pump.rs) asserts it; the seed
+    //      stays as coverage.
+    // 113, 167, 172: the table-driven rebuild of a split at the
+    //      follower's own watermark; 113 still claims its own gap-free tip
+    //      below a split's barrier (claim `Own`).
+    // 481 reaches both follower branches below.
     let mut dissolves = DissolveCoverage::default();
     let seeds = [
-        1u64, 7, 10, 29, 49, 113, 119, 151, 155, 166, 167, 171, 172, 181, 340, 354, 428, 1510,
-        1887, 2850, 2904,
+        1u64, 7, 10, 29, 49, 62, 113, 119, 142, 151, 155, 166, 167, 171, 172, 181, 340, 354, 428,
+        481, 1510, 1887, 2850, 2904,
     ];
     for seed in seeds {
         let r = run_seed(seed);
@@ -100,18 +93,21 @@ fn pinned_seeds_stay_clean() {
             r.ops_issued - r.ops_completed,
             r.ops_issued
         );
+        assert!(
+            r.dissolves.stranded() == 0 && r.dissolves.unreadable() == 0,
+            "seed {seed} dropped or could not read a committed record: {}",
+            r.dissolves
+        );
         dissolves.add(&r.dissolves);
     }
     // A schedule change that stops reaching these fails here instead of
     // going unnoticed.
-    assert!(
-        dissolves.get(DissolveEntry::Table, ClaimKind::Own).rehomed > 0,
-        "no re-homed tail on the table-driven entry: {dissolves}"
-    );
-    let under_claimed = dissolves.get(DissolveEntry::MergeMsg, ClaimKind::Zero);
-    assert!(under_claimed.empty + under_claimed.rehomed > 0, "no under-claiming merge");
+    let own = dissolves.get(DissolveEntry::Follower, ClaimKind::Own);
+    assert!(own > 0, "no split child claimed below its barrier: {dissolves}");
+    let under_claimed = dissolves.get(DissolveEntry::Follower, ClaimKind::Zero);
+    assert!(under_claimed > 0, "no under-claiming merge: {dissolves}");
     // A move's joiner attaches an empty replica that claims nothing and
     // is brought level by catch-up alone.
     let joined = dissolves.get(DissolveEntry::Join, ClaimKind::Zero);
-    assert!(joined.empty + joined.rehomed > 0, "no move's joiner attached: {dissolves}");
+    assert!(joined > 0, "no move's joiner attached: {dissolves}");
 }
