@@ -388,8 +388,9 @@ impl Ring {
             .ok_or_else(|| Error::NotFound(format!("range {range} not in table")))
     }
 
-    /// The children a split of `parent` produced, in key order (empty when
-    /// `parent` was never split or is still live).
+    /// The live ranges that took over `parent`'s keys, in key order: the
+    /// children of its split, or the range it merged into (empty while
+    /// `parent` is live).
     pub fn children_of(&self, parent: RangeId) -> Vec<&RangeDef> {
         let children = self.retired(parent).map_or(&[][..], |r| &r.successors[..]);
         self.ranges.iter().filter(|d| children.contains(&d.id)).collect()

@@ -1248,7 +1248,8 @@ fn a_follower_at_zero_is_sent_the_store_though_the_log_reaches_back() {
 /// watermarks. The merge's leader dies with node 1; node 2 stands first
 /// and wins the tie when node 1 comes back, and takes over at watermark
 /// zero with an empty tail. Rows 5-8 are in its store alone: node 1 must
-/// ask for them, not vouch on the hello.
+/// ask for them, not vouch on the hello; caught up, it commits what the
+/// leader writes next.
 #[test]
 fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
     let mut p = Pump::with_cfg(NodeConfig { memtable_flush_bytes: 1, ..eager_gc() });
@@ -1308,6 +1309,11 @@ fn a_follower_at_zero_asks_a_leader_at_claim_zero_for_its_store() {
             assert_eq!(p.read(node, k), acked(k), "key {k} at node {node}");
         }
     }
+    // Caught up from zero, node 1 commits the leader's next writes too.
+    p.put_all(2, 9..=10);
+    p.commit_tick(2);
+    assert_eq!(p.node(1).last_committed(merged), p.node(2).last_committed(merged));
+    assert_eq!(p.node(1).last_committed(merged), lsn(3, 2));
 }
 
 /// ROADMAP 1(i): a merged range is built from both siblings at once.
