@@ -11,9 +11,9 @@
 //! (flush, move/merge timeouts), retiring a replica that left this node,
 //! and the quiesced GC of dissolved ranges' store directories, WAL
 //! streams and `/r{N}` znodes. The operations that replace replicas by
-//! other replicas — split, merge, cohort movement, table-driven
-//! reconcile — are [`crate::reconfig`]; splits and merges start only
-//! from their admin entry points.
+//! other replicas — split, merge, cohort movement, and the dissolve of
+//! a replica whose range the table retired — are [`crate::reconfig`];
+//! splits and merges start only from their admin entry points.
 //!
 //! The node is a sans-IO state machine: it consumes [`NodeInput`]s and
 //! emits [`Effect`]s into an [`Outbox`]. Log *content* is written

@@ -279,7 +279,7 @@ fn merge_completes_when_one_node_leads_both_siblings() {
     // range to trigger it. (This seed deterministically re-elects the
     // crashed right child's leadership onto node 0, which already leads
     // the left child.) The merge also runs with one replica down, and
-    // that replica must reconcile into the merged range from the table
+    // that replica must dissolve into the merged range from the table
     // alone when it restarts.
     let mut cluster = quick_cluster(5, 51);
     cluster.run_until(3 * SECS);

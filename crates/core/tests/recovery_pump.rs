@@ -1039,8 +1039,7 @@ fn a_gap_before_the_merge_barrier_under_claims_and_keeps_the_acked_tail() {
 /// does not notice the hole. At the parent commit the hand-off then made
 /// node 3 the leader one committed write short: it served 1.5 as absent,
 /// and a split it led next retired range 0 at a barrier (1.4) below the
-/// followers' watermark (1.5), which stays stranded past it. The
-/// departing leader now waits at its barrier: its next commit message
+/// followers' watermark (1.5). The departing leader now waits at its barrier: its next commit message
 /// names 1.5 as sent, the joiner catches up, confirms 1.5 and takes over
 /// holding it; its split's barrier is the followers' watermark.
 #[test]

@@ -180,7 +180,7 @@ fn main() -> ExitCode {
     }
 
     // Successors built per dissolve entry point / claim over the sweep, as
-    // `empty tail + re-homed tail (records)`: what the reshard paths saw.
+    // `Entry/Claim n`: what the reshard paths saw.
     let mut dissolves = DissolveCoverage::default();
     if let Some(seed) = args.one_seed {
         let ok = run_one(seed, &args, &mut dissolves);

@@ -113,7 +113,7 @@ pub struct RunReport {
     /// range's cohort and roles.
     pub health: Vec<String>,
     /// Which reconfiguration paths the run reached: successors built per
-    /// dissolve entry point and claim, with or without a re-homed tail.
+    /// dissolve entry point and claim.
     pub dissolves: DissolveCoverage,
 }
 

@@ -396,13 +396,13 @@ impl RangeStore {
 
     /// Build a fresh store in `opts.dir` from `parts`, each a source store
     /// clipped to the keys `[lo, hi)` — the one recipe for every successor
-    /// of a range split, merge, table-driven reconcile or boot-time child
-    /// rebuild. Per part: the store adopts the stricter GC floor (its
-    /// tables were pruned at the source's), takes the memtable rows in
-    /// the clip, and walks the tables — L0 oldest first, inserting at the
-    /// front so L0 stays newest first, then the deeper levels. A table
-    /// wholly inside the clip is copied as a file **at its own level**; one
-    /// that straddles the clip is re-partitioned into tables at that level
+    /// of a range split or merge, on whichever node builds it. Per part:
+    /// the store adopts the stricter GC floor (its tables were pruned at
+    /// the source's), takes the memtable rows in the clip, and walks the
+    /// tables — L0 oldest first, inserting at the front so L0 stays
+    /// newest first, then the deeper levels. A table wholly inside the
+    /// clip is copied as a file **at its own level**; one that straddles
+    /// the clip is re-partitioned into tables at that level
     /// holding only the clipped rows (none if the clip holds no key of
     /// it); a disjoint one is skipped. Parts are meant to be disjoint, and
     /// clipping a sub-run of a level keeps it non-overlapping; should two
