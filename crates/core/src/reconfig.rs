@@ -514,7 +514,10 @@ impl Node {
                 self.dissolves.unreadable += 1;
             }
             if rep.last_committed > barrier.lsn {
-                self.dissolves.stranded += rep.last_committed.seq() - barrier.lsn.seq();
+                // A watermark of another epoch may sit past the barrier
+                // at a lower sequence number: it still counts.
+                let past = rep.last_committed.seq().saturating_sub(barrier.lsn.seq());
+                self.dissolves.stranded += past.max(1);
             }
         }
         let built: Result<Vec<Successor>> =
