@@ -476,14 +476,9 @@ impl Node {
         if !self.replicas.contains_key(&range) {
             return;
         }
-        let succs: Vec<RangeId> = self
-            .ring
-            .retired(range)
-            .map(|r| r.successors.iter().copied())
-            .into_iter()
-            .flatten()
-            .filter(|s| !self.replicas.contains_key(s))
-            .collect();
+        let named = self.ring.retired(range).map_or(&[][..], |r| &r.successors[..]);
+        let succs: Vec<RangeId> =
+            named.iter().copied().filter(|s| !self.replicas.contains_key(s)).collect();
         let mut preds = vec![range];
         for &s in &succs {
             for p in self.ring.predecessors(s) {
