@@ -16,9 +16,22 @@
 //! insert only ever appends: the leader sequences its LSNs upward, a
 //! takeover queues its whole tail in log order as it begins, and a
 //! follower queues only the suffix of a propose past what it holds. Only
-//! [`CommitQueue::clear`] (a new leader, a new epoch) restarts the queue
-//! lower. A steady-state round allocates nothing here: the ring reuses
-//! its buffer, and a drain hands back the drained prefix in place.
+//! a leader change restarts the queue lower, and it discards nothing it
+//! will need again:
+//!
+//! - a follower that meets a new leader sets its pending writes aside
+//!   ([`CommitQueue::set_aside`]) and starts empty. The writes it holds
+//!   are no proposals of the new leader until catch-up says which of
+//!   them its tail lists; the catch-up verdict takes those back
+//!   ([`CommitQueue::take_aside`]), and drops the orphans it truncates;
+//! - a new leader takes its queue ([`CommitQueue::take`]) and queues
+//!   again, self-forced, those of its writes that its log lists past
+//!   its committed watermark: its unresolved tail.
+//!
+//! Either way the log is read only for what the queue lacks (a restarted
+//! node queues nothing). A steady-state round allocates nothing here:
+//! the ring reuses its buffer, and a drain hands back the drained prefix
+//! in place.
 //!
 //! Acks and forces are **cumulative**: the log is appended sequentially,
 //! so a force that covers an LSN covers everything logged before it. The
@@ -39,11 +52,11 @@
 //! watermarks back to the newest one left (to zero when the queue
 //! empties), which keeps the clamp true.
 
-use std::collections::vec_deque::{Drain, VecDeque};
-use std::ops::{Deref, Range};
+use std::collections::vec_deque::{self, Drain, VecDeque};
+use std::ops::{Deref, Range, RangeInclusive};
 use std::sync::Arc;
 
-use spinnaker_common::{Key, Lsn, NodeId, Timestamp, Version, WriteOp};
+use spinnaker_common::{Key, Lsn, NodeId, RequestId, Timestamp, Version, WriteOp};
 
 /// The operation of a pending write. Reads as the [`WriteOp`] it is.
 #[derive(Clone, Debug)]
@@ -59,6 +72,16 @@ pub enum PendingOp {
         /// This write's position in it.
         index: usize,
     },
+    /// Op `index` of a shared batch that a follower kept across a leader
+    /// change, once catch-up found it in the new leader's tail. It names
+    /// no client, whatever the op says: the leader that resolved the tail
+    /// answers it, and a copy read back from the log would name none.
+    Kept {
+        /// The group propose.
+        batch: Arc<[WriteOp]>,
+        /// This write's position in it.
+        index: usize,
+    },
 }
 
 impl Deref for PendingOp {
@@ -67,12 +90,30 @@ impl Deref for PendingOp {
     fn deref(&self) -> &WriteOp {
         match self {
             PendingOp::Own(op) => op,
-            PendingOp::Shared { batch, index } => &batch[*index],
+            PendingOp::Shared { batch, index } | PendingOp::Kept { batch, index } => &batch[*index],
         }
     }
 }
 
 impl PendingOp {
+    /// The client waiting on this write, answered when it commits.
+    pub fn origin(&self) -> Option<(u32, RequestId)> {
+        match self {
+            PendingOp::Kept { .. } => None,
+            op => op.origin,
+        }
+    }
+
+    /// This write kept across a leader change: it answers no client.
+    fn kept(self) -> PendingOp {
+        match self {
+            PendingOp::Own(op) => PendingOp::Own(WriteOp { origin: None, ..op }),
+            PendingOp::Shared { batch, index } | PendingOp::Kept { batch, index } => {
+                PendingOp::Kept { batch, index }
+            }
+        }
+    }
+
     /// The op itself: moved out of an `Own`, which is left empty, or
     /// copied out of a shared batch.
     fn take(&mut self) -> WriteOp {
@@ -83,7 +124,9 @@ impl PendingOp {
                 timestamp: op.timestamp,
                 origin: op.origin,
             },
-            PendingOp::Shared { batch, index } => batch[*index].clone(),
+            PendingOp::Shared { batch, index } | PendingOp::Kept { batch, index } => {
+                batch[*index].clone()
+            }
         }
     }
 }
@@ -108,6 +151,9 @@ pub struct CommitQueue {
     acked: Vec<(NodeId, Lsn)>,
     /// How far our own log force reached, never above the newest write.
     forced: Lsn,
+    /// What a follower queued before it met a new leader, in ascending
+    /// LSN order, until catch-up takes it back: out of every count above.
+    aside: VecDeque<PendingWrite>,
 }
 
 impl CommitQueue {
@@ -203,12 +249,42 @@ impl CommitQueue {
         batch
     }
 
-    /// Discard every pending write (used when a follower learns a new
-    /// leader and re-syncs; their fate is decided by catch-up).
-    pub fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.remove(0..n);
-        n
+    /// Hand over every pending write and forget any set aside, leaving
+    /// the queue empty: a new leader queues again those of them its log
+    /// lists as its unresolved tail.
+    pub fn take(&mut self) -> VecDeque<PendingWrite> {
+        self.aside.clear();
+        self.reset_marks();
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Set every pending write aside, leaving the queue empty: a follower
+    /// that meets a new leader does not know yet which of them that
+    /// leader's tail lists. An empty queue keeps what an earlier call set
+    /// aside, so a second hello before the verdict loses nothing.
+    pub fn set_aside(&mut self) {
+        if !self.entries.is_empty() {
+            self.aside.clear();
+            std::mem::swap(&mut self.entries, &mut self.aside);
+            self.reset_marks();
+        }
+    }
+
+    /// Hand over the writes set aside, in LSN order, each naming no
+    /// client any more ([`PendingOp::Kept`]): the catch-up verdict queues
+    /// again those the new leader's tail lists.
+    pub fn take_aside(&mut self) -> impl Iterator<Item = PendingWrite> {
+        std::mem::take(&mut self.aside)
+            .into_iter()
+            .map(|PendingWrite { lsn, op }| PendingWrite { lsn, op: op.kept() })
+    }
+
+    /// The queue is empty: no watermark may stand above a later insert.
+    fn reset_marks(&mut self) {
+        for (_, mark) in &mut self.acked {
+            *mark = Lsn::ZERO;
+        }
+        self.forced = Lsn::ZERO;
     }
 
     /// Remove `span` of the entries. A span that takes the newest write
@@ -255,6 +331,13 @@ impl CommitQueue {
     /// The pending writes in ascending LSN order.
     pub fn iter(&self) -> impl Iterator<Item = &PendingWrite> {
         self.entries.iter()
+    }
+
+    /// The pending writes with LSN in `lsns`, in ascending LSN order.
+    pub fn range(&self, lsns: RangeInclusive<Lsn>) -> vec_deque::Iter<'_, PendingWrite> {
+        let start = self.entries.partition_point(|pw| pw.lsn < *lsns.start());
+        let end = self.entries.partition_point(|pw| pw.lsn <= *lsns.end());
+        self.entries.range(start..end.max(start))
     }
 
     /// Number of pending writes.
@@ -421,6 +504,32 @@ mod tests {
         assert_eq!(q.latest_pending_version(&Key::from("k1"), b"c"), Some(Lsn::new(1, 1).as_u64()));
     }
 
+    /// A follower meeting a new leader sets its writes aside: the queue
+    /// is empty, a second meeting keeps them, and they come back kept —
+    /// the very ops, naming no client.
+    #[test]
+    fn writes_set_aside_come_back_kept() {
+        let mut q = CommitQueue::new();
+        for seq in 1..=3 {
+            q.insert(pending(seq), false);
+        }
+        q.self_forced(Lsn::new(1, 3));
+        q.ack(Lsn::new(1, 3), 7);
+        q.set_aside();
+        assert!(q.is_empty());
+        q.set_aside();
+        // Nothing set aside counts toward a commit.
+        q.insert(pending(4), false);
+        q.ack(Lsn::new(1, 4), 7);
+        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 0, "write 4 is not forced");
+        let back: Vec<PendingWrite> = q.take_aside().collect();
+        assert_eq!(back.iter().map(|pw| pw.lsn.seq()).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(back.iter().all(|pw| pw.op.origin().is_none()));
+        assert_eq!(back[1].op.key, Key::from("k2"));
+        assert_eq!(q.take_aside().count(), 0, "taken once");
+        assert_eq!(q.take().len(), 1);
+    }
+
     /// The queue as it was: an acker set and a forced flag per write,
     /// each ack and force marking every write queued at or below it.
     #[derive(Default)]
@@ -543,7 +652,7 @@ mod tests {
                         prop_assert_eq!(got, model.drain_up_to(pick));
                     }
                     _ => {
-                        prop_assert_eq!(q.clear(), model.entries.len());
+                        prop_assert_eq!(q.take().len(), model.entries.len());
                         model.entries.clear();
                         // The only way back down: the next insert may be
                         // below everything acked or forced so far.

@@ -13,7 +13,7 @@ use spinnaker_wal::LogRecord;
 use super::{
     group_last, group_past, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter,
 };
-use crate::commit_queue::{PendingOp, PendingWrite};
+use crate::commit_queue::{CommitQueue, PendingOp, PendingWrite};
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
 
@@ -30,10 +30,20 @@ const REPROPOSE_GROUP_BYTES: usize = 1 << 20;
 /// reply) is dropped; the hole costs one more request.
 pub const CATCHUP_PARK_GROUPS: usize = 1024;
 
-/// Cuts writes arriving in LSN order into [`Group`]s: a run ends where
-/// the next LSN is not its successor in the same epoch (an epoch
+/// Whether the write at `lsn`, of `size` bytes, extends the group of
+/// `ops` writes and `bytes` bytes that starts at `first`: a group ends
+/// where the next LSN is not its successor in the same epoch (an epoch
 /// boundary, or a logically truncated LSN missing from the log) and at
 /// the op and byte caps.
+fn extends(first: Lsn, ops: usize, bytes: usize, lsn: Lsn, size: usize) -> bool {
+    lsn.epoch() == first.epoch()
+        && lsn.seq() == first.seq() + ops as u64
+        && ops < REPROPOSE_GROUP_OPS
+        && bytes + size <= REPROPOSE_GROUP_BYTES
+}
+
+/// Cuts writes arriving in LSN order into [`Group`]s where they stop
+/// [extending](extends) one.
 #[derive(Default)]
 pub(super) struct RunCutter {
     groups: Vec<Group>,
@@ -45,11 +55,7 @@ pub(super) struct RunCutter {
 impl RunCutter {
     pub(super) fn push(&mut self, lsn: Lsn, op: WriteOp) {
         let size = op.approx_size();
-        let continues = lsn.epoch() == self.first.epoch()
-            && lsn.seq() == self.first.seq() + self.run.len() as u64
-            && self.run.len() < REPROPOSE_GROUP_OPS
-            && self.bytes + size <= REPROPOSE_GROUP_BYTES;
-        if !continues {
+        if !extends(self.first, self.run.len(), self.bytes, lsn, size) {
             self.cut();
             self.first = lsn;
         }
@@ -70,24 +76,52 @@ impl RunCutter {
     }
 }
 
-/// Leader-takeover progress (Fig. 6).
+/// Leader-takeover progress (Fig. 6). The unresolved writes `(l.cmt,
+/// l.lst]` are the commit queue, all of it, queued when the takeover
+/// began: what a follower vouches for commits on its word, and the rest
+/// is re-proposed through the normal replication protocol (Fig. 6 line
+/// 9) to a follower that does not hold it.
 pub(crate) struct Takeover {
     /// The followers that caught up in this epoch, each with the end of
     /// the tail prefix its log vouched for (`Lsn::ZERO`: none).
     caught_up: BTreeMap<NodeId, Lsn>,
-    /// The unresolved writes `(l.cmt, l.lst]` in the groups [`RunCutter`]
-    /// cut, queued whole when the takeover began (the queue shares their
-    /// batches) and re-proposed from here through the normal replication
-    /// protocol (Fig. 6 line 9) to a follower that does not hold them.
-    tail: Vec<Group>,
+    /// How many writes the tail holds.
+    tail: usize,
+    /// The groups `(first LSN, count)` the tail is re-proposed in, cut
+    /// from the queue by [`RunCutter`]'s rule the first time a follower
+    /// lacks part of it; empty until then. Nothing of the tail commits
+    /// before that cut: a commit needs vouches, and only a follower that
+    /// vouches for all of it is sent none of it.
+    groups: Vec<(Lsn, usize)>,
 }
 
 impl Takeover {
     /// Who has caught up and how much tail there was (stall reports).
     pub(super) fn describe(&self) -> String {
-        let ops: usize = self.tail.iter().map(|(_, ops)| ops.len()).sum();
-        format!("caught_up={:?} groups={} ops={ops}", self.caught_up, self.tail.len())
+        let (caught_up, ops, groups) = (&self.caught_up, self.tail, self.groups.len());
+        format!("caught_up={caught_up:?} ops={ops} groups_cut={groups}")
     }
+}
+
+/// The groups `(first LSN, count)` the writes of `queue` travel in, cut
+/// where they stop [extending](extends) one, as [`RunCutter`] cuts.
+fn cut_groups(queue: &CommitQueue) -> Vec<(Lsn, usize)> {
+    let mut groups: Vec<(Lsn, usize)> = Vec::new();
+    let mut bytes = 0;
+    for pw in queue.iter() {
+        let size = pw.op.approx_size();
+        match groups.last_mut() {
+            Some((first, ops)) if extends(*first, *ops, bytes, pw.lsn, size) => {
+                *ops += 1;
+                bytes += size;
+            }
+            _ => {
+                groups.push((pw.lsn, 1));
+                bytes = size;
+            }
+        }
+    }
+    groups
 }
 
 /// The maximal runs `(first LSN, count)` of consecutive sequence numbers
@@ -261,13 +295,18 @@ impl RangeReplica {
         let st = rt.wal.state(self.range);
         let l_cmt = self.last_committed.max(st.last_committed);
         let l_lst = st.last_lsn;
-        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst],
-        // read in one pass and cut into the groups they travel in, each
-        // naming the client our queue says waits on it — answered once
-        // it commits under us. A tail that cannot be read poisons the
-        // node: opening the cohort without it would lose acknowledged
-        // writes.
-        let Some(tail) = self.read_groups(rt, l_cmt, l_lst, false) else { return };
+        // Fig. 6 line 9's input: the unresolved writes (l.cmt, l.lst].
+        // Our queue holds them as the batches they were proposed in, each
+        // naming the client waiting on it — answered once it commits
+        // under us — and the log is read only for what the queue lacks,
+        // such as the whole tail after a restart. The records are
+        // already durable in our own log, so the entries are
+        // self-forced. A tail that cannot be read poisons the node:
+        // opening the cohort without it would lose acknowledged writes.
+        let held = self.cq.take();
+        if self.requeue(rt, held, l_cmt, l_lst, true).is_none() {
+            return;
+        }
 
         let paths = CohortPaths::new(self.range);
         // Bump the epoch in the coordination service before accepting any
@@ -279,7 +318,6 @@ impl RangeReplica {
         self.role = Role::LeaderTakeover;
         self.epoch = new_epoch;
         self.leader = Some(rt.id);
-        self.cq.clear();
         self.last_committed = l_cmt;
         // Seed the commit-timestamp clock above everything this cohort
         // may already have stamped: applied history (the store) plus the
@@ -287,8 +325,7 @@ impl RangeReplica {
         // original stamps). New writes then get strictly larger
         // timestamps, preserving ts-order == LSN-order across the
         // takeover.
-        let tail_ts =
-            tail.iter().flat_map(|(_, ops)| ops.iter()).map(|op| op.timestamp).max().unwrap_or(0);
+        let tail_ts = self.cq.iter().map(|pw| pw.op.timestamp).max().unwrap_or(0);
         // `closed_ts` joins the seed: whatever cut we (as a follower)
         // already served locally must stay closed under our leadership —
         // no new write may ever be stamped at or below it.
@@ -297,14 +334,8 @@ impl RangeReplica {
         self.unproposed.clear();
         self.proposing = false;
         self.proposed_at_tick = Lsn::ZERO;
-        // Queue the whole tail now, sharing its groups' batches: what a
-        // follower vouches for commits on its word, and the rest on the
-        // acks of the re-proposals. The records are already durable in
-        // our own log, so the entries start out self-forced.
-        for group in &tail {
-            self.queue_group(group, true);
-        }
-        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), tail });
+        let tail = self.cq.len();
+        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), tail, groups: Vec::new() });
         self.last_assigned = l_lst;
         let hello = self.hello(rt.id);
         for &peer in &self.peers {
@@ -341,7 +372,7 @@ impl RangeReplica {
         // the tail they just vouched for or acknowledged. Only the
         // followers that caught up in this epoch get it: only their
         // queues are known to hold our tail and nothing else.
-        if !t.tail.is_empty() {
+        if t.tail > 0 {
             let (range, lsn, sent) = (self.range, self.last_committed, Lsn::ZERO);
             for &peer in t.caught_up.keys() {
                 out.send(peer, PeerMsg::Commit { range, epoch, lsn, closed_ts: 0, sent });
@@ -371,7 +402,8 @@ impl RangeReplica {
                 out.send(peer, hello.clone());
             }
         }
-        for (&follower, &held) in &t.caught_up {
+        let caught_up: Vec<(NodeId, Lsn)> = t.caught_up.iter().map(|(&f, &h)| (f, h)).collect();
+        for (follower, held) in caught_up {
             self.send_pending(rt, follower, held, 0, out);
         }
         self.maybe_finish_takeover(out)
@@ -466,8 +498,10 @@ impl RangeReplica {
         }
     }
 
-    /// Become `leader`'s follower, catching up: drop what the last leader
-    /// left queued, parked or blocked. Asks for nothing.
+    /// Become `leader`'s follower, catching up: set aside what the last
+    /// leader left queued — the catch-up verdict takes back what the new
+    /// leader's tail lists — and drop what it left parked or blocked.
+    /// Asks for nothing.
     fn follow(&mut self, rt: &mut Runtime<'_>, leader: NodeId, out: &mut Outbox) {
         let paths = CohortPaths::new(self.range);
         let epoch = rt.coord.read_epoch(&paths.epoch).max(self.epoch);
@@ -479,7 +513,7 @@ impl RangeReplica {
         self.role = Role::CatchingUp;
         self.leader = Some(leader);
         self.epoch = epoch;
-        self.cq.clear();
+        self.cq.set_aside();
         self.unproposed.clear();
         self.proposing = false;
         // Redirect buffered writes; we are not the leader. Held
@@ -547,7 +581,7 @@ impl RangeReplica {
     /// writes first travelled in; the follower keeps of each the part it
     /// does not hold yet. A taking-over leader's queue holds only its
     /// tail, which the reply names: the follower vouches for the part it
-    /// holds and is sent the rest once it confirms.
+    /// holds and is sent the rest, cut from the queue, once it confirms.
     pub(crate) fn on_catchup_req(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -567,11 +601,11 @@ impl RangeReplica {
     }
 
     /// Send `follower` the pending writes past `past` and past what has
-    /// committed, one propose a group: a takeover's tail from memory, a
-    /// settled leader's queue re-read from the log. A takeover passes
+    /// committed, one propose a group: a takeover's tail from its queue,
+    /// a settled leader's queue re-read from the log. A takeover passes
     /// `closed_ts` 0: closed timestamps resume with steady-state traffic.
     fn send_pending(
-        &self,
+        &mut self,
         rt: &mut Runtime<'_>,
         follower: NodeId,
         past: Lsn,
@@ -579,16 +613,35 @@ impl RangeReplica {
         out: &mut Outbox,
     ) {
         let past = past.max(self.last_committed);
-        let read;
-        let groups = match &self.takeover {
-            Some(t) if self.role == Role::LeaderTakeover => &t.tail,
-            _ => {
-                read = self.pending_groups(rt);
-                &read
+        let Some(t) = self.takeover.as_mut().filter(|_| self.role == Role::LeaderTakeover) else {
+            for group in self.pending_groups(rt) {
+                if let Some(lacking) = group_past(&group, past) {
+                    self.send_group(rt, [follower], &lacking, closed_ts, out);
+                }
             }
+            return;
         };
-        for lacking in groups.iter().filter_map(|group| group_past(group, past)) {
-            self.send_group(rt, [follower], &lacking, closed_ts, out);
+        if self.cq.span().is_none_or(|(_, last)| last <= past) {
+            return; // the follower lacks nothing
+        }
+        if t.groups.is_empty() {
+            debug_assert_eq!(self.cq.len(), t.tail, "nothing of the tail committed yet");
+            t.groups = cut_groups(&self.cq);
+        }
+        let groups = &self.takeover.as_ref().expect("taking over").groups;
+        for &(first, ops) in groups {
+            let last = Lsn::new(first.epoch(), first.seq() + ops as u64 - 1);
+            if last <= past {
+                continue;
+            }
+            // The part past `past`, as `group_past` keeps it.
+            let start = if past < first { first } else { past.next() };
+            let lacking: Arc<[WriteOp]> = self
+                .cq
+                .range(start..=last)
+                .map(|pw| WriteOp { origin: pw.op.origin(), ..WriteOp::clone(&pw.op) })
+                .collect();
+            self.send_group(rt, [follower], &(start, lacking), closed_ts, out);
         }
     }
 
@@ -600,34 +653,81 @@ impl RangeReplica {
     fn pending_groups(&self, rt: &mut Runtime<'_>) -> Vec<Group> {
         let Some((first, last)) = self.cq.span() else { return Vec::new() };
         let before = Lsn::from_u64(first.as_u64() - 1);
-        self.read_groups(rt, before, last, true).unwrap_or_default()
+        self.read_groups(rt, before, last).unwrap_or_default()
     }
 
-    /// Read `(from, to]` back from the log and cut it into groups, each
-    /// op naming the client its queued copy names (a decoded op names
-    /// none). The queue and the replay both run in LSN order, so one
-    /// walk beside the replay matches them by full LSN. `queued_only`
-    /// drops the writes the queue does not hold. `None` once an
+    /// Read the queued writes in `(from, to]` back from the log and cut
+    /// them into groups, each op naming the client its queued copy names
+    /// (a decoded op names none). The queue and the replay both run in
+    /// LSN order, so one walk beside the replay matches them by full LSN;
+    /// a logged write the queue does not hold is left out. `None` once an
     /// unreadable log has poisoned the node.
-    fn read_groups(
-        &self,
-        rt: &mut Runtime<'_>,
-        from: Lsn,
-        to: Lsn,
-        queued_only: bool,
-    ) -> Option<Vec<Group>> {
+    fn read_groups(&self, rt: &mut Runtime<'_>, from: Lsn, to: Lsn) -> Option<Vec<Group>> {
         let mut cutter = RunCutter::default();
         let mut queued = self.cq.iter().peekable();
         let replayed = rt.wal.replay(self.range, from, to, |lsn, op| {
             while queued.next_if(|pw| pw.lsn < lsn).is_some() {}
-            match queued.next_if(|pw| pw.lsn == lsn) {
-                Some(pw) => cutter.push(lsn, WriteOp { origin: pw.op.origin, ..op.clone() }),
-                None if !queued_only => cutter.push(lsn, op.clone()),
-                None => {}
+            if let Some(pw) = queued.next_if(|pw| pw.lsn == lsn) {
+                cutter.push(lsn, WriteOp { origin: pw.op.origin(), ..op.clone() });
             }
         });
         rt.fail_stop(replayed)?;
         Some(cutter.finish())
+    }
+
+    /// Queue the writes our log indexes in `(from, to]`, in LSN order,
+    /// `forced` when the queue may count them durable in our own log
+    /// (a takeover's tail). Each write `held` holds — the batch it was
+    /// proposed in, naming its client — is queued as itself, and only
+    /// the runs `held` lacks are read back from the log (a decoded write
+    /// names no client). What `held` holds that the log does not index
+    /// (an orphan truncated, a leader's write never logged) is dropped.
+    /// `None` once an unreadable log has poisoned the node.
+    fn requeue(
+        &mut self,
+        rt: &mut Runtime<'_>,
+        held: impl IntoIterator<Item = PendingWrite>,
+        from: Lsn,
+        to: Lsn,
+        forced: bool,
+    ) -> Option<()> {
+        // The held write at an LSN, dropping those below it.
+        let mut held = held.into_iter().peekable();
+        let mut take_held = |lsn: Lsn| {
+            while held.next_if(|pw| pw.lsn < lsn).is_some() {}
+            held.next_if(|pw| pw.lsn == lsn)
+        };
+        let indexed = rt.wal.indexed_lsns(self.range, from, to);
+        let mut indexed = rt.fail_stop(indexed)?.peekable();
+        let mut past = from;
+        while let Some(lsn) = indexed.next() {
+            if let Some(pw) = take_held(lsn) {
+                self.cq.insert(pw, forced);
+                past = lsn;
+                continue;
+            }
+            // A run of writes `held` lacks: read it in one pass.
+            let mut last = lsn;
+            let mut resume = None;
+            while let Some(next) = indexed.next_if(|_| resume.is_none()) {
+                match take_held(next) {
+                    Some(pw) => resume = Some(pw),
+                    None => last = next,
+                }
+            }
+            let cq = &mut self.cq;
+            let replayed = rt.wal.replay_batches(self.range, past, last, |lsn, batch, index| {
+                let op = PendingOp::Shared { batch: batch.clone(), index };
+                cq.insert(PendingWrite { lsn, op }, forced);
+            });
+            rt.fail_stop(replayed)?;
+            past = last;
+            if let Some(pw) = resume {
+                past = pw.lsn;
+                self.cq.insert(pw, forced);
+            }
+        }
+        Some(())
     }
 
     /// Ship `(f_cmt, l.cmt]` from the log, or the rows the store holds
@@ -794,18 +894,14 @@ impl RangeReplica {
         self.role = Role::Follower;
         self.catchup_asked = None;
         // The vouched tail past what we committed or queued joins the
-        // queue as this leader's proposals, read back from our own log:
-        // its commit messages drain them here.
+        // queue as this leader's proposals: the writes we set aside when
+        // we met it, kept, and from our own log what they lack. Its
+        // commit messages drain them here. The rest of what we set aside
+        // (orphans just truncated, a tail past the vouch) is dropped.
         let tip = self.held_tip();
-        if vouched > tip {
-            let cq = &mut self.cq;
-            let replayed = rt.wal.replay_batches(self.range, tip, vouched, |lsn, batch, index| {
-                let op = PendingOp::Shared { batch: batch.clone(), index };
-                cq.insert(PendingWrite { lsn, op }, false);
-            });
-            if rt.fail_stop(replayed).is_none() {
-                return;
-            }
+        let aside = self.cq.take_aside();
+        if vouched > tip && self.requeue(rt, aside, tip, vouched, false).is_none() {
+            return;
         }
 
         // A vouch, like an ack, speaks for durable records only: the

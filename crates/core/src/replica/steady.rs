@@ -168,13 +168,13 @@ impl RangeReplica {
     }
 
     /// Queue every write of `group` as pending, sharing its batch.
-    pub(super) fn queue_group(&mut self, (first, ops): &Group, self_forced: bool) {
+    fn queue_group(&mut self, (first, ops): &Group) {
         for index in 0..ops.len() {
             let pw = PendingWrite {
                 lsn: Lsn::new(first.epoch(), first.seq() + index as u64),
                 op: PendingOp::Shared { batch: ops.clone(), index },
             };
-            self.cq.insert(pw, self_forced);
+            self.cq.insert(pw, false);
         }
     }
 
@@ -267,7 +267,7 @@ impl RangeReplica {
         // and silently discard committed writes. What we hold beyond
         // dispute is the committed prefix and, queued behind it, the
         // proposals of this epoch's leader (each passed this test; the
-        // queue is emptied whenever the leader changes). The log tip
+        // queue is set aside whenever the leader changes). The log tip
         // vouches too, but only within its own epoch: across an epoch
         // boundary a leftover higher-seq tail from the old epoch may be
         // divergent.
@@ -300,7 +300,7 @@ impl RangeReplica {
             if self.log_group(rt, &group).is_none() {
                 return;
             }
-            self.queue_group(&group, false);
+            self.queue_group(&group);
         }
         rt.forces
             .request(Waiter::FollowerWrite { range: self.range, lsn: last, leader: from }, out);
@@ -348,7 +348,7 @@ impl RangeReplica {
         for pw in self.cq.drain_committable(self.last_committed, needed_acks) {
             self.store.apply(&pw.op, pw.lsn);
             self.last_committed = pw.lsn;
-            if let Some((addr, req)) = pw.op.origin {
+            if let Some((addr, req)) = pw.op.origin() {
                 // The commit timestamp rides the ack: the client learns
                 // exactly which snapshot cuts include this write, and
                 // which node leads.

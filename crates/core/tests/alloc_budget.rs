@@ -12,6 +12,7 @@ use spinnaker_common::{Lsn, WriteOp};
 use spinnaker_core::messages::{NodeInput, PeerMsg};
 use spinnaker_core::node::{put_request, Role};
 use spinnaker_core::partition::{u64_to_key, Ring};
+use spinnaker_storage::Memtable;
 
 #[path = "support/pump.rs"]
 mod pump;
@@ -116,14 +117,14 @@ fn a_follower_queues_the_proposed_batch_itself() {
 /// Takeover moves the unresolved tail in groups. A new leader with 384
 /// unresolved writes that its one caught-up follower lacks sends it six
 /// proposes of 64 — not 384 of one — all in the input that learns the
-/// follower caught up, and that input allocates next to nothing: the
-/// groups were cut when the tail was read and queued when the takeover
-/// began, and the log record, the message and the queue entries share
-/// each group's one batch.
+/// follower caught up. That input copies each op it sends out of the
+/// queue once and builds one batch per group: the groups are cut from
+/// the queue only when a follower turns out to lack part of the tail.
 /// (Re-proposing write by write built an `Arc` per write here, and a
-/// message per write and peer.) What the takeover allocates per write
-/// elsewhere is what any committed write costs: its share of the
-/// memtable.
+/// message per write and peer.) The rest of the takeover costs a
+/// constant (the election, the hellos, the commit note) and what
+/// applying the tail costs the memtable: reading the tail back from the
+/// log cost the new leader four allocations a write more, 1 718 in all.
 #[test]
 fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     const TAIL: usize = 384;
@@ -140,9 +141,12 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     assert_eq!(p.written.len(), TAIL);
     // The leader dies; node 1 holds the longest log and takes over.
     p.lose = Box::new(|_, _, _| false);
+    let apply = memtable_cost(&p, TAIL);
     p.proposing.clear();
+    let before = p.allocs[1];
     p.crash(0);
     p.run();
+    let whole = p.allocs[1] - before;
     let leader = p.leader_of(R0);
     assert_eq!(leader, 1);
     assert_eq!(p.node(leader).last_committed(R0).seq(), TAIL as u64);
@@ -153,9 +157,73 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     let sizes: Vec<usize> = p.proposes(since, leader, 2).iter().map(|(_, n)| *n).collect();
     assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node 2");
     assert_eq!(p.proposes(since, leader, 0), [], "nothing to the dead node 0");
-    // Measured 1 when set (43 while the queue was a B-tree of entries
-    // with an acker set each).
-    assert!(allocs <= 4, "{allocs} allocations re-proposing {TAIL} writes");
+    // Measured 393 (one copy a write, one batch a group, and three) and
+    // 569 in all, 64 of them the memtable's; 1 and 1 718 while the tail
+    // was read back from the log when the takeover began.
+    let groups = (TAIL / GROUP) as u64;
+    assert!(allocs <= TAIL as u64 + 4 * groups, "{allocs} allocations re-proposing {TAIL} writes");
+    let budget = apply + 192 + TAIL as u64 + 4 * groups;
+    assert!(whole <= budget, "{whole} allocations taking over {TAIL} writes, budget {budget}");
+}
+
+/// What applying the first `n` writes of range 0, read off node 1's log,
+/// costs a fresh memtable: the share of a takeover's allocations that
+/// committing the tail costs any replica.
+fn memtable_cost(p: &Pump, n: usize) -> u64 {
+    let ops = p.node(1).wal().read_range(R0, Lsn::ZERO, Lsn::new(1, n as u64)).expect("logged");
+    assert_eq!(ops.len(), n);
+    let mut memtable = Memtable::new();
+    allocations(|| ops.iter().for_each(|(lsn, op)| memtable.apply(op, *lsn))).0
+}
+
+/// A takeover whose survivors both hold the unresolved tail queued — the
+/// case of a leader killed under load — reads no log and copies no op:
+/// the new leader's queue is its tail, and the follower takes back the
+/// writes it queued once the hello's tail lists them and vouches for
+/// all of them, so nothing is re-proposed. Each node's allocations over
+/// the whole takeover are a constant, a few per group the tail would
+/// travel in, and the memtable's share of committing it. While both
+/// read the tail back from the log, the takeover cost them 1 720 and
+/// 1 381 allocations for 384 writes, about four a write on the leader.
+#[test]
+fn a_takeover_whose_survivors_hold_the_tail_reads_no_log() {
+    const TAIL: usize = 384;
+    const GROUP: usize = 64;
+    let mut p = Pump::new();
+    // No commit period passes: both followers hold every write queued.
+    for k in 0..TAIL as u64 {
+        let req = put_request(k, u64_to_key(k), "c", &[b'v'; 256]);
+        p.feed(0, NodeInput::Client { from: CLIENT, req });
+        p.run();
+    }
+    assert_eq!(p.written.len(), TAIL);
+    assert_eq!(p.node(1).last_committed(R0), Lsn::ZERO);
+    let apply = memtable_cost(&p, TAIL);
+    // A read of either survivor's log would now fail-stop it.
+    for node in [1, 2] {
+        p.faults[node].fail_read_after(1);
+    }
+    let before = p.allocs;
+    let since = p.sent.len();
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    let follower = 3 - leader;
+    assert_eq!(p.role(follower), Role::Follower);
+    for node in [1, 2] {
+        assert_eq!(p.node(node).last_committed(R0).seq(), TAIL as u64, "node {node}");
+        assert_eq!(p.faults[node].injected(), 0, "node {node} read its log");
+    }
+    assert_eq!(p.proposes(since, leader, follower), [], "the follower lacks nothing");
+
+    // Measured 115 and 173 over the memtable's 64 when set, and the same
+    // with a tail twice as long.
+    let groups = (TAIL / GROUP) as u64;
+    for node in [1, 2] {
+        let allocs = p.allocs[node] - before[node];
+        let budget = apply + 192 + 4 * groups;
+        assert!(allocs <= budget, "node {node}: {allocs} allocations, budget {budget}");
+    }
 }
 
 /// Catch-up moves committed history out of the leader's log into a

@@ -321,7 +321,9 @@ fn torn_reproposed_group_frame_is_all_or_nothing_and_next_takeover_finishes() {
 /// the cohort without it. 1.5 is acknowledged by the leader and node 1
 /// (node 2 missed it) and committed nowhere else; the leader dies, and
 /// node 1, holding the longest log, takes over with its log failing to
-/// read back. At the parent commit the read error became an empty tail:
+/// read back. Node 1 crashed with the leader, so its commit queue is
+/// empty and its log alone holds the tail (a queued tail is never read
+/// back). Before the fail-stop, the read error became an empty tail:
 /// node 1 opened without 1.5 and a strong read of key 5 answered absent.
 /// It fail-stops instead, and once restarted takes over with the tail.
 #[test]
@@ -336,8 +338,10 @@ fn a_takeover_that_cannot_read_its_tail_fail_stops() {
     assert_eq!(p.node(1).last_lsn(R0), lsn(1, 5));
     assert_eq!(p.node(2).last_lsn(R0), lsn(1, 4));
 
-    p.faults[1].fail_read_after(1);
+    p.crash(1);
     p.crash(0);
+    p.boot(1);
+    p.faults[1].fail_read_after(1);
     p.run();
     assert_eq!(p.faults[1].injected(), 1, "node 1's read of its tail failed");
     let fail_stopped = p.nodes[1].is_none();
@@ -771,6 +775,201 @@ fn an_orphan_inside_the_vouched_tail_is_truncated_and_never_replayed() {
             assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
         }
         assert_eq!(p.read(node, 7), None, "node {node} replayed the orphan");
+    }
+}
+
+/// The unresolved tail, as runs, of every hello `from` sent `to` since
+/// index `since` of the send log.
+fn hello_tails(p: &Pump, since: usize, from: usize, to: usize) -> Vec<Vec<(Lsn, u64)>> {
+    let tail = |(f, t, m): &(usize, usize, PeerMsg)| match m {
+        PeerMsg::LeaderHello { range: R0, tail, .. } if (*f, *t) == (from, to) => {
+            Some(tail.clone())
+        }
+        _ => None,
+    };
+    p.sent[since..].iter().filter_map(tail).collect()
+}
+
+/// How many times the put of request `req` was acknowledged.
+fn acks_of(p: &Pump, req: u64) -> usize {
+    p.written.iter().filter(|&&r| r == req).count()
+}
+
+/// A successor that restarted holds its tail in its log alone, and reads
+/// it back from there. Keys 5-8 are logged by nodes 0 and 1, keys 5 and 6
+/// by node 2 too, and committed at node 0 alone. Nodes 1 and 0 crash, and
+/// node 1 comes back with an empty queue: it wins on its longer log,
+/// names the tail 1.5-1.8 as one run, node 2 vouches for the 1.5 and 1.6
+/// it holds queued and is sent 1.7 and 1.8. A write read back from the
+/// log names no client, so the tail commits without a second answer.
+#[test]
+fn a_restarted_successor_reads_its_tail_back_from_its_log() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=6);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put_all(0, 7..=8);
+    p.lose = Box::new(|_, _, _| false);
+    let answered = p.written.len();
+    p.crash(1);
+    p.crash(0);
+    let since = p.sent.len();
+    p.boot(1);
+    p.run();
+    assert_eq!(p.leader_of(R0), 1, "node 1 holds the longest log");
+    assert_eq!(hello_tails(&p, since, 1, 2), [vec![(lsn(1, 5), 4)]]);
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 6)]);
+    assert_eq!(p.proposes(since, 1, 2), [(lsn(1, 7), 2)], "only what node 2 lacks");
+    assert_eq!(p.written.len(), answered, "no client of the tail is answered again");
+    for node in [1, 2] {
+        assert_eq!(p.node(node).last_committed(R0), lsn(1, 8), "node {node}");
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A follower whose queue holds writes of an older epoch that the new
+/// leader's history does not list drops them from its queue and its log
+/// alike. Node 2 alone logs key 50 as 1.5 (node 0's own force never
+/// completes) and then hears nothing while nodes 0 and 1
+/// commit 2.5 and 2.6 in epoch 2 and log 2.7 and 2.8. Node 0 restarts and
+/// takes over epoch 3 with the tail 2.7, 2.8, read from its log; node 1
+/// vouches for it from its queue. Node 2 is behind the hello, asks,
+/// truncates 1.5 under the reply's 2.5 and 2.6 and vouches for nothing;
+/// the orphan is never applied, before or after a restart.
+#[test]
+fn a_follower_drops_the_older_writes_the_new_leader_does_not_list() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.hold_forces[0] = true;
+    p.lose = Box::new(|_, to, m| to == 1 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    let orphan = p.put(0, 50);
+    p.run();
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 5));
+
+    // Epoch 2 without node 2.
+    p.hold_events[2] = true;
+    p.lose = Box::new(|_, to, _| to == 2);
+    p.crash(0);
+    p.hold_forces[0] = false;
+    p.boot(0);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(0).epoch_of(R0)), (0, 2));
+    p.put_all(0, 5..=6);
+    p.commit_tick(0);
+    p.put_all(0, 7..=8);
+    assert_eq!(p.node(1).last_committed(R0), lsn(2, 6));
+
+    // Epoch 3: node 0 restarts and takes over; node 2 hears it.
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(0);
+    let since = p.sent.len();
+    p.boot(0);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(0).epoch_of(R0)), (0, 3));
+    assert_eq!(hello_tails(&p, since, 0, 2), [vec![(lsn(2, 7), 2)]]);
+    assert_eq!(vouches(&p, since, 1), [lsn(2, 8)]);
+    assert_eq!(vouches(&p, since, 2), [Lsn::ZERO]);
+    assert_eq!(p.node(2).wal().skipped_lsns(R0), [lsn(1, 5)]);
+    assert_eq!(p.proposes(since, 0, 1), [], "node 1 lacks nothing");
+    // The tail committed on node 1's vouch, before node 2's came in:
+    // node 2 fetches it on the next commit period.
+    assert_eq!(p.proposes(since, 0, 2), []);
+    assert_eq!(p.node(2).last_committed(R0), lsn(2, 6));
+    assert_eq!(acks_of(&p, orphan), 0);
+    p.commit_tick(0);
+    p.crash(2);
+    p.boot(2);
+    p.run();
+    for node in 0..3 {
+        assert_eq!(p.node(node).last_committed(R0), lsn(2, 8), "node {node}");
+        for k in 1..=8 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+        assert_eq!(p.read(node, 50), None, "node {node} applied the orphan");
+    }
+}
+
+/// A follower that vouches for a prefix of the tail is sent the rest in
+/// the groups of 64 the whole tail is cut into, from its first write on.
+/// Node 2 misses keys 105-204, so node 1 takes over with the tail
+/// 1.5-1.204 (groups 1.5-1.68, 1.69-1.132, 1.133-1.196, 1.197-1.204);
+/// node 2 vouches for 1.104 and is sent 1.105-1.132, the second group's
+/// part it lacks, then the last two whole. The successor answers every
+/// client of the tail from its queue.
+#[test]
+fn a_follower_short_of_the_tail_is_sent_the_rest_in_groups_of_64() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.put_all(0, 5..=104);
+    p.lose = Box::new(|_, to, m| to == 2 && matches!(m, PeerMsg::Propose { range: R0, .. }));
+    p.put_all(0, 105..=204);
+    p.lose = Box::new(|_, _, _| false);
+    let answered = p.written.len();
+    let since = p.sent.len();
+    p.crash(0);
+    p.run();
+    assert_eq!(p.leader_of(R0), 1, "node 1 holds the longest log");
+    assert_eq!(hello_tails(&p, since, 1, 2), [vec![(lsn(1, 5), 200)]]);
+    assert_eq!(vouches(&p, since, 2), [lsn(1, 104)]);
+    assert_eq!(p.proposes(since, 1, 2), [(lsn(1, 105), 28), (lsn(1, 133), 64), (lsn(1, 197), 8)]);
+    assert_eq!(p.written.len(), answered + 200, "the successor answered the tail's clients");
+    for node in [1, 2] {
+        assert_eq!(p.node(node).last_committed(R0), lsn(1, 204), "node {node}");
+        for k in 1..=204 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
+    }
+}
+
+/// A follower keeps the writes it vouched for queued across a takeover,
+/// and when it takes over in turn it answers none of their clients: the
+/// leader that resolved them did. Keys 5-8 are queued on both followers
+/// when node 0 dies; the successor commits them on the other's vouch and
+/// answers them, and its commits to that follower are lost, so 1.5-1.8
+/// stay in the follower's queue, with 2.9 (key 9) behind them. The
+/// successor dies, node 0 comes back, and the follower wins epoch 3 on
+/// 2.9: it commits its tail 1.5-2.9 and answers only key 9's client, the
+/// one its queue holds as proposed.
+#[test]
+fn a_follower_answers_none_of_the_tail_it_vouched_for_when_it_takes_over() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let reqs: Vec<u64> = (5..=8).map(|k| p.put(0, k)).collect();
+    p.run();
+    let since = p.sent.len();
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Commit { .. }));
+    p.crash(0);
+    p.run();
+    let successor = p.leader_of(R0);
+    let follower = 3 - successor;
+    assert_eq!(vouches(&p, since, follower), [lsn(1, 8)]);
+    assert!(reqs.iter().all(|&req| acks_of(&p, req) == 2), "node 0 and the successor answered");
+    let ninth = p.put(successor, 9);
+    p.run();
+    assert_eq!(acks_of(&p, ninth), 1);
+    assert_eq!(p.node(follower).last_committed(R0), lsn(1, 4));
+    assert_eq!(p.node(follower).last_lsn(R0), lsn(2, 9));
+
+    p.lose = Box::new(|_, _, _| false);
+    p.crash(successor);
+    let since = p.sent.len();
+    p.boot(0);
+    p.run();
+    assert_eq!((p.leader_of(R0), p.node(follower).epoch_of(R0)), (follower, 3));
+    assert_eq!(hello_tails(&p, since, follower, 0), [vec![(lsn(1, 5), 4), (lsn(2, 9), 1)]]);
+    assert_eq!(p.node(follower).last_committed(R0), lsn(2, 9));
+    assert!(reqs.iter().all(|&req| acks_of(&p, req) == 2), "answered again");
+    assert_eq!(acks_of(&p, ninth), 2, "the follower answers what it was proposed");
+    for node in [0, follower] {
+        for k in 1..=9 {
+            assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
+        }
     }
 }
 
