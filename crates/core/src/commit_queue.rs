@@ -22,14 +22,15 @@
 //! - a follower that meets a new leader sets its pending writes aside
 //!   ([`CommitQueue::set_aside`]) and starts empty. The writes it holds
 //!   are no proposals of the new leader until catch-up says which of
-//!   them its tail lists; the catch-up verdict takes those back
-//!   ([`CommitQueue::take_aside`]), and drops the orphans it truncates;
-//! - a new leader takes its queue ([`CommitQueue::take`]) and queues
-//!   again, self-forced, those of its writes that its log lists past
-//!   its committed watermark: its unresolved tail.
+//!   them its tail lists; the catch-up verdict queues those again
+//!   ([`CommitQueue::requeue`]), and drops the orphans it truncates;
+//! - a new leader queues again, self-forced, those of its pending writes
+//!   that its log lists past its committed watermark: its unresolved
+//!   tail.
 //!
 //! Either way the log is read only for what the queue lacks (a restarted
-//! node queues nothing). A steady-state round allocates nothing here:
+//! node queues nothing), and the rebuilt queue reuses the buffers it had.
+//! A steady-state round allocates nothing here:
 //! the ring reuses its buffer, and a drain hands back the drained prefix
 //! in place.
 //!
@@ -130,6 +131,10 @@ impl PendingOp {
         }
     }
 }
+
+/// Takes each write of a run read back from the log as its place in the
+/// batch it was logged in: `batch[index]` is the write at the LSN.
+pub type LoggedWrite<'a> = dyn FnMut(Lsn, &Arc<[WriteOp]>, usize) + 'a;
 
 /// A write sitting between propose and commit.
 #[derive(Clone, Debug)]
@@ -249,15 +254,6 @@ impl CommitQueue {
         batch
     }
 
-    /// Hand over every pending write and forget any set aside, leaving
-    /// the queue empty: a new leader queues again those of them its log
-    /// lists as its unresolved tail.
-    pub fn take(&mut self) -> VecDeque<PendingWrite> {
-        self.aside.clear();
-        self.reset_marks();
-        std::mem::take(&mut self.entries)
-    }
-
     /// Set every pending write aside, leaving the queue empty: a follower
     /// that meets a new leader does not know yet which of them that
     /// leader's tail lists. An empty queue keeps what an earlier call set
@@ -270,16 +266,104 @@ impl CommitQueue {
         }
     }
 
-    /// Hand over the writes set aside, in LSN order, each naming no
-    /// client any more ([`PendingOp::Kept`]): the catch-up verdict queues
-    /// again those the new leader's tail lists.
-    pub fn take_aside(&mut self) -> impl Iterator<Item = PendingWrite> {
-        std::mem::take(&mut self.aside)
-            .into_iter()
-            .map(|PendingWrite { lsn, op }| PendingWrite { lsn, op: op.kept() })
+    /// Queue again, behind what is queued, the writes `lsns` lists
+    /// (ascending, all above `from`): each one held here as itself, and
+    /// each run of them not held through `read(past, last, sink)`, which
+    /// hands `sink` every write in `(past, last]` as its place in the
+    /// batch it was logged in. Held writes `lsns` does not list are
+    /// dropped.
+    ///
+    /// In a `takeover` the held writes are the new leader's pending
+    /// writes, clients and all, anything set aside is forgotten, and the
+    /// queue counts the writes self-forced: they are its log's tail. At
+    /// a follower's catch-up verdict they are the writes it set aside,
+    /// each naming no client any more ([`PendingOp::Kept`]). The held
+    /// writes leave the front of the ring as the rebuilt queue grows at
+    /// its back, so a queue that holds its whole tail is rebuilt in the
+    /// buffer it had. An error from `read` ends the rebuild there.
+    pub fn requeue<T, E>(
+        &mut self,
+        takeover: bool,
+        from: Lsn,
+        lsns: impl IntoIterator<Item = Lsn>,
+        mut read: impl FnMut(Lsn, Lsn, &mut LoggedWrite<'_>) -> Result<T, E>,
+    ) -> Result<(), E> {
+        // The held writes first; what was queued since they were set
+        // aside stays ahead of every write that comes back.
+        let mut held = self.entries.len();
+        if takeover {
+            self.aside.clear();
+        } else {
+            held = self.aside.len();
+            self.aside.append(&mut self.entries);
+            std::mem::swap(&mut self.entries, &mut self.aside);
+        }
+        // The held write at an LSN, dropping those below it.
+        let take_held = |entries: &mut VecDeque<PendingWrite>, held: &mut usize, lsn: Lsn| {
+            while *held > 0 && entries.front().is_some_and(|pw| pw.lsn <= lsn) {
+                *held -= 1;
+                let pw = entries.pop_front().expect("held");
+                if pw.lsn == lsn {
+                    let op = if takeover { pw.op } else { pw.op.kept() };
+                    return Some(PendingWrite { lsn, op });
+                }
+            }
+            None
+        };
+        let mut lsns = lsns.into_iter().peekable();
+        let mut past = from;
+        let mut outcome = Ok(());
+        while let Some(lsn) = lsns.next() {
+            if let Some(pw) = take_held(&mut self.entries, &mut held, lsn) {
+                self.entries.push_back(pw);
+                past = lsn;
+                continue;
+            }
+            // A run of writes not held: read it in one pass.
+            let (mut last, mut resume) = (lsn, None);
+            while let Some(next) = lsns.next_if(|_| resume.is_none()) {
+                match take_held(&mut self.entries, &mut held, next) {
+                    Some(pw) => resume = Some(pw),
+                    None => last = next,
+                }
+            }
+            let entries = &mut self.entries;
+            let mut sink = |lsn, batch: &Arc<[WriteOp]>, index| {
+                let op = PendingOp::Shared { batch: batch.clone(), index };
+                entries.push_back(PendingWrite { lsn, op });
+            };
+            if let Err(e) = read(past, last, &mut sink) {
+                outcome = Err(e);
+                break;
+            }
+            past = last;
+            if let Some(pw) = resume {
+                past = pw.lsn;
+                self.entries.push_back(pw);
+            }
+        }
+        self.entries.drain(..held);
+        debug_assert!(
+            self.entries.iter().zip(self.entries.iter().skip(1)).all(|(a, b)| a.lsn < b.lsn),
+            "the commit queue stays in LSN order"
+        );
+        // No watermark stands above the newest write, and a new
+        // leader's tail is durable in its own log.
+        let newest = self.newest().unwrap_or(Lsn::ZERO);
+        if takeover {
+            self.reset_marks();
+            self.forced = newest;
+        } else {
+            for (_, mark) in &mut self.acked {
+                *mark = (*mark).min(newest);
+            }
+            self.forced = self.forced.min(newest);
+        }
+        outcome
     }
 
-    /// The queue is empty: no watermark may stand above a later insert.
+    /// Zero every watermark: a leader change voids the acks and the
+    /// force counted so far.
     fn reset_marks(&mut self) {
         for (_, mark) in &mut self.acked {
             *mark = Lsn::ZERO;
@@ -504,30 +588,60 @@ mod tests {
         assert_eq!(q.latest_pending_version(&Key::from("k1"), b"c"), Some(Lsn::new(1, 1).as_u64()));
     }
 
-    /// A follower meeting a new leader sets its writes aside: the queue
-    /// is empty, a second meeting keeps them, and they come back kept —
-    /// the very ops, naming no client.
+    /// The LSNs `lsns` lists come back in order: the held ones as
+    /// themselves (naming no client when set aside), each run of the
+    /// others read once, and held writes it does not list are dropped.
+    fn requeued(q: &mut CommitQueue, takeover: bool, lsns: &[u64]) -> Vec<(u64, bool)> {
+        let mut reads = Vec::new();
+        let lsns = lsns.iter().map(|&seq| Lsn::new(1, seq));
+        let read = |past: Lsn, last: Lsn, sink: &mut LoggedWrite<'_>| {
+            reads.push((past.seq(), last.seq()));
+            let batch: Arc<[WriteOp]> =
+                (past.seq() + 1..=last.seq()).map(|seq| (*pending(seq).op).clone()).collect();
+            for (index, seq) in (past.seq() + 1..=last.seq()).enumerate() {
+                sink(Lsn::new(1, seq), &batch, index);
+            }
+            Ok::<(), ()>(())
+        };
+        q.requeue(takeover, Lsn::new(1, 1), lsns, read).expect("read");
+        if takeover {
+            assert_eq!(q.forced, q.newest().unwrap_or(Lsn::ZERO), "self-forced");
+        }
+        let got = q.iter().map(|pw| (pw.lsn.seq(), pw.op.origin().is_some())).collect();
+        assert_eq!(reads, vec![(2, 3), (4, 6), (7, 8)], "a read for each run not held");
+        got
+    }
+
     #[test]
-    fn writes_set_aside_come_back_kept() {
+    fn requeue_keeps_what_it_holds_and_reads_the_rest() {
+        // A new leader: its queue holds 2, 4, 7 and 9; the log lists 2
+        // to 8. 7 is held though 5 and 6 are not: it comes back as
+        // itself, after the read of 5 and 6. 9 is not listed.
         let mut q = CommitQueue::new();
-        for seq in 1..=3 {
+        for seq in [2, 4, 7, 9] {
             q.insert(pending(seq), false);
         }
-        q.self_forced(Lsn::new(1, 3));
-        q.ack(Lsn::new(1, 3), 7);
+        q.ack(Lsn::new(1, 9), 3);
+        let got = requeued(&mut q, true, &[2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(
+            got,
+            vec![(2, true), (3, true), (4, true), (5, true), (6, true), (7, true), (8, true)]
+        );
+        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 0, "no ack survives");
+
+        // A follower's verdict: what it set aside names no client, and
+        // what it queued since (1, as a propose) stays ahead of it.
+        let mut q = CommitQueue::new();
+        for seq in [2, 4, 7, 9] {
+            q.insert(pending(seq), false);
+        }
         q.set_aside();
         assert!(q.is_empty());
         q.set_aside();
-        // Nothing set aside counts toward a commit.
-        q.insert(pending(4), false);
-        q.ack(Lsn::new(1, 4), 7);
-        assert_eq!(q.drain_committable(Lsn::ZERO, 1).len(), 0, "write 4 is not forced");
-        let back: Vec<PendingWrite> = q.take_aside().collect();
-        assert_eq!(back.iter().map(|pw| pw.lsn.seq()).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(back.iter().all(|pw| pw.op.origin().is_none()));
-        assert_eq!(back[1].op.key, Key::from("k2"));
-        assert_eq!(q.take_aside().count(), 0, "taken once");
-        assert_eq!(q.take().len(), 1);
+        q.insert(pending(1), false);
+        let got = requeued(&mut q, false, &[2, 3, 4, 5, 6, 7, 8]);
+        let held = |seq| [2, 4, 7].contains(&seq);
+        assert_eq!(got, (1..=8).map(|seq| (seq, !held(seq))).collect::<Vec<_>>());
     }
 
     /// The queue as it was: an acker set and a forced flag per write,
@@ -591,7 +705,8 @@ mod tests {
         /// After any history of upward inserts (across epoch bumps, some
         /// forced as a takeover's tail), acks from two to four followers
         /// at queued LSNs and past them (duplicates included), forces,
-        /// drains and clears, the queue drains exactly the writes the
+        /// drains and leader changes that set the queue aside, the queue
+        /// drains exactly the writes the
         /// per-write acker sets drained, and reports the same length,
         /// span and oldest pending timestamp.
         #[test]
@@ -652,7 +767,11 @@ mod tests {
                         prop_assert_eq!(got, model.drain_up_to(pick));
                     }
                     _ => {
-                        prop_assert_eq!(q.take().len(), model.entries.len());
+                        // A leader change: the queue sets its writes
+                        // aside and starts empty.
+                        prop_assert_eq!(q.len(), model.entries.len());
+                        q.set_aside();
+                        prop_assert!(q.is_empty());
                         model.entries.clear();
                         // The only way back down: the next insert may be
                         // below everything acked or forced so far.

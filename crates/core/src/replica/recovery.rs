@@ -13,7 +13,7 @@ use spinnaker_wal::LogRecord;
 use super::{
     group_last, group_past, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter,
 };
-use crate::commit_queue::{CommitQueue, PendingOp, PendingWrite};
+use crate::commit_queue::CommitQueue;
 use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
 
@@ -303,8 +303,7 @@ impl RangeReplica {
         // already durable in our own log, so the entries are
         // self-forced. A tail that cannot be read poisons the node:
         // opening the cohort without it would lose acknowledged writes.
-        let held = self.cq.take();
-        if self.requeue(rt, held, l_cmt, l_lst, true).is_none() {
+        if self.requeue(rt, true, l_cmt, l_lst).is_none() {
             return;
         }
 
@@ -675,59 +674,23 @@ impl RangeReplica {
         Some(cutter.finish())
     }
 
-    /// Queue the writes our log indexes in `(from, to]`, in LSN order,
-    /// `forced` when the queue may count them durable in our own log
-    /// (a takeover's tail). Each write `held` holds — the batch it was
-    /// proposed in, naming its client — is queued as itself, and only
-    /// the runs `held` lacks are read back from the log (a decoded write
-    /// names no client). What `held` holds that the log does not index
-    /// (an orphan truncated, a leader's write never logged) is dropped.
-    /// `None` once an unreadable log has poisoned the node.
-    fn requeue(
-        &mut self,
-        rt: &mut Runtime<'_>,
-        held: impl IntoIterator<Item = PendingWrite>,
-        from: Lsn,
-        to: Lsn,
-        forced: bool,
-    ) -> Option<()> {
-        // The held write at an LSN, dropping those below it.
-        let mut held = held.into_iter().peekable();
-        let mut take_held = |lsn: Lsn| {
-            while held.next_if(|pw| pw.lsn < lsn).is_some() {}
-            held.next_if(|pw| pw.lsn == lsn)
-        };
+    /// Queue again the writes our log indexes in `(from, to]`, in LSN
+    /// order ([`CommitQueue::requeue`]): in a `takeover` our pending
+    /// writes, self-forced, and at a catch-up verdict the writes we set
+    /// aside. Each one the queue holds comes back as itself — the batch
+    /// it was proposed in — and only the runs it lacks are read back from
+    /// the log, where a write names no client. What it holds that the
+    /// log does not index (an orphan truncated, a leader's write never
+    /// logged) is dropped. `None` once an unreadable log has poisoned the
+    /// node.
+    fn requeue(&mut self, rt: &mut Runtime<'_>, takeover: bool, from: Lsn, to: Lsn) -> Option<()> {
         let indexed = rt.wal.indexed_lsns(self.range, from, to);
-        let mut indexed = rt.fail_stop(indexed)?.peekable();
-        let mut past = from;
-        while let Some(lsn) = indexed.next() {
-            if let Some(pw) = take_held(lsn) {
-                self.cq.insert(pw, forced);
-                past = lsn;
-                continue;
-            }
-            // A run of writes `held` lacks: read it in one pass.
-            let mut last = lsn;
-            let mut resume = None;
-            while let Some(next) = indexed.next_if(|_| resume.is_none()) {
-                match take_held(next) {
-                    Some(pw) => resume = Some(pw),
-                    None => last = next,
-                }
-            }
-            let cq = &mut self.cq;
-            let replayed = rt.wal.replay_batches(self.range, past, last, |lsn, batch, index| {
-                let op = PendingOp::Shared { batch: batch.clone(), index };
-                cq.insert(PendingWrite { lsn, op }, forced);
-            });
-            rt.fail_stop(replayed)?;
-            past = last;
-            if let Some(pw) = resume {
-                past = pw.lsn;
-                self.cq.insert(pw, forced);
-            }
-        }
-        Some(())
+        let indexed = rt.fail_stop(indexed)?;
+        let (wal, range) = (&*rt.wal, self.range);
+        let requeued = self.cq.requeue(takeover, from, indexed, |past, last, sink| {
+            wal.replay_batches(range, past, last, sink)
+        });
+        rt.fail_stop(requeued)
     }
 
     /// Ship `(f_cmt, l.cmt]` from the log, or the rows the store holds
@@ -899,8 +862,7 @@ impl RangeReplica {
         // commit messages drain them here. The rest of what we set aside
         // (orphans just truncated, a tail past the vouch) is dropped.
         let tip = self.held_tip();
-        let aside = self.cq.take_aside();
-        if vouched > tip && self.requeue(rt, aside, tip, vouched, false).is_none() {
+        if self.requeue(rt, false, tip, vouched.max(tip)).is_none() {
             return;
         }
 

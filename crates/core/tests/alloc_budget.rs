@@ -158,7 +158,7 @@ fn takeover_reproposes_the_tail_in_groups_not_per_write() {
     assert_eq!(sizes, vec![GROUP; TAIL / GROUP], "proposes to node 2");
     assert_eq!(p.proposes(since, leader, 0), [], "nothing to the dead node 0");
     // Measured 393 (one copy a write, one batch a group, and three) and
-    // 569 in all, 64 of them the memtable's; 1 and 1 718 while the tail
+    // 561 in all, 64 of them the memtable's; 1 and 1 718 while the tail
     // was read back from the log when the takeover began.
     let groups = (TAIL / GROUP) as u64;
     assert!(allocs <= TAIL as u64 + 4 * groups, "{allocs} allocations re-proposing {TAIL} writes");
@@ -216,8 +216,8 @@ fn a_takeover_whose_survivors_hold_the_tail_reads_no_log() {
     }
     assert_eq!(p.proposes(since, leader, follower), [], "the follower lacks nothing");
 
-    // Measured 115 and 173 over the memtable's 64 when set, and the same
-    // with a tail twice as long.
+    // Measured 107 and 165 over the memtable's 64 when set, and 108 and
+    // 165 over its 128 with a tail twice as long.
     let groups = (TAIL / GROUP) as u64;
     for node in [1, 2] {
         let allocs = p.allocs[node] - before[node];
