@@ -28,7 +28,9 @@
 
 use crate::codec::{self, Decode, Encode, Source};
 use crate::error::{Error, Result};
-use crate::types::{ColumnName, Consistency, Key, NodeId, SnapshotTs, Timestamp, Value, Version};
+use crate::types::{
+    ColumnName, Consistency, Key, NodeId, RangeId, SnapshotTs, Timestamp, Value, Version,
+};
 
 /// Client-assigned request identifier, echoed in replies.
 pub type RequestId = u64;
@@ -333,16 +335,30 @@ pub enum ClientReply {
         /// What went wrong.
         error: ClientError,
     },
+    /// A notice that answers no request: `leader` now leads `range`.
+    /// A successor sends one to each client its takeover's tail names,
+    /// after the `WriteOk`s of that tail, so a client still waiting on
+    /// a write its predecessor never proposed re-sends it at once
+    /// instead of waiting out its retry timer.
+    Leader {
+        /// The range the notice is about.
+        range: RangeId,
+        /// The node that leads it.
+        leader: NodeId,
+    },
 }
 
 impl ClientReply {
-    /// The request id the reply answers.
+    /// The request id the reply answers; 0 for a [`ClientReply::Leader`]
+    /// notice, which answers none (ids start at 1, so 0 is never
+    /// pending).
     pub fn req(&self) -> RequestId {
         match self {
             ClientReply::WriteOk { req, .. }
             | ClientReply::Row { req, .. }
             | ClientReply::Rows { req, .. }
             | ClientReply::Err { req, .. } => *req,
+            ClientReply::Leader { .. } => 0,
         }
     }
 
@@ -362,7 +378,9 @@ impl ClientReply {
                 48 + rows.iter().map(ScanRow::approx_size).sum::<usize>()
                     + resume.as_ref().map_or(0, Key::len)
             }
-            ClientReply::WriteOk { .. } | ClientReply::Err { .. } => 48,
+            ClientReply::WriteOk { .. } | ClientReply::Err { .. } | ClientReply::Leader { .. } => {
+                48
+            }
         }
     }
 }
@@ -706,6 +724,11 @@ impl Encode for ClientReply {
                 codec::put_u64(buf, *req);
                 error.encode(buf);
             }
+            ClientReply::Leader { range, leader } => {
+                codec::put_u8(buf, 4);
+                codec::put_u32(buf, range.0);
+                codec::put_u32(buf, *leader);
+            }
         }
     }
 }
@@ -745,6 +768,10 @@ impl Decode for ClientReply {
             3 => Ok(ClientReply::Err {
                 req: codec::get_u64(buf)?,
                 error: ClientError::decode_from(buf)?,
+            }),
+            4 => Ok(ClientReply::Leader {
+                range: RangeId(codec::get_u32(buf)?),
+                leader: codec::get_u32(buf)?,
             }),
             tag => Err(Error::Codec(format!("bad ClientReply tag {tag}"))),
         }
@@ -856,10 +883,28 @@ mod tests {
             ClientReply::err(7, ClientError::Unavailable),
             ClientReply::err(8, ClientError::WrongRange { version: 12 }),
             ClientReply::err(9, ClientError::SnapshotTooOld { floor: 1_000 }),
+            ClientReply::Leader { range: RangeId(7), leader: 2 },
         ];
         for r in replies {
             let enc = r.encode_to_vec();
             assert_eq!(ClientReply::decode(&mut enc.as_slice()).unwrap(), r);
+        }
+    }
+
+    /// A leader notice is tag 4 on the wire, answers no request and is
+    /// charged as a write acknowledgement is; every proper prefix of its
+    /// bytes decodes to an error, never a panic.
+    #[test]
+    fn a_leader_notice_roundtrips_and_a_truncated_one_is_an_error() {
+        let notice = ClientReply::Leader { range: RangeId(3), leader: 1 };
+        let enc = notice.encode_to_vec();
+        assert_eq!(enc[0], 4, "the notice's wire tag");
+        assert_eq!(enc.len(), 9, "a tag and two u32s");
+        assert_eq!(ClientReply::decode(&mut enc.as_slice()).unwrap(), notice);
+        assert_eq!(notice.req(), 0, "a notice names no request");
+        assert_eq!(notice.wire_size(), 48);
+        for cut in 0..enc.len() {
+            assert!(ClientReply::decode(&mut &enc[..cut]).is_err(), "{cut} bytes decode");
         }
     }
 

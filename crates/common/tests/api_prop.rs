@@ -11,7 +11,7 @@ use spinnaker_common::api::{
     ClientError, ClientOp, ClientReply, ClientRequest, ColumnSelect, ReadCell, ScanRow,
 };
 use spinnaker_common::codec::{Decode, Encode};
-use spinnaker_common::{CellOp, ColumnValue, Consistency, Key, Row, SnapshotTs, WriteOp};
+use spinnaker_common::{CellOp, ColumnValue, Consistency, Key, RangeId, Row, SnapshotTs, WriteOp};
 
 #[path = "support/decode_equiv.rs"]
 mod decode_equiv;
@@ -92,6 +92,8 @@ fn reply_strat() -> impl Strategy<Value = ClientReply> {
         (any::<u64>(), proptest::collection::vec(row_strat(), 0..4), opt_key_strat(), any::<u64>())
             .prop_map(|(req, rows, resume, at_ts)| ClientReply::Rows { req, rows, resume, at_ts }),
         (any::<u64>(), error_strat()).prop_map(|(req, error)| ClientReply::Err { req, error }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(range, leader)| ClientReply::Leader { range: RangeId(range), leader }),
     ]
 }
 

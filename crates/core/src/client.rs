@@ -179,11 +179,12 @@ const BACKOFF: Time = 20 * MILLIS;
 /// backoff. It transmits (`Session::wire`, then network delivery, then a
 /// 1 s retry timer), digests replies (re-sends redirects and scan pages,
 /// refreshing the range table on `WrongRange`; waits 20 ms after
-/// `Unavailable`) and fires timers (rotates the leader guess, re-sends
-/// under a fresh id).
+/// `Unavailable`; re-sends what a leader notice strands) and fires timers
+/// (rotates the leader guess, re-sends under a fresh id).
 ///
 /// Its owner routes [`ClientEv::Reply`] and [`ClientEv::Timeout`] here
-/// and hears back only what owners treat differently — a [`DriverReport`].
+/// and hears back only what owners treat differently — a [`DriverReport`]
+/// — then drains [`SessionDriver::next_resend`].
 pub struct SessionDriver {
     proc: ProcId,
     session: Session,
@@ -193,6 +194,9 @@ pub struct SessionDriver {
     /// Requests whose next `Timeout` event ends a backoff: a re-send that
     /// follows a definitive rejection, not a possibly-applied attempt.
     backoff: BTreeSet<RequestId>,
+    /// A successor's leader notice whose re-sends are not all made yet
+    /// ([`SessionDriver::next_resend`] makes them).
+    notice: Option<ClientReply>,
 }
 
 /// What a [`SessionDriver`] reports after a reply or a timer.
@@ -234,7 +238,7 @@ impl SessionDriver {
     pub fn new(proc: ProcId, ring: Ring, window: usize, world: World) -> SessionDriver {
         let window = window.max(1);
         let session = Session::new(ring, window);
-        SessionDriver { proc, session, window, world, backoff: BTreeSet::new() }
+        SessionDriver { proc, session, window, world, backoff: BTreeSet::new(), notice: None }
     }
 
     /// True while fewer than `window` calls are in flight or waiting.
@@ -266,13 +270,18 @@ impl SessionDriver {
         ctx.schedule(RETRY_TIMEOUT, self.proc, Ev::Client(ClientEv::Timeout(req)));
     }
 
-    /// Digest a node's reply.
+    /// Digest a node's reply. A leader notice reports its first re-send,
+    /// as [`SessionDriver::next_resend`] does the rest.
     pub fn on_reply(
         &mut self,
         now: Time,
         reply: ClientReply,
         ctx: &mut Ctx<'_, Ev>,
     ) -> DriverReport {
+        if let ClientReply::Leader { .. } = reply {
+            self.notice = Some(reply);
+            return self.next_resend(now, ctx).unwrap_or(DriverReport::Quiet);
+        }
         let world = &self.world;
         match self.session.on_reply(reply, || read_table(world)) {
             SessionStep::None => DriverReport::Quiet,
@@ -292,6 +301,26 @@ impl SessionDriver {
             }
             SessionStep::Done { call, outcome } => DriverReport::Done { call, outcome },
         }
+    }
+
+    /// Make the next re-send the last leader notice calls for: one
+    /// request on the notice's range whose last attempt went to another
+    /// node, sent to the leader under a fresh id. It reports a true
+    /// timeout — the attempt stranded at the dead leader may have applied
+    /// — and is the re-send that request's retry timer would make, only
+    /// sooner. `None` once the notice strands nothing more; an owner calls
+    /// it after every report until then, so a pipelined client re-sends
+    /// every stranded request.
+    pub fn next_resend(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) -> Option<DriverReport> {
+        let notice = self.notice.take()?;
+        let SessionStep::Retransmit { req, .. } = self.session.on_reply(notice.clone(), || None)
+        else {
+            return None;
+        };
+        self.notice = Some(notice);
+        let call = self.session.call_of(req).expect("a freshly minted request");
+        self.transmit(now, req, ctx);
+        Some(DriverReport::Timeout { call, benign: false })
     }
 
     /// A retry or backoff timer fired for `req`: the target may be dead,
@@ -504,16 +533,9 @@ impl ClientHost {
         self.stats.borrow_mut().record_completion(now, started, self.window);
         self.fill(now, ctx);
     }
-}
 
-impl Actor<Ev> for ClientHost {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        let Ev::Client(cev) = ev else { return };
-        let report = match cev {
-            ClientEv::Start => return self.fill(now, ctx),
-            ClientEv::Reply(reply) => self.driver.on_reply(now, reply, ctx),
-            ClientEv::Timeout(req) => self.driver.on_timeout(now, req, ctx),
-        };
+    /// Count, or complete, what the driver reported.
+    fn record(&mut self, now: Time, report: DriverReport, ctx: &mut Ctx<'_, Ev>) {
         match report {
             DriverReport::Quiet => {}
             DriverReport::Done { call, outcome } => self.complete(now, call, outcome, ctx),
@@ -525,6 +547,21 @@ impl Actor<Ev> for ClientHost {
             DriverReport::Backoff | DriverReport::Timeout { .. } => {
                 self.stats.borrow_mut().retries += 1;
             }
+        }
+    }
+}
+
+impl Actor<Ev> for ClientHost {
+    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+        let Ev::Client(cev) = ev else { return };
+        let report = match cev {
+            ClientEv::Start => return self.fill(now, ctx),
+            ClientEv::Reply(reply) => self.driver.on_reply(now, reply, ctx),
+            ClientEv::Timeout(req) => self.driver.on_timeout(now, req, ctx),
+        };
+        self.record(now, report, ctx);
+        while let Some(report) = self.driver.next_resend(now, ctx) {
+            self.record(now, report, ctx);
         }
     }
 }

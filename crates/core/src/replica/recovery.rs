@@ -4,7 +4,7 @@
 //! level with the leader's committed history, logically truncating what
 //! no leader committed (§6.1, §6.1.1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, Timestamp, WriteOp};
@@ -14,7 +14,7 @@ use super::{
     group_last, group_past, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter,
 };
 use crate::commit_queue::CommitQueue;
-use crate::messages::{ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
+use crate::messages::{Addr, ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
 
 /// Most writes one re-proposed group carries: a round costs a link trip
@@ -87,6 +87,9 @@ pub(crate) struct Takeover {
     caught_up: BTreeMap<NodeId, Lsn>,
     /// How many writes the tail holds.
     tail: usize,
+    /// Every client a write of the tail names, told who leads once the
+    /// cohort opens.
+    clients: BTreeSet<Addr>,
     /// The groups `(first LSN, count)` the tail is re-proposed in, cut
     /// from the queue by [`RunCutter`]'s rule the first time a follower
     /// lacks part of it; empty until then. Nothing of the tail commits
@@ -334,7 +337,14 @@ impl RangeReplica {
         self.proposing = false;
         self.proposed_at_tick = Lsn::ZERO;
         let tail = self.cq.len();
-        self.takeover = Some(Takeover { caught_up: BTreeMap::new(), tail, groups: Vec::new() });
+        // The clients come from the ops themselves (`WriteOp::origin`),
+        // not from `PendingOp::origin`: a write a follower kept across a
+        // leader change is answered by no one, but its client still
+        // waits, and the notice tells it where to re-send.
+        let op_origin = |op: &WriteOp| op.origin.map(|(addr, _)| addr);
+        let clients = self.cq.iter().filter_map(|pw| op_origin(&pw.op)).collect();
+        self.takeover =
+            Some(Takeover { caught_up: BTreeMap::new(), tail, clients, groups: Vec::new() });
         self.last_assigned = l_lst;
         let hello = self.hello(rt.id);
         for &peer in &self.peers {
@@ -351,8 +361,8 @@ impl RangeReplica {
     /// Fig. 6 lines 8 and 10: open the cohort once at least one follower
     /// has caught up and the whole tail has committed — on a follower's
     /// vouch ([`Self::on_caught_up`]), or on the acks of what it was
-    /// re-proposed.
-    pub(crate) fn maybe_finish_takeover(&mut self, out: &mut Outbox) -> FollowUp {
+    /// re-proposed — and tell the tail's clients that `me` leads.
+    pub(crate) fn maybe_finish_takeover(&mut self, me: NodeId, out: &mut Outbox) -> FollowUp {
         let mut fu = FollowUp::default();
         if self.takeover.as_ref().is_none_or(|t| t.caught_up.is_empty()) || !self.cq.is_empty() {
             return fu;
@@ -376,6 +386,13 @@ impl RangeReplica {
             for &peer in t.caught_up.keys() {
                 out.send(peer, PeerMsg::Commit { range, epoch, lsn, closed_ts: 0, sent });
             }
+        }
+        // Tell every client of the tail who leads. Their `WriteOk`s left
+        // before this on the same links, so a client whose write was in
+        // the tail has its answer already; one still waiting on a write
+        // the predecessor never proposed re-sends it here at once.
+        for &client in &t.clients {
+            out.reply(client, ClientReply::Leader { range: self.range, leader: me });
         }
         fu.redispatch = std::mem::take(&mut self.blocked_writes);
         fu
@@ -405,7 +422,7 @@ impl RangeReplica {
         for (follower, held) in caught_up {
             self.send_pending(rt, follower, held, 0, out);
         }
-        self.maybe_finish_takeover(out)
+        self.maybe_finish_takeover(rt.id, out)
     }
 
     /// Our hello: the catch-up verdict an empty reply would carry — the
@@ -910,7 +927,7 @@ impl RangeReplica {
         if let Some(t) = self.takeover.as_mut().filter(|_| self.role == Role::LeaderTakeover) {
             t.caught_up.insert(follower, held);
             self.send_pending(rt, follower, held, 0, out);
-            fu.merge_from(self.maybe_finish_takeover(out));
+            fu.merge_from(self.maybe_finish_takeover(rt.id, out));
             if !held.is_zero() {
                 fu.merge_from(self.on_ack(rt, follower, epoch, held, out));
             }

@@ -372,7 +372,7 @@ impl RangeReplica {
             self.deferred_mismatches = keep;
         }
         if self.takeover.is_some() {
-            fu.merge_from(self.maybe_finish_takeover(out));
+            fu.merge_from(self.maybe_finish_takeover(rt.id, out));
         }
         // A pending barrier whose queue just drained can now execute. A
         // subordinate merge barrier announces readiness itself; the

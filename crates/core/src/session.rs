@@ -13,7 +13,11 @@
 //!   leader every `WriteOk` names (after a failover, the successor that
 //!   answered for its predecessor); `WrongRange` refreshes the table
 //!   (splits, merges, and cohort moves re-route live traffic), leader
-//!   guesses rotate modulo the range's **actual cohort size**;
+//!   guesses rotate modulo the range's **actual cohort size**. A
+//!   successor's [`ClientReply::Leader`] notice is learned too, and
+//!   re-sends at once a strong op whose last attempt went to another
+//!   node — a write the dead leader took but never proposed — which the
+//!   retry timer would otherwise re-send only when it fires;
 //! * **scan continuation** — a logical scan fans across every range it
 //!   crosses: each reply's continuation key becomes the next page's
 //!   cursor, re-routed through the (possibly refreshed) table, so the
@@ -247,6 +251,10 @@ struct InFlight {
     /// backoff. Cleared once a page succeeds, so later pages try the
     /// cheaper replica-balanced route again.
     prefer_leader: bool,
+    /// The node the current attempt went to, when it was routed to the
+    /// range's leader (`None` for a replica-balanced read): a leader
+    /// notice naming another node re-sends it.
+    sent_to: Option<u32>,
 }
 
 /// The typed client session runtime (sans-IO).
@@ -326,7 +334,15 @@ impl Session {
             let req = self.fresh_req();
             self.pending.insert(
                 req,
-                InFlight { call, op, cursor, acc: Vec::new(), pinned_ts: 0, prefer_leader: false },
+                InFlight {
+                    call,
+                    op,
+                    cursor,
+                    acc: Vec::new(),
+                    pinned_ts: 0,
+                    prefer_leader: false,
+                    sent_to: None,
+                },
             );
         }
         first..self.next_req
@@ -342,18 +358,6 @@ impl Session {
     /// the range is gone).
     fn cohort(&self, range: RangeId) -> &[u32] {
         self.ring.def(range).map_or(&[], |d| &d.cohort)
-    }
-
-    /// The cohort member we currently believe leads `range`.
-    fn target_for(&mut self, range: RangeId, strong: bool, rng: &mut rand::rngs::SmallRng) -> u32 {
-        if strong {
-            let idx = *self.leader_cache.entry(range).or_insert(0);
-            let cohort = self.cohort(range);
-            cohort[idx % cohort.len()]
-        } else {
-            let cohort = self.cohort(range);
-            cohort[rng.gen_range(0..cohort.len())]
-        }
     }
 
     /// Rotate the leader guess for `range` — modulo the range's
@@ -380,7 +384,7 @@ impl Session {
         req: RequestId,
         rng: &mut rand::rngs::SmallRng,
     ) -> Option<(u32, ClientRequest)> {
-        let inf = self.pending.get(&req)?;
+        let inf = self.pending.get_mut(&req)?;
         // Leader-routed: strong reads, writes, and *pinning* snapshot
         // reads (`ts == 0` — the leader chooses the cut, so it is as
         // fresh as a strong read). Pinned snapshot pages (`ts > 0`) go
@@ -441,19 +445,34 @@ impl Session {
                 },
             ),
         };
+        // The cohort member we believe leads the range, or any replica.
         let range = self.ring.range_of(&key);
-        let to = self.target_for(range, strong, rng);
+        let cohort = self.ring.def(range).map_or(&[][..], |d| &d.cohort);
+        let to = if strong {
+            let idx = *self.leader_cache.entry(range).or_insert(0);
+            cohort[idx % cohort.len()]
+        } else {
+            cohort[rng.gen_range(0..cohort.len())]
+        };
+        inf.sent_to = strong.then_some(to);
         Some((to, ClientRequest { req, ring_version: self.ring.version(), op }))
     }
 
     /// Process a reply. `refresh` is consulted on `WrongRange`: it
     /// should return the freshest range table available (the session
     /// adopts it only when strictly newer than its own).
+    ///
+    /// A [`ClientReply::Leader`] notice re-sends at most one request: a
+    /// host wires that re-send, then offers the notice again until it
+    /// answers [`SessionStep::None`].
     pub fn on_reply(
         &mut self,
         reply: ClientReply,
         refresh: impl FnOnce() -> Option<Ring>,
     ) -> SessionStep {
+        if let ClientReply::Leader { range, leader } = reply {
+            return self.on_leader(range, leader);
+        }
         let req = reply.req();
         let Some(mut inf) = self.pending.remove(&req) else {
             return SessionStep::None; // superseded attempt
@@ -575,7 +594,32 @@ impl Session {
                 debug_assert!(!error.is_retryable(), "routing errors are handled above");
                 SessionStep::Done { call: inf.call, outcome: CallOutcome::Failed(error) }
             }
+            ClientReply::Leader { .. } => unreachable!("a notice answers no request"),
         }
+    }
+
+    /// A successor's notice that `leader` leads `range`: learn it, and
+    /// re-send under a fresh id the oldest leader-routed request on
+    /// `range` whose last attempt went to another node. That attempt may
+    /// sit unproposed at a dead leader; its retry timer would re-send it
+    /// anyway, only later. `None` when no such request is left, or when
+    /// `leader` is not in the range's cached cohort.
+    fn on_leader(&mut self, range: RangeId, leader: u32) -> SessionStep {
+        if !self.cohort(range).contains(&leader) {
+            return SessionStep::None;
+        }
+        self.learn_leader(range, leader);
+        let stranded = self.pending.iter().find(|(_, inf)| {
+            inf.sent_to.is_some_and(|to| to != leader)
+                && self.ring.range_of(&self.key_of(inf)) == range
+        });
+        let Some(req) = stranded.map(|(&req, _)| req) else {
+            return SessionStep::None;
+        };
+        let inf = self.pending.remove(&req).expect("found above");
+        let next = self.fresh_req();
+        self.pending.insert(next, inf);
+        SessionStep::Retransmit { req: next, refreshed_ring: false }
     }
 
     fn key_of(&self, inf: &InFlight) -> Key {
@@ -699,6 +743,98 @@ mod tests {
         let reply = ClientReply::WriteOk { req, version: 2, ts: 2, leader: stranger };
         assert!(matches!(s.on_reply(reply, || None), SessionStep::Done { .. }));
         assert_eq!(put_and_route(&mut s).1, successor, "a node outside the cohort is ignored");
+    }
+
+    fn put(key: &Key) -> SessionCall {
+        let cells = vec![(bytes::Bytes::from_static(b"c"), bytes::Bytes::from_static(b"v"))];
+        SessionCall::Put { key: key.clone(), cells }
+    }
+
+    fn get(key: &Key, consistency: Consistency) -> SessionCall {
+        SessionCall::Get { key: key.clone(), columns: ColumnSelect::All, consistency }
+    }
+
+    /// A pipelined session with every call of `calls` launched and wired:
+    /// each call's request id and the node it went to.
+    fn wired(
+        s: &mut Session,
+        calls: Vec<SessionCall>,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<(RequestId, u32)> {
+        for call in calls {
+            s.submit(call);
+        }
+        s.launch().map(|req| (req, s.wire(req, rng).expect("pending").0)).collect()
+    }
+
+    /// A successor's notice re-sends, one per offer and oldest first, each
+    /// strong op on its range whose attempt went to another node, under
+    /// a fresh id, to the named leader. A timeline read and an op on
+    /// another range are left alone, the superseded ids' late replies
+    /// complete nothing, and the next strong op goes to the named leader.
+    #[test]
+    fn a_leader_notice_resends_the_strong_ops_sent_elsewhere_under_fresh_ids() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut s = Session::new(Ring::with_nodes(3), 8);
+        let (here, there) = (crate::partition::u64_to_key(0), crate::partition::u64_to_key(!0));
+        let range = s.ring.range_of(&here);
+        assert_ne!(s.ring.range_of(&there), range, "two ranges");
+        let calls = vec![
+            put(&here),
+            get(&here, Consistency::Strong),
+            get(&here, Consistency::Timeline),
+            put(&there),
+        ];
+        let sent = wired(&mut s, calls, &mut rng);
+        let dead = s.ring.cohort(range)[0];
+        assert_eq!((sent[0].1, sent[1].1), (dead, dead), "strong ops start at the first member");
+        let successor = s.ring.cohort(range)[1];
+        let notice = ClientReply::Leader { range, leader: successor };
+        let mut resent = Vec::new();
+        while let SessionStep::Retransmit { req, refreshed_ring } =
+            s.on_reply(notice.clone(), || None)
+        {
+            assert!(!refreshed_ring);
+            let (to, wire) = s.wire(req, &mut rng).expect("pending");
+            assert_eq!(to, successor, "the re-send goes to the named leader");
+            resent.push((s.call_of(req).expect("pending"), wire.req));
+        }
+        let (put_call, strong_call) = (s.call_of(sent[0].0), s.call_of(sent[1].0));
+        assert_eq!((put_call, strong_call), (None, None), "both old ids are superseded");
+        assert_eq!(resent.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2], "oldest first");
+        assert!(resent.iter().all(|&(_, req)| req > sent[3].0), "under fresh ids");
+        assert_eq!(s.call_of(sent[2].0), Some(3), "the timeline read is left alone");
+        assert_eq!(s.call_of(sent[3].0), Some(4), "the other range's put is left alone");
+        assert_eq!(s.pending_len(), 4);
+        let late = ClientReply::WriteOk { req: sent[0].0, version: 1, ts: 1, leader: dead };
+        assert!(matches!(s.on_reply(late, || None), SessionStep::None), "a stale id");
+        let ok = ClientReply::WriteOk { req: resent[0].1, version: 1, ts: 1, leader: successor };
+        assert!(matches!(s.on_reply(ok, || None), SessionStep::Done { call: 1, .. }));
+        let next = wired(&mut s, vec![put(&here)], &mut rng);
+        assert_eq!(next[0].1, successor, "the next strong op goes to the named leader");
+    }
+
+    /// A notice naming the node a request already went to re-sends
+    /// nothing, and neither does one naming a node outside the range's
+    /// cohort (nothing could route there).
+    #[test]
+    fn a_leader_notice_leaves_a_request_sent_to_that_leader_alone() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut s = Session::new(Ring::with_nodes(3), 4);
+        let key = crate::partition::u64_to_key(0);
+        let range = s.ring.range_of(&key);
+        let sent = wired(&mut s, vec![put(&key), put(&key)], &mut rng);
+        let leader = sent[0].1;
+        for leader in [leader, 99] {
+            let notice = ClientReply::Leader { range, leader };
+            assert!(matches!(s.on_reply(notice, || None), SessionStep::None), "{leader}");
+        }
+        assert_eq!(
+            sent.iter().map(|&(req, _)| s.call_of(req)).collect::<Vec<_>>(),
+            [Some(1), Some(2)]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use spinnaker_common::codec::Encode;
-use spinnaker_common::{ClientError, Key, RangeId};
+use spinnaker_common::{ClientError, RangeId};
 use spinnaker_coord::{Coord, CreateMode};
 use spinnaker_core::client::{ClientEv, DriverReport, SessionDriver};
 use spinnaker_core::cluster::{Ev, World};
@@ -27,6 +27,9 @@ enum Answer {
     WrongRange,
     /// Swallow the request: its reply is lost.
     Drop,
+    /// Swallow the request and send a notice that the next node leads
+    /// its range, as a successor that never saw the request does.
+    Notice,
 }
 
 /// Answers requests over the network, from a script shared by every
@@ -48,15 +51,21 @@ impl Actor<Ev> for ScriptedNode {
             Answer::Unavailable => ClientReply::err(req.req, ClientError::Unavailable),
             Answer::WrongRange => ClientReply::err(req.req, ClientError::WrongRange { version: 2 }),
             Answer::Drop => return,
+            Answer::Notice => {
+                let leader = (me + 1) % NODES as ProcId;
+                ClientReply::Leader { range: RangeId(0), leader }
+            }
         };
         let ev = Ev::Client(ClientEv::Reply(reply));
         self.net.borrow_mut().send(ctx, now, me, from, 64, ev);
     }
 }
 
-/// Submits one put at `Start` and logs every report its driver makes.
+/// Submits `puts` puts at `Start` and logs every report its driver
+/// makes, draining the re-sends a leader notice calls for.
 struct Client {
     driver: SessionDriver,
+    puts: u64,
     reports: Rc<RefCell<Vec<(Time, DriverReport)>>>,
 }
 
@@ -64,8 +73,10 @@ impl Actor<Ev> for Client {
     fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
         let report = match ev {
             Ev::Client(ClientEv::Start) => {
-                let cells = vec![(Bytes::from_static(b"c"), Bytes::from_static(b"v"))];
-                self.driver.submit(SessionCall::Put { key: Key::from("k"), cells });
+                for k in 0..self.puts {
+                    let cells = vec![(Bytes::from_static(b"c"), Bytes::from_static(b"v"))];
+                    self.driver.submit(SessionCall::Put { key: u64_to_key(k), cells });
+                }
                 return self.driver.launch(now, ctx);
             }
             Ev::Client(ClientEv::Reply(reply)) => self.driver.on_reply(now, reply, ctx),
@@ -73,6 +84,9 @@ impl Actor<Ev> for Client {
             _ => return,
         };
         self.reports.borrow_mut().push((now, report));
+        while let Some(report) = self.driver.next_resend(now, ctx) {
+            self.reports.borrow_mut().push((now, report));
+        }
     }
 }
 
@@ -111,6 +125,12 @@ impl Run {
 
 /// Run one put for 5 s against nodes answering from `script`.
 fn run(script: &[Answer], world: World) -> Run {
+    run_puts(script, world, 1)
+}
+
+/// Run `puts` pipelined puts to range 0 for 5 s against nodes answering
+/// from `script`.
+fn run_puts(script: &[Answer], world: World, puts: u64) -> Run {
     let mut sim: Sim<Ev> = Sim::new(7);
     let node = Rc::new(RefCell::new(ScriptedNode {
         net: world.net.clone(),
@@ -122,8 +142,9 @@ fn run(script: &[Answer], world: World) -> Run {
     }
     let reports = Rc::new(RefCell::new(Vec::new()));
     let proc = NODES as ProcId;
-    let driver = SessionDriver::new(proc, Ring::with_nodes(NODES), 1, world.clone());
-    assert_eq!(sim.add_actor(Box::new(Client { driver, reports: reports.clone() })), proc);
+    let driver = SessionDriver::new(proc, Ring::with_nodes(NODES), puts as usize, world.clone());
+    let client = Client { driver, puts, reports: reports.clone() };
+    assert_eq!(sim.add_actor(Box::new(client)), proc);
     sim.schedule(0, proc, Ev::Client(ClientEv::Start));
     sim.run_until(5 * SECS);
     let reports = reports.take();
@@ -200,4 +221,27 @@ fn wrong_range_reports_a_refresh_only_when_a_newer_table_exists() {
     assert!(newer.version() > Ring::with_nodes(NODES).version());
     publish(&world, &newer);
     assert!(first_redirect(world), "a newer table is adopted");
+}
+
+/// (e) A leader notice re-sends, long before the retry timer, every
+/// pipelined request whose attempt went to another node, each under a
+/// fresh id and each reported as a *true* timeout: the attempt left at
+/// the dead leader may have applied.
+#[test]
+fn a_leader_notice_resends_every_stranded_request_as_a_true_timeout() {
+    let r = run_puts(&[Answer::Notice, Answer::Drop], world(), 2);
+    let loud = r.loud();
+    assert_eq!(loud.len(), 4, "{:?}", r.reports);
+    let resent: Vec<_> = loud[..2]
+        .iter()
+        .map(|(at, report)| match *report {
+            DriverReport::Timeout { call, benign: false } => (*at, call),
+            ref other => panic!("expected a true timeout, got {other:?}"),
+        })
+        .collect();
+    assert!(resent.iter().all(|&(at, _)| at < 10 * MILLIS), "at the notice: {resent:?}");
+    assert_eq!(resent.iter().map(|&(_, call)| call).collect::<Vec<_>>(), [1, 2], "each once");
+    assert!(loud[2..].iter().all(|(_, r)| matches!(r, DriverReport::Done { .. })));
+    assert_eq!(r.seen.len(), 4, "two attempts each");
+    assert!(r.seen[2..].iter().all(|&(at, req)| at < SECS && req > 2), "fresh ids, early");
 }

@@ -171,13 +171,32 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     }
 }
 
+/// A put on key `k` for a session.
+fn put_call(k: u64) -> SessionCall {
+    SessionCall::Put {
+        key: u64_to_key(k),
+        cells: vec![(Bytes::from_static(b"c"), Bytes::from(format!("v{k}")))],
+    }
+}
+
+/// Submit `call` to `session` and deliver its request, sent from
+/// `client`, to the node the session routes it to; returns its request
+/// id and that node.
+fn send(p: &mut Pump, client: u32, session: &mut Session, rng: &mut SmallRng) -> (u64, usize) {
+    let req = session.launch().start;
+    let (to, wire) = session.wire(req, rng).expect("pending");
+    p.feed(to as usize, NodeInput::Client { from: client, req: wire });
+    (req, to as usize)
+}
+
 /// A successor answers the clients of the tail it commits. Key 5's put
 /// (1.5) is logged by both followers, but every ack is lost and node 0
 /// dies before it commits. The follower that takes over commits 1.5 and
 /// sends the client the `WriteOk` node 0 would have sent — the version
-/// and timestamp node 0 stamped — naming itself; the call completes
-/// once, and the session sends its next write to the successor. At the
-/// parent commit nobody answered, and the client waited out its timer.
+/// and timestamp node 0 stamped — naming itself, then its leader notice;
+/// the call completes once, the notice finds nothing left to re-send,
+/// and the session sends its next write to the successor. Before the
+/// successor answered, the client waited out its timer.
 #[test]
 fn a_successor_answers_the_clients_of_the_tail_it_commits() {
     let mut p = Pump::new();
@@ -185,11 +204,7 @@ fn a_successor_answers_the_clients_of_the_tail_it_commits() {
     p.commit_tick(0);
     let mut rng = SmallRng::seed_from_u64(5);
     let mut session = Session::new(p.ring.clone(), 1);
-    let put = |k: u64| SessionCall::Put {
-        key: u64_to_key(k),
-        cells: vec![(Bytes::from_static(b"c"), Bytes::from(format!("v{k}")))],
-    };
-    let call = session.submit(put(5));
+    let call = session.submit(put_call(5));
     let req = session.launch().start;
     let (to, wire) = session.wire(req, &mut rng).expect("pending");
     assert_eq!(to, 0, "the session starts at the range's first member");
@@ -214,19 +229,176 @@ fn a_successor_answers_the_clients_of_the_tail_it_commits() {
         ts: stamped.timestamp,
         leader: leader as u32,
     };
-    assert_eq!(p.replies[before..], [ok], "the successor answered once, as node 0 would have");
+    let notice = ClientReply::Leader { range: R0, leader: leader as u32 };
+    assert_eq!(
+        p.replies[before..],
+        [ok, notice],
+        "the successor answered once, as node 0 would have, then said who leads"
+    );
     let steps: Vec<SessionStep> =
         p.replies[before..].iter().map(|r| session.on_reply(r.clone(), || None)).collect();
     match steps.as_slice() {
-        [SessionStep::Done { call: done, outcome: CallOutcome::Written { version, ts } }] => {
+        [SessionStep::Done { call: done, outcome: CallOutcome::Written { version, ts } }, SessionStep::None] =>
+        {
             assert_eq!((*done, *version, *ts), (call, lsn(1, 5).as_u64(), stamped.timestamp));
         }
-        other => panic!("expected the call done once, got {other:?}"),
+        other => panic!("expected the call done once and the notice quiet, got {other:?}"),
     }
-    session.submit(put(6));
+    session.submit(put_call(6));
     let req = session.launch().start;
     assert_eq!(session.wire(req, &mut rng).expect("pending").0, leader as u32);
     assert_eq!(p.read(leader, 5), acked(5));
+}
+
+/// A successor sends one leader notice to each distinct client its tail
+/// names, after that client's `WriteOk`s. Client A's puts of keys 5 and
+/// 7 and client B's of 6 and 8 are logged by both followers, but every
+/// ack is lost; node 0's force of 1.8 is held, so B's next put (key 9)
+/// is never proposed, and node 0 dies. The successor commits 1.5-1.8,
+/// answers all four, and tells A and B once each who leads. B's session
+/// finds its put of key 9 stranded at node 0 and re-sends it at once to
+/// the successor, where it commits; before the notice, it waited out its
+/// retry timer.
+#[test]
+fn a_successor_tells_each_client_of_its_tail_who_leads_once() {
+    const A: u32 = CLIENT;
+    const B: u32 = CLIENT - 1;
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut b = Session::new(p.ring.clone(), 4);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { .. }));
+    p.put_from(A, 0, 5);
+    p.run();
+    b.submit(put_call(6));
+    send(&mut p, B, &mut b, &mut rng);
+    p.run();
+    p.put_from(A, 0, 7);
+    p.run();
+    p.hold_forces[0] = true;
+    b.submit(put_call(8));
+    send(&mut p, B, &mut b, &mut rng);
+    p.run();
+    b.submit(put_call(9));
+    let (stranded, to) = send(&mut p, B, &mut b, &mut rng);
+    p.run();
+    assert_eq!(to, 0, "B's put of key 9 went to node 0");
+    for node in [1, 2] {
+        assert_eq!(p.node(node).last_lsn(R0), lsn(1, 8), "node {node} never saw key 9");
+    }
+    assert_eq!(p.written, (1..=4).collect::<Vec<_>>(), "nothing past key 4 answered");
+    p.lose = Box::new(|_, _, _| false);
+    let before = p.replies.len();
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0) as u32;
+    assert_eq!(p.node(leader as usize).last_committed(R0), lsn(1, 8));
+    assert_eq!(p.notices, [(B, R0, leader), (A, R0, leader)], "one notice per client");
+    for client in [A, B] {
+        let got = p.replies_to(before, client);
+        let (last, oks) = got.split_last().expect("answered");
+        assert_eq!(**last, ClientReply::Leader { range: R0, leader }, "client {client}");
+        assert_eq!(oks.len(), 2, "client {client}: its two tail writes first");
+        assert!(oks.iter().all(|r| matches!(r, ClientReply::WriteOk { .. })), "{oks:?}");
+    }
+    let mut resent = None;
+    for reply in p.replies_to(before, B).into_iter().cloned().collect::<Vec<_>>() {
+        match b.on_reply(reply, || None) {
+            SessionStep::Done { .. } => {}
+            SessionStep::Retransmit { req, .. } => resent = Some(req),
+            other => panic!("unexpected step {other:?}"),
+        }
+    }
+    let resent = resent.expect("the notice re-sent B's stranded put");
+    assert_eq!(b.call_of(stranded), None, "under a fresh id");
+    let (to, wire) = b.wire(resent, &mut rng).expect("pending");
+    assert_eq!(to, leader, "to the successor");
+    let before = p.replies.len();
+    p.feed(to as usize, NodeInput::Client { from: B, req: wire });
+    p.run();
+    let answers = p.replies_to(before, B);
+    let [answer] = answers.as_slice() else { panic!("one answer, got {answers:?}") };
+    let done = b.on_reply((*answer).clone(), || None);
+    assert!(matches!(done, SessionStep::Done { call: 3, .. }), "the re-sent put committed");
+    let notice = ClientReply::Leader { range: R0, leader };
+    assert!(matches!(b.on_reply(notice, || None), SessionStep::None), "nothing left to re-send");
+    assert_eq!(p.read(leader as usize, 9), acked(9));
+}
+
+/// A takeover with no tail tells no client anything: not the boot
+/// election, and not a successor whose predecessor had committed
+/// everything it took.
+#[test]
+fn a_takeover_with_an_empty_tail_sends_no_notice() {
+    let mut p = Pump::new();
+    assert_eq!(p.notices, [], "the boot election");
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let before = p.replies.len();
+    p.crash(0);
+    p.run();
+    let leader = p.leader_of(R0);
+    assert_eq!(p.node(leader).epoch_of(R0), 2, "a successor took over");
+    assert_eq!(p.notices, [], "a successor with an empty tail");
+    assert_eq!(p.replies.len(), before, "and no other reply");
+}
+
+/// A write a follower kept across a leader change names its client
+/// only in the op: the successor that commits it sends no `WriteOk`
+/// (`PendingOp::origin` is `None`), but its notice still reaches that
+/// client, which re-sends at once instead of after its retry timer.
+/// Node 0's force of key 5's put (1.5) is held while both followers log
+/// it; node 0 dies, the winner's takeover stalls on the other follower's
+/// lost `CaughtUp`, and the winner dies too. Node 0 comes back without
+/// 1.5, and the follower that kept 1.5 wins and commits it.
+#[test]
+fn a_kept_writes_client_hears_the_notice_of_the_successor_that_commits_it() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut session = Session::new(p.ring.clone(), 1);
+    session.submit(put_call(5));
+    p.hold_forces[0] = true;
+    let (req, to) = send(&mut p, CLIENT, &mut session, &mut rng);
+    p.run();
+    assert_eq!(to, 0);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::CaughtUp { .. }));
+    p.crash(0);
+    p.run();
+    let first = (1..=2).find(|&i| p.role(i) == Role::LeaderTakeover).expect("a stalled takeover");
+    let keeper = 3 - first;
+    assert_eq!(p.notices, [], "the stalled takeover told no one");
+    p.lose = Box::new(|_, _, _| false);
+    p.hold_forces[0] = false;
+    let before = p.replies.len();
+    p.crash(first);
+    p.boot(0);
+    p.run();
+    assert_eq!(p.leader_of(R0), keeper, "the follower that kept 1.5 leads");
+    assert_eq!(p.node(keeper).last_committed(R0), lsn(1, 5), "and committed it");
+    let leader = keeper as u32;
+    let notice = ClientReply::Leader { range: R0, leader };
+    assert_eq!(
+        p.replies_to(before, CLIENT),
+        [&notice],
+        "no one answers the kept write, but its client hears who leads"
+    );
+    let SessionStep::Retransmit { req: resent, .. } = session.on_reply(notice, || None) else {
+        panic!("the notice re-sends the put")
+    };
+    assert_eq!(session.call_of(req), None, "under a fresh id");
+    let (to, wire) = session.wire(resent, &mut rng).expect("pending");
+    assert_eq!(to, leader);
+    let before = p.replies.len();
+    p.feed(keeper, NodeInput::Client { from: CLIENT, req: wire });
+    p.run();
+    let answers = p.replies_to(before, CLIENT);
+    let [answer] = answers.as_slice() else { panic!("one answer, got {answers:?}") };
+    let done = session.on_reply((*answer).clone(), || None);
+    assert!(matches!(done, SessionStep::Done { call: 1, .. }), "the re-sent put committed");
+    assert_eq!(p.read(keeper, 5), acked(5));
 }
 
 /// ROADMAP 7d. A follower whose log refuses an append must not

@@ -18,7 +18,11 @@
 //!   [`MAX_DELIVERIES`], naming the last messages sent, so an endless
 //!   exchange fails instead of hanging. [`Pump::put_all`],
 //!   [`Pump::commit_tick`], [`Pump::maintenance`] and [`Pump::read`]
-//!   are the usual steps, each run to quiescence.
+//!   are the usual steps, each run to quiescence. Every client reply is
+//!   kept in [`Pump::replies`] with its client in [`Pump::reply_to`]
+//!   ([`Pump::replies_to`] picks one client's); a successor's leader
+//!   notices also go to [`Pump::notices`], and an error reply panics
+//!   unless the test sets [`Pump::expect_errors`].
 //! - [`Pump::step`] runs one `on_input` and hands back its effects,
 //!   routing nothing, for tests that drive a node by hand and assert on
 //!   them ([`sends`], [`replies`], [`force_tokens`]). Every input runs
@@ -104,6 +108,10 @@ pub struct Pump<const N: usize = 3> {
     pub written: Vec<u64>,
     /// Every client reply, in send order.
     pub replies: Vec<ClientReply>,
+    /// The client each of [`Pump::replies`] went to, index for index.
+    pub reply_to: Vec<u32>,
+    /// Every leader notice, in send order: `(client, range, leader)`.
+    pub notices: Vec<(u32, RangeId, u32)>,
     /// Whether an error reply is only recorded in [`Pump::replies`], for
     /// the test to check; by default one panics.
     pub expect_errors: bool,
@@ -170,6 +178,8 @@ impl<const N: usize> Pump<N> {
             sent: Vec::new(),
             written: Vec::new(),
             replies: Vec::new(),
+            reply_to: Vec::new(),
+            notices: Vec::new(),
             expect_errors: false,
             last_row: None,
             reads_answered: 0,
@@ -270,7 +280,7 @@ impl<const N: usize> Pump<N> {
                     }
                 }
                 Effect::ForceLog { token, .. } => tokens.push(token),
-                Effect::Reply { reply, .. } => {
+                Effect::Reply { to, reply } => {
                     match &reply {
                         ClientReply::WriteOk { req, .. } => self.written.push(*req),
                         ClientReply::Row { cells, .. } => {
@@ -279,10 +289,14 @@ impl<const N: usize> Pump<N> {
                                 cells.first().and_then(|c| c.value.clone()).map(|v| v.to_vec());
                         }
                         ClientReply::Rows { .. } => self.reads_answered += 1,
+                        ClientReply::Leader { range, leader } => {
+                            self.notices.push((to, *range, *leader));
+                        }
                         ClientReply::Err { .. } if self.expect_errors => {}
-                        other => panic!("unexpected reply {other:?}"),
+                        ClientReply::Err { .. } => panic!("unexpected reply {reply:?}"),
                     }
                     self.replies.push(reply);
+                    self.reply_to.push(to);
                 }
                 Effect::SetTimer { .. } => {}
             }
@@ -359,11 +373,23 @@ impl<const N: usize> Pump<N> {
     /// Submit a put of key `k` to `leader` (not yet delivered anywhere
     /// else); returns its request id.
     pub fn put(&mut self, leader: usize, k: u64) -> u64 {
+        self.put_from(CLIENT, leader, k)
+    }
+
+    /// [`Pump::put`] on behalf of client `client`.
+    pub fn put_from(&mut self, client: u32, leader: usize, k: u64) -> u64 {
         let req = self.next_req;
         self.next_req += 1;
         let request = put_request(req, u64_to_key(k), "c", format!("v{k}").as_bytes());
-        self.feed(leader, NodeInput::Client { from: CLIENT, req: request });
+        self.feed(leader, NodeInput::Client { from: client, req: request });
         req
+    }
+
+    /// The replies client `client` was sent since index `since` of
+    /// [`Pump::replies`], in send order.
+    pub fn replies_to(&self, since: usize, client: u32) -> Vec<&ClientReply> {
+        let sent = self.replies.iter().zip(&self.reply_to).skip(since);
+        sent.filter(|(_, &to)| to == client).map(|(reply, _)| reply).collect()
     }
 
     /// Put `keys` one by one through `leader`, each run to quiescence.

@@ -13,11 +13,13 @@
 //! The one subtlety worth reading twice: **retry marking**. A call is
 //! marked [`HEventKind::Retry`] only when a *timeout* retransmits it —
 //! the previous attempt may have applied without its ack surviving, so
-//! the checker must admit at-least-once semantics for that call. Benign
-//! retransmits (leader redirects, range-table refreshes, backoff
-//! rotations after an explicit `Unavailable`) follow a definitive
-//! rejection of the attempt and are *not* duplicate risks; the driver
-//! reports those as a redirect or as a *benign* timeout.
+//! the checker must admit at-least-once semantics for that call. A
+//! successor's leader notice re-sends what its timer would have re-sent,
+//! only sooner, and is marked so too: the attempt left at the dead leader
+//! may have applied. Benign retransmits (leader redirects, range-table
+//! refreshes, backoff rotations after an explicit `Unavailable`) follow
+//! a definitive rejection of the attempt and are *not* duplicate risks;
+//! the driver reports those as a redirect or as a *benign* timeout.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -359,6 +361,25 @@ impl NemesisClient {
             }
         }
     }
+
+    /// Put what the driver reported into the history.
+    fn record(&mut self, now: Time, report: DriverReport) {
+        match report {
+            DriverReport::Done { call, outcome } => self.complete(now, call, outcome),
+            // A true timeout, or a leader notice's re-send: the lost
+            // attempt may have applied. One Retry line per retransmit —
+            // the checker budgets one potential duplicate apply for each.
+            DriverReport::Timeout { call, benign: false } => {
+                if let Some(pend) = self.calls.get(&call) {
+                    self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
+                }
+            }
+            DriverReport::Quiet
+            | DriverReport::Redirect { .. }
+            | DriverReport::Backoff
+            | DriverReport::Timeout { benign: true, .. } => {}
+        }
+    }
 }
 
 impl Actor<Ev> for NemesisClient {
@@ -369,20 +390,102 @@ impl Actor<Ev> for NemesisClient {
             ClientEv::Reply(reply) => self.driver.on_reply(now, reply, ctx),
             ClientEv::Timeout(req) => self.driver.on_timeout(now, req, ctx),
         };
-        match report {
-            DriverReport::Done { call, outcome } => self.complete(now, call, outcome),
-            // A true timeout: the lost attempt may have applied. One
-            // Retry line per retransmit — the checker budgets one
-            // potential duplicate apply for each.
-            DriverReport::Timeout { call, benign: false } => {
-                if let Some(pend) = self.calls.get(&call) {
-                    self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
+        self.record(now, report);
+        while let Some(report) = self.driver.next_resend(now, ctx) {
+            self.record(now, report);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use spinnaker_common::{ClientOp, RangeId};
+    use spinnaker_coord::Coord;
+    use spinnaker_core::messages::{ClientReply, NodeInput};
+    use spinnaker_core::partition::u64_to_key;
+    use spinnaker_sim::{NetConfig, NetModel, Sim, MILLIS, SECS};
+
+    use super::*;
+
+    /// Every node of the cohort at once: the first request it is sent
+    /// is swallowed, and the client is told that node 1 leads range 0,
+    /// as a successor that never saw the request tells it; every later
+    /// request is answered.
+    struct Cohort {
+        world: World,
+        notified: bool,
+    }
+
+    impl Actor<Ev> for Cohort {
+        fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+            let Ev::Input(NodeInput::Client { from, req }) = ev else { return };
+            let me = ctx.self_id();
+            let reply = if !std::mem::replace(&mut self.notified, true) {
+                ClientReply::Leader { range: RangeId(0), leader: 1 }
+            } else {
+                match req.op {
+                    ClientOp::Get { .. } => {
+                        ClientReply::Row { req: req.req, cells: Vec::new(), at_ts: 0 }
+                    }
+                    ClientOp::Scan { .. } => {
+                        ClientReply::Rows { req: req.req, rows: Vec::new(), resume: None, at_ts: 0 }
+                    }
+                    ClientOp::Put { .. }
+                    | ClientOp::Delete { .. }
+                    | ClientOp::ConditionalPut { .. }
+                    | ClientOp::ConditionalDelete { .. } => {
+                        ClientReply::WriteOk { req: req.req, version: 1, ts: 1, leader: me }
+                    }
                 }
+            };
+            let ev = Ev::Client(ClientEv::Reply(reply));
+            self.world.net.borrow_mut().send(ctx, now, me, from, 64, ev);
+        }
+    }
+
+    /// A re-send a leader notice calls for is a `Retry` in the history,
+    /// as the timer's re-send it replaces would have been: the attempt
+    /// left at node 0 may have applied there.
+    #[test]
+    fn a_resend_a_leader_notice_calls_for_is_recorded_as_a_retry() {
+        let world = World {
+            net: Rc::new(RefCell::new(NetModel::new(NetConfig::default()))),
+            coord: Rc::new(RefCell::new(Coord::new())),
+            bus: Rc::new(RefCell::new(Vec::new())),
+            owners: Rc::new(RefCell::new(BTreeMap::new())),
+        };
+        let mut sim: Sim<Ev> = Sim::new(7);
+        let cohort = Rc::new(RefCell::new(Cohort { world: world.clone(), notified: false }));
+        for node in 0..3 {
+            assert_eq!(sim.add_actor(Box::new(cohort.clone())), node);
+        }
+        let history = Rc::new(RefCell::new(History::new()));
+        let keys = Rc::new(vec![u64_to_key(0)]);
+        let ring = Ring::with_nodes(3);
+        let (mut client, _) =
+            NemesisClient::new(3, 0, ring, world, history.clone(), keys.clone(), 1, 2, MILLIS);
+        // A put ahead of the client's own call: range 0's leader-routed
+        // write, sent first, to node 0, which swallows it.
+        let put = SessionCall::Put { key: keys[0].clone(), cells: vec![(col(), col())] };
+        let call = client.driver.submit(put);
+        client.calls.insert(call, PendingCall { op_no: 9, key_idx: Some(0), wrote: None });
+        assert_eq!(sim.add_actor(Box::new(client)), 3);
+        sim.schedule(0, 3, Ev::Client(ClientEv::Start));
+        sim.run_until(5 * SECS);
+        let events: Vec<(Time, HEventKind)> = history
+            .borrow()
+            .events
+            .iter()
+            .filter(|e| e.op == 9)
+            .map(|e| (e.at, e.kind.clone()))
+            .collect();
+        match events.as_slice() {
+            [(retry_at, HEventKind::Retry), (_, HEventKind::Ok(HResult::Write { .. }))] => {
+                assert!(*retry_at < SECS, "re-sent at the notice, not by the timer");
             }
-            DriverReport::Quiet
-            | DriverReport::Redirect { .. }
-            | DriverReport::Backoff
-            | DriverReport::Timeout { benign: true, .. } => {}
+            other => panic!("expected a retry, then the write, got {other:?}"),
         }
     }
 }
