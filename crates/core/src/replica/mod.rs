@@ -478,16 +478,20 @@ pub(crate) fn parse_node(data: &[u8]) -> NodeId {
 mod tests {
     use bytes::Bytes;
 
-    use super::recovery::{RunCutter, REPROPOSE_GROUP_OPS};
+    use super::recovery::{cut_groups, REPROPOSE_GROUP_OPS};
     use super::*;
+    use crate::commit_queue::{PendingOp, PendingWrite};
 
     fn cut(lsns: impl IntoIterator<Item = (Epoch, u64)>, value: usize) -> Vec<(Lsn, usize)> {
-        let mut cutter = RunCutter::default();
-        for (epoch, seq) in lsns {
-            let value = Bytes::from(vec![b'v'; value]);
-            cutter.push(Lsn::new(epoch, seq), WriteOp::put(Key::from("k"), Bytes::new(), value, 0));
-        }
-        cutter.finish().into_iter().map(|(first, ops)| (first, ops.len())).collect()
+        let value = Bytes::from(vec![b'v'; value]);
+        let writes: Vec<PendingWrite> = lsns
+            .into_iter()
+            .map(|(epoch, seq)| PendingWrite {
+                lsn: Lsn::new(epoch, seq),
+                op: PendingOp::Own(WriteOp::put(Key::from("k"), Bytes::new(), value.clone(), 0)),
+            })
+            .collect();
+        cut_groups(&writes)
     }
 
     #[test]
@@ -516,6 +520,7 @@ mod tests {
         // larger than the cap still travels (alone).
         let groups = cut((1..=5).map(|s| (1, s)), 400 << 10);
         assert_eq!(groups.iter().map(|g| g.1).collect::<Vec<_>>(), vec![2, 2, 1]);
-        assert_eq!(cut((1..=2).map(|s| (1, s)), 2 << 20).len(), 2);
+        let oversized = vec![(Lsn::new(1, 1), 1), (Lsn::new(1, 2), 1)];
+        assert_eq!(cut((1..=2).map(|s| (1, s)), 2 << 20), oversized);
     }
 }

@@ -10,10 +10,8 @@ use std::sync::Arc;
 use spinnaker_common::{Epoch, Key, Lsn, NodeId, Row, Timestamp, WriteOp};
 use spinnaker_wal::LogRecord;
 
-use super::{
-    group_last, group_past, parse_node, FollowUp, Group, RangeReplica, Role, Runtime, Waiter,
-};
-use crate::commit_queue::CommitQueue;
+use super::{group_last, parse_node, FollowUp, RangeReplica, Role, Runtime, Waiter};
+use crate::commit_queue::PendingWrite;
 use crate::messages::{Addr, ClientError, ClientReply, Outbox, PeerMsg, TimerKind};
 use crate::node::{CohortPaths, ELECTION_RETRY};
 
@@ -42,40 +40,6 @@ fn extends(first: Lsn, ops: usize, bytes: usize, lsn: Lsn, size: usize) -> bool 
         && bytes + size <= REPROPOSE_GROUP_BYTES
 }
 
-/// Cuts writes arriving in LSN order into [`Group`]s where they stop
-/// [extending](extends) one.
-#[derive(Default)]
-pub(super) struct RunCutter {
-    groups: Vec<Group>,
-    first: Lsn,
-    run: Vec<WriteOp>,
-    bytes: usize,
-}
-
-impl RunCutter {
-    pub(super) fn push(&mut self, lsn: Lsn, op: WriteOp) {
-        let size = op.approx_size();
-        if !extends(self.first, self.run.len(), self.bytes, lsn, size) {
-            self.cut();
-            self.first = lsn;
-        }
-        self.run.push(op);
-        self.bytes += size;
-    }
-
-    fn cut(&mut self) {
-        if !self.run.is_empty() {
-            self.groups.push((self.first, self.run.drain(..).collect()));
-            self.bytes = 0;
-        }
-    }
-
-    pub(super) fn finish(mut self) -> Vec<Group> {
-        self.cut();
-        self.groups
-    }
-}
-
 /// Leader-takeover progress (Fig. 6). The unresolved writes `(l.cmt,
 /// l.lst]` are the commit queue, all of it, queued when the takeover
 /// began: what a follower vouches for commits on its word, and the rest
@@ -91,10 +55,11 @@ pub(crate) struct Takeover {
     /// cohort opens.
     clients: BTreeSet<Addr>,
     /// The groups `(first LSN, count)` the tail is re-proposed in, cut
-    /// from the queue by [`RunCutter`]'s rule the first time a follower
-    /// lacks part of it; empty until then. Nothing of the tail commits
-    /// before that cut: a commit needs vouches, and only a follower that
-    /// vouches for all of it is sent none of it.
+    /// from the queue by [`cut_groups`] the first time a follower lacks
+    /// part of it, and re-sent as cut on every retry; empty until then.
+    /// Nothing of the tail commits before that cut: a commit needs
+    /// vouches, and only a follower that vouches for all of it is sent
+    /// none of it.
     groups: Vec<(Lsn, usize)>,
 }
 
@@ -106,12 +71,14 @@ impl Takeover {
     }
 }
 
-/// The groups `(first LSN, count)` the writes of `queue` travel in, cut
-/// where they stop [extending](extends) one, as [`RunCutter`] cuts.
-fn cut_groups(queue: &CommitQueue) -> Vec<(Lsn, usize)> {
+/// The groups `(first LSN, count)` that `writes`, in LSN order, travel
+/// in, cut where they stop [extending](extends) one.
+pub(super) fn cut_groups<'a>(
+    writes: impl IntoIterator<Item = &'a PendingWrite>,
+) -> Vec<(Lsn, usize)> {
     let mut groups: Vec<(Lsn, usize)> = Vec::new();
     let mut bytes = 0;
-    for pw in queue.iter() {
+    for pw in writes {
         let size = pw.op.approx_size();
         match groups.last_mut() {
             Some((first, ops)) if extends(*first, *ops, bytes, pw.lsn, size) => {
@@ -128,8 +95,8 @@ fn cut_groups(queue: &CommitQueue) -> Vec<(Lsn, usize)> {
 }
 
 /// The maximal runs `(first LSN, count)` of consecutive sequence numbers
-/// in one epoch among `lsns`, in LSN order: the cut [`RunCutter`] makes,
-/// without its caps.
+/// in one epoch among `lsns`, in LSN order: the cut [`cut_groups`]
+/// makes, without its caps.
 fn runs_of(lsns: impl IntoIterator<Item = Lsn>) -> Vec<(Lsn, u64)> {
     let mut runs: Vec<(Lsn, u64)> = Vec::new();
     for lsn in lsns {
@@ -593,11 +560,11 @@ impl RangeReplica {
     /// queue is *re-proposed* to the follower behind it, so once the
     /// follower has ingested the reply and replayed what it parked
     /// meanwhile it holds a complete, gap-free prefix. The re-sends are
-    /// groups cut from the log ([`RunCutter`]), whatever groups the
+    /// groups cut from the queue ([`cut_groups`]), whatever groups the
     /// writes first travelled in; the follower keeps of each the part it
     /// does not hold yet. A taking-over leader's queue holds only its
     /// tail, which the reply names: the follower vouches for the part it
-    /// holds and is sent the rest, cut from the queue, once it confirms.
+    /// holds and is sent the rest once it confirms.
     pub(crate) fn on_catchup_req(
         &mut self,
         rt: &mut Runtime<'_>,
@@ -616,35 +583,38 @@ impl RangeReplica {
         self.send_pending(rt, follower, Lsn::ZERO, closed_ts, out);
     }
 
-    /// Send `follower` the pending writes past `past` and past what has
-    /// committed, one propose a group: a takeover's tail from its queue,
-    /// a settled leader's queue re-read from the log. A takeover passes
+    /// Send `follower` the proposed writes past `past` and past what has
+    /// committed, one propose a group, each op copied out of the queue
+    /// once. The writes from `unproposed[0]` on are left to the next
+    /// flush, which proposes them to every peer. A takeover cuts its tail
+    /// once, so that a retry re-sends the same groups, and passes
     /// `closed_ts` 0: closed timestamps resume with steady-state traffic.
     fn send_pending(
         &mut self,
-        rt: &mut Runtime<'_>,
+        rt: &Runtime<'_>,
         follower: NodeId,
         past: Lsn,
         closed_ts: u64,
         out: &mut Outbox,
     ) {
         let past = past.max(self.last_committed);
-        let Some(t) = self.takeover.as_mut().filter(|_| self.role == Role::LeaderTakeover) else {
-            for group in self.pending_groups(rt) {
-                if let Some(lacking) = group_past(&group, past) {
-                    self.send_group(rt, [follower], &lacking, closed_ts, out);
-                }
-            }
-            return;
-        };
         if self.cq.span().is_none_or(|(_, last)| last <= past) {
             return; // the follower lacks nothing
         }
-        if t.groups.is_empty() {
+        let end = self.unproposed.first().copied().unwrap_or(Lsn::MAX);
+        let proposed = || self.cq.iter().take_while(move |pw| pw.lsn < end);
+        if let Some(t) = self.takeover.as_mut().filter(|t| t.groups.is_empty()) {
             debug_assert_eq!(self.cq.len(), t.tail, "nothing of the tail committed yet");
-            t.groups = cut_groups(&self.cq);
+            t.groups = cut_groups(proposed());
         }
-        let groups = &self.takeover.as_ref().expect("taking over").groups;
+        let cut;
+        let groups = match &self.takeover {
+            Some(t) => &t.groups,
+            None => {
+                cut = cut_groups(proposed());
+                &cut
+            }
+        };
         for &(first, ops) in groups {
             let last = Lsn::new(first.epoch(), first.seq() + ops as u64 - 1);
             if last <= past {
@@ -661,45 +631,15 @@ impl RangeReplica {
         }
     }
 
-    /// The writes still pending in the commit queue, re-read from the log
-    /// in one pass over their span and cut into groups. A span that
-    /// cannot be read poisons the node and yields none: a leader that
-    /// cannot read back the writes it is replicating cannot bring a
-    /// follower level with them.
-    fn pending_groups(&self, rt: &mut Runtime<'_>) -> Vec<Group> {
-        let Some((first, last)) = self.cq.span() else { return Vec::new() };
-        let before = Lsn::from_u64(first.as_u64() - 1);
-        self.read_groups(rt, before, last).unwrap_or_default()
-    }
-
-    /// Read the queued writes in `(from, to]` back from the log and cut
-    /// them into groups, each op naming the client its queued copy names
-    /// (a decoded op names none). The queue and the replay both run in
-    /// LSN order, so one walk beside the replay matches them by full LSN;
-    /// a logged write the queue does not hold is left out. `None` once an
-    /// unreadable log has poisoned the node.
-    fn read_groups(&self, rt: &mut Runtime<'_>, from: Lsn, to: Lsn) -> Option<Vec<Group>> {
-        let mut cutter = RunCutter::default();
-        let mut queued = self.cq.iter().peekable();
-        let replayed = rt.wal.replay(self.range, from, to, |lsn, op| {
-            while queued.next_if(|pw| pw.lsn < lsn).is_some() {}
-            if let Some(pw) = queued.next_if(|pw| pw.lsn == lsn) {
-                cutter.push(lsn, WriteOp { origin: pw.op.origin(), ..op.clone() });
-            }
-        });
-        rt.fail_stop(replayed)?;
-        Some(cutter.finish())
-    }
-
     /// Queue again the writes our log indexes in `(from, to]`, in LSN
-    /// order ([`CommitQueue::requeue`]): in a `takeover` our pending
-    /// writes, self-forced, and at a catch-up verdict the writes we set
-    /// aside. Each one the queue holds comes back as itself — the batch
-    /// it was proposed in — and only the runs it lacks are read back from
-    /// the log, where a write names no client. What it holds that the
-    /// log does not index (an orphan truncated, a leader's write never
-    /// logged) is dropped. `None` once an unreadable log has poisoned the
-    /// node.
+    /// order ([`crate::commit_queue::CommitQueue::requeue`]): in a
+    /// `takeover` our pending writes, self-forced, and at a catch-up
+    /// verdict the writes we set aside. Each one the queue holds comes
+    /// back as itself — the batch it was proposed in — and only the runs
+    /// it lacks are read back from the log, where a write names no
+    /// client. What it holds that the log does not index (an orphan
+    /// truncated, a leader's write never logged) is dropped. `None` once
+    /// an unreadable log has poisoned the node.
     fn requeue(&mut self, rt: &mut Runtime<'_>, takeover: bool, from: Lsn, to: Lsn) -> Option<()> {
         let indexed = rt.wal.indexed_lsns(self.range, from, to);
         let indexed = rt.fail_stop(indexed)?;

@@ -279,11 +279,11 @@ impl RangeReplica {
             return;
         }
         // Keep only the suffix past `tip`. The leader re-sends pending
-        // writes (serving a catch-up, nudging a takeover) in groups cut
-        // from its log, which share no boundaries with the groups they
-        // first travelled in; a parked group may straddle the history a
-        // catch-up reply just delivered. What is at or below `tip` is
-        // already in our log.
+        // writes (serving a catch-up, nudging a takeover) in groups it
+        // cuts from its commit queue, which share no boundaries with the
+        // groups they first travelled in; a parked group may straddle the
+        // history a catch-up reply just delivered. What is at or below
+        // `tip` is already in our log.
         let last = group_last(first, &ops);
         let group = group_past(&(first, ops), tip);
         // Run the normal replication protocol even when the record

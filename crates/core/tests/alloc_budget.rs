@@ -226,6 +226,52 @@ fn a_takeover_whose_survivors_hold_the_tail_reads_no_log() {
     }
 }
 
+/// A settled leader re-sends a catching-up follower its pending writes
+/// out of its commit queue: one copy a write (its cell list), one batch
+/// a group, and a constant — and no log read. 384 writes, each proposed
+/// alone, stay pending (every ack is lost); a catch-up request from node
+/// 2 at the committed watermark asks for no history, so all the leader
+/// sends is those writes, in six groups of 64. While the leader read
+/// them back from its log, a read that failed here fail-stopped it, and
+/// decoding them cost about four allocations a write.
+#[test]
+fn a_settled_leader_resends_its_pending_writes_from_its_queue() {
+    const PENDING: u64 = 384;
+    const GROUP: usize = 64;
+    let mut p = Pump::new();
+    let value = [b'v'; 256];
+    let put = |p: &mut Pump, k: u64| {
+        let req = put_request(k, u64_to_key(k), "c", &value);
+        p.feed(0, NodeInput::Client { from: CLIENT, req });
+        p.run();
+    };
+    for k in 1..=4 {
+        put(&mut p, k);
+    }
+    p.commit_tick(0);
+    let committed = p.node(0).last_committed(R0);
+    assert_eq!(committed.seq(), 4);
+    p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { .. }));
+    for k in 5..5 + PENDING {
+        put(&mut p, k);
+    }
+    assert_eq!(p.node(0).last_committed(R0), committed, "the writes are pending");
+
+    p.faults[0].fail_read_after(1);
+    let (since, before) = (p.sent.len(), p.allocs[0]);
+    let epoch = p.node(0).epoch_of(R0);
+    let ask = PeerMsg::CatchupReq { range: R0, epoch, from: committed };
+    p.feed(0, NodeInput::Peer { from: 2, msg: ask });
+    let allocs = p.allocs[0] - before;
+    assert_eq!(p.faults[0].injected(), 0, "the leader read its log");
+    assert!(p.nodes[0].is_some(), "the leader fail-stopped");
+    let sizes: Vec<usize> = p.proposes(since, 0, 2).iter().map(|(_, n)| *n).collect();
+    assert_eq!(sizes, vec![GROUP; PENDING as usize / GROUP]);
+    // Measured 392 when set: 384 copies, 6 batches, and 2.
+    let groups = sizes.len() as u64;
+    assert!(allocs <= PENDING + groups + 4, "{allocs} allocations re-sending {PENDING} writes");
+}
+
 /// Catch-up moves committed history out of the leader's log into a
 /// follower's log and memtable. A follower that committed the first of
 /// 512 one-KB writes (so it is sent the log, not the store) missed the

@@ -145,7 +145,7 @@ fn takeover_groups_break_at_epoch_boundary_and_truncated_lsn() {
     // Every acknowledged write is readable at the new leader and, after
     // a commit period, at the followers; the orphan was never
     // acknowledged and is gone.
-    assert!(!p.written.contains(&orphan));
+    assert!(!p.wrote(orphan));
     p.boot(0);
     p.run();
     p.put_all(2, 10..=10);
@@ -287,7 +287,8 @@ fn a_successor_tells_each_client_of_its_tail_who_leads_once() {
     for node in [1, 2] {
         assert_eq!(p.node(node).last_lsn(R0), lsn(1, 8), "node {node} never saw key 9");
     }
-    assert_eq!(p.written, (1..=4).collect::<Vec<_>>(), "nothing past key 4 answered");
+    let answered: Vec<_> = (1..=4).map(|req| (A, req)).collect();
+    assert_eq!(p.written, answered, "nothing past key 4 answered");
     p.lose = Box::new(|_, _, _| false);
     let before = p.replies.len();
     p.crash(0);
@@ -424,14 +425,14 @@ fn follower_that_cannot_log_a_group_fail_stops_instead_of_acking() {
         0,
         "and acknowledged nothing"
     );
-    assert!(!p.written.contains(&req), "so the write is not acknowledged");
+    assert!(!p.wrote(req), "so the write is not acknowledged");
     assert_eq!(p.node(0).last_committed(R0), lsn(1, 2));
 
     // Node 1 restarts with a healthy device, catches up, is re-sent the
     // pending write, logs it — now the ack counts.
     p.boot(1);
     p.run();
-    assert!(p.written.contains(&req));
+    assert!(p.wrote(req));
     assert_eq!(p.node(1).last_lsn(R0), lsn(1, 3));
     // The leader dies; the acknowledged write outlives it.
     p.lose = Box::new(|_, _, _| false);
@@ -528,40 +529,85 @@ fn a_takeover_that_cannot_read_its_tail_fail_stops() {
     assert!(fail_stopped, "node 1 opened the cohort without its tail");
 }
 
-/// A leader that cannot read its pending writes back cannot bring a
-/// catching-up follower level with them. Keys 1-4 are committed
+/// A settled leader re-sends a catching-up follower its pending writes
+/// out of its commit queue, reading no log. Keys 1-4 are committed
 /// everywhere; 1.5 is logged everywhere but sits in the leader's commit
 /// queue (every ack is lost) when node 2 restarts and asks to catch up
-/// from 1.4, and the leader's log fails the read of 1.5. At the parent
-/// commit the read error became "nothing pending" and the leader carried
-/// on; it fail-stops instead, and the cohort's next leader serves what
-/// was acknowledged.
+/// from 1.4, and the leader's next log read would fail. While the
+/// leader read 1.5 back from its log to re-send it, that read
+/// fail-stopped it; it copies 1.5 out of its queue instead. With node 1
+/// down, node 2's ack of it is the quorum that commits it.
 #[test]
-fn a_leader_that_cannot_read_its_pending_writes_fail_stops() {
+fn a_leader_serves_its_pending_writes_from_its_queue() {
     let mut p = Pump::new();
     p.put_all(0, 1..=4);
     p.commit_tick(0);
     p.lose = Box::new(|_, _, m| matches!(m, PeerMsg::Ack { range: R0, .. }));
     let pending = p.put(0, 5);
     p.run();
-    assert!(!p.written.contains(&pending));
+    assert!(!p.wrote(pending));
     assert_eq!(p.node(0).last_committed(R0), lsn(1, 4));
     assert_eq!(p.node(0).last_lsn(R0), lsn(1, 5), "1.5 is in the leader's commit queue");
 
     // 1.5's force made node 2's commit note for 1.4 durable, so its
-    // catch-up asks for nothing committed: the one log read is of 1.5.
+    // catch-up asks for nothing committed: all it lacks is 1.5.
     p.crash(2);
+    p.crash(1);
     p.lose = Box::new(|_, _, _| false);
     p.faults[0].fail_read_after(1);
     p.boot(2);
     p.run();
-    assert_eq!(p.faults[0].injected(), 1, "the leader's read of 1.5 failed");
-    assert!(p.nodes[0].is_none(), "the leader carried on without its pending writes");
-
-    let leader = p.leader_of(R0);
-    for k in 1..=4 {
-        assert_eq!(p.read(leader, k), acked(k), "key {k} at node {leader}");
+    assert_eq!(p.faults[0].injected(), 0, "the leader read its log");
+    assert!(p.nodes[0].is_some(), "the leader fail-stopped");
+    p.commit_tick(0);
+    assert!(p.wrote(pending), "node 2's ack committed 1.5 and its client was answered");
+    assert_eq!(p.node(2).last_committed(R0), lsn(1, 5));
+    for k in 1..=5 {
+        assert_eq!(p.read(2, k), acked(k), "key {k} at node 2");
     }
+}
+
+/// A catch-up re-sends a follower the leader's proposed writes past its
+/// watermark, each once, and none of the writes sequenced since: the
+/// next flush proposes those to every peer. Keys 1-4 commit; node 2
+/// restarts after 1.5-1.7 were proposed one by one (node 1's acks lost,
+/// so they stay pending), with 1.8 proposed and its force held, and
+/// 1.9 and 1.10 waiting behind that force, unproposed.
+#[test]
+fn a_catch_up_resends_the_proposed_writes_once_and_leaves_the_rest_to_the_flush() {
+    let mut p = Pump::new();
+    p.put_all(0, 1..=4);
+    p.commit_tick(0);
+    p.crash(2);
+    p.lose = Box::new(|from, _, m| from == 1 && matches!(m, PeerMsg::Ack { .. }));
+    let mut reqs = Vec::new();
+    for k in 5..=10 {
+        p.hold_forces[0] = k >= 8;
+        reqs.push(p.put(0, k));
+        p.run();
+    }
+    assert_eq!(p.node(0).last_lsn(R0), lsn(1, 8), "1.9 and 1.10 are not proposed yet");
+    assert_eq!(p.node(0).last_committed(R0), lsn(1, 4));
+
+    let since = p.sent.len();
+    p.boot(2);
+    p.run();
+    assert_eq!(p.role(2), Role::Follower);
+    assert_eq!(p.proposes(since, 0, 2), [(lsn(1, 5), 4)], "1.5-1.8, cut as one group");
+    assert_eq!(p.proposes(since, 0, 1), [], "node 1 holds them all");
+    assert_eq!(p.node(2).last_lsn(R0), lsn(1, 8));
+
+    // The held force completes: the flush proposes 1.9 and 1.10 to both.
+    let since = p.sent.len();
+    p.release_forces(0);
+    p.run();
+    for node in [1, 2] {
+        assert_eq!(p.proposes(since, 0, node), [(lsn(1, 9), 2)], "node {node}");
+    }
+    p.commit_tick(0);
+    assert!(reqs.iter().all(|&req| p.wrote(req)), "node 2's acks committed 1.5-1.10");
+    let logged: Vec<Lsn> = p.stream(2, R0, lsn(1, 4)).into_iter().map(|(lsn, _)| lsn).collect();
+    assert_eq!(logged, (5..=10).map(|seq| lsn(1, seq)).collect::<Vec<_>>(), "each once");
 }
 
 /// A propose lost to every follower is sent again. Key 5's put (1.5)
@@ -597,7 +643,7 @@ fn a_propose_lost_to_every_follower_is_sent_again() {
     p.run();
     p.commit_tick(0);
     p.commit_tick(0);
-    assert!(p.written.contains(&put), "the lost put committed");
+    assert!(p.wrote(put), "the lost put committed");
     let mismatch = ClientError::VersionMismatch { actual: lsn(1, 5).as_u64() };
     assert!(
         p.replies.contains(&ClientReply::Err { req: cond, error: mismatch }),
@@ -627,7 +673,7 @@ fn an_ack_lost_from_every_follower_is_sent_again() {
     p.run();
     p.lose = Box::new(|_, _, _| false);
     assert_eq!((p.node(1).last_lsn(R0), p.node(2).last_lsn(R0)), (lsn(1, 5), lsn(1, 5)));
-    assert!(!p.written.contains(&put), "no ack reached the leader");
+    assert!(!p.wrote(put), "no ack reached the leader");
     let cond = p.next_req;
     p.next_req += 1;
     let op = ClientOp::ConditionalPut {
@@ -641,7 +687,7 @@ fn an_ack_lost_from_every_follower_is_sent_again() {
     p.run();
     p.commit_tick(0);
     p.commit_tick(0);
-    assert!(p.written.contains(&put), "the put whose acks were lost committed");
+    assert!(p.wrote(put), "the put whose acks were lost committed");
     let mismatch = ClientError::VersionMismatch { actual: lsn(1, 5).as_u64() };
     assert!(
         p.replies.contains(&ClientReply::Err { req: cond, error: mismatch }),
@@ -660,10 +706,10 @@ fn a_ranges_first_propose_lost_to_every_follower_is_sent_again() {
     let put = p.put(0, 1);
     p.run();
     p.lose = Box::new(|_, _, _| false);
-    assert!(!p.written.contains(&put), "nothing acknowledged the lost put");
+    assert!(!p.wrote(put), "nothing acknowledged the lost put");
     p.commit_tick(0);
     p.commit_tick(0);
-    assert!(p.written.contains(&put), "the lost first put committed");
+    assert!(p.wrote(put), "the lost first put committed");
     for i in 1..3 {
         assert_eq!(p.node(i).last_lsn(R0), lsn(1, 1), "node {i} logged 1.1");
     }
@@ -941,7 +987,7 @@ fn an_orphan_inside_the_vouched_tail_is_truncated_and_never_replayed() {
     p.crash(2);
     p.boot(2);
     p.run();
-    assert!(!p.written.contains(&orphan));
+    assert!(!p.wrote(orphan));
     for node in [1, 2] {
         for k in (1..=6).chain(8..=9) {
             assert_eq!(p.read(node, k), acked(k), "node {node} key {k}");
@@ -964,7 +1010,7 @@ fn hello_tails(p: &Pump, since: usize, from: usize, to: usize) -> Vec<Vec<(Lsn, 
 
 /// How many times the put of request `req` was acknowledged.
 fn acks_of(p: &Pump, req: u64) -> usize {
-    p.written.iter().filter(|&&r| r == req).count()
+    p.written.iter().filter(|&&w| w == (CLIENT, req)).count()
 }
 
 /// A successor that restarted holds its tail in its log alone, and reads
@@ -1426,7 +1472,7 @@ fn a_move_hands_off_only_to_a_joiner_that_holds_the_drained_barrier() {
     p.feed(0, NodeInput::MoveReplica { range: R0, from: 0, to: 3 });
     let put = p.put(0, 5);
     p.run();
-    assert!(p.written.contains(&put), "1.5 committed without the joiner");
+    assert!(p.wrote(put), "1.5 committed without the joiner");
     let caught_up = p.sent.iter().rev().find_map(|(from, to, m)| {
         (*from == 3 && *to == 0 && matches!(m, PeerMsg::CaughtUp { .. })).then(|| m.clone())
     });
@@ -1754,7 +1800,7 @@ fn orphan_awaiting_truncation() -> (Pump, PeerMsg) {
     p.put_all(leader, 6..=7);
     p.commit_tick(leader);
     assert_eq!(p.node(leader).last_committed(R0), lsn(2, 6));
-    assert!(!p.written.contains(&orphan));
+    assert!(!p.wrote(orphan));
 
     let catch_up = |m: &PeerMsg| matches!(m, PeerMsg::CatchupRecords { range: R0, .. });
     p.lose = Box::new(move |_, to, m| to == 2 && catch_up(m));
@@ -1880,7 +1926,7 @@ fn a_store_read_error_is_not_an_absent_row() {
         p.run();
         assert!(p.store_faults[0].injected() >= 1, "{what}: the block read failed");
         assert_eq!(p.reads_answered, 0, "{what}: answered without the block");
-        assert!(!p.written.contains(&req.req), "{what}: accepted without the block");
+        assert!(!p.wrote(req.req), "{what}: accepted without the block");
         assert!(p.nodes[0].is_none(), "{what}: the leader did not fail-stop");
 
         let leader = p.leader_of(R0);
@@ -1937,7 +1983,7 @@ fn a_leader_that_cannot_log_its_group_fail_stops() {
     assert!(p.nodes[0].is_none(), "the leader did not fail-stop");
     let proposed = p.count_sent(since, 0, |m| matches!(m, PeerMsg::Propose { .. }));
     assert_eq!(proposed, 0, "the leader proposed a group it did not log");
-    assert!(!p.written.contains(&req), "the leader acknowledged a write it did not log");
+    assert!(!p.wrote(req), "the leader acknowledged a write it did not log");
 
     let leader = p.leader_of(R0);
     for k in 1..=4 {

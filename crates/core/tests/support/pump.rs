@@ -11,7 +11,8 @@
 //!   (node 3) is outside range 0's cohort.
 //! - [`Pump::feed`] and [`Pump::run`] deliver and route: peer sends are
 //!   queued unless [`Pump::lose`] drops them, force requests complete at
-//!   once unless [`Pump::hold_forces`] withholds them, coordination
+//!   once unless [`Pump::hold_forces`] withholds them (until
+//!   [`Pump::release_forces`]), coordination
 //!   events reach the node whose session they name unless
 //!   [`Pump::hold_events`] withholds them, and a poisoned node is
 //!   crashed, as the simulator's host does. `run` panics after
@@ -98,14 +99,20 @@ pub struct Pump<const N: usize = 3> {
     sessions: BTreeMap<SessionId, usize>,
     pub queue: VecDeque<(usize, NodeInput)>,
     pub lose: Lose,
-    /// Nodes whose force completions are withheld (and lost in a crash).
+    /// Nodes whose force completions are withheld (and lost in a crash)
+    /// until [`Pump::release_forces`].
     pub hold_forces: [bool; N],
+    /// The force tokens withheld from each node.
+    held_tokens: [Vec<u64>; N],
     /// Nodes that hear nothing from the coordination service.
     pub hold_events: [bool; N],
     /// Every peer message delivered or lost, in send order.
     pub sent: Vec<(usize, usize, PeerMsg)>,
-    /// Request ids acknowledged with `WriteOk`.
-    pub written: Vec<u64>,
+    /// Every write acknowledged with `WriteOk`: `(client, request id)`.
+    /// A session numbers its requests from 1 as the pump does, so a
+    /// request id alone names no write; [`Pump::wrote`] asks about the
+    /// pump's own client.
+    pub written: Vec<(u32, u64)>,
     /// Every client reply, in send order.
     pub replies: Vec<ClientReply>,
     /// The client each of [`Pump::replies`] went to, index for index.
@@ -174,6 +181,7 @@ impl<const N: usize> Pump<N> {
             queue: VecDeque::new(),
             lose: Box::new(|_, _, _| false),
             hold_forces: [false; N],
+            held_tokens: std::array::from_fn(|_| Vec::new()),
             hold_events: [false; N],
             sent: Vec::new(),
             written: Vec::new(),
@@ -230,6 +238,7 @@ impl<const N: usize> Pump<N> {
         self.disks[i] = self.disks[i].crash_clone();
         self.faults[i].disarm();
         self.store_faults[i].disarm();
+        self.held_tokens[i].clear();
         self.queue.retain(|(to, _)| *to != i);
         let session = *self.sessions.iter().find(|(_, n)| **n == i).expect("had a session").0;
         self.sessions.remove(&session);
@@ -282,7 +291,7 @@ impl<const N: usize> Pump<N> {
                 Effect::ForceLog { token, .. } => tokens.push(token),
                 Effect::Reply { to, reply } => {
                     match &reply {
-                        ClientReply::WriteOk { req, .. } => self.written.push(*req),
+                        ClientReply::WriteOk { req, .. } => self.written.push((to, *req)),
                         ClientReply::Row { cells, .. } => {
                             self.reads_answered += 1;
                             self.last_row =
@@ -305,13 +314,25 @@ impl<const N: usize> Pump<N> {
         if self.sent[since..].iter().any(|(_, _, m)| matches!(m, PeerMsg::Propose { .. })) {
             self.proposing.push(Proposing { node: i, allocs: self.allocs[i] - before, since });
         }
-        if !tokens.is_empty() && !self.hold_forces[i] {
+        if self.hold_forces[i] {
+            self.held_tokens[i].extend(tokens);
+        } else if !tokens.is_empty() {
             self.queue.push_back((i, NodeInput::LogForced { tokens }));
         }
         self.route_events();
         // Fail-stop, as the simulator's host does it.
         if self.node(i).poisoned() {
             self.crash(i);
+        }
+    }
+
+    /// Stop withholding node `i`'s force completions and queue the ones
+    /// withheld so far.
+    pub fn release_forces(&mut self, i: usize) {
+        self.hold_forces[i] = false;
+        let tokens = std::mem::take(&mut self.held_tokens[i]);
+        if !tokens.is_empty() {
+            self.queue.push_back((i, NodeInput::LogForced { tokens }));
         }
     }
 
@@ -385,6 +406,12 @@ impl<const N: usize> Pump<N> {
         req
     }
 
+    /// Whether request `req` of the pump's own client ([`CLIENT`]) was
+    /// acknowledged with `WriteOk`.
+    pub fn wrote(&self, req: u64) -> bool {
+        self.written.contains(&(CLIENT, req))
+    }
+
     /// The replies client `client` was sent since index `since` of
     /// [`Pump::replies`], in send order.
     pub fn replies_to(&self, since: usize, client: u32) -> Vec<&ClientReply> {
@@ -397,7 +424,7 @@ impl<const N: usize> Pump<N> {
         for k in keys {
             let req = self.put(leader, k);
             self.run();
-            assert!(self.written.contains(&req), "put of key {k} acknowledged");
+            assert!(self.wrote(req), "put of key {k} acknowledged");
         }
     }
 

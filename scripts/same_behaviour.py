@@ -49,10 +49,12 @@ def export(rev, dest):
         shutil.copyfile(ROOT / NEMESIS_BIN, dest / NEMESIS_BIN)
 
 
-def build(src, target):
+def build(src, target, what=("-p", "spinnaker-bench", "-p", "spinnaker-nemesis")):
+    """Release-build `what` (cargo arguments; by default the figure runner
+    and the nemesis) of the tree at `src` into the target directory
+    `target`."""
     print(f"building {src} into {target}", flush=True)
-    subprocess.run(["cargo", "build", "--release", "--offline", "--quiet",
-                    "-p", "spinnaker-bench", "-p", "spinnaker-nemesis"],
+    subprocess.run(["cargo", "build", "--release", "--offline", "--quiet", *what],
                    cwd=src, env={**os.environ, "CARGO_TARGET_DIR": str(target)},
                    check=True)
 
