@@ -311,6 +311,7 @@ impl NodeHost {
         let Some(node) = self.node.as_mut() else { return };
         let mut out = std::mem::take(&mut self.outbox);
         node.on_input(node_now, input, &mut out);
+        self.device.recycle(std::mem::take(&mut out.spent_tokens));
         let from_node = self.node_id;
         for eff in out.effects.drain(..) {
             match eff {

@@ -418,6 +418,10 @@ pub enum Effect {
 pub struct Outbox {
     /// Effects in emission order.
     pub effects: Vec<Effect>,
+    /// The token list of a [`NodeInput::LogForced`], emptied: a host
+    /// hands it back to the log device that filled it, so the next
+    /// batch of force requests reuses its storage.
+    pub spent_tokens: Vec<u64>,
 }
 
 impl Outbox {

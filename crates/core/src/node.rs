@@ -757,7 +757,7 @@ impl Node {
     // force completions & timers
     // =================================================================
 
-    fn on_forced(&mut self, now: u64, tokens: Vec<u64>, out: &mut Outbox) {
+    fn on_forced(&mut self, now: u64, mut tokens: Vec<u64>, out: &mut Outbox) {
         // Content-level sync: everything appended so far is durable (the
         // runtime's disk model decided *when*). If the device refuses,
         // nothing covered by these tokens is durable — resolving the
@@ -769,7 +769,7 @@ impl Node {
             self.poisoned = true;
             return;
         }
-        for token in tokens {
+        for token in tokens.drain(..) {
             match self.forces.take(token) {
                 Some(Waiter::LeaderWrite { range, lsn }) => {
                     // The range may have been dissolved between the force
@@ -791,6 +791,7 @@ impl Node {
                 None => {}
             }
         }
+        out.spent_tokens = tokens;
     }
 
     fn on_timer(&mut self, now: u64, kind: TimerKind, out: &mut Outbox) {

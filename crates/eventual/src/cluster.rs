@@ -136,7 +136,14 @@ impl ENodeHost {
 
     fn exec(&mut self, now: Time, input: ENodeInput, ctx: &mut Ctx<'_, EEv>) {
         let mut out = Vec::new();
-        self.node.on_input(now, input, &mut out);
+        match input {
+            // The sync's token list goes back to the device once read.
+            ENodeInput::LogForced { mut tokens } => {
+                self.node.on_forced(&mut tokens, &mut out);
+                self.device.recycle(tokens);
+            }
+            input => self.node.on_input(now, input, &mut out),
+        }
         let me = self.proc;
         for eff in out {
             match eff {

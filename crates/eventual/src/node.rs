@@ -339,15 +339,20 @@ impl EventualNode {
                 self.maybe_finish_read(id, out);
             }
             ENodeInput::Peer { from, msg } => self.on_peer(now, from, msg, out),
-            ENodeInput::LogForced { tokens } => {
-                for token in tokens {
-                    if let Some((target, id)) = self.force_waiters.remove(&token) {
-                        if target == self.id {
-                            self.on_write_ack(id, out);
-                        } else {
-                            out.push(EEffect::Send { to: target, msg: EPeerMsg::WriteAck { id } });
-                        }
-                    }
+            ENodeInput::LogForced { mut tokens } => self.on_forced(&mut tokens, out),
+        }
+    }
+
+    /// The log device finished a sync covering `tokens`: resolve their
+    /// waiters. The list is left empty, for the host to hand back to its
+    /// device.
+    pub fn on_forced(&mut self, tokens: &mut Vec<u64>, out: &mut Vec<EEffect>) {
+        for token in tokens.drain(..) {
+            if let Some((target, id)) = self.force_waiters.remove(&token) {
+                if target == self.id {
+                    self.on_write_ack(id, out);
+                } else {
+                    out.push(EEffect::Send { to: target, msg: EPeerMsg::WriteAck { id } });
                 }
             }
         }

@@ -88,10 +88,18 @@ pub enum DiskOutcome {
 }
 
 /// The per-node logging device with group commit.
+///
+/// Token lists are recycled: a sync's list goes to the owner with
+/// [`LogDevice::complete_sync`] and comes back through
+/// [`LogDevice::recycle`], to hold the requests of a later sync. Once
+/// warm, a device whose owner hands every list back allocates nothing
+/// per force.
 pub struct LogDevice {
     profile: DiskProfile,
     in_flight: Option<(Time, Vec<ForceToken>)>,
     pending: Vec<ForceToken>,
+    /// An emptied list, the next sync's pending one.
+    spare: Vec<ForceToken>,
     pending_bytes: u64,
     total_syncs: u64,
     total_requests: u64,
@@ -104,6 +112,7 @@ impl LogDevice {
             profile,
             in_flight: None,
             pending: Vec::new(),
+            spare: Vec::new(),
             pending_bytes: 0,
             total_syncs: 0,
             total_requests: 0,
@@ -129,7 +138,7 @@ impl LogDevice {
     }
 
     fn start_sync(&mut self, now: Time, rng: &mut SmallRng) -> DiskOutcome {
-        let batch = std::mem::take(&mut self.pending);
+        let batch = std::mem::replace(&mut self.pending, std::mem::take(&mut self.spare));
         let bytes = std::mem::take(&mut self.pending_bytes);
         let done_at = now + self.profile.force_latency(bytes, rng);
         self.in_flight = Some((done_at, batch));
@@ -138,7 +147,8 @@ impl LogDevice {
     }
 
     /// The in-flight sync finished: returns the tokens it covered, plus
-    /// the next sync's completion time when more requests queued up.
+    /// the next sync's completion time when more requests queued up. Hand
+    /// the list back with [`LogDevice::recycle`] once it is read.
     pub fn complete_sync(
         &mut self,
         now: Time,
@@ -155,6 +165,21 @@ impl LogDevice {
             }
         };
         (batch, next)
+    }
+
+    /// Take back a token list [`LogDevice::complete_sync`] returned, to
+    /// hold a later sync's requests; its tokens are dropped. A sync that
+    /// `complete_sync` started took the spare for its pending list, so an
+    /// empty pending list smaller than this one is swapped for it first;
+    /// of two spare lists the larger is kept.
+    pub fn recycle(&mut self, mut tokens: Vec<ForceToken>) {
+        tokens.clear();
+        if self.pending.is_empty() && self.pending.capacity() < tokens.capacity() {
+            std::mem::swap(&mut self.pending, &mut tokens);
+        }
+        if self.spare.capacity() < tokens.capacity() {
+            self.spare = tokens;
+        }
     }
 
     /// Group-commit effectiveness: (physical syncs, force requests).
@@ -226,6 +251,36 @@ mod tests {
         assert_eq!(batch2, vec![2, 3, 4, 5, 6], "one sync covers the whole batch");
         assert!(next2.is_none());
         assert_eq!(d.counters(), (2, 6), "2 physical syncs for 6 requests");
+    }
+
+    #[test]
+    fn recycled_lists_batch_as_fresh_ones_do() {
+        let mut d = LogDevice::new(DiskProfile::Hdd);
+        let mut r = rng();
+        let mut batches = Vec::new();
+        for round in 0..4u64 {
+            let DiskOutcome::SyncScheduled { mut done_at } =
+                d.request_force(0, 10 * round, 4096, &mut r)
+            else {
+                panic!("device was idle")
+            };
+            for t in 1..=round {
+                assert_eq!(d.request_force(0, 10 * round + t, 4096, &mut r), DiskOutcome::Queued);
+            }
+            loop {
+                let (batch, next) = d.complete_sync(done_at, &mut r);
+                batches.push(batch.clone());
+                d.recycle(batch);
+                match next {
+                    Some(t) => done_at = t,
+                    None => break,
+                }
+            }
+        }
+        let want: Vec<Vec<u64>> = vec![vec![0], vec![10], vec![11], vec![20], vec![21, 22]];
+        assert_eq!(batches[..5], want[..]);
+        assert_eq!(batches[5..], [vec![30], vec![31, 32, 33]]);
+        assert_eq!(d.counters(), (7, 10));
     }
 
     #[test]

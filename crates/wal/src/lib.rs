@@ -20,6 +20,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 pub mod record;
 #[allow(clippy::module_inception)]
 pub mod wal;

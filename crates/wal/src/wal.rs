@@ -5,7 +5,13 @@
 //! uses its own logical LSNs." Records are framed with length + CRC32C;
 //! recovery scans all segments, tolerates a torn tail in the newest
 //! segment, and rebuilds a per-cohort index used for replay and catch-up
-//! reads.
+//! reads. The index keeps one entry per frame — a run of the frame's
+//! consecutive LSNs, split or trimmed where a logically truncated LSN or
+//! the checkpoint cuts it — not one per write, so indexing a group
+//! propose of any size costs one entry, and a warmed-up log appends
+//! without allocating (`index.rs`). Replay, truncation and checkpoints
+//! still work per LSN, and each segment counts one reference per LSN
+//! indexed in it: it is deleted once sealed and the last of them is gone.
 //!
 //! Everything the log knows about one cohort is one `Cohort` entry:
 //! its checkpoint, where local recovery starts replaying (§6.1), and its
@@ -25,6 +31,7 @@ use spinnaker_common::codec::{self, Decode, Encode, Source};
 use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Lsn, RangeId, Result, WriteOp};
 
+use crate::index::{RecordLoc, RunIndex};
 use crate::record::{
     encode_frame_into, read_frame, scan_frame, FrameRead, LogRecord, Payload, RecordHeader,
 };
@@ -56,13 +63,6 @@ pub struct CohortLogState {
     pub last_committed: Lsn,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RecordLoc {
-    segment: u64,
-    offset: u64,
-    frame_len: usize,
-}
-
 /// What the log knows about one cohort's logical stream.
 #[derive(Default)]
 struct Cohort {
@@ -75,8 +75,9 @@ struct Cohort {
     /// this list is expected to be small, it is loaded into memory before
     /// recovery." Durable; entries at or below the checkpoint are dropped.
     skipped: Vec<Lsn>,
-    /// Non-truncated write records above the checkpoint, for replay.
-    records: BTreeMap<Lsn, RecordLoc>,
+    /// Non-truncated write records above the checkpoint, for replay:
+    /// one entry per run of them in one frame.
+    records: RunIndex,
     /// Highest write LSN seen, never below the checkpoint.
     last_lsn: Lsn,
     last_commit_note: Lsn,
@@ -95,9 +96,9 @@ pub struct Wal {
     sealed: Vec<u64>,
     current: OpenSegment,
     cohorts: BTreeMap<RangeId, Cohort>,
-    /// Live index references per segment; a sealed segment with zero
-    /// references is garbage.
-    seg_refs: BTreeMap<u64, usize>,
+    /// Live index references per segment, one per indexed LSN; a sealed
+    /// segment with zero references is garbage.
+    seg_refs: BTreeMap<u64, u64>,
     appended_since_sync: bool,
     /// The frame being appended, encoded in place; reused by every
     /// append, so a warmed-up log frames records without allocating.
@@ -144,7 +145,7 @@ impl Wal {
         }
         seg_ids.sort_unstable();
 
-        let mut seg_refs: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut seg_refs: BTreeMap<u64, u64> = BTreeMap::new();
         let last = seg_ids.last().copied();
         for &id in &seg_ids {
             let path = Self::seg_path(&opts.dir, id);
@@ -193,7 +194,7 @@ impl Wal {
 
     fn index_record(
         cohorts: &mut BTreeMap<RangeId, Cohort>,
-        seg_refs: &mut BTreeMap<u64, usize>,
+        seg_refs: &mut BTreeMap<u64, u64>,
         header: RecordHeader,
         loc: RecordLoc,
     ) {
@@ -206,10 +207,15 @@ impl Wal {
             }
             return;
         }
-        // One index entry per op, all pointing at the same frame: replay,
-        // truncation, and checkpointing keep operating per-LSN however
-        // the writes were grouped, and the segment gets one reference per
-        // live entry so partial checkpoints release it correctly.
+        // One index entry per run of the frame's replayable LSNs: the
+        // whole frame unless a truncated LSN or the checkpoint cuts it.
+        // The segment gets one reference per indexed LSN, so a partial
+        // checkpoint releases it correctly. An LSN logged again (a
+        // follower re-logs a takeover's re-proposal) moves to the new
+        // frame, but its old frame's reference is not released: that
+        // segment is not collected until a reopen finds the LSN at or
+        // below the checkpoint (ROADMAP, "A re-logged LSN pins its
+        // segment").
         for i in 0..ops as u64 {
             let lsn = Lsn::new(first.epoch(), first.seq() + i);
             if entry.skipped.binary_search(&lsn).is_ok() {
@@ -296,7 +302,7 @@ impl Wal {
         cohort: RangeId,
         from: Lsn,
         to: Lsn,
-    ) -> Result<impl Iterator<Item = (&Lsn, &RecordLoc)>> {
+    ) -> Result<impl Iterator<Item = (Lsn, &RecordLoc)>> {
         let entry = self.cohorts.get(&cohort).filter(|_| to > from);
         if let Some(e) = entry.filter(|e| from < e.checkpoint) {
             return Err(Error::NotFound(format!(
@@ -304,8 +310,7 @@ impl Wal {
                 e.checkpoint
             )));
         }
-        let range = (std::ops::Bound::Excluded(from), std::ops::Bound::Included(to));
-        Ok(entry.into_iter().flat_map(move |e| e.records.range(range)))
+        Ok(entry.into_iter().flat_map(move |e| e.records.range(from, to)))
     }
 
     /// The LSNs of `cohort`'s replayable writes in `(from, to]`, in LSN
@@ -319,7 +324,7 @@ impl Wal {
         from: Lsn,
         to: Lsn,
     ) -> Result<impl Iterator<Item = Lsn> + '_> {
-        Ok(self.indexed(cohort, from, to)?.map(|(&lsn, _)| lsn))
+        Ok(self.indexed(cohort, from, to)?.map(|(lsn, _)| lsn))
     }
 
     /// Replay the write records of `cohort` with LSN in `(from, to]`, in
@@ -347,14 +352,14 @@ impl Wal {
         to: Lsn,
         mut f: impl FnMut(Lsn, &Arc<[WriteOp]>, usize),
     ) -> Result<usize> {
-        // The ops of a group propose are consecutive index entries
-        // pointing at one frame: read, checksum and decode it once and
-        // serve every op of the run from it. Frames of one sealed
+        // The ops of a group propose are one run of the index, all in
+        // one frame: read, checksum and decode it once and serve every
+        // op of the run from it. Frames of one sealed
         // segment are read through one handle, opened at the first.
         let mut held: Option<(RecordLoc, LogRecord)> = None;
         let mut sealed: Option<(u64, Box<dyn VfsFile>)> = None;
         let mut count = 0;
-        for (&lsn, loc) in self.indexed(cohort, from, to)? {
+        for (lsn, loc) in self.indexed(cohort, from, to)? {
             let rec = match &held {
                 Some((at, rec)) if (at.segment, at.offset) == (loc.segment, loc.offset) => rec,
                 _ => &held.insert((*loc, self.read_at(loc, &mut sealed)?)).1,
@@ -430,12 +435,9 @@ impl Wal {
             if let Err(pos) = entry.skipped.binary_search(&lsn) {
                 entry.skipped.insert(pos, lsn);
             }
-            if let Some(loc) = entry.records.remove(&lsn) {
-                release(&mut self.seg_refs, &loc);
-            }
+            entry.records.remove(lsn, lsn, |loc, n| release(&mut self.seg_refs, loc, n));
         }
-        entry.last_lsn =
-            entry.records.keys().next_back().copied().unwrap_or(Lsn::ZERO).max(entry.checkpoint);
+        entry.last_lsn = entry.records.last().unwrap_or(Lsn::ZERO).max(entry.checkpoint);
         self.save_cohorts()
     }
 
@@ -458,11 +460,7 @@ impl Wal {
         entry.skipped.retain(|&l| l > lsn);
         self.save_cohorts()?;
         let entry = self.cohorts.entry(cohort).or_default();
-        // Split off the portion of the index that stays replayable.
-        let keep = entry.records.split_off(&lsn.next());
-        for (_, loc) in std::mem::replace(&mut entry.records, keep) {
-            release(&mut self.seg_refs, &loc);
-        }
+        entry.records.remove(Lsn::ZERO, lsn, |loc, n| release(&mut self.seg_refs, loc, n));
         self.maybe_gc()
     }
 
@@ -493,10 +491,8 @@ impl Wal {
     /// stream afterwards reads as pristine, which is exactly what a later
     /// re-handoff (the replica moving back) expects.
     pub fn retire_stream(&mut self, cohort: RangeId) -> Result<()> {
-        if let Some(entry) = self.cohorts.remove(&cohort) {
-            for loc in entry.records.values() {
-                release(&mut self.seg_refs, loc);
-            }
+        if let Some(mut entry) = self.cohorts.remove(&cohort) {
+            entry.records.remove(Lsn::ZERO, Lsn::MAX, |loc, n| release(&mut self.seg_refs, loc, n));
         }
         self.save_cohorts()?;
         self.maybe_gc()
@@ -526,16 +522,18 @@ impl Wal {
         self.sealed.len() + 1
     }
 
-    /// Total frames currently indexed for `cohort` (replayable writes).
+    /// Writes currently indexed for `cohort` (replayable LSNs).
     pub fn indexed_records(&self, cohort: RangeId) -> usize {
-        self.cohorts.get(&cohort).map_or(0, |e| e.records.len())
+        self.cohorts
+            .get(&cohort)
+            .map_or(0, |e| usize::try_from(e.records.len()).unwrap_or(usize::MAX))
     }
 }
 
-/// Drop one index reference to the segment `loc` is in.
-fn release(seg_refs: &mut BTreeMap<u64, usize>, loc: &RecordLoc) {
+/// Drop `n` index references to the segment `loc` is in.
+fn release(seg_refs: &mut BTreeMap<u64, u64>, loc: &RecordLoc, n: u64) {
     if let Some(refs) = seg_refs.get_mut(&loc.segment) {
-        *refs = refs.saturating_sub(1);
+        *refs = refs.saturating_sub(n);
     }
 }
 

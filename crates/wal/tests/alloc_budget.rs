@@ -1,7 +1,8 @@
 //! Allocation budgets for the log, as exact counts. Appending: a
-//! warmed-up `Wal` frames a group propose in the buffer it owns, so what
-//! an append still allocates is the growth of the per-LSN index (and, now
-//! and then, of the in-memory file behind the segment). Replay: a frame
+//! warmed-up `Wal` frames a group propose in the buffer it owns and
+//! indexes it as one run, so what an append still allocates is, now and
+//! then, the doubling of the index's ring buffer or of the in-memory file
+//! behind the segment. Replay: a frame
 //! is read into one buffer and its ops' keys, column names and values are
 //! views of it, so what a frame costs is that buffer, the record's
 //! containers and one cell list per op — whatever the number and size of
@@ -54,12 +55,14 @@ fn appending_a_batch_allocates_only_for_index_growth() {
             wal.append(rec).unwrap();
         }
     });
-    // The index is a B-tree of one entry per op: filling it in LSN order
-    // takes a new leaf every six entries and an inner node now and then.
-    // Framing the body in a buffer of its own, grown from empty and then
-    // copied behind a header, took nine allocations per append by itself.
+    // Measured 12: six doublings each of the index (8 runs to 264) and of
+    // the segment's file. While the index was a B-tree of one entry per
+    // op, filling it took a new leaf every six entries: 348 allocations
+    // (budget `ops / 5 + 16`). Framing the body in a buffer of its own,
+    // grown from empty and then copied behind a header, took nine
+    // allocations per append by itself.
     let ops = (rounds.end - rounds.start) * BATCH;
-    assert!(allocs <= ops / 5 + 16, "{allocs} allocations over {ops} appended ops");
+    assert!(allocs <= 12, "{allocs} allocations over {ops} appended ops");
     assert_eq!(wal.indexed_records(RangeId(0)), 264 * BATCH as usize);
 }
 
@@ -123,9 +126,11 @@ fn reading_frames_back_allocates_per_frame_and_op_not_per_cell() {
         assert_eq!(allocs, ops + 3 * FRAMES, "{what}: allocations for {ops} ops");
     }
     for (what, allocs) in [("scan", narrow_scan), ("scan, wide", wide_scan)] {
-        // Nothing per frame or op: the index, a leaf per six LSNs, and the
-        // segment read once (see `opening_a_log_allocates_for_its_index_not_its_frames`).
-        assert!(allocs <= ops / 5 + 64, "{what}: {allocs} for {ops} ops");
+        // Nothing per frame or op: the index's doublings up to 64 runs,
+        // and the segment read once (see
+        // `opening_a_log_allocates_for_its_index_not_its_frames`).
+        // Measured 25; 104 while the index was a B-tree of one entry per op.
+        assert!(allocs <= 25, "{what}: {allocs} for {ops} ops");
     }
     // Six times the cells, thirty-two times the bytes: the same count.
     assert_eq!(wide_replay, narrow_replay);
@@ -165,12 +170,12 @@ fn open_allocs(singles: bool, cells: usize, value_len: usize, segment_bytes: u64
 /// allocations for the 1 024 frames below.)
 #[test]
 fn opening_a_log_allocates_for_its_index_not_its_frames() {
-    // The index's share: a B-tree node per six LSNs or so, filled in LSN
-    // order.
-    let mut index = std::collections::BTreeMap::new();
+    // The index's share: a ring buffer of one run per frame, grown by
+    // doubling to hold 1 024 (a run is five words).
+    let mut index = std::collections::VecDeque::new();
     let (index_allocs, ()) = allocations(|| {
-        for seq in 1..=WRITES {
-            index.insert(Lsn::new(1, seq), ());
+        for frame in 0..1_024u64 {
+            index.push_back([frame; 5]);
         }
     });
     let (allocs, segments) = open_allocs(true, 1, 16, 8 << 20);
@@ -179,8 +184,10 @@ fn opening_a_log_allocates_for_its_index_not_its_frames() {
     );
     assert_eq!(segments, 1);
     // The rest: the listing, the sidecar, the segment's name, handle and
-    // read buffer, and the fresh segment the log appends to.
-    assert_eq!((allocs, index_allocs), (787, 768));
+    // read buffer, and the fresh segment the log appends to. (787 and 768
+    // while the index was a B-tree of one entry per LSN, a node per six.)
+    assert_eq!((allocs, index_allocs), (28, 9));
+    // 576 frames: the index doubles as often.
     assert_eq!(open_allocs(false, 1, 16, 8 << 20), (allocs, 1), "fewer frames, the same count");
     // Each further segment: its name (listed, then as a path), its handle
     // and its buffer — whatever the frames in it hold.

@@ -1,6 +1,8 @@
 //! Property tests: WAL replay after a crash reproduces exactly the synced
 //! prefix, regardless of where the crash falls.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -8,7 +10,7 @@ use proptest::prelude::*;
 use bytes::Bytes;
 
 use spinnaker_common::codec::{Encode, Source};
-use spinnaker_common::vfs::MemVfs;
+use spinnaker_common::vfs::{MemVfs, Vfs};
 use spinnaker_common::{crc32c, op, CellOp, Key, Lsn, RangeId, WriteOp};
 use spinnaker_wal::record::{encode_frame, read_frame, scan_frame, FrameRead, FRAME_HEADER};
 use spinnaker_wal::{LogRecord, Wal, WalOptions};
@@ -39,6 +41,131 @@ fn assert_scan_agrees_with_read(buf: &[u8]) {
         (Ok(FrameRead::Torn(a)), Ok(FrameRead::Torn(b))) => assert_eq!(a, b, "torn differently"),
         (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "errors differ"),
         (a, b) => panic!("verdicts differ: read {a:?}, scan {b:?}"),
+    }
+}
+
+/// The log's index kept the plain way, one entry per LSN: what
+/// [`Wal`] must agree with whatever runs its index keeps.
+#[derive(Default)]
+struct Model {
+    /// Every record appended: its segment, first LSN, op count and
+    /// append number.
+    records: Vec<(u64, Lsn, u64, u64)>,
+    skipped: BTreeSet<Lsn>,
+    checkpoint: Lsn,
+    /// Each replayable LSN's segment and the append that logged it last.
+    index: BTreeMap<Lsn, (u64, u64)>,
+    /// Index entries per segment.
+    refs: BTreeMap<u64, usize>,
+    sealed: BTreeSet<u64>,
+    current: u64,
+}
+
+impl Model {
+    fn new() -> Model {
+        Model { current: 1, ..Model::default() }
+    }
+
+    fn index(&mut self, (segment, first, ops, append): (u64, Lsn, u64, u64)) {
+        for seq in first.seq()..first.seq() + ops {
+            let lsn = Lsn::new(first.epoch(), seq);
+            if !self.skipped.contains(&lsn) && lsn > self.checkpoint {
+                // An LSN logged again moves to the new frame; the old
+                // one keeps its reference.
+                self.index.insert(lsn, (segment, append));
+                *self.refs.entry(segment).or_default() += 1;
+            }
+        }
+    }
+
+    fn forget(&mut self, lsn: Lsn) {
+        if let Some((segment, _)) = self.index.remove(&lsn) {
+            *self.refs.get_mut(&segment).unwrap() -= 1;
+        }
+    }
+
+    /// Sealed segments no index entry points into are deleted.
+    fn collect(&mut self) {
+        self.sealed.retain(|s| self.refs.get(s).is_some_and(|&n| n > 0));
+    }
+
+    fn append(&mut self, record: (u64, Lsn, u64, u64)) {
+        if record.0 != self.current {
+            // The append rolled the segment, collecting before it indexed.
+            self.sealed.insert(self.current);
+            self.current = record.0;
+            self.collect();
+        }
+        self.records.push(record);
+        self.index(record);
+    }
+
+    fn truncate(&mut self, lsn: Lsn) {
+        self.skipped.insert(lsn);
+        self.forget(lsn);
+    }
+
+    fn set_checkpoint(&mut self, lsn: Lsn) {
+        self.checkpoint = self.checkpoint.max(lsn);
+        let cp = self.checkpoint;
+        self.skipped.retain(|&l| l > cp);
+        let flushed: Vec<Lsn> = self.index.range(..=cp).map(|(&l, _)| l).collect();
+        for lsn in flushed {
+            self.forget(lsn);
+        }
+        self.collect();
+    }
+
+    /// The recovery scan: every surviving record again, in log order.
+    fn reopen(&mut self) {
+        self.sealed.insert(self.current);
+        self.current += 1;
+        (self.index, self.refs) = Default::default();
+        let survivors: Vec<_> =
+            self.records.iter().filter(|r| self.sealed.contains(&r.0)).copied().collect();
+        for record in survivors {
+            self.index(record);
+        }
+    }
+
+    fn check(&self, wal: &Wal, vfs: &MemVfs) {
+        let r = RangeId(0);
+        let cp = self.checkpoint;
+        let lsns: Vec<Lsn> = self.index.keys().copied().collect();
+        // Everything above the checkpoint, and two spans that may begin
+        // and end inside frames.
+        let third = |i: usize| lsns.get(i * lsns.len() / 3).copied().unwrap_or(Lsn::MAX);
+        for (from, to) in [(cp, Lsn::MAX), (third(1), third(2)), (third(2), Lsn::MAX)] {
+            let span = (Bound::Excluded(from), Bound::Included(to));
+            let want: Vec<(Lsn, u64)> =
+                self.index.range(span).map(|(&l, &(_, a))| (l, a)).collect();
+            let indexed: Vec<Lsn> = wal.indexed_lsns(r, from, to).unwrap().collect();
+            assert_eq!(
+                indexed,
+                want.iter().map(|w| w.0).collect::<Vec<_>>(),
+                "indexed ({from}, {to}]"
+            );
+            let mut replayed = Vec::new();
+            wal.replay(r, from, to, |lsn, op| {
+                assert_eq!(op.key.as_bytes(), format!("k{}", lsn.as_u64()).as_bytes());
+                let CellOp::Put { value, .. } = &op.cells[0] else { panic!("a put was logged") };
+                replayed.push((lsn, std::str::from_utf8(value).unwrap().parse::<u64>().unwrap()));
+            })
+            .unwrap();
+            assert_eq!(replayed, want, "each LSN replays from the frame that logged it last");
+        }
+        assert_eq!(wal.indexed_records(r), self.index.len());
+        let last = self.index.keys().next_back().copied().unwrap_or(Lsn::ZERO).max(cp);
+        assert_eq!(wal.state(r).last_lsn, last);
+        assert_eq!(wal.skipped_lsns(r), self.skipped.iter().copied().collect::<Vec<_>>());
+        let segments: BTreeSet<u64> = vfs
+            .list("wal/seg-")
+            .unwrap()
+            .iter()
+            .map(|p| p["wal/seg-".len()..p.len() - ".log".len()].parse().unwrap())
+            .collect();
+        let live: BTreeSet<u64> = self.sealed.iter().copied().chain([self.current]).collect();
+        assert_eq!(segments, live, "segments on disk");
     }
 }
 
@@ -228,5 +355,78 @@ proptest! {
             .collect();
         let expected: Vec<u64> = (cp + 1..truncate_from.min(n + 1)).collect();
         prop_assert_eq!(survivors, expected);
+    }
+
+    /// The index against a per-LSN model, step by step: batches of one
+    /// to eight ops, some logging earlier LSNs again (a follower re-logs
+    /// a takeover's re-proposal) or after a new epoch began, logical
+    /// truncation and checkpoints at LSNs inside frames, and reopens.
+    /// After every step the indexed LSNs, what replay reads for each,
+    /// the count of indexed writes, the log tip, the skipped list and
+    /// the segments on disk are the model's.
+    #[test]
+    fn the_index_agrees_with_a_per_lsn_model(
+        script in proptest::collection::vec((0u8..16, 1u64..=8, any::<u16>()), 1..60),
+        segment_bytes in 256u64..2048,
+    ) {
+        let opts = || WalOptions { dir: "wal".into(), segment_bytes };
+        let mut vfs = MemVfs::new();
+        let mut wal = Wal::open(Arc::new(vfs.clone()), opts()).unwrap();
+        let mut model = Model::new();
+        let (mut epoch, mut next) = (1u16, 1u64);
+        for (append, &(kind, ops, pick)) in script.iter().enumerate() {
+            let append = append as u64;
+            let pick = u64::from(pick);
+            let logged: Vec<Lsn> = model.records.iter().flat_map(|&(_, first, n, _)| {
+                (0..n).map(move |i| Lsn::new(first.epoch(), first.seq() + i))
+            }).collect();
+            let chosen = (!logged.is_empty()).then(|| logged[pick as usize % logged.len()]);
+            let (first, ops) = match kind {
+                // Log part of an earlier frame again.
+                8 | 9 if !model.records.is_empty() => {
+                    let (_, first, n, _) = model.records[pick as usize % model.records.len()];
+                    let skip = pick % n;
+                    (Lsn::new(first.epoch(), first.seq() + skip), ops.min(n - skip))
+                }
+                10 => {
+                    epoch += 1;
+                    (Lsn::new(epoch, next), ops)
+                }
+                11 | 12 if chosen.is_some() => {
+                    let lsn = chosen.unwrap();
+                    wal.truncate_logically(RangeId(0), &[lsn]).unwrap();
+                    model.truncate(lsn);
+                    model.check(&wal, &vfs);
+                    continue;
+                }
+                13 | 14 if chosen.is_some() => {
+                    let lsn = chosen.unwrap();
+                    wal.set_checkpoint(RangeId(0), lsn).unwrap();
+                    model.set_checkpoint(lsn);
+                    model.check(&wal, &vfs);
+                    continue;
+                }
+                15 => {
+                    wal.sync().unwrap();
+                    drop(wal);
+                    vfs = vfs.crash_clone();
+                    wal = Wal::open(Arc::new(vfs.clone()), opts()).unwrap();
+                    model.reopen();
+                    model.check(&wal, &vfs);
+                    continue;
+                }
+                _ => (Lsn::new(epoch, next), ops),
+            };
+            next = next.max(first.seq() + ops);
+            let batch: Vec<WriteOp> = (0..ops)
+                .map(|i| {
+                    let lsn = Lsn::new(first.epoch(), first.seq() + i);
+                    op::put(&format!("k{}", lsn.as_u64()), "c", &append.to_string())
+                })
+                .collect();
+            let segment = wal.append(&LogRecord::batch(RangeId(0), first, batch)).unwrap();
+            model.append((segment, first, ops, append));
+            model.check(&wal, &vfs);
+        }
     }
 }
