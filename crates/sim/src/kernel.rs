@@ -2,16 +2,21 @@
 //!
 //! A single-threaded scheduler with virtual time: events are `(time, seq)`
 //! ordered, ties broken by insertion sequence for full determinism. The
-//! queue's heap orders only those keys, each with the slot of a slab where
-//! its event waits, so a sift moves 24 bytes however large the event type;
-//! a delivered event's slot is reused by the next one queued. Actors
+//! queue orders only those keys, each with the slot of a slab where its
+//! event waits, so a sift moves 24 bytes however large the event type; a
+//! delivered event's slot is reused by the next one queued. A key at or
+//! past the last one queued in order — a fixed-delay timer, armed once per
+//! request, is nearly always one — goes on the back of a FIFO instead of
+//! into the heap, and the next event is the earlier of the heap's top and
+//! the FIFO's front: the same order as one heap of them all, without a
+//! sift through a second's worth of pending timers per event. Actors
 //! receive typed events and schedule new ones through [`Ctx`]. A simulated
 //! minute of cluster time costs only the event processing itself, which is
 //! what makes regenerating every figure of the paper practical on a laptop.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
@@ -107,9 +112,12 @@ type QueueKey = (Time, u64, usize);
 /// The simulator: actors + event queue + virtual clock.
 pub struct Sim<M> {
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    /// The keys of the pending events, earliest first. A sift moves only
-    /// these; the events themselves stay in `slab`.
+    /// Keys of pending events, earliest first. A sift moves only these;
+    /// the events themselves stay in `slab`.
     heap: BinaryHeap<Reverse<QueueKey>>,
+    /// The other pending keys, each at or past the one before it, so
+    /// earliest first too.
+    fifo: VecDeque<QueueKey>,
     /// Pending events as `(target, event)`, by slot; `None` where free.
     slab: Vec<Option<(ProcId, M)>>,
     /// Free slots of `slab`, reused before it grows.
@@ -120,7 +128,7 @@ pub struct Sim<M> {
     halted: bool,
     processed: u64,
     /// What the event being processed schedules, before it is queued;
-    /// emptied into the heap and reused by every step.
+    /// emptied into the queue and reused by every step.
     scheduled: Vec<(Time, ProcId, M)>,
 }
 
@@ -130,6 +138,7 @@ impl<M> Sim<M> {
         Sim {
             actors: Vec::new(),
             heap: BinaryHeap::new(),
+            fifo: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             time: 0,
@@ -176,8 +185,31 @@ impl<M> Sim<M> {
                 self.slab.len() - 1
             }
         };
-        self.heap.push(Reverse((time, self.seq, slot)));
+        let key = (time, self.seq, slot);
+        // `seq` grows, so a key at or past the back's time is after it.
+        match self.fifo.back() {
+            Some(&(back, _, _)) if time < back => self.heap.push(Reverse(key)),
+            _ => self.fifo.push_back(key),
+        }
         self.seq += 1;
+    }
+
+    /// The earliest pending key: the heap's top or the FIFO's front.
+    fn peek(&self) -> Option<QueueKey> {
+        match (self.heap.peek(), self.fifo.front()) {
+            (Some(&Reverse(top)), Some(&front)) => Some(top.min(front)),
+            (top, front) => top.map(|&Reverse(top)| top).or(front.copied()),
+        }
+    }
+
+    /// Take the earliest pending key off its queue.
+    fn pop(&mut self) -> Option<QueueKey> {
+        let next = self.peek()?;
+        if self.fifo.front() == Some(&next) {
+            self.fifo.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(key)| key)
+        }
     }
 
     /// Current virtual time.
@@ -196,7 +228,7 @@ impl<M> Sim<M> {
         if self.halted {
             return false;
         }
-        let Some(Reverse((time, _, slot))) = self.heap.pop() else {
+        let Some((time, _, slot)) = self.pop() else {
             return false;
         };
         let (target, ev) = self.slab[slot].take().expect("a queued key's slot holds its event");
@@ -236,7 +268,7 @@ impl<M> Sim<M> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
         let start = self.processed;
-        while let Some(&Reverse((time, _, _))) = self.heap.peek() {
+        while let Some((time, _, _)) = self.peek() {
             if time > deadline || self.halted {
                 break;
             }
@@ -414,6 +446,109 @@ mod tests {
         assert!(model.delivered.len() > 1_000, "{} events", model.delivered.len());
         assert_eq!(*log.borrow(), model.delivered);
         assert_eq!(sim.events_processed(), model.seq);
+    }
+
+    /// A "second" of the random schedules below: times are small
+    /// integers, so ties and keys one tick apart are common.
+    const TICKS: Time = 1_000;
+
+    /// What a [`RandomFanout`] schedules on `tag` at `now` in schedule
+    /// `seed`: up to three follow-ups, each drawn from a hash of the
+    /// three — a tie with now, a short hop, the one-"second" timer every
+    /// request arms, whole "seconds" ahead, or a time in the past.
+    fn random_follow_ups(seed: u64, now: Time, tag: u32) -> Vec<(Time, u32)> {
+        use rand::Rng;
+        if tag >= 2_000 {
+            return Vec::new();
+        }
+        let mut rng = SmallRng::seed_from_u64(seed ^ now ^ u64::from(tag) << 40);
+        (0..rng.gen_range(0..4u32))
+            .map(|k| {
+                let at = match rng.gen_range(0..5u32) {
+                    0 => now,
+                    1 => now + rng.gen_range(1..50u64),
+                    2 => now + TICKS,
+                    3 => now + rng.gen_range(0..3u64) * TICKS,
+                    _ => now.saturating_sub(rng.gen_range(0..5u64)),
+                };
+                (at, tag * 4 + k + 1)
+            })
+            .collect()
+    }
+
+    struct RandomFanout {
+        seed: u64,
+        log: Rc<RefCell<Vec<(Time, u32)>>>,
+    }
+
+    impl Actor<Ev> for RandomFanout {
+        fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+            let Ev::Ping(tag) = ev else { return };
+            self.log.borrow_mut().push((now, tag));
+            for (at, next) in random_follow_ups(self.seed, now, tag) {
+                ctx.schedule_at(at, ctx.self_id(), Ev::Ping(next));
+            }
+        }
+    }
+
+    /// Random schedules — injected and actor-scheduled, timers among
+    /// short hops, ties and times in the past — are delivered in exactly
+    /// the order one plain heap of `(time, seq)` keys pops them, with the
+    /// timer FIFO and the heap both in use on the way.
+    #[test]
+    fn random_schedules_pop_in_plain_heap_order() {
+        use rand::Rng;
+        let mut delivered = 0;
+        for seed in 0..40u64 {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut sim: Sim<Ev> = Sim::new(seed);
+            let a = sim.add_actor(Box::new(RandomFanout { seed, log: log.clone() }));
+            let mut heap = BinaryHeap::new();
+            let (mut seq, mut now) = (0u64, 0);
+            let mut want = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(!seed);
+            let (mut both, mut fifo_max) = (false, 0);
+            for round in 0..20u64 {
+                for _ in 0..rng.gen_range(1..20u32) {
+                    let at = round * 100 + rng.gen_range(0..3 * TICKS);
+                    let tag = rng.gen_range(0..500u32);
+                    sim.schedule(at, a, Ev::Ping(tag));
+                    heap.push(Reverse((at.max(now), seq, tag)));
+                    seq += 1;
+                }
+                let deadline = round * 100 + rng.gen_range(0..200u64);
+                while let Some(&Reverse((at, _, tag))) = heap.peek().filter(|k| k.0 .0 <= deadline)
+                {
+                    heap.pop();
+                    now = at;
+                    want.push((at, tag));
+                    for (at, next) in random_follow_ups(seed, at, tag) {
+                        heap.push(Reverse((at.max(now), seq, next)));
+                        seq += 1;
+                    }
+                }
+                now = now.max(deadline);
+                while sim.peek().is_some_and(|(at, _, _)| at <= deadline) {
+                    both |= !sim.heap.is_empty() && !sim.fifo.is_empty();
+                    fifo_max = fifo_max.max(sim.fifo.len());
+                    sim.step();
+                }
+                sim.run_until(deadline);
+                assert_eq!(sim.now(), now, "seed {seed}");
+            }
+            sim.run_to_quiescence();
+            while let Some(Reverse((now, _, tag))) = heap.pop() {
+                want.push((now, tag));
+                for (at, next) in random_follow_ups(seed, now, tag) {
+                    heap.push(Reverse((at.max(now), seq, next)));
+                    seq += 1;
+                }
+            }
+            assert_eq!(*log.borrow(), want, "seed {seed}");
+            assert!(both && fifo_max > 1, "seed {seed}: the FIFO held up to {fifo_max} keys");
+            delivered += want.len();
+        }
+        assert!(delivered > 20_000, "{delivered} events");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! checked to be in the one canonical order (column names strictly
 //! ascending, each chain strictly descending) — and writes
 //! where each key and row starts into the spare room the block was read
-//! into, past the chunk's checksum: a loaded block is one allocation.
+//! into, past the chunk's checksum: a loaded block is one allocation, or
+//! none when the cache recycled an evicted block's buffer for it.
 //! Lookups then binary-search those offsets and compare keys in place; a
 //! block nobody reads a row from is never decoded at all. A point read
 //! decodes no row: it takes each column's version visible at its
@@ -24,7 +25,9 @@
 //! has two or more (one column is held inline in the row), and bumps the
 //! buffer's reference count per cell, whatever the cells' sizes. A row
 //! handed out keeps the buffer alive — past its block's eviction from the
-//! cache, if it comes to that — until the row is dropped.
+//! cache, if it comes to that — until the row is dropped. Evicted with no
+//! other view left, the buffer is recycled (`Block::recycle`): the next
+//! block is read into it over whatever the last one left there.
 
 use bytes::{Bytes, BytesMut};
 use spinnaker_common::codec::{self, Decode, Source};
@@ -95,6 +98,12 @@ impl Block {
             slots: narrow(slots)?,
             n: narrow(n)?,
         })
+    }
+
+    /// The block's buffer, to read another block into, when nothing else
+    /// views it: no row handed out and no other clone of the block.
+    pub(crate) fn recycle(self) -> Option<BytesMut> {
+        self.buf.try_into_mut().ok()
     }
 
     /// Where entry `pos` (`< n`) sits in `buf`, the block's buffer: its

@@ -17,8 +17,9 @@
 //! column (held inline in the returned row; a wider row costs one vector
 //! of columns), never a copy of its bytes; a cold block read for one key
 //! allocates for that one row,
-//! and eviction frees one flat buffer — once no row handed out still
-//! views it — not an object graph per stored row.
+//! and eviction recycles one flat buffer — unless a row handed out still
+//! views it, which then frees it when it goes — not an object graph per
+//! stored row.
 //!
 //! Design:
 //!
@@ -36,6 +37,13 @@
 //!   per entry is its one buffer: the chunk, then 8 bytes of offsets per
 //!   row and whatever spare room the read left unused. A row a reader
 //!   still holds pins that buffer, an evicted block's too, until it drops.
+//! * **Recycled buffers**: an evicted entry's buffer, when nothing else
+//!   views it ([`bytes::Bytes::try_into_mut`]), joins its shard's few
+//!   spares, and a miss of that shard reads its chunk into the shortest
+//!   spare that fits (`BlockCache::spare`) instead of a fresh zeroed
+//!   buffer. A warm cache under eviction then reads a block with no
+//!   allocation. What is cached, hit and evicted does not change: the
+//!   charge is still the chunk length, whatever buffer holds it.
 //! * **Keyed `(table_id, block_offset)`** where `table_id` is a
 //!   cache-unique id handed out by [`BlockCache::register_table`] at
 //!   table open. Ids are never reused, so an entry for a table retired by
@@ -47,6 +55,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 use crate::block::Block;
@@ -55,6 +64,9 @@ use crate::block::Block;
 pub type SharedBlockCache = Arc<BlockCache>;
 
 const SHARDS: usize = 8;
+
+/// Evicted blocks' buffers a shard keeps for its next misses.
+const SPARES: usize = 4;
 
 struct Entry {
     block: Block,
@@ -68,9 +80,24 @@ struct Shard {
     bytes: u64,
     /// Clock hand: the sweep resumes strictly after this key.
     hand: (u64, u64),
+    /// Buffers of evicted blocks that nothing else viewed, oldest first.
+    spares: Vec<BytesMut>,
 }
 
 impl Shard {
+    /// Uncharge `e`, which has left the map, and keep its buffer as a
+    /// spare when nothing else views it, in place of the oldest spare
+    /// when there are [`SPARES`] already.
+    fn retire(&mut self, e: Entry) {
+        self.bytes -= e.charge;
+        if let Some(buf) = e.block.recycle() {
+            if self.spares.len() == SPARES {
+                self.spares.remove(0);
+            }
+            self.spares.push(buf);
+        }
+    }
+
     /// Evict one entry by the clock rule. Returns the bytes released
     /// (0 only when the shard is empty).
     fn evict_one(&mut self) -> u64 {
@@ -96,8 +123,9 @@ impl Shard {
             };
             if evict {
                 if let Some(e) = self.map.remove(&key) {
-                    self.bytes -= e.charge;
-                    return e.charge;
+                    let charge = e.charge;
+                    self.retire(e);
+                    return charge;
                 }
             }
         }
@@ -242,7 +270,7 @@ impl BlockCache {
         // working set out of the cache.
         let entry = Entry { block, charge, referenced: false };
         if let Some(old) = shard.map.insert((table, offset), entry) {
-            shard.bytes -= old.charge;
+            shard.retire(old);
         }
         shard.bytes += charge;
         self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -254,6 +282,22 @@ impl BlockCache {
         }
     }
 
+    /// A buffer of at least `len` bytes for a block of `table` to be read
+    /// into: the shortest spare of its shard that fits, unless that is
+    /// half as long again as asked (a short block does not pin a long
+    /// buffer). Its bytes are what the evicted block left there, not
+    /// zeros. `None` when no spare fits.
+    pub(crate) fn spare(&self, table: u64, len: usize) -> Option<BytesMut> {
+        let mut shard = self.shard(table).lock();
+        let (at, _) = shard
+            .spares
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| (len..=len + len / 2).contains(&b.len()))
+            .min_by_key(|(_, b)| b.len())?;
+        Some(shard.spares.remove(at))
+    }
+
     /// Drop every entry belonging to `table` — called when compaction (or
     /// a store fork cleanup) retires the table, so its blocks can never
     /// be served again.
@@ -263,7 +307,7 @@ impl BlockCache {
             shard.map.range((table, 0)..=(table, u64::MAX)).map(|(k, _)| *k).collect();
         for key in keys {
             if let Some(e) = shard.map.remove(&key) {
-                shard.bytes -= e.charge;
+                shard.retire(e);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }

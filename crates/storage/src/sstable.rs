@@ -458,7 +458,8 @@ impl Table {
     /// position `idx`: checksum-verified and indexed, no row decoded.
     /// The chunk is read with room after it for its entries' offsets, so
     /// a block is one allocation (two when it has more entries than
-    /// `spare_slots` made room for).
+    /// `spare_slots` made room for) — none when the cache has a spare
+    /// buffer that fits, one an evicted block left behind.
     fn read_block(&self, idx: usize) -> Result<Block> {
         let e = &self.index[idx];
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
@@ -469,17 +470,15 @@ impl Table {
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
-        let chunk_len = codec::usize_from(e.len);
-        let body_len = chunk_len.saturating_sub(4);
-        let spare = self.spare_slots(body_len) * SLOT;
-        let buf = read_verified(
-            self.file.as_ref(),
-            e.offset,
-            e.len,
-            spare,
-            self.meta.file_bytes,
-            &self.path,
-        )?;
+        let chunk_len = chunk_len(e.offset, e.len, self.meta.file_bytes, &self.path)?;
+        let body_len = chunk_len - 4;
+        let len = chunk_len + self.spare_slots(body_len) * SLOT;
+        let recycled = match (self.ctx.cache.as_ref(), self.cache_id) {
+            (Some(cache), Some(id)) => cache.spare(id, len),
+            _ => None,
+        };
+        let mut buf = recycled.unwrap_or_else(|| BytesMut::zeroed(len));
+        read_verified_into(self.file.as_ref(), e.offset, &mut buf[..chunk_len], &self.path)?;
         // The checksum held, so a body that does not parse was written
         // wrong or forged: corruption all the same, not a codec error.
         let block = Block::load(buf, body_len, chunk_len).map_err(|err| {
@@ -577,23 +576,6 @@ impl Table {
     }
 }
 
-/// Read the `len`-byte chunk at `offset` of a `file_bytes`-long file
-/// into a buffer `spare` bytes longer, and verify its checksum: the
-/// buffer holds the body, the checksum, then `spare` zero bytes.
-fn read_verified(
-    file: &dyn VfsFile,
-    offset: u64,
-    len: u32,
-    spare: usize,
-    file_bytes: u64,
-    path: &str,
-) -> Result<BytesMut> {
-    let len = chunk_len(offset, len, file_bytes, path)?;
-    let mut buf = BytesMut::zeroed(len + spare);
-    read_verified_into(file, offset, &mut buf[..len], path)?;
-    Ok(buf)
-}
-
 /// The length of the `len`-byte chunk at `offset`, once it is known to
 /// lie inside the `file_bytes`-long file and to hold its checksum: what
 /// bounds a buffer sized by a length that may come from a corrupt footer
@@ -631,8 +613,10 @@ fn read_chunk(
     file_bytes: u64,
     path: &str,
 ) -> Result<Bytes> {
-    let buf = read_verified(file, offset, len, 0, file_bytes, path)?;
-    Ok(buf.freeze().slice(..codec::usize_from(len) - 4))
+    let len = chunk_len(offset, len, file_bytes, path)?;
+    let mut buf = BytesMut::zeroed(len);
+    read_verified_into(file, offset, &mut buf, path)?;
+    Ok(buf.freeze().slice(..len - 4))
 }
 
 /// A table's entries in key order, one block held at a time (so its

@@ -290,3 +290,50 @@ fn a_scan_page_allocates_per_row_and_block_not_per_cell() {
         );
     }
 }
+
+#[test]
+fn a_cold_get_reads_its_block_into_an_evicted_blocks_buffer() {
+    // One table of 48 blocks of about 32 rows behind a cache that keeps
+    // four: all of its blocks land in one shard, of an eighth of the
+    // capacity.
+    const ROWS: u64 = 1_536;
+    let cache = Arc::new(BlockCache::new(8 * 4 * (BLOCK_BYTES + 256)));
+    let opts = StoreOptions {
+        memtable_flush_bytes: usize::MAX,
+        cache: Some(cache.clone()),
+        ..Default::default()
+    };
+    let mut store = RangeStore::open(Arc::new(MemVfs::new()), opts).unwrap();
+    for i in 0..ROWS {
+        let op = WriteOp::put(key(i), Bytes::from_static(b"c"), Bytes::from(vec![b'v'; 100]), i);
+        store.apply(&op, Lsn::new(1, i + 1));
+    }
+    store.flush().unwrap();
+    let blocks = store.approx_total_bytes() / BLOCK_BYTES;
+    assert!(blocks >= 40, "{blocks} blocks");
+    // Every 37th key: each get reads a block no other get of the pass
+    // reads, so none is ever hit again and the clock evicts the oldest
+    // (a block hit since its insert would outlive the new one, whose
+    // buffer the get still holds). The last block, shorter than the
+    // rest, is left out.
+    let keys: Vec<Key> = (0..ROWS - 64).step_by(37).map(key).collect();
+    // Warm-up: the cache fills, starts evicting, and its shard keeps the
+    // evicted blocks' buffers.
+    for k in &keys {
+        store.get(k).unwrap().unwrap();
+    }
+    let warm = cache.stats();
+    assert!(warm.evictions >= keys.len() as u64 - 4, "{warm:?}");
+    // Again, every get a miss: the block is read into the buffer of one
+    // its shard evicted, the entry fits the map's one node, and the
+    // row's one column is held inline. (Each cost the block's buffer
+    // while eviction freed the buffers.)
+    for k in &keys {
+        let (calls, bytes, row) = allocated(|| store.get(k).unwrap().unwrap());
+        assert_eq!(row.get(b"c").unwrap().value.len(), 100);
+        assert_eq!((calls, bytes), (0, 0), "a cold get of {k:?}");
+    }
+    let cold = cache.stats();
+    assert_eq!(cold.hits, warm.hits, "{warm:?} then {cold:?}");
+    assert_eq!(cold.misses - warm.misses, keys.len() as u64);
+}

@@ -49,14 +49,15 @@ pub(crate) struct RunIndex {
 }
 
 impl RunIndex {
-    /// Index `lsn` at `loc`, in place of where it was indexed before. An
-    /// LSN that follows the run before it in the same frame extends it.
-    pub fn insert(&mut self, lsn: Lsn, loc: RecordLoc) {
+    /// Index `lsn` at `loc`, in place of where it was indexed before,
+    /// telling `dropped` that location if there was one. An LSN that
+    /// follows the run before it in the same frame extends it.
+    pub fn insert(&mut self, lsn: Lsn, loc: RecordLoc, dropped: impl FnMut(&RecordLoc, u64)) {
         let at = match self.runs.back() {
             Some(back) if back.last() >= lsn => {
                 // Out of order: a catch-up filling a hole, or an LSN
                 // logged again.
-                self.remove(lsn, lsn, |_, _| {});
+                self.remove(lsn, lsn, dropped);
                 self.runs.partition_point(|r| r.first < lsn)
             }
             _ => self.runs.len(),
@@ -148,7 +149,7 @@ mod tests {
     /// Index `len` LSNs from `first` on, as one frame in `segment`.
     fn log(index: &mut RunIndex, first: Lsn, len: u64, segment: u64) {
         for seq in first.seq()..first.seq() + len {
-            index.insert(Lsn::new(first.epoch(), seq), at(segment));
+            index.insert(Lsn::new(first.epoch(), seq), at(segment), |_, _| {});
         }
     }
 
@@ -191,7 +192,14 @@ mod tests {
         index.remove(lsn(2), lsn(2), |_, _| {});
         log(&mut index, lsn(2), 1, 3);
         assert_eq!(listed(&index), [(1, 1), (2, 3), (3, 2), (4, 2), (5, 1), (6, 1)]);
-        log(&mut index, lsn(1), 6, 4);
+        // Each LSN logged again tells where it was, once.
+        let mut dropped = Vec::new();
+        for seq in 1..=6 {
+            index.insert(lsn(seq), at(4), |loc, n| dropped.push((loc.segment, n)));
+        }
+        assert_eq!(dropped, [(1, 1), (3, 1), (2, 1), (2, 1), (1, 1), (1, 1)]);
         assert_eq!((index.len(), index.runs()), (6, 1));
+        // Past the last one, nothing was indexed before.
+        index.insert(lsn(7), at(4), |_, _| panic!("7 was never indexed"));
     }
 }

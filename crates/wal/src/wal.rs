@@ -212,10 +212,7 @@ impl Wal {
         // The segment gets one reference per indexed LSN, so a partial
         // checkpoint releases it correctly. An LSN logged again (a
         // follower re-logs a takeover's re-proposal) moves to the new
-        // frame, but its old frame's reference is not released: that
-        // segment is not collected until a reopen finds the LSN at or
-        // below the checkpoint (ROADMAP, "A re-logged LSN pins its
-        // segment").
+        // frame, and its old frame's segment loses the reference.
         for i in 0..ops as u64 {
             let lsn = Lsn::new(first.epoch(), first.seq() + i);
             if entry.skipped.binary_search(&lsn).is_ok() {
@@ -225,7 +222,7 @@ impl Wal {
                 entry.last_lsn = lsn;
             }
             if lsn > entry.checkpoint {
-                entry.records.insert(lsn, loc);
+                entry.records.insert(lsn, loc, |old, n| release(seg_refs, old, n));
                 *seg_refs.entry(loc.segment).or_insert(0) += 1;
             }
         }
@@ -566,7 +563,7 @@ fn decode_cohorts(data: &[u8]) -> Result<BTreeMap<RangeId, Cohort>> {
 #[cfg(test)]
 mod tests {
     use spinnaker_common::op;
-    use spinnaker_common::vfs::MemVfs;
+    use spinnaker_common::vfs::{MemVfs, Vfs};
 
     use super::*;
 
@@ -625,7 +622,6 @@ mod tests {
         wal.append(&wr(0, 1, 1)).unwrap();
         wal.sync().unwrap();
         // Simulate a torn write: append garbage directly to the segment.
-        use spinnaker_common::vfs::Vfs;
         let mut f = Vfs::open(&vfs, "wal/seg-0000000001.log").unwrap();
         f.append(&[0xde, 0xad, 0xbe]).unwrap();
         f.sync().unwrap();
@@ -723,6 +719,30 @@ mod tests {
         assert!(wal.read_range(RangeId(0), Lsn::ZERO, Lsn::new(1, 50)).is_err());
         // Replay above still works.
         assert_eq!(wal.read_range(RangeId(0), Lsn::new(1, 50), Lsn::MAX).unwrap().len(), 30);
+    }
+
+    #[test]
+    fn an_lsn_logged_again_releases_its_old_segment() {
+        let vfs = MemVfs::new();
+        let mut wal =
+            Wal::open(Arc::new(vfs.clone()), WalOptions { dir: "wal".into(), segment_bytes: 256 })
+                .unwrap();
+        for seq in 1..=20 {
+            wal.append(&wr(0, 1, seq)).unwrap();
+        }
+        assert!(wal.segment_count() > 2, "rollover must have happened");
+        // A follower logs 1.1 again (a takeover's re-proposal), in the
+        // current segment, far past the first.
+        let again = op::put("k1", "c", "again");
+        wal.append(&LogRecord::write(RangeId(0), Lsn::new(1, 1), again.clone())).unwrap();
+        wal.sync().unwrap();
+        let first = wal.read_range(RangeId(0), Lsn::ZERO, Lsn::new(1, 1)).unwrap();
+        assert_eq!(first, [(Lsn::new(1, 1), again)], "the new frame is the one indexed");
+        // Past every LSN: no index entry is left, so no segment but the
+        // current one is either.
+        wal.set_checkpoint(RangeId(0), Lsn::new(1, 20)).unwrap();
+        assert_eq!(wal.segment_count(), 1, "every sealed segment collected");
+        assert!(!Vfs::exists(&vfs, "wal/seg-0000000001.log").unwrap(), "the first one too");
     }
 
     #[test]
@@ -856,7 +876,6 @@ mod tests {
     /// skipped LSN for any cohort, and replays from the beginning.
     #[test]
     fn a_log_without_a_sidecar_opens_pristine() {
-        use spinnaker_common::vfs::Vfs;
         let vfs = MemVfs::new();
         let mut wal = wal_on(&vfs);
         wal.append(&wr(0, 1, 1)).unwrap();

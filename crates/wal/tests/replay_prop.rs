@@ -70,8 +70,9 @@ impl Model {
         for seq in first.seq()..first.seq() + ops {
             let lsn = Lsn::new(first.epoch(), seq);
             if !self.skipped.contains(&lsn) && lsn > self.checkpoint {
-                // An LSN logged again moves to the new frame; the old
-                // one keeps its reference.
+                // An LSN logged again moves to the new frame, and the
+                // old one's segment loses its reference.
+                self.forget(lsn);
                 self.index.insert(lsn, (segment, append));
                 *self.refs.entry(segment).or_default() += 1;
             }
