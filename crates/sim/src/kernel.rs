@@ -5,14 +5,16 @@
 //! queue orders only those keys, each with the slot of a slab where its
 //! event waits, so a sift moves 24 bytes however large the event type; a
 //! delivered event's slot is reused by the next one queued. A key at or
-//! past the last one queued in order — a fixed-delay timer, armed once per
-//! request, is nearly always one — goes on the back of a FIFO instead of
-//! into the heap, and the next event is the earlier of the heap's top and
-//! the FIFO's front: the same order as one heap of them all, without a
-//! sift through a second's worth of pending timers per event. Actors
-//! receive typed events and schedule new ones through [`Ctx`]. A simulated
-//! minute of cluster time costs only the event processing itself, which is
-//! what makes regenerating every figure of the paper practical on a laptop.
+//! past the last one queued in order goes on the back of a FIFO instead
+//! of into the heap, and the next event is the earlier of the heap's top
+//! and the FIFO's front: the same order as one heap of them all. A
+//! fixed-delay timer, armed once per request, is such a key unless a
+//! longer delay was armed after it, so a second's worth of pending
+//! request timeouts waits in the FIFO and the heap sifts only the
+//! short hops. Actors receive typed events and schedule new ones through
+//! [`Ctx`]. A simulated minute of cluster time costs only the event
+//! processing itself, which is what makes regenerating every figure of
+//! the paper practical on a laptop.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;

@@ -12,6 +12,9 @@
 //! without allocating (`index.rs`). Replay, truncation and checkpoints
 //! still work per LSN, and each segment counts one reference per LSN
 //! indexed in it: it is deleted once sealed and the last of them is gone.
+//! An LSN logged again moves to its new frame, but the old frame keeps
+//! its reference until the new one is forced, so a crash in between
+//! still finds a copy.
 //!
 //! Everything the log knows about one cohort is one `Cohort` entry:
 //! its checkpoint, where local recovery starts replaying (§6.1), and its
@@ -99,6 +102,10 @@ pub struct Wal {
     /// Live index references per segment, one per indexed LSN; a sealed
     /// segment with zero references is garbage.
     seg_refs: BTreeMap<u64, u64>,
+    /// References of frames that an LSN logged again left since the last
+    /// force, as `(segment, count)`: released once the new frame is
+    /// durable, so a crash before then still finds the old one.
+    moved: Vec<(u64, u64)>,
     appended_since_sync: bool,
     /// The frame being appended, encoded in place; reused by every
     /// append, so a warmed-up log frames records without allocating.
@@ -146,6 +153,7 @@ impl Wal {
         seg_ids.sort_unstable();
 
         let mut seg_refs: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut moved = Vec::new();
         let last = seg_ids.last().copied();
         for &id in &seg_ids {
             let path = Self::seg_path(&opts.dir, id);
@@ -159,7 +167,7 @@ impl Wal {
                 match scan_frame(&data[offset..])? {
                     FrameRead::Record(header, n) => {
                         let loc = RecordLoc { segment: id, offset: offset as u64, frame_len: n };
-                        Self::index_record(&mut cohorts, &mut seg_refs, header, loc);
+                        Self::index_record(&mut cohorts, &mut seg_refs, &mut moved, header, loc);
                         offset += n;
                     }
                     FrameRead::Torn(why) => {
@@ -180,21 +188,26 @@ impl Wal {
 
         let next_id = seg_ids.last().map_or(1, |m| m + 1);
         let file = vfs.create(&Self::seg_path(&opts.dir, next_id))?;
-        Ok(Wal {
+        let mut wal = Wal {
             vfs,
             sealed: seg_ids,
             current: OpenSegment { id: next_id, file, bytes: 0 },
             cohorts,
             seg_refs,
+            moved,
             appended_since_sync: false,
             frame: Vec::new(),
             opts,
-        })
+        };
+        // Every frame scanned is on disk: an LSN's older frames go at once.
+        wal.release_moved();
+        Ok(wal)
     }
 
     fn index_record(
         cohorts: &mut BTreeMap<RangeId, Cohort>,
         seg_refs: &mut BTreeMap<u64, u64>,
+        moved: &mut Vec<(u64, u64)>,
         header: RecordHeader,
         loc: RecordLoc,
     ) {
@@ -212,7 +225,7 @@ impl Wal {
         // The segment gets one reference per indexed LSN, so a partial
         // checkpoint releases it correctly. An LSN logged again (a
         // follower re-logs a takeover's re-proposal) moves to the new
-        // frame, and its old frame's segment loses the reference.
+        // frame, and its old frame's reference goes to `moved`.
         for i in 0..ops as u64 {
             let lsn = Lsn::new(first.epoch(), first.seq() + i);
             if entry.skipped.binary_search(&lsn).is_ok() {
@@ -222,7 +235,10 @@ impl Wal {
                 entry.last_lsn = lsn;
             }
             if lsn > entry.checkpoint {
-                entry.records.insert(lsn, loc, |old, n| release(seg_refs, old, n));
+                entry.records.insert(lsn, loc, |old, n| match moved.last_mut() {
+                    Some((segment, m)) if *segment == old.segment => *m += n,
+                    _ => moved.push((old.segment, n)),
+                });
                 *seg_refs.entry(loc.segment).or_insert(0) += 1;
             }
         }
@@ -246,7 +262,13 @@ impl Wal {
         self.appended_since_sync = true;
         // Index updates mirror the recovery scan so a running node and a
         // restarted node agree exactly.
-        Self::index_record(&mut self.cohorts, &mut self.seg_refs, rec.header(), loc);
+        Self::index_record(
+            &mut self.cohorts,
+            &mut self.seg_refs,
+            &mut self.moved,
+            rec.header(),
+            loc,
+        );
         Ok(loc.segment)
     }
 
@@ -263,12 +285,22 @@ impl Wal {
         if self.appended_since_sync {
             self.current.file.sync()?;
             self.appended_since_sync = false;
+            self.release_moved();
         }
         Ok(())
     }
 
+    /// Release the references [`Wal::index_record`] set aside in
+    /// `moved`, once everything appended is durable.
+    fn release_moved(&mut self) {
+        for (segment, n) in self.moved.drain(..) {
+            release(&mut self.seg_refs, segment, n);
+        }
+    }
+
     fn roll_segment(&mut self) -> Result<()> {
         self.current.file.sync()?;
+        self.release_moved();
         self.sealed.push(self.current.id);
         let id = self.current.id + 1;
         let file = self.vfs.create(&Self::seg_path(&self.opts.dir, id))?;
@@ -432,7 +464,7 @@ impl Wal {
             if let Err(pos) = entry.skipped.binary_search(&lsn) {
                 entry.skipped.insert(pos, lsn);
             }
-            entry.records.remove(lsn, lsn, |loc, n| release(&mut self.seg_refs, loc, n));
+            entry.records.remove(lsn, lsn, |loc, n| release(&mut self.seg_refs, loc.segment, n));
         }
         entry.last_lsn = entry.records.last().unwrap_or(Lsn::ZERO).max(entry.checkpoint);
         self.save_cohorts()
@@ -457,7 +489,7 @@ impl Wal {
         entry.skipped.retain(|&l| l > lsn);
         self.save_cohorts()?;
         let entry = self.cohorts.entry(cohort).or_default();
-        entry.records.remove(Lsn::ZERO, lsn, |loc, n| release(&mut self.seg_refs, loc, n));
+        entry.records.remove(Lsn::ZERO, lsn, |loc, n| release(&mut self.seg_refs, loc.segment, n));
         self.maybe_gc()
     }
 
@@ -489,7 +521,9 @@ impl Wal {
     /// re-handoff (the replica moving back) expects.
     pub fn retire_stream(&mut self, cohort: RangeId) -> Result<()> {
         if let Some(mut entry) = self.cohorts.remove(&cohort) {
-            entry.records.remove(Lsn::ZERO, Lsn::MAX, |loc, n| release(&mut self.seg_refs, loc, n));
+            entry
+                .records
+                .remove(Lsn::ZERO, Lsn::MAX, |loc, n| release(&mut self.seg_refs, loc.segment, n));
         }
         self.save_cohorts()?;
         self.maybe_gc()
@@ -527,9 +561,9 @@ impl Wal {
     }
 }
 
-/// Drop `n` index references to the segment `loc` is in.
-fn release(seg_refs: &mut BTreeMap<u64, u64>, loc: &RecordLoc, n: u64) {
-    if let Some(refs) = seg_refs.get_mut(&loc.segment) {
+/// Drop `n` index references to `segment`.
+fn release(seg_refs: &mut BTreeMap<u64, u64>, segment: u64, n: u64) {
+    if let Some(refs) = seg_refs.get_mut(&segment) {
         *refs = refs.saturating_sub(n);
     }
 }
@@ -743,6 +777,44 @@ mod tests {
         wal.set_checkpoint(RangeId(0), Lsn::new(1, 20)).unwrap();
         assert_eq!(wal.segment_count(), 1, "every sealed segment collected");
         assert!(!Vfs::exists(&vfs, "wal/seg-0000000001.log").unwrap(), "the first one too");
+    }
+
+    /// A tail logged again is not durable until the next force: until
+    /// then its old segments stay, even when a checkpoint of another
+    /// cohort collects around them, so a crash loses neither copy.
+    #[test]
+    fn an_lsn_logged_again_keeps_its_old_segment_until_forced() {
+        let vfs = MemVfs::new();
+        let mut wal =
+            Wal::open(Arc::new(vfs.clone()), WalOptions { dir: "wal".into(), segment_bytes: 256 })
+                .unwrap();
+        for seq in 1..=3 {
+            wal.append(&wr(0, 1, seq)).unwrap();
+        }
+        for seq in 1..=20 {
+            wal.append(&wr(1, 1, seq)).unwrap();
+        }
+        wal.sync().unwrap();
+        let segments = wal.segment_count();
+        assert!(segments > 2, "rollover must have happened");
+        // A follower logs cohort 0's tail again (a takeover's
+        // re-proposal), not yet forced, in the current segment.
+        for seq in 1..=3 {
+            wal.append(&wr(0, 1, seq)).unwrap();
+        }
+        assert_eq!(wal.segment_count(), segments, "the tail is logged again unsealed");
+        // Cohort 1 flushes: only its own segments go.
+        wal.set_checkpoint(RangeId(1), Lsn::new(1, 20)).unwrap();
+        assert!(Vfs::exists(&vfs, "wal/seg-0000000001.log").unwrap(), "the tail's old segment");
+        let want: Vec<_> =
+            (1..=3).map(|seq| (Lsn::new(1, seq), wr(0, 1, seq).ops()[0].clone())).collect();
+        let reopened = wal_on(&vfs.crash_clone());
+        assert_eq!(reopened.read_range(RangeId(0), Lsn::ZERO, Lsn::MAX).unwrap(), want);
+        // Once forced, the old segment is free to go.
+        wal.sync().unwrap();
+        wal.set_checkpoint(RangeId(1), Lsn::new(1, 20)).unwrap();
+        assert!(!Vfs::exists(&vfs, "wal/seg-0000000001.log").unwrap(), "collected once forced");
+        assert_eq!(wal.read_range(RangeId(0), Lsn::ZERO, Lsn::MAX).unwrap(), want);
     }
 
     #[test]

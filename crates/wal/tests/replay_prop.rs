@@ -57,6 +57,9 @@ struct Model {
     index: BTreeMap<Lsn, (u64, u64)>,
     /// Index entries per segment.
     refs: BTreeMap<u64, usize>,
+    /// The segments LSNs logged again left since the last force: each
+    /// keeps its reference until then.
+    moved: Vec<u64>,
     sealed: BTreeSet<u64>,
     current: u64,
 }
@@ -66,22 +69,40 @@ impl Model {
         Model { current: 1, ..Model::default() }
     }
 
-    fn index(&mut self, (segment, first, ops, append): (u64, Lsn, u64, u64)) {
+    /// Index a record; `durable` when it is read back from disk.
+    fn index(&mut self, (segment, first, ops, append): (u64, Lsn, u64, u64), durable: bool) {
         for seq in first.seq()..first.seq() + ops {
             let lsn = Lsn::new(first.epoch(), seq);
             if !self.skipped.contains(&lsn) && lsn > self.checkpoint {
                 // An LSN logged again moves to the new frame, and the
-                // old one's segment loses its reference.
-                self.forget(lsn);
-                self.index.insert(lsn, (segment, append));
+                // old one's segment loses its reference once the new
+                // frame is durable.
+                if let Some((old, _)) = self.index.insert(lsn, (segment, append)) {
+                    if durable {
+                        self.release(old);
+                    } else {
+                        self.moved.push(old);
+                    }
+                }
                 *self.refs.entry(segment).or_default() += 1;
             }
         }
     }
 
+    fn release(&mut self, segment: u64) {
+        *self.refs.get_mut(&segment).unwrap() -= 1;
+    }
+
     fn forget(&mut self, lsn: Lsn) {
         if let Some((segment, _)) = self.index.remove(&lsn) {
-            *self.refs.get_mut(&segment).unwrap() -= 1;
+            self.release(segment);
+        }
+    }
+
+    /// Everything appended is forced.
+    fn sync(&mut self) {
+        for segment in std::mem::take(&mut self.moved) {
+            self.release(segment);
         }
     }
 
@@ -92,13 +113,15 @@ impl Model {
 
     fn append(&mut self, record: (u64, Lsn, u64, u64)) {
         if record.0 != self.current {
-            // The append rolled the segment, collecting before it indexed.
+            // The append rolled the segment, forcing it and collecting
+            // before it indexed.
+            self.sync();
             self.sealed.insert(self.current);
             self.current = record.0;
             self.collect();
         }
         self.records.push(record);
-        self.index(record);
+        self.index(record, false);
     }
 
     fn truncate(&mut self, lsn: Lsn) {
@@ -125,7 +148,7 @@ impl Model {
         let survivors: Vec<_> =
             self.records.iter().filter(|r| self.sealed.contains(&r.0)).copied().collect();
         for record in survivors {
-            self.index(record);
+            self.index(record, true);
         }
     }
 
@@ -361,13 +384,14 @@ proptest! {
     /// The index against a per-LSN model, step by step: batches of one
     /// to eight ops, some logging earlier LSNs again (a follower re-logs
     /// a takeover's re-proposal) or after a new epoch began, logical
-    /// truncation and checkpoints at LSNs inside frames, and reopens.
+    /// truncation and checkpoints at LSNs inside frames, forces, and
+    /// reopens.
     /// After every step the indexed LSNs, what replay reads for each,
     /// the count of indexed writes, the log tip, the skipped list and
     /// the segments on disk are the model's.
     #[test]
     fn the_index_agrees_with_a_per_lsn_model(
-        script in proptest::collection::vec((0u8..16, 1u64..=8, any::<u16>()), 1..60),
+        script in proptest::collection::vec((0u8..17, 1u64..=8, any::<u16>()), 1..60),
         segment_bytes in 256u64..2048,
     ) {
         let opts = || WalOptions { dir: "wal".into(), segment_bytes };
@@ -409,10 +433,17 @@ proptest! {
                 }
                 15 => {
                     wal.sync().unwrap();
+                    model.sync();
                     drop(wal);
                     vfs = vfs.crash_clone();
                     wal = Wal::open(Arc::new(vfs.clone()), opts()).unwrap();
                     model.reopen();
+                    model.check(&wal, &vfs);
+                    continue;
+                }
+                16 => {
+                    wal.sync().unwrap();
+                    model.sync();
                     model.check(&wal, &vfs);
                     continue;
                 }
